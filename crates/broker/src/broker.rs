@@ -94,6 +94,13 @@ pub struct BrokerStats {
     /// (including the background rebalance thread). Migration never
     /// changes a subscription's id or its delivery stream — this
     /// counter only measures rebalancing work.
+    ///
+    /// **Ordering:** each move is counted inside the directory write
+    /// section that repoints the subscription, before either lock of
+    /// the migrating pair is released. The counter therefore never
+    /// lags the placement: an observer that sees a move's effect on
+    /// [`Broker::shard_loads`] (or on any directory read) also sees it
+    /// counted here.
     pub subscriptions_migrated: u64,
     /// Parallel fan-out worker jobs that died (panicked) before
     /// contributing their shard's matches. Any nonzero value means some
@@ -838,7 +845,6 @@ impl Broker {
             }
             moved += step;
         }
-        self.note_migrated(moved);
         moved
     }
 
@@ -924,17 +930,7 @@ impl Broker {
             let mut window = self.inner.freq_baseline.lock();
             window.scores.iter_mut().for_each(|s| *s = 0);
         }
-        self.note_migrated(moved);
         moved
-    }
-
-    fn note_migrated(&self, moved: usize) {
-        if moved > 0 {
-            self.inner
-                .stats
-                .subscriptions_migrated
-                .fetch_add(moved as u64, Ordering::Relaxed);
-        }
     }
 
     /// One migration batch between a fixed shard pair, bounded by
@@ -1038,6 +1034,12 @@ impl Broker {
                     // and dedup; a failed relocate changed no mapping,
                     // so it bumps nothing and forces no spurious sorts.
                     self.inner.migration_epoch.fetch_add(1, Ordering::Release);
+                    // Counted here too, so whoever reads the moved load
+                    // through the directory lock also reads the count.
+                    self.inner
+                        .stats
+                        .subscriptions_migrated
+                        .fetch_add(1, Ordering::Relaxed);
                 }
                 relocated
             };
@@ -1166,7 +1168,6 @@ impl Broker {
         }
         // Frequency ticks must not compare counters across shard sets.
         self.inner.freq_baseline.lock().clear();
-        self.note_migrated(moved);
         moved
     }
     // lint: end-lock-order

@@ -1,15 +1,28 @@
 //! The predicate → subscription association table.
 
-use std::collections::HashMap;
-
 use crate::PredicateId;
 
-/// Lists at least this long move to the geometric-growth spill map.
+/// Lists at least this long switch to geometric growth.
 const LARGE_THRESHOLD: usize = 64;
+
+/// One predicate's slot in the dense array. The long list's `Vec`
+/// header is boxed so that a slot stays the 16 bytes of a bare
+/// `Box<[T]>` (the slice pointer's null niche is the discriminant): the
+/// common short list pays nothing for the rare long one.
+#[derive(Debug, Clone)]
+enum Slot<T> {
+    /// Exact-fit list; empty for predicates without postings.
+    Small(Box<[T]>),
+    /// Amortized-growth list. A list never moves back.
+    #[allow(clippy::box_collection)] // see the size note above
+    Spilled(Box<Vec<T>>),
+}
+
+const _: () = assert!(std::mem::size_of::<Slot<u32>>() == std::mem::size_of::<Box<[u32]>>());
 
 /// The association table of paper Fig. 2: maps each predicate id to the
 /// list of subscriptions (or DNF conjuncts, for the counting engines)
-/// containing it.
+/// associated with it.
 ///
 /// Storage follows the paper's footnote 2 ("we use arrays instead of a
 /// subscription list"): the common case — short lists; exactly one
@@ -17,54 +30,65 @@ const LARGE_THRESHOLD: usize = 64;
 /// boxed slice** (16 bytes of slot + 4 bytes per entry, no growth
 /// slack, no allocator header bookkeeping in our accounting). Lists
 /// that grow past [`LARGE_THRESHOLD`] (heavily shared predicates)
-/// spill into a side map with ordinary amortized `Vec` growth, so
-/// popular predicates never pay quadratic append cost.
+/// spill into a `Vec` with ordinary amortized growth, so popular
+/// predicates never pay quadratic append cost. Either kind hangs off
+/// the predicate's own slot: a lookup is one dense read, no hashing.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct AssocTable<T> {
-    /// Dense by predicate index; exact-fit lists.
-    small: Vec<Box<[T]>>,
-    /// Spill storage for long lists, keyed by predicate index.
-    large: HashMap<u32, Vec<T>>,
+    /// Dense by predicate index.
+    slots: Vec<Slot<T>>,
     postings: usize,
 }
 
 impl<T: Copy + PartialEq> AssocTable<T> {
     pub(crate) fn new() -> Self {
         AssocTable {
-            small: Vec::new(),
-            large: HashMap::new(),
+            slots: Vec::new(),
             postings: 0,
         }
+    }
+
+    /// Grows the slot array to hold every predicate id below
+    /// `universe`. Its capacity is the next power of two of the largest
+    /// universe ever announced — a function of the id space alone, not
+    /// of which ids went on to receive postings or in what order.
+    pub(crate) fn cover(&mut self, universe: usize) {
+        if universe <= self.slots.len() {
+            return;
+        }
+        if universe > self.slots.capacity() {
+            self.slots
+                .reserve_exact(universe.next_power_of_two() - self.slots.len());
+        }
+        self.slots
+            .resize_with(universe, || Slot::Small(Box::default()));
     }
 
     /// Appends `entry` to the list of `pred`.
     pub(crate) fn add(&mut self, pred: PredicateId, entry: T) {
         let idx = pred.index();
-        if idx >= self.small.len() {
-            self.small
-                .resize_with(idx + 1, || Vec::new().into_boxed_slice());
-        }
+        self.cover(idx + 1);
         self.postings += 1;
 
-        if let Some(list) = self.large.get_mut(&(idx as u32)) {
-            list.push(entry);
-            return;
-        }
-        let current = &self.small[idx];
+        let current = match &mut self.slots[idx] {
+            Slot::Spilled(list) => {
+                list.push(entry);
+                return;
+            }
+            Slot::Small(current) => current,
+        };
         if current.len() + 1 >= LARGE_THRESHOLD {
-            // Promote to the spill map; the slot keeps an empty box.
             let mut list = Vec::with_capacity(current.len() * 2);
             list.extend_from_slice(current);
             list.push(entry);
-            self.small[idx] = Vec::new().into_boxed_slice();
-            self.large.insert(idx as u32, list);
+            self.slots[idx] = Slot::Spilled(Box::new(list));
             return;
         }
         // Exact-fit rebuild: short lists only, so this stays cheap.
         let mut grown = Vec::with_capacity(current.len() + 1);
         grown.extend_from_slice(current);
         grown.push(entry);
-        self.small[idx] = grown.into_boxed_slice();
+        self.slots[idx] = Slot::Small(grown.into_boxed_slice());
     }
 
     /// Removes one occurrence of `entry` from the list of `pred`;
@@ -72,59 +96,61 @@ impl<T: Copy + PartialEq> AssocTable<T> {
     /// preserved.
     pub(crate) fn remove(&mut self, pred: PredicateId, entry: T) -> bool {
         let idx = pred.index();
-        if let Some(list) = self.large.get_mut(&(idx as u32)) {
-            let Some(pos) = list.iter().position(|e| *e == entry) else {
-                return false;
-            };
-            list.swap_remove(pos);
-            self.postings -= 1;
-            return true;
-        }
-        let Some(current) = self.small.get(idx) else {
-            return false;
+        let removed = match self.slots.get_mut(idx) {
+            None => false,
+            Some(Slot::Spilled(list)) => match list.iter().position(|e| *e == entry) {
+                Some(pos) => {
+                    list.swap_remove(pos);
+                    true
+                }
+                None => false,
+            },
+            Some(Slot::Small(current)) => match current.iter().position(|e| *e == entry) {
+                Some(pos) => {
+                    let mut shrunk = Vec::with_capacity(current.len() - 1);
+                    shrunk.extend_from_slice(&current[..pos]);
+                    shrunk.extend_from_slice(&current[pos + 1..]);
+                    *current = shrunk.into_boxed_slice();
+                    true
+                }
+                None => false,
+            },
         };
-        let Some(pos) = current.iter().position(|e| *e == entry) else {
-            return false;
-        };
-        let mut shrunk = Vec::with_capacity(current.len() - 1);
-        shrunk.extend_from_slice(&current[..pos]);
-        shrunk.extend_from_slice(&current[pos + 1..]);
-        self.small[idx] = shrunk.into_boxed_slice();
-        self.postings -= 1;
-        true
+        self.postings -= usize::from(removed);
+        removed
     }
 
     /// Removes all entries of `pred` for which `f` returns true;
     /// returns how many were removed. Used by counting unsubscription,
     /// where one original subscription owns many entries per predicate.
     pub(crate) fn remove_matching(&mut self, pred: PredicateId, f: impl Fn(&T) -> bool) -> usize {
-        let idx = pred.index();
-        if let Some(list) = self.large.get_mut(&(idx as u32)) {
-            let before = list.len();
-            list.retain(|e| !f(e));
-            let removed = before - list.len();
-            self.postings -= removed;
-            return removed;
-        }
-        let Some(current) = self.small.get(idx) else {
-            return 0;
+        let removed = match self.slots.get_mut(pred.index()) {
+            None => 0,
+            Some(Slot::Spilled(list)) => {
+                let before = list.len();
+                list.retain(|e| !f(e));
+                before - list.len()
+            }
+            Some(Slot::Small(current)) => {
+                let kept: Vec<T> = current.iter().copied().filter(|e| !f(e)).collect();
+                let removed = current.len() - kept.len();
+                if removed > 0 {
+                    *current = kept.into_boxed_slice();
+                }
+                removed
+            }
         };
-        let kept: Vec<T> = current.iter().copied().filter(|e| !f(e)).collect();
-        let removed = current.len() - kept.len();
-        if removed > 0 {
-            self.small[idx] = kept.into_boxed_slice();
-            self.postings -= removed;
-        }
+        self.postings -= removed;
         removed
     }
 
     /// The entries associated with `pred` (empty slice when none).
     pub(crate) fn get(&self, pred: PredicateId) -> &[T] {
-        let idx = pred.index();
-        if let Some(list) = self.large.get(&(idx as u32)) {
-            return list;
+        match self.slots.get(pred.index()) {
+            Some(Slot::Small(list)) => list,
+            Some(Slot::Spilled(list)) => list,
+            None => &[],
         }
-        self.small.get(idx).map_or(&[], |b| &b[..])
     }
 
     /// Total number of postings across all lists.
@@ -135,14 +161,16 @@ impl<T: Copy + PartialEq> AssocTable<T> {
     /// Approximate heap bytes.
     pub(crate) fn heap_bytes(&self) -> usize {
         let entry = std::mem::size_of::<T>();
-        let small_slots = self.small.capacity() * std::mem::size_of::<Box<[T]>>();
-        let small_entries: usize = self.small.iter().map(|b| b.len() * entry).sum();
-        let large: usize = self
-            .large
-            .values()
-            .map(|v| v.capacity() * entry + std::mem::size_of::<Vec<T>>() + 8)
+        let slots = self.slots.capacity() * std::mem::size_of::<Slot<T>>();
+        let lists: usize = self
+            .slots
+            .iter()
+            .map(|slot| match slot {
+                Slot::Small(list) => list.len() * entry,
+                Slot::Spilled(list) => std::mem::size_of::<Vec<T>>() + list.capacity() * entry,
+            })
             .sum();
-        small_slots + small_entries + large
+        slots + lists
     }
 }
 
@@ -221,6 +249,61 @@ mod tests {
         assert_eq!(t.get(pid(1)).len(), 150);
         assert_eq!(t.posting_count(), 5 + 150);
         assert_eq!(t.remove_matching(pid(2), |_| true), 0);
+    }
+
+    #[test]
+    fn slot_growth_ignores_which_ids_get_postings() {
+        // Same id space, postings on every id / on every 8th id / added
+        // back to front: the slot array is the same size, so bytes
+        // differ by the postings alone.
+        let universe = 1_000;
+        let mut all: AssocTable<u32> = AssocTable::new();
+        let mut sparse: AssocTable<u32> = AssocTable::new();
+        let mut reversed: AssocTable<u32> = AssocTable::new();
+        for step in (8..=universe).step_by(8) {
+            all.cover(step);
+            sparse.cover(step);
+            for i in step - 8..step {
+                all.add(pid(i), i as u32);
+            }
+            sparse.add(pid(step - 8), step as u32);
+        }
+        for i in (0..universe).rev() {
+            reversed.add(pid(i), i as u32);
+        }
+        let entry = std::mem::size_of::<u32>();
+        assert_eq!(all.heap_bytes(), reversed.heap_bytes());
+        assert_eq!(
+            all.heap_bytes() - sparse.heap_bytes(),
+            (all.posting_count() - sparse.posting_count()) * entry
+        );
+        assert_eq!(
+            sparse.heap_bytes(),
+            universe.next_power_of_two() * 16 + sparse.posting_count() * entry
+        );
+    }
+
+    #[test]
+    fn spilled_neighbours_leave_dense_lookups_alone() {
+        let mut t: AssocTable<u32> = AssocTable::new();
+        t.add(pid(0), 1);
+        for i in 0..(LARGE_THRESHOLD * 2) as u32 {
+            t.add(pid(1), i);
+        }
+        t.add(pid(2), 2);
+        for i in 0..(LARGE_THRESHOLD * 2) as u32 {
+            t.add(pid(3), i);
+        }
+        assert_eq!(t.get(pid(0)), &[1]);
+        assert_eq!(t.get(pid(2)), &[2]);
+        assert_eq!(t.get(pid(1)).len(), LARGE_THRESHOLD * 2);
+        assert_eq!(t.get(pid(3)).len(), LARGE_THRESHOLD * 2);
+        // A drained spilled list stays spilled and keeps accepting.
+        assert_eq!(t.remove_matching(pid(1), |_| true), LARGE_THRESHOLD * 2);
+        assert_eq!(t.get(pid(1)), &[] as &[u32]);
+        t.add(pid(1), 9);
+        assert_eq!(t.get(pid(1)), &[9]);
+        assert_eq!(t.posting_count(), 3 + LARGE_THRESHOLD * 2);
     }
 
     #[test]

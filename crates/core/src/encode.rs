@@ -287,28 +287,6 @@ fn decode_node(bytes: &[u8], offset: usize) -> Result<(IdExpr, usize), DecodeErr
     }
 }
 
-/// Visits every leaf predicate id in an encoded tree without building
-/// an [`IdExpr`] — the unsubscription fast path.
-pub(crate) fn for_each_encoded_leaf(bytes: &[u8], f: &mut impl FnMut(PredicateId)) {
-    let mut offset = 0;
-    while offset < bytes.len() {
-        match bytes[offset] {
-            TAG_PRED => {
-                let raw: [u8; 4] = bytes[offset + 1..offset + 5]
-                    .try_into()
-                    .expect("encoded tree is well-formed");
-                f(PredicateId::from_raw(u32::from_le_bytes(raw)));
-                offset += 5;
-            }
-            _ => {
-                // Inner node: skip the header; children follow inline.
-                let n = bytes[offset + 1] as usize;
-                offset += 2 + 2 * n;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,21 +378,6 @@ mod tests {
         bytes.extend_from_slice(&leaf);
         bytes.extend_from_slice(&leaf);
         assert!(matches!(decode(&bytes), Err(DecodeError::WidthMismatch)));
-    }
-
-    #[test]
-    fn encoded_leaf_walk_matches_id_expr() {
-        let tree = IdExpr::And(vec![
-            IdExpr::Or(vec![p(5), p(6), p(5)]),
-            IdExpr::Not(Box::new(p(7))),
-        ]);
-        let bytes = encode(&tree).unwrap();
-        let mut from_bytes = Vec::new();
-        for_each_encoded_leaf(&bytes, &mut |id| from_bytes.push(id.index()));
-        let mut from_tree = Vec::new();
-        tree.for_each_leaf(&mut |id| from_tree.push(id.index()));
-        assert_eq!(from_bytes, from_tree);
-        assert_eq!(from_bytes, vec![5, 6, 5, 7]);
     }
 
     #[test]

@@ -50,6 +50,29 @@ impl Default for NonCanonicalConfig {
 /// association table, the subscription location table, and the
 /// byte-encoded subscription trees themselves.
 ///
+/// # Which postings exist — a stated departure from §3.2
+///
+/// The paper associates a subscription with **every** predicate of its
+/// tree, so phase 2 evaluates each subscription with *any* fulfilled
+/// predicate. This engine keeps the two phases, the four structures and
+/// the original trees, but associates a subscription only with a
+/// **necessary predicate set** — leaves of which at least one is
+/// fulfilled whenever the tree is true (`necessary_set`: a leaf is
+/// its own set, an `OR` unions its children's sets, an `AND` takes its
+/// cheapest child's set, a `NOT` has none). A subscription becomes a
+/// candidate only when a predicate it *needs* is fulfilled; the matched
+/// set is unchanged, the candidate set shrinks. On 20 000 paper-shape
+/// subscriptions (AND of 4 OR-pairs, the benchmark's
+/// `fig3-noncanonical` at seed 2005) that is 1 524 candidate trees per
+/// event where the all-predicates association evaluated 5 435, and two
+/// postings per subscription where it stored eight; on 20 000 ticker
+/// subscriptions (`symbol = S and …`) one posting each and 1 661
+/// candidates where it evaluated 18 905.
+///
+/// Subscriptions without a necessary set — the tree can be true when
+/// the event fulfils none of its predicates, e.g. `not (a = 1)` — are
+/// kept on an always-evaluate list and are candidates for every event.
+///
 /// # Examples
 ///
 /// ```
@@ -71,8 +94,13 @@ pub struct NonCanonicalEngine {
     config: NonCanonicalConfig,
     interner: PredicateInterner,
     index: PredicateIndex<PredicateId>,
-    /// Predicate → subscriptions containing it (dense u32 sub indexes).
+    /// Predicate → subscriptions having it in their necessary set
+    /// (dense u32 sub indexes).
     assoc: AssocTable<u32>,
+    /// Subscriptions without a necessary set, evaluated for every
+    /// event. Ascending: ids are issued in increasing order and never
+    /// reused.
+    always: Vec<u32>,
     /// Subscription location table: dense sub index → tree location.
     /// The [`Loc::empty`] sentinel marks unsubscribed ids (never
     /// reused); a plain `Loc` per slot is 8 bytes where `Option<Loc>`
@@ -80,6 +108,71 @@ pub struct NonCanonicalEngine {
     locations: Vec<Loc>,
     arena: TreeArena,
     live_subs: usize,
+}
+
+/// Expected candidate traffic of a necessary set, compared
+/// lexicographically: fewer predicates first, then fewer non-equality
+/// ones (a range, `!=` or string predicate holds for far more events
+/// than an equality does).
+type SetCost = (usize, usize);
+
+/// The association rule: appends to `out` a **necessary predicate
+/// set** of `tree` — leaves of which at least one is fulfilled
+/// whenever the tree is true — and returns its cost, or appends
+/// nothing and returns `None` when the tree can be true with no leaf
+/// fulfilled.
+///
+/// A leaf is its own set; an `OR` needs one of its children, so it
+/// takes the union of their sets (and has none if any child has none);
+/// an `AND` needs all of its children, so any one child's set will do
+/// and it takes the cheapest, the first on equal cost; a `NOT` has
+/// none. Leaves are counted and appended as they occur, duplicates
+/// included.
+///
+/// `subscribe` runs this on the compiled tree and `unsubscribe` on the
+/// decoded stored tree; the two agree because predicate operators are
+/// fixed while a predicate is live, and because re-nesting a wide node
+/// into same-operator chunks ([`encode`]) changes neither a union nor
+/// the first cheapest child.
+fn necessary_set(
+    tree: &IdExpr,
+    interner: &PredicateInterner,
+    out: &mut Vec<PredicateId>,
+) -> Option<SetCost> {
+    let start = out.len();
+    match tree {
+        IdExpr::Pred(id) => {
+            out.push(*id);
+            let non_equality = !interner.resolve(*id).op().is_point();
+            Some((1, usize::from(non_equality)))
+        }
+        IdExpr::Or(children) => {
+            let mut cost = (0, 0);
+            for child in children {
+                let Some((preds, non_equality)) = necessary_set(child, interner, out) else {
+                    out.truncate(start);
+                    return None;
+                };
+                cost = (cost.0 + preds, cost.1 + non_equality);
+            }
+            Some(cost)
+        }
+        IdExpr::And(children) => {
+            let mut best = None;
+            for child in children {
+                let child_start = out.len();
+                match necessary_set(child, interner, out) {
+                    Some(cost) if best.is_none_or(|b| cost < b) => {
+                        out.drain(start..child_start);
+                        best = Some(cost);
+                    }
+                    _ => out.truncate(child_start),
+                }
+            }
+            best
+        }
+        IdExpr::Not(_) => None,
+    }
 }
 
 impl Default for NonCanonicalEngine {
@@ -101,6 +194,7 @@ impl NonCanonicalEngine {
             interner: PredicateInterner::new(),
             index: PredicateIndex::new(),
             assoc: AssocTable::new(),
+            always: Vec::new(),
             locations: Vec::new(),
             arena: TreeArena::new(),
             live_subs: 0,
@@ -124,6 +218,20 @@ impl NonCanonicalEngine {
             Expr::Or(cs) => IdExpr::Or(cs.iter().map(|c| self.compile(c, acquired)).collect()),
             Expr::Not(c) => IdExpr::Not(Box::new(self.compile(c, acquired))),
         }
+    }
+
+    /// The distinct predicates `tree` is associated with, or `None`
+    /// when it has no necessary set and belongs on the always-evaluate
+    /// list. Shared by `subscribe` and `unsubscribe`, so what one posts
+    /// the other removes.
+    fn association_of(&self, tree: &IdExpr) -> Option<Vec<PredicateId>> {
+        let mut set = Vec::new();
+        necessary_set(tree, &self.interner, &mut set)?;
+        // A predicate occurring twice in the set must not make the
+        // subscription a candidate twice.
+        set.sort_unstable();
+        set.dedup();
+        Some(set)
     }
 
     fn release_predicate(&mut self, id: PredicateId) {
@@ -157,7 +265,11 @@ impl NonCanonicalEngine {
     }
 
     /// Total entries in the predicate→subscription association table —
-    /// one per distinct predicate per subscription.
+    /// one per distinct predicate of each subscription's necessary set
+    /// (see the type-level documentation), not one per distinct leaf as
+    /// in the paper's §3.2: `(a > 9 or a <= 1) and (b > 9 or b <= 1)`
+    /// posts 2 entries, not 4; `s = "X" and (p > 5 or p <= 1)` posts 1;
+    /// `not (a = 1)` posts none and is evaluated for every event.
     pub fn association_postings(&self) -> usize {
         self.assoc.posting_count()
     }
@@ -199,13 +311,15 @@ impl FilterEngine for NonCanonicalEngine {
         self.locations.push(loc);
         self.live_subs += 1;
 
-        // One association entry per *distinct* predicate of the
-        // subscription (a predicate occurring twice in the tree must
-        // not make the subscription a candidate twice).
-        acquired.sort_unstable();
-        acquired.dedup();
-        for pid in acquired {
-            self.assoc.add(pid, sub_u32);
+        // Slots for the whole id space, whichever ids get postings.
+        self.assoc.cover(self.interner.universe());
+        match self.association_of(&tree) {
+            Some(set) => {
+                for pid in set {
+                    self.assoc.add(pid, sub_u32);
+                }
+            }
+            None => self.always.push(sub_u32),
         }
         Ok(SubscriptionId::from_index(sub_index))
     }
@@ -220,24 +334,30 @@ impl FilterEngine for NonCanonicalEngine {
         }
         let loc = std::mem::replace(slot, Loc::empty());
 
-        // The tree itself is the record of which predicates to release —
-        // this is why the paper stores subscriptions explicitly (§3.2,
-        // footnote 1).
-        let mut leaves = Vec::new();
-        encode::for_each_encoded_leaf(self.arena.get(loc), &mut |pid| leaves.push(pid));
+        // The tree itself is the record of which postings and
+        // predicates to release — this is why the paper stores
+        // subscriptions explicitly (§3.2, footnote 1).
+        let tree =
+            encode::decode(self.arena.get(loc)).expect("engine-encoded trees are well-formed");
         self.arena.remove(loc);
 
         let sub_u32 = u32::try_from(id.index()).expect("issued ids fit u32");
-        let mut unique = leaves.clone();
-        unique.sort_unstable();
-        unique.dedup();
-        for pid in unique {
-            let removed = self.assoc.remove(pid, sub_u32);
-            debug_assert!(removed, "association entry missing for {pid}");
+        match self.association_of(&tree) {
+            Some(set) => {
+                for pid in set {
+                    let removed = self.assoc.remove(pid, sub_u32);
+                    debug_assert!(removed, "association entry missing for {pid}");
+                }
+            }
+            None => {
+                let at = self.always.binary_search(&sub_u32);
+                debug_assert!(at.is_ok(), "always-evaluate entry missing for {id}");
+                if let Ok(at) = at {
+                    self.always.remove(at);
+                }
+            }
         }
-        for pid in leaves {
-            self.release_predicate(pid);
-        }
+        tree.for_each_leaf(&mut |pid| self.release_predicate(pid));
         self.live_subs -= 1;
         Ok(())
     }
@@ -265,6 +385,9 @@ impl FilterEngine for NonCanonicalEngine {
 
         let mut candidates = std::mem::take(&mut scratch.candidates);
         candidates.clear();
+        // Always-evaluate subscriptions have no postings, so they need
+        // no stamps to stay single.
+        candidates.extend_from_slice(&self.always);
         for &pid in fulfilled.ids() {
             for &sub in self.assoc.get(pid) {
                 let stamp = &mut scratch.stamps[sub as usize];
@@ -356,6 +479,7 @@ impl FilterEngine for NonCanonicalEngine {
                 }
                 self.phase1(&events[base + l], &mut batch.fulfilled[l]);
                 stats.fulfilled += batch.fulfilled[l].len();
+                batch.candidates[l].extend_from_slice(&self.always);
                 for &pid in batch.fulfilled[l].ids() {
                     let p = pid.index();
                     if batch.pred_stamps[p] != gen {
@@ -445,7 +569,8 @@ impl FilterEngine for NonCanonicalEngine {
         MemoryUsage {
             predicates: self.interner.heap_bytes(),
             phase1_index: self.index.heap_bytes(),
-            association: self.assoc.heap_bytes(),
+            association: self.assoc.heap_bytes()
+                + self.always.capacity() * std::mem::size_of::<u32>(),
             locations: self.locations.capacity() * std::mem::size_of::<Loc>(),
             trees: self.arena.heap_bytes(),
             vectors: 0,
@@ -461,6 +586,7 @@ impl FilterEngine for NonCanonicalEngine {
 mod tests {
     use super::*;
     use crate::Matcher;
+    use boolmatch_expr::{CompareOp, Predicate};
 
     fn engine_with(subs: &[&str]) -> (Matcher<NonCanonicalEngine>, Vec<SubscriptionId>) {
         let mut e = Matcher::new(NonCanonicalEngine::new());
@@ -776,5 +902,357 @@ mod tests {
         let r = e.match_event(&ev);
         assert!(r.matched.is_empty());
         assert_eq!(r.stats.fulfilled, 0);
+    }
+
+    // ---- the association rule ------------------------------------
+
+    fn leaf(i: usize) -> IdExpr {
+        IdExpr::Pred(PredicateId::from_index(i))
+    }
+
+    fn not(tree: IdExpr) -> IdExpr {
+        IdExpr::Not(Box::new(tree))
+    }
+
+    /// An interner holding `attr{i} OP 1` under id `i`, one per `ops`
+    /// entry.
+    fn interner_of(ops: &[CompareOp]) -> PredicateInterner {
+        let mut interner = PredicateInterner::new();
+        for (i, &op) in ops.iter().enumerate() {
+            let (id, fresh) = interner.intern(&Predicate::new(&format!("attr{i}"), op, 1_i64));
+            assert!(fresh);
+            assert_eq!(id.index(), i);
+        }
+        interner
+    }
+
+    /// The rule's raw output (leaf order, duplicates kept) as indexes.
+    fn rule(tree: &IdExpr, interner: &PredicateInterner) -> Option<Vec<usize>> {
+        let mut out = Vec::new();
+        let cost = necessary_set(tree, interner, &mut out);
+        if cost.is_none() {
+            assert!(out.is_empty(), "no set must leave nothing behind");
+        }
+        cost.map(|_| out.iter().map(|id| id.index()).collect())
+    }
+
+    #[test]
+    fn rule_equality_beats_range_inside_an_and() {
+        use CompareOp::{Contains, Eq, Gt, Ne};
+        let interner = interner_of(&[Gt, Eq, Ne, Contains]);
+        assert_eq!(
+            rule(&IdExpr::And(vec![leaf(0), leaf(1)]), &interner),
+            Some(vec![1])
+        );
+        assert_eq!(
+            rule(&IdExpr::And(vec![leaf(2), leaf(3), leaf(1)]), &interner),
+            Some(vec![1]),
+            "`!=` and string operators rank with ranges"
+        );
+    }
+
+    #[test]
+    fn rule_or_unions_and_and_of_or_pairs_takes_one_pair() {
+        use CompareOp::{Gt, Le};
+        let interner = interner_of(&[Gt, Le, Gt, Le, Gt, Le, Gt, Le]);
+        let pair = |i: usize| IdExpr::Or(vec![leaf(2 * i), leaf(2 * i + 1)]);
+        assert_eq!(rule(&pair(1), &interner), Some(vec![2, 3]));
+        // The paper's shape: equal-cost pairs, so the first one.
+        let paper = IdExpr::And((0..4).map(pair).collect());
+        assert_eq!(rule(&paper, &interner), Some(vec![0, 1]));
+        // Nested ORs flatten into one union, duplicates kept for the
+        // caller to drop.
+        let nested = IdExpr::Or(vec![pair(0), leaf(5), leaf(0)]);
+        assert_eq!(rule(&nested, &interner), Some(vec![0, 1, 5, 0]));
+    }
+
+    #[test]
+    fn rule_prefers_fewer_predicates_then_the_first_child() {
+        use CompareOp::{Eq, Gt};
+        let interner = interner_of(&[Eq, Eq, Gt, Eq, Gt]);
+        // One range predicate is cheaper than two equalities.
+        let tree = IdExpr::And(vec![IdExpr::Or(vec![leaf(0), leaf(1)]), leaf(2)]);
+        assert_eq!(rule(&tree, &interner), Some(vec![2]));
+        // Equal cost: child order decides, also when a later child ties.
+        assert_eq!(
+            rule(&IdExpr::And(vec![leaf(3), leaf(0), leaf(1)]), &interner),
+            Some(vec![3])
+        );
+        assert_eq!(
+            rule(&IdExpr::And(vec![leaf(4), leaf(2)]), &interner),
+            Some(vec![4])
+        );
+        // A later, strictly cheaper child replaces the earlier pick.
+        let tree = IdExpr::And(vec![leaf(2), IdExpr::Or(vec![leaf(0), leaf(1)]), leaf(3)]);
+        assert_eq!(rule(&tree, &interner), Some(vec![3]));
+    }
+
+    #[test]
+    fn rule_not_has_no_set_and_poisons_ors_but_not_ands() {
+        use CompareOp::Eq;
+        let interner = interner_of(&[Eq, Eq, Eq]);
+        assert_eq!(rule(&not(leaf(0)), &interner), None);
+        assert_eq!(rule(&not(not(leaf(0))), &interner), None);
+        assert_eq!(
+            rule(&IdExpr::Or(vec![leaf(0), not(leaf(1))]), &interner),
+            None
+        );
+        assert_eq!(
+            rule(&IdExpr::And(vec![not(leaf(0)), not(leaf(1))]), &interner),
+            None
+        );
+        // An AND with a NOT-free child keeps a real set.
+        assert_eq!(
+            rule(&IdExpr::And(vec![not(leaf(0)), leaf(1)]), &interner),
+            Some(vec![1])
+        );
+        let tree = IdExpr::And(vec![IdExpr::Or(vec![leaf(0), not(leaf(1))]), leaf(2)]);
+        assert_eq!(rule(&tree, &interner), Some(vec![2]));
+    }
+
+    #[test]
+    fn subscribe_and_unsubscribe_pick_the_same_set() {
+        // (text, postings): unsubscribe debug-asserts that every
+        // posting it recomputes from the stored tree exists.
+        let wide_or = (0..600)
+            .map(|i| format!("w{i} = 1"))
+            .collect::<Vec<_>>()
+            .join(" or ");
+        let wide_and = (0..600)
+            .map(|i| format!("v{i} > 1"))
+            .collect::<Vec<_>>()
+            .join(" and ");
+        let cases: Vec<(String, usize)> = vec![
+            ("(a > 9 or a <= 1) and (b > 9 or b <= 1)".into(), 2),
+            ("s = \"X\" and (p > 5 or p <= 1) and v >= 3".into(), 1),
+            ("t = 1 or urgent = 1".into(), 2),
+            ("a = 1 or (a = 1 and b = 2)".into(), 1),
+            ("not (a = 1)".into(), 0),
+            ("a = 1 or not (b = 2)".into(), 0),
+            ("not (a = 1) and b = 2".into(), 1),
+            // Wider than one encoded node: stored re-nested in chunks.
+            (wide_or, 600),
+            (format!("({wide_and}) and z = 1"), 1),
+            (wide_and, 1),
+        ];
+        let mut e = NonCanonicalEngine::new();
+        let mut expected = 0;
+        let mut ids = Vec::new();
+        for (text, postings) in &cases {
+            ids.push(e.subscribe(&Expr::parse(text).unwrap()).unwrap());
+            expected += postings;
+            assert_eq!(e.association_postings(), expected, "after `{text:.60}`");
+        }
+        for (id, (text, postings)) in ids.into_iter().zip(&cases) {
+            e.unsubscribe(id).unwrap();
+            expected -= postings;
+            assert_eq!(e.association_postings(), expected, "after `{text:.60}`");
+        }
+        assert_eq!(e.predicate_count(), 0);
+    }
+
+    #[test]
+    fn candidates_follow_the_necessary_set_not_every_leaf() {
+        let (mut e, ids) = engine_with(&[
+            "(a > 9 or a <= 1) and (b > 9 or b <= 1)",
+            "s = 7 and (a > 9 or a <= 1)",
+        ]);
+        // b's pair is fulfilled, a's is not: with one posting per leaf
+        // the first subscription was a candidate here; it needs a's pair.
+        let ev = Event::builder().attr("a", 5_i64).attr("b", 10_i64).build();
+        let r = e.match_event(&ev);
+        assert!(r.matched.is_empty());
+        assert_eq!(r.stats.fulfilled, 1);
+        assert_eq!(
+            r.stats.candidates, 0,
+            "neither subscription's necessary set (a's pair; s = 7) is fulfilled"
+        );
+        // a's pair fulfilled: the first is a candidate, the second
+        // still waits for its equality.
+        let ev = Event::builder().attr("a", 10_i64).attr("b", 5_i64).build();
+        let r = e.match_event(&ev);
+        assert!(r.matched.is_empty());
+        assert_eq!(r.stats.candidates, 1, "only a's pair is associated");
+        let ev = Event::builder()
+            .attr("a", 10_i64)
+            .attr("b", 0_i64)
+            .attr("s", 7_i64)
+            .build();
+        let r = e.match_event(&ev);
+        assert_eq!(r.matched, ids);
+        assert_eq!(r.stats.candidates, 2);
+    }
+
+    #[test]
+    fn not_only_subscriptions_match_events_that_fulfil_nothing() {
+        let (mut e, ids) = engine_with(&[
+            "not (a = 1)",
+            "a = 1 or not (b = 2)",
+            "not (a = 1) and b = 2",
+            "a = 1",
+        ]);
+        // Carries none of the subscribed attributes.
+        let nothing = Event::builder().attr("unrelated", 0_i64).build();
+        let r = e.match_event(&nothing);
+        assert_eq!(r.stats.fulfilled, 0);
+        assert_eq!(r.matched, vec![ids[0], ids[1]]);
+        assert_eq!(
+            r.stats.candidates, 2,
+            "the two always-evaluate subscriptions; the AND keeps a real set"
+        );
+
+        // The batch kernel agrees, lane by lane, skipped lanes aside.
+        let a1 = Event::builder().attr("a", 1_i64).build();
+        let events: Vec<Arc<Event>> = [&nothing, &a1, &nothing, &a1]
+            .into_iter()
+            .map(|ev| Arc::new(ev.clone()))
+            .collect();
+        let mut batch = BatchScratch::new();
+        e.engine()
+            .match_batch(&events, &[false, false, true, false], &mut batch);
+        assert_eq!(batch.matched(0), &[ids[0], ids[1]]);
+        assert!(batch.matched(2).is_empty(), "skipped lane");
+        for i in [1, 3] {
+            let mut got = batch.matched(i).to_vec();
+            got.sort();
+            assert_eq!(got, vec![ids[1], ids[3]], "event {i}");
+        }
+
+        // Unsubscribing takes them off the always-evaluate list.
+        e.unsubscribe(ids[0]).unwrap();
+        assert_eq!(e.match_event(&nothing).matched, vec![ids[1]]);
+        e.unsubscribe(ids[1]).unwrap();
+        let r = e.match_event(&nothing);
+        assert!(r.matched.is_empty());
+        assert_eq!(r.stats.candidates, 0);
+    }
+
+    /// splitmix64: the seeded test below must not depend on a shim.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// A random tree over a small predicate pool (4 attributes × 6
+    /// operators × 3 constants), so leaves repeat inside a tree and
+    /// across subscriptions. An event with every attribute at 1 fulfils
+    /// every predicate whose constant allows it; the empty event none.
+    fn random_tree(rng: &mut Rng, depth: usize) -> Expr {
+        const OPS: [CompareOp; 6] = [
+            CompareOp::Eq,
+            CompareOp::Ne,
+            CompareOp::Gt,
+            CompareOp::Le,
+            CompareOp::Ge,
+            CompareOp::Lt,
+        ];
+        let pick = if depth == 0 { 0 } else { rng.below(10) };
+        match pick {
+            0..=3 => Expr::pred(Predicate::new(
+                &format!("x{}", rng.below(4)),
+                OPS[rng.below(6) as usize],
+                rng.below(3) as i64,
+            )),
+            4..=6 => Expr::And(
+                (0..2 + rng.below(3))
+                    .map(|_| random_tree(rng, depth - 1))
+                    .collect(),
+            ),
+            7..=8 => Expr::Or(
+                (0..2 + rng.below(3))
+                    .map(|_| random_tree(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => Expr::Not(Box::new(random_tree(rng, depth - 1))),
+        }
+    }
+
+    fn random_event(rng: &mut Rng) -> Event {
+        let mut b = Event::builder();
+        for a in 0..4 {
+            if rng.below(4) > 0 {
+                b.set(&format!("x{a}"), rng.below(3) as i64);
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn generated_trees_match_the_oracle_under_churn() {
+        let mut rng = Rng(0x5EED_2005);
+        let mut e = NonCanonicalEngine::new();
+        let mut live: Vec<(SubscriptionId, Expr)> = Vec::new();
+        let mut scratch = MatchScratch::new();
+        let mut batch = BatchScratch::new();
+        let mut always_seen = 0;
+
+        for round in 0..40 {
+            // Churn: drop a random third, add a fresh dozen.
+            for _ in 0..live.len() / 3 {
+                let (id, _) = live.swap_remove(rng.below(live.len() as u64) as usize);
+                e.unsubscribe(id).unwrap();
+            }
+            for _ in 0..12 {
+                let expr = random_tree(&mut rng, 3);
+                live.push((e.subscribe(&expr).unwrap(), expr));
+            }
+            always_seen += e.always.len();
+
+            let mut events = vec![
+                Event::builder().build(),
+                Event::builder()
+                    .attr("x0", 1_i64)
+                    .attr("x1", 1_i64)
+                    .attr("x2", 1_i64)
+                    .attr("x3", 1_i64)
+                    .build(),
+            ];
+            events.extend((0..6).map(|_| random_event(&mut rng)));
+            let events: Vec<Arc<Event>> = events.into_iter().map(Arc::new).collect();
+
+            batch.reset();
+            let batch_stats = e.match_batch(&events, &[], &mut batch);
+            let mut scalar_total = MatchStats::default();
+            for (i, event) in events.iter().enumerate() {
+                let mut want: Vec<SubscriptionId> = live
+                    .iter()
+                    .filter(|(_, expr)| expr.eval_event(event))
+                    .map(|(id, _)| *id)
+                    .collect();
+                want.sort();
+                let scalar = e.match_event(event, &mut scratch);
+                scalar_total = scalar_total + scalar.stats;
+                let mut got = scalar.matched;
+                got.sort();
+                assert_eq!(got, want, "scalar, round {round}, event {i}: {event}");
+                let mut got = batch.matched(i).to_vec();
+                got.sort();
+                assert_eq!(got, want, "batch, round {round}, event {i}: {event}");
+            }
+            let mut batch_stats = batch_stats;
+            assert_eq!(batch_stats.batch_events, events.len());
+            batch_stats.batch_events = 0;
+            batch_stats.batch_passes = 0;
+            assert_eq!(batch_stats, scalar_total, "summed stats, round {round}");
+        }
+        assert!(always_seen > 0, "the corpus exercised the always list");
+
+        for (id, _) in live {
+            e.unsubscribe(id).unwrap();
+        }
+        assert_eq!(e.association_postings(), 0);
+        assert_eq!(e.predicate_count(), 0);
+        assert!(e.always.is_empty());
     }
 }

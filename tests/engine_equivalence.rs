@@ -116,6 +116,40 @@ fn negation_semantics_diverge_exactly_on_missing_attributes() {
 }
 
 #[test]
+fn negations_match_events_that_fulfil_none_of_their_predicates() {
+    // Exact semantics has no "some predicate must be fulfilled"
+    // precondition: these are true of an event carrying none of their
+    // attributes, through the engine and through the broker's shard
+    // pruning alike.
+    let subs: Vec<Expr> = ["not (a = 1)", "a = 1 or not (b = 2)", "a = 1", "b = 2"]
+        .iter()
+        .map(|t| Expr::parse(t).unwrap())
+        .collect();
+    let nothing = Event::builder().attr("unrelated", 0_i64).build();
+    let only_b = Event::builder().attr("b", 2_i64).build();
+    check_engine_against(
+        EngineKind::NonCanonical,
+        &subs,
+        &[nothing.clone(), only_b],
+        Expr::eval_event,
+    );
+    for shards in [1, 3] {
+        let broker = boolmatch::broker::Broker::builder()
+            .engine(EngineKind::NonCanonical)
+            .shards(shards)
+            .build();
+        let handles: Vec<_> = subs
+            .iter()
+            .map(|s| broker.subscribe_expr(s).unwrap())
+            .collect();
+        assert_eq!(broker.publish(nothing.clone()), 2, "{shards} shard(s)");
+        assert!(handles[0].try_recv().is_some());
+        assert!(handles[1].try_recv().is_some());
+        assert!(handles[2].try_recv().is_none());
+    }
+}
+
+#[test]
 fn full_pipeline_events_from_satisfying_generator() {
     // satisfying_event builds a witness per subscription; the engines
     // must match it through the real (phase-1 + phase-2) pipeline.
