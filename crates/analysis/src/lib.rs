@@ -251,10 +251,10 @@ mod tests {
     }
 
     /// The batch-matching checkout sites obey the same hygiene pair:
-    /// a `BatchScratch` reset in a hot-path region (pool checkout, the
-    /// broker's per-shard batch loop) must re-arm capacity for the
-    /// engine it is about to serve, or the first chunk kernel of the
-    /// next batch reallocates every lane plane.
+    /// a `BatchScratch` reset in a hot-path region (the generic pool
+    /// checkout) must re-arm capacity for the engine it is about to
+    /// serve, or the first chunk kernel of the next batch reallocates
+    /// every lane plane.
     #[test]
     fn scratch_hygiene_covers_batch_scratch_checkout() {
         let bad = "
@@ -270,11 +270,11 @@ mod tests {
 
         let good = "
             // lint: hot-path
-            fn publish_batch_cell(&self, state: &ShardState, batch: &mut BatchScratch) {
+            fn take(&self, shard: &Shard) -> BatchScratch {
+                let mut batch = self.parked().unwrap_or_default();
                 batch.reset();
-                batch.ensure_capacity(&*state.engine);
-                let stats = state.engine.match_batch(events, &skip, batch);
-                drop(stats);
+                batch.ensure_capacity(shard.engine());
+                batch
             }
             // lint: end-hot-path
         ";

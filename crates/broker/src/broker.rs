@@ -4,6 +4,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::ops::DerefMut;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock, PoisonError, Weak};
 use std::thread::JoinHandle;
@@ -11,9 +12,9 @@ use std::time::Duration;
 
 use boolmatch_core::{
     attribute_hash, dominant_eq_attr, lock_classes, BatchScratch, BatchScratchPool, BoxedEngine,
-    EngineKind, FanOut, FanOutPool, FilterEngine, MatchScratch, MatchStats, MemoryUsage,
-    PlacementPolicy, ScratchLease, ScratchPool, ShardSynopsis, ShardTranslation, SubscribeError,
-    SubscriptionDirectory, SubscriptionId, WorkerPool,
+    EngineKind, FanOutPool, Lease, MatchScratch, MatchStats, MemoryUsage, PlacementPolicy, Pool,
+    PoolScratch, ScratchPool, Shard, SubscribeError, SubscriptionDirectory, SubscriptionId,
+    WorkerPool,
 };
 use boolmatch_expr::{Expr, ParseError};
 use boolmatch_types::Event;
@@ -139,14 +140,13 @@ struct AtomicStats {
 }
 
 /// Per-publisher-thread reusable buffers: the match scratch plus the
-/// global matched-id accumulator (publish), the batch scratch, skip
-/// mask, per-event matched buckets and `Arc` buffer (publish_batch),
-/// and the delivery snapshot of matched subscribers' queue handles.
+/// global matched-id accumulator (publish), the batch scratch,
+/// per-event matched buckets and `Arc` buffer (publish_batch), and the
+/// delivery snapshot of matched subscribers' queue handles.
 #[derive(Default)]
 struct PublishState {
     scratch: MatchScratch,
     batch: BatchScratch,
-    skip: Vec<bool>,
     matched: Vec<SubscriptionId>,
     buckets: Vec<Vec<SubscriptionId>>,
     event_arcs: Vec<Arc<Event>>,
@@ -259,14 +259,18 @@ enum MigrateMode {
     Drain,
 }
 
-/// One engine shard: the engine plus its local → global translation
-/// map behind a single lock, and the lock-free match counter the
-/// frequency-weighted rebalancer reads. Cells are shared by `Arc`
-/// across resize epochs, so a surviving shard keeps its lock, its
-/// translation map and its counters when the shard set around it
-/// changes.
+/// One engine shard: the [`Shard`] (engine, local → global translation
+/// map, attribute synopsis) behind a single lock, and the lock-free
+/// counters the frequency-weighted rebalancer and the prune gauge
+/// read. The translation map and the synopsis change only under the
+/// write lock (subscribe, unsubscribe, migration) and are read under
+/// the read lock publishes already hold for matching — neither the
+/// prune check nor translation ever touches broker-global state. Cells
+/// are shared by `Arc` across resize epochs, so a surviving shard keeps
+/// its lock, its translation map and its counters when the shard set
+/// around it changes.
 struct ShardCell {
-    state: RwLock<ShardState>,
+    state: RwLock<Shard>,
     /// Matches this shard has contributed across its lifetime
     /// (`MatchStats::matched` summed over publishes), maintained with
     /// relaxed atomics on the publish path — no lock, no shared-state
@@ -278,21 +282,6 @@ struct ShardCell {
     pruned: AtomicU64,
 }
 
-struct ShardState {
-    engine: BoxedEngine,
-    /// Read-side local → global map, updated only by operations already
-    /// holding this shard's write lock (subscribe, unsubscribe,
-    /// migration) and read under the read lock publishes already hold
-    /// for matching — translation never touches broker-global state.
-    translation: ShardTranslation,
-    /// Conservative per-attribute summary of this shard's residents,
-    /// maintained under the same write lock as `translation` (subscribe,
-    /// unsubscribe, migration) and consulted under the read lock
-    /// publishes already hold — the content-aware prune check never
-    /// touches broker-global state either.
-    synopsis: ShardSynopsis,
-}
-
 impl ShardCell {
     /// `index` is the cell's position in the shard set at creation,
     /// naming its lockdep class (`shard[index]`): multiple shard locks
@@ -300,11 +289,7 @@ impl ShardCell {
     /// cell keeps its class across resize epochs — its index never
     /// changes while it is live (grows append, shrinks drop a suffix).
     fn new(engine: BoxedEngine, index: usize) -> Self {
-        let state = RwLock::new(ShardState {
-            engine,
-            translation: ShardTranslation::new(),
-            synopsis: ShardSynopsis::new(),
-        });
+        let state = RwLock::new(Shard::new(engine));
         state.set_class(&lock_classes::shard(index));
         ShardCell {
             state,
@@ -313,54 +298,113 @@ impl ShardCell {
         }
     }
 
-    fn record_hits(&self, stats: &MatchStats) {
+    /// Tallies one step's outcome on this shard.
+    fn record(&self, stats: &MatchStats) {
         if stats.matched > 0 {
             self.hits.fetch_add(stats.matched as u64, Ordering::Relaxed);
         }
-    }
-
-    fn record_prunes(&self, n: u64) {
-        if n > 0 {
-            self.pruned.fetch_add(n, Ordering::Relaxed);
+        if stats.shards_pruned > 0 {
+            self.pruned
+                .fetch_add(stats.shards_pruned as u64, Ordering::Relaxed);
         }
     }
 }
 
-/// Per-worker flat matches + per-event end offsets, one per shard per
-/// batch (event `e`'s ids are `flat[ends[e-1]..ends[e]]`).
-type ShardMatches = (Vec<SubscriptionId>, Vec<usize>);
+/// One data shape of the per-shard step, named by its scratch type: a
+/// single event into a [`MatchScratch`], or a batch into a
+/// [`BatchScratch`]. The fan-out driver is generic over this; the
+/// engines expose two entry points, so the shapes stay two.
+trait Width: PoolScratch + Send + 'static {
+    /// What one publish matches, in the `'static` form worker jobs
+    /// share.
+    type Input: Clone + Send + 'static;
+
+    /// [`Shard::match_event_with`] / [`Shard::match_batch_with`]: the
+    /// step, calling `acquire` for its scratch only once the shard's
+    /// synopsis admits — a pruned shard hands back `None`.
+    fn step<H: DerefMut<Target = Self>>(
+        shard: &Shard,
+        input: &Self::Input,
+        acquire: impl FnOnce(&BoxedEngine) -> H,
+    ) -> (Option<H>, MatchStats);
+}
+
+impl Width for MatchScratch {
+    type Input = Arc<Event>;
+
+    fn step<H: DerefMut<Target = Self>>(
+        shard: &Shard,
+        event: &Arc<Event>,
+        acquire: impl FnOnce(&BoxedEngine) -> H,
+    ) -> (Option<H>, MatchStats) {
+        shard.match_event_with(event, acquire)
+    }
+}
+
+impl Width for BatchScratch {
+    type Input = Arc<Vec<Arc<Event>>>;
+
+    fn step<H: DerefMut<Target = Self>>(
+        shard: &Shard,
+        events: &Self::Input,
+        acquire: impl FnOnce(&BoxedEngine) -> H,
+    ) -> (Option<H>, MatchStats) {
+        shard.match_batch_with(events, &[], &mut Vec::new(), acquire)
+    }
+}
+
+/// One width of the fan-out: the pool of warm scratches its workers
+/// lease from, and the parked rendezvous that carry the leases back.
+struct Lane<S: PoolScratch> {
+    scratches: Arc<Pool<S>>,
+    rendezvous: FanOutPool<Option<Lease<S>>>,
+}
+
+impl<S: PoolScratch> Lane<S> {
+    fn new(leases: usize, scratch_trim_cap: usize) -> Self {
+        Lane {
+            scratches: Arc::new(Pool::with_trim_cap(leases, scratch_trim_cap)),
+            rendezvous: FanOutPool::new(leases),
+        }
+    }
+}
 
 /// The parallel publish machinery, present only on multi-shard shard
 /// sets: a persistent worker pool (threads park between publishes — no
-/// spawn on the hot path), the pool of warm per-worker scratches, and
-/// the pooled fan-out rendezvous (no per-publish rendezvous allocation
-/// either). Cheap to clone — a resize that keeps the worker count
-/// carries the whole pipeline into the next epoch.
-#[derive(Clone)]
+/// spawn on the hot path) and one [`Lane`] per width of the step.
 struct Fanout {
     pool: Arc<WorkerPool>,
-    scratches: Arc<ScratchPool>,
-    batch_scratches: Arc<BatchScratchPool>,
-    publish_rendezvous: Arc<FanOutPool<ScratchLease>>,
-    batch_rendezvous: Arc<FanOutPool<ShardMatches>>,
+    event: Lane<MatchScratch>,
+    batch: Lane<BatchScratch>,
 }
 
-impl Fanout {
-    fn new(threads: usize, scratch_trim_cap: usize) -> Self {
-        Fanout {
-            pool: Arc::new(WorkerPool::new(threads)),
-            // One warm scratch per worker, plus headroom for a slot
-            // probed while a return is in flight; same sizing for the
-            // batch-scratch pool and the parked rendezvous.
-            scratches: Arc::new(ScratchPool::with_trim_cap(threads + 1, scratch_trim_cap)),
-            batch_scratches: Arc::new(BatchScratchPool::with_trim_cap(
-                threads + 1,
-                scratch_trim_cap,
-            )),
-            publish_rendezvous: Arc::new(FanOutPool::new(threads + 1)),
-            batch_rendezvous: Arc::new(FanOutPool::new(threads + 1)),
-        }
-    }
+/// The parallel pipeline for a `shards`-shard set: none below two
+/// shards (the publish path is then exactly the sequential walk);
+/// otherwise `old`'s worker pool when its thread count still matches
+/// the sizing policy (a fresh one if not), with lanes sized to the
+/// leases one publish holds when it merges — one per remote shard. The
+/// worker count does not enter: a lease outlives its job until the
+/// merge, so sizing by threads made every publish on a wide, mostly
+/// pruned set build scratches.
+fn fanout_for(
+    shards: usize,
+    worker_threads: Option<usize>,
+    scratch_trim_cap: usize,
+    old: Option<&Fanout>,
+) -> Option<Fanout> {
+    let leases = shards.checked_sub(1).filter(|&remote| remote > 0)?;
+    let threads = worker_threads.unwrap_or_else(|| {
+        leases.min(std::thread::available_parallelism().map_or(1, std::num::NonZero::get))
+    });
+    let pool = match old {
+        Some(old) if old.pool.threads() == threads => Arc::clone(&old.pool),
+        _ => Arc::new(WorkerPool::new(threads)),
+    };
+    Some(Fanout {
+        pool,
+        event: Lane::new(leases, scratch_trim_cap),
+        batch: Lane::new(leases, scratch_trim_cap),
+    })
 }
 
 /// One resize epoch: the shard cells and the parallel pipeline sized
@@ -512,9 +556,6 @@ pub(crate) struct BrokerInner {
     /// Where new subscriptions land (see
     /// [`BrokerBuilder::placement`]).
     placement: PlacementPolicy,
-    /// Whether the publish paths consult shard synopses to skip
-    /// zero-candidate shards (see [`BrokerBuilder::shard_pruning`]).
-    prune: bool,
     /// The background rebalance thread, when configured.
     rebalancer: Mutex<Option<BackgroundHandle>>,
 }
@@ -581,19 +622,12 @@ impl BrokerInner {
             // with it, so there is nothing left to unsubscribe.
             let set = self.shard_set();
             if let Some(cell) = set.shards.get(shard) {
-                let mut state = cell.state.write();
-                // `clear_if` is the stale-cell guard: only if this
-                // local slot still belongs to *our* global id do we
-                // touch the engine (a drain may have completed the
-                // removal on our behalf, or — across a shrink+grow — a
-                // fresh shard may live at this index).
-                if state.translation.clear_if(local, id) {
-                    state
-                        .engine
-                        .unsubscribe(local)
-                        .expect("translation and shard engine are kept in sync");
-                    state.synopsis.remove(local);
-                }
+                // `Shard::unsubscribe` carries the stale-cell guard:
+                // only if this local slot still belongs to *our* global
+                // id is the engine touched (a drain may have completed
+                // the removal on our behalf, or — across a shrink+grow
+                // — a fresh shard may live at this index).
+                cell.state.write().unsubscribe(local, id);
             }
             self.stats
                 .subscriptions_removed
@@ -759,7 +793,7 @@ impl Broker {
         // shard are stalled.
         let stored = Arc::new(expr.clone());
         let mut state = cell.state.write();
-        let local = match state.engine.subscribe(expr) {
+        let local = match state.engine_mut().subscribe(expr) {
             Ok(local) => local,
             Err(e) => {
                 drop(state);
@@ -768,8 +802,7 @@ impl Broker {
             }
         };
         let id = self.inner.directory.write().commit(shard, local, stored);
-        state.translation.set(local, id);
-        state.synopsis.insert(local, expr);
+        state.bind(local, id, expr);
         drop(state);
         // The queue's lock is classed by the id's delivery-queue group
         // (same-class nesting detection proves no path holds two).
@@ -976,7 +1009,7 @@ impl Broker {
             // map (we hold its write lock, so the map cannot move under
             // us); the directory is then consulted for the stored
             // expression and to confirm the entry is still live.
-            let Some((global, local)) = from_state.translation.last_resident() else {
+            let Some((global, local)) = from_state.translation().last_resident() else {
                 break;
             };
             let expr = {
@@ -993,24 +1026,17 @@ impl Broker {
                         // directory-first and is now parked on this
                         // shard's write lock (which we hold). Complete
                         // the shard-side removal on its behalf; its own
-                        // `clear_if` then finds the slot gone and
-                        // skips. Not a migration — re-plan.
-                        let cleared = from_state.translation.clear_if(local, global);
-                        debug_assert!(cleared);
-                        from_state
-                            .engine
-                            .unsubscribe(local)
-                            .expect("translation and shard engine are kept in sync");
-                        // Slot-keyed removal: the directory entry is
-                        // already retired, so no expression is
-                        // available here — the synopsis undoes exactly
-                        // what it indexed for this slot.
-                        from_state.synopsis.remove(local);
+                        // stale-cell guard then finds the slot gone and
+                        // skips. Not a migration — re-plan. (Removal is
+                        // slot-keyed: the directory entry is already
+                        // retired, so no expression is available here.)
+                        let released = from_state.unsubscribe(local, global);
+                        debug_assert!(released);
                         continue;
                     }
                 }
             };
-            let Ok(new_local) = to_state.engine.subscribe(&expr) else {
+            let Ok(new_local) = to_state.engine_mut().subscribe(&expr) else {
                 // A heterogeneous target refused the expression. For
                 // balancing that just means the subscription stays put
                 // — but a drain has nowhere else to leave it, and
@@ -1044,15 +1070,9 @@ impl Broker {
                 relocated
             };
             if relocated {
-                from_state
-                    .engine
-                    .unsubscribe(local)
-                    .expect("directory and shard engines are kept in sync");
-                let cleared = from_state.translation.clear_if(local, global);
-                debug_assert!(cleared, "relocated entries were resident");
-                from_state.synopsis.remove(local);
-                to_state.translation.set(new_local, global);
-                to_state.synopsis.insert(new_local, &expr);
+                let released = from_state.unsubscribe(local, global);
+                debug_assert!(released, "relocated entries were resident");
+                to_state.bind(new_local, global, &expr);
                 moved += 1;
             } else {
                 // The victim was retired between planning and commit;
@@ -1060,7 +1080,7 @@ impl Broker {
                 // iteration's placement check completes the
                 // source-side removal).
                 to_state
-                    .engine
+                    .engine_mut()
                     .unsubscribe(new_local)
                     .expect("the fresh target copy is removable");
             }
@@ -1082,9 +1102,10 @@ impl Broker {
     /// against the same cells), a grow appends fresh engines of the
     /// build-time kind, and a shrink first restricts placement to the
     /// survivors, drains each dying shard via live migration, and only
-    /// then swaps the dying cells out. The parallel fan-out pipeline is
-    /// carried across when its worker count still fits, rebuilt
-    /// otherwise, and dropped at one shard.
+    /// then swaps the dying cells out. The parallel fan-out pipeline's
+    /// worker threads are carried across when their count still fits
+    /// (respawned otherwise, dropped at one shard); its scratch pools
+    /// are re-sized to the new shard count and re-warm lazily.
     ///
     /// # Panics
     ///
@@ -1100,6 +1121,15 @@ impl Broker {
         if new_shards == old {
             return 0;
         }
+        // The pipeline for the new count: the worker threads carry over
+        // when the sizing policy still asks for as many; the scratch
+        // lanes are always re-sized to the new shard count.
+        let fanout = fanout_for(
+            new_shards,
+            self.inner.worker_threads,
+            self.inner.scratch_trim_cap,
+            old_set.fanout.as_ref(),
+        );
         if new_shards > old {
             let mut shards = old_set.shards.clone();
             for index in old..new_shards {
@@ -1108,7 +1138,6 @@ impl Broker {
                     index,
                 )));
             }
-            let fanout = self.fanout_for(&old_set, new_shards);
             // Swap first, then grow the directory: a placement can only
             // choose the new shards after the directory grows, and any
             // thread that observes the grown directory also observes
@@ -1135,7 +1164,7 @@ impl Broker {
                     let drained = {
                         let directory = self.inner.directory.read();
                         directory.load(dying) == 0
-                    } && old_set.shards[dying].state.read().translation.is_empty();
+                    } && old_set.shards[dying].state.read().translation().is_empty();
                     if drained {
                         break;
                     }
@@ -1158,7 +1187,6 @@ impl Broker {
             // 3: swap the dying cells out of the epoch; publishes still
             // holding the old set match empty engines there.
             let shards: Vec<Arc<ShardCell>> = old_set.shards[..new_shards].to_vec();
-            let fanout = self.fanout_for(&old_set, new_shards);
             *self.inner.shard_set.write() = Arc::new(ShardSet { shards, fanout });
             // 4: shrink the directory to match.
             let mut directory = self.inner.directory.write();
@@ -1171,25 +1199,6 @@ impl Broker {
         moved
     }
     // lint: end-lock-order
-
-    /// The parallel pipeline for a `new_count`-shard set: none below
-    /// two shards, the old epoch's pipeline when its worker count still
-    /// matches the sizing policy, a fresh one otherwise.
-    fn fanout_for(&self, old_set: &ShardSet, new_count: usize) -> Option<Fanout> {
-        if new_count < 2 {
-            return None;
-        }
-        let threads = self.inner.worker_threads.unwrap_or_else(|| {
-            (new_count - 1)
-                .min(std::thread::available_parallelism().map_or(1, std::num::NonZero::get))
-        });
-        if let Some(fanout) = &old_set.fanout {
-            if fanout.pool.threads() == threads {
-                return Some(fanout.clone());
-            }
-        }
-        Some(Fanout::new(threads, self.inner.scratch_trim_cap))
-    }
 
     /// Live subscriptions per shard (placement reservations included) —
     /// the load vector rebalancing planning works from.
@@ -1258,92 +1267,71 @@ impl Broker {
 
     /// Publishes an event: matches it against every subscription and
     /// queues notifications to the matching subscribers. Returns the
-    /// number of notifications delivered.
+    /// number of notifications delivered. The event is wrapped in an
+    /// `Arc` once; see [`Broker::publish_arc`], which this is.
+    pub fn publish(&self, event: Event) -> usize {
+        self.publish_arc(Arc::new(event))
+    }
+
+    /// Publishes an event the caller already holds by `Arc` — the
+    /// zero-copy entry every publish goes through: the same allocation
+    /// is shared by the fan-out workers and every delivered
+    /// notification, and the event is never cloned.
     ///
-    /// Matching visits each shard under that shard's **read** lock with
-    /// a thread-local [`MatchScratch`], and translates matched local
-    /// ids through the shard's own translation map **under that same
-    /// lock** — the matching/translation phase acquires no
-    /// broker-global lock beyond the one-pointer clone of the current
-    /// shard set (and, in particular, never the placement directory's;
-    /// delivery afterwards takes the sender-map read lock just long
-    /// enough to snapshot the matched queues, then enqueues with no
-    /// broker lock held). Concurrent
-    /// publishers match in parallel and a write-locked shard (a
-    /// subscription in progress) delays only its own shard's portion of
-    /// the match. All locks are released before delivery; the
+    /// Matching runs the per-shard step ([`Shard::match_event`]) on
+    /// each shard under that shard's **read** lock: the synopsis prune
+    /// check, the engine match into a thread-local [`MatchScratch`] and
+    /// the translation of matched local ids through the shard's own map
+    /// all happen under that one guard — the matching phase acquires
+    /// no broker-global lock beyond the one-pointer clone of the
+    /// current shard set (and, in particular, never the placement
+    /// directory's; delivery afterwards takes the sender-map read lock
+    /// just long enough to snapshot the matched queues, then enqueues
+    /// with no broker lock held). Translating under the shard's read
+    /// lock is what makes it sound against migration, which commits a
+    /// relocation only while holding that shard's write lock; an id
+    /// retired by a racing unsubscribe has no translation and is
+    /// dropped, exactly as delivery would drop its removed sender.
+    /// Concurrent publishers match in parallel and a write-locked shard
+    /// (a subscription in progress) delays only its own shard's portion
+    /// of the match. All locks are released before delivery; the
     /// thread-local borrow covers only matching. The matched buffer is
-    /// reused across publishes on the same thread — the steady-state
-    /// publish path allocates only the `Arc` around the event.
+    /// reused across publishes on the same thread.
     ///
     /// On a multi-shard broker at or above the builder's
     /// [`parallel threshold`](BrokerBuilder::parallel_threshold), the
-    /// shards are matched **concurrently** on the broker's persistent
-    /// worker pool instead of walked one after another — intra-event
+    /// shards run the step **concurrently** on the broker's persistent
+    /// worker pool instead of one after another — intra-event
     /// parallelism for large engines — with a merge in shard order that
-    /// makes the matched-id set identical to the sequential walk.
+    /// makes the matched-id sequence identical to the sequential walk.
     /// Below the threshold (and always with one shard) the sequential
-    /// walk runs unchanged.
+    /// walk runs.
     ///
     /// Subscribers found disconnected (handle dropped without
     /// unsubscribe — possible when the handle's broker reference was
     /// already gone) are pruned.
-    pub fn publish(&self, event: Event) -> usize {
-        let set = self.shard_set();
-        if let Some(fan) = self.parallel_pipeline(&set) {
-            return self.publish_parallel(&set, fan, &Arc::new(event));
-        }
-        let matched = self.matched_via(|scratch, out| self.match_into(&set, &event, scratch, out));
-        // The Arc wrap stays lazy (inside deliver_matched) so an
-        // unmatched event costs no allocation at all.
-        let delivered = self.deliver_matched(event, &matched);
-        self.return_matched(matched);
-        delivered
-    }
-
-    /// [`Broker::publish`] for an event the caller already holds by
-    /// `Arc` — the zero-copy entry: the same allocation is shared by
-    /// the fan-out workers and every delivered notification, and the
-    /// event is never cloned.
     pub fn publish_arc(&self, event: Arc<Event>) -> usize {
         let set = self.shard_set();
-        if let Some(fan) = self.parallel_pipeline(&set) {
-            return self.publish_parallel(&set, fan, &event);
-        }
-        let matched = self.matched_via(|scratch, out| self.match_into(&set, &event, scratch, out));
-        let delivered = self.deliver_matched_arc(&event, &matched);
-        self.return_matched(matched);
-        delivered
-    }
-
-    /// The parallel publish pipeline: one job per remote shard on the
-    /// persistent worker pool, shard 0 matched inline by the caller,
-    /// results merged in shard order.
-    fn publish_parallel(&self, set: &Arc<ShardSet>, fan: &Fanout, event: &Arc<Event>) -> usize {
-        let matched = self
-            .matched_via(|scratch, out| self.match_parallel_into(set, fan, event, scratch, out));
-        let delivered = self.deliver_matched_arc(event, &matched);
-        self.return_matched(matched);
-        delivered
-    }
-
-    /// The single-publish matching dance shared by every publish
-    /// flavour: swap the matched buffer out of the thread-local state
-    /// (so the RefCell borrow ends before delivery, which takes the
-    /// sender-map lock and may re-enter the broker to prune dead
-    /// subscribers), run `matcher` against the thread-local scratch,
-    /// and count the event. Pair with [`Broker::return_matched`] after
-    /// delivery.
-    fn matched_via(
-        &self,
-        matcher: impl FnOnce(&mut MatchScratch, &mut Vec<SubscriptionId>),
-    ) -> Vec<SubscriptionId> {
         let epoch = self.migration_epoch();
+        // The matched buffer is swapped out of the thread-local state
+        // so the RefCell borrow ends before delivery (which takes the
+        // sender-map lock and may re-enter the broker to prune dead
+        // subscribers).
         let mut matched = PUBLISH_STATE.with(|cell| {
             let state = &mut *cell.borrow_mut();
             let mut matched = std::mem::take(&mut state.matched);
             matched.clear();
-            matcher(&mut state.scratch, &mut matched);
+            let mut merge = |scratch: &MatchScratch| matched.extend_from_slice(scratch.matched());
+            match self.parallel_pipeline(&set) {
+                Some(fan) => self.fan_out(&set, fan, &fan.event, &event, &mut state.scratch, merge),
+                None => {
+                    for cell in &set.shards {
+                        let stats = cell.state.read().match_event(&event, &mut state.scratch);
+                        cell.record(&stats);
+                        merge(&state.scratch);
+                    }
+                }
+            }
             self.trim_oversized(&mut state.scratch);
             matched
         });
@@ -1352,46 +1340,9 @@ impl Broker {
             .stats
             .events_published
             .fetch_add(1, Ordering::Relaxed);
-        matched
-    }
-
-    /// Matches `event` against every shard (read lock each, one at a
-    /// time) and appends the matched **global** ids to `out`.
-    ///
-    /// Translation goes through the shard's own map *under the shard's
-    /// read lock*: migration commits a relocation only while holding
-    /// that shard's write lock, so the mapping of a just-matched local
-    /// id cannot be repointed before it is read here. A `None`
-    /// translation means a racing unsubscribe retired the id — it is
-    /// dropped, exactly as delivery would drop its removed sender.
-    fn match_into(
-        &self,
-        set: &ShardSet,
-        event: &Event,
-        scratch: &mut MatchScratch,
-        out: &mut Vec<SubscriptionId>,
-    ) {
-        let prune = self.inner.prune;
-        for cell in &set.shards {
-            let state = cell.state.read();
-            // Content-aware pruning: a shard whose synopsis proves zero
-            // candidates for this event is skipped before any matching
-            // work — same shard read lock, no extra locking. The
-            // synopsis is conservative, so the matched set is identical
-            // to the unpruned walk.
-            if prune && !state.synopsis.admits(event) {
-                cell.record_prunes(1);
-                continue;
-            }
-            let stats = state.engine.match_event_into(event, scratch);
-            cell.record_hits(&stats);
-            out.extend(
-                scratch
-                    .matched()
-                    .iter()
-                    .filter_map(|&l| state.translation.global_of(l)),
-            );
-        }
+        let delivered = self.deliver_matched_arc(&event, &matched);
+        self.return_matched(matched);
+        delivered
     }
 
     /// Snapshot of the migration epoch, taken before matching starts;
@@ -1441,35 +1392,22 @@ impl Broker {
         }
     }
 
-    /// The sequential-path half of the scratch high-water fix: the
-    /// thread-local publish scratch is trimmed after a publish that
-    /// grew it past [`BrokerBuilder::scratch_trim_cap`], mirroring what
-    /// the fan-out [`ScratchPool`] does on lease return — one
+    /// The thread-local half of the scratch high-water fix: a publish
+    /// scratch (either width) that a publish grew past
+    /// [`BrokerBuilder::scratch_trim_cap`] is trimmed afterwards,
+    /// mirroring what the fan-out pools do on lease return — one
     /// pathological event cannot pin its peak capacity in every
     /// publisher thread forever. (`trim_publish_scratch` remains the
     /// manual whole-state release.)
-    fn trim_oversized(&self, scratch: &mut MatchScratch) {
+    fn trim_oversized<S: PoolScratch>(&self, scratch: &mut S) {
         if scratch.heap_bytes() > self.inner.scratch_trim_cap {
             scratch.trim();
-        }
-    }
-
-    /// [`Broker::trim_oversized`] for the thread-local batch scratch:
-    /// a batch that grew the lane planes or per-event buckets past
-    /// [`BrokerBuilder::scratch_trim_cap`] releases the capacity
-    /// instead of pinning it in every publisher thread.
-    fn trim_oversized_batch(&self, batch: &mut BatchScratch) {
-        if batch.heap_bytes() > self.inner.scratch_trim_cap {
-            batch.trim();
         }
     }
 
     /// The fan-out pipeline the next publish should use, or `None` for
     /// the sequential walk: requires the worker pool (multi-shard sets
     /// only) and at least `parallel_threshold` live subscriptions.
-    /// Returning the pipeline itself (not a bool) means the parallel
-    /// paths receive a proven-present `Fanout` instead of re-unwrapping
-    /// the option on the hot path.
     fn parallel_pipeline<'a>(&self, set: &'a ShardSet) -> Option<&'a Fanout> {
         let fan = set.fanout.as_ref()?;
         let stats = &self.inner.stats;
@@ -1478,95 +1416,69 @@ impl Broker {
         (created.saturating_sub(removed) as usize >= self.inner.parallel_threshold).then_some(fan)
     }
 
-    /// Matches `event` against every shard concurrently and appends the
-    /// matched **global** ids to `out`, in shard order — the same
-    /// sequence [`Broker::match_into`]'s sequential walk produces.
+    /// **The fan-out driver** — the only place the broker submits
+    /// matching jobs, instantiated once per [`Width`]: runs the
+    /// per-shard step on every shard concurrently and feeds each
+    /// shard's scratch (holding that shard's global ids) to `merge` in
+    /// shard order — the same sequence the sequential walk produces.
     ///
-    /// Each worker takes its shard's read lock, matches into a warm
-    /// [`MatchScratch`] leased from the scratch pool (checkout hygiene
-    /// — reset + capacity — happens once per lease), translates the
-    /// shard-local ids to global ids in place through the shard's own
-    /// map, releases the lock, and parks the lease in its [`FanOut`]
-    /// slot. The rendezvous itself is leased from a [`FanOutPool`] —
-    /// the steady-state parallel publish allocates neither scratches
-    /// nor the rendezvous. The caller matches shard 0 itself with the
-    /// thread-local scratch, then merges the slots in shard index
-    /// order. The rendezvous is panic-safe: a worker that dies
-    /// completes its slot empty instead of wedging the publish.
+    /// One job per remote shard goes to the persistent worker pool:
+    /// it takes its shard's read lock and runs [`Width::step`], which
+    /// leases a warm scratch from the lane's pool **only once the
+    /// shard's synopsis admits** (checkout hygiene — reset + capacity —
+    /// happens once per lease; a pruned shard costs one synopsis probe
+    /// and hands back nothing), releases the lock, and parks the lease
+    /// in its rendezvous slot. The caller meanwhile runs shard 0's
+    /// step inline with its thread-local scratch, then merges the slots
+    /// in shard index order. The rendezvous itself is pooled. It is
+    /// panic-safe: a worker that dies completes its slot empty instead
+    /// of wedging the publish — the publish then delivers without that
+    /// shard's matches, and [`BrokerStats::fanout_worker_failures`]
+    /// shows operators that the parallel ≡ sequential contract was
+    /// broken.
     ///
-    /// Jobs capture only their shard's cell and the scratch pool —
-    /// never the broker — so a fan-out job can never be the one
-    /// holding the broker's last reference.
-    fn match_parallel_into(
+    /// Jobs capture only their shard's cell, the scratch pool and the
+    /// shared input — never the broker — so a fan-out job can never be
+    /// the one holding the broker's last reference.
+    fn fan_out<S: Width>(
         &self,
-        set: &Arc<ShardSet>,
+        set: &ShardSet,
         fan: &Fanout,
-        event: &Arc<Event>,
-        scratch: &mut MatchScratch,
-        out: &mut Vec<SubscriptionId>,
+        lane: &Lane<S>,
+        input: &S::Input,
+        local: &mut S,
+        mut merge: impl FnMut(&S),
     ) {
-        let shards = set.shards.len();
-        let prune = self.inner.prune;
-        let run: Arc<FanOut<ScratchLease>> = fan.publish_rendezvous.checkout(shards - 1);
-        for s in 1..shards {
-            let slot = run.slot(s - 1);
-            let cell = Arc::clone(&set.shards[s]);
-            let scratches = Arc::clone(&fan.scratches);
-            let event = Arc::clone(event);
+        let run = lane.rendezvous.checkout(set.shards.len() - 1);
+        for (slot, cell) in set.shards[1..].iter().enumerate() {
+            let slot = run.slot(slot);
+            let cell = Arc::clone(cell);
+            let scratches = Arc::clone(&lane.scratches);
+            let input = input.clone();
             fan.pool.submit(move || {
-                let lease = {
-                    let state = cell.state.read();
-                    let mut lease = scratches.lease(&*state.engine);
-                    // Pruned shards park their fresh (empty) lease
-                    // without matching — the merge sees no ids, exactly
-                    // like the sequential walk's `continue`.
-                    if !prune || state.synopsis.admits(&event) {
-                        let stats = state.engine.match_event_into(&event, &mut lease);
-                        cell.record_hits(&stats);
-                        // Shard-local translation under the shard read
-                        // lock — see `match_into` for why that makes it
-                        // sound against concurrent migration.
-                        lease.translate_matched(|l| state.translation.global_of(l));
-                    } else {
-                        cell.record_prunes(1);
-                    }
-                    lease
-                }; // shard lock released before the rendezvous
-                drop(event);
+                // The shard lock is released before the rendezvous.
+                let shard = cell.state.read();
+                let (lease, stats) = S::step(&shard, &input, |engine| scratches.lease(engine));
+                drop(shard);
+                cell.record(&stats);
+                drop(input);
                 drop(cell);
                 slot.fill(lease);
             });
         }
-        {
-            let cell = &set.shards[0];
-            let state = cell.state.read();
-            if !prune || state.synopsis.admits(event) {
-                let stats = state.engine.match_event_into(event, scratch);
-                cell.record_hits(&stats);
-                out.extend(
-                    scratch
-                        .matched()
-                        .iter()
-                        .filter_map(|&l| state.translation.global_of(l)),
-                );
-            } else {
-                cell.record_prunes(1);
-            }
+        let cell = &set.shards[0];
+        let (held, stats) = S::step(&cell.state.read(), input, |_| local);
+        cell.record(&stats);
+        if let Some(scratch) = held {
+            merge(scratch);
         }
         let mut lost = 0u64;
         run.wait_each(|slot| match slot {
-            Some(lease) => out.extend_from_slice(lease.matched()),
+            Some(Some(lease)) => merge(&lease),
+            Some(None) => {} // pruned: the shard took no lease
             None => lost += 1,
         });
-        fan.publish_rendezvous.park(run);
-        self.note_lost_workers(lost);
-    }
-
-    /// Records fan-out slots whose worker died before filling them
-    /// ([`BrokerStats::fanout_worker_failures`]): the publish delivered
-    /// without those shards' matches, and operators must be able to see
-    /// that the parallel ≡ sequential contract was broken.
-    fn note_lost_workers(&self, lost: u64) {
+        lane.rendezvous.park(run);
         if lost > 0 {
             self.inner
                 .stats
@@ -1586,16 +1498,19 @@ impl Broker {
     /// clones an event. Callers holding plain events can use the
     /// [`Broker::publish_batch_events`] convenience wrapper.
     ///
-    /// Compared to the one-by-one sequence, the batch acquires each
-    /// shard's read lock **once** (matching all events against a shard
-    /// while it is hot in cache, translating through the shard's own
-    /// map under the same guard), reuses the thread-local scratch
-    /// across the whole batch, and takes the sender-map read lock once
-    /// for all deliveries. On a multi-shard broker past the
+    /// Compared to the one-by-one sequence, the batch runs the step
+    /// once per shard ([`Shard::match_batch`]): each shard's read lock
+    /// is acquired **once**, its synopsis prunes the whole batch in one
+    /// walk, the engine's batch kernel matches the surviving events
+    /// while the shard is hot in cache, and the ids are translated
+    /// under the same guard; the thread-local scratch is reused across
+    /// the whole batch, and delivery snapshots each event's queues as
+    /// the single publish does. On a multi-shard broker past the
     /// [`parallel threshold`](BrokerBuilder::parallel_threshold) the
-    /// shards additionally match the batch **concurrently** (one worker
-    /// per remote shard, merged in shard order), which cuts the batch's
-    /// wall-clock latency on multi-core hosts.
+    /// same fan-out driver as [`Broker::publish_arc`] runs the shards
+    /// **concurrently** (one job per remote shard, merged in shard
+    /// order), which cuts the batch's wall-clock latency on multi-core
+    /// hosts.
     pub fn publish_batch(&self, events: &[Arc<Event>]) -> usize {
         if events.is_empty() {
             return 0;
@@ -1605,7 +1520,6 @@ impl Broker {
         // lock acquisitions; buckets keep delivery event-major so
         // per-subscriber notification order equals the sequential one.
         let set = self.shard_set();
-        let pipeline = self.parallel_pipeline(&set);
         let epoch = self.migration_epoch();
         let buckets = PUBLISH_STATE.with(|cell| {
             let state = &mut *cell.borrow_mut();
@@ -1618,56 +1532,30 @@ impl Broker {
                 // extra cleared buckets are simply ignored).
                 buckets.resize_with(events.len(), Vec::new);
             }
-            if let Some(fan) = pipeline {
-                self.match_batch_parallel(
-                    &set,
-                    fan,
-                    events,
-                    &mut state.batch,
-                    &mut state.skip,
-                    &mut buckets,
-                );
-            } else {
-                let prune = self.inner.prune;
-                for cell in &set.shards {
-                    let shard_state = cell.state.read();
-                    // One synopsis walk per shard fills the whole
-                    // batch's skip mask — the same per-event prune
-                    // decisions as before, under the once-per-batch
-                    // shard lock.
-                    let pruned = if prune {
-                        shard_state
-                            .synopsis
-                            .admits_batch(events, &[], &mut state.skip)
-                            as u64
-                    } else {
-                        state.skip.clear();
-                        state.skip.resize(events.len(), false);
-                        0
-                    };
-                    cell.record_prunes(pruned);
-                    if pruned as usize == events.len() {
-                        continue;
-                    }
-                    state.batch.reset();
-                    state.batch.ensure_capacity(&*shard_state.engine);
-                    let stats =
-                        shard_state
-                            .engine
-                            .match_batch(events, &state.skip, &mut state.batch);
-                    cell.record_hits(&stats);
-                    for (e, bucket) in buckets.iter_mut().enumerate().take(events.len()) {
-                        bucket.extend(
-                            state
-                                .batch
-                                .matched(e)
-                                .iter()
-                                .filter_map(|&l| shard_state.translation.global_of(l)),
-                        );
+            // Shard order per event, so per-event ids concatenate
+            // exactly like the one-by-one walk.
+            let mut merge = |batch: &BatchScratch| {
+                for (e, bucket) in buckets.iter_mut().enumerate().take(events.len()) {
+                    bucket.extend_from_slice(batch.matched(e));
+                }
+            };
+            match self.parallel_pipeline(&set) {
+                // The worker jobs are `'static`; the one per-batch
+                // allocation for sharing the event list is this Vec of
+                // Arc clones.
+                Some(fan) => {
+                    let shared = Arc::new(events.to_vec());
+                    self.fan_out(&set, fan, &fan.batch, &shared, &mut state.batch, merge);
+                }
+                None => {
+                    for cell in &set.shards {
+                        let stats = cell.state.read().match_batch(events, &[], &mut state.batch);
+                        cell.record(&stats);
+                        merge(&state.batch);
                     }
                 }
             }
-            self.trim_oversized_batch(&mut state.batch);
+            self.trim_oversized(&mut state.batch);
             for bucket in buckets.iter_mut().take(events.len()) {
                 // Same migration-race guard as the single-publish path.
                 self.dedup_matched(epoch, bucket);
@@ -1688,9 +1576,6 @@ impl Broker {
         // The caller's Arcs are delivered as-is: no event is cloned.
         let mut delivered = 0usize;
         for (event, matched) in events.iter().zip(&buckets) {
-            if matched.is_empty() {
-                continue;
-            }
             delivered += self.deliver_matched_arc(event, matched);
         }
         // Bucket half of the high-water fix: a bucket a pathological
@@ -1728,132 +1613,8 @@ impl Broker {
         delivered
     }
 
-    /// Batch counterpart of [`Broker::match_parallel_into`]: each
-    /// remote shard's worker runs the engine's batch kernel over the
-    /// whole batch (shard lock taken once, one leased [`BatchScratch`]
-    /// reused across the batch, the shard's synopsis consulted once to
-    /// build the skip mask) into per-event buckets; the caller does
-    /// shard 0 inline and merges the worker buckets in shard order.
-    fn match_batch_parallel(
-        &self,
-        set: &Arc<ShardSet>,
-        fan: &Fanout,
-        events: &[Arc<Event>],
-        batch: &mut BatchScratch,
-        skip: &mut Vec<bool>,
-        buckets: &mut [Vec<SubscriptionId>],
-    ) {
-        let shards = set.shards.len();
-        let prune = self.inner.prune;
-        // The worker jobs are `'static`; the one per-batch allocation
-        // for sharing the event list is this Vec of Arc clones.
-        let shared: Arc<Vec<Arc<Event>>> = Arc::new(events.to_vec());
-        // Each worker hands back its shard's matches as one flat id
-        // vector plus per-event end offsets — two allocations per shard
-        // per batch instead of one Vec per event; the rendezvous
-        // carrying them is pooled.
-        let run: Arc<FanOut<ShardMatches>> = fan.batch_rendezvous.checkout(shards - 1);
-        for s in 1..shards {
-            let slot = run.slot(s - 1);
-            let cell = Arc::clone(&set.shards[s]);
-            let scratches = Arc::clone(&fan.batch_scratches);
-            let shared = Arc::clone(&shared);
-            fan.pool.submit(move || {
-                let out = {
-                    let state = cell.state.read();
-                    let mut skip: Vec<bool> = Vec::new();
-                    let pruned = if prune {
-                        state.synopsis.admits_batch(&shared, &[], &mut skip) as u64
-                    } else {
-                        skip.resize(shared.len(), false);
-                        0
-                    };
-                    cell.record_prunes(pruned);
-                    let mut flat: Vec<SubscriptionId> = Vec::new();
-                    let mut ends: Vec<usize> = Vec::with_capacity(shared.len());
-                    if pruned as usize == shared.len() {
-                        // Fully-pruned shard: aligned empty per-event
-                        // slices, no scratch lease, no kernel run —
-                        // exactly like the sequential walk's `continue`.
-                        ends.resize(shared.len(), 0);
-                    } else {
-                        let mut lease = scratches.lease(&*state.engine);
-                        let stats = state.engine.match_batch(&shared, &skip, &mut lease);
-                        cell.record_hits(&stats);
-                        for e in 0..shared.len() {
-                            // Pruned events contribute no ids; the end
-                            // offset is still pushed so per-event
-                            // slices stay aligned with the batch.
-                            flat.extend(
-                                lease
-                                    .matched(e)
-                                    .iter()
-                                    .filter_map(|&l| state.translation.global_of(l)),
-                            );
-                            ends.push(flat.len());
-                        }
-                    }
-                    (flat, ends)
-                };
-                drop(shared);
-                drop(cell);
-                slot.fill(out);
-            });
-        }
-        {
-            let cell = &set.shards[0];
-            let state = cell.state.read();
-            let pruned = if prune {
-                state.synopsis.admits_batch(events, &[], skip) as u64
-            } else {
-                skip.clear();
-                skip.resize(events.len(), false);
-                0
-            };
-            cell.record_prunes(pruned);
-            if (pruned as usize) < events.len() {
-                batch.reset();
-                batch.ensure_capacity(&*state.engine);
-                let stats = state.engine.match_batch(events, skip, batch);
-                cell.record_hits(&stats);
-                for (e, bucket) in buckets.iter_mut().enumerate().take(events.len()) {
-                    bucket.extend(
-                        batch
-                            .matched(e)
-                            .iter()
-                            .filter_map(|&l| state.translation.global_of(l)),
-                    );
-                }
-            }
-        }
-        // Slot order is shard order, so per-event ids concatenate
-        // exactly like the sequential shard-major walk.
-        let mut lost = 0u64;
-        run.wait_each(|slot| {
-            let Some((flat, ends)) = slot else {
-                lost += 1;
-                return;
-            };
-            let mut start = 0usize;
-            for (bucket, &end) in buckets.iter_mut().zip(&ends) {
-                bucket.extend_from_slice(&flat[start..end]);
-                start = end;
-            }
-        });
-        fan.batch_rendezvous.park(run);
-        self.note_lost_workers(lost);
-    }
-
-    /// Queues `event` to the subscribers in `matched`.
-    fn deliver_matched(&self, event: Event, matched: &[SubscriptionId]) -> usize {
-        if matched.is_empty() {
-            return 0;
-        }
-        self.deliver_matched_arc(&Arc::new(event), matched)
-    }
-
-    /// [`Broker::deliver_matched`] for an already-shared event: the
-    /// caller's `Arc` is what every subscriber receives (zero copies).
+    /// Queues `event` — shared, so every subscriber receives the
+    /// caller's `Arc` (zero copies) — to the subscribers in `matched`.
     ///
     /// Delivery is two-phase (the unsubscribe-stall fix): the
     /// sender-map read lock is held only long enough to snapshot the
@@ -2000,13 +1761,21 @@ impl Broker {
             .map_or(0, |f| f.pool.threads())
     }
 
-    /// The fan-out scratch pool, for observability (steady-state memory
-    /// probes); `None` on single-shard brokers.
+    /// The fan-out scratch pool, for observability (steady-state
+    /// memory and fresh-build probes); `None` on single-shard brokers.
     pub fn scratch_pool(&self) -> Option<Arc<ScratchPool>> {
         self.shard_set()
             .fanout
             .as_ref()
-            .map(|f| Arc::clone(&f.scratches))
+            .map(|f| Arc::clone(&f.event.scratches))
+    }
+
+    /// The batch fan-out's scratch pool, like [`Broker::scratch_pool`].
+    pub fn batch_scratch_pool(&self) -> Option<Arc<BatchScratchPool>> {
+        self.shard_set()
+            .fanout
+            .as_ref()
+            .map(|f| Arc::clone(&f.batch.scratches))
     }
 
     /// The engines' memory breakdown, summed across shards, plus the
@@ -2019,15 +1788,15 @@ impl Broker {
         let mut usage = MemoryUsage::default();
         for cell in &set.shards {
             let state = cell.state.read();
-            routing += state.translation.heap_bytes() + state.synopsis.heap_bytes();
-            usage = usage + state.engine.memory_usage();
+            routing += state.routing_bytes();
+            usage = usage + state.engine().memory_usage();
         }
         // Warm batch scratches parked in the fan-out pool are broker
         // memory too — charge them to the scratch bucket.
         let pooled_scratch = set
             .fanout
             .as_ref()
-            .map_or(0, |fan| fan.batch_scratches.heap_bytes());
+            .map_or(0, |fan| fan.batch.scratches.heap_bytes());
         usage
             + MemoryUsage {
                 unsub_support: routing,
@@ -2039,7 +1808,7 @@ impl Broker {
     /// Which engine kind the broker runs (of the first shard, when
     /// heterogeneous engines were supplied).
     pub fn engine_kind(&self) -> EngineKind {
-        self.shard_set().shards[0].state.read().engine.kind()
+        self.shard_set().shards[0].state.read().engine().kind()
     }
 
     /// Counter snapshot.
@@ -2296,8 +2065,6 @@ pub struct BrokerBuilder {
     recycled_ids: bool,
     background: Option<(Duration, RebalancePolicy)>,
     placement: PlacementPolicy,
-    /// `None` means "not set" and resolves to enabled.
-    shard_pruning: Option<bool>,
 }
 
 impl fmt::Debug for BrokerBuilder {
@@ -2316,7 +2083,6 @@ impl fmt::Debug for BrokerBuilder {
             .field("recycled_ids", &self.recycled_ids)
             .field("background_rebalance", &self.background)
             .field("placement", &self.placement)
-            .field("shard_pruning", &self.shard_pruning.unwrap_or(true))
             .finish()
     }
 }
@@ -2464,27 +2230,14 @@ impl BrokerBuilder {
     /// when a cluster outgrows twice the other shards' average), which
     /// makes the per-shard attribute synopses selective — on a
     /// partitionable workload an event then candidates at one or two
-    /// shards and [`shard pruning`](BrokerBuilder::shard_pruning) skips
-    /// the rest. Delivery is identical under either policy; only shard
+    /// shards and the per-shard step prunes the rest (every publish
+    /// consults each shard's synopsis first; it is conservative — it
+    /// may admit a shard with no matches but never excludes one with a
+    /// match). Delivery is identical under either policy; only shard
     /// assignment — and therefore pruning effectiveness — changes.
     #[must_use]
     pub fn placement(mut self, policy: PlacementPolicy) -> Self {
         self.placement = policy;
-        self
-    }
-
-    /// Enables or disables content-aware shard pruning on the publish
-    /// paths (default: **enabled**). When enabled, every publish
-    /// consults each shard's attribute synopsis (under the shard read
-    /// lock it already holds) and skips shards that provably contain
-    /// zero candidate subscriptions for the event. The synopsis is
-    /// conservative — it may admit a shard with no matches but never
-    /// excludes one with a match — so delivery is identical either
-    /// way; disabling only serves A/B measurement (see the
-    /// `bench_snapshot` prune rows).
-    #[must_use]
-    pub fn shard_pruning(mut self, enabled: bool) -> Self {
-        self.shard_pruning = Some(enabled);
         self
     }
 
@@ -2541,17 +2294,7 @@ impl BrokerBuilder {
         let shard_count = engines.len();
         let grow_kind = engines[0].kind();
         let scratch_trim_cap = self.scratch_trim_cap.unwrap_or(DEFAULT_SCRATCH_TRIM_CAP);
-        let worker_threads = self.worker_threads;
-        // The parallel pipeline exists only when there is more than one
-        // shard to fan out over; a single-shard broker builds no worker
-        // pool and always takes the sequential walk.
-        let fanout = (shard_count >= 2).then(|| {
-            let threads = worker_threads.unwrap_or_else(|| {
-                (shard_count - 1)
-                    .min(std::thread::available_parallelism().map_or(1, std::num::NonZero::get))
-            });
-            Fanout::new(threads, scratch_trim_cap)
-        });
+        let fanout = fanout_for(shard_count, self.worker_threads, scratch_trim_cap, None);
         let shards: Vec<Arc<ShardCell>> = engines
             .into_iter()
             .enumerate()
@@ -2579,10 +2322,9 @@ impl BrokerBuilder {
             parallel_threshold: self
                 .parallel_threshold
                 .unwrap_or(DEFAULT_PARALLEL_THRESHOLD),
-            worker_threads,
+            worker_threads: self.worker_threads,
             grow_kind,
             placement: self.placement,
-            prune: self.shard_pruning.unwrap_or(true),
             rebalancer: Mutex::new(None),
         });
         // Register the broker-global locks with lockdep (debug builds):
@@ -3289,22 +3031,6 @@ mod tests {
             let after_batch: u64 = broker.shard_prune_counts().iter().sum();
             assert_eq!(after_batch, 3 + 2 * 3, "three prunes per batched event");
         }
-    }
-
-    #[test]
-    fn pruning_can_be_disabled_for_measurement() {
-        let broker = Broker::builder()
-            .shards(4)
-            .placement(PlacementPolicy::ClusterByAttribute)
-            .shard_pruning(false)
-            .build();
-        let _subs: Vec<_> = (0..16)
-            .map(|i| broker.subscribe(&format!("g{} = 1", i % 4)).unwrap())
-            .collect();
-        // Same deliveries, no prunes: the knob only changes the walk.
-        assert_eq!(broker.publish(ev(&[("g0", 1)])), 4);
-        assert_eq!(broker.publish_batch_events(&[ev(&[("g1", 1)])]), 4);
-        assert_eq!(broker.shard_prune_counts(), vec![0, 0, 0, 0]);
     }
 
     #[test]

@@ -69,17 +69,20 @@
 //! with [`Broker::delivery_maintenance_tick`] or autonomously with
 //! [`BrokerBuilder::delivery_maintenance`].
 //!
-//! Multi-shard brokers additionally carry a **parallel publish
-//! pipeline**: past [`BrokerBuilder::parallel_threshold`] live
-//! subscriptions, one publish fans its per-shard matching out over a
+//! Every publish is one per-shard step — [`boolmatch_core::Shard`]'s
+//! *admit by synopsis → match → translate in place* — run over all
+//! shards and merged in shard order. Multi-shard brokers additionally
+//! carry a **fan-out driver** for it: past
+//! [`BrokerBuilder::parallel_threshold`] live subscriptions, one
+//! publish (single or batch) runs the step for its remote shards on a
 //! persistent [`boolmatch_core::WorkerPool`] (threads park between
-//! publishes — nothing is spawned on the hot path), each worker
-//! drawing a warm scratch from a [`boolmatch_core::ScratchPool`] and
-//! parking its result in a [`boolmatch_core::FanOut`] slot. The merge
-//! runs in shard-index order, so the matched-id set is identical to
-//! the sequential walk no matter how workers interleave; with
-//! [`BrokerBuilder::shards`]`(1)` the pipeline does not exist and
-//! publishing is byte-for-byte the sequential path.
+//! publishes — nothing is spawned on the hot path), each admitted
+//! shard's job leasing a warm scratch from a [`boolmatch_core::Pool`]
+//! and parking the lease in a [`boolmatch_core::FanOut`] slot. The
+//! merge runs in shard-index order, so the matched-id sequence is
+//! identical to the sequential walk no matter how workers interleave;
+//! with [`BrokerBuilder::shards`]`(1)` the driver does not exist and
+//! publishing is the sequential walk.
 //!
 //! Scratch ownership rules: the scratch is per *publisher thread*
 //! (`thread_local!`), never shared concurrently, and self-restoring

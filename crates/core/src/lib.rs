@@ -42,23 +42,28 @@
 //! shard-count **resizing** ([`ShardedEngine::resize`]). The broker
 //! builds its per-shard locking around the same directory.
 //!
-//! Fan-out is also **content-aware**: each shard keeps a
-//! [`ShardSynopsis`] — a conservative per-attribute summary of its
-//! residents' required conjuncts — and the publish paths skip shards
-//! whose synopsis proves zero candidates (reported as
-//! [`MatchStats::shards_pruned`]). An optional
-//! [`PlacementPolicy::ClusterByAttribute`] co-places subscriptions
-//! sharing a dominant equality attribute so that pruning actually
-//! bites; see the `synopsis` module docs for the conservativeness
-//! contract.
+//! The unit of sharding is the [`Shard`]: one engine with its local →
+//! global [`ShardTranslation`] map and its [`ShardSynopsis`] — a
+//! conservative per-attribute summary of its residents' required
+//! conjuncts. It owns **the per-shard match step**
+//! ([`Shard::match_event`], [`Shard::match_batch`]): ask the synopsis
+//! first and do nothing on a shard that provably holds no candidate
+//! (reported as [`MatchStats::shards_pruned`]), else run the engine and
+//! translate the matched ids to global ids in place. Every walk —
+//! [`ShardedEngine`]'s and the broker's, sequential or fanned out — is
+//! a loop over that step, so fan-out is **content-aware** everywhere.
+//! An optional [`PlacementPolicy::ClusterByAttribute`] co-places
+//! subscriptions sharing a dominant equality attribute so that pruning
+//! actually bites; see the `synopsis` module docs for the
+//! conservativeness contract.
 //!
 //! For **intra-event** parallelism, one publish can fan out across the
-//! shards: [`ShardedEngine::match_event_parallel`] matches every shard
-//! concurrently (each worker drawing a warm [`MatchScratch`] from a
-//! [`ScratchPool`]) and merges in shard order, so the answer is
-//! bit-identical to the sequential walk. The broker runs the same
-//! fan-out on a persistent [`WorkerPool`] with a [`FanOut`] rendezvous;
-//! see the `pool` module docs.
+//! shards: [`ShardedEngine::match_event_parallel`] runs the step on
+//! every shard concurrently (each admitted shard drawing a warm
+//! [`MatchScratch`] from a [`ScratchPool`]) and merges in shard order,
+//! so the answer is bit-identical to the sequential walk. The broker's
+//! fan-out driver runs the same step on a persistent [`WorkerPool`]
+//! with a [`FanOut`] rendezvous; see the `pool` module docs.
 //!
 //! # Examples
 //!
@@ -109,13 +114,13 @@ pub use interner::PredicateInterner;
 pub use memory::MemoryUsage;
 pub use noncanonical::{NonCanonicalConfig, NonCanonicalEngine};
 pub use pool::{
-    BatchScratchLease, BatchScratchPool, FanOut, FanOutPool, PooledBatchScratch, PooledScratch,
-    ScratchLease, ScratchPool, SlotGuard, WorkerPool,
+    BatchScratchLease, BatchScratchPool, Checkout, FanOut, FanOutPool, Lease, Pool, PoolScratch,
+    Pooled, PooledBatchScratch, PooledScratch, ScratchLease, ScratchPool, SlotGuard, WorkerPool,
 };
 pub use routing::{
     lock_classes, PlacementPolicy, PredicateRouter, ShardTranslation, SubscriptionDirectory,
 };
 pub use scratch::{BatchScratch, MatchScratch, Matcher};
-pub use shard::{BoxedEngine, ShardedEngine};
+pub use shard::{BoxedEngine, Shard, ShardedEngine};
 pub use stats::MatchStats;
 pub use synopsis::{attribute_hash, dominant_eq_attr, ShardSynopsis};

@@ -1,22 +1,23 @@
 //! Worker and scratch pooling for parallel shard fan-out.
 //!
-//! Sharding (PR 2) made subscription churn cheap, but a single publish
-//! still visited every shard *sequentially* — per-event latency grew
-//! with the shard count instead of shrinking. This module supplies the
-//! three pieces that turn shard partitioning into intra-event
-//! parallelism:
+//! Sharding made subscription churn cheap, but a single publish still
+//! visited every shard *sequentially* — per-event latency grew with the
+//! shard count instead of shrinking. This module supplies the pieces
+//! that turn shard partitioning into intra-event parallelism:
 //!
 //! * [`WorkerPool`] — a persistent pool of worker threads executing
 //!   submitted jobs. The broker owns one per sharded instance, so a
 //!   publish fans its per-shard matching out **without spawning a
 //!   thread per publish**.
-//! * [`ScratchPool`] — a non-blocking pool of warm [`MatchScratch`]es.
+//! * [`Pool`] — a non-blocking pool of warm scratches, used as
+//!   [`ScratchPool`] (one event) and [`BatchScratchPool`] (a batch).
 //!   Checkout applies the hygiene pair exactly once —
-//!   [`MatchScratch::reset`] (clear state, keep capacity) and
-//!   [`MatchScratch::ensure_capacity`] (grow to the engine at hand) —
-//!   so in steady state a checked-out scratch allocates nothing.
-//!   Checkout never blocks: slots are probed with `try_lock`, and when
-//!   every slot is busy a fresh scratch is built instead of waiting.
+//!   [`PoolScratch::reset`] (clear state, keep capacity) and
+//!   [`PoolScratch::ensure_capacity`] (grow to the engine at hand) — so
+//!   in steady state a checked-out scratch allocates nothing. Checkout
+//!   never blocks: slots are probed with `try_lock`, and when none
+//!   holds a parked scratch a fresh one is built instead of waiting
+//!   (counted by [`Pool::fresh`]).
 //! * [`FanOut`] — a one-shot scatter/gather rendezvous: `N` indexed
 //!   slots filled by workers, one caller waiting for all of them. Slot
 //!   completion is panic-safe (a guard completes its slot on drop even
@@ -25,10 +26,14 @@
 //!
 //! [`crate::ShardedEngine::match_event_parallel`] composes these for
 //! plain-value engines (using scoped threads, since the engine is
-//! borrowed); `boolmatch-broker` composes them around its per-shard
-//! locks for the publish hot path, where jobs capture `Arc`s and run on
-//! the persistent pool.
+//! borrowed); `boolmatch-broker`'s fan-out driver composes them around
+//! its per-shard locks for the publish hot path, where jobs capture
+//! `Arc`s and run on the persistent pool. Both run the same per-shard
+//! step, [`crate::Shard::match_event_with`], which leases only once
+//! the shard's synopsis has admitted the event.
 
+use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::thread::JoinHandle;
@@ -41,19 +46,67 @@ use crate::engine::FilterEngine;
 use crate::{BatchScratch, MatchScratch};
 
 // ---------------------------------------------------------------------------
-// ScratchPool
+// Pool
 
-/// A non-blocking pool of reusable [`MatchScratch`]es shared by fan-out
-/// workers.
+/// What a [`Pool`] asks of the scratch type it parks: the hygiene pair
+/// applied once per checkout, the trim applied to an over-cap return,
+/// and the footprint both are judged by. Implemented by
+/// [`MatchScratch`] and [`BatchScratch`] through their inherent methods
+/// of the same names.
+pub trait PoolScratch: Default {
+    /// Clears per-use state, keeping every buffer's capacity.
+    fn reset(&mut self);
+    /// Grows the buffers to `engine`.
+    fn ensure_capacity<E: FilterEngine + ?Sized>(&mut self, engine: &E);
+    /// Releases all buffers, capacity included.
+    fn trim(&mut self);
+    /// Approximate heap bytes held.
+    fn heap_bytes(&self) -> usize;
+}
+
+macro_rules! impl_pool_scratch {
+    ($scratch:ty) => {
+        impl PoolScratch for $scratch {
+            fn reset(&mut self) {
+                <$scratch>::reset(self);
+            }
+            fn ensure_capacity<E: FilterEngine + ?Sized>(&mut self, engine: &E) {
+                <$scratch>::ensure_capacity(self, engine);
+            }
+            fn trim(&mut self) {
+                <$scratch>::trim(self);
+            }
+            fn heap_bytes(&self) -> usize {
+                <$scratch>::heap_bytes(self)
+            }
+        }
+    };
+}
+
+impl_pool_scratch!(MatchScratch);
+impl_pool_scratch!(BatchScratch);
+
+/// A non-blocking pool of reusable scratches shared by fan-out workers.
 ///
-/// Each checkout probes the fixed slot array with `try_lock`: a free
+/// Each checkout probes the fixed slot array with `try_lock`: a parked
 /// warm scratch is taken if one is available, otherwise a fresh one is
 /// built — a worker never blocks on another worker's checkout. Returned
 /// scratches re-fill empty slots (beyond-capacity returns are simply
-/// dropped), so the pool holds at most `slots` scratches and, once
-/// every worker has warmed one up, stops allocating entirely — see
-/// [`ScratchPool::heap_bytes`] for the steady-state probe the tests
-/// use.
+/// dropped), so the pool holds at most `slots` scratches and, once it
+/// holds as many warm ones as are ever out at the same time, stops
+/// allocating entirely — [`Pool::fresh`] and [`Pool::heap_bytes`] are
+/// the steady-state probes the tests use.
+#[derive(Debug)]
+pub struct Pool<S> {
+    slots: Vec<Mutex<Option<S>>>,
+    /// Heap-byte cap above which a returning scratch is trimmed before
+    /// parking; `usize::MAX` disables trimming.
+    trim_cap: usize,
+    /// Checkouts that found no parked scratch and built one.
+    fresh: AtomicU64,
+}
+
+/// The pool of per-event scratches.
 ///
 /// # Examples
 ///
@@ -66,40 +119,52 @@ use crate::{BatchScratch, MatchScratch};
 ///     let _scratch = pool.checkout(&engine); // hygiene applied once here
 /// } // returned to the pool on drop
 /// assert_eq!(pool.pooled(), 1);
+/// assert_eq!(pool.fresh(), 1); // the empty pool had to build it
 /// ```
-#[derive(Debug)]
-pub struct ScratchPool {
-    slots: Vec<Mutex<Option<MatchScratch>>>,
-    /// Heap-byte cap above which a returning scratch is trimmed before
-    /// parking; `usize::MAX` disables trimming.
-    trim_cap: usize,
-}
+pub type ScratchPool = Pool<MatchScratch>;
 
-impl ScratchPool {
+/// The pool of batch scratches — the same [`Pool`], parking
+/// [`BatchScratch`]es.
+///
+/// # Examples
+///
+/// ```
+/// use boolmatch_core::{BatchScratchPool, EngineKind};
+///
+/// let engine = EngineKind::Counting.build();
+/// let pool = BatchScratchPool::new(2);
+/// {
+///     let _batch = pool.checkout(&engine); // hygiene applied once here
+/// } // returned to the pool on drop
+/// assert_eq!(pool.pooled(), 1);
+/// ```
+pub type BatchScratchPool = Pool<BatchScratch>;
+
+impl<S: PoolScratch> Pool<S> {
     /// A pool holding at most `slots` warm scratches (at least one),
     /// with no trim cap: a parked scratch keeps whatever high-water
-    /// capacity it grew to. See [`ScratchPool::with_trim_cap`] for the
-    /// bounded form.
+    /// capacity it grew to. See [`Pool::with_trim_cap`] for the bounded
+    /// form.
     pub fn new(slots: usize) -> Self {
         Self::with_trim_cap(slots, usize::MAX)
     }
 
     /// A pool whose parked scratches are bounded: a scratch returning
-    /// with more than `trim_cap` heap bytes is [trimmed]
-    /// (capacity released) before it re-enters the pool, so one
-    /// pathological event — say a 100k-candidate spike — cannot pin its
-    /// peak allocation in every pooled scratch forever. The next
-    /// checkout of a trimmed scratch re-grows lazily to the engine at
-    /// hand.
-    ///
-    /// [trimmed]: MatchScratch::trim
+    /// with more than `trim_cap` heap bytes is trimmed (capacity
+    /// released) before it re-enters the pool, so one pathological
+    /// event — say a 100k-candidate spike — cannot pin its peak
+    /// allocation in every pooled scratch forever. The next checkout of
+    /// a trimmed scratch re-grows lazily to the engine at hand.
     pub fn with_trim_cap(slots: usize, trim_cap: usize) -> Self {
-        let slots: Vec<Mutex<Option<MatchScratch>>> =
-            (0..slots.max(1)).map(|_| Mutex::new(None)).collect();
+        let slots: Vec<Mutex<Option<S>>> = (0..slots.max(1)).map(|_| Mutex::new(None)).collect();
         for slot in &slots {
             slot.set_class(lock_classes::POOL);
         }
-        ScratchPool { slots, trim_cap }
+        Pool {
+            slots,
+            trim_cap,
+            fresh: AtomicU64::new(0),
+        }
     }
 
     /// Maximum number of scratches the pool retains.
@@ -130,29 +195,38 @@ impl ScratchPool {
         self.slots
             .iter()
             .filter_map(Mutex::try_lock)
-            .filter_map(|slot| slot.as_ref().map(MatchScratch::heap_bytes))
+            .filter_map(|slot| slot.as_ref().map(S::heap_bytes))
             .sum()
     }
 
-    // lint: hot-path — scratch checkout/return runs once per fan-out
-    // job; pool slots are probed try-lock-only so a worker never
-    // blocks here.
+    /// Checkouts that found no parked scratch and built a fresh one —
+    /// the "steady state allocates nothing" gauge: on a pool sized to
+    /// the scratches out at the same time it stops moving after
+    /// warm-up.
+    pub fn fresh(&self) -> u64 {
+        // ordering: a monotonic tally read for reporting only.
+        self.fresh.load(Ordering::Relaxed)
+    }
+
+    // lint: hot-path — scratch checkout/return runs once per admitted
+    // fan-out job; pool slots are probed try-lock-only so a worker
+    // never blocks here.
 
     /// Checks a scratch out for matching against `engine`, borrowing
-    /// the pool. The hygiene pair — [`MatchScratch::reset`] +
-    /// [`MatchScratch::ensure_capacity`] — runs exactly once, here.
-    pub fn checkout(&self, engine: &(impl FilterEngine + ?Sized)) -> PooledScratch<'_> {
-        PooledScratch {
+    /// the pool. The hygiene pair — [`PoolScratch::reset`] +
+    /// [`PoolScratch::ensure_capacity`] — runs exactly once, here.
+    pub fn checkout(&self, engine: &(impl FilterEngine + ?Sized)) -> Pooled<'_, S> {
+        Checkout {
             pool: self,
             scratch: Some(self.take(engine)),
         }
     }
 
-    /// [`ScratchPool::checkout`] for `'static` contexts (jobs on a
+    /// [`Pool::checkout`] for `'static` contexts (jobs on a
     /// [`WorkerPool`]): the lease holds an `Arc` to the pool instead of
     /// a borrow.
-    pub fn lease(self: &Arc<Self>, engine: &(impl FilterEngine + ?Sized)) -> ScratchLease {
-        ScratchLease {
+    pub fn lease(self: &Arc<Self>, engine: &(impl FilterEngine + ?Sized)) -> Lease<S> {
+        Checkout {
             pool: Arc::clone(self),
             scratch: Some(self.take(engine)),
         }
@@ -160,13 +234,17 @@ impl ScratchPool {
 
     /// Checkout core: pop a warm scratch from the first free occupied
     /// slot (or build a fresh one), then apply the hygiene pair.
-    fn take(&self, engine: &(impl FilterEngine + ?Sized)) -> MatchScratch {
-        let mut scratch = self
+    fn take(&self, engine: &(impl FilterEngine + ?Sized)) -> S {
+        let parked = self
             .slots
             .iter()
             .filter_map(Mutex::try_lock)
-            .find_map(|mut slot| slot.take())
-            .unwrap_or_default();
+            .find_map(|mut slot| slot.take());
+        let mut scratch = parked.unwrap_or_else(|| {
+            // ordering: a monotonic tally; nothing is published through it.
+            self.fresh.fetch_add(1, Ordering::Relaxed);
+            S::default()
+        });
         scratch.reset();
         scratch.ensure_capacity(engine);
         scratch
@@ -174,9 +252,9 @@ impl ScratchPool {
 
     /// Parks `scratch` in the first free empty slot; drops it when the
     /// pool is full or every slot is contended (never blocks). A
-    /// scratch over the pool's [trim cap](ScratchPool::with_trim_cap)
-    /// is trimmed first, so spikes do not pin high-water capacity.
-    fn put(&self, mut scratch: MatchScratch) {
+    /// scratch over the pool's [trim cap](Pool::with_trim_cap) is
+    /// trimmed first, so spikes do not pin high-water capacity.
+    fn put(&self, mut scratch: S) {
         if scratch.heap_bytes() > self.trim_cap {
             scratch.trim();
         }
@@ -189,219 +267,65 @@ impl ScratchPool {
             }
         }
     }
-
-    // lint: end-hot-path
 }
 
-/// A checked-out scratch borrowing its [`ScratchPool`]; derefs to
-/// [`MatchScratch`] and returns the scratch on drop.
+/// A checked-out scratch: derefs to the scratch and returns it to the
+/// pool `P` points at on drop. [`Pooled`] borrows the pool; [`Lease`]
+/// holds it by `Arc` — the `'static` form worker-pool jobs use.
 #[derive(Debug)]
-pub struct PooledScratch<'a> {
-    pool: &'a ScratchPool,
-    scratch: Option<MatchScratch>,
+pub struct Checkout<P: Deref<Target = Pool<S>>, S: PoolScratch> {
+    pool: P,
+    scratch: Option<S>,
 }
 
-/// A checked-out scratch holding its [`ScratchPool`] by `Arc` — the
-/// `'static` form worker-pool jobs use; derefs to [`MatchScratch`] and
-/// returns the scratch on drop.
-#[derive(Debug)]
-pub struct ScratchLease {
-    pool: Arc<ScratchPool>,
-    scratch: Option<MatchScratch>,
+/// A [`Checkout`] borrowing its [`Pool`].
+pub type Pooled<'a, S> = Checkout<&'a Pool<S>, S>;
+/// A [`Checkout`] holding its [`Pool`] by `Arc`.
+pub type Lease<S> = Checkout<Arc<Pool<S>>, S>;
+/// A checked-out [`MatchScratch`] borrowing its [`ScratchPool`].
+pub type PooledScratch<'a> = Pooled<'a, MatchScratch>;
+/// A checked-out [`MatchScratch`] holding its [`ScratchPool`] by `Arc`.
+pub type ScratchLease = Lease<MatchScratch>;
+/// A checked-out [`BatchScratch`] borrowing its [`BatchScratchPool`].
+pub type PooledBatchScratch<'a> = Pooled<'a, BatchScratch>;
+/// A checked-out [`BatchScratch`] holding its [`BatchScratchPool`] by
+/// `Arc`.
+pub type BatchScratchLease = Lease<BatchScratch>;
+
+// The Option is only ever None after Drop took the scratch, so the
+// expects below are unreachable while a guard is usable.
+impl<P: Deref<Target = Pool<S>>, S: PoolScratch> Deref for Checkout<P, S> {
+    type Target = S;
+
+    fn deref(&self) -> &S {
+        // lint: allow(panic-policy, reason = "guard invariant: the scratch is Some from construction until Drop")
+        self.scratch.as_ref().expect("present until drop")
+    }
 }
 
-// lint: hot-path — guard derefs run on every scratch access during a
-// match; the Option is only ever None after Drop took the scratch, so
-// the expects below are unreachable while a guard is usable.
-macro_rules! impl_scratch_guard {
-    ($guard:ty, $target:ty) => {
-        impl std::ops::Deref for $guard {
-            type Target = $target;
-
-            fn deref(&self) -> &$target {
-                // lint: allow(panic-policy, reason = "guard invariant: the scratch is Some from construction until Drop")
-                self.scratch.as_ref().expect("present until drop")
-            }
-        }
-
-        impl std::ops::DerefMut for $guard {
-            fn deref_mut(&mut self) -> &mut $target {
-                // lint: allow(panic-policy, reason = "guard invariant: the scratch is Some from construction until Drop")
-                self.scratch.as_mut().expect("present until drop")
-            }
-        }
-
-        impl Drop for $guard {
-            fn drop(&mut self) {
-                // A guard dropped during a panic may hold a scratch
-                // abandoned mid-match (e.g. hit counters half-updated —
-                // state the checkout hygiene deliberately does not
-                // re-clear). Pooling it would poison every later match
-                // through it; drop it instead.
-                if std::thread::panicking() {
-                    return;
-                }
-                if let Some(scratch) = self.scratch.take() {
-                    self.pool.put(scratch);
-                }
-            }
-        }
-    };
+impl<P: Deref<Target = Pool<S>>, S: PoolScratch> DerefMut for Checkout<P, S> {
+    fn deref_mut(&mut self) -> &mut S {
+        // lint: allow(panic-policy, reason = "guard invariant: the scratch is Some from construction until Drop")
+        self.scratch.as_mut().expect("present until drop")
+    }
 }
 
-impl_scratch_guard!(PooledScratch<'_>, MatchScratch);
-impl_scratch_guard!(ScratchLease, MatchScratch);
-impl_scratch_guard!(PooledBatchScratch<'_>, BatchScratch);
-impl_scratch_guard!(BatchScratchLease, BatchScratch);
+impl<P: Deref<Target = Pool<S>>, S: PoolScratch> Drop for Checkout<P, S> {
+    fn drop(&mut self) {
+        // A guard dropped during a panic may hold a scratch abandoned
+        // mid-match (e.g. hit counters half-updated — state the
+        // checkout hygiene deliberately does not re-clear). Pooling it
+        // would poison every later match through it; drop it instead.
+        if std::thread::panicking() {
+            return;
+        }
+        if let Some(scratch) = self.scratch.take() {
+            self.pool.put(scratch);
+        }
+    }
+}
 
 // lint: end-hot-path
-
-// ---------------------------------------------------------------------------
-// BatchScratchPool
-
-/// A non-blocking pool of reusable [`BatchScratch`]es — the batch-path
-/// twin of [`ScratchPool`], with the same contract: `try_lock`-probed
-/// slots (checkout never blocks), the hygiene pair applied exactly once
-/// per checkout, over-cap returns trimmed before parking.
-///
-/// # Examples
-///
-/// ```
-/// use boolmatch_core::{BatchScratchPool, EngineKind};
-///
-/// let engine = EngineKind::Counting.build();
-/// let pool = BatchScratchPool::new(2);
-/// {
-///     let _batch = pool.checkout(&engine); // hygiene applied once here
-/// } // returned to the pool on drop
-/// assert_eq!(pool.pooled(), 1);
-/// ```
-#[derive(Debug)]
-pub struct BatchScratchPool {
-    slots: Vec<Mutex<Option<BatchScratch>>>,
-    trim_cap: usize,
-}
-
-impl BatchScratchPool {
-    /// A pool holding at most `slots` warm batch scratches (at least
-    /// one), with no trim cap.
-    pub fn new(slots: usize) -> Self {
-        Self::with_trim_cap(slots, usize::MAX)
-    }
-
-    /// A pool whose parked batch scratches are bounded: one returning
-    /// with more than `trim_cap` heap bytes is [trimmed]
-    /// (capacity released) before it re-enters the pool.
-    ///
-    /// [trimmed]: BatchScratch::trim
-    pub fn with_trim_cap(slots: usize, trim_cap: usize) -> Self {
-        let slots: Vec<Mutex<Option<BatchScratch>>> =
-            (0..slots.max(1)).map(|_| Mutex::new(None)).collect();
-        for slot in &slots {
-            slot.set_class(lock_classes::POOL);
-        }
-        BatchScratchPool { slots, trim_cap }
-    }
-
-    /// Maximum number of batch scratches the pool retains.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Number of batch scratches currently parked (skipping slots
-    /// another thread holds locked at probe time).
-    pub fn pooled(&self) -> usize {
-        self.slots
-            .iter()
-            .filter_map(Mutex::try_lock)
-            .filter(|slot| slot.is_some())
-            .count()
-    }
-
-    /// Total heap bytes held by the parked batch scratches — the
-    /// steady-state probe, like [`ScratchPool::heap_bytes`].
-    pub fn heap_bytes(&self) -> usize {
-        self.slots
-            .iter()
-            .filter_map(Mutex::try_lock)
-            .filter_map(|slot| slot.as_ref().map(BatchScratch::heap_bytes))
-            .sum()
-    }
-
-    // lint: hot-path — batch-scratch checkout/return runs once per
-    // batch fan-out job; pool slots are probed try-lock-only so a
-    // worker never blocks here.
-
-    /// Checks a batch scratch out for matching against `engine`,
-    /// borrowing the pool. The hygiene pair — [`BatchScratch::reset`] +
-    /// [`BatchScratch::ensure_capacity`] — runs exactly once, here.
-    pub fn checkout(&self, engine: &(impl FilterEngine + ?Sized)) -> PooledBatchScratch<'_> {
-        PooledBatchScratch {
-            pool: self,
-            scratch: Some(self.take(engine)),
-        }
-    }
-
-    /// [`BatchScratchPool::checkout`] for `'static` contexts (jobs on a
-    /// [`WorkerPool`]): the lease holds an `Arc` to the pool instead of
-    /// a borrow.
-    pub fn lease(self: &Arc<Self>, engine: &(impl FilterEngine + ?Sized)) -> BatchScratchLease {
-        BatchScratchLease {
-            pool: Arc::clone(self),
-            scratch: Some(self.take(engine)),
-        }
-    }
-
-    /// Checkout core: pop a warm batch scratch from the first free
-    /// occupied slot (or build a fresh one), then apply the hygiene
-    /// pair.
-    fn take(&self, engine: &(impl FilterEngine + ?Sized)) -> BatchScratch {
-        let mut scratch = self
-            .slots
-            .iter()
-            .filter_map(Mutex::try_lock)
-            .find_map(|mut slot| slot.take())
-            .unwrap_or_default();
-        scratch.reset();
-        scratch.ensure_capacity(engine);
-        scratch
-    }
-
-    /// Parks `scratch` in the first free empty slot; drops it when the
-    /// pool is full or every slot is contended (never blocks).
-    fn put(&self, mut scratch: BatchScratch) {
-        if scratch.heap_bytes() > self.trim_cap {
-            scratch.trim();
-        }
-        for slot in &self.slots {
-            if let Some(mut slot) = slot.try_lock() {
-                if slot.is_none() {
-                    *slot = Some(scratch);
-                    return;
-                }
-            }
-        }
-    }
-
-    // lint: end-hot-path
-}
-
-/// A checked-out batch scratch borrowing its [`BatchScratchPool`];
-/// derefs to [`BatchScratch`] and returns the scratch on drop.
-#[derive(Debug)]
-pub struct PooledBatchScratch<'a> {
-    pool: &'a BatchScratchPool,
-    scratch: Option<BatchScratch>,
-}
-
-/// A checked-out batch scratch holding its [`BatchScratchPool`] by
-/// `Arc` — the `'static` form worker-pool jobs use; derefs to
-/// [`BatchScratch`] and returns the scratch on drop.
-#[derive(Debug)]
-pub struct BatchScratchLease {
-    pool: Arc<BatchScratchPool>,
-    scratch: Option<BatchScratch>,
-}
 
 // ---------------------------------------------------------------------------
 // WorkerPool
@@ -811,6 +735,7 @@ mod tests {
         }
         assert_eq!(pool.pooled(), 1);
         assert_eq!(pool.heap_bytes(), warm, "steady state allocates nothing");
+        assert_eq!(pool.fresh(), 1, "only the first checkout built a scratch");
     }
 
     #[test]
@@ -882,6 +807,7 @@ mod tests {
         drop(c); // pool full: this one is dropped, not parked
         assert_eq!(pool.pooled(), 2);
         assert_eq!(pool.capacity(), 2);
+        assert_eq!(pool.fresh(), 3, "an empty pool builds every checkout");
     }
 
     #[test]

@@ -764,6 +764,7 @@ impl ShardTranslation {
             .copied()
             .filter(|&raw| raw != NO_GLOBAL)
             .map(|raw| {
+                // lint: allow(panic-policy, reason = "the slot is masked to its 32-bit field, so from_parts' range check cannot fail")
                 SubscriptionId::from_parts((raw >> 32) as u32, (raw & u64::from(u32::MAX)) as usize)
             })
     }

@@ -16,10 +16,11 @@
 //! to zero before a match returns).
 //!
 //! Shards skipped by content-aware pruning engage no scratch at all:
-//! [`ShardedEngine`](crate::ShardedEngine)'s walk consults the shard's
-//! attribute synopsis *before* checking a scratch out of the pool, so
-//! a pruned shard costs neither a lease nor a buffer reset — its
-//! `matched` output is simply absent from the merge.
+//! the per-shard step ([`Shard::match_event_with`](crate::Shard::match_event_with))
+//! consults the shard's attribute synopsis *before* a scratch is
+//! checked out of a pool, so a pruned shard costs neither a lease nor
+//! a buffer reset — its `matched` output is simply absent from the
+//! merge.
 
 use crate::eval::EvalFrame;
 use crate::{FulfilledSet, SubscriptionId};
@@ -94,15 +95,9 @@ impl MatchScratch {
     /// instead of at every consumer.
     pub fn translate_matched(
         &mut self,
-        mut translate: impl FnMut(SubscriptionId) -> Option<SubscriptionId>,
+        translate: impl FnMut(SubscriptionId) -> Option<SubscriptionId>,
     ) {
-        self.matched.retain_mut(|id| match translate(*id) {
-            Some(global) => {
-                *id = global;
-                true
-            }
-            None => false,
-        });
+        translate_ids(&mut self.matched, translate);
     }
 
     // lint: end-hot-path
@@ -181,6 +176,27 @@ impl MatchScratch {
         }
     }
 }
+
+// lint: hot-path — the id rewrite itself, once per matched id.
+
+/// Rewrites `ids` in place through `translate`, dropping the ids it
+/// maps to `None`: the one local → global rewrite behind
+/// [`MatchScratch::translate_matched`] and the per-event lists of a
+/// batch.
+pub(crate) fn translate_ids(
+    ids: &mut Vec<SubscriptionId>,
+    mut translate: impl FnMut(SubscriptionId) -> Option<SubscriptionId>,
+) {
+    ids.retain_mut(|id| match translate(*id) {
+        Some(global) => {
+            *id = global;
+            true
+        }
+        None => false,
+    });
+}
+
+// lint: end-hot-path
 
 /// Reusable struct-of-arrays state for
 /// [`crate::FilterEngine::match_batch`]: width-`B` lanes over the

@@ -55,14 +55,16 @@
 //! ```
 
 use std::fmt;
+use std::ops::DerefMut;
 use std::sync::Arc;
 
 use boolmatch_expr::Expr;
 use boolmatch_types::Event;
 
 use crate::engine::{EngineKind, FilterEngine, SubscribeError, UnsubscribeError};
-use crate::pool::{BatchScratchPool, PooledBatchScratch, PooledScratch, ScratchPool};
+use crate::pool::{PooledScratch, ScratchPool};
 use crate::routing::{PlacementPolicy, PredicateRouter, ShardTranslation, SubscriptionDirectory};
+use crate::scratch::translate_ids;
 use crate::synopsis::{attribute_hash, dominant_eq_attr, ShardSynopsis};
 use crate::{BatchScratch, FulfilledSet, MatchScratch, MatchStats, MemoryUsage, SubscriptionId};
 
@@ -73,24 +75,182 @@ pub type BoxedEngine = Box<dyn FilterEngine + Send + Sync>;
 /// consults — the local → global translation map and the attribute
 /// synopsis pruning reads. Keeping both *with* the shard (instead of in
 /// the shared directory) is what keeps the publish path off any shared
-/// state — the broker's concurrent form protects all three together
-/// under one per-shard lock.
-struct ShardSlot {
+/// state. [`ShardedEngine`] holds plain `Shard`s; the broker holds each
+/// behind its own `RwLock`, so all three are protected together.
+///
+/// The shard owns **the per-shard match step** — *admit by synopsis →
+/// engine match → translate local ids to global in place* — in its two
+/// widths, [`Shard::match_event`] and [`Shard::match_batch`]. Every
+/// shard walk in the workspace, sequential or fanned out, is a loop
+/// over one of them.
+pub struct Shard {
     engine: BoxedEngine,
     translation: ShardTranslation,
     /// Conservative summary of the residents' required conjuncts;
-    /// maintained in lockstep with `translation` so matching can skip
+    /// maintained in lockstep with `translation` (both change only in
+    /// [`Shard::bind`] and [`Shard::unsubscribe`]) so matching can skip
     /// the shard when it provably holds zero candidates.
     synopsis: ShardSynopsis,
 }
 
-impl ShardSlot {
-    fn new(engine: BoxedEngine) -> Self {
-        ShardSlot {
+impl Shard {
+    /// An empty shard around `engine`.
+    pub fn new(engine: BoxedEngine) -> Self {
+        Shard {
             engine,
             translation: ShardTranslation::new(),
             synopsis: ShardSynopsis::new(),
         }
+    }
+
+    /// The shard's engine.
+    pub fn engine(&self) -> &(dyn FilterEngine + Send + Sync) {
+        &*self.engine
+    }
+
+    /// The engine, mutably — to register an expression before its
+    /// global id exists (follow with [`Shard::bind`]) or to drop such a
+    /// registration again. Bound subscriptions leave through
+    /// [`Shard::unsubscribe`].
+    pub fn engine_mut(&mut self) -> &mut BoxedEngine {
+        &mut self.engine
+    }
+
+    /// The local → global translation map.
+    pub fn translation(&self) -> &ShardTranslation {
+        &self.translation
+    }
+
+    /// Heap bytes of the routing structures kept beside the engine:
+    /// translation map plus synopsis.
+    pub fn routing_bytes(&self) -> usize {
+        self.translation.heap_bytes() + self.synopsis.heap_bytes()
+    }
+
+    /// Makes the engine's `local` registration of `expr` resident under
+    /// the global id `global`: from here on the step admits events for
+    /// it and reports it as `global`.
+    pub fn bind(&mut self, local: SubscriptionId, global: SubscriptionId, expr: &Expr) {
+        self.translation.set(local, global);
+        self.synopsis.insert(local, expr);
+    }
+
+    /// Removes resident `local` — from translation map, engine and
+    /// synopsis — **if the slot still belongs to `global`**, and
+    /// returns whether it did. The check is the stale-cell guard
+    /// concurrent owners rely on: a caller that lost a race (the
+    /// removal was completed on its behalf, or the slot was reissued)
+    /// touches nothing.
+    pub fn unsubscribe(&mut self, local: SubscriptionId, global: SubscriptionId) -> bool {
+        let resident = self.translation.clear_if(local, global);
+        if resident {
+            self.engine
+                .unsubscribe(local)
+                .expect("translation and shard engine are kept in sync");
+            self.synopsis.remove(local);
+        }
+        resident
+    }
+
+    // lint: hot-path — the per-shard match step: shard-local state
+    // only (the caller holds whatever guards this shard), no lock, no
+    // panic site; a translation miss is dropped, not unwrapped.
+
+    /// The step for one event with the scratch in hand: afterwards
+    /// [`MatchScratch::matched`] holds this shard's matches as
+    /// **global** ids (none when the synopsis pruned the shard, which
+    /// the returned stats report as `shards_pruned`).
+    pub fn match_event(&self, event: &Event, scratch: &mut MatchScratch) -> MatchStats {
+        let held = &mut *scratch;
+        let (held, stats) = self.match_event_with(event, move |_| held);
+        if held.is_none() {
+            scratch.matched.clear();
+        }
+        stats
+    }
+
+    /// The step for one event, **synopsis first**: a shard that
+    /// provably holds no candidate does no work and never calls
+    /// `acquire` (no lease, no hygiene) — it returns `None` and
+    /// `shards_pruned: 1`. Otherwise the scratch `acquire` hands over
+    /// for the shard's engine is matched into, its matched ids are
+    /// translated to global ids in place through the shard's own map,
+    /// and it is handed back. A local id without a translation was
+    /// retired between matching and translation by a concurrent owner;
+    /// delivery would skip it anyway, so it is dropped here.
+    pub fn match_event_with<H: DerefMut<Target = MatchScratch>>(
+        &self,
+        event: &Event,
+        acquire: impl FnOnce(&BoxedEngine) -> H,
+    ) -> (Option<H>, MatchStats) {
+        if !self.synopsis.admits(event) {
+            return (None, pruned(1));
+        }
+        let mut scratch = acquire(&self.engine);
+        let stats = self.engine.match_event_into(event, &mut scratch);
+        self.translate(&mut scratch.matched);
+        (Some(scratch), stats)
+    }
+
+    /// The step for a batch with the scratch in hand: afterwards
+    /// [`BatchScratch::matched`] holds, per event, this shard's matches
+    /// as **global** ids. `skip` excludes events up front (empty: none)
+    /// and is OR-ed with the synopsis verdicts, which the returned
+    /// stats count per pruned event.
+    pub fn match_batch(
+        &self,
+        events: &[Arc<Event>],
+        skip: &[bool],
+        batch: &mut BatchScratch,
+    ) -> MatchStats {
+        let mut mask = std::mem::take(&mut batch.shard_skip);
+        let held = &mut *batch;
+        let (held, stats) = self.match_batch_with(events, skip, &mut mask, move |_| held);
+        if held.is_none() {
+            batch.begin_batch(events.len());
+        }
+        batch.shard_skip = mask;
+        stats
+    }
+
+    /// The batch step, **synopsis first**: one synopsis walk fills
+    /// `mask` (caller skips OR-ed with the per-event verdicts); when
+    /// that leaves no event the shard does no work and never calls
+    /// `acquire`. Otherwise the engine's batch kernel runs once over
+    /// the surviving events and each event's ids are translated in
+    /// place, exactly as in [`Shard::match_event_with`].
+    pub fn match_batch_with<H: DerefMut<Target = BatchScratch>>(
+        &self,
+        events: &[Arc<Event>],
+        skip: &[bool],
+        mask: &mut Vec<bool>,
+        acquire: impl FnOnce(&BoxedEngine) -> H,
+    ) -> (Option<H>, MatchStats) {
+        let stats = pruned(self.synopsis.admits_batch(events, skip, mask));
+        if mask.iter().all(|&skipped| skipped) {
+            return (None, stats);
+        }
+        let mut batch = acquire(&self.engine);
+        let stats = stats + self.engine.match_batch(events, mask, &mut batch);
+        for matched in batch.matched.iter_mut().take(events.len()) {
+            self.translate(matched);
+        }
+        (Some(batch), stats)
+    }
+
+    /// In-place local → global translation of one id list through the
+    /// shard's own map, dropping ids without an entry.
+    fn translate(&self, ids: &mut Vec<SubscriptionId>) {
+        translate_ids(ids, |local| self.translation.global_of(local));
+    }
+    // lint: end-hot-path
+}
+
+/// The stats of a step that pruned `n` (event, shard) visits.
+fn pruned(n: usize) -> MatchStats {
+    MatchStats {
+        shards_pruned: n,
+        ..MatchStats::default()
     }
 }
 
@@ -100,9 +260,9 @@ impl ShardSlot {
 ///   tie-break, so a churn-free stream places exactly like classic
 ///   round-robin); `unsubscribe` routes by directory lookup to the
 ///   owning shard.
-/// * Matching runs every shard against the event and merges the
-///   results: matched ids are translated to the global id space through
-///   the directory's reverse maps, [`MatchStats`] and [`MemoryUsage`]
+/// * Matching runs the per-shard step ([`Shard::match_event`],
+///   [`Shard::match_batch`]) on every shard and concatenates the global
+///   ids it leaves, in shard order; [`MatchStats`] and [`MemoryUsage`]
 ///   are summed component-wise (per-shard work adds up — e.g.
 ///   `fulfilled` counts each shard's own phase-1 output, since shards
 ///   intern predicates independently).
@@ -113,7 +273,7 @@ impl ShardSlot {
 ///   indistinguishable from the inner engine.
 pub struct ShardedEngine {
     directory: SubscriptionDirectory,
-    shards: Vec<ShardSlot>,
+    shards: Vec<Shard>,
     /// Stride router for the per-shard *predicate* spaces (predicates
     /// never migrate); rebuilt on resize.
     pred_router: PredicateRouter,
@@ -160,7 +320,7 @@ impl ShardedEngine {
         ShardedEngine {
             directory: SubscriptionDirectory::new(engines.len()),
             pred_router: PredicateRouter::new(engines.len()),
-            shards: engines.into_iter().map(ShardSlot::new).collect(),
+            shards: engines.into_iter().map(Shard::new).collect(),
             placement: PlacementPolicy::default(),
         }
     }
@@ -197,7 +357,7 @@ impl ShardedEngine {
     ///
     /// Panics if `i >= shard_count()`.
     pub fn shard(&self, i: usize) -> &(dyn FilterEngine + Send + Sync) {
-        &*self.shards[i].engine
+        self.shards[i].engine()
     }
 
     /// Shard `i`'s local → global translation map, for inspection.
@@ -282,7 +442,7 @@ impl ShardedEngine {
         if new_shards > old {
             let kind = self.kind();
             for _ in old..new_shards {
-                self.shards.push(ShardSlot::new(kind.build()));
+                self.shards.push(Shard::new(kind.build()));
                 self.directory.add_shard();
             }
         } else {
@@ -331,17 +491,11 @@ impl ShardedEngine {
                 .expect("residents hold live directory entries"),
         );
         let new_local = self.shards[to].engine.subscribe(&expr)?;
-        self.shards[from]
-            .engine
-            .unsubscribe(local)
-            .expect("directory and shard engines are kept in sync");
         let relocated = self.directory.relocate(global, from, local, to, new_local);
         debug_assert!(relocated, "single-threaded relocation cannot race");
-        let cleared = self.shards[from].translation.clear_if(local, global);
-        debug_assert!(cleared, "translation and directory are kept in sync");
-        self.shards[from].synopsis.remove(local);
-        self.shards[to].translation.set(new_local, global);
-        self.shards[to].synopsis.insert(new_local, &expr);
+        let released = self.shards[from].unsubscribe(local, global);
+        debug_assert!(released, "translation and directory are kept in sync");
+        self.shards[to].bind(new_local, global, &expr);
         Ok(())
     }
 
@@ -366,9 +520,8 @@ impl ShardedEngine {
     /// is the form hot paths should use; this method is the
     /// self-contained equivalent for standalone engines, tests and
     /// harnesses.
-    // lint: hot-path — the standalone parallel matching walk; the
-    // expects below keep translation↔engine desync loud rather than
-    // silently diverging from the sequential walk.
+    // lint: hot-path — the standalone parallel matching walk: one
+    // shared step per shard, merged in shard order.
     pub fn match_event_parallel(
         &self,
         event: &Event,
@@ -380,181 +533,36 @@ impl ShardedEngine {
         }
         let mut remote: Vec<Option<(Option<PooledScratch<'_>>, MatchStats)>> =
             (1..self.shards.len()).map(|_| None).collect();
-        let mut stats = MatchStats::default();
-        std::thread::scope(|scope| {
-            for (slot_shard, slot) in self.shards[1..].iter().zip(remote.iter_mut()) {
+        let mut stats = std::thread::scope(|scope| {
+            for (shard, slot) in self.shards[1..].iter().zip(remote.iter_mut()) {
+                // A pruned shard contributes an empty result without
+                // even leasing a scratch.
                 scope.spawn(move || {
-                    let engine = &slot_shard.engine;
-                    // Same pruning decision as the sequential walk: a
-                    // shard with provably zero candidates contributes an
-                    // empty result without even leasing a scratch.
-                    if !slot_shard.synopsis.admits(event) {
-                        let pruned = MatchStats {
-                            shards_pruned: 1,
-                            ..MatchStats::default()
-                        };
-                        *slot = Some((None, pruned));
-                        return;
-                    }
-                    let mut lease = scratches.checkout(engine);
-                    let stats = engine.match_event_into(event, &mut lease);
-                    // Translate to global ids in place through the
-                    // shard's own map — the merge below then just
-                    // concatenates, and no worker touches any shared
-                    // routing state. On this single-owner path every
-                    // matched local is live; the expect keeps a broken
-                    // translation↔engine sync loud instead of silently
-                    // diverging from the sequential walk.
-                    lease.translate_matched(|local| {
-                        Some(
-                            slot_shard
-                                .translation
-                                .global_of(local)
-                                // lint: allow(panic-policy, reason = "single-owner invariant: every matched local has a live translation entry")
-                                .expect("matched locals hold live translation entries"),
-                        )
-                    });
-                    *slot = Some((Some(lease), stats));
+                    *slot =
+                        Some(shard.match_event_with(event, |engine| scratches.checkout(engine)));
                 });
             }
-            // Shard 0 inline, into the caller's scratch (clearing any
-            // stale matched ids when the synopsis prunes the shard).
-            if self.shards[0].synopsis.admits(event) {
-                stats = self.shards[0].engine.match_event_into(event, scratch);
-            } else {
-                scratch.matched.clear();
-                stats.shards_pruned += 1;
-            }
-        });
-        scratch.translate_matched(|local| {
-            Some(
-                self.shards[0]
-                    .translation
-                    .global_of(local)
-                    // lint: allow(panic-policy, reason = "single-owner invariant: every matched local has a live translation entry")
-                    .expect("matched locals hold live translation entries"),
-            )
-        });
-        let mut matched = std::mem::take(&mut scratch.matched);
-        for slot in &mut remote {
-            // lint: allow(panic-policy, reason = "scope join guarantees every spawned worker filled its slot")
-            let (lease, shard_stats) = slot.take().expect("scoped worker fills its slot");
-            stats = stats + shard_stats;
-            if let Some(lease) = lease {
-                matched.extend_from_slice(lease.matched());
-            }
-        }
-        scratch.matched = matched;
-        stats
-    }
-
-    /// [`FilterEngine::match_batch`], with the per-shard batch matching
-    /// fanned out across threads: each worker takes the **whole batch**
-    /// for its shard — pruning it through the shard synopsis once per
-    /// batch, then running the shard engine's batch kernel — and
-    /// results merge per event in shard order, so the per-event matched
-    /// sets and the summed [`MatchStats`] equal the sequential
-    /// [`FilterEngine::match_batch`] walk. Shard 0 runs inline into the
-    /// caller's `batch`; every other shard leases a warm
-    /// [`BatchScratch`] from `scratches`. With one shard this *is* the
-    /// sequential walk.
-    pub fn match_batch_parallel(
-        &self,
-        events: &[Arc<Event>],
-        skip: &[bool],
-        scratches: &BatchScratchPool,
-        batch: &mut BatchScratch,
-    ) -> MatchStats {
-        if self.shards.len() == 1 {
-            return self.match_batch(events, skip, batch);
-        }
-        let mut remote: Vec<Option<(Option<PooledBatchScratch<'_>>, MatchStats)>> =
-            (1..self.shards.len()).map(|_| None).collect();
-        let mut stats = MatchStats::default();
-        std::thread::scope(|scope| {
-            for (slot_shard, slot) in self.shards[1..].iter().zip(remote.iter_mut()) {
-                scope.spawn(move || {
-                    let engine = &slot_shard.engine;
-                    let mut lease = scratches.checkout(engine);
-                    let mut shard_skip = std::mem::take(&mut lease.shard_skip);
-                    let pruned = slot_shard
-                        .synopsis
-                        .admits_batch(events, skip, &mut shard_skip);
-                    let mut shard_stats = MatchStats {
-                        shards_pruned: pruned,
-                        ..MatchStats::default()
-                    };
-                    if shard_skip.iter().all(|&sk| sk) {
-                        // Every event pruned: the lease goes straight
-                        // back to the pool without any matching work.
-                        lease.shard_skip = shard_skip;
-                        *slot = Some((None, shard_stats));
-                        return;
-                    }
-                    shard_stats = shard_stats + engine.match_batch(events, &shard_skip, &mut lease);
-                    lease.shard_skip = shard_skip;
-                    // Translate to global ids in place through the
-                    // shard's own map, as on the per-event parallel
-                    // path.
-                    for m in lease.matched.iter_mut().take(events.len()) {
-                        for id in m.iter_mut() {
-                            *id = slot_shard
-                                .translation
-                                .global_of(*id)
-                                // lint: allow(panic-policy, reason = "single-owner invariant: every matched local has a live translation entry")
-                                .expect("matched locals hold live translation entries");
-                        }
-                    }
-                    *slot = Some((Some(lease), shard_stats));
-                });
-            }
-            // Shard 0 inline, into the caller's batch scratch.
-            let shard0 = &self.shards[0];
-            let mut shard_skip = std::mem::take(&mut batch.shard_skip);
-            stats.shards_pruned += shard0.synopsis.admits_batch(events, skip, &mut shard_skip);
-            if shard_skip.iter().all(|&sk| sk) {
-                // Clear any stale per-event output when the whole batch
-                // is pruned for shard 0.
-                batch.begin_batch(events.len());
-            } else {
-                stats = stats + shard0.engine.match_batch(events, &shard_skip, batch);
-                for m in batch.matched.iter_mut().take(events.len()) {
-                    for id in m.iter_mut() {
-                        *id = shard0
-                            .translation
-                            .global_of(*id)
-                            // lint: allow(panic-policy, reason = "single-owner invariant: every matched local has a live translation entry")
-                            .expect("matched locals hold live translation entries");
-                    }
-                }
-            }
-            batch.shard_skip = shard_skip;
+            // Shard 0 inline, into the caller's scratch.
+            self.shards[0].match_event(event, scratch)
         });
         for slot in &mut remote {
             // lint: allow(panic-policy, reason = "scope join guarantees every spawned worker filled its slot")
             let (lease, shard_stats) = slot.take().expect("scoped worker fills its slot");
             stats = stats + shard_stats;
             if let Some(lease) = lease {
-                for (e, m) in batch.matched.iter_mut().enumerate().take(events.len()) {
-                    m.extend_from_slice(&lease.matched[e]);
-                }
+                scratch.matched.extend_from_slice(lease.matched());
             }
         }
+        debug_assert_eq!(scratch.matched.len(), stats.matched, "{UNTRANSLATED}");
         stats
-    }
-
-    /// Translation of one shard's matched local id through that
-    /// shard's own map; matched locals are always live on this
-    /// single-owner engine.
-    fn global_of(&self, shard: usize, local: SubscriptionId) -> SubscriptionId {
-        self.shards[shard]
-            .translation
-            .global_of(local)
-            // lint: allow(panic-policy, reason = "single-owner invariant: every matched local has a live translation entry")
-            .expect("matched locals hold live translation entries")
     }
     // lint: end-hot-path
 }
+
+/// On this single-owner engine every matched local id has a live
+/// translation entry, so the step never drops one; the walks assert
+/// the count in debug builds to keep a translation↔engine desync loud.
+const UNTRANSLATED: &str = "matched locals hold live translation entries";
 
 impl fmt::Debug for ShardedEngine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -582,8 +590,7 @@ impl FilterEngine for ShardedEngine {
         match self.shards[shard].engine.subscribe(expr) {
             Ok(local) => {
                 let global = self.directory.commit(shard, local, Arc::new(expr.clone()));
-                self.shards[shard].translation.set(local, global);
-                self.shards[shard].synopsis.insert(local, expr);
+                self.shards[shard].bind(local, global, expr);
                 Ok(global)
             }
             Err(e) => {
@@ -598,14 +605,9 @@ impl FilterEngine for ShardedEngine {
             // Errors surface in the caller's (global) id space.
             return Err(UnsubscribeError::UnknownSubscription(id));
         };
-        self.shards[shard]
-            .engine
-            .unsubscribe(local)
-            .expect("directory and shard engines are kept in sync");
         self.directory.retire(id);
-        let cleared = self.shards[shard].translation.clear_if(local, id);
-        debug_assert!(cleared, "translation and directory are kept in sync");
-        self.shards[shard].synopsis.remove(local);
+        let released = self.shards[shard].unsubscribe(local, id);
+        debug_assert!(released, "translation and directory are kept in sync");
         Ok(())
     }
 
@@ -645,42 +647,31 @@ impl FilterEngine for ShardedEngine {
                 }
             }
             stats = stats + shard.engine.phase2(&local, scratch, &mut shard_out);
-            matched.extend(shard_out.iter().map(|&l| self.global_of(s, l)));
+            shard.translate(&mut shard_out);
+            matched.extend_from_slice(&shard_out);
         }
         scratch.shard_fulfilled = local;
         scratch.shard_matched = shard_out;
+        debug_assert_eq!(matched.len(), stats.matched, "{UNTRANSLATED}");
         stats
     }
 
-    // lint: hot-path — the sequential matching walk, including the
-    // synopsis prune decision: per-shard state only, no global locks.
+    // lint: hot-path — the sequential walks: a loop over the shared
+    // step, accumulating each shard's global ids in shard order.
     fn match_event_into(&self, event: &Event, scratch: &mut MatchScratch) -> MatchStats {
-        // Per shard: phase 1 straight into phase 2, all in the shard's
-        // own (local) id spaces — no translation of predicate ids, no
-        // allocation in steady state. Only matched ids are mapped to
-        // the global space (one lookup in the shard's own translation
-        // map each), into the accumulating `matched` buffer.
-        let mut fulfilled = std::mem::take(&mut scratch.fulfilled);
-        let mut matched = std::mem::take(&mut scratch.matched);
-        let mut shard_out = std::mem::take(&mut scratch.shard_matched);
-        matched.clear();
+        // Each step leaves one shard's global ids in `scratch.matched`;
+        // `shard_matched` accumulates them and is swapped in at the
+        // end — no allocation in steady state.
+        let mut acc = std::mem::take(&mut scratch.shard_matched);
+        acc.clear();
         let mut stats = MatchStats::default();
-        for (s, shard) in self.shards.iter().enumerate() {
-            // Content-aware pruning: a shard whose synopsis proves zero
-            // candidates is skipped before either phase runs. The
-            // synopsis is conservative, so the matched set is identical
-            // to the unpruned walk.
-            if !shard.synopsis.admits(event) {
-                stats.shards_pruned += 1;
-                continue;
-            }
-            shard.engine.phase1(event, &mut fulfilled);
-            stats = stats + shard.engine.phase2(&fulfilled, scratch, &mut shard_out);
-            matched.extend(shard_out.iter().map(|&l| self.global_of(s, l)));
+        for shard in &self.shards {
+            stats = stats + shard.match_event(event, scratch);
+            acc.extend_from_slice(&scratch.matched);
         }
-        scratch.fulfilled = fulfilled;
-        scratch.matched = matched;
-        scratch.shard_matched = shard_out;
+        std::mem::swap(&mut scratch.matched, &mut acc);
+        scratch.shard_matched = acc;
+        debug_assert_eq!(scratch.matched.len(), stats.matched, "{UNTRANSLATED}");
         stats
     }
 
@@ -690,14 +681,12 @@ impl FilterEngine for ShardedEngine {
         skip: &[bool],
         batch: &mut BatchScratch,
     ) -> MatchStats {
-        // Per shard: prune the whole batch through the synopsis once,
-        // then hand the surviving events to the shard engine's batch
-        // kernel in one call — the association tables are walked once
-        // per (shard, chunk) instead of once per (shard, event). Local
-        // matched ids are translated into the per-event global
-        // accumulator as each shard completes, so `batch.matched` ends
-        // up identical (as per-event sets) to the per-event walk.
-        batch.begin_batch(events.len());
+        // Per shard the step prunes the whole batch through the
+        // synopsis once and hands the surviving events to the shard
+        // engine's batch kernel in one call — the association tables
+        // are walked once per (shard, chunk) instead of once per
+        // (shard, event). `batch.matched` ends up identical (as
+        // per-event sets) to the per-event walk.
         let mut acc = std::mem::take(&mut batch.shard_matched);
         if acc.len() < events.len() {
             acc.resize_with(events.len(), Vec::new);
@@ -705,21 +694,25 @@ impl FilterEngine for ShardedEngine {
         for m in acc.iter_mut().take(events.len()) {
             m.clear();
         }
-        let mut shard_skip = std::mem::take(&mut batch.shard_skip);
         let mut stats = MatchStats::default();
-        for (s, shard) in self.shards.iter().enumerate() {
-            stats.shards_pruned += shard.synopsis.admits_batch(events, skip, &mut shard_skip);
-            if shard_skip.iter().all(|&sk| sk) {
-                continue;
-            }
-            stats = stats + shard.engine.match_batch(events, &shard_skip, batch);
-            for (e, out) in acc.iter_mut().enumerate().take(events.len()) {
-                out.extend(batch.matched[e].iter().map(|&l| self.global_of(s, l)));
+        for shard in &self.shards {
+            stats = stats + shard.match_batch(events, skip, batch);
+            for (out, ids) in acc.iter_mut().zip(&batch.matched).take(events.len()) {
+                out.extend_from_slice(ids);
             }
         }
         std::mem::swap(&mut batch.matched, &mut acc);
         batch.shard_matched = acc;
-        batch.shard_skip = shard_skip;
+        debug_assert_eq!(
+            batch
+                .matched
+                .iter()
+                .take(events.len())
+                .map(Vec::len)
+                .sum::<usize>(),
+            stats.matched,
+            "{UNTRANSLATED}"
+        );
         stats
     }
     // lint: end-hot-path
@@ -780,11 +773,7 @@ impl FilterEngine for ShardedEngine {
         // reported as unsubscription/rebalancing support.
         let routing = MemoryUsage {
             unsub_support: self.directory.heap_bytes()
-                + self
-                    .shards
-                    .iter()
-                    .map(|s| s.translation.heap_bytes() + s.synopsis.heap_bytes())
-                    .sum::<usize>(),
+                + self.shards.iter().map(Shard::routing_bytes).sum::<usize>(),
             ..MemoryUsage::default()
         };
         self.shards
@@ -895,11 +884,10 @@ mod tests {
 
     #[test]
     fn batch_agrees_with_per_event_walk_and_parallel_fanout() {
-        // Sequential match_batch, the parallel batch fan-out, and the
-        // per-event walk must agree on ids (as per-event sets) and on
-        // summed stats — including shards_pruned, which the batch paths
-        // account per (event, shard) through the synopsis.
-        let scratches = BatchScratchPool::new(8);
+        // match_batch and the per-event walk must agree on ids (as
+        // per-event sets) and on summed stats — including
+        // shards_pruned, which the batch step accounts per (event,
+        // shard) through the synopsis.
         for kind in EngineKind::ALL {
             for shards in [1usize, 3, 8] {
                 let mut engine = ShardedEngine::new(kind, shards)
@@ -927,28 +915,15 @@ mod tests {
                 }
 
                 let mut batch = BatchScratch::new();
-                for parallel in [false, true] {
-                    let stats = if parallel {
-                        engine.match_batch_parallel(&events, &[], &scratches, &mut batch)
-                    } else {
-                        engine.match_batch(&events, &[], &mut batch)
-                    };
-                    for (e, want_ids) in want.iter().enumerate() {
-                        let mut got = batch.matched(e).to_vec();
-                        got.sort_unstable();
-                        assert_eq!(
-                            &got, want_ids,
-                            "kind={kind} shards={shards} parallel={parallel} event {e}"
-                        );
-                    }
-                    let mut stats = stats;
-                    stats.batch_events = 0;
-                    stats.batch_passes = 0;
-                    assert_eq!(
-                        stats, scalar_total,
-                        "kind={kind} shards={shards} parallel={parallel}"
-                    );
+                let mut stats = engine.match_batch(&events, &[], &mut batch);
+                for (e, want_ids) in want.iter().enumerate() {
+                    let mut got = batch.matched(e).to_vec();
+                    got.sort_unstable();
+                    assert_eq!(&got, want_ids, "kind={kind} shards={shards} event {e}");
                 }
+                stats.batch_events = 0;
+                stats.batch_passes = 0;
+                assert_eq!(stats, scalar_total, "kind={kind} shards={shards}");
             }
         }
     }
@@ -1187,6 +1162,57 @@ mod tests {
                     );
                     assert_eq!(seq_stats, par_stats, "kind={kind} shards={shards} t={t}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn the_step_summed_over_shards_is_every_walk() {
+        // `Shard::match_event` looped by hand, the sequential walk and
+        // the scoped fan-out are the same step: same ids in the same
+        // order, same stats — `shards_pruned` included — on a stream
+        // where clustering leaves some shards pruned and some not (the
+        // `or`-rooted residents pin theirs as always-candidate).
+        let scratches = ScratchPool::new(8);
+        for kind in EngineKind::ALL {
+            for shards in [1usize, 3, 8] {
+                let mut engine = ShardedEngine::new(kind, shards)
+                    .with_placement(PlacementPolicy::ClusterByAttribute);
+                for i in 0..40 {
+                    let text = if i % 10 == 0 {
+                        format!("g{} = 1 or seq = {i}", i % 8)
+                    } else {
+                        format!("g{} = 1 and seq >= {}", i % 8, i / 8)
+                    };
+                    engine.subscribe(&Expr::parse(&text).unwrap()).unwrap();
+                }
+                let (mut by_hand, mut seq, mut par) = (
+                    MatchScratch::new(),
+                    MatchScratch::new(),
+                    MatchScratch::new(),
+                );
+                let (mut pruned, mut visited) = (0, 0);
+                for t in 0..60i64 {
+                    let event =
+                        Event::from_pairs([(format!("g{}", t % 8), 1), ("seq".into(), t % 7)]);
+                    let mut ids = Vec::new();
+                    let mut stats = MatchStats::default();
+                    for s in 0..shards {
+                        stats = stats + engine.shards[s].match_event(&event, &mut by_hand);
+                        ids.extend_from_slice(by_hand.matched());
+                    }
+                    let seq_stats = engine.match_event_into(&event, &mut seq);
+                    let par_stats = engine.match_event_parallel(&event, &scratches, &mut par);
+                    let context = format!("kind={kind} shards={shards} t={t}");
+                    assert_eq!(ids, seq.matched(), "{context}");
+                    assert_eq!(ids, par.matched(), "{context}");
+                    assert_eq!(stats, seq_stats, "{context}");
+                    assert_eq!(stats, par_stats, "{context}");
+                    pruned += stats.shards_pruned;
+                    visited += shards - stats.shards_pruned;
+                }
+                assert!(visited > 0, "kind={kind} shards={shards}");
+                assert_eq!(pruned > 0, shards > 1, "kind={kind} shards={shards}");
             }
         }
     }

@@ -36,7 +36,6 @@
 #![forbid(unsafe_code)]
 
 mod ast;
-pub mod covering;
 pub mod parser;
 mod predicate;
 pub mod transform;

@@ -10,8 +10,6 @@
 //!   (with rebalancing), point lookup and range iteration,
 //! * [`HashIndex`] — a hash multimap from [`boolmatch_types::Value`]
 //!   to postings,
-//! * [`SortedIndex`] — a sorted-vector alternative to the B+ tree,
-//!   kept for the `ablation_index` benchmark,
 //! * [`PredicateIndex`] — the per-attribute, per-operator composite the
 //!   engines use: given an event, it yields the ids of **all fulfilled
 //!   predicates** in one pass over the event's attributes.
@@ -22,9 +20,7 @@
 pub mod bptree;
 mod hash_index;
 mod predicate_index;
-mod sorted_index;
 
 pub use bptree::BPlusTree;
 pub use hash_index::HashIndex;
 pub use predicate_index::{PredicateIndex, PredicateIndexStats};
-pub use sorted_index::SortedIndex;

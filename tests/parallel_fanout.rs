@@ -8,9 +8,9 @@
 //!   S ∈ {1, 3, 8} at the core level, and for forced-parallel vs
 //!   forced-sequential brokers (single publishes and batches).
 //! * **Batch answer identity** — the engines' batch kernels
-//!   (`match_batch`, sequential and parallel fan-out) replay churn
-//!   windows sweeping the 64-lane chunk boundary and must equal the
-//!   per-event walk, ids and stats, for every kind and S ∈ {1, 3, 8}.
+//!   (`match_batch`) replay churn windows sweeping the 64-lane chunk
+//!   boundary and must equal the per-event walk, ids and stats, for
+//!   every kind and S ∈ {1, 3, 8}.
 //! * **Merge isolation** — a stalled worker on one shard can neither
 //!   corrupt nor reorder another shard's contribution to the merge:
 //!   results land by shard index, not completion order, and the other
@@ -19,15 +19,16 @@
 //! * **Scratch-pool hygiene** — checkout applies reset +
 //!   `ensure_capacity` once, and after warm-up the pool stops
 //!   allocating: its retained-scratch count and heap footprint are
-//!   probed before and after 10k publishes and must not move.
+//!   probed before and after 10k publishes and must not move — nor
+//!   does its fresh-build count on a wide, mostly pruned shard set.
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
 
 use boolmatch::core::{
-    BatchScratch, BatchScratchPool, FilterEngine, FulfilledSet, MatchScratch, MatchStats,
-    MemoryUsage, ScratchPool, SubscribeError, UnsubscribeError,
+    BatchScratch, FilterEngine, FulfilledSet, MatchScratch, MatchStats, MemoryUsage, ScratchPool,
+    SubscribeError, UnsubscribeError,
 };
 use boolmatch::expr::Expr;
 use boolmatch::prelude::*;
@@ -74,20 +75,17 @@ fn parallel_matches_sequential_under_churn() {
 }
 
 /// Matches every event of `window` per-event (the scalar reference),
-/// then through the sequential batch kernel and the parallel batch
-/// fan-out, and asserts both agree with the reference: the same ids
-/// per event (as sets — batch kernels may permute within an event) and
-/// the same summed [`MatchStats`]. `batch_events`/`batch_passes` are
-/// zeroed before the stats comparison: they record the amortization
-/// itself and have no scalar counterpart.
-#[allow(clippy::too_many_arguments)]
+/// then through the batch kernel, and asserts it agrees with the
+/// reference: the same ids per event (as sets — batch kernels may
+/// permute within an event) and the same summed [`MatchStats`].
+/// `batch_events`/`batch_passes` are zeroed before the stats
+/// comparison: they record the amortization itself and have no scalar
+/// counterpart.
 fn assert_batch_equals_per_event(
     engine: &ShardedEngine,
-    scratches: &BatchScratchPool,
     window: &[Arc<Event>],
     scratch: &mut MatchScratch,
     seq_batch: &mut BatchScratch,
-    par_batch: &mut BatchScratch,
     context: &str,
 ) {
     if window.is_empty() {
@@ -102,26 +100,18 @@ fn assert_batch_equals_per_event(
         want.push(ids);
     }
     let mut seq_stats = engine.match_batch(window, &[], seq_batch);
-    let mut par_stats = engine.match_batch_parallel(window, &[], scratches, par_batch);
     for (e, want_ids) in want.iter().enumerate() {
         let mut got = seq_batch.matched(e).to_vec();
         got.sort_unstable();
         assert_eq!(&got, want_ids, "sequential batch ids: {context} event {e}");
-        let mut got = par_batch.matched(e).to_vec();
-        got.sort_unstable();
-        assert_eq!(&got, want_ids, "parallel batch ids: {context} event {e}");
     }
     seq_stats.batch_events = 0;
     seq_stats.batch_passes = 0;
-    par_stats.batch_events = 0;
-    par_stats.batch_passes = 0;
     assert_eq!(seq_stats, scalar_total, "sequential batch stats: {context}");
-    assert_eq!(par_stats, scalar_total, "parallel batch stats: {context}");
 }
 
 /// The batch kernels under churn: windows of the publish stream,
-/// matched as one batch (sequentially and through the parallel batch
-/// fan-out), must equal the per-event walk — ids and stats — for every
+/// matched as one batch, must equal the per-event walk — ids and stats — for every
 /// engine kind and S ∈ {1, 3, 8}, across subscribe/unsubscribe churn
 /// that recycles flat slots and retracts synopsis entries mid-stream.
 /// Window lengths sweep 1..=67, crossing the 64-lane chunk boundary so
@@ -130,11 +120,9 @@ fn assert_batch_equals_per_event(
 fn batch_matches_per_event_under_churn() {
     for kind in EngineKind::ALL {
         for shards in [1usize, 3, 8] {
-            let engine_scratches = BatchScratchPool::new(shards);
             let mut engine = ShardedEngine::new(kind, shards);
             let mut scratch = MatchScratch::new();
             let mut seq_batch = BatchScratch::new();
-            let mut par_batch = BatchScratch::new();
             let mut live: Vec<SubscriptionId> = Vec::new();
             let mut window: Vec<Arc<Event>> = Vec::new();
             let mut window_cap = 1usize;
@@ -147,11 +135,9 @@ fn batch_matches_per_event_under_churn() {
                         // pending window.
                         assert_batch_equals_per_event(
                             &engine,
-                            &engine_scratches,
                             &window,
                             &mut scratch,
                             &mut seq_batch,
-                            &mut par_batch,
                             &format!("kind={kind} shards={shards} step={step}"),
                         );
                         window.clear();
@@ -160,11 +146,9 @@ fn batch_matches_per_event_under_churn() {
                     ChurnOp::Unsubscribe(i) => {
                         assert_batch_equals_per_event(
                             &engine,
-                            &engine_scratches,
                             &window,
                             &mut scratch,
                             &mut seq_batch,
-                            &mut par_batch,
                             &format!("kind={kind} shards={shards} step={step}"),
                         );
                         window.clear();
@@ -175,11 +159,9 @@ fn batch_matches_per_event_under_churn() {
                         if window.len() >= window_cap {
                             assert_batch_equals_per_event(
                                 &engine,
-                                &engine_scratches,
                                 &window,
                                 &mut scratch,
                                 &mut seq_batch,
-                                &mut par_batch,
                                 &format!("kind={kind} shards={shards} step={step}"),
                             );
                             window.clear();
@@ -193,11 +175,9 @@ fn batch_matches_per_event_under_churn() {
             }
             assert_batch_equals_per_event(
                 &engine,
-                &engine_scratches,
                 &window,
                 &mut scratch,
                 &mut seq_batch,
-                &mut par_batch,
                 &format!("kind={kind} shards={shards} final"),
             );
         }
@@ -525,6 +505,57 @@ fn scratch_pool_stops_allocating_after_warmup() {
         "10k publishes allocated no new scratch memory"
     );
     assert_eq!(broker.stats().events_published, 10_100);
+}
+
+/// The lease-order and pool-sizing fix, pinned by the pools' own
+/// fresh-build gauge: on 8 clustered shards with 2 workers, where the
+/// synopses prune 7 of 8 shards per event, a pruned shard takes no
+/// lease and the pools hold one scratch per remote shard — so after a
+/// warm-up no publish of either width builds a scratch. (Leasing before
+/// asking the synopsis, from pools of `workers + 1`, built 4 per
+/// publish on this shape.)
+#[test]
+fn mostly_pruned_fan_out_builds_no_scratches_after_warmup() {
+    let broker = Broker::builder()
+        .engine(EngineKind::NonCanonical)
+        .shards(8)
+        .placement(PlacementPolicy::ClusterByAttribute)
+        .worker_threads(2)
+        .parallel_threshold(0)
+        .build();
+    let _subs: Vec<Subscription> = (0..64)
+        .map(|i| format!("g{} = 1 and seq >= {}", i % 8, i / 8))
+        .map(|text| broker.subscribe(&text).unwrap())
+        .collect();
+    // One event per group: alone it candidates one shard; the eight
+    // together, as a batch, candidate every shard that has residents.
+    let events: Vec<Arc<Event>> = (0..8)
+        .map(|g| Event::from_pairs([(format!("g{g}"), 1i64), ("seq".to_string(), 3)]))
+        .map(Arc::new)
+        .collect();
+
+    for event in &events {
+        broker.publish_arc(Arc::clone(event));
+    }
+    broker.publish_batch(&events);
+    let pool = broker.scratch_pool().expect("multi-shard broker");
+    let batch_pool = broker.batch_scratch_pool().expect("multi-shard broker");
+    let (fresh, batch_fresh) = (pool.fresh(), batch_pool.fresh());
+    let prunes = |broker: &Broker| broker.shard_prune_counts().iter().sum::<u64>();
+    let pruned_before = prunes(&broker);
+
+    for i in 0..2_000 {
+        assert_eq!(broker.publish_arc(Arc::clone(&events[i % 8])), 4);
+    }
+    for _ in 0..50 {
+        assert_eq!(broker.publish_batch(&events), 32);
+    }
+    assert!(
+        prunes(&broker) - pruned_before >= 7 * (2_000 + 50 * 8),
+        "the synopses prune at least 7 of 8 shards per event"
+    );
+    assert_eq!(pool.fresh(), fresh, "a publish built a scratch");
+    assert_eq!(batch_pool.fresh(), batch_fresh, "a batch built a scratch");
 }
 
 /// The trim-cap × scratch-pool interaction (PR-5 satellite): one

@@ -451,16 +451,16 @@ fn migration_does_not_block_matching_on_other_shards() {
             // Shard 2: the migration source.
             GateEngine::plain(),
         ])
-        // The probe event matches nothing, so content-aware pruning
-        // would (correctly) skip shard 0 without entering `phase1` —
-        // but this test instruments lock acquisition *inside* the
-        // engine, so it needs the walk to reach it.
-        .shard_pruning(false)
         .build();
 
     // Least-loaded placement: arrivals 0..6 land on shards 0,1,2,0,1,2.
+    // The probe event matches nothing, so content-aware pruning would
+    // (correctly) skip shard 0 without entering `phase1` — but this
+    // test instruments lock acquisition *inside* the engine, so the
+    // residents are `or`-rooted disjunctions, which the synopsis keeps
+    // always-candidate.
     let subs: Vec<Subscription> = (0..6)
-        .map(|i| broker.subscribe(&format!("s = {i}")).unwrap())
+        .map(|i| broker.subscribe(&format!("s = {i} or t = {i}")).unwrap())
         .collect();
     assert_eq!(broker.shard_loads(), vec![2, 2, 2]);
     // Skew to loads [1, 0, 2]: the skew pair is (from=2, to=1).

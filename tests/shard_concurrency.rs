@@ -199,18 +199,19 @@ fn write_locked_shard_does_not_block_matching_on_other_shards() {
                 release: release.clone(),
             }),
         ])
-        // The probe event matches nothing, so content-aware pruning
-        // would (correctly) skip shard 0 without entering `phase1` —
-        // but this test instruments lock acquisition *inside* the
-        // engine, so it needs the walk to reach it.
-        .shard_pruning(false)
         .build();
 
     // Least-loaded placement (round-robin from empty): subscription 0
     // lands on shard 0 (returns immediately), subscription 1 lands on
     // shard 1 and parks inside `subscribe`, holding shard 1's write
     // lock.
-    let _warm = broker.subscribe("warmup = 0").unwrap();
+    //
+    // The probe event matches nothing, so content-aware pruning would
+    // (correctly) skip shard 0 without entering `phase1` — but this
+    // test instruments lock acquisition *inside* the engine, so shard
+    // 0's resident is an `or`-rooted disjunction, which the synopsis
+    // keeps always-candidate.
+    let _warm = broker.subscribe("warmup = 0 or other = 1").unwrap();
 
     let _blocked = thread::scope(|scope| {
         let subscriber = {
