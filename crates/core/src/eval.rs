@@ -121,12 +121,14 @@ pub(crate) struct Frame {
 /// Panics on malformed input, like [`eval_recursive`].
 pub fn eval_iterative(bytes: &[u8], set: &FulfilledSet) -> bool {
     let mut stack = Vec::with_capacity(8);
-    eval_iterative_with(bytes, set, &mut stack)
+    eval_iterative_with(bytes, |id| set.contains(id), &mut stack)
 }
 
+/// [`eval_iterative`] over any leaf test: `leaf` decides each predicate
+/// the evaluation reaches (short-circuited ones are never asked).
 pub(crate) fn eval_iterative_with(
     bytes: &[u8],
-    set: &FulfilledSet,
+    mut leaf: impl FnMut(PredicateId) -> bool,
     stack: &mut Vec<Frame>,
 ) -> bool {
     stack.clear();
@@ -135,7 +137,7 @@ pub(crate) fn eval_iterative_with(
         // Evaluate the node at `offset` until a value is produced.
         let mut value = loop {
             match bytes[offset] {
-                TAG_PRED => break set.contains(leaf_id(bytes, offset)),
+                TAG_PRED => break leaf(leaf_id(bytes, offset)),
                 tag => {
                     let n = bytes[offset + 1] as usize;
                     let widths_at = offset + 2;

@@ -1,5 +1,7 @@
 //! The fulfilled-predicate set produced by phase 1.
 
+use boolmatch_types::Event;
+
 use crate::PredicateId;
 
 /// The output of predicate matching: the set `{id(p)}` of predicates an
@@ -11,6 +13,19 @@ use crate::PredicateId;
 /// matters because the stamp array is sized to the predicate universe
 /// (millions of entries at paper scale); zeroing it per event would
 /// dominate matching time.
+///
+/// # The event behind the set
+///
+/// An engine whose phase 1 reports only *some* fulfilled predicates —
+/// [`crate::NonCanonicalEngine`] indexes only those that can make a
+/// subscription a candidate — starts the set with
+/// [`FulfilledSet::begin_event`], and its phase 2 compares every other
+/// predicate it meets against [`FulfilledSet::event`]. The ids mean
+/// what they mean **to the engine that ran phase 1**: hand the set to
+/// that engine's phase 2, not to another engine's. A set started with
+/// [`FulfilledSet::begin`] or built by [`FulfilledSet::from_ids`]
+/// carries no event and is complete as it stands: a predicate is
+/// fulfilled exactly when its id is in it.
 ///
 /// # Examples
 ///
@@ -33,16 +48,19 @@ pub struct FulfilledSet {
     ids: Vec<PredicateId>,
     stamps: Vec<u32>,
     generation: u32,
+    /// The event phase 1 ran on, when the ids alone do not decide
+    /// every predicate (a shared handle on its attribute table).
+    event: Option<Event>,
+    /// A member engine's phase-1 output while a composite engine
+    /// ([`crate::ShardedEngine`]) fills this set — kept with the set so
+    /// that reusing the set reuses it.
+    pub(crate) member: Option<Box<FulfilledSet>>,
 }
 
 impl FulfilledSet {
     /// Creates an empty set. Call [`FulfilledSet::begin`] before use.
     pub fn new() -> Self {
-        FulfilledSet {
-            ids: Vec::new(),
-            stamps: Vec::new(),
-            generation: 0,
-        }
+        FulfilledSet::default()
     }
 
     /// Creates a set ready for a universe of `universe` predicate ids.
@@ -53,8 +71,10 @@ impl FulfilledSet {
     }
 
     /// Starts a new event: empties the set (in `O(1)`) and ensures ids
-    /// up to `universe` can be inserted.
+    /// up to `universe` can be inserted. The set carries no event: it
+    /// will hold every fulfilled predicate.
     pub fn begin(&mut self, universe: usize) {
+        self.event = None;
         self.ids.clear();
         if self.stamps.len() < universe {
             self.stamps.resize(universe, 0);
@@ -65,6 +85,21 @@ impl FulfilledSet {
             self.generation = 0;
         }
         self.generation += 1;
+    }
+
+    /// [`FulfilledSet::begin`] for a set that will hold only part of
+    /// what `event` fulfils: the event rides along (a reference-count
+    /// bump, released by the next `begin`) for phase 2 to decide the
+    /// rest against.
+    pub fn begin_event(&mut self, universe: usize, event: &Event) {
+        self.begin(universe);
+        self.event = Some(event.clone());
+    }
+
+    /// The event the set was started on with
+    /// [`FulfilledSet::begin_event`]; `None` when the ids are complete.
+    pub fn event(&self) -> Option<&Event> {
+        self.event.as_ref()
     }
 
     /// Inserts a predicate id; duplicates are ignored.
@@ -118,7 +153,12 @@ impl FulfilledSet {
     /// Approximate heap bytes (scratch memory, counted separately from
     /// engine tables in [`crate::MemoryUsage`]).
     pub fn heap_bytes(&self) -> usize {
-        self.ids.capacity() * std::mem::size_of::<PredicateId>() + self.stamps.capacity() * 4
+        self.ids.capacity() * std::mem::size_of::<PredicateId>()
+            + self.stamps.capacity() * 4
+            + self
+                .member
+                .as_ref()
+                .map_or(0, |m| std::mem::size_of::<FulfilledSet>() + m.heap_bytes())
     }
 }
 
@@ -183,6 +223,20 @@ mod tests {
         assert!(s.contains(id(0)));
         assert!(s.contains(id(2)));
         assert!(!s.contains(id(1)));
+    }
+
+    #[test]
+    fn event_rides_along_until_the_next_begin() {
+        let event = Event::builder().attr("a", 1_i64).build();
+        let mut s = FulfilledSet::with_universe(4);
+        assert!(s.event().is_none());
+        s.begin_event(4, &event);
+        s.insert(id(2));
+        assert_eq!(s.event(), Some(&event));
+        assert!(s.contains(id(2)));
+        s.begin(4);
+        assert!(s.event().is_none());
+        assert!(FulfilledSet::from_ids([id(1)], 4).event().is_none());
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::assoc::AssocTable;
 use crate::encode::{self, IdExpr};
 use crate::engine::{EngineKind, FilterEngine, SubscribeError, UnsubscribeError};
 use crate::eval::eval_iterative_with;
-use crate::scratch::LANE_WIDTH;
+use crate::scratch::{EventView, LANE_WIDTH};
 use crate::{
     BatchScratch, FulfilledSet, MatchScratch, MatchStats, MemoryUsage, PredicateId,
     PredicateInterner, SubscriptionId,
@@ -23,7 +23,8 @@ pub struct NonCanonicalConfig {
     /// Maintain the phase-1 predicate index. Disable only for phase-2
     /// isolation experiments that synthesize fulfilled sets directly
     /// (the paper's Fig. 3 setup); [`FilterEngine::phase1`] then finds
-    /// nothing.
+    /// nothing and hands phase 2 no event, so a predicate holds exactly
+    /// when its id is in the set.
     pub enable_phase1_index: bool,
     /// Reorder subscription trees cheapest-child-first before encoding
     /// ([`boolmatch_expr::transform::reorder`]) so short-circuit
@@ -73,6 +74,26 @@ impl Default for NonCanonicalConfig {
 /// the event fulfils none of its predicates, e.g. `not (a = 1)` — are
 /// kept on an always-evaluate list and are candidates for every event.
 ///
+/// # What phase 1 indexes — access predicates only
+///
+/// Only a predicate with postings (an *access* predicate) can make a
+/// subscription a candidate, so only those are in the phase-1
+/// [`PredicateIndex`]: a predicate enters it with its first posting and
+/// leaves it with its last. Every leaf is still interned and every tree
+/// still stores predicate ids. [`FilterEngine::phase1`] puts the
+/// fulfilled access predicates into the [`FulfilledSet`] and the event
+/// beside them; when a candidate's tree reaches a leaf that is not
+/// indexed, phase 2 compares the event's value with the predicate's
+/// constant on the spot ([`MatchStats::leaf_comparisons`]), without a
+/// per-event memo — such a leaf is rarely shared between candidates,
+/// and the memo probe would cost what the comparison does. On the
+/// paper-shape corpus above that is 39 847 index entries instead of
+/// 157 342 and 1 518 fulfilled ids per event instead of 5 978; on the
+/// ticker corpus (`symbol = S` is the access predicate) 12 entries
+/// instead of 33 448 and 1 fulfilled id instead of 15 992. A fulfilled set that carries no event
+/// ([`FulfilledSet::from_ids`]) is taken as complete: every leaf is
+/// decided by membership, as the Fig. 3 harness expects.
+///
 /// # Examples
 ///
 /// ```
@@ -93,7 +114,14 @@ impl Default for NonCanonicalConfig {
 pub struct NonCanonicalEngine {
     config: NonCanonicalConfig,
     interner: PredicateInterner,
+    /// Phase-1 index over the predicates with a non-empty `assoc` list;
+    /// also the engine's attribute-name → slot table (every interned
+    /// predicate's attribute has a slot, indexed or not).
     index: PredicateIndex<PredicateId>,
+    /// Per predicate id: the attribute slot its comparison reads the
+    /// event at, plus [`INDEXED_BIT`] while the predicate is in `index`
+    /// — one word, so a leaf test decides how to test with one read.
+    leaf_meta: Vec<u32>,
     /// Predicate → subscriptions having it in their necessary set
     /// (dense u32 sub indexes).
     assoc: AssocTable<u32>,
@@ -109,6 +137,44 @@ pub struct NonCanonicalEngine {
     arena: TreeArena,
     live_subs: usize,
 }
+
+/// Set in a `leaf_meta` word while the predicate holds postings and is
+/// therefore in the phase-1 index: its leaves read the fulfilled stamp.
+const INDEXED_BIT: u32 = 1 << 31;
+
+// lint: hot-path — the leaf test runs once per tree leaf a candidate's
+// evaluation reaches: dense reads and one comparison, no name lookup.
+
+/// Decides the leaves of candidate trees for one event.
+struct LeafTest<'a> {
+    fulfilled: &'a FulfilledSet,
+    /// The event unindexed predicates are compared against, with its
+    /// values by attribute slot; `None` when `fulfilled` carries no
+    /// event and is complete as it stands.
+    event: Option<(&'a Event, &'a EventView)>,
+    leaf_meta: &'a [u32],
+    interner: &'a PredicateInterner,
+    /// Leaves decided by comparison rather than by stamp.
+    comparisons: usize,
+}
+
+impl LeafTest<'_> {
+    #[inline]
+    fn holds(&mut self, pid: PredicateId) -> bool {
+        let Some((event, view)) = self.event else {
+            return self.fulfilled.contains(pid);
+        };
+        let meta = self.leaf_meta[pid.index()];
+        if meta & INDEXED_BIT != 0 {
+            return self.fulfilled.contains(pid);
+        }
+        self.comparisons += 1;
+        view.value(meta as usize, event)
+            .is_some_and(|value| self.interner.resolve(pid).eval_value(value))
+    }
+}
+
+// lint: end-hot-path
 
 /// Expected candidate traffic of a necessary set, compared
 /// lexicographically: fewer predicates first, then fewer non-equality
@@ -193,6 +259,7 @@ impl NonCanonicalEngine {
             config,
             interner: PredicateInterner::new(),
             index: PredicateIndex::new(),
+            leaf_meta: Vec::new(),
             assoc: AssocTable::new(),
             always: Vec::new(),
             locations: Vec::new(),
@@ -208,8 +275,17 @@ impl NonCanonicalEngine {
         match expr {
             Expr::Pred(p) => {
                 let (id, fresh) = self.interner.intern(p);
-                if fresh && self.config.enable_phase1_index {
-                    self.index.insert(id, p);
+                if fresh {
+                    // Not indexed until a posting says so; a reused id
+                    // slot gets its new attribute here.
+                    let slot = u32::try_from(self.index.intern_attr(p.attr()).index())
+                        .ok()
+                        .filter(|slot| slot & INDEXED_BIT == 0)
+                        .expect("fewer than 2^31 attributes: the top bit is the flag");
+                    if self.leaf_meta.len() <= id.index() {
+                        self.leaf_meta.resize(id.index() + 1, 0);
+                    }
+                    self.leaf_meta[id.index()] = slot;
                 }
                 acquired.push(id);
                 IdExpr::Pred(id)
@@ -234,10 +310,42 @@ impl NonCanonicalEngine {
         Some(set)
     }
 
-    fn release_predicate(&mut self, id: PredicateId) {
-        if self.interner.release(id) && self.config.enable_phase1_index {
-            // The slot still holds the predicate until reused.
-            self.index.remove(id, self.interner.resolve(id));
+    /// Moves `pid` into the phase-1 index (its first posting was just
+    /// added) or out of it (its last one is gone). The posting list's
+    /// emptiness is the state; the flag in `leaf_meta` only mirrors it
+    /// for the leaf test.
+    fn set_indexed(&mut self, pid: PredicateId, indexed: bool) {
+        if !self.config.enable_phase1_index {
+            return;
+        }
+        let pred = self.interner.resolve(pid);
+        if indexed {
+            self.index.insert(pid, pred);
+            self.leaf_meta[pid.index()] |= INDEXED_BIT;
+        } else {
+            let was_indexed = self.index.remove(pid, pred);
+            debug_assert!(was_indexed, "{pid} held postings but was not indexed");
+            self.leaf_meta[pid.index()] &= !INDEXED_BIT;
+        }
+    }
+
+    /// The leaf test for one event's candidates; loads `view` when the
+    /// set carries its event.
+    fn leaf_test<'a>(
+        &'a self,
+        fulfilled: &'a FulfilledSet,
+        view: &'a mut EventView,
+    ) -> LeafTest<'a> {
+        let event = fulfilled.event().map(|event| {
+            view.load(event, |name| self.index.attr_slot(name));
+            (event, &*view)
+        });
+        LeafTest {
+            fulfilled,
+            event,
+            leaf_meta: &self.leaf_meta,
+            interner: &self.interner,
+            comparisons: 0,
         }
     }
 
@@ -273,6 +381,13 @@ impl NonCanonicalEngine {
     pub fn association_postings(&self) -> usize {
         self.assoc.posting_count()
     }
+
+    /// Predicates currently in the phase-1 index: those with at least
+    /// one posting (at most [`FilterEngine::predicate_count`], which
+    /// counts every interned leaf).
+    pub fn indexed_predicates(&self) -> usize {
+        self.index.predicate_count()
+    }
 }
 
 impl FilterEngine for NonCanonicalEngine {
@@ -293,13 +408,13 @@ impl FilterEngine for NonCanonicalEngine {
             Ok(b) if b.len() <= crate::arena::BLOCK_SIZE => b,
             Ok(b) => {
                 for id in acquired {
-                    self.release_predicate(id);
+                    self.interner.release(id);
                 }
                 return Err(crate::EncodeError::SubtreeTooWide { width: b.len() }.into());
             }
             Err(e) => {
                 for id in acquired {
-                    self.release_predicate(id);
+                    self.interner.release(id);
                 }
                 return Err(e.into());
             }
@@ -316,6 +431,9 @@ impl FilterEngine for NonCanonicalEngine {
         match self.association_of(&tree) {
             Some(set) => {
                 for pid in set {
+                    if self.assoc.get(pid).is_empty() {
+                        self.set_indexed(pid, true);
+                    }
                     self.assoc.add(pid, sub_u32);
                 }
             }
@@ -347,6 +465,9 @@ impl FilterEngine for NonCanonicalEngine {
                 for pid in set {
                     let removed = self.assoc.remove(pid, sub_u32);
                     debug_assert!(removed, "association entry missing for {pid}");
+                    if removed && self.assoc.get(pid).is_empty() {
+                        self.set_indexed(pid, false);
+                    }
                 }
             }
             None => {
@@ -357,13 +478,20 @@ impl FilterEngine for NonCanonicalEngine {
                 }
             }
         }
-        tree.for_each_leaf(&mut |pid| self.release_predicate(pid));
+        tree.for_each_leaf(&mut |pid| {
+            self.interner.release(pid);
+        });
         self.live_subs -= 1;
         Ok(())
     }
 
     fn phase1(&self, event: &Event, out: &mut FulfilledSet) {
-        out.begin(self.interner.universe());
+        if !self.config.enable_phase1_index {
+            out.begin(self.interner.universe());
+            return;
+        }
+        // Access predicates only; the event goes along for the rest.
+        out.begin_event(self.interner.universe(), event);
         self.index.for_each_match(event, |id| out.insert(id));
     }
 
@@ -399,21 +527,30 @@ impl FilterEngine for NonCanonicalEngine {
         }
         stats.candidates = candidates.len();
 
-        // Evaluate each candidate's Boolean expression once; the
-        // variable values are exactly the fulfilled set (paper §3.2).
-        let mut eval_stack = std::mem::take(&mut scratch.eval_stack);
-        for &sub in &candidates {
-            let loc = self.locations[sub as usize];
-            debug_assert!(
-                !loc.is_empty(),
-                "association lists only reference live subscriptions"
-            );
-            stats.evaluations += 1;
-            if eval_iterative_with(self.arena.get(loc), fulfilled, &mut eval_stack) {
-                matched.push(SubscriptionId::from_index(sub as usize));
+        // Evaluate each candidate's Boolean expression once; a leaf's
+        // value is its fulfilled stamp when the predicate is indexed,
+        // its comparison against the event otherwise.
+        if !candidates.is_empty() {
+            let mut eval_stack = std::mem::take(&mut scratch.eval_stack);
+            let mut leaves = self.leaf_test(fulfilled, &mut scratch.view);
+            for &sub in &candidates {
+                let loc = self.locations[sub as usize];
+                debug_assert!(
+                    !loc.is_empty(),
+                    "association lists only reference live subscriptions"
+                );
+                stats.evaluations += 1;
+                if eval_iterative_with(
+                    self.arena.get(loc),
+                    |pid| leaves.holds(pid),
+                    &mut eval_stack,
+                ) {
+                    matched.push(SubscriptionId::from_index(sub as usize));
+                }
             }
+            stats.leaf_comparisons = leaves.comparisons;
+            scratch.eval_stack = eval_stack;
         }
-        scratch.eval_stack = eval_stack;
         scratch.candidates = candidates;
         stats.matched = matched.len();
         stats
@@ -516,8 +653,12 @@ impl FilterEngine for NonCanonicalEngine {
             // marks are restored through the candidate lists.
             let mut eval_stack = std::mem::take(&mut batch.scalar.eval_stack);
             for l in 0..chunk_len {
+                if batch.candidates[l].is_empty() {
+                    continue;
+                }
                 let mut cands = std::mem::take(&mut batch.candidates[l]);
                 stats.candidates += cands.len();
+                let mut leaves = self.leaf_test(&batch.fulfilled[l], &mut batch.scalar.view);
                 for &sub in &cands {
                     batch.marks[sub as usize * LANE_WIDTH + l] = 0;
                     let loc = self.locations[sub as usize];
@@ -528,12 +669,13 @@ impl FilterEngine for NonCanonicalEngine {
                     stats.evaluations += 1;
                     if eval_iterative_with(
                         self.arena.get(loc),
-                        &batch.fulfilled[l],
+                        |pid| leaves.holds(pid),
                         &mut eval_stack,
                     ) {
                         batch.matched[base + l].push(SubscriptionId::from_index(sub as usize));
                     }
                 }
+                stats.leaf_comparisons += leaves.comparisons;
                 cands.clear();
                 batch.candidates[l] = cands;
             }
@@ -567,7 +709,8 @@ impl FilterEngine for NonCanonicalEngine {
 
     fn memory_usage(&self) -> MemoryUsage {
         MemoryUsage {
-            predicates: self.interner.heap_bytes(),
+            predicates: self.interner.heap_bytes()
+                + self.leaf_meta.capacity() * std::mem::size_of::<u32>(),
             phase1_index: self.index.heap_bytes(),
             association: self.assoc.heap_bytes()
                 + self.always.capacity() * std::mem::size_of::<u32>(),
@@ -1062,7 +1205,10 @@ mod tests {
         let ev = Event::builder().attr("a", 5_i64).attr("b", 10_i64).build();
         let r = e.match_event(&ev);
         assert!(r.matched.is_empty());
-        assert_eq!(r.stats.fulfilled, 1);
+        assert_eq!(
+            r.stats.fulfilled, 0,
+            "b > 9 holds, but b's pair has no postings and is not indexed"
+        );
         assert_eq!(
             r.stats.candidates, 0,
             "neither subscription's necessary set (a's pair; s = 7) is fulfilled"
@@ -1144,12 +1290,13 @@ mod tests {
         }
     }
 
-    /// A random tree over a small predicate pool (4 attributes × 6
-    /// operators × 3 constants), so leaves repeat inside a tree and
-    /// across subscriptions. An event with every attribute at 1 fulfils
-    /// every predicate whose constant allows it; the empty event none.
-    fn random_tree(rng: &mut Rng, depth: usize) -> Expr {
-        const OPS: [CompareOp; 6] = [
+    /// A random leaf over a small pool, so leaves repeat inside a tree
+    /// and across subscriptions: four Int attributes under the six
+    /// relational operators, a Float attribute, an Int attribute
+    /// compared with a Float constant (never true: kinds differ), a
+    /// string attribute under all ten operators, and a Bool attribute.
+    fn random_leaf(rng: &mut Rng) -> Predicate {
+        const RELATIONAL: [CompareOp; 6] = [
             CompareOp::Eq,
             CompareOp::Ne,
             CompareOp::Gt,
@@ -1157,13 +1304,35 @@ mod tests {
             CompareOp::Ge,
             CompareOp::Lt,
         ];
+        const STRING: [CompareOp; 4] = [
+            CompareOp::Prefix,
+            CompareOp::NotPrefix,
+            CompareOp::Contains,
+            CompareOp::NotContains,
+        ];
+        let relational = RELATIONAL[rng.below(6) as usize];
+        match rng.below(10) {
+            0..=4 => Predicate::new(
+                &format!("x{}", rng.below(4)),
+                relational,
+                rng.below(3) as i64,
+            ),
+            5 => Predicate::new("f", relational, rng.below(3) as f64 + 0.5),
+            6 => Predicate::new("x0", relational, rng.below(3) as f64),
+            7 => Predicate::new("s", relational, ["ab", "b"][rng.below(2) as usize]),
+            8 => Predicate::new(
+                "s",
+                STRING[rng.below(4) as usize],
+                ["ab", "b"][rng.below(2) as usize],
+            ),
+            _ => Predicate::new("b", relational, rng.below(2) == 0),
+        }
+    }
+
+    fn random_tree(rng: &mut Rng, depth: usize) -> Expr {
         let pick = if depth == 0 { 0 } else { rng.below(10) };
         match pick {
-            0..=3 => Expr::pred(Predicate::new(
-                &format!("x{}", rng.below(4)),
-                OPS[rng.below(6) as usize],
-                rng.below(3) as i64,
-            )),
+            0..=3 => Expr::pred(random_leaf(rng)),
             4..=6 => Expr::And(
                 (0..2 + rng.below(3))
                     .map(|_| random_tree(rng, depth - 1))
@@ -1178,6 +1347,9 @@ mod tests {
         }
     }
 
+    /// Each attribute is missing from a quarter of the events; `f`
+    /// sometimes carries an Int where the predicates hold Floats;
+    /// `other` is an attribute no subscription mentions.
     fn random_event(rng: &mut Rng) -> Event {
         let mut b = Event::builder();
         for a in 0..4 {
@@ -1185,29 +1357,84 @@ mod tests {
                 b.set(&format!("x{a}"), rng.below(3) as i64);
             }
         }
+        match rng.below(4) {
+            0 => {}
+            1 => {
+                b.set("f", rng.below(3) as i64);
+            }
+            _ => {
+                b.set("f", rng.below(4) as f64);
+            }
+        }
+        if rng.below(4) > 0 {
+            b.set("s", ["ab", "abc", "b", "xab", ""][rng.below(5) as usize]);
+        }
+        if rng.below(4) > 0 {
+            b.set("b", rng.below(2) == 0);
+        }
+        if rng.below(2) == 0 {
+            b.set("other", 1_i64);
+        }
         b.build()
+    }
+
+    /// The structural invariant of the access-only index: a predicate
+    /// is indexed, and flagged so, exactly while it holds postings.
+    fn assert_index_holds_the_access_predicates(e: &NonCanonicalEngine) {
+        let mut with_postings = 0;
+        for i in 0..e.interner.universe() {
+            let posted = !e.assoc.get(PredicateId::from_index(i)).is_empty();
+            with_postings += usize::from(posted);
+            assert_eq!(
+                e.leaf_meta[i] & INDEXED_BIT != 0,
+                posted,
+                "flag of predicate slot {i}"
+            );
+        }
+        assert_eq!(e.indexed_predicates(), with_postings);
+    }
+
+    fn sorted(mut ids: Vec<SubscriptionId>) -> Vec<SubscriptionId> {
+        ids.sort();
+        ids
     }
 
     #[test]
     fn generated_trees_match_the_oracle_under_churn() {
         let mut rng = Rng(0x5EED_2005);
         let mut e = NonCanonicalEngine::new();
+        let mut sharded = crate::ShardedEngine::new(EngineKind::NonCanonical, 3);
         let mut live: Vec<(SubscriptionId, Expr)> = Vec::new();
         let mut scratch = MatchScratch::new();
         let mut batch = BatchScratch::new();
         let mut always_seen = 0;
+        let mut lazy_ops = std::collections::BTreeSet::new();
+        let mut lazy_kinds = std::collections::BTreeSet::new();
+        let mut leaf_comparisons = 0;
 
         for round in 0..40 {
             // Churn: drop a random third, add a fresh dozen.
             for _ in 0..live.len() / 3 {
                 let (id, _) = live.swap_remove(rng.below(live.len() as u64) as usize);
                 e.unsubscribe(id).unwrap();
+                sharded.unsubscribe(id).unwrap();
             }
             for _ in 0..12 {
                 let expr = random_tree(&mut rng, 3);
-                live.push((e.subscribe(&expr).unwrap(), expr));
+                let id = e.subscribe(&expr).unwrap();
+                // Both issue ids in arrival order and never reuse one.
+                assert_eq!(sharded.subscribe(&expr).unwrap(), id);
+                live.push((id, expr));
             }
             always_seen += e.always.len();
+            assert_index_holds_the_access_predicates(&e);
+            for i in 0..e.interner.universe() {
+                let id = PredicateId::from_index(i);
+                if e.interner.refcount(id) > 0 && e.assoc.get(id).is_empty() {
+                    lazy_ops.insert(e.interner.resolve(id).op());
+                    lazy_kinds.insert(e.interner.resolve(id).value_kind());
+                }
+            }
 
             let mut events = vec![
                 Event::builder().build(),
@@ -1216,6 +1443,9 @@ mod tests {
                     .attr("x1", 1_i64)
                     .attr("x2", 1_i64)
                     .attr("x3", 1_i64)
+                    .attr("f", 1.0)
+                    .attr("s", "ab")
+                    .attr("b", true)
                     .build(),
             ];
             events.extend((0..6).map(|_| random_event(&mut rng)));
@@ -1225,21 +1455,31 @@ mod tests {
             let batch_stats = e.match_batch(&events, &[], &mut batch);
             let mut scalar_total = MatchStats::default();
             for (i, event) in events.iter().enumerate() {
-                let mut want: Vec<SubscriptionId> = live
-                    .iter()
-                    .filter(|(_, expr)| expr.eval_event(event))
-                    .map(|(id, _)| *id)
-                    .collect();
-                want.sort();
+                let want = sorted(
+                    live.iter()
+                        .filter(|(_, expr)| expr.eval_event(event))
+                        .map(|(id, _)| *id)
+                        .collect(),
+                );
                 let scalar = e.match_event(event, &mut scratch);
                 scalar_total = scalar_total + scalar.stats;
-                let mut got = scalar.matched;
-                got.sort();
-                assert_eq!(got, want, "scalar, round {round}, event {i}: {event}");
-                let mut got = batch.matched(i).to_vec();
-                got.sort();
-                assert_eq!(got, want, "batch, round {round}, event {i}: {event}");
+                assert_eq!(
+                    sorted(scalar.matched),
+                    want,
+                    "scalar, round {round}, event {i}: {event}"
+                );
+                assert_eq!(
+                    sorted(batch.matched(i).to_vec()),
+                    want,
+                    "batch, round {round}, event {i}: {event}"
+                );
+                assert_eq!(
+                    sorted(sharded.match_event(event, &mut scratch).matched),
+                    want,
+                    "3 shards, round {round}, event {i}: {event}"
+                );
             }
+            leaf_comparisons += scalar_total.leaf_comparisons;
             let mut batch_stats = batch_stats;
             assert_eq!(batch_stats.batch_events, events.len());
             batch_stats.batch_events = 0;
@@ -1247,12 +1487,121 @@ mod tests {
             assert_eq!(batch_stats, scalar_total, "summed stats, round {round}");
         }
         assert!(always_seen > 0, "the corpus exercised the always list");
+        assert_eq!(lazy_ops.len(), 10, "unindexed leaves of every operator");
+        assert_eq!(lazy_kinds.len(), 4, "unindexed leaves of every kind");
+        assert!(leaf_comparisons > 0);
 
         for (id, _) in live {
             e.unsubscribe(id).unwrap();
+            sharded.unsubscribe(id).unwrap();
         }
         assert_eq!(e.association_postings(), 0);
         assert_eq!(e.predicate_count(), 0);
+        assert_eq!(e.indexed_predicates(), 0);
+        assert_eq!(sharded.predicate_count(), 0);
         assert!(e.always.is_empty());
+    }
+
+    #[test]
+    fn a_predicate_enters_the_index_with_its_first_posting_and_leaves_with_its_last() {
+        let mut e = Matcher::new(NonCanonicalEngine::new());
+        let mut live: Vec<(SubscriptionId, Expr)> = Vec::new();
+        let events = [
+            Event::builder().attr("s", 1_i64).attr("p", 9_i64).build(),
+            Event::builder().attr("s", 1_i64).attr("p", 2_i64).build(),
+            Event::builder().attr("p", 9_i64).build(),
+            Event::builder().attr("s", 1_i64).build(),
+            Event::builder().attr("t", 3_i64).attr("q", 1_i64).build(),
+            // Values that would satisfy `q < 4` if it were read at the
+            // attribute its reused id slot belonged to before.
+            Event::builder()
+                .attr("t", 3_i64)
+                .attr("s", 1_i64)
+                .attr("p", 1_i64)
+                .build(),
+        ];
+        // Oracle check on every event plus the structural invariant;
+        // returns the comparisons the first event cost.
+        let check = |e: &mut Matcher<NonCanonicalEngine>, live: &[(SubscriptionId, Expr)]| {
+            assert_index_holds_the_access_predicates(e.engine());
+            let mut first = None;
+            for event in &events {
+                let want: Vec<SubscriptionId> = live
+                    .iter()
+                    .filter(|(_, expr)| expr.eval_event(event))
+                    .map(|(id, _)| *id)
+                    .collect();
+                let r = e.match_event(event);
+                assert_eq!(sorted(r.matched), want, "on {event}");
+                first.get_or_insert(r.stats.leaf_comparisons);
+            }
+            first.unwrap()
+        };
+        let subscribe = |e: &mut Matcher<NonCanonicalEngine>,
+                         live: &mut Vec<(SubscriptionId, Expr)>,
+                         text: &str| {
+            let expr = Expr::parse(text).unwrap();
+            let id = e.subscribe(&expr).unwrap();
+            live.push((id, expr));
+            id
+        };
+
+        // X is posted under its equality; `p > 5` is an unindexed leaf.
+        let x = subscribe(&mut e, &mut live, "s = 1 and p > 5");
+        assert_eq!(e.indexed_predicates(), 1);
+        assert_eq!(check(&mut e, &live), 1, "X's `p > 5` is compared");
+
+        // Y posts under `p > 5`: it enters the index and X's leaf reads
+        // the stamp.
+        let y = subscribe(&mut e, &mut live, "p > 5");
+        assert_eq!(e.indexed_predicates(), 2);
+        assert_eq!(check(&mut e, &live), 0, "both leaves are indexed");
+
+        // Y leaves: `p > 5` lost its last posting but X still holds it.
+        e.unsubscribe(y).unwrap();
+        live.retain(|(id, _)| *id != y);
+        assert_eq!(e.predicate_count(), 2);
+        assert_eq!(e.indexed_predicates(), 1);
+        assert_eq!(check(&mut e, &live), 1, "compared again");
+
+        e.unsubscribe(x).unwrap();
+        live.clear();
+        assert_eq!(e.predicate_count(), 0);
+        assert_eq!(e.indexed_predicates(), 0);
+        check(&mut e, &live);
+
+        // The freed id slots go to predicates on other attributes.
+        subscribe(&mut e, &mut live, "t = 3 and q < 4");
+        assert_eq!(e.predicate_universe(), 2, "both id slots were reused");
+        assert_eq!(e.indexed_predicates(), 1);
+        check(&mut e, &live);
+    }
+
+    #[test]
+    fn a_set_without_an_event_decides_every_leaf_by_membership() {
+        // The Fig. 3 harness: ids synthesized, no event. `c = 3` is the
+        // access predicate, `a = 1` and `b = 2` are not; all three are
+        // decided by the set, with or without a phase-1 index.
+        for enable_phase1_index in [false, true] {
+            let mut e = Matcher::new(NonCanonicalEngine::with_config(NonCanonicalConfig {
+                enable_phase1_index,
+                ..NonCanonicalConfig::default()
+            }));
+            let id = e
+                .subscribe(&Expr::parse("(a = 1 or b = 2) and c = 3").unwrap())
+                .unwrap();
+            let set = |ids: &[usize]| {
+                FulfilledSet::from_ids(ids.iter().map(|&i| PredicateId::from_index(i)), 3)
+            };
+            let mut matched = Vec::new();
+            let stats = e.phase2(&set(&[1, 2]), &mut matched);
+            assert_eq!(matched, vec![id], "index: {enable_phase1_index}");
+            assert_eq!(stats.leaf_comparisons, 0);
+            let stats = e.phase2(&set(&[2]), &mut matched);
+            assert!(matched.is_empty());
+            assert_eq!((stats.candidates, stats.leaf_comparisons), (1, 0));
+            e.phase2(&set(&[0, 1]), &mut matched);
+            assert!(matched.is_empty(), "no access predicate, no candidate");
+        }
     }
 }

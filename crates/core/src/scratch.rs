@@ -4,10 +4,11 @@
 //! The engines are **read-only during matching**: an event match only
 //! consults the subscription index structures. Everything mutable per
 //! event — generation-stamped candidate deduplication, hit counters,
-//! the evaluator stack, the fulfilled set, the matched-id buffer —
-//! lives in a [`MatchScratch`] owned by the *caller*. One engine can
-//! therefore serve any number of concurrent matchers, each bringing
-//! its own scratch (the broker keeps one per publisher thread).
+//! the evaluator stack, the fulfilled set, the event's values by
+//! attribute slot, the matched-id buffer — lives in a [`MatchScratch`]
+//! owned by the *caller*. One engine can therefore serve any number of
+//! concurrent matchers, each bringing its own scratch (the broker keeps
+//! one per publisher thread).
 //!
 //! A single scratch may be reused across engines and engine kinds: all
 //! buffers resize lazily to the engine at hand, and the stamp/hit
@@ -22,6 +23,8 @@
 //! a buffer reset — its `matched` output is simply absent from the
 //! merge.
 
+use boolmatch_types::{AttrId, Event, Value};
+
 use crate::eval::EvalFrame;
 use crate::{FulfilledSet, SubscriptionId};
 
@@ -30,6 +33,53 @@ use crate::{FulfilledSet, SubscriptionId};
 /// matching unit's transposed hit-lane row within one cache line and
 /// makes the per-predicate lane set a single `u64` mask.
 pub(crate) const LANE_WIDTH: usize = 64;
+
+/// One event's attributes by an engine's attribute slots, so that a
+/// predicate compared against the event in phase 2 finds its value with
+/// one dense read instead of a search over attribute names. Generation
+/// stamped like the other scratch tables: loading an event costs its own
+/// attribute count, never the slot count.
+#[derive(Debug, Default)]
+pub(crate) struct EventView {
+    /// Per slot: (generation it was loaded in, position in the event).
+    slots: Vec<(u32, u32)>,
+    generation: u32,
+}
+
+impl EventView {
+    /// Points the view at `event`: `slot_of` resolves each attribute
+    /// name to the engine's slot for it, or `None` for a name no
+    /// predicate of the engine mentions.
+    pub(crate) fn load(&mut self, event: &Event, slot_of: impl Fn(&str) -> Option<AttrId>) {
+        if self.generation == u32::MAX {
+            self.slots.fill((0, 0));
+            self.generation = 0;
+        }
+        self.generation += 1;
+        for (position, (name, _)) in event.iter().enumerate() {
+            let Some(slot) = slot_of(name) else { continue };
+            if self.slots.len() <= slot.index() {
+                self.slots.resize(slot.index() + 1, (0, 0));
+            }
+            self.slots[slot.index()] = (self.generation, position as u32);
+        }
+    }
+
+    // lint: hot-path — read once per predicate compared in phase 2.
+
+    /// The value the loaded `event` carries for `slot`'s attribute.
+    #[inline]
+    pub(crate) fn value<'e>(&self, slot: usize, event: &'e Event) -> Option<&'e Value> {
+        match self.slots.get(slot) {
+            Some(&(stamp, position)) if stamp == self.generation => {
+                event.value_at(position as usize)
+            }
+            _ => None,
+        }
+    }
+
+    // lint: end-hot-path
+}
 
 /// Reusable per-event mutable state for [`FilterEngine`] matching.
 ///
@@ -66,6 +116,9 @@ pub struct MatchScratch {
     /// Per-shard fulfilled-set buffer used by [`crate::ShardedEngine`]
     /// phase-2 to project a global fulfilled set onto one shard.
     pub(crate) shard_fulfilled: FulfilledSet,
+    /// The current event by attribute slot, for the non-canonical
+    /// engine's phase-2 comparisons.
+    pub(crate) view: EventView,
 }
 
 impl MatchScratch {
@@ -152,6 +205,7 @@ impl MatchScratch {
             + self.matched.capacity() * std::mem::size_of::<SubscriptionId>()
             + self.shard_matched.capacity() * std::mem::size_of::<SubscriptionId>()
             + self.shard_fulfilled.heap_bytes()
+            + self.view.slots.capacity() * 8
     }
 
     /// Starts a stamped pass over `slots` positions: ensures the stamp

@@ -612,17 +612,22 @@ impl FilterEngine for ShardedEngine {
     }
 
     fn phase1(&self, event: &Event, out: &mut FulfilledSet) {
-        out.begin(self.predicate_universe());
-        // The standalone split needs a temporary per-shard set (there
-        // is no scratch in phase 1's signature); the hot path —
-        // `match_event_into` — never materialises global predicate ids.
-        let mut local = FulfilledSet::new();
+        // The shards' sets may be partial (non-canonical shards index
+        // access predicates only), so the union is too: the event goes
+        // along and `phase2` hands it on to every shard.
+        out.begin_event(self.predicate_universe(), event);
+        // The standalone split needs a per-shard set and phase 1's
+        // signature has no scratch, so it lives in `out` and is reused
+        // with it; the hot path — `match_event_into` — never
+        // materialises global predicate ids.
+        let mut local = out.member.take().unwrap_or_default();
         for (s, shard) in self.shards.iter().enumerate() {
             shard.engine.phase1(event, &mut local);
             for &id in local.ids() {
                 out.insert(self.pred_router.global_pred(s, id));
             }
         }
+        out.member = Some(local);
     }
 
     fn phase2(
@@ -637,9 +642,12 @@ impl FilterEngine for ShardedEngine {
         let mut stats = MatchStats::default();
         for (s, shard) in self.shards.iter().enumerate() {
             // Project the global fulfilled set onto this shard's
-            // predicate space.
+            // predicate space, the event (if any) with it.
             let universe = shard.engine.predicate_universe();
-            local.begin(universe);
+            match fulfilled.event() {
+                Some(event) => local.begin_event(universe, event),
+                None => local.begin(universe),
+            }
             for &g in fulfilled.ids() {
                 let (owner, pred) = self.pred_router.split_pred(g);
                 if owner == s && pred.index() < universe {

@@ -12,12 +12,21 @@ use std::ops::Add;
 /// cost follows `candidates`/`evaluations` of original subscriptions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MatchStats {
-    /// Fulfilled predicates (phase-1 output size).
+    /// Fulfilled predicates (phase-1 output size). For the
+    /// non-canonical engine: fulfilled *indexed* predicates — those
+    /// with postings, the only ones its phase 1 looks for; the others
+    /// show up under [`MatchStats::leaf_comparisons`] when a candidate
+    /// tree reaches them.
     pub fulfilled: usize,
     /// Candidate subscriptions / conjunctions touched in phase 2.
     pub candidates: usize,
     /// Boolean tree evaluations (non-canonical engine).
     pub evaluations: usize,
+    /// Tree leaves decided in phase 2 by comparing the event with the
+    /// predicate's constant, because the predicate is not in the
+    /// phase-1 index (non-canonical engine; 0 for the counting engines
+    /// and for fulfilled sets that carry no event).
+    pub leaf_comparisons: usize,
     /// Hit-counter increments (counting engines).
     pub increments: usize,
     /// Hit/count vector comparisons (counting engines).
@@ -49,6 +58,7 @@ impl Add for MatchStats {
             fulfilled: self.fulfilled + rhs.fulfilled,
             candidates: self.candidates + rhs.candidates,
             evaluations: self.evaluations + rhs.evaluations,
+            leaf_comparisons: self.leaf_comparisons + rhs.leaf_comparisons,
             increments: self.increments + rhs.increments,
             comparisons: self.comparisons + rhs.comparisons,
             matched: self.matched + rhs.matched,
@@ -63,11 +73,12 @@ impl fmt::Display for MatchStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "fulfilled={} candidates={} evaluations={} increments={} comparisons={} \
-             matched={} shards_pruned={} batch_events={} batch_passes={}",
+            "fulfilled={} candidates={} evaluations={} leaf_comparisons={} increments={} \
+             comparisons={} matched={} shards_pruned={} batch_events={} batch_passes={}",
             self.fulfilled,
             self.candidates,
             self.evaluations,
+            self.leaf_comparisons,
             self.increments,
             self.comparisons,
             self.matched,
@@ -88,6 +99,7 @@ mod tests {
             fulfilled: 1,
             candidates: 2,
             evaluations: 3,
+            leaf_comparisons: 10,
             increments: 4,
             comparisons: 5,
             matched: 6,
@@ -98,6 +110,7 @@ mod tests {
         let b = a;
         let c = a + b;
         assert_eq!(c.fulfilled, 2);
+        assert_eq!(c.leaf_comparisons, 20);
         assert_eq!(c.matched, 12);
         assert_eq!(c.shards_pruned, 14);
         assert_eq!(c.batch_events, 16);
@@ -111,6 +124,7 @@ mod tests {
             "fulfilled",
             "candidates",
             "evaluations",
+            "leaf_comparisons",
             "increments",
             "comparisons",
             "matched",

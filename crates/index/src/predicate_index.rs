@@ -4,7 +4,7 @@
 use std::ops::Bound;
 
 use boolmatch_expr::{CompareOp, Predicate};
-use boolmatch_types::{AttrInterner, Event, Value};
+use boolmatch_types::{AttrId, AttrInterner, Event, Value};
 
 use crate::{BPlusTree, HashIndex};
 
@@ -136,6 +136,21 @@ impl<T: Copy + PartialEq> PredicateIndex<T> {
             buckets: Vec::new(),
             stats: PredicateIndexStats::default(),
         }
+    }
+
+    /// The dense slot of attribute `name`, assigned on first sight —
+    /// to this call or to an [`insert`](PredicateIndex::insert) of a
+    /// predicate on it. Lets an owner that also evaluates predicates it
+    /// does **not** register here key its per-attribute tables on the
+    /// same slots [`PredicateIndex::for_each_match`] resolves names to,
+    /// instead of keeping a second name table.
+    pub fn intern_attr(&mut self, name: &str) -> AttrId {
+        self.interner.intern(name)
+    }
+
+    /// The slot of attribute `name`, if it has one.
+    pub fn attr_slot(&self, name: &str) -> Option<AttrId> {
+        self.interner.get(name)
     }
 
     /// Registers predicate `pred` under posting `id`.
@@ -321,45 +336,20 @@ impl<T: Copy + PartialEq> PredicateIndex<T> {
             // `>`/`>=`: constants strictly below `value` fulfil both
             // flavours; a constant equal to `value` fulfils only `>=`.
             // Keys of other kinds must be excluded: the Value total
-            // order ranks kinds, so restrict to this kind's span.
-            let kind_min = kind_min_bound(value);
-            for (constant, postings) in bucket
-                .lower
-                .range((kind_min.clone(), Bound::Included(value.clone())))
-            {
-                if constant == value {
-                    for &id in &postings.inclusive {
-                        f(id);
-                    }
-                } else {
-                    for &id in &postings.strict {
-                        f(id);
-                    }
-                    for &id in &postings.inclusive {
-                        f(id);
-                    }
-                }
+            // order ranks kinds, so restrict to this kind's span. An
+            // attribute without range predicates pays for no scan.
+            if !bucket.lower.is_empty() {
+                let kind_min = kind_min(value);
+                let span = (Bound::Included(&kind_min), Bound::Included(value));
+                report_range(bucket.lower.range(span), value, &mut f);
             }
 
             // `<`/`<=`: constants strictly above fulfil both; equal
             // fulfils only `<=`.
-            let kind_max = kind_max_bound(value);
-            for (constant, postings) in bucket
-                .upper
-                .range((Bound::Included(value.clone()), kind_max))
-            {
-                if constant == value {
-                    for &id in &postings.inclusive {
-                        f(id);
-                    }
-                } else {
-                    for &id in &postings.strict {
-                        f(id);
-                    }
-                    for &id in &postings.inclusive {
-                        f(id);
-                    }
-                }
+            if !bucket.upper.is_empty() {
+                let kind_max = kind_max_bound(value);
+                let span = (Bound::Included(value), kind_max.as_ref());
+                report_range(bucket.upper.range(span), value, &mut f);
             }
 
             // String-search predicates: scan (not one-dimensionally
@@ -419,19 +409,40 @@ impl<T: Copy + PartialEq> PredicateIndex<T> {
     }
 }
 
+/// Reports the postings a range scan around `value` met: a constant
+/// equal to `value` fulfils only its inclusive predicates, every other
+/// constant in the scan both flavours.
+fn report_range<'a, T: Copy + 'a>(
+    scan: impl Iterator<Item = (&'a Value, &'a RangePostings<T>)>,
+    value: &Value,
+    f: &mut impl FnMut(T),
+) {
+    for (constant, postings) in scan {
+        if constant != value {
+            for &id in &postings.strict {
+                f(id);
+            }
+        }
+        for &id in &postings.inclusive {
+            f(id);
+        }
+    }
+}
+
 /// The minimum/maximum `f64` under [`f64::total_cmp`] — NaNs with the
 /// sign bit set sort below `-inf`, and positive NaNs above `+inf`.
 const F64_TOTAL_MIN: f64 = f64::from_bits(u64::MAX);
 const F64_TOTAL_MAX: f64 = f64::from_bits(0x7FFF_FFFF_FFFF_FFFF);
 
-/// Lower bound restricting a range scan to keys of `value`'s kind.
-fn kind_min_bound(value: &Value) -> Bound<Value> {
+/// The least value of `value`'s kind: the inclusive lower bound
+/// restricting a range scan to keys of that kind.
+fn kind_min(value: &Value) -> Value {
     match value {
-        Value::Bool(_) => Bound::Included(Value::Bool(false)),
-        Value::Int(_) => Bound::Included(Value::Int(i64::MIN)),
-        Value::Float(_) => Bound::Included(Value::Float(F64_TOTAL_MIN)),
+        Value::Bool(_) => Value::Bool(false),
+        Value::Int(_) => Value::Int(i64::MIN),
+        Value::Float(_) => Value::Float(F64_TOTAL_MIN),
         // Strings sort last and "" is the minimum string.
-        Value::Str(_) => Bound::Included(Value::from("")),
+        Value::Str(_) => Value::from(""),
     }
 }
 
@@ -638,6 +649,69 @@ mod tests {
                 assert_eq!(got, want, "event {e}");
             }
         }
+    }
+
+    #[test]
+    fn range_scans_report_the_same_ids_for_every_kind() {
+        // Constants of all four kinds under all four range operators
+        // on one attribute: the scan must stay inside the event value's
+        // kind span at both ends.
+        let constants: [Value; 9] = [
+            false.into(),
+            true.into(),
+            (-3_i64).into(),
+            7_i64.into(),
+            (-0.5_f64).into(),
+            7.0_f64.into(),
+            "".into(),
+            "m".into(),
+            "mz".into(),
+        ];
+        let mut idx: PredicateIndex<u32> = PredicateIndex::new();
+        let mut preds = Vec::new();
+        for op in [CompareOp::Lt, CompareOp::Le, CompareOp::Gt, CompareOp::Ge] {
+            for c in &constants {
+                let p = Predicate::new("v", op, c.clone());
+                idx.insert(preds.len() as u32, &p);
+                preds.push(p);
+            }
+        }
+        let probes: [Value; 5] = [
+            f64::NAN.into(),
+            i64::MAX.into(),
+            "n".into(),
+            8.5_f64.into(),
+            "m".into(),
+        ];
+        for v in constants.iter().chain(&probes) {
+            let e = Event::builder().attr("v", v.clone()).build();
+            let want: Vec<u32> = (0..preds.len() as u32)
+                .filter(|&i| preds[i as usize].eval_event(&e))
+                .collect();
+            assert_eq!(sorted(idx.matching(&e)), want, "event {e}");
+        }
+    }
+
+    #[test]
+    fn attribute_slots_are_shared_with_unregistered_predicates() {
+        let mut idx: PredicateIndex<u32> = PredicateIndex::new();
+        // A slot handed out without a predicate: events carrying the
+        // attribute find nothing under it.
+        let b = idx.intern_attr("b");
+        assert_eq!(idx.attr_slot("b"), Some(b));
+        assert_eq!(idx.attr_slot("a"), None);
+        assert_eq!(idx.matching(&event(&[("b", 1)])), Vec::<u32>::new());
+        // Registering on a later attribute leaves `b` bucket-less or
+        // empty, and registering on `b` reuses its slot.
+        idx.insert(0, &Predicate::new("a", CompareOp::Eq, 1_i64));
+        assert_eq!(idx.matching(&event(&[("a", 1), ("b", 1)])), vec![0]);
+        idx.insert(1, &Predicate::new("b", CompareOp::Eq, 1_i64));
+        assert_eq!(idx.intern_attr("b"), b);
+        assert_ne!(idx.attr_slot("a"), Some(b));
+        assert_eq!(
+            sorted(idx.matching(&event(&[("a", 1), ("b", 1)]))),
+            vec![0, 1]
+        );
     }
 
     #[test]

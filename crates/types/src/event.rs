@@ -80,6 +80,13 @@ impl Event {
         self.attrs.iter().map(|(n, v)| (n.as_ref(), v))
     }
 
+    /// The value at `position` of [`Event::iter`]'s name order, in
+    /// `O(1)` — for callers that resolved the names once and kept the
+    /// positions.
+    pub fn value_at(&self, position: usize) -> Option<&Value> {
+        self.attrs.get(position).map(|(_, v)| v)
+    }
+
     /// Approximate heap bytes owned by this event.
     pub fn heap_bytes(&self) -> usize {
         self.attrs
@@ -227,6 +234,9 @@ mod tests {
         assert_eq!(e.len(), 2);
         let names: Vec<_> = e.iter().map(|(n, _)| n.to_string()).collect();
         assert_eq!(names, vec!["a", "z"]);
+        assert_eq!(e.value_at(0), e.get("a"));
+        assert_eq!(e.value_at(1), e.get("z"));
+        assert_eq!(e.value_at(2), None);
         assert_eq!(
             e.get("z").and_then(super::super::value::Value::as_int),
             Some(3)

@@ -173,6 +173,7 @@ pub fn run_with_progress(
                     fulfilled: stats_sum.fulfilled / events,
                     candidates: stats_sum.candidates / events,
                     evaluations: stats_sum.evaluations / events,
+                    leaf_comparisons: stats_sum.leaf_comparisons / events,
                     increments: stats_sum.increments / events,
                     comparisons: stats_sum.comparisons / events,
                     matched: stats_sum.matched / events,
