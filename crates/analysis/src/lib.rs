@@ -253,8 +253,7 @@ mod tests {
     /// The batch-matching checkout sites obey the same hygiene pair:
     /// a `BatchScratch` reset in a hot-path region (the generic pool
     /// checkout) must re-arm capacity for the engine it is about to
-    /// serve, or the first chunk kernel of the next batch reallocates
-    /// every lane plane.
+    /// serve, or the next batch regrows the buffers while matching.
     #[test]
     fn scratch_hygiene_covers_batch_scratch_checkout() {
         let bad = "

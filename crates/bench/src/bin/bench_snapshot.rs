@@ -27,13 +27,11 @@ use std::time::Instant;
 use boolmatch_bench::Args;
 use boolmatch_broker::{Broker, DeliveryPolicy, Subscription};
 use boolmatch_core::{
-    BatchScratch, EngineKind, FilterEngine, MatchScratch, PlacementPolicy, ScratchPool,
-    ShardTranslation, ShardedEngine, SubscriptionId,
+    EngineKind, FilterEngine, MatchScratch, PlacementPolicy, ScratchPool, ShardTranslation,
+    ShardedEngine, SubscriptionId,
 };
 use boolmatch_types::Event;
-use boolmatch_workload::scenarios::{
-    HotKeyScenario, SelectiveScenario, StockScenario, ThroughputScenario,
-};
+use boolmatch_workload::scenarios::{HotKeyScenario, SelectiveScenario, StockScenario};
 
 /// One recorded measurement.
 struct Sample {
@@ -217,94 +215,6 @@ fn main() {
                 broker.publish_batch(&batch);
             },
         );
-    }
-
-    // --- Batch-vectorized matching: the engines' batch kernels vs the
-    // scalar walk, per engine kind × batch width, on the throughput
-    // stream ---
-    {
-        // Each kind gets one engine over the throughput corpus plus a
-        // shared 1024-event stream (every width divides 1024, so batch
-        // slices tile it exactly). Rows: `scalar` is the pre-batch
-        // per-event walk (`match_event_into`), `b{B}` is `match_batch`
-        // at width B, both normalized to ns **per event**. The widths
-        // in a pair sit close together, which is under this host's
-        // sequential drift — so, as with `prune/*`, every configuration
-        // is sampled round-robin within each round and the drift
-        // cancels out of the A/B comparison.
-        let corpus = if quick { 2_000 } else { 5_000 };
-        let stream_len = 1_024usize;
-        let engines: Vec<_> = EngineKind::ALL
-            .iter()
-            .map(|&kind| {
-                let mut engine = kind.build();
-                let mut scenario = ThroughputScenario::new(2_005);
-                for expr in scenario.subscriptions(corpus) {
-                    engine.subscribe(&expr).expect("within limits");
-                }
-                let stream: Vec<Arc<Event>> = scenario
-                    .batch(stream_len)
-                    .into_iter()
-                    .map(Arc::new)
-                    .collect();
-                (kind, engine, stream)
-            })
-            .collect();
-        // `None` marks the scalar reference row.
-        const WIDTHS: [Option<usize>; 5] = [None, Some(1), Some(8), Some(64), Some(256)];
-        let configs: Vec<(usize, Option<usize>)> = (0..engines.len())
-            .flat_map(|e| WIDTHS.iter().map(move |&b| (e, b)))
-            .collect();
-        let events_per_round = 512usize;
-        let mut batch_scratch = BatchScratch::new();
-        let mut scalar_scratch = MatchScratch::new();
-        let mut at = vec![0usize; configs.len()];
-        let mut batches: Vec<Vec<f64>> = configs
-            .iter()
-            .map(|_| Vec::with_capacity(samples))
-            .collect();
-        for round in 0..=samples {
-            for (i, &(e, b)) in configs.iter().enumerate() {
-                let (_, engine, stream) = &engines[e];
-                let start = Instant::now();
-                match b {
-                    None => {
-                        for _ in 0..events_per_round {
-                            at[i] = (at[i] + 1) % stream.len();
-                            engine.match_event_into(&stream[at[i]], &mut scalar_scratch);
-                        }
-                    }
-                    Some(b) => {
-                        for _ in 0..events_per_round / b {
-                            at[i] = (at[i] + b) % stream.len();
-                            let lo = at[i];
-                            engine.match_batch(&stream[lo..lo + b], &[], &mut batch_scratch);
-                        }
-                    }
-                }
-                if round > 0 {
-                    // Round 0 is the warm-up (it also grows the shared
-                    // scratches to steady state).
-                    batches[i].push(start.elapsed().as_nanos() as f64 / events_per_round as f64);
-                }
-            }
-        }
-        for (i, &(e, b)) in configs.iter().enumerate() {
-            let kind = engines[e].0;
-            batches[i].sort_by(f64::total_cmp);
-            let median = batches[i][batches[i].len() / 2];
-            let row = match b {
-                None => format!("batch/{kind}/scalar/{corpus}"),
-                Some(b) => format!("batch/{kind}/b{b}/{corpus}"),
-            };
-            println!("{row:<48} median: {median:>12.1} ns/op");
-            results.push(Sample {
-                name: row,
-                median_ns_per_op: median,
-                samples,
-                ops_per_sample: events_per_round,
-            });
-        }
     }
 
     // --- Rebalancing: migration cost and the publish paths around it ---
@@ -595,9 +505,7 @@ fn main() {
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str(
-        "  \"snapshot\": \"PR10 batch-vectorized matching: one predicate-table pass per batch, SoA lane kernels in the counting engines\",\n",
-    );
+    json.push_str("  \"snapshot\": \"hot-path medians\",\n");
     json.push_str(&format!(
         "  \"mode\": \"{}\",\n",
         if quick { "quick" } else { "full" }

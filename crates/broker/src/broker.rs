@@ -312,8 +312,10 @@ impl ShardCell {
 
 /// One data shape of the per-shard step, named by its scratch type: a
 /// single event into a [`MatchScratch`], or a batch into a
-/// [`BatchScratch`]. The fan-out driver is generic over this; the
-/// engines expose two entry points, so the shapes stay two.
+/// [`BatchScratch`]. The fan-out driver is generic over this. A batch
+/// is the single step looped under one shard visit; the shapes stay two
+/// because routing every publish through the batch shape measured
+/// slower on the single-event workloads.
 trait Width: PoolScratch + Send + 'static {
     /// What one publish matches, in the `'static` form worker jobs
     /// share.
@@ -349,7 +351,7 @@ impl Width for BatchScratch {
         events: &Self::Input,
         acquire: impl FnOnce(&BoxedEngine) -> H,
     ) -> (Option<H>, MatchStats) {
-        shard.match_batch_with(events, &[], &mut Vec::new(), acquire)
+        shard.match_batch_with(events, &[], acquire)
     }
 }
 
@@ -1498,14 +1500,14 @@ impl Broker {
     /// clones an event. Callers holding plain events can use the
     /// [`Broker::publish_batch_events`] convenience wrapper.
     ///
-    /// Compared to the one-by-one sequence, the batch runs the step
-    /// once per shard ([`Shard::match_batch`]): each shard's read lock
-    /// is acquired **once**, its synopsis prunes the whole batch in one
-    /// walk, the engine's batch kernel matches the surviving events
-    /// while the shard is hot in cache, and the ids are translated
-    /// under the same guard; the thread-local scratch is reused across
-    /// the whole batch, and delivery snapshots each event's queues as
-    /// the single publish does. On a multi-shard broker past the
+    /// Compared to the one-by-one sequence, the batch visits each shard
+    /// once ([`Shard::match_batch`]): the shard's read lock is acquired
+    /// **once**, one scratch (leased only if the synopsis admits some
+    /// event) serves every event, each admitted event is matched and
+    /// its ids translated under that same guard, and delivery snapshots
+    /// each event's queues as the single publish does. The matching of
+    /// one event costs what it costs in [`Broker::publish_arc`]; what
+    /// is amortised is the visit. On a multi-shard broker past the
     /// [`parallel threshold`](BrokerBuilder::parallel_threshold) the
     /// same fan-out driver as [`Broker::publish_arc`] runs the shards
     /// **concurrently** (one job per remote shard, merged in shard
@@ -1791,12 +1793,11 @@ impl Broker {
             routing += state.routing_bytes();
             usage = usage + state.engine().memory_usage();
         }
-        // Warm batch scratches parked in the fan-out pool are broker
-        // memory too — charge them to the scratch bucket.
-        let pooled_scratch = set
-            .fanout
-            .as_ref()
-            .map_or(0, |fan| fan.batch.scratches.heap_bytes());
+        // Warm scratches parked in the fan-out pools, either width, are
+        // broker memory too — charge them to the scratch bucket.
+        let pooled_scratch = set.fanout.as_ref().map_or(0, |fan| {
+            fan.event.scratches.heap_bytes() + fan.batch.scratches.heap_bytes()
+        });
         usage
             + MemoryUsage {
                 unsub_support: routing,
@@ -2857,6 +2858,30 @@ mod tests {
             assert_eq!(sequential.publish(ev(&[("a", 1)])), 1);
         }
         assert_eq!(sub.drain().len(), 3);
+    }
+
+    #[test]
+    fn memory_usage_charges_pooled_scratches_of_both_lanes() {
+        // Forced-parallel single publishes warm only the event lane;
+        // its parked scratches are broker memory like the batch lane's.
+        // (`benchmark/` reads `bytes_per_sub` off `memory_usage()`
+        // before its first publish, when both pools are still empty, so
+        // that figure cannot move with this.)
+        let broker = Broker::builder().shards(2).parallel_threshold(0).build();
+        let _subs: Vec<_> = (0..50)
+            .map(|i| broker.subscribe(&format!("a = {i} or b = 1")).unwrap())
+            .collect();
+        assert_eq!(broker.memory_usage().scratch, 0, "nothing parked yet");
+        assert_eq!(broker.publish(ev(&[("b", 1)])), 50);
+        let event_lane = broker.scratch_pool().unwrap().heap_bytes();
+        assert!(event_lane > 0, "the remote shard's lease came back warm");
+        assert_eq!(broker.batch_scratch_pool().unwrap().heap_bytes(), 0);
+        assert_eq!(broker.memory_usage().scratch, event_lane);
+
+        assert_eq!(broker.publish_batch_events(&[ev(&[("b", 1)])]), 50);
+        let batch_lane = broker.batch_scratch_pool().unwrap().heap_bytes();
+        assert!(batch_lane > 0);
+        assert_eq!(broker.memory_usage().scratch, event_lane + batch_lane);
     }
 
     #[test]

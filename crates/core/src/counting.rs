@@ -24,14 +24,11 @@ use boolmatch_expr::{transform, Expr};
 use boolmatch_index::PredicateIndex;
 use boolmatch_types::Event;
 
-use std::sync::Arc;
-
 use crate::assoc::AssocTable;
 use crate::engine::{EngineKind, FilterEngine, SubscribeError, UnsubscribeError};
-use crate::scratch::LANE_WIDTH;
 use crate::{
-    BatchScratch, FulfilledSet, MatchScratch, MatchStats, MemoryUsage, PredicateId,
-    PredicateInterner, SubscriptionId,
+    FulfilledSet, MatchScratch, MatchStats, MemoryUsage, PredicateId, PredicateInterner,
+    SubscriptionId,
 };
 
 /// Configuration shared by both counting engines.
@@ -299,239 +296,6 @@ impl CountingTables {
         stats
     }
 
-    /// Batch kernel of [`CountingEngine`]: full-scan phase 2 over
-    /// transposed hit lanes.
-    fn match_batch_counting(
-        &self,
-        events: &[Arc<Event>],
-        skip: &[bool],
-        batch: &mut BatchScratch,
-    ) -> MatchStats {
-        self.match_batch_impl(events, skip, batch, false)
-    }
-
-    /// Batch kernel of [`CountingVariantEngine`]: candidate-driven
-    /// phase 2 over transposed hit lanes.
-    fn match_batch_variant(
-        &self,
-        events: &[Arc<Event>],
-        skip: &[bool],
-        batch: &mut BatchScratch,
-    ) -> MatchStats {
-        self.match_batch_impl(events, skip, batch, true)
-    }
-
-    /// The shared lane kernel. Events are processed in chunks of up to
-    /// [`LANE_WIDTH`] lanes; within a chunk the predicate→conjunction
-    /// association table is walked **once** — each fulfilled predicate's
-    /// postings increment the hit counters of every lane fulfilling it
-    /// (`lanes[flat * LANE_WIDTH + lane]`, so one posting touches
-    /// contiguous bytes), and the count vector is then read once per
-    /// flat slot for all lanes together, comparing eight lane counters
-    /// per step ([`scan_lane_region`](Self::scan_lane_region)).
-    /// `variant` selects the candidate-driven scan (paper §3.3)
-    /// instead of the full scan.
-    ///
-    /// Chunks with a single non-skipped event delegate to the scalar
-    /// phase-2, so `B = 1` batches run the byte-identical per-event
-    /// path.
-    fn match_batch_impl(
-        &self,
-        events: &[Arc<Event>],
-        skip: &[bool],
-        batch: &mut BatchScratch,
-        variant: bool,
-    ) -> MatchStats {
-        debug_assert!(
-            skip.is_empty() || skip.len() == events.len(),
-            "skip mask must be empty or one flag per event"
-        );
-        batch.begin_batch(events.len());
-        batch.ensure_chunk_buffers();
-        batch.ensure_lanes(self.cnt.len());
-        batch.ensure_marks(self.origs.len());
-        let mut stats = MatchStats::default();
-
-        let mut base = 0;
-        while base < events.len() {
-            let chunk_len = LANE_WIDTH.min(events.len() - base);
-            let active = (0..chunk_len)
-                .filter(|&l| !skip.get(base + l).copied().unwrap_or(false))
-                .count();
-            if active == 0 {
-                base += chunk_len;
-                continue;
-            }
-            if active == 1 {
-                // Single live lane: the lane kernel would only add
-                // transposition overhead — run the scalar path instead.
-                let l = (0..chunk_len)
-                    .find(|&l| !skip.get(base + l).copied().unwrap_or(false))
-                    .expect("active == 1 guarantees a live lane");
-                let e = base + l;
-                let mut fulfilled = std::mem::take(&mut batch.scalar.fulfilled);
-                self.phase1(&events[e], &mut fulfilled);
-                let mut out = std::mem::take(&mut batch.matched[e]);
-                let s = if variant {
-                    self.phase2_variant(&fulfilled, &mut batch.scalar, &mut out)
-                } else {
-                    self.phase2_counting(&fulfilled, &mut batch.scalar, &mut out)
-                };
-                batch.scalar.fulfilled = fulfilled;
-                batch.matched[e] = out;
-                stats = stats + s;
-                stats.batch_events += 1;
-                stats.batch_passes += 1;
-                base += chunk_len;
-                continue;
-            }
-
-            // Phase 1 per live lane, then a stamped union of the lanes'
-            // fulfilled predicates: one row per distinct predicate with
-            // a u64 mask of the lanes fulfilling it.
-            let gen = batch.begin_union(self.interner.universe());
-            for l in 0..chunk_len {
-                if skip.get(base + l).copied().unwrap_or(false) {
-                    continue;
-                }
-                self.phase1(&events[base + l], &mut batch.fulfilled[l]);
-                stats.fulfilled += batch.fulfilled[l].len();
-                for &pid in batch.fulfilled[l].ids() {
-                    let p = pid.index();
-                    if batch.pred_stamps[p] != gen {
-                        batch.pred_stamps[p] = gen;
-                        batch.pred_rows[p] = batch.union_ids.len() as u32;
-                        batch.union_ids.push(pid.raw());
-                        batch.union_mask.push(0);
-                    }
-                    batch.union_mask[batch.pred_rows[p] as usize] |= 1 << l;
-                }
-            }
-
-            // One association-table pass for the whole chunk: each
-            // posting's hit lanes are LANE_WIDTH contiguous bytes. The
-            // variant collects candidates chunk-globally (first touch
-            // of a flat unit by *any* lane) so its scan can stream each
-            // touched lane region once; per-(unit, lane) first touches
-            // are still counted so the stats stay scalar-equivalent.
-            let mut lane_candidates = 0;
-            for (row, &raw) in batch.union_ids.iter().enumerate() {
-                let mask = batch.union_mask[row];
-                let postings = self.assoc.get(PredicateId::from_raw(raw));
-                stats.increments += postings.len() * mask.count_ones() as usize;
-                for &flat in postings {
-                    let lane_base = flat as usize * LANE_WIDTH;
-                    if variant && batch.unit_stamps[flat as usize] != gen {
-                        batch.unit_stamps[flat as usize] = gen;
-                        batch.unit_candidates.push(flat);
-                    }
-                    let mut m = mask;
-                    while m != 0 {
-                        let l = m.trailing_zeros() as usize;
-                        m &= m - 1;
-                        let h = &mut batch.lanes[lane_base + l];
-                        if variant && *h == 0 {
-                            lane_candidates += 1;
-                        }
-                        *h += 1;
-                    }
-                }
-            }
-
-            if variant {
-                // Candidate-driven scan (paper §3.3), one pass over
-                // each touched unit's lane region. A per-lane candidate
-                // walk would stride one cache line per (candidate,
-                // lane); the region scan reads the same 64 bytes as
-                // eight words instead.
-                stats.candidates += lane_candidates;
-                stats.comparisons += lane_candidates;
-                let words_used = chunk_len.div_ceil(8);
-                let cands = std::mem::take(&mut batch.unit_candidates);
-                for &flat in &cands {
-                    self.scan_lane_region(flat as usize, base, words_used, batch);
-                }
-                batch.unit_candidates = cands;
-                batch.unit_candidates.clear();
-            } else {
-                // Full scan: the count vector entry and the original-
-                // subscription column are read once per flat slot for
-                // all lanes, and the lane counters are compared eight
-                // at a time.
-                let words_used = chunk_len.div_ceil(8);
-                for flat in 0..self.cnt.len() {
-                    self.scan_lane_region(flat, base, words_used, batch);
-                }
-                stats.comparisons += self.cnt.len() * active;
-            }
-
-            // Restore the dedup marks through the output lists, like the
-            // scalar path restores the hit vector through candidates.
-            for l in 0..chunk_len {
-                for id in &batch.matched[base + l] {
-                    batch.marks[id.index() * LANE_WIDTH + l] = 0;
-                }
-            }
-            stats.matched += (0..chunk_len)
-                .map(|l| batch.matched[base + l].len())
-                .sum::<usize>();
-            stats.batch_events += active;
-            stats.batch_passes += 1;
-            base += chunk_len;
-        }
-        stats
-    }
-
-    /// Scans one flat unit's transposed lane region: compares the hit
-    /// counters of the chunk's live lanes against the unit's predicate
-    /// count eight lanes at a time ([`swar_eq_bytes`]), records
-    /// matches (deduplicated per lane through the marks plane), and
-    /// restores the region to all-zero.
-    ///
-    /// `words_used` bounds the scan to `ceil(chunk_len / 8)` words —
-    /// lanes past the chunk length never receive increments, so a
-    /// narrow batch is not charged for the full [`LANE_WIDTH`] region.
-    /// Untouched regions — the common case on a full scan — cost
-    /// `words_used` word loads and one branch. Dead slots are safe to
-    /// scan: they have no postings, so their lanes stay zero and their
-    /// stale `cnt` / `flat_orig` entries are never acted on.
-    #[inline]
-    fn scan_lane_region(
-        &self,
-        flat: usize,
-        base: usize,
-        words_used: usize,
-        batch: &mut BatchScratch,
-    ) {
-        let lane_base = flat * LANE_WIDTH;
-        let used = words_used * 8;
-        let region = &batch.lanes[lane_base..lane_base + used];
-        let mut words = [0u64; LANE_WIDTH / 8];
-        for (w, bytes) in region.chunks_exact(8).enumerate() {
-            words[w] = u64::from_le_bytes(bytes.try_into().expect("8-byte lane word"));
-        }
-        if words[..words_used].iter().fold(0, |acc, &w| acc | w) == 0 {
-            return;
-        }
-        let target = self.cnt[flat];
-        if target != 0 {
-            let orig = self.flat_orig[flat] as usize;
-            for (w, &word) in words[..words_used].iter().enumerate() {
-                let mut eq = swar_eq_bytes(word, target);
-                while eq != 0 {
-                    let l = w * 8 + (eq.trailing_zeros() / 8) as usize;
-                    eq &= eq - 1;
-                    let mark = &mut batch.marks[orig * LANE_WIDTH + l];
-                    if *mark == 0 {
-                        *mark = 1;
-                        batch.matched[base + l].push(SubscriptionId::from_index(orig));
-                    }
-                }
-            }
-        }
-        batch.lanes[lane_base..lane_base + used].fill(0);
-    }
-
     fn memory_usage(&self) -> MemoryUsage {
         let unsub: usize = self
             .origs
@@ -566,22 +330,8 @@ impl CountingTables {
     }
 }
 
-/// Returns a mask with `0x80` in every byte of `w` that equals `byte`
-/// (little-endian byte order, so bit `8·i + 7` flags byte `i`).
-///
-/// Exact for *locating* equal bytes, not just detecting one: the add
-/// is masked to seven bits per byte, so no carry crosses a byte
-/// boundary — unlike the classic `haszero` trick, whose borrow
-/// propagation can also flag the byte above a matching byte.
-#[inline]
-fn swar_eq_bytes(w: u64, byte: u8) -> u64 {
-    const LO7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
-    let x = w ^ (u64::from(byte) * 0x0101_0101_0101_0101);
-    !(((x & LO7) + LO7) | x | LO7)
-}
-
 macro_rules! counting_engine {
-    ($(#[$doc:meta])* $name:ident, $kind:expr, $phase2:ident, $batch:ident) => {
+    ($(#[$doc:meta])* $name:ident, $kind:expr, $phase2:ident) => {
         $(#[$doc])*
         #[derive(Debug)]
         pub struct $name {
@@ -647,15 +397,6 @@ macro_rules! counting_engine {
                 self.tables.$phase2(fulfilled, scratch, matched)
             }
 
-            fn match_batch(
-                &self,
-                events: &[Arc<Event>],
-                skip: &[bool],
-                batch: &mut BatchScratch,
-            ) -> MatchStats {
-                self.tables.$batch(events, skip, batch)
-            }
-
             fn subscription_count(&self) -> usize {
                 self.tables.live_origs
             }
@@ -711,8 +452,7 @@ counting_engine!(
     /// ```
     CountingEngine,
     EngineKind::Counting,
-    phase2_counting,
-    match_batch_counting
+    phase2_counting
 );
 
 counting_engine!(
@@ -740,14 +480,15 @@ counting_engine!(
     /// ```
     CountingVariantEngine,
     EngineKind::CountingVariant,
-    phase2_variant,
-    match_batch_variant
+    phase2_variant
 );
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Matcher;
+    use crate::engine::assert_batch_equals_per_event;
+    use crate::{BatchScratch, Matcher};
+    use std::sync::Arc;
 
     fn engines() -> (Matcher<CountingEngine>, Matcher<CountingVariantEngine>) {
         (
@@ -990,58 +731,6 @@ mod tests {
         assert_eq!(stats, full.stats);
     }
 
-    /// Batch and scalar walks must agree per event (as sets) and in
-    /// total stats — the lane kernels' core contract.
-    fn assert_batch_equals_scalar(engine: &impl FilterEngine, events: &[Arc<Event>]) {
-        let mut scratch = MatchScratch::new();
-        let mut batch = BatchScratch::new();
-        let stats = engine.match_batch(events, &[], &mut batch);
-        let mut scalar_total = MatchStats::default();
-        for (e, event) in events.iter().enumerate() {
-            let scalar = engine.match_event(event, &mut scratch);
-            scalar_total = scalar_total + scalar.stats;
-            let mut got: Vec<_> = batch.matched(e).to_vec();
-            let mut want = scalar.matched.clone();
-            got.sort();
-            want.sort();
-            assert_eq!(got, want, "event {e}");
-        }
-        assert_eq!(stats.batch_events, events.len());
-        let mut stats = stats;
-        stats.batch_events = 0;
-        stats.batch_passes = 0;
-        assert_eq!(stats, scalar_total, "summed stats");
-    }
-
-    #[test]
-    fn swar_byte_equality_is_exact() {
-        // Bytewise reference: 0x80 per equal byte, little-endian.
-        fn eq_ref(w: u64, b: u8) -> u64 {
-            w.to_le_bytes()
-                .iter()
-                .enumerate()
-                .filter(|&(_, &x)| x == b)
-                .map(|(i, _)| 0x80u64 << (i * 8))
-                .sum()
-        }
-        let words = [
-            0u64,
-            u64::MAX,
-            // Borrow-bleed shape: the classic haszero trick flags the
-            // 0x01 byte above the 0x00 byte when locating zeros.
-            0x0100,
-            0x8000_0000_0000_0001,
-            0x0102_0304_7f80_ff00,
-            0x0101_0101_0101_0101,
-            0x7f7f_7f7f_7f7f_7f7f,
-        ];
-        for &w in &words {
-            for b in [0u8, 1, 2, 0x7f, 0x80, 0xff] {
-                assert_eq!(swar_eq_bytes(w, b), eq_ref(w, b), "w={w:#018x} b={b:#04x}");
-            }
-        }
-    }
-
     #[test]
     fn batch_matches_like_scalar_for_both_engines() {
         let (mut c, mut v) = engines();
@@ -1050,7 +739,7 @@ mod tests {
             c.subscribe(&Expr::parse(&s).unwrap()).unwrap();
             v.subscribe(&Expr::parse(&s).unwrap()).unwrap();
         }
-        for n in [1usize, 2, 5, 64, 130] {
+        for n in [1usize, 5, 70] {
             let events: Vec<Arc<Event>> = (0..n)
                 .map(|i| {
                     Arc::new(ev(&[
@@ -1061,28 +750,9 @@ mod tests {
                     ]))
                 })
                 .collect();
-            assert_batch_equals_scalar(c.engine(), &events);
-            assert_batch_equals_scalar(v.engine(), &events);
+            assert_batch_equals_per_event(c.engine(), &events, "counting");
+            assert_batch_equals_per_event(v.engine(), &events, "variant");
         }
-    }
-
-    #[test]
-    fn batch_amortizes_table_passes() {
-        let (mut c, _) = engines();
-        c.subscribe(&Expr::parse("a = 1 and b = 2").unwrap())
-            .unwrap();
-        let events: Vec<Arc<Event>> = (0..64)
-            .map(|_| Arc::new(ev(&[("a", 1), ("b", 2)])))
-            .collect();
-        let mut batch = BatchScratch::new();
-        let stats = c.engine().match_batch(&events, &[], &mut batch);
-        // 64 events, one lane chunk: one association-table pass.
-        assert_eq!(stats.batch_events, 64);
-        assert_eq!(stats.batch_passes, 1);
-        // B = 1 runs the scalar path: one pass per event.
-        let one = c.engine().match_batch(&events[..1], &[], &mut batch);
-        assert_eq!(one.batch_events, 1);
-        assert_eq!(one.batch_passes, 1);
     }
 
     #[test]
@@ -1112,7 +782,7 @@ mod tests {
     #[test]
     fn batch_dedups_matched_originals_per_event() {
         // Both or-branches complete for the same original — each event
-        // must report it once, and lanes must not bleed into each other.
+        // must report it once, and events must not bleed into each other.
         let (mut c, mut v) = engines();
         let e = Expr::parse("(a = 1 or b = 2) and c = 3").unwrap();
         c.subscribe(&e).unwrap();

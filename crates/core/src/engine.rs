@@ -251,19 +251,15 @@ pub trait FilterEngine {
     /// prune a shard's non-candidates once per batch. When `skip` is
     /// non-empty it must have one flag per event.
     ///
-    /// The contract against the per-event path: for every non-skipped
+    /// A batch is the per-event step looped: for every non-skipped
     /// event, `batch.matched(e)` holds exactly the ids
-    /// [`FilterEngine::match_event`] reports for `events[e]`
-    /// (per-event order is unspecified, like [`MatchScratch::matched`]),
-    /// and the summed stats equal the sum of the per-event stats —
-    /// except [`MatchStats::batch_events`]/[`MatchStats::batch_passes`],
-    /// which only the batch path reports. Single-event batches run the
-    /// byte-identical scalar path.
-    ///
-    /// This default simply loops [`FilterEngine::match_event_into`]
-    /// (one predicate-table pass per event), so custom engines keep
-    /// working; the built-in engines override it with lane kernels that
-    /// walk the predicate tables once per chunk of up to 64 events.
+    /// [`FilterEngine::match_event`] reports for `events[e]`, and the
+    /// summed stats equal the sum of the per-event stats — plus
+    /// [`MatchStats::batch_events`]/[`MatchStats::batch_passes`], one
+    /// each per matched event. What a batch amortises lies with the
+    /// caller — one shard visit (lock, synopsis-gated lease, fan-out
+    /// job) for all its events — which is why only
+    /// [`crate::ShardedEngine`] overrides this, to walk shard-major.
     fn match_batch(
         &self,
         events: &[Arc<Event>],
@@ -277,13 +273,9 @@ pub trait FilterEngine {
         batch.begin_batch(events.len());
         let mut stats = MatchStats::default();
         for (e, event) in events.iter().enumerate() {
-            if skip.get(e).copied().unwrap_or(false) {
-                continue;
+            if !skip.get(e).copied().unwrap_or(false) {
+                stats = stats + batch.match_event(self, e, event);
             }
-            stats = stats + self.match_event_into(event, &mut batch.scalar);
-            stats.batch_events += 1;
-            stats.batch_passes += 1;
-            batch.matched[e].extend_from_slice(&batch.scalar.matched);
         }
         stats
     }
@@ -395,6 +387,38 @@ impl<T: FilterEngine + ?Sized> FilterEngine for Box<T> {
     fn memory_usage(&self) -> MemoryUsage {
         (**self).memory_usage()
     }
+}
+
+/// Asserts `engine.match_batch(events)` ≡ its per-event walk: the same
+/// ids per event (as sets) and the same summed stats, the two
+/// batch-only counters aside.
+#[cfg(test)]
+pub(crate) fn assert_batch_equals_per_event(
+    engine: &(impl FilterEngine + ?Sized),
+    events: &[Arc<Event>],
+    context: &str,
+) {
+    let sorted = |ids: &[SubscriptionId]| {
+        let mut ids = ids.to_vec();
+        ids.sort_unstable();
+        ids
+    };
+    let mut batch = BatchScratch::new();
+    let mut stats = engine.match_batch(events, &[], &mut batch);
+    let mut scratch = MatchScratch::new();
+    let mut per_event = MatchStats::default();
+    for (e, event) in events.iter().enumerate() {
+        per_event = per_event + engine.match_event_into(event, &mut scratch);
+        assert_eq!(
+            sorted(batch.matched(e)),
+            sorted(scratch.matched()),
+            "{context}: event {e}"
+        );
+    }
+    assert_eq!(stats.batch_passes, stats.batch_events, "{context}");
+    stats.batch_events = 0;
+    stats.batch_passes = 0;
+    assert_eq!(stats, per_event, "{context}: summed stats");
 }
 
 #[cfg(test)]

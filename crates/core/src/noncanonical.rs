@@ -4,17 +4,15 @@ use boolmatch_expr::{transform, Expr};
 use boolmatch_index::PredicateIndex;
 use boolmatch_types::Event;
 
-use std::sync::Arc;
-
 use crate::arena::{Loc, TreeArena};
 use crate::assoc::AssocTable;
 use crate::encode::{self, IdExpr};
 use crate::engine::{EngineKind, FilterEngine, SubscribeError, UnsubscribeError};
 use crate::eval::eval_iterative_with;
-use crate::scratch::{EventView, LANE_WIDTH};
+use crate::scratch::EventView;
 use crate::{
-    BatchScratch, FulfilledSet, MatchScratch, MatchStats, MemoryUsage, PredicateId,
-    PredicateInterner, SubscriptionId,
+    FulfilledSet, MatchScratch, MatchStats, MemoryUsage, PredicateId, PredicateInterner,
+    SubscriptionId,
 };
 
 /// Configuration of a [`NonCanonicalEngine`].
@@ -556,141 +554,6 @@ impl FilterEngine for NonCanonicalEngine {
         stats
     }
 
-    /// Batch kernel: events are processed in chunks of up to
-    /// [`LANE_WIDTH`] lanes. Per chunk the predicate→subscription
-    /// association table is walked **once** — a stamped union of the
-    /// lanes' fulfilled predicates carries a lane bitmask per distinct
-    /// predicate, so each association posting is read once and fans out
-    /// to every lane fulfilling the predicate. Candidate trees are then
-    /// evaluated per lane against that lane's own fulfilled set, exactly
-    /// as in the scalar phase 2. Chunks with a single live event
-    /// delegate to the scalar path.
-    fn match_batch(
-        &self,
-        events: &[Arc<Event>],
-        skip: &[bool],
-        batch: &mut BatchScratch,
-    ) -> MatchStats {
-        debug_assert!(
-            skip.is_empty() || skip.len() == events.len(),
-            "skip mask must be empty or one flag per event"
-        );
-        batch.begin_batch(events.len());
-        batch.ensure_chunk_buffers();
-        batch.ensure_marks(self.locations.len());
-        let mut stats = MatchStats::default();
-
-        let mut base = 0;
-        while base < events.len() {
-            let chunk_len = LANE_WIDTH.min(events.len() - base);
-            let active = (0..chunk_len)
-                .filter(|&l| !skip.get(base + l).copied().unwrap_or(false))
-                .count();
-            if active == 0 {
-                base += chunk_len;
-                continue;
-            }
-            if active == 1 {
-                let l = (0..chunk_len)
-                    .find(|&l| !skip.get(base + l).copied().unwrap_or(false))
-                    .expect("active == 1 guarantees a live lane");
-                let e = base + l;
-                let mut fulfilled = std::mem::take(&mut batch.scalar.fulfilled);
-                self.phase1(&events[e], &mut fulfilled);
-                let mut out = std::mem::take(&mut batch.matched[e]);
-                let s = self.phase2(&fulfilled, &mut batch.scalar, &mut out);
-                batch.scalar.fulfilled = fulfilled;
-                batch.matched[e] = out;
-                stats = stats + s;
-                stats.batch_events += 1;
-                stats.batch_passes += 1;
-                base += chunk_len;
-                continue;
-            }
-
-            // Phase 1 per live lane + stamped union with lane masks.
-            let gen = batch.begin_union(self.interner.universe());
-            for l in 0..chunk_len {
-                if skip.get(base + l).copied().unwrap_or(false) {
-                    continue;
-                }
-                self.phase1(&events[base + l], &mut batch.fulfilled[l]);
-                stats.fulfilled += batch.fulfilled[l].len();
-                batch.candidates[l].extend_from_slice(&self.always);
-                for &pid in batch.fulfilled[l].ids() {
-                    let p = pid.index();
-                    if batch.pred_stamps[p] != gen {
-                        batch.pred_stamps[p] = gen;
-                        batch.pred_rows[p] = batch.union_ids.len() as u32;
-                        batch.union_ids.push(pid.raw());
-                        batch.union_mask.push(0);
-                    }
-                    batch.union_mask[batch.pred_rows[p] as usize] |= 1 << l;
-                }
-            }
-
-            // One association pass for the chunk: each posting fans out
-            // to its mask's lanes, deduplicating candidates per lane
-            // through the mark plane.
-            for (row, &raw) in batch.union_ids.iter().enumerate() {
-                let mask = batch.union_mask[row];
-                for &sub in self.assoc.get(PredicateId::from_raw(raw)) {
-                    let mark_base = sub as usize * LANE_WIDTH;
-                    let mut m = mask;
-                    while m != 0 {
-                        let l = m.trailing_zeros() as usize;
-                        m &= m - 1;
-                        let mark = &mut batch.marks[mark_base + l];
-                        if *mark == 0 {
-                            *mark = 1;
-                            batch.candidates[l].push(sub);
-                        }
-                    }
-                }
-            }
-
-            // Per-lane evaluation against that lane's fulfilled set; the
-            // marks are restored through the candidate lists.
-            let mut eval_stack = std::mem::take(&mut batch.scalar.eval_stack);
-            for l in 0..chunk_len {
-                if batch.candidates[l].is_empty() {
-                    continue;
-                }
-                let mut cands = std::mem::take(&mut batch.candidates[l]);
-                stats.candidates += cands.len();
-                let mut leaves = self.leaf_test(&batch.fulfilled[l], &mut batch.scalar.view);
-                for &sub in &cands {
-                    batch.marks[sub as usize * LANE_WIDTH + l] = 0;
-                    let loc = self.locations[sub as usize];
-                    debug_assert!(
-                        !loc.is_empty(),
-                        "association lists only reference live subscriptions"
-                    );
-                    stats.evaluations += 1;
-                    if eval_iterative_with(
-                        self.arena.get(loc),
-                        |pid| leaves.holds(pid),
-                        &mut eval_stack,
-                    ) {
-                        batch.matched[base + l].push(SubscriptionId::from_index(sub as usize));
-                    }
-                }
-                stats.leaf_comparisons += leaves.comparisons;
-                cands.clear();
-                batch.candidates[l] = cands;
-            }
-            batch.scalar.eval_stack = eval_stack;
-
-            stats.matched += (0..chunk_len)
-                .map(|l| batch.matched[base + l].len())
-                .sum::<usize>();
-            stats.batch_events += active;
-            stats.batch_passes += 1;
-            base += chunk_len;
-        }
-        stats
-    }
-
     fn subscription_count(&self) -> usize {
         self.live_subs
     }
@@ -728,8 +591,9 @@ impl FilterEngine for NonCanonicalEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Matcher;
+    use crate::{BatchScratch, Matcher};
     use boolmatch_expr::{CompareOp, Predicate};
+    use std::sync::Arc;
 
     fn engine_with(subs: &[&str]) -> (Matcher<NonCanonicalEngine>, Vec<SubscriptionId>) {
         let mut e = Matcher::new(NonCanonicalEngine::new());
@@ -965,7 +829,7 @@ mod tests {
             );
             e.subscribe(&Expr::parse(&s).unwrap()).unwrap();
         }
-        for n in [1usize, 2, 7, 64, 150] {
+        for n in [1usize, 7, 70] {
             let events: Vec<Arc<Event>> = (0..n)
                 .map(|i| {
                     Arc::new(
@@ -977,31 +841,14 @@ mod tests {
                     )
                 })
                 .collect();
-            let mut scratch = MatchScratch::new();
-            let mut batch = BatchScratch::new();
-            let stats = e.match_batch(&events, &[], &mut batch);
-            let mut scalar_total = MatchStats::default();
-            for (i, event) in events.iter().enumerate() {
-                let scalar = e.match_event(event, &mut scratch);
-                scalar_total = scalar_total + scalar.stats;
-                let mut got = batch.matched(i).to_vec();
-                let mut want = scalar.matched.clone();
-                got.sort();
-                want.sort();
-                assert_eq!(got, want, "event {i} of batch {n}");
-            }
-            assert_eq!(stats.batch_events, n);
-            let mut stats = stats;
-            stats.batch_events = 0;
-            stats.batch_passes = 0;
-            assert_eq!(stats, scalar_total, "summed stats for batch {n}");
+            crate::engine::assert_batch_equals_per_event(&e, &events, &format!("batch {n}"));
         }
     }
 
     #[test]
     fn batch_skip_mask_and_candidate_dedup() {
         // A predicate occurring in several fulfilled branches must make
-        // the subscription one candidate per lane, and skipped lanes
+        // the subscription one candidate per event, and skipped events
         // contribute nothing.
         let (e, ids) = engine_with(&["a = 1 or (a = 1 and b = 2)", "b = 2"]);
         let events: Vec<Arc<Event>> = (0..4)
@@ -1012,7 +859,7 @@ mod tests {
             .engine()
             .match_batch(&events, &[false, true, false, true], &mut batch);
         assert_eq!(stats.batch_events, 2);
-        assert_eq!(stats.candidates, 4); // 2 live lanes × 2 candidates
+        assert_eq!(stats.candidates, 4); // 2 live events × 2 candidates
         for i in [0, 2] {
             let mut got = batch.matched(i).to_vec();
             got.sort();
@@ -1247,7 +1094,7 @@ mod tests {
             "the two always-evaluate subscriptions; the AND keeps a real set"
         );
 
-        // The batch kernel agrees, lane by lane, skipped lanes aside.
+        // A batch agrees, event by event, skipped events aside.
         let a1 = Event::builder().attr("a", 1_i64).build();
         let events: Vec<Arc<Event>> = [&nothing, &a1, &nothing, &a1]
             .into_iter()
@@ -1257,7 +1104,7 @@ mod tests {
         e.engine()
             .match_batch(&events, &[false, false, true, false], &mut batch);
         assert_eq!(batch.matched(0), &[ids[0], ids[1]]);
-        assert!(batch.matched(2).is_empty(), "skipped lane");
+        assert!(batch.matched(2).is_empty(), "skipped event");
         for i in [1, 3] {
             let mut got = batch.matched(i).to_vec();
             got.sort();

@@ -751,7 +751,7 @@ mod tests {
             .map(|_| Arc::new(Event::builder().attr("b", 1_i64).attr("c", 0_i64).build()))
             .collect();
 
-        // Warm-up: two batches grow every lane/scalar buffer fully.
+        // Warm-up: two batches grow every buffer fully.
         for _ in 0..2 {
             let mut batch = pool.checkout(&engine);
             engine.match_batch(&events, &[], &mut batch);

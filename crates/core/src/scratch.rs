@@ -28,12 +28,6 @@ use boolmatch_types::{AttrId, Event, Value};
 use crate::eval::EvalFrame;
 use crate::{FulfilledSet, SubscriptionId};
 
-/// Lane width of the batch kernels: [`crate::FilterEngine::match_batch`]
-/// processes events in chunks of at most `LANE_WIDTH` lanes. 64 keeps a
-/// matching unit's transposed hit-lane row within one cache line and
-/// makes the per-predicate lane set a single `u64` mask.
-pub(crate) const LANE_WIDTH: usize = 64;
-
 /// One event's attributes by an engine's attribute slots, so that a
 /// predicate compared against the event in phase 2 finds its value with
 /// one dense read instead of a search over attribute names. Generation
@@ -252,20 +246,12 @@ pub(crate) fn translate_ids(
 
 // lint: end-hot-path
 
-/// Reusable struct-of-arrays state for
-/// [`crate::FilterEngine::match_batch`]: width-`B` lanes over the
-/// engine's hot tables, plus per-event output buffers.
-///
-/// The batch kernels process events in chunks of at most 64 lanes (one
-/// `u64` mask per predicate; one cache line of hit counters per flat
-/// conjunction). The transposed *hit lanes* put the `B` counters of one
-/// matching unit at `unit * 64 + lane`, so one predicate-table posting
-/// touches `B` contiguous bytes and the count vector is read once per
-/// chunk instead of once per event. Like [`MatchScratch`], all buffers
-/// resize lazily to the engine at hand and are restored to their
-/// between-batches state (lanes all zero, marks all zero) before a
-/// batch returns, so one batch scratch may serve any number of engines
-/// and engine kinds.
+/// Reusable state for [`crate::FilterEngine::match_batch`]: the one
+/// [`MatchScratch`] every event of the batch is matched with, plus the
+/// per-event output lists. A batch is the per-event step looped, so the
+/// scratch holds nothing that scales with the batch width except the
+/// matched ids themselves; like [`MatchScratch`] it resizes lazily and
+/// may serve any number of engines and engine kinds.
 ///
 /// Pools apply the same hygiene pair as for [`MatchScratch`]:
 /// [`BatchScratch::reset`] + [`BatchScratch::ensure_capacity`] once per
@@ -294,70 +280,28 @@ pub(crate) fn translate_ids(
 /// ```
 #[derive(Debug, Default)]
 pub struct BatchScratch {
-    /// Embedded per-event scratch: supplies the shared evaluator stack
-    /// and stamp space, and carries the scalar fallback — single-event
-    /// chunks delegate to
-    /// [`match_event_into`](crate::FilterEngine::match_event_into), so
-    /// `B = 1` batches run the byte-identical scalar path.
+    /// The per-event scratch each event of the batch is matched with.
     pub(crate) scalar: MatchScratch,
-    /// Per-lane phase-1 outputs ([`LANE_WIDTH`] sets, reused per chunk).
-    pub(crate) fulfilled: Vec<FulfilledSet>,
-    /// Transposed hit lanes: the counter of (flat unit, lane) lives at
-    /// `unit * LANE_WIDTH + lane`. All-zero between batches — the scan
-    /// restores them, exactly like `MatchScratch::hit`.
-    pub(crate) lanes: Vec<u8>,
-    /// Per-(subscription, lane) dedup marks at
-    /// `sub * LANE_WIDTH + lane`; set while a chunk collects output and
-    /// cleared back through the output lists before the chunk ends.
-    pub(crate) marks: Vec<u8>,
-    /// Distinct predicates fulfilled by any lane of the current chunk,
-    /// in first-seen order.
-    pub(crate) union_ids: Vec<u32>,
-    /// Lane bitmask per union predicate, parallel to `union_ids`.
-    pub(crate) union_mask: Vec<u64>,
-    /// Generation-stamped predicate → union-row map (sized to the
-    /// predicate universe).
-    pub(crate) pred_stamps: Vec<u32>,
-    pub(crate) pred_rows: Vec<u32>,
-    pub(crate) pred_generation: u32,
-    /// Per-lane candidate buffers: subscription indexes touched per
-    /// lane (non-canonical kernel).
-    pub(crate) candidates: Vec<Vec<u32>>,
-    /// Chunk-global candidate units (counting variant): every flat
-    /// conjunction touched by any lane of the current chunk, in
-    /// first-touch order. Global rather than per-lane so the scan can
-    /// stream each touched lane region once instead of striding one
-    /// cache line per (candidate, lane).
-    pub(crate) unit_candidates: Vec<u32>,
-    /// Generation-stamped flat-unit → touched map backing the
-    /// candidate dedup; shares `pred_generation` with the predicate
-    /// stamps.
-    pub(crate) unit_stamps: Vec<u32>,
     /// Per-event matched ids — the output of the most recent
     /// [`crate::FilterEngine::match_batch`], indexed by event position.
     pub(crate) matched: Vec<Vec<SubscriptionId>>,
     /// Per-event accumulator of translated global ids, used by
     /// [`crate::ShardedEngine`] while `matched` carries one shard's
-    /// local output.
+    /// output.
     pub(crate) shard_matched: Vec<Vec<SubscriptionId>>,
-    /// Per-event skip flags a sharded walk derives per shard (caller
-    /// skips OR-ed with the shard synopsis verdicts).
-    pub(crate) shard_skip: Vec<bool>,
 }
 
 impl BatchScratch {
     /// Creates an empty batch scratch; buffers grow lazily to the
-    /// engines and batch widths it is used with.
+    /// engines and batch lengths it is used with.
     pub fn new() -> Self {
         BatchScratch::default()
     }
 
     /// Matched subscription ids of event `event` (its position in the
     /// `events` slice) from the most recent
-    /// [`crate::FilterEngine::match_batch`], without duplicates. Within
-    /// one event the order is unspecified — the per-event scalar walk
-    /// and the lane kernels may discover the same set in different
-    /// orders.
+    /// [`crate::FilterEngine::match_batch`], in unspecified order,
+    /// without duplicates.
     ///
     /// # Panics
     ///
@@ -368,23 +312,12 @@ impl BatchScratch {
 
     /// Clears all per-batch state while keeping every buffer's capacity
     /// — the hygiene step a pool applies once per checkout, mirroring
-    /// [`MatchScratch::reset`]. Lanes and marks are already
-    /// self-restoring between batches and are left alone.
+    /// [`MatchScratch::reset`].
     pub fn reset(&mut self) {
         self.scalar.reset();
-        self.union_ids.clear();
-        self.union_mask.clear();
-        for c in &mut self.candidates {
-            c.clear();
-        }
-        self.unit_candidates.clear();
-        for m in &mut self.matched {
+        for m in self.matched.iter_mut().chain(&mut self.shard_matched) {
             m.clear();
         }
-        for m in &mut self.shard_matched {
-            m.clear();
-        }
-        self.shard_skip.clear();
     }
 
     /// Releases all buffers (capacity included); the batch analogue of
@@ -393,53 +326,23 @@ impl BatchScratch {
         *self = BatchScratch::default();
     }
 
-    /// Pre-sizes the buffers for `engine` so the first batch does not
-    /// pay the growth cost. Purely an optimisation: every buffer also
-    /// resizes lazily inside the batch kernels.
+    /// Pre-sizes the embedded per-event scratch for `engine`; see
+    /// [`MatchScratch::ensure_capacity`].
     pub fn ensure_capacity(&mut self, engine: &(impl crate::FilterEngine + ?Sized)) {
         self.scalar.ensure_capacity(engine);
-        self.ensure_lanes(engine.unit_slot_bound());
-        self.ensure_marks(engine.subscription_id_bound());
-        let universe = engine.predicate_universe();
-        if self.pred_stamps.len() < universe {
-            self.pred_stamps.resize(universe, 0);
-            self.pred_rows.resize(universe, 0);
-        }
-        self.ensure_chunk_buffers();
     }
 
-    /// Approximate heap bytes held by the batch buffers (the embedded
-    /// scalar scratch included).
+    /// Approximate heap bytes held: the embedded per-event scratch plus
+    /// the output lists.
     pub fn heap_bytes(&self) -> usize {
-        let nested_vec = |vs: &Vec<Vec<u32>>| {
-            vs.iter().map(|v| v.capacity() * 4).sum::<usize>()
-                + vs.capacity() * std::mem::size_of::<Vec<u32>>()
-        };
-        let nested_ids = |vs: &Vec<Vec<SubscriptionId>>| {
-            vs.iter()
-                .map(|v| v.capacity() * std::mem::size_of::<SubscriptionId>())
-                .sum::<usize>()
-                + vs.capacity() * std::mem::size_of::<Vec<SubscriptionId>>()
-        };
-        self.scalar.heap_bytes()
-            + self
-                .fulfilled
+        let lists = |lists: &Vec<Vec<SubscriptionId>>| {
+            lists
                 .iter()
-                .map(FulfilledSet::heap_bytes)
+                .map(|ids| ids.capacity() * std::mem::size_of::<SubscriptionId>())
                 .sum::<usize>()
-            + self.fulfilled.capacity() * std::mem::size_of::<FulfilledSet>()
-            + self.lanes.capacity()
-            + self.marks.capacity()
-            + self.union_ids.capacity() * 4
-            + self.union_mask.capacity() * 8
-            + self.pred_stamps.capacity() * 4
-            + self.pred_rows.capacity() * 4
-            + nested_vec(&self.candidates)
-            + self.unit_candidates.capacity() * 4
-            + self.unit_stamps.capacity() * 4
-            + nested_ids(&self.matched)
-            + nested_ids(&self.shard_matched)
-            + self.shard_skip.capacity()
+                + lists.capacity() * std::mem::size_of::<Vec<SubscriptionId>>()
+        };
+        self.scalar.heap_bytes() + lists(&self.matched) + lists(&self.shard_matched)
     }
 
     /// Sizes and clears the per-event output buffers for a batch of
@@ -453,57 +356,27 @@ impl BatchScratch {
         }
     }
 
-    /// Ensures the hit lanes cover `slots` matching units
-    /// (zero-filled).
-    pub(crate) fn ensure_lanes(&mut self, slots: usize) {
-        let need = slots * LANE_WIDTH;
-        if self.lanes.len() < need {
-            self.lanes.resize(need, 0);
-        }
-        if self.unit_stamps.len() < slots {
-            self.unit_stamps.resize(slots, 0);
-        }
+    // lint: hot-path — the per-event step of every batch walk.
+
+    /// Matches `event`, position `e` of the current batch, with the
+    /// embedded scratch and files its ids under `matched[e]`. The ids
+    /// are copied, not swapped out: each list then keeps the capacity
+    /// its own position needs, instead of buffers rotating through the
+    /// positions and all growing to the largest.
+    pub(crate) fn match_event(
+        &mut self,
+        engine: &(impl crate::FilterEngine + ?Sized),
+        e: usize,
+        event: &Event,
+    ) -> crate::MatchStats {
+        let mut stats = engine.match_event_into(event, &mut self.scalar);
+        stats.batch_events = 1;
+        stats.batch_passes = 1;
+        self.matched[e].extend_from_slice(&self.scalar.matched);
+        stats
     }
 
-    /// Ensures the dedup marks cover `slots` subscriptions
-    /// (zero-filled).
-    pub(crate) fn ensure_marks(&mut self, slots: usize) {
-        let need = slots * LANE_WIDTH;
-        if self.marks.len() < need {
-            self.marks.resize(need, 0);
-        }
-    }
-
-    /// Ensures the per-lane chunk buffers (fulfilled sets, candidate
-    /// lists) exist for every lane.
-    pub(crate) fn ensure_chunk_buffers(&mut self) {
-        if self.fulfilled.len() < LANE_WIDTH {
-            self.fulfilled.resize_with(LANE_WIDTH, FulfilledSet::new);
-        }
-        if self.candidates.len() < LANE_WIDTH {
-            self.candidates.resize_with(LANE_WIDTH, Vec::new);
-        }
-    }
-
-    /// Starts a stamped union pass over a predicate universe of
-    /// `universe` ids: clears the union rows, ensures the stamp map
-    /// covers the universe, bumps the generation (with wrap-around
-    /// reset) and returns the fresh generation value.
-    pub(crate) fn begin_union(&mut self, universe: usize) -> u32 {
-        self.union_ids.clear();
-        self.union_mask.clear();
-        if self.pred_stamps.len() < universe {
-            self.pred_stamps.resize(universe, 0);
-            self.pred_rows.resize(universe, 0);
-        }
-        if self.pred_generation == u32::MAX {
-            self.pred_stamps.fill(0);
-            self.unit_stamps.fill(0);
-            self.pred_generation = 0;
-        }
-        self.pred_generation += 1;
-        self.pred_generation
-    }
+    // lint: end-hot-path
 }
 
 /// An engine bundled with its own [`MatchScratch`] — the convenience
@@ -632,7 +505,7 @@ mod tests {
     #[test]
     fn batch_scratch_is_shareable_across_engine_kinds() {
         // One batch scratch serving three engines of different kinds:
-        // the lane/mark self-restore discipline must not leak state.
+        // nothing may leak from one engine's batch into the next.
         let mut engines: Vec<_> = EngineKind::ALL.iter().map(|k| k.build()).collect();
         let expr = Expr::parse("(a = 1 or b = 2) and c = 3").unwrap();
         for e in &mut engines {
@@ -687,33 +560,49 @@ mod tests {
     }
 
     #[test]
-    fn batch_scratch_ensure_capacity_presizes_lanes() {
-        let mut engine = EngineKind::CountingVariant.build();
-        for i in 0..5 {
+    fn batch_scratch_holds_one_match_scratch_plus_its_output_lists() {
+        // 40 subscriptions of 32 conjunctions each: 1 280 flat units,
+        // and a batch scratch holds nothing per (unit, event).
+        let mut engine = EngineKind::Counting.build();
+        for i in 0..40 {
+            let groups: Vec<String> = (0..5)
+                .map(|g| format!("(a{i}_{g} = 1 or b{i}_{g} = 2)"))
+                .collect();
             engine
-                .subscribe(&Expr::parse(&format!("a{i} = 1 and b{i} = 2")).unwrap())
+                .subscribe(&Expr::parse(&groups.join(" and ")).unwrap())
                 .unwrap();
         }
+        let events: Vec<std::sync::Arc<Event>> = (0..64)
+            .map(|i| {
+                let i = i % 40;
+                std::sync::Arc::new(Event::from_pairs(
+                    (0..5).map(|g| (format!("a{i}_{g}"), 1_i64)),
+                ))
+            })
+            .collect();
         let mut batch = BatchScratch::new();
         batch.ensure_capacity(&engine);
-        assert!(batch.lanes.len() >= engine.unit_slot_bound() * LANE_WIDTH);
-        assert!(batch.marks.len() >= engine.subscription_id_bound() * LANE_WIDTH);
-        assert_eq!(batch.fulfilled.len(), LANE_WIDTH);
-        assert_eq!(batch.candidates.len(), LANE_WIDTH);
-    }
+        let stats = engine.match_batch(&events, &[], &mut batch);
+        assert_eq!(stats.matched, 64);
 
-    #[test]
-    fn batch_union_generation_wraparound() {
-        let mut batch = BatchScratch::new();
-        batch.pred_generation = u32::MAX - 1;
-        let g1 = batch.begin_union(4);
-        assert_eq!(g1, u32::MAX);
-        // The wrap resets the stamp plane instead of aliasing stale
-        // generations.
-        batch.pred_stamps.fill(g1);
-        let g2 = batch.begin_union(4);
-        assert_eq!(g2, 1);
-        assert!(batch.pred_stamps.iter().all(|&s| s == 0));
+        let mut scratch = MatchScratch::new();
+        scratch.ensure_capacity(&engine);
+        for event in &events {
+            engine.match_event_into(event, &mut scratch);
+        }
+        let output_lists = batch.matched.capacity() * std::mem::size_of::<Vec<SubscriptionId>>()
+            + batch
+                .matched
+                .iter()
+                .map(|ids| ids.capacity() * std::mem::size_of::<SubscriptionId>())
+                .sum::<usize>();
+        assert!(
+            batch.heap_bytes() <= scratch.heap_bytes() + output_lists,
+            "batch {} vs per-event {} + {output_lists} of output lists",
+            batch.heap_bytes(),
+            scratch.heap_bytes(),
+        );
+        assert!(batch.heap_bytes() < engine.unit_slot_bound() * 64);
     }
 
     #[test]

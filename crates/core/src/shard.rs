@@ -194,47 +194,59 @@ impl Shard {
 
     /// The step for a batch with the scratch in hand: afterwards
     /// [`BatchScratch::matched`] holds, per event, this shard's matches
-    /// as **global** ids. `skip` excludes events up front (empty: none)
-    /// and is OR-ed with the synopsis verdicts, which the returned
-    /// stats count per pruned event.
+    /// as **global** ids. `skip` excludes events up front (empty: none);
+    /// the returned stats count each remaining event the synopsis
+    /// pruned.
     pub fn match_batch(
         &self,
         events: &[Arc<Event>],
         skip: &[bool],
         batch: &mut BatchScratch,
     ) -> MatchStats {
-        let mut mask = std::mem::take(&mut batch.shard_skip);
         let held = &mut *batch;
-        let (held, stats) = self.match_batch_with(events, skip, &mut mask, move |_| held);
+        let (held, stats) = self.match_batch_with(events, skip, move |_| held);
         if held.is_none() {
             batch.begin_batch(events.len());
         }
-        batch.shard_skip = mask;
         stats
     }
 
-    /// The batch step, **synopsis first**: one synopsis walk fills
-    /// `mask` (caller skips OR-ed with the per-event verdicts); when
-    /// that leaves no event the shard does no work and never calls
-    /// `acquire`. Otherwise the engine's batch kernel runs once over
-    /// the surviving events and each event's ids are translated in
-    /// place, exactly as in [`Shard::match_event_with`].
+    /// The batch step, **synopsis first**: [`Shard::match_event_with`]
+    /// looped under one visit. Each event not in `skip` is put to the
+    /// synopsis; the first one it admits calls `acquire` (a shard that
+    /// admits none does no work and takes no lease), and every admitted
+    /// event is matched with that one scratch and its ids translated in
+    /// place.
     pub fn match_batch_with<H: DerefMut<Target = BatchScratch>>(
         &self,
         events: &[Arc<Event>],
         skip: &[bool],
-        mask: &mut Vec<bool>,
         acquire: impl FnOnce(&BoxedEngine) -> H,
     ) -> (Option<H>, MatchStats) {
-        let stats = pruned(self.synopsis.admits_batch(events, skip, mask));
-        if mask.iter().all(|&skipped| skipped) {
-            return (None, stats);
-        }
+        debug_assert!(
+            skip.is_empty() || skip.len() == events.len(),
+            "skip mask must be empty or one flag per event"
+        );
+        let mut pruned_events = 0;
+        let mut admitted = events.iter().enumerate().filter(|&(e, event)| {
+            if skip.get(e).copied().unwrap_or(false) {
+                return false;
+            }
+            let admits = self.synopsis.admits(event);
+            pruned_events += usize::from(!admits);
+            admits
+        });
+        let Some(first) = admitted.next() else {
+            return (None, pruned(pruned_events));
+        };
         let mut batch = acquire(&self.engine);
-        let stats = stats + self.engine.match_batch(events, mask, &mut batch);
-        for matched in batch.matched.iter_mut().take(events.len()) {
-            self.translate(matched);
+        batch.begin_batch(events.len());
+        let mut stats = MatchStats::default();
+        for (e, event) in std::iter::once(first).chain(admitted) {
+            stats = stats + batch.match_event(&*self.engine, e, event);
+            self.translate(&mut batch.matched[e]);
         }
+        stats.shards_pruned = pruned_events;
         (Some(batch), stats)
     }
 
@@ -689,12 +701,10 @@ impl FilterEngine for ShardedEngine {
         skip: &[bool],
         batch: &mut BatchScratch,
     ) -> MatchStats {
-        // Per shard the step prunes the whole batch through the
-        // synopsis once and hands the surviving events to the shard
-        // engine's batch kernel in one call — the association tables
-        // are walked once per (shard, chunk) instead of once per
-        // (shard, event). `batch.matched` ends up identical (as
-        // per-event sets) to the per-event walk.
+        // Shard-major: each shard is visited once for the whole batch,
+        // as the broker's batch publish does under one read lock per
+        // shard. `batch.matched` ends up identical (as per-event sets)
+        // to the per-event walk.
         let mut acc = std::mem::take(&mut batch.shard_matched);
         if acc.len() < events.len() {
             acc.resize_with(events.len(), Vec::new);
@@ -912,26 +922,11 @@ mod tests {
                         ]))
                     })
                     .collect();
-                let mut scratch = MatchScratch::new();
-                let mut scalar_total = MatchStats::default();
-                let mut want: Vec<Vec<SubscriptionId>> = Vec::new();
-                for event in &events {
-                    scalar_total = scalar_total + engine.match_event_into(event, &mut scratch);
-                    let mut ids = scratch.matched().to_vec();
-                    ids.sort_unstable();
-                    want.push(ids);
-                }
-
-                let mut batch = BatchScratch::new();
-                let mut stats = engine.match_batch(&events, &[], &mut batch);
-                for (e, want_ids) in want.iter().enumerate() {
-                    let mut got = batch.matched(e).to_vec();
-                    got.sort_unstable();
-                    assert_eq!(&got, want_ids, "kind={kind} shards={shards} event {e}");
-                }
-                stats.batch_events = 0;
-                stats.batch_passes = 0;
-                assert_eq!(stats, scalar_total, "kind={kind} shards={shards}");
+                crate::engine::assert_batch_equals_per_event(
+                    &engine,
+                    &events,
+                    &format!("kind={kind} shards={shards}"),
+                );
             }
         }
     }

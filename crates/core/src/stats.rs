@@ -42,11 +42,9 @@ pub struct MatchStats {
     ///
     /// [`FilterEngine::match_batch`]: crate::FilterEngine::match_batch
     pub batch_events: usize,
-    /// Predicate-table (association) passes the batch path performed
-    /// for those events. The amortization is observable as
-    /// `batch_passes < batch_events`: a real batch kernel walks the
-    /// table once per lane-chunk, while the per-event fallback pays one
-    /// pass per event.
+    /// Always equal to [`MatchStats::batch_events`]: a batch is the
+    /// per-event step looped, one predicate-table pass per event. Kept
+    /// because the stand-alone `benchmark/` package reads it.
     pub batch_passes: usize,
 }
 

@@ -319,36 +319,6 @@ impl ShardSynopsis {
         })
     }
 
-    /// Batch form of [`ShardSynopsis::admits`]: fills `skip_out[e]` with
-    /// `skip[e] || !admits(events[e])` (an empty `skip` means no event
-    /// is pre-skipped) and returns how many previously-live events this
-    /// synopsis pruned — the per-(event, shard) count the batch paths
-    /// add to [`crate::MatchStats::shards_pruned`] so batch and
-    /// per-event walks report identical pruning stats.
-    pub fn admits_batch(
-        &self,
-        events: &[Arc<Event>],
-        skip: &[bool],
-        skip_out: &mut Vec<bool>,
-    ) -> usize {
-        debug_assert!(
-            skip.is_empty() || skip.len() == events.len(),
-            "skip mask must be empty or one flag per event"
-        );
-        skip_out.clear();
-        skip_out.resize(events.len(), false);
-        let mut pruned = 0;
-        for (e, event) in events.iter().enumerate() {
-            if skip.get(e).copied().unwrap_or(false) {
-                skip_out[e] = true;
-            } else if !self.admits(event) {
-                skip_out[e] = true;
-                pruned += 1;
-            }
-        }
-        pruned
-    }
-
     // lint: end-hot-path
 
     /// Residents currently indexed.

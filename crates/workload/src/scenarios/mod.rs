@@ -13,12 +13,9 @@
 //! subscriptions absorbing most matches, for the match-frequency
 //! rebalancing policy), selective populations (partitionable
 //! attribute groups, for content-aware clustered placement and shard
-//! pruning — with an or-rooted unprunable control stream), slow
+//! pruning — with an or-rooted unprunable control stream), and slow
 //! consumers (full fan-out pressure with scripted stall / burst /
-//! disconnect / panic faults, for the asynchronous delivery tier),
-//! and throughput (a high-rate stream over a compact hot-key
-//! universe, for the batch-matching kernels and the `batch/*` bench
-//! grid).
+//! disconnect / panic faults, for the asynchronous delivery tier).
 
 mod auction;
 mod churn;
@@ -28,7 +25,6 @@ mod rebalance;
 mod selective;
 mod slow_consumer;
 mod stock;
-mod throughput;
 
 pub use auction::AuctionScenario;
 pub use churn::{ChurnOp, ChurnScenario};
@@ -40,4 +36,3 @@ pub use slow_consumer::{
     ConsumerDirective, FaultAction, FaultDriver, FaultEvent, FaultPlan, SlowConsumerScenario,
 };
 pub use stock::StockScenario;
-pub use throughput::ThroughputScenario;

