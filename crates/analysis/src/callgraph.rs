@@ -57,7 +57,6 @@ pub const PRIMITIVE_CALLS: &[&str] = &[
     "wait_while",
     "wait_timeout",
     "wait_timeout_while",
-    "wait_each",
     "recv",
     "recv_timeout",
     "recv_deadline",

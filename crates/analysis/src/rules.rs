@@ -103,7 +103,6 @@ pub const RELAXED_COUNTER_CELLS: &[&str] = &[
     "subscriptions_created",
     "subscriptions_removed",
     "subscriptions_migrated",
-    "fanout_worker_failures",
     "subscribers_quarantined",
     "quarantine_recoveries",
     "consumer_panics",
@@ -564,8 +563,8 @@ fn check_scratch_hygiene(view: &mut FileView<'_>) {
         if tok.ident() != Some("reset") || !view.in_hot(tok.line) {
             continue;
         }
-        // Zero-arg only: `reset ( )`. FanOut's `reset(n)` is a
-        // different protocol (slot-count rendezvous) and exempt.
+        // Zero-arg only: `reset ( )`. A `reset(n)` taking an argument
+        // is a different protocol and exempt.
         if !is_method_call(toks, i) || toks.get(i + 2).is_none_or(|t| !t.is_punct(')')) {
             continue;
         }

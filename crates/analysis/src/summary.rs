@@ -45,7 +45,6 @@ pub const BLOCKING_METHODS: &[&str] = &[
     "wait_while",
     "wait_timeout",
     "wait_timeout_while",
-    "wait_each",
     "recv",
     "recv_timeout",
     "recv_deadline",

@@ -9,11 +9,10 @@
 //!   source-shard unsubscribe and a directory repoint.
 //! * `publish_skew` — broker publish latency with the same live
 //!   subscription count concentrated on few shards (skewed by draining
-//!   churn) vs spread evenly after `rebalance()`. On a multi-core host
-//!   the parallel fan-out's latency tracks the *hottest* shard, so the
-//!   rebalanced rows should win; on a single core both do the same
-//!   total work and only the fan-out overhead differs — the usual
-//!   single-core caveat applies.
+//!   churn) vs spread evenly after `rebalance()`. A publish walks the
+//!   shards one after another, so both shapes do the same total work
+//!   and the rows should read alike; what skew costs is write
+//!   contention on the hot shards, which this group does not drive.
 //! * `scenario_replay` — end-to-end ops/sec of a sharded engine
 //!   consuming a `RebalanceScenario` stream (churn + rebalance + resize
 //!   marks), the sustained-operations view of the whole feature.
@@ -73,7 +72,6 @@ fn skewed_broker(shards: usize, live: usize) -> (Broker, Vec<Subscription>) {
     let broker = Broker::builder()
         .engine(EngineKind::NonCanonical)
         .shards(shards)
-        .parallel_threshold(0)
         .delivery(DeliveryPolicy::DropNewest { capacity: 4 })
         .build();
     let mut scenario = StockScenario::new(2_005);

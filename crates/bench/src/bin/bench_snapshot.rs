@@ -17,9 +17,9 @@
 //! * `--out PATH` — output path (default `BENCH_PR10.json`).
 //!
 //! The recorded numbers carry the same caveat as the concurrency
-//! benches: on a single-core host the `parallel` rows measure the
-//! fan-out's coordination overhead, not its speedup — the JSON embeds
-//! the host's core count so readers can tell.
+//! benches: on a single-core host the `parallel_scoped` row measures
+//! the fan-out's coordination overhead, not its speedup — the JSON
+//! embeds the host's core count so readers can tell.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -83,15 +83,10 @@ fn stock_events(n: usize) -> Vec<Arc<Event>> {
     (0..n).map(|_| Arc::new(feed.tick())).collect()
 }
 
-fn stock_broker(
-    shards: usize,
-    subscriptions: usize,
-    parallel: bool,
-) -> (Broker, Vec<Subscription>) {
+fn stock_broker(shards: usize, subscriptions: usize) -> (Broker, Vec<Subscription>) {
     let broker = Broker::builder()
         .engine(EngineKind::NonCanonical)
         .shards(shards)
-        .parallel_threshold(if parallel { 0 } else { usize::MAX })
         .delivery(DeliveryPolicy::DropNewest { capacity: 4 })
         .build();
     let mut scenario = StockScenario::new(2_005);
@@ -110,11 +105,6 @@ fn main() {
     let quick = args.has("quick");
     let out_path = args.get("out").unwrap_or("BENCH_PR10.json").to_owned();
     let (samples, ops) = if quick { (5, 200) } else { (15, 1_000) };
-    let subscription_counts: &[usize] = if quick {
-        &[1_000, 10_000]
-    } else {
-        &[1_000, 10_000, 100_000]
-    };
     let mut results: Vec<Sample> = Vec::new();
 
     // --- End-to-end match cost per engine kind ---
@@ -178,33 +168,9 @@ fn main() {
         );
     }
 
-    // --- Broker publish: the parallel_fanout bench's key rows ---
-    for &subscriptions in subscription_counts {
-        for shards in [1usize, 4] {
-            for (mode, parallel) in [("sequential", false), ("parallel", true)] {
-                if shards == 1 && parallel {
-                    continue; // no pipeline on one shard: same code path
-                }
-                let (broker, _receivers) = stock_broker(shards, subscriptions, parallel);
-                let mut at = 0usize;
-                record(
-                    &mut results,
-                    format!("parallel_fanout/subs{subscriptions}/s{shards}/{mode}"),
-                    samples,
-                    // Publishes over big corpora are slow; bound the batch.
-                    ops.min(if subscriptions >= 100_000 { 50 } else { 200 }),
-                    || {
-                        at = (at + 1) % events.len();
-                        broker.publish_arc(Arc::clone(&events[at]));
-                    },
-                );
-            }
-        }
-    }
-
     // --- Batch publish (Arc<Event> zero-copy path) ---
     {
-        let (broker, _receivers) = stock_broker(4, if quick { 1_000 } else { 10_000 }, false);
+        let (broker, _receivers) = stock_broker(4, if quick { 1_000 } else { 10_000 });
         let batch: Vec<Arc<Event>> = events.iter().take(64).cloned().collect();
         record(
             &mut results,
@@ -512,8 +478,8 @@ fn main() {
     ));
     json.push_str(&format!("  \"host_cores\": {cores},\n"));
     json.push_str(
-        "  \"note\": \"median ns/op per bench; on a single-core host the parallel rows show \
-         fan-out coordination overhead, not speedup — compare on multi-core\",\n",
+        "  \"note\": \"median ns/op per bench; on a single-core host the parallel_scoped row \
+         shows fan-out coordination overhead, not speedup — compare on multi-core\",\n",
     );
     json.push_str("  \"benches\": {\n");
     for (i, s) in results.iter().enumerate() {

@@ -4,17 +4,15 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::ops::DerefMut;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use boolmatch_core::{
-    attribute_hash, dominant_eq_attr, lock_classes, BatchScratch, BatchScratchPool, BoxedEngine,
-    EngineKind, FanOutPool, Lease, MatchScratch, MatchStats, MemoryUsage, PlacementPolicy, Pool,
-    PoolScratch, ScratchPool, Shard, SubscribeError, SubscriptionDirectory, SubscriptionId,
-    WorkerPool,
+    attribute_hash, dominant_eq_attr, lock_classes, BatchScratch, BoxedEngine, EngineKind,
+    MatchScratch, MatchStats, MemoryUsage, PlacementPolicy, Shard, SubscribeError,
+    SubscriptionDirectory, SubscriptionId, WorkerPool,
 };
 use boolmatch_expr::{Expr, ParseError};
 use boolmatch_types::Event;
@@ -103,11 +101,10 @@ pub struct BrokerStats {
     /// [`Broker::shard_loads`] (or on any directory read) also sees it
     /// counted here.
     pub subscriptions_migrated: u64,
-    /// Parallel fan-out worker jobs that died (panicked) before
-    /// contributing their shard's matches. Any nonzero value means some
-    /// publishes delivered **without** that shard's subscribers — the
-    /// parallel ≡ sequential contract was broken and the engine that
-    /// panicked needs investigating.
+    /// Always 0: matching runs on the publishing thread, so a
+    /// panicking engine unwinds to the `publish` caller instead of
+    /// being swallowed by a worker. The field is kept only because
+    /// `benchmark/` reads it.
     pub fanout_worker_failures: u64,
     /// Slow-consumer demotions by [`Broker::delivery_maintenance_tick`]
     /// (including auto-disconnects): a subscriber's lag stayed over the
@@ -133,7 +130,6 @@ struct AtomicStats {
     subscriptions_created: AtomicU64,
     subscriptions_removed: AtomicU64,
     subscriptions_migrated: AtomicU64,
-    fanout_worker_failures: AtomicU64,
     subscribers_quarantined: AtomicU64,
     quarantine_recoveries: AtomicU64,
     consumer_panics: AtomicU64,
@@ -174,19 +170,12 @@ pub fn trim_publish_scratch() {
     PUBLISH_STATE.with(|cell| *cell.borrow_mut() = PublishState::default());
 }
 
-/// Default [`BrokerBuilder::parallel_threshold`]: a publish fans out
-/// across the shards in parallel once this many subscriptions are live
-/// (and the broker has at least two shards). Below it, the per-shard
-/// match is too cheap to amortise the fan-out rendezvous and the
-/// sequential shard walk wins.
-pub const DEFAULT_PARALLEL_THRESHOLD: usize = 4_096;
-
-/// Default [`BrokerBuilder::scratch_trim_cap`]: a fan-out scratch
-/// returning to the pool with more heap than this is trimmed instead of
-/// parked at its high-water capacity, so one pathological event (a
-/// huge candidate spike) cannot pin its peak allocation in every pooled
-/// scratch forever. Generous on purpose — steady-state workloads far
-/// below it never trim and so never re-allocate.
+/// Default [`BrokerBuilder::scratch_trim_cap`]: a thread-local publish
+/// buffer left with more heap than this after a publish is trimmed
+/// instead of kept at its high-water capacity, so one pathological
+/// event (a huge candidate spike) cannot pin its peak allocation in
+/// every publisher thread forever. Generous on purpose — steady-state
+/// workloads far below it never trim and so never re-allocate.
 pub const DEFAULT_SCRATCH_TRIM_CAP: usize = 8 << 20;
 
 /// Subscriptions one background-rebalance tick moves at most — the
@@ -310,115 +299,12 @@ impl ShardCell {
     }
 }
 
-/// One data shape of the per-shard step, named by its scratch type: a
-/// single event into a [`MatchScratch`], or a batch into a
-/// [`BatchScratch`]. The fan-out driver is generic over this. A batch
-/// is the single step looped under one shard visit; the shapes stay two
-/// because routing every publish through the batch shape measured
-/// slower on the single-event workloads.
-trait Width: PoolScratch + Send + 'static {
-    /// What one publish matches, in the `'static` form worker jobs
-    /// share.
-    type Input: Clone + Send + 'static;
-
-    /// [`Shard::match_event_with`] / [`Shard::match_batch_with`]: the
-    /// step, calling `acquire` for its scratch only once the shard's
-    /// synopsis admits — a pruned shard hands back `None`.
-    fn step<H: DerefMut<Target = Self>>(
-        shard: &Shard,
-        input: &Self::Input,
-        acquire: impl FnOnce(&BoxedEngine) -> H,
-    ) -> (Option<H>, MatchStats);
-}
-
-impl Width for MatchScratch {
-    type Input = Arc<Event>;
-
-    fn step<H: DerefMut<Target = Self>>(
-        shard: &Shard,
-        event: &Arc<Event>,
-        acquire: impl FnOnce(&BoxedEngine) -> H,
-    ) -> (Option<H>, MatchStats) {
-        shard.match_event_with(event, acquire)
-    }
-}
-
-impl Width for BatchScratch {
-    type Input = Arc<Vec<Arc<Event>>>;
-
-    fn step<H: DerefMut<Target = Self>>(
-        shard: &Shard,
-        events: &Self::Input,
-        acquire: impl FnOnce(&BoxedEngine) -> H,
-    ) -> (Option<H>, MatchStats) {
-        shard.match_batch_with(events, &[], acquire)
-    }
-}
-
-/// One width of the fan-out: the pool of warm scratches its workers
-/// lease from, and the parked rendezvous that carry the leases back.
-struct Lane<S: PoolScratch> {
-    scratches: Arc<Pool<S>>,
-    rendezvous: FanOutPool<Option<Lease<S>>>,
-}
-
-impl<S: PoolScratch> Lane<S> {
-    fn new(leases: usize, scratch_trim_cap: usize) -> Self {
-        Lane {
-            scratches: Arc::new(Pool::with_trim_cap(leases, scratch_trim_cap)),
-            rendezvous: FanOutPool::new(leases),
-        }
-    }
-}
-
-/// The parallel publish machinery, present only on multi-shard shard
-/// sets: a persistent worker pool (threads park between publishes — no
-/// spawn on the hot path) and one [`Lane`] per width of the step.
-struct Fanout {
-    pool: Arc<WorkerPool>,
-    event: Lane<MatchScratch>,
-    batch: Lane<BatchScratch>,
-}
-
-/// The parallel pipeline for a `shards`-shard set: none below two
-/// shards (the publish path is then exactly the sequential walk);
-/// otherwise `old`'s worker pool when its thread count still matches
-/// the sizing policy (a fresh one if not), with lanes sized to the
-/// leases one publish holds when it merges — one per remote shard. The
-/// worker count does not enter: a lease outlives its job until the
-/// merge, so sizing by threads made every publish on a wide, mostly
-/// pruned set build scratches.
-fn fanout_for(
-    shards: usize,
-    worker_threads: Option<usize>,
-    scratch_trim_cap: usize,
-    old: Option<&Fanout>,
-) -> Option<Fanout> {
-    let leases = shards.checked_sub(1).filter(|&remote| remote > 0)?;
-    let threads = worker_threads.unwrap_or_else(|| {
-        leases.min(std::thread::available_parallelism().map_or(1, std::num::NonZero::get))
-    });
-    let pool = match old {
-        Some(old) if old.pool.threads() == threads => Arc::clone(&old.pool),
-        _ => Arc::new(WorkerPool::new(threads)),
-    };
-    Some(Fanout {
-        pool,
-        event: Lane::new(leases, scratch_trim_cap),
-        batch: Lane::new(leases, scratch_trim_cap),
-    })
-}
-
-/// One resize epoch: the shard cells and the parallel pipeline sized
-/// for them. [`Broker::resize`] swaps the whole set behind the epoch
-/// lock — a publish clones the `Arc` once (the only broker-global lock
-/// it ever takes, held for a pointer copy) and works on an immutable
-/// snapshot from there.
+/// One resize epoch's shard cells. [`Broker::resize`] swaps the whole
+/// set behind the epoch lock — a publish clones the `Arc` once (the only
+/// broker-global lock it ever takes, held for a pointer copy) and works
+/// on an immutable snapshot from there.
 struct ShardSet {
     shards: Vec<Arc<ShardCell>>,
-    /// `None` on single-shard sets: their publish path is exactly the
-    /// pre-fan-out sequential walk.
-    fanout: Option<Fanout>,
 }
 
 /// A one-shot stop signal for the background rebalance thread: `signal`
@@ -486,8 +372,8 @@ impl FreqWindow {
 }
 
 pub(crate) struct BrokerInner {
-    /// The current shard set (cells + parallel pipeline), swapped
-    /// wholesale by [`Broker::resize`]. Steady-state readers take the
+    /// The current shard set, swapped wholesale by
+    /// [`Broker::resize`]. Steady-state readers take the
     /// lock only long enough to clone the `Arc`.
     shard_set: RwLock<Arc<ShardSet>>,
     /// The **write-side** placement directory: global id ↔ placement,
@@ -536,22 +422,15 @@ pub(crate) struct BrokerInner {
     /// The background quarantine-tick thread, when configured.
     delivery_maintenance: Mutex<Option<BackgroundHandle>>,
     stats: AtomicStats,
-    /// Heap-byte cap above which a publish scratch is trimmed after
-    /// use instead of keeping its high-water capacity — applied to the
-    /// fan-out [`ScratchPool`] on return *and* to the sequential
-    /// path's thread-local scratch after each publish/batch.
+    /// Heap-byte cap above which a thread-local publish buffer is
+    /// trimmed after each publish/batch instead of keeping its
+    /// high-water capacity.
     scratch_trim_cap: usize,
     /// Bumped once per committed relocation (under the directory write
     /// lock). A publish snapshots it before matching and after its last
     /// translation: only when the two differ can the matched set hold
     /// a migration duplicate, so only then does it pay the dedup sort.
     migration_epoch: AtomicU64,
-    /// Live-subscription count at which publishes switch from the
-    /// sequential shard walk to the parallel fan-out.
-    parallel_threshold: usize,
-    /// The builder's worker-thread override, kept so a resize can
-    /// rebuild the pipeline with the same policy.
-    worker_threads: Option<usize>,
     /// Engine kind a grow appends (the first shard's kind at build
     /// time).
     grow_kind: EngineKind,
@@ -1104,10 +983,7 @@ impl Broker {
     /// against the same cells), a grow appends fresh engines of the
     /// build-time kind, and a shrink first restricts placement to the
     /// survivors, drains each dying shard via live migration, and only
-    /// then swaps the dying cells out. The parallel fan-out pipeline's
-    /// worker threads are carried across when their count still fits
-    /// (respawned otherwise, dropped at one shard); its scratch pools
-    /// are re-sized to the new shard count and re-warm lazily.
+    /// then swaps the dying cells out.
     ///
     /// # Panics
     ///
@@ -1123,15 +999,6 @@ impl Broker {
         if new_shards == old {
             return 0;
         }
-        // The pipeline for the new count: the worker threads carry over
-        // when the sizing policy still asks for as many; the scratch
-        // lanes are always re-sized to the new shard count.
-        let fanout = fanout_for(
-            new_shards,
-            self.inner.worker_threads,
-            self.inner.scratch_trim_cap,
-            old_set.fanout.as_ref(),
-        );
         if new_shards > old {
             let mut shards = old_set.shards.clone();
             for index in old..new_shards {
@@ -1145,7 +1012,7 @@ impl Broker {
             // thread that observes the grown directory also observes
             // the swapped set (both handed off through the locks in
             // that order).
-            *self.inner.shard_set.write() = Arc::new(ShardSet { shards, fanout });
+            *self.inner.shard_set.write() = Arc::new(ShardSet { shards });
             let mut directory = self.inner.directory.write();
             for _ in old..new_shards {
                 directory.add_shard();
@@ -1189,7 +1056,7 @@ impl Broker {
             // 3: swap the dying cells out of the epoch; publishes still
             // holding the old set match empty engines there.
             let shards: Vec<Arc<ShardCell>> = old_set.shards[..new_shards].to_vec();
-            *self.inner.shard_set.write() = Arc::new(ShardSet { shards, fanout });
+            *self.inner.shard_set.write() = Arc::new(ShardSet { shards });
             // 4: shrink the directory to match.
             let mut directory = self.inner.directory.write();
             for _ in new_shards..old {
@@ -1222,8 +1089,8 @@ impl Broker {
 
     /// Publish prune counts per shard: how many times each shard was
     /// skipped because its attribute synopsis proved zero candidates
-    /// for the event being matched (one count per pruned event, on
-    /// every publish pipeline). The observability counterpart of
+    /// for the event being matched (one count per pruned event, single
+    /// publish or batch). The observability counterpart of
     /// [`Broker::shard_match_hits`] for content-aware routing: on a
     /// well-clustered workload most shards accumulate prunes, not hits.
     pub fn shard_prune_counts(&self) -> Vec<u64> {
@@ -1262,7 +1129,7 @@ impl Broker {
         f()
     }
 
-    // lint: hot-path — the publish/fan-out/delivery pipeline: no
+    // lint: hot-path — the publish/match/delivery pipeline: no
     // broker-global lock may be acquired here beyond the one-pointer
     // shard-set clone (and the by-design sender-map read during
     // delivery, allowed inline below).
@@ -1277,8 +1144,8 @@ impl Broker {
 
     /// Publishes an event the caller already holds by `Arc` — the
     /// zero-copy entry every publish goes through: the same allocation
-    /// is shared by the fan-out workers and every delivered
-    /// notification, and the event is never cloned.
+    /// is shared by every delivered notification, and the event is
+    /// never cloned.
     ///
     /// Matching runs the per-shard step ([`Shard::match_event`]) on
     /// each shard under that shard's **read** lock: the synopsis prune
@@ -1300,14 +1167,11 @@ impl Broker {
     /// thread-local borrow covers only matching. The matched buffer is
     /// reused across publishes on the same thread.
     ///
-    /// On a multi-shard broker at or above the builder's
-    /// [`parallel threshold`](BrokerBuilder::parallel_threshold), the
-    /// shards run the step **concurrently** on the broker's persistent
-    /// worker pool instead of one after another — intra-event
-    /// parallelism for large engines — with a merge in shard order that
-    /// makes the matched-id sequence identical to the sequential walk.
-    /// Below the threshold (and always with one shard) the sequential
-    /// walk runs.
+    /// The shards are walked one after another **on the calling
+    /// thread** — there is no hand-off, so an engine that panics
+    /// unwinds to the caller (releasing the shard's read guard and the
+    /// thread-local borrow on the way) instead of costing the publish a
+    /// shard silently.
     ///
     /// Subscribers found disconnected (handle dropped without
     /// unsubscribe — possible when the handle's broker reference was
@@ -1323,18 +1187,14 @@ impl Broker {
             let state = &mut *cell.borrow_mut();
             let mut matched = std::mem::take(&mut state.matched);
             matched.clear();
-            let mut merge = |scratch: &MatchScratch| matched.extend_from_slice(scratch.matched());
-            match self.parallel_pipeline(&set) {
-                Some(fan) => self.fan_out(&set, fan, &fan.event, &event, &mut state.scratch, merge),
-                None => {
-                    for cell in &set.shards {
-                        let stats = cell.state.read().match_event(&event, &mut state.scratch);
-                        cell.record(&stats);
-                        merge(&state.scratch);
-                    }
-                }
+            for cell in &set.shards {
+                let stats = cell.state.read().match_event(&event, &mut state.scratch);
+                cell.record(&stats);
+                matched.extend_from_slice(state.scratch.matched());
             }
-            self.trim_oversized(&mut state.scratch);
+            if state.scratch.heap_bytes() > self.inner.scratch_trim_cap {
+                state.scratch.trim();
+            }
             matched
         });
         self.dedup_matched(epoch, &mut matched);
@@ -1379,7 +1239,7 @@ impl Broker {
     /// publish — unless the publish grew it past the scratch trim cap,
     /// in which case the spike capacity is dropped rather than pinned
     /// in the thread-local state (the matched-accumulator half of the
-    /// high-water fix; [`Broker::trim_oversized`] covers the scratch).
+    /// high-water fix; the publish bodies trim the scratch themselves).
     fn return_matched(&self, mut matched: Vec<SubscriptionId>) {
         self.release_if_oversized(&mut matched);
         PUBLISH_STATE.with(|cell| cell.borrow_mut().matched = matched);
@@ -1391,101 +1251,6 @@ impl Broker {
     fn release_if_oversized(&self, ids: &mut Vec<SubscriptionId>) {
         if ids.capacity() * std::mem::size_of::<SubscriptionId>() > self.inner.scratch_trim_cap {
             *ids = Vec::new();
-        }
-    }
-
-    /// The thread-local half of the scratch high-water fix: a publish
-    /// scratch (either width) that a publish grew past
-    /// [`BrokerBuilder::scratch_trim_cap`] is trimmed afterwards,
-    /// mirroring what the fan-out pools do on lease return — one
-    /// pathological event cannot pin its peak capacity in every
-    /// publisher thread forever. (`trim_publish_scratch` remains the
-    /// manual whole-state release.)
-    fn trim_oversized<S: PoolScratch>(&self, scratch: &mut S) {
-        if scratch.heap_bytes() > self.inner.scratch_trim_cap {
-            scratch.trim();
-        }
-    }
-
-    /// The fan-out pipeline the next publish should use, or `None` for
-    /// the sequential walk: requires the worker pool (multi-shard sets
-    /// only) and at least `parallel_threshold` live subscriptions.
-    fn parallel_pipeline<'a>(&self, set: &'a ShardSet) -> Option<&'a Fanout> {
-        let fan = set.fanout.as_ref()?;
-        let stats = &self.inner.stats;
-        let created = stats.subscriptions_created.load(Ordering::Relaxed);
-        let removed = stats.subscriptions_removed.load(Ordering::Relaxed);
-        (created.saturating_sub(removed) as usize >= self.inner.parallel_threshold).then_some(fan)
-    }
-
-    /// **The fan-out driver** — the only place the broker submits
-    /// matching jobs, instantiated once per [`Width`]: runs the
-    /// per-shard step on every shard concurrently and feeds each
-    /// shard's scratch (holding that shard's global ids) to `merge` in
-    /// shard order — the same sequence the sequential walk produces.
-    ///
-    /// One job per remote shard goes to the persistent worker pool:
-    /// it takes its shard's read lock and runs [`Width::step`], which
-    /// leases a warm scratch from the lane's pool **only once the
-    /// shard's synopsis admits** (checkout hygiene — reset + capacity —
-    /// happens once per lease; a pruned shard costs one synopsis probe
-    /// and hands back nothing), releases the lock, and parks the lease
-    /// in its rendezvous slot. The caller meanwhile runs shard 0's
-    /// step inline with its thread-local scratch, then merges the slots
-    /// in shard index order. The rendezvous itself is pooled. It is
-    /// panic-safe: a worker that dies completes its slot empty instead
-    /// of wedging the publish — the publish then delivers without that
-    /// shard's matches, and [`BrokerStats::fanout_worker_failures`]
-    /// shows operators that the parallel ≡ sequential contract was
-    /// broken.
-    ///
-    /// Jobs capture only their shard's cell, the scratch pool and the
-    /// shared input — never the broker — so a fan-out job can never be
-    /// the one holding the broker's last reference.
-    fn fan_out<S: Width>(
-        &self,
-        set: &ShardSet,
-        fan: &Fanout,
-        lane: &Lane<S>,
-        input: &S::Input,
-        local: &mut S,
-        mut merge: impl FnMut(&S),
-    ) {
-        let run = lane.rendezvous.checkout(set.shards.len() - 1);
-        for (slot, cell) in set.shards[1..].iter().enumerate() {
-            let slot = run.slot(slot);
-            let cell = Arc::clone(cell);
-            let scratches = Arc::clone(&lane.scratches);
-            let input = input.clone();
-            fan.pool.submit(move || {
-                // The shard lock is released before the rendezvous.
-                let shard = cell.state.read();
-                let (lease, stats) = S::step(&shard, &input, |engine| scratches.lease(engine));
-                drop(shard);
-                cell.record(&stats);
-                drop(input);
-                drop(cell);
-                slot.fill(lease);
-            });
-        }
-        let cell = &set.shards[0];
-        let (held, stats) = S::step(&cell.state.read(), input, |_| local);
-        cell.record(&stats);
-        if let Some(scratch) = held {
-            merge(scratch);
-        }
-        let mut lost = 0u64;
-        run.wait_each(|slot| match slot {
-            Some(Some(lease)) => merge(&lease),
-            Some(None) => {} // pruned: the shard took no lease
-            None => lost += 1,
-        });
-        lane.rendezvous.park(run);
-        if lost > 0 {
-            self.inner
-                .stats
-                .fanout_worker_failures
-                .fetch_add(lost, Ordering::Relaxed);
         }
     }
 
@@ -1502,17 +1267,13 @@ impl Broker {
     ///
     /// Compared to the one-by-one sequence, the batch visits each shard
     /// once ([`Shard::match_batch`]): the shard's read lock is acquired
-    /// **once**, one scratch (leased only if the synopsis admits some
-    /// event) serves every event, each admitted event is matched and
-    /// its ids translated under that same guard, and delivery snapshots
-    /// each event's queues as the single publish does. The matching of
-    /// one event costs what it costs in [`Broker::publish_arc`]; what
-    /// is amortised is the visit. On a multi-shard broker past the
-    /// [`parallel threshold`](BrokerBuilder::parallel_threshold) the
-    /// same fan-out driver as [`Broker::publish_arc`] runs the shards
-    /// **concurrently** (one job per remote shard, merged in shard
-    /// order), which cuts the batch's wall-clock latency on multi-core
-    /// hosts.
+    /// **once**, the thread-local batch scratch serves every event,
+    /// each admitted event is matched and its ids translated under that
+    /// same guard, and delivery snapshots each event's queues as the
+    /// single publish does. The matching of one event costs what it
+    /// costs in [`Broker::publish_arc`]; what is amortised is the
+    /// visit. Like the single publish, the walk runs on the calling
+    /// thread.
     pub fn publish_batch(&self, events: &[Arc<Event>]) -> usize {
         if events.is_empty() {
             return 0;
@@ -1536,28 +1297,16 @@ impl Broker {
             }
             // Shard order per event, so per-event ids concatenate
             // exactly like the one-by-one walk.
-            let mut merge = |batch: &BatchScratch| {
+            for cell in &set.shards {
+                let stats = cell.state.read().match_batch(events, &[], &mut state.batch);
+                cell.record(&stats);
                 for (e, bucket) in buckets.iter_mut().enumerate().take(events.len()) {
-                    bucket.extend_from_slice(batch.matched(e));
-                }
-            };
-            match self.parallel_pipeline(&set) {
-                // The worker jobs are `'static`; the one per-batch
-                // allocation for sharing the event list is this Vec of
-                // Arc clones.
-                Some(fan) => {
-                    let shared = Arc::new(events.to_vec());
-                    self.fan_out(&set, fan, &fan.batch, &shared, &mut state.batch, merge);
-                }
-                None => {
-                    for cell in &set.shards {
-                        let stats = cell.state.read().match_batch(events, &[], &mut state.batch);
-                        cell.record(&stats);
-                        merge(&state.batch);
-                    }
+                    bucket.extend_from_slice(state.batch.matched(e));
                 }
             }
-            self.trim_oversized(&mut state.batch);
+            if state.batch.heap_bytes() > self.inner.scratch_trim_cap {
+                state.batch.trim();
+            }
             for bucket in buckets.iter_mut().take(events.len()) {
                 // Same migration-race guard as the single-publish path.
                 self.dedup_matched(epoch, bucket);
@@ -1754,32 +1503,6 @@ impl Broker {
         self.shard_set().shards.len()
     }
 
-    /// Number of persistent fan-out worker threads (0 on single-shard
-    /// brokers, which have no parallel pipeline).
-    pub fn parallel_workers(&self) -> usize {
-        self.shard_set()
-            .fanout
-            .as_ref()
-            .map_or(0, |f| f.pool.threads())
-    }
-
-    /// The fan-out scratch pool, for observability (steady-state
-    /// memory and fresh-build probes); `None` on single-shard brokers.
-    pub fn scratch_pool(&self) -> Option<Arc<ScratchPool>> {
-        self.shard_set()
-            .fanout
-            .as_ref()
-            .map(|f| Arc::clone(&f.event.scratches))
-    }
-
-    /// The batch fan-out's scratch pool, like [`Broker::scratch_pool`].
-    pub fn batch_scratch_pool(&self) -> Option<Arc<BatchScratchPool>> {
-        self.shard_set()
-            .fanout
-            .as_ref()
-            .map(|f| Arc::clone(&f.batch.scratches))
-    }
-
     /// The engines' memory breakdown, summed across shards, plus the
     /// routing overhead — the write-side directory's tables and stored
     /// expressions *and* every shard's read-side translation map —
@@ -1793,15 +1516,9 @@ impl Broker {
             routing += state.routing_bytes();
             usage = usage + state.engine().memory_usage();
         }
-        // Warm scratches parked in the fan-out pools, either width, are
-        // broker memory too — charge them to the scratch bucket.
-        let pooled_scratch = set.fanout.as_ref().map_or(0, |fan| {
-            fan.event.scratches.heap_bytes() + fan.batch.scratches.heap_bytes()
-        });
         usage
             + MemoryUsage {
                 unsub_support: routing,
-                scratch: pooled_scratch,
                 ..MemoryUsage::default()
             }
     }
@@ -1823,7 +1540,7 @@ impl Broker {
             subscriptions_created: s.subscriptions_created.load(Ordering::Relaxed),
             subscriptions_removed: s.subscriptions_removed.load(Ordering::Relaxed),
             subscriptions_migrated: s.subscriptions_migrated.load(Ordering::Relaxed),
-            fanout_worker_failures: s.fanout_worker_failures.load(Ordering::Relaxed),
+            fanout_worker_failures: 0,
             subscribers_quarantined: s.subscribers_quarantined.load(Ordering::Relaxed),
             quarantine_recoveries: s.quarantine_recoveries.load(Ordering::Relaxed),
             consumer_panics: s.consumer_panics.load(Ordering::Relaxed),
@@ -2060,8 +1777,6 @@ pub struct BrokerBuilder {
     quarantine: Option<QuarantineConfig>,
     delivery_interval: Option<Duration>,
     delivery_workers: Option<usize>,
-    parallel_threshold: Option<usize>,
-    worker_threads: Option<usize>,
     scratch_trim_cap: Option<usize>,
     recycled_ids: bool,
     background: Option<(Duration, RebalancePolicy)>,
@@ -2078,8 +1793,6 @@ impl fmt::Debug for BrokerBuilder {
             .field("quarantine", &self.quarantine)
             .field("delivery_maintenance", &self.delivery_interval)
             .field("delivery_workers", &self.delivery_workers)
-            .field("parallel_threshold", &self.parallel_threshold)
-            .field("worker_threads", &self.worker_threads)
             .field("scratch_trim_cap", &self.scratch_trim_cap)
             .field("recycled_ids", &self.recycled_ids)
             .field("background_rebalance", &self.background)
@@ -2242,44 +1955,17 @@ impl BrokerBuilder {
         self
     }
 
-    /// Sets the live-subscription count at which publishes switch from
-    /// the sequential shard walk to the parallel fan-out (default:
-    /// [`DEFAULT_PARALLEL_THRESHOLD`]). `0` forces the fan-out for
-    /// every publish on a multi-shard broker; `usize::MAX` disables it.
-    /// Single-shard brokers always walk sequentially — their behaviour
-    /// is unchanged by this knob.
-    #[must_use]
-    pub fn parallel_threshold(mut self, subscriptions: usize) -> Self {
-        self.parallel_threshold = Some(subscriptions);
-        self
-    }
-
-    /// Sets the number of persistent fan-out worker threads (default:
-    /// one per remote shard, capped at the host's available
-    /// parallelism). Only multi-shard brokers spawn workers at all.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    #[must_use]
-    pub fn worker_threads(mut self, n: usize) -> Self {
-        assert!(n > 0, "a worker pool needs at least one thread");
-        self.worker_threads = Some(n);
-        self
-    }
-
     /// Sets the heap-byte cap above which a publish scratch is trimmed
     /// — capacity released — instead of kept at its high-water size
-    /// (default: [`DEFAULT_SCRATCH_TRIM_CAP`]). Applied on both
-    /// publish paths: a fan-out scratch returning to the pool, and the
-    /// sequential path's thread-local scratch after each
-    /// publish/batch. Without a cap, one pathological event (say, a
-    /// 100k-candidate spike) would pin its peak allocation in every
-    /// pooled scratch and every publisher thread for the broker's
-    /// lifetime. `usize::MAX` disables trimming (the pre-cap
-    /// behaviour); `0` trims on every return — useful in
-    /// memory-starved deployments, at the price of re-growing the
-    /// buffers each publish.
+    /// (default: [`DEFAULT_SCRATCH_TRIM_CAP`]). Applied to each of the
+    /// publishing thread's reusable buffers (match scratch, batch
+    /// scratch, matched ids, batch buckets, delivery targets) after
+    /// each publish/batch. Without a cap, one pathological event (say,
+    /// a 100k-candidate spike) would pin its peak allocation in every
+    /// publisher thread for the thread's lifetime. `usize::MAX`
+    /// disables trimming (the pre-cap behaviour); `0` trims after every
+    /// publish — useful in memory-starved deployments, at the price of
+    /// re-growing the buffers each publish.
     #[must_use]
     pub fn scratch_trim_cap(mut self, bytes: usize) -> Self {
         self.scratch_trim_cap = Some(bytes);
@@ -2295,7 +1981,6 @@ impl BrokerBuilder {
         let shard_count = engines.len();
         let grow_kind = engines[0].kind();
         let scratch_trim_cap = self.scratch_trim_cap.unwrap_or(DEFAULT_SCRATCH_TRIM_CAP);
-        let fanout = fanout_for(shard_count, self.worker_threads, scratch_trim_cap, None);
         let shards: Vec<Arc<ShardCell>> = engines
             .into_iter()
             .enumerate()
@@ -2307,7 +1992,7 @@ impl BrokerBuilder {
             SubscriptionDirectory::new(shard_count)
         };
         let inner = Arc::new(BrokerInner {
-            shard_set: RwLock::new(Arc::new(ShardSet { shards, fanout })),
+            shard_set: RwLock::new(Arc::new(ShardSet { shards })),
             directory: RwLock::new(directory),
             maintenance: Mutex::new(()),
             freq_baseline: Mutex::new(FreqWindow::default()),
@@ -2320,10 +2005,6 @@ impl BrokerBuilder {
             delivery_workers: self.delivery_workers.unwrap_or(DEFAULT_DELIVERY_WORKERS),
             delivery_maintenance: Mutex::new(None),
             stats: AtomicStats::default(),
-            parallel_threshold: self
-                .parallel_threshold
-                .unwrap_or(DEFAULT_PARALLEL_THRESHOLD),
-            worker_threads: self.worker_threads,
             grow_kind,
             placement: self.placement,
             rebalancer: Mutex::new(None),
@@ -2635,65 +2316,14 @@ mod tests {
     }
 
     #[test]
-    fn parallel_pipeline_exists_only_on_multi_shard_brokers() {
-        let single = Broker::builder().build();
-        assert_eq!(single.parallel_workers(), 0);
-        assert!(single.scratch_pool().is_none());
-
-        let sharded = Broker::builder().shards(4).worker_threads(2).build();
-        assert_eq!(sharded.parallel_workers(), 2);
-        assert!(sharded.scratch_pool().is_some());
-    }
-
-    #[test]
-    fn parallel_publish_delivers_like_sequential() {
-        for shards in [2usize, 4] {
-            // Threshold 0 forces the fan-out; usize::MAX forbids it.
-            let par = Broker::builder()
-                .shards(shards)
-                .parallel_threshold(0)
-                .build();
-            let seq = Broker::builder()
-                .shards(shards)
-                .parallel_threshold(usize::MAX)
-                .build();
-            let exprs: Vec<String> = (0..40)
-                .map(|i| format!("(group = {} or boost = 1) and tick >= {}", i % 5, i))
-                .collect();
-            let par_subs: Vec<_> = exprs.iter().map(|e| par.subscribe(e).unwrap()).collect();
-            let seq_subs: Vec<_> = exprs.iter().map(|e| seq.subscribe(e).unwrap()).collect();
-            for t in 0..30 {
-                let event = ev(&[("group", t % 5), ("tick", t * 2)]);
-                assert_eq!(
-                    par.publish(event.clone()),
-                    seq.publish(event),
-                    "shards={shards} t={t}"
-                );
-            }
-            for (i, (a, b)) in par_subs.iter().zip(&seq_subs).enumerate() {
-                assert_eq!(a.drain().len(), b.drain().len(), "sub {i} shards={shards}");
-            }
-            assert_eq!(
-                par.stats().notifications_delivered,
-                seq.stats().notifications_delivered
-            );
-        }
-    }
-
-    #[test]
     fn publish_arc_shares_the_allocation_with_delivery() {
-        for threshold in [0usize, usize::MAX] {
-            let broker = Broker::builder()
-                .shards(2)
-                .parallel_threshold(threshold)
-                .build();
-            let sub = broker.subscribe("a = 1").unwrap();
-            let event = Arc::new(ev(&[("a", 1)]));
-            assert_eq!(broker.publish_arc(Arc::clone(&event)), 1);
-            let got = sub.try_recv().unwrap();
-            // Delivery queued the caller's Arc itself, not a copy.
-            assert!(Arc::ptr_eq(&got, &event), "threshold={threshold}");
-        }
+        let broker = Broker::builder().shards(2).build();
+        let sub = broker.subscribe("a = 1").unwrap();
+        let event = Arc::new(ev(&[("a", 1)]));
+        assert_eq!(broker.publish_arc(Arc::clone(&event)), 1);
+        let got = sub.try_recv().unwrap();
+        // Delivery queued the caller's Arc itself, not a copy.
+        assert!(Arc::ptr_eq(&got, &event));
     }
 
     #[test]
@@ -2823,65 +2453,101 @@ mod tests {
         assert_eq!(broker.stats().subscriptions_migrated, 0);
     }
 
-    #[test]
-    fn scratch_trim_cap_bounds_the_fanout_pool() {
-        // Default: the generous cap is wired through to the pool.
-        let broker = Broker::builder().shards(2).build();
-        assert_eq!(
-            broker.scratch_pool().unwrap().trim_cap(),
-            DEFAULT_SCRATCH_TRIM_CAP
-        );
-
-        // A zero cap trims on every return: after a forced-parallel
-        // publish against a real engine, the parked scratches hold no
-        // high-water memory — the spike-pinning bug is gone.
-        let tight = Broker::builder()
-            .shards(2)
-            .parallel_threshold(0)
-            .scratch_trim_cap(0)
-            .build();
-        let _subs: Vec<_> = (0..50)
-            .map(|i| tight.subscribe(&format!("a = {i} or b = 1")).unwrap())
-            .collect();
-        assert_eq!(tight.publish(ev(&[("b", 1)])), 50);
-        let pool = tight.scratch_pool().unwrap();
-        assert_eq!(pool.trim_cap(), 0);
-        assert!(pool.pooled() >= 1, "scratches still return to the pool");
-        assert_eq!(pool.heap_bytes(), 0, "trimmed on return, not pinned");
-
-        // The sequential path trims its thread-local scratch by the
-        // same cap: repeated publishes stay correct through the
-        // trim-and-regrow cycle.
-        let sequential = Broker::builder().scratch_trim_cap(0).build();
-        let sub = sequential.subscribe("a = 1 or b = 1").unwrap();
-        for _ in 0..3 {
-            assert_eq!(sequential.publish(ev(&[("a", 1)])), 1);
-        }
-        assert_eq!(sub.drain().len(), 3);
+    /// Heap bytes of the calling thread's publish buffers: `scratch`,
+    /// `batch`, `matched`, the largest of `buckets` (the cap applies to
+    /// each bucket on its own) and `targets`.
+    fn publish_state_bytes() -> [usize; 5] {
+        PUBLISH_STATE.with(|cell| {
+            let state = cell.borrow();
+            let id = std::mem::size_of::<SubscriptionId>();
+            let target = std::mem::size_of::<(SubscriptionId, Arc<NotifyQueue>)>();
+            [
+                state.scratch.heap_bytes(),
+                state.batch.heap_bytes(),
+                state.matched.capacity() * id,
+                state
+                    .buckets
+                    .iter()
+                    .map(|b| b.capacity() * id)
+                    .max()
+                    .unwrap_or(0),
+                state.targets.capacity() * target,
+            ]
+        })
     }
 
     #[test]
-    fn memory_usage_charges_pooled_scratches_of_both_lanes() {
-        // Forced-parallel single publishes warm only the event lane;
-        // its parked scratches are broker memory like the batch lane's.
-        // (`benchmark/` reads `bytes_per_sub` off `memory_usage()`
-        // before its first publish, when both pools are still empty, so
-        // that figure cannot move with this.)
-        let broker = Broker::builder().shards(2).parallel_threshold(0).build();
-        let _subs: Vec<_> = (0..50)
-            .map(|i| broker.subscribe(&format!("a = {i} or b = 1")).unwrap())
+    fn scratch_trim_cap_bounds_the_thread_local_publish_state() {
+        // One pathological spike event must not pin its peak allocation
+        // in the publishing thread's buffers. Steady traffic below the
+        // cap keeps its warm capacity (no trim, no re-allocation); what
+        // the spike grew past the cap is released after the publish;
+        // steady traffic then re-warms and keeps matching correctly.
+        let cap = 24 << 10; // between the steady and spike footprints
+        let broker = Broker::builder().shards(2).scratch_trim_cap(cap).build();
+        // A small steady population and a large spike-only population:
+        // the spike subs size the stamp arrays (steady footprint) but
+        // only the spike event explodes the candidate/matched buffers.
+        let _steady: Vec<_> = (0..8)
+            .map(|i| broker.subscribe(&format!("tick = {i}")).unwrap())
             .collect();
-        assert_eq!(broker.memory_usage().scratch, 0, "nothing parked yet");
-        assert_eq!(broker.publish(ev(&[("b", 1)])), 50);
-        let event_lane = broker.scratch_pool().unwrap().heap_bytes();
-        assert!(event_lane > 0, "the remote shard's lease came back warm");
-        assert_eq!(broker.batch_scratch_pool().unwrap().heap_bytes(), 0);
-        assert_eq!(broker.memory_usage().scratch, event_lane);
+        let _spikers: Vec<_> = (0..4_000)
+            .map(|_| broker.subscribe("boom = 1").unwrap())
+            .collect();
+        let steady = Arc::new(ev(&[("tick", 3)]));
+        let spike = Arc::new(ev(&[("boom", 1)]));
+        let steady_round = || {
+            assert_eq!(broker.publish_arc(Arc::clone(&steady)), 1);
+            assert_eq!(
+                broker.publish_batch(&[Arc::clone(&steady), Arc::clone(&steady)]),
+                2
+            );
+        };
 
-        assert_eq!(broker.publish_batch_events(&[ev(&[("b", 1)])]), 50);
-        let batch_lane = broker.batch_scratch_pool().unwrap().heap_bytes();
-        assert!(batch_lane > 0);
-        assert_eq!(broker.memory_usage().scratch, event_lane + batch_lane);
+        for _ in 0..50 {
+            steady_round();
+        }
+        let warm = publish_state_bytes();
+        assert!(
+            warm.iter().all(|&bytes| bytes > 0 && bytes <= cap),
+            "test invariant: the steady footprint {warm:?} is warm and fits the cap {cap}"
+        );
+        for _ in 0..50 {
+            steady_round();
+        }
+        assert_eq!(publish_state_bytes(), warm, "steady traffic never trims");
+
+        // The spike, single width: `matched` and `targets` must grow to
+        // 4 000 entries (32 000 and 64 000 bytes) to deliver it.
+        assert_eq!(broker.publish_arc(Arc::clone(&spike)), 4_000);
+        let [scratch, _, matched, _, targets] = publish_state_bytes();
+        assert!(
+            scratch < warm[0] && matched == 0 && targets == 0,
+            "spike capacity was kept: scratch {scratch}, matched {matched}, targets {targets}"
+        );
+        // Batch width: the spike's bucket grows the same way.
+        assert_eq!(
+            broker.publish_batch(&[Arc::clone(&spike), Arc::clone(&steady)]),
+            4_001
+        );
+        let [_, batch, _, bucket, _] = publish_state_bytes();
+        assert!(
+            batch < warm[1] && bucket <= cap,
+            "spike capacity was kept: batch {batch}, largest bucket {bucket}"
+        );
+
+        // Steady traffic re-warms lazily to the steady footprint, not
+        // the spike's, and the spike still delivers exactly.
+        for _ in 0..50 {
+            steady_round();
+        }
+        let rewarmed = publish_state_bytes();
+        assert!(
+            rewarmed.iter().all(|&bytes| bytes > 0 && bytes <= cap),
+            "re-warmed to {rewarmed:?}"
+        );
+        assert_eq!(broker.publish_arc(spike), 4_000);
+        steady_round();
     }
 
     #[test]
@@ -2927,8 +2593,6 @@ mod tests {
         for sub in &subs {
             assert_eq!(sub.drain().len(), 2);
         }
-        // The pipeline appeared with the second shard.
-        assert!(broker.parallel_workers() >= 1);
     }
 
     #[test]
@@ -2944,11 +2608,9 @@ mod tests {
         assert_eq!(broker.shard_loads().iter().sum::<usize>(), 12);
         assert_eq!(broker.stats().subscriptions_migrated, moved as u64);
         assert_eq!(broker.publish(ev(&[("all", 1)])), 12);
-        // All the way down to a flat broker: the pipeline is gone.
+        // All the way down to a flat broker.
         broker.resize(1);
         assert_eq!(broker.shard_count(), 1);
-        assert_eq!(broker.parallel_workers(), 0);
-        assert!(broker.scratch_pool().is_none());
         assert_eq!(broker.publish(ev(&[("all", 1)])), 12);
         for sub in &subs {
             assert_eq!(sub.drain().len(), 2);
@@ -3031,31 +2693,28 @@ mod tests {
 
     #[test]
     fn content_aware_pruning_skips_shards_on_every_pipeline() {
-        // Sequential walk, forced parallel fan-out, and both batch
-        // paths: a clustered partitionable workload keeps each group on
-        // one shard, so a one-group event prunes the other three.
-        for threshold in [usize::MAX, 0] {
-            let broker = Broker::builder()
-                .shards(4)
-                .placement(PlacementPolicy::ClusterByAttribute)
-                .parallel_threshold(threshold)
-                .build();
-            let _subs: Vec<_> = (0..16)
-                .map(|i| broker.subscribe(&format!("g{} = 1", i % 4)).unwrap())
-                .collect();
-            assert_eq!(broker.publish(ev(&[("g0", 1)])), 4);
-            let after_publish: u64 = broker.shard_prune_counts().iter().sum();
-            assert_eq!(
-                after_publish, 3,
-                "a one-group event candidates exactly one shard (threshold={threshold})"
-            );
-            assert_eq!(
-                broker.publish_batch_events(&[ev(&[("g1", 1)]), ev(&[("g2", 1)])]),
-                8
-            );
-            let after_batch: u64 = broker.shard_prune_counts().iter().sum();
-            assert_eq!(after_batch, 3 + 2 * 3, "three prunes per batched event");
-        }
+        // Single publish and batch: a clustered partitionable workload
+        // keeps each group on one shard, so a one-group event prunes
+        // the other three.
+        let broker = Broker::builder()
+            .shards(4)
+            .placement(PlacementPolicy::ClusterByAttribute)
+            .build();
+        let _subs: Vec<_> = (0..16)
+            .map(|i| broker.subscribe(&format!("g{} = 1", i % 4)).unwrap())
+            .collect();
+        assert_eq!(broker.publish(ev(&[("g0", 1)])), 4);
+        let after_publish: u64 = broker.shard_prune_counts().iter().sum();
+        assert_eq!(
+            after_publish, 3,
+            "a one-group event candidates exactly one shard"
+        );
+        assert_eq!(
+            broker.publish_batch_events(&[ev(&[("g1", 1)]), ev(&[("g2", 1)])]),
+            8
+        );
+        let after_batch: u64 = broker.shard_prune_counts().iter().sum();
+        assert_eq!(after_batch, 3 + 2 * 3, "three prunes per batched event");
     }
 
     #[test]

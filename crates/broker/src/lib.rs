@@ -70,19 +70,14 @@
 //! [`BrokerBuilder::delivery_maintenance`].
 //!
 //! Every publish is one per-shard step — [`boolmatch_core::Shard`]'s
-//! *admit by synopsis → match → translate in place* — run over all
-//! shards and merged in shard order. Multi-shard brokers additionally
-//! carry a **fan-out driver** for it: past
-//! [`BrokerBuilder::parallel_threshold`] live subscriptions, one
-//! publish (single or batch) runs the step for its remote shards on a
-//! persistent [`boolmatch_core::WorkerPool`] (threads park between
-//! publishes — nothing is spawned on the hot path), each admitted
-//! shard's job leasing a warm scratch from a [`boolmatch_core::Pool`]
-//! and parking the lease in a [`boolmatch_core::FanOut`] slot. The
-//! merge runs in shard-index order, so the matched-id sequence is
-//! identical to the sequential walk no matter how workers interleave;
-//! with [`BrokerBuilder::shards`]`(1)` the driver does not exist and
-//! publishing is the sequential walk.
+//! *admit by synopsis → match → translate in place* — walked over all
+//! shards in shard order **on the publishing thread**: there is one
+//! publish pipeline and it hands nothing off (a queue hop costs more
+//! than the whole walk on every measured workload; README "The publish
+//! pipeline" has the table). Parallelism comes from concurrent
+//! publishers sharing the shards' read locks. An engine that panics
+//! unwinds to its `publish` caller; no lock stays held and the next
+//! publish, on any thread, is unaffected.
 //!
 //! Scratch ownership rules: the scratch is per *publisher thread*
 //! (`thread_local!`), never shared concurrently, and self-restoring
@@ -90,8 +85,9 @@
 //! brokers and engine kinds. The matched-id buffer inside it is reused
 //! across publishes — the steady-state publish path performs no
 //! allocation beyond the `Arc` around the event. The scratch grows to
-//! the largest engine a thread has matched against and stays there;
-//! long-lived worker threads can release it with
+//! the largest engine a thread has matched against and stays there, up
+//! to [`BrokerBuilder::scratch_trim_cap`] (a buffer a publish leaves
+//! larger is released); long-lived threads can release all of it with
 //! [`trim_publish_scratch`].
 //!
 //! # Examples
@@ -122,7 +118,7 @@ mod subscriber;
 pub use broker::{
     trim_publish_scratch, Broker, BrokerBuilder, BrokerError, BrokerStats, DeliveryTickReport,
     Publisher, RebalancePolicy, BACKGROUND_REBALANCE_CHUNK, DEFAULT_DELIVERY_WORKERS,
-    DEFAULT_PARALLEL_THRESHOLD, DEFAULT_SCRATCH_TRIM_CAP, MATCH_FREQUENCY_SKEW_FLOOR,
+    DEFAULT_SCRATCH_TRIM_CAP, MATCH_FREQUENCY_SKEW_FLOOR,
 };
 pub use delivery::{DeliveryPolicy, DeliveryReceiver, QuarantineConfig, SubscriberLag};
 pub use subscriber::Subscription;

@@ -50,8 +50,8 @@
 //! first and do nothing on a shard that provably holds no candidate
 //! (reported as [`MatchStats::shards_pruned`]), else run the engine and
 //! translate the matched ids to global ids in place. Every walk —
-//! [`ShardedEngine`]'s and the broker's, sequential or fanned out — is
-//! a loop over that step, so fan-out is **content-aware** everywhere.
+//! [`ShardedEngine`]'s and the broker's — is a loop over that step, so
+//! the shard walk is **content-aware** everywhere.
 //! An optional [`PlacementPolicy::ClusterByAttribute`] co-places
 //! subscriptions sharing a dominant equality attribute so that pruning
 //! actually bites; see the `synopsis` module docs for the
@@ -61,9 +61,10 @@
 //! shards: [`ShardedEngine::match_event_parallel`] runs the step on
 //! every shard concurrently (each admitted shard drawing a warm
 //! [`MatchScratch`] from a [`ScratchPool`]) and merges in shard order,
-//! so the answer is bit-identical to the sequential walk. The broker's
-//! fan-out driver runs the same step on a persistent [`WorkerPool`]
-//! with a [`FanOut`] rendezvous; see the `pool` module docs.
+//! so the answer is bit-identical to the sequential walk. The broker
+//! does not use it — its publish is the sequential walk on the calling
+//! thread; the `pool` module docs name the benchmark rows that compare
+//! the two.
 //!
 //! # Examples
 //!
@@ -113,10 +114,7 @@ pub use ids::{PredicateId, SubscriptionId};
 pub use interner::PredicateInterner;
 pub use memory::MemoryUsage;
 pub use noncanonical::{NonCanonicalConfig, NonCanonicalEngine};
-pub use pool::{
-    BatchScratchLease, BatchScratchPool, Checkout, FanOut, FanOutPool, Lease, Pool, PoolScratch,
-    Pooled, PooledBatchScratch, PooledScratch, ScratchLease, ScratchPool, SlotGuard, WorkerPool,
-};
+pub use pool::{FanOut, PooledScratch, ScratchPool, SlotGuard, WorkerPool};
 pub use routing::{
     lock_classes, PlacementPolicy, PredicateRouter, ShardTranslation, SubscriptionDirectory,
 };

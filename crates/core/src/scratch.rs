@@ -253,10 +253,6 @@ pub(crate) fn translate_ids(
 /// matched ids themselves; like [`MatchScratch`] it resizes lazily and
 /// may serve any number of engines and engine kinds.
 ///
-/// Pools apply the same hygiene pair as for [`MatchScratch`]:
-/// [`BatchScratch::reset`] + [`BatchScratch::ensure_capacity`] once per
-/// checkout.
-///
 /// # Examples
 ///
 /// ```
@@ -310,9 +306,8 @@ impl BatchScratch {
         &self.matched[event]
     }
 
-    /// Clears all per-batch state while keeping every buffer's capacity
-    /// — the hygiene step a pool applies once per checkout, mirroring
-    /// [`MatchScratch::reset`].
+    /// Clears all per-batch state while keeping every buffer's
+    /// capacity, mirroring [`MatchScratch::reset`].
     pub fn reset(&mut self) {
         self.scalar.reset();
         for m in self.matched.iter_mut().chain(&mut self.shard_matched) {

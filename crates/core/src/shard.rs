@@ -81,8 +81,7 @@ pub type BoxedEngine = Box<dyn FilterEngine + Send + Sync>;
 /// The shard owns **the per-shard match step** — *admit by synopsis →
 /// engine match → translate local ids to global in place* — in its two
 /// widths, [`Shard::match_event`] and [`Shard::match_batch`]. Every
-/// shard walk in the workspace, sequential or fanned out, is a loop
-/// over one of them.
+/// shard walk in the workspace is a loop over one of them.
 pub struct Shard {
     engine: BoxedEngine,
     translation: ShardTranslation,
@@ -192,62 +191,35 @@ impl Shard {
         (Some(scratch), stats)
     }
 
-    /// The step for a batch with the scratch in hand: afterwards
-    /// [`BatchScratch::matched`] holds, per event, this shard's matches
-    /// as **global** ids. `skip` excludes events up front (empty: none);
-    /// the returned stats count each remaining event the synopsis
-    /// pruned.
+    /// The step for a batch — [`Shard::match_event`] looped under one
+    /// visit: afterwards [`BatchScratch::matched`] holds, per event,
+    /// this shard's matches as **global** ids. `skip` excludes events up
+    /// front (empty: none); every other event is put to the synopsis
+    /// first, and the returned stats count each one it pruned.
     pub fn match_batch(
         &self,
         events: &[Arc<Event>],
         skip: &[bool],
         batch: &mut BatchScratch,
     ) -> MatchStats {
-        let held = &mut *batch;
-        let (held, stats) = self.match_batch_with(events, skip, move |_| held);
-        if held.is_none() {
-            batch.begin_batch(events.len());
-        }
-        stats
-    }
-
-    /// The batch step, **synopsis first**: [`Shard::match_event_with`]
-    /// looped under one visit. Each event not in `skip` is put to the
-    /// synopsis; the first one it admits calls `acquire` (a shard that
-    /// admits none does no work and takes no lease), and every admitted
-    /// event is matched with that one scratch and its ids translated in
-    /// place.
-    pub fn match_batch_with<H: DerefMut<Target = BatchScratch>>(
-        &self,
-        events: &[Arc<Event>],
-        skip: &[bool],
-        acquire: impl FnOnce(&BoxedEngine) -> H,
-    ) -> (Option<H>, MatchStats) {
         debug_assert!(
             skip.is_empty() || skip.len() == events.len(),
             "skip mask must be empty or one flag per event"
         );
-        let mut pruned_events = 0;
-        let mut admitted = events.iter().enumerate().filter(|&(e, event)| {
-            if skip.get(e).copied().unwrap_or(false) {
-                return false;
-            }
-            let admits = self.synopsis.admits(event);
-            pruned_events += usize::from(!admits);
-            admits
-        });
-        let Some(first) = admitted.next() else {
-            return (None, pruned(pruned_events));
-        };
-        let mut batch = acquire(&self.engine);
         batch.begin_batch(events.len());
         let mut stats = MatchStats::default();
-        for (e, event) in std::iter::once(first).chain(admitted) {
+        for (e, event) in events.iter().enumerate() {
+            if skip.get(e).copied().unwrap_or(false) {
+                continue;
+            }
+            if !self.synopsis.admits(event) {
+                stats.shards_pruned += 1;
+                continue;
+            }
             stats = stats + batch.match_event(&*self.engine, e, event);
             self.translate(&mut batch.matched[e]);
         }
-        stats.shards_pruned = pruned_events;
-        (Some(batch), stats)
+        stats
     }
 
     /// In-place local → global translation of one id list through the
@@ -527,11 +499,10 @@ impl ShardedEngine {
     ///
     /// Because the engine is a plain borrowed value, the fan-out uses
     /// [`std::thread::scope`] (one short-lived thread per remote shard
-    /// per call). The broker's publish pipeline performs the same
-    /// fan-out spawn-free on a persistent [`crate::WorkerPool`], which
-    /// is the form hot paths should use; this method is the
-    /// self-contained equivalent for standalone engines, tests and
-    /// harnesses.
+    /// per call). The broker does not fan out — its publish is the
+    /// sequential walk; this method is the self-contained parallel walk
+    /// for standalone engines, tests and the benchmark's
+    /// `core.shard.parallel_ns_per_event` row.
     // lint: hot-path — the standalone parallel matching walk: one
     // shared step per shard, merged in shard order.
     pub fn match_event_parallel(

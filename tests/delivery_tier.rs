@@ -191,14 +191,11 @@ fn dropped_receiver_counts_disconnected_notifications() {
 
 #[test]
 fn stalled_consumer_blocks_no_publish_path() {
-    // (label, broker) for every publish flavor: sequential single
-    // shard, the parallel fan-out pipeline, and batch publishing.
+    // (label, broker) for every publish flavor: one shard, two
+    // shards, and batch publishing.
     let brokers = [
-        ("sequential", Broker::builder().shards(1).build()),
-        (
-            "parallel",
-            Broker::builder().shards(2).parallel_threshold(0).build(),
-        ),
+        ("flat", Broker::builder().shards(1).build()),
+        ("sharded", Broker::builder().shards(2).build()),
         ("batch", Broker::builder().shards(1).build()),
     ];
     for (label, broker) in brokers {
@@ -280,11 +277,7 @@ fn flat_and_sharded_brokers_deliver_identically() {
             let events: Vec<Arc<Event>> = (0..40).map(|_| Arc::new(scenario.tick())).collect();
 
             let flat = Broker::builder().engine(kind).shards(1).build();
-            let sharded = Broker::builder()
-                .engine(kind)
-                .shards(shards)
-                .parallel_threshold(0)
-                .build();
+            let sharded = Broker::builder().engine(kind).shards(shards).build();
 
             let flat_subs: Vec<Subscription> = subs
                 .iter()

@@ -2,9 +2,8 @@
 //!
 //! * **Directory off the publish path** — a thread holding the
 //!   placement directory's **write** lock must not block a single
-//!   publish, on any shard, on either publish pipeline (sequential and
-//!   forced-parallel) or the batch path. Latch-observed: the publisher
-//!   provably starts *while* the lock is held.
+//!   publish, on any shard, single or batch. Latch-observed: the
+//!   publisher provably starts *while* the lock is held.
 //! * **Generation-tagged recycling is ABA-safe** — with
 //!   `recycled_ids`, a stale handle whose slot has been reissued can
 //!   no longer remove the slot's new owner (the regression that kept
@@ -75,79 +74,72 @@ fn ev(pairs: &[(&str, i64)]) -> Event {
 
 /// The acceptance gate: a thread parks **holding the directory write
 /// lock** (the lock every subscribe/unsubscribe/migration needs);
-/// publishes on every shard and every pipeline must still complete
+/// publishes on every shard, single and batch, must still complete
 /// while it is parked. Before PR 5, each publish took the directory
 /// read lock once per shard per event to translate matched ids, so
 /// this test would hang at the first publish.
 #[test]
 fn publishes_flow_while_directory_write_lock_is_held() {
-    for threshold in [usize::MAX, 0] {
-        // usize::MAX → sequential walk; 0 → forced parallel fan-out.
-        let broker = Broker::builder()
-            .shards(3)
-            .parallel_threshold(threshold)
-            .build();
-        let subs: Vec<Subscription> = (0..9)
-            .map(|i| broker.subscribe(&format!("a = {i} or all = 1")).unwrap())
-            .collect();
-        assert_eq!(broker.shard_loads(), vec![3, 3, 3]);
+    let broker = Broker::builder().shards(3).build();
+    let subs: Vec<Subscription> = (0..9)
+        .map(|i| broker.subscribe(&format!("a = {i} or all = 1")).unwrap())
+        .collect();
+    assert_eq!(broker.shard_loads(), vec![3, 3, 3]);
 
-        let lock_held = Latch::new();
-        let release = Latch::new();
-        let published = Latch::new();
+    let lock_held = Latch::new();
+    let release = Latch::new();
+    let published = Latch::new();
 
-        thread::scope(|scope| {
-            let holder = {
-                let broker = broker.clone();
-                let lock_held = lock_held.clone();
-                let release = release.clone();
-                scope.spawn(move || {
-                    broker.with_directory_write_held(|| {
-                        lock_held.open();
-                        assert!(
-                            release.wait(Duration::from_secs(30)),
-                            "test driver never released the directory holder"
-                        );
-                    });
-                })
-            };
-            assert!(
-                lock_held.wait(Duration::from_secs(10)),
-                "holder never acquired the directory write lock"
-            );
+    thread::scope(|scope| {
+        let holder = {
+            let broker = broker.clone();
+            let lock_held = lock_held.clone();
+            let release = release.clone();
+            scope.spawn(move || {
+                broker.with_directory_write_held(|| {
+                    lock_held.open();
+                    assert!(
+                        release.wait(Duration::from_secs(30)),
+                        "test driver never released the directory holder"
+                    );
+                });
+            })
+        };
+        assert!(
+            lock_held.wait(Duration::from_secs(10)),
+            "holder never acquired the directory write lock"
+        );
 
-            // With the directory write-held, publish on every pipeline:
-            // single (sequential or parallel by threshold), arc, and
-            // batch. Every subscription lives on some shard, so all
-            // three shards translate matched ids here.
-            let publisher = {
-                let broker = broker.clone();
-                let published = published.clone();
-                scope.spawn(move || {
-                    let mut delivered = broker.publish(ev(&[("all", 1)]));
-                    delivered += broker.publish_arc(Arc::new(ev(&[("all", 1)])));
-                    delivered += broker.publish_batch_events(&[ev(&[("all", 1)]), ev(&[("a", 4)])]);
-                    published.open();
-                    delivered
-                })
-            };
-            assert!(
-                published.wait(Duration::from_secs(10)),
-                "a publish blocked while the directory write lock was held \
-                 (threshold={threshold}): the directory is back on the hot path"
-            );
-            assert_eq!(
-                publisher.join().unwrap(),
-                9 + 9 + 9 + 1,
-                "all deliveries completed under the held lock"
-            );
-            release.open();
-            holder.join().unwrap();
-        });
+        // With the directory write-held, publish through every
+        // entry: single, arc, and batch. Every subscription lives on
+        // some shard, so all three shards translate matched ids here.
+        let publisher = {
+            let broker = broker.clone();
+            let published = published.clone();
+            scope.spawn(move || {
+                let mut delivered = broker.publish(ev(&[("all", 1)]));
+                delivered += broker.publish_arc(Arc::new(ev(&[("all", 1)])));
+                delivered += broker.publish_batch_events(&[ev(&[("all", 1)]), ev(&[("a", 4)])]);
+                published.open();
+                delivered
+            })
+        };
+        assert!(
+            published.wait(Duration::from_secs(10)),
+            "a publish blocked while the directory write lock was held: \
+             the directory is back on the hot path"
+        );
+        assert_eq!(
+            publisher.join().unwrap(),
+            9 + 9 + 9 + 1,
+            "all deliveries completed under the held lock"
+        );
+        release.open();
+        holder.join().unwrap();
+    });
 
-        for sub in &subs {
-            assert_eq!(sub.drain().len(), 4 - usize::from(sub.id().index() != 4));
-        }
+    for sub in &subs {
+        assert_eq!(sub.drain().len(), 4 - usize::from(sub.id().index() != 4));
     }
 }
 
