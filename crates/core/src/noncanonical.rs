@@ -1,8 +1,8 @@
 //! The non-canonical filtering engine — the paper's contribution (§3).
 
-use boolmatch_expr::{transform, Expr};
+use boolmatch_expr::{transform, CompareOp, Expr};
 use boolmatch_index::PredicateIndex;
-use boolmatch_types::Event;
+use boolmatch_types::{Event, Value};
 
 use crate::arena::{Loc, TreeArena};
 use crate::assoc::AssocTable;
@@ -31,12 +31,15 @@ use crate::{
 /// **necessary predicate set** — leaves of which at least one is
 /// fulfilled whenever the tree is true (`necessary_set`: a leaf is
 /// its own set, an `OR` unions its children's sets, an `AND` takes its
-/// cheapest child's set, a `NOT` has none). A subscription becomes a
-/// candidate only when a predicate it *needs* is fulfilled; the matched
-/// set is unchanged, the candidate set shrinks. On 20 000 paper-shape
+/// cheapest child's set — fewest predicates, then fewest non-equality
+/// ones, then lowest estimated traffic, recorded as the first child —
+/// and a `NOT` has none). A subscription becomes a candidate only when
+/// a predicate it *needs* is fulfilled; the matched set is unchanged,
+/// the candidate set shrinks. On 20 000 paper-shape
 /// subscriptions (AND of 4 OR-pairs, the benchmark's
-/// `fig3-noncanonical` at seed 2005) that is 1 524 candidate trees per
-/// event where the all-predicates association evaluated 5 435, and two
+/// `fig3-noncanonical` at seed 2005) that is 870 candidate trees per
+/// event where the all-predicates association evaluated 5 435 (and
+/// 1 524 while equal-size pairs went to the first one), and two
 /// postings per subscription where it stored eight; on 20 000 ticker
 /// subscriptions (`symbol = S and …`) one posting each and 1 661
 /// candidates where it evaluated 18 905.
@@ -58,8 +61,8 @@ use crate::{
 /// constant on the spot ([`MatchStats::leaf_comparisons`]), without a
 /// per-event memo — such a leaf is rarely shared between candidates,
 /// and the memo probe would cost what the comparison does. On the
-/// paper-shape corpus above that is 39 847 index entries instead of
-/// 157 342 and 1 518 fulfilled ids per event instead of 5 978; on the
+/// paper-shape corpus above that is 39 718 index entries instead of
+/// 157 342 and 866 fulfilled ids per event instead of 5 978; on the
 /// ticker corpus (`symbol = S` is the access predicate) 12 entries
 /// instead of 33 448 and 1 fulfilled id instead of 15 992. A fulfilled set that carries no event
 /// ([`FulfilledSet::from_ids`]) is taken as complete: every leaf is
@@ -92,6 +95,8 @@ pub struct NonCanonicalEngine {
     /// event at, plus [`INDEXED_BIT`] while the predicate is in `index`
     /// — one word, so a leaf test decides how to test with one read.
     leaf_meta: Vec<u32>,
+    /// Per attribute slot: the span of its interned numeric constants.
+    spans: Vec<Span>,
     /// Predicate → subscriptions having it in their necessary set
     /// (dense u32 sub indexes).
     assoc: AssocTable<u32>,
@@ -146,33 +151,60 @@ impl LeafTest<'_> {
 
 // lint: end-hot-path
 
-/// Expected candidate traffic of a necessary set, compared
-/// lexicographically: fewer predicates first, then fewer non-equality
-/// ones (a range, `!=` or string predicate holds for far more events
-/// than an equality does).
-type SetCost = (usize, usize);
+/// Expected candidate traffic of a necessary set.
+#[derive(Clone, Copy)]
+struct SetCost {
+    /// The key, compared lexicographically: fewer predicates first,
+    /// then fewer non-equality ones (a range, `!=` or string predicate
+    /// holds for far more events than an equality does). It bounds the
+    /// postings and index entries a set costs.
+    key: (usize, usize),
+    /// Estimated share of events fulfilling the set — the sum over its
+    /// leaves, `None` when a leaf has no estimate. Only compared
+    /// between sets with equal keys.
+    traffic: Option<f64>,
+}
+
+impl SetCost {
+    /// Whether a set costing `self` replaces the cheapest so far: a
+    /// smaller key, or an equal key and lower traffic where both sets
+    /// have an estimate.
+    fn beats(&self, best: &SetCost) -> bool {
+        self.key < best.key
+            || (self.key == best.key
+                && matches!((self.traffic, best.traffic), (Some(t), Some(b)) if t < b))
+    }
+}
 
 /// The association rule: appends to `out` a **necessary predicate
 /// set** of `tree` — leaves of which at least one is fulfilled
 /// whenever the tree is true — and returns its cost, or appends
 /// nothing and returns `None` when the tree can be true with no leaf
-/// fulfilled.
+/// fulfilled. `traffic` estimates the share of events fulfilling a
+/// leaf.
 ///
 /// A leaf is its own set; an `OR` needs one of its children, so it
 /// takes the union of their sets (and has none if any child has none);
 /// an `AND` needs all of its children, so any one child's set will do
-/// and it takes the cheapest, the first on equal cost; a `NOT` has
-/// none. Leaves are counted and appended as they occur, duplicates
-/// included.
+/// and it takes the cheapest ([`SetCost::beats`]: smallest key, then
+/// lowest estimated traffic, the first when neither decides) and moves
+/// that child to the front; a `NOT` has none. Leaves are counted and
+/// appended as they occur, duplicates included.
 ///
-/// `subscribe` runs this on the compiled tree and `unsubscribe` on the
-/// decoded stored tree; the two agree because predicate operators are
-/// fixed while a predicate is live, and because re-nesting a wide node
+/// `subscribe` runs this with its estimates on the compiled tree and
+/// stores the reordered tree; `unsubscribe` runs it without estimates
+/// on the decoded stored tree. The two agree because every `AND` of the
+/// stored tree holds its chosen child first and that child has the
+/// smallest key, which is all the rule without estimates — cheapest
+/// key, first on a tie — looks at; because predicate operators are
+/// fixed while a predicate is live; and because re-nesting a wide node
 /// into same-operator chunks ([`encode`]) changes neither a union nor
-/// the first cheapest child.
+/// the first child of smallest key. Estimates may move in between:
+/// nothing reads them at `unsubscribe`.
 fn necessary_set(
-    tree: &IdExpr,
+    tree: &mut IdExpr,
     interner: &PredicateInterner,
+    traffic: &impl Fn(PredicateId) -> Option<f64>,
     out: &mut Vec<PredicateId>,
 ) -> Option<SetCost> {
     let start = out.len();
@@ -180,34 +212,90 @@ fn necessary_set(
         IdExpr::Pred(id) => {
             out.push(*id);
             let non_equality = !interner.resolve(*id).op().is_point();
-            Some((1, usize::from(non_equality)))
+            Some(SetCost {
+                key: (1, usize::from(non_equality)),
+                traffic: traffic(*id),
+            })
         }
         IdExpr::Or(children) => {
-            let mut cost = (0, 0);
+            let mut cost = SetCost {
+                key: (0, 0),
+                traffic: Some(0.0),
+            };
             for child in children {
-                let Some((preds, non_equality)) = necessary_set(child, interner, out) else {
+                let Some(child) = necessary_set(child, interner, traffic, out) else {
                     out.truncate(start);
                     return None;
                 };
-                cost = (cost.0 + preds, cost.1 + non_equality);
+                cost = SetCost {
+                    key: (cost.key.0 + child.key.0, cost.key.1 + child.key.1),
+                    traffic: cost.traffic.zip(child.traffic).map(|(a, b)| a + b),
+                };
             }
             Some(cost)
         }
         IdExpr::And(children) => {
-            let mut best = None;
-            for child in children {
+            let mut best: Option<(usize, SetCost)> = None;
+            for (i, child) in children.iter_mut().enumerate() {
                 let child_start = out.len();
-                match necessary_set(child, interner, out) {
-                    Some(cost) if best.is_none_or(|b| cost < b) => {
+                match necessary_set(child, interner, traffic, out) {
+                    Some(cost) if best.is_none_or(|(_, b)| cost.beats(&b)) => {
                         out.drain(start..child_start);
-                        best = Some(cost);
+                        best = Some((i, cost));
                     }
                     _ => out.truncate(child_start),
                 }
             }
-            best
+            let (chosen, cost) = best?;
+            children[..=chosen].rotate_right(1);
+            Some(cost)
         }
         IdExpr::Not(_) => None,
+    }
+}
+
+/// The min/max of the numeric constants interned on one attribute:
+/// the column statistics of the traffic estimate. Widened when a
+/// predicate is first interned, never shrunk.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    min: f64,
+    max: f64,
+}
+
+impl Span {
+    const EMPTY: Span = Span {
+        min: f64::INFINITY,
+        max: f64::NEG_INFINITY,
+    };
+
+    fn widen(&mut self, c: f64) {
+        self.min = self.min.min(c);
+        self.max = self.max.max(c);
+    }
+
+    /// System R's range formula: the share of the span above `c` for
+    /// `>`/`>=`, below it for `<`/`<=`. `None` for other operators and
+    /// for an empty span.
+    fn share(&self, op: CompareOp, c: f64) -> Option<f64> {
+        let width = self.max - self.min;
+        if width <= 0.0 {
+            return None;
+        }
+        match op {
+            CompareOp::Gt | CompareOp::Ge => Some((self.max - c) / width),
+            CompareOp::Lt | CompareOp::Le => Some((c - self.min) / width),
+            _ => None,
+        }
+    }
+}
+
+/// A finite numeric constant as `f64`; `None` for every other value.
+fn numeric(value: &Value) -> Option<f64> {
+    match *value {
+        Value::Int(i) => Some(i as f64),
+        Value::Float(x) if x.is_finite() => Some(x),
+        _ => None,
     }
 }
 
@@ -224,6 +312,7 @@ impl NonCanonicalEngine {
             interner: PredicateInterner::new(),
             index: PredicateIndex::new(),
             leaf_meta: Vec::new(),
+            spans: Vec::new(),
             assoc: AssocTable::new(),
             always: Vec::new(),
             locations: Vec::new(),
@@ -250,6 +339,13 @@ impl NonCanonicalEngine {
                         self.leaf_meta.resize(id.index() + 1, 0);
                     }
                     self.leaf_meta[id.index()] = slot;
+                    if let Some(c) = numeric(p.value()) {
+                        let slot = slot as usize;
+                        if self.spans.len() <= slot {
+                            self.spans.resize(slot + 1, Span::EMPTY);
+                        }
+                        self.spans[slot].widen(c);
+                    }
                 }
                 acquired.push(id);
                 IdExpr::Pred(id)
@@ -262,16 +358,31 @@ impl NonCanonicalEngine {
 
     /// The distinct predicates `tree` is associated with, or `None`
     /// when it has no necessary set and belongs on the always-evaluate
-    /// list. Shared by `subscribe` and `unsubscribe`, so what one posts
-    /// the other removes.
-    fn association_of(&self, tree: &IdExpr) -> Option<Vec<PredicateId>> {
+    /// list; `traffic` breaks ties (see [`necessary_set`], which
+    /// reorders `tree`). Shared by `subscribe` and `unsubscribe`, so
+    /// what one posts the other removes.
+    fn association_of(
+        &self,
+        tree: &mut IdExpr,
+        traffic: impl Fn(PredicateId) -> Option<f64>,
+    ) -> Option<Vec<PredicateId>> {
         let mut set = Vec::new();
-        necessary_set(tree, &self.interner, &mut set)?;
+        necessary_set(tree, &self.interner, &traffic, &mut set)?;
         // A predicate occurring twice in the set must not make the
         // subscription a candidate twice.
         set.sort_unstable();
         set.dedup();
         Some(set)
+    }
+
+    /// Estimated share of events fulfilling `pid`: [`Span::share`] of
+    /// its constant within its attribute's span.
+    fn traffic(&self, pid: PredicateId) -> Option<f64> {
+        let pred = self.interner.resolve(pid);
+        // A numeric constant widened its slot's span when interned.
+        let c = numeric(pred.value())?;
+        let slot = (self.leaf_meta[pid.index()] & !INDEXED_BIT) as usize;
+        self.spans[slot].share(pred.op(), c)
     }
 
     /// Moves `pid` into the phase-1 index (its first posting was just
@@ -361,7 +472,9 @@ impl FilterEngine for NonCanonicalEngine {
         // subscription trees" (§3.1).
         let compacted = transform::compact(expr);
         let mut acquired = Vec::with_capacity(compacted.predicate_count());
-        let tree = self.compile(&compacted, &mut acquired);
+        let mut tree = self.compile(&compacted, &mut acquired);
+        // Ranked before encoding: the stored tree records the choice.
+        let association = self.association_of(&mut tree, |pid| self.traffic(pid));
         let bytes = match encode::encode(&tree) {
             Ok(b) if b.len() <= crate::arena::BLOCK_SIZE => b,
             Ok(b) => {
@@ -386,7 +499,7 @@ impl FilterEngine for NonCanonicalEngine {
 
         // Slots for the whole id space, whichever ids get postings.
         self.assoc.cover(self.interner.universe());
-        match self.association_of(&tree) {
+        match association {
             Some(set) => {
                 for pid in set {
                     if self.assoc.get(pid).is_empty() {
@@ -413,12 +526,14 @@ impl FilterEngine for NonCanonicalEngine {
         // The tree itself is the record of which postings and
         // predicates to release — this is why the paper stores
         // subscriptions explicitly (§3.2, footnote 1).
-        let tree =
+        let mut tree =
             encode::decode(self.arena.get(loc)).expect("engine-encoded trees are well-formed");
         self.arena.remove(loc);
 
         let sub_u32 = u32::try_from(id.index()).expect("issued ids fit u32");
-        match self.association_of(&tree) {
+        // No estimates: the stored order holds the choice `subscribe`
+        // made, whatever the spans have become since.
+        match self.association_of(&mut tree, |_| None) {
             Some(set) => {
                 for pid in set {
                     let removed = self.assoc.remove(pid, sub_u32);
@@ -529,7 +644,8 @@ impl FilterEngine for NonCanonicalEngine {
     fn memory_usage(&self) -> MemoryUsage {
         MemoryUsage {
             predicates: self.interner.heap_bytes()
-                + self.leaf_meta.capacity() * std::mem::size_of::<u32>(),
+                + self.leaf_meta.capacity() * std::mem::size_of::<u32>()
+                + self.spans.capacity() * std::mem::size_of::<Span>(),
             phase1_index: self.index.heap_bytes(),
             association: self.assoc.heap_bytes()
                 + self.always.capacity() * std::mem::size_of::<u32>(),
@@ -826,10 +942,11 @@ mod tests {
         interner
     }
 
-    /// The rule's raw output (leaf order, duplicates kept) as indexes.
+    /// The rule's raw output (leaf order, duplicates kept) as indexes,
+    /// without estimates.
     fn rule(tree: &IdExpr, interner: &PredicateInterner) -> Option<Vec<usize>> {
         let mut out = Vec::new();
-        let cost = necessary_set(tree, interner, &mut out);
+        let cost = necessary_set(&mut tree.clone(), interner, &|_| None, &mut out);
         if cost.is_none() {
             assert!(out.is_empty(), "no set must leave nothing behind");
         }
@@ -934,6 +1051,12 @@ mod tests {
             (wide_or, 600),
             (format!("({wide_and}) and z = 1"), 1),
             (wide_and, 1),
+            // Spans c, d = [0, 100]; then d's pair (traffic 0.04) wins
+            // the tie over c's (0.2) and is stored first; then d's span
+            // widens until c's pair would win a re-ranking.
+            ("c >= 0 and c <= 100 and d >= 0 and d <= 100".into(), 1),
+            ("(c > 90 or c <= 10) and (d > 98 or d <= 2)".into(), 2),
+            ("d > 10000 or d <= -10000".into(), 2),
         ];
         let mut e = NonCanonicalEngine::new();
         let mut expected = 0;
@@ -948,7 +1071,34 @@ mod tests {
             expected -= postings;
             assert_eq!(e.association_postings(), expected, "after `{text:.60}`");
         }
+        assert_eq!(e.indexed_predicates(), 0);
         assert_eq!(e.predicate_count(), 0);
+    }
+
+    #[test]
+    fn an_and_of_tied_pairs_is_posted_under_its_narrowest_pair() {
+        // Sets the spans of `a` and `b` to [0, 100], posted under `s`.
+        let (mut e, _) = engine_with(&["s = 1 and a >= 0 and a <= 100 and b >= 0 and b <= 100"]);
+        assert_eq!((e.association_postings(), e.indexed_predicates()), (1, 1));
+        // Equal keys (two range predicates each); `a`'s pair is
+        // estimated at 0.2 of events, `b`'s at 0.04.
+        let x = e
+            .subscribe(&Expr::parse("(a > 90 or a <= 10) and (b > 98 or b <= 2)").unwrap())
+            .unwrap();
+        assert_eq!((e.association_postings(), e.indexed_predicates()), (3, 3));
+        let a_only = Event::builder().attr("a", 95_i64).attr("b", 50_i64).build();
+        assert_eq!(e.match_event(&a_only).stats.candidates, 0);
+        let b_only = Event::builder().attr("a", 50_i64).attr("b", 99_i64).build();
+        let r = e.match_event(&b_only);
+        assert_eq!(r.stats.candidates, 1);
+        assert!(r.matched.is_empty());
+        // The choice is recorded as the first child of the stored tree.
+        let IdExpr::And(children) = e.subscription_tree(x).unwrap() else {
+            panic!("an AND is stored as an AND")
+        };
+        let mut first = Vec::new();
+        children[0].for_each_leaf(&mut |pid| first.push(e.interner.resolve(pid).to_string()));
+        assert_eq!(first, ["b > 98", "b <= 2"]);
     }
 
     #[test]
