@@ -48,7 +48,8 @@ use crate::summary::{
 /// Broker-global lock *field* names: acquiring any of these inside a
 /// hot-path region — directly or through any call chain — is a
 /// finding. `shard` states are per-shard and fine; `senders` reads
-/// during delivery carry an explicit allow. The names are the
+/// during delivery and the `delivery_ready` hand-off carry an explicit
+/// allow. The names are the
 /// `boolmatch_core::lock_classes` vocabulary plus the unclassed
 /// broker-global mutexes; the drift-guard test in
 /// `crates/analysis/tests/drift.rs` keeps the two in sync.
@@ -56,6 +57,7 @@ pub const GLOBAL_LOCKS: &[&str] = &[
     "directory",
     "maintenance",
     "senders",
+    "delivery_ready",
     "shard_set",
     "freq_baseline",
     "rebalancer",
@@ -106,6 +108,7 @@ pub const RELAXED_COUNTER_CELLS: &[&str] = &[
     "subscribers_quarantined",
     "quarantine_recoveries",
     "consumer_panics",
+    "drain_jobs",
 ];
 
 /// Atomic operations whose trailing `Ordering` argument the

@@ -1,7 +1,7 @@
 //! The broker itself.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -119,6 +119,11 @@ pub struct BrokerStats {
     /// delivery worker survives and every other subscriber is
     /// unaffected.
     pub consumer_panics: u64,
+    /// Drainer jobs handed to the delivery worker pool. A publish
+    /// submits one only while fewer than
+    /// [`BrokerBuilder::delivery_workers`] drainers are live, so this
+    /// grows by at most that many per publish — not per notification.
+    pub drain_jobs: u64,
 }
 
 #[derive(Default)]
@@ -133,12 +138,15 @@ struct AtomicStats {
     subscribers_quarantined: AtomicU64,
     quarantine_recoveries: AtomicU64,
     consumer_panics: AtomicU64,
+    drain_jobs: AtomicU64,
 }
 
 /// Per-publisher-thread reusable buffers: the match scratch plus the
 /// global matched-id accumulator (publish), the batch scratch,
-/// per-event matched buckets and `Arc` buffer (publish_batch), and the
-/// delivery snapshot of matched subscribers' queue handles.
+/// per-event matched buckets and `Arc` buffer (publish_batch), the
+/// delivery snapshot of matched subscribers' queue handles, and the
+/// chunk of consumer queues this publish scheduled but has not yet
+/// handed to the ready list.
 #[derive(Default)]
 struct PublishState {
     scratch: MatchScratch,
@@ -147,6 +155,7 @@ struct PublishState {
     buckets: Vec<Vec<SubscriptionId>>,
     event_arcs: Vec<Arc<Event>>,
     targets: Vec<(SubscriptionId, Arc<NotifyQueue>)>,
+    ready: Vec<(SubscriptionId, Arc<NotifyQueue>)>,
 }
 
 thread_local! {
@@ -188,17 +197,36 @@ pub const BACKGROUND_REBALANCE_CHUNK: usize = 32;
 /// noise and moves nothing.
 pub const MATCH_FREQUENCY_SKEW_FLOOR: u64 = 16;
 
-/// Default number of delivery worker threads (the pool draining
-/// consumer-callback queues), overridable with
-/// [`BrokerBuilder::delivery_workers`]. The pool is built lazily on the
-/// first [`Broker::subscribe_consumer`]; pull-only brokers never spawn
-/// it.
+/// Default number of delivery worker threads, overridable with
+/// [`BrokerBuilder::delivery_workers`]. Consumer-callback queues with
+/// undelivered events wait on one ready list, and at most this many
+/// drainer jobs consume it, one queue per pop; a publisher hands its
+/// newly scheduled queues over every 32 queues. The pool is built
+/// lazily on the first [`Broker::subscribe_consumer`]; pull-only
+/// brokers never spawn it.
 pub const DEFAULT_DELIVERY_WORKERS: usize = 2;
 
-/// Events one consumer drain job moves per queue-lock acquisition:
-/// large enough to amortise the lock, small enough that a deep backlog
-/// releases it (and wakes `Block`-policy publishers) regularly.
+/// Events a drainer moves per queue-lock acquisition: large enough to
+/// amortise the lock, small enough that a deep backlog releases it (and
+/// wakes `Block`-policy publishers) regularly.
 const DELIVERY_DRAIN_BATCH: usize = 32;
+
+/// Newly scheduled consumer queues a publisher collects before it takes
+/// the ready-list lock to hand them over. Handing over in chunks, not
+/// once after the last enqueue, lets a drainer start on the first
+/// subscribers while the publisher is still enqueueing to the rest.
+const READY_CHUNK: usize = 32;
+
+/// The delivery tier's ready list: consumer queues holding undelivered
+/// events that no drainer has popped yet, and the number of drainer
+/// jobs queued or running on the delivery pool. A queue is pushed only
+/// by the enqueue that set its scheduled bit, so it is on this list or
+/// in one drainer at most once — per-subscriber FIFO.
+#[derive(Default)]
+struct ReadyList {
+    queues: VecDeque<(SubscriptionId, Arc<NotifyQueue>)>,
+    drainers: usize,
+}
 
 /// What one [`Broker::delivery_maintenance_tick`] changed; all zeros
 /// when quarantine is not configured or every subscriber was steady.
@@ -412,10 +440,17 @@ pub(crate) struct BrokerInner {
     /// Slow-consumer quarantine thresholds; `None` leaves lag
     /// unmonitored (ticks are no-ops).
     quarantine: Option<QuarantineConfig>,
-    /// The worker pool draining consumer-callback queues, spawned
-    /// lazily by the first [`Broker::subscribe_consumer`] so pull-only
-    /// brokers pay nothing.
+    /// The worker pool running drainer jobs, spawned lazily by the
+    /// first [`Broker::subscribe_consumer`] so pull-only brokers pay
+    /// nothing.
     delivery_pool: OnceLock<Arc<WorkerPool>>,
+    /// Consumer queues waiting for a drainer. Shared by `Arc` with the
+    /// drainer jobs, which outlive a dropped broker on the pool.
+    ///
+    /// **Lock order:** a leaf — publishers take it after their last
+    /// enqueue of a chunk, drainers between queues, neither holding any
+    /// other lock.
+    delivery_ready: Arc<Mutex<ReadyList>>,
     /// Thread count for `delivery_pool` when it spawns.
     delivery_workers: usize,
     /// The background quarantine-tick thread, when configured.
@@ -461,9 +496,10 @@ impl Drop for BrokerInner {
         // blocked receivers and `Block`-policy publishers; queued
         // events stay drainable through surviving handles), then let
         // the delivery pool drop with the struct — `WorkerPool`'s Drop
-        // runs every already-queued consumer drain job to completion
-        // before joining, so consumer subscribers see everything that
-        // was enqueued before the broker died, and nothing after.
+        // runs every already-queued drainer job to completion before
+        // joining, and a drainer exits only once the ready list is
+        // empty, so consumer subscribers see everything that was
+        // enqueued before the broker died, and nothing after.
         for queue in self.senders.get_mut().values() {
             queue.close(false);
         }
@@ -1244,12 +1280,13 @@ impl Broker {
         PUBLISH_STATE.with(|cell| cell.borrow_mut().matched = matched);
     }
 
-    /// The one place the trim-cap rule for id buffers lives: a vector
-    /// grown past [`BrokerBuilder::scratch_trim_cap`] is replaced by an
-    /// empty one (capacity released) before being parked for reuse.
-    fn release_if_oversized(&self, ids: &mut Vec<SubscriptionId>) {
-        if ids.capacity() * std::mem::size_of::<SubscriptionId>() > self.inner.scratch_trim_cap {
-            *ids = Vec::new();
+    /// The one place the trim-cap rule for the thread-local buffers
+    /// lives: a vector grown past [`BrokerBuilder::scratch_trim_cap`] is
+    /// replaced by an empty one (capacity released) before being parked
+    /// for reuse.
+    fn release_if_oversized<T>(&self, buffer: &mut Vec<T>) {
+        if buffer.capacity() * std::mem::size_of::<T>() > self.inner.scratch_trim_cap {
+            *buffer = Vec::new();
         }
     }
 
@@ -1356,9 +1393,7 @@ impl Broker {
         // the buffer's capacity for the next batch — unless a
         // pathological batch grew it past the trim cap.
         shared.clear();
-        if shared.capacity() * std::mem::size_of::<Arc<Event>>() > self.inner.scratch_trim_cap {
-            shared = Vec::new();
-        }
+        self.release_if_oversized(&mut shared);
         PUBLISH_STATE.with(|cell| cell.borrow_mut().event_arcs = shared);
         delivered
     }
@@ -1379,7 +1414,7 @@ impl Broker {
         if matched.is_empty() {
             return 0;
         }
-        let mut targets = PUBLISH_STATE.with(|cell| {
+        let (mut targets, mut ready) = PUBLISH_STATE.with(|cell| {
             let state = &mut *cell.borrow_mut();
             let mut targets = std::mem::take(&mut state.targets);
             targets.clear();
@@ -1392,35 +1427,43 @@ impl Broker {
                         .filter_map(|id| senders.get(id).map(|q| (*id, Arc::clone(q)))),
                 );
             }
-            targets
+            (targets, std::mem::take(&mut state.ready))
         });
-        let delivered = self.enqueue_targets(&targets, event);
-        targets.clear();
+        let delivered = self.enqueue_targets(&targets, event, &mut ready);
         // Same trim-cap rule as the matched-id buffer: a pathological
         // fan-out must not pin its peak snapshot capacity per thread.
-        if targets.capacity() * std::mem::size_of::<(SubscriptionId, Arc<NotifyQueue>)>()
-            > self.inner.scratch_trim_cap
-        {
-            targets = Vec::new();
-        }
-        PUBLISH_STATE.with(|cell| cell.borrow_mut().targets = targets);
+        targets.clear();
+        self.release_if_oversized(&mut targets);
+        self.release_if_oversized(&mut ready);
+        PUBLISH_STATE.with(|cell| {
+            let state = &mut *cell.borrow_mut();
+            state.targets = targets;
+            state.ready = ready;
+        });
         delivered
     }
 
     /// Delivery core: enqueues `event` onto each snapshot target's
     /// queue — no broker lock held, one classed queue lock per target —
-    /// scheduling consumer drain jobs and pruning subscribers whose
-    /// queue turned out closed.
+    /// handing the consumer queues it scheduled to the ready list in
+    /// chunks of [`READY_CHUNK`] (collected in `ready`, empty again on
+    /// return), and pruning subscribers whose queue turned out closed.
     fn enqueue_targets(
         &self,
         targets: &[(SubscriptionId, Arc<NotifyQueue>)],
         event: &Arc<Event>,
+        ready: &mut Vec<(SubscriptionId, Arc<NotifyQueue>)>,
     ) -> usize {
         let mut delivered = 0usize;
         let mut dropped = 0u64;
         let mut disconnected = 0u64;
         let mut dead: Vec<SubscriptionId> = Vec::new();
         for (id, queue) in targets {
+            if queue.may_park() {
+                // A `Block` wait may follow: the queues scheduled so far
+                // must not wait out its timeout with the publisher.
+                self.hand_over(ready);
+            }
             let (outcome, schedule) = queue.enqueue(Arc::clone(event));
             match outcome {
                 Enqueue::Delivered => delivered += 1,
@@ -1431,9 +1474,13 @@ impl Broker {
                 }
             }
             if schedule {
-                self.schedule_drain(*id, queue);
+                ready.push((*id, Arc::clone(queue)));
+                if ready.len() == READY_CHUNK {
+                    self.hand_over(ready);
+                }
             }
         }
+        self.hand_over(ready);
         let stats = &self.inner.stats;
         if delivered > 0 {
             stats
@@ -1454,23 +1501,45 @@ impl Broker {
         delivered
     }
 
-    /// Hands `queue`'s freshly non-empty backlog to the delivery pool.
-    /// Called only on the enqueue that flipped the queue's scheduled
-    /// bit, so each consumer queue has at most one drain job queued or
-    /// running — the per-subscriber FIFO guarantee. The job captures
-    /// only a `Weak` broker reference: it can never keep a dropped
-    /// broker alive, and the pool's own Drop (which runs queued jobs to
+    /// Moves `chunk` — consumer queues whose scheduled bit this
+    /// publisher set — onto the ready list under one lock acquisition,
+    /// and submits a drainer job for each pool thread not already
+    /// draining, up to one per waiting queue: none while enough
+    /// drainers are live. The jobs capture the ready list and a `Weak`
+    /// broker reference only: they can never keep a dropped broker
+    /// alive, and the pool's own Drop (which runs queued jobs to
     /// completion) cannot deadlock on the broker's teardown.
-    fn schedule_drain(&self, id: SubscriptionId, queue: &Arc<NotifyQueue>) {
+    fn hand_over(&self, chunk: &mut Vec<(SubscriptionId, Arc<NotifyQueue>)>) {
+        if chunk.is_empty() {
+            return;
+        }
         let Some(pool) = self.inner.delivery_pool.get() else {
             // Unreachable in practice: the scheduled bit only flips on
             // consumer queues, and the first consumer subscribe built
             // the pool. Degrades to pull-only delivery if not.
+            chunk.clear();
             return;
         };
-        let weak = Arc::downgrade(&self.inner);
-        let queue = Arc::clone(queue);
-        pool.submit(move || drain_consumer_queue(&weak, id, &queue));
+        let jobs = {
+            // lint: allow(hot-path-locking, reason = "the ready-list hand-off: one acquisition per READY_CHUNK scheduled queues, a leaf held for an append and a count")
+            let mut list = self.inner.delivery_ready.lock();
+            list.queues.extend(chunk.drain(..));
+            let jobs = (pool.threads() - list.drainers).min(list.queues.len());
+            list.drainers += jobs;
+            jobs
+        };
+        if jobs == 0 {
+            return;
+        }
+        self.inner
+            .stats
+            .drain_jobs
+            .fetch_add(jobs as u64, Ordering::Relaxed);
+        for _ in 0..jobs {
+            let ready = Arc::clone(&self.inner.delivery_ready);
+            let weak = Arc::downgrade(&self.inner);
+            pool.submit(move || run_drainer(&ready, &weak));
+        }
     }
 
     /// Unsubscribes disconnected subscribers found during delivery
@@ -1543,6 +1612,7 @@ impl Broker {
             subscribers_quarantined: s.subscribers_quarantined.load(Ordering::Relaxed),
             quarantine_recoveries: s.quarantine_recoveries.load(Ordering::Relaxed),
             consumer_panics: s.consumer_panics.load(Ordering::Relaxed),
+            drain_jobs: s.drain_jobs.load(Ordering::Relaxed),
         }
     }
 
@@ -1675,22 +1745,60 @@ fn delivery_maintenance_loop(weak: Weak<BrokerInner>, stop: Arc<StopLatch>, inte
     }
 }
 
-/// One consumer drain job: moves batches off `queue` and feeds them to
-/// the subscriber's callback until the queue is empty (which clears the
-/// scheduled bit under the queue lock — the next enqueue schedules a
-/// fresh job). Runs on the delivery pool with nothing locked across
-/// the callback; a panicking callback is caught, its subscription torn
-/// down, and the worker — and every other subscriber — continues.
-fn drain_consumer_queue(weak: &Weak<BrokerInner>, id: SubscriptionId, queue: &Arc<NotifyQueue>) {
+/// One drainer job: pops one queue at a time off the ready list and
+/// drains it, until the list is empty. The ready lock is held only for
+/// the pop; the exit decrements `drainers` under the same acquisition
+/// that found the list empty, so a publisher appending after it sees
+/// the drainer gone and submits a fresh one. Taking one queue per pop
+/// is the stall-isolation rule: a wedged callback holds its own queue
+/// and this worker, and every other queue stays poppable.
+fn run_drainer(ready: &Mutex<ReadyList>, weak: &Weak<BrokerInner>) {
+    let _unwind = DrainerUnwind(ready);
+    let mut batch: Vec<Arc<Event>> = Vec::with_capacity(DELIVERY_DRAIN_BATCH);
+    loop {
+        let (id, queue) = {
+            let mut list = ready.lock();
+            match list.queues.pop_front() {
+                Some(entry) => entry,
+                None => {
+                    list.drainers -= 1;
+                    return;
+                }
+            }
+        };
+        drain_queue(weak, id, &queue, &mut batch);
+    }
+}
+
+/// Keeps `ReadyList::drainers` exact when a drainer unwinds between
+/// pops (the `expect` in `BrokerInner::unsubscribe` after a consumer
+/// panic); the normal exit decrements in `run_drainer` itself.
+struct DrainerUnwind<'a>(&'a Mutex<ReadyList>);
+
+impl Drop for DrainerUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.lock().drainers -= 1;
+        }
+    }
+}
+
+/// Feeds `queue`'s backlog to the subscriber's callback, `batch` (empty
+/// on entry and on return) at a time, until the queue is empty — which
+/// clears the scheduled bit under the queue lock, so the next enqueue
+/// puts it on the ready list again. Nothing is locked across the
+/// callback; a panicking callback is caught, its subscription torn
+/// down, and the drainer — and every other subscriber — continues.
+fn drain_queue(
+    weak: &Weak<BrokerInner>,
+    id: SubscriptionId,
+    queue: &NotifyQueue,
+    batch: &mut Vec<Arc<Event>>,
+) {
     let Some(consumer) = queue.consumer() else {
         return;
     };
-    let mut batch: Vec<Arc<Event>> = Vec::with_capacity(DELIVERY_DRAIN_BATCH);
-    loop {
-        batch.clear();
-        if !queue.pop_batch(&mut batch, DELIVERY_DRAIN_BATCH) {
-            return;
-        }
+    while queue.pop_batch(batch, DELIVERY_DRAIN_BATCH) {
         for event in batch.drain(..) {
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 consumer(event);
@@ -1699,7 +1807,8 @@ fn drain_consumer_queue(weak: &Weak<BrokerInner>, id: SubscriptionId, queue: &Ar
                 // Panic isolation: discard this subscriber's backlog
                 // and remove it; the broker may already be mid-drop
                 // (failed upgrade), in which case the queue close is
-                // all that is left to do.
+                // all that is left to do. The closed queue keeps its
+                // scheduled bit and is never pushed again.
                 queue.close(true);
                 if let Some(inner) = weak.upgrade() {
                     inner.stats.consumer_panics.fetch_add(1, Ordering::Relaxed);
@@ -1891,8 +2000,9 @@ impl BrokerBuilder {
 
     /// Sets the number of delivery worker threads draining
     /// consumer-callback queues (default:
-    /// [`DEFAULT_DELIVERY_WORKERS`]). The pool spawns lazily on the
-    /// first [`Broker::subscribe_consumer`].
+    /// [`DEFAULT_DELIVERY_WORKERS`]) — also the most drainer jobs that
+    /// are ever live at once. The pool spawns lazily on the first
+    /// [`Broker::subscribe_consumer`].
     ///
     /// # Panics
     ///
@@ -1958,10 +2068,11 @@ impl BrokerBuilder {
     /// — capacity released — instead of kept at its high-water size
     /// (default: [`DEFAULT_SCRATCH_TRIM_CAP`]). Applied to each of the
     /// publishing thread's reusable buffers (match scratch, batch
-    /// scratch, matched ids, batch buckets, delivery targets) after
-    /// each publish/batch. Without a cap, one pathological event (say,
-    /// a 100k-candidate spike) would pin its peak allocation in every
-    /// publisher thread for the thread's lifetime. `usize::MAX`
+    /// scratch, matched ids, batch buckets, delivery targets, ready
+    /// chunk) after each publish/batch. Without a cap, one pathological
+    /// event (say, a 100k-candidate spike) would pin its peak
+    /// allocation in every publisher thread for the thread's lifetime.
+    /// `usize::MAX`
     /// disables trimming (the pre-cap behaviour); `0` trims after every
     /// publish — useful in memory-starved deployments, at the price of
     /// re-growing the buffers each publish.
@@ -2001,6 +2112,7 @@ impl BrokerBuilder {
             policy: self.policy,
             quarantine: self.quarantine,
             delivery_pool: OnceLock::new(),
+            delivery_ready: Arc::new(Mutex::new(ReadyList::default())),
             delivery_workers: self.delivery_workers.unwrap_or(DEFAULT_DELIVERY_WORKERS),
             delivery_maintenance: Mutex::new(None),
             stats: AtomicStats::default(),
@@ -2011,10 +2123,12 @@ impl BrokerBuilder {
         // Register the broker-global locks with lockdep (debug builds):
         // runtime enforcement of the documented order — `maintenance`
         // outermost, shard locks ascending, `directory` innermost,
-        // `senders`/`shard-set`/`freq-baseline`/`rebalancer` leaves.
+        // `senders`/`delivery_ready`/`shard-set`/`freq-baseline`/
+        // `rebalancer` leaves.
         inner.directory.set_class(lock_classes::DIRECTORY);
         inner.maintenance.set_class(lock_classes::MAINTENANCE);
         inner.senders.set_class(lock_classes::SENDERS);
+        inner.delivery_ready.set_class(lock_classes::DELIVERY_READY);
         inner.shard_set.set_class("shard-set");
         inner.freq_baseline.set_class("freq-baseline");
         inner.rebalancer.set_class("rebalancer");

@@ -177,11 +177,11 @@ struct QueueState {
     /// Consecutive lagging (or, while quarantined, recovered)
     /// maintenance ticks.
     strikes: u32,
-    /// A consumer drain job is queued or running; enqueue schedules a
-    /// new one only on the `false → true` transition, and the drain
-    /// clears it (under this lock) only after seeing the buffer empty
-    /// — the classic wakeup protocol, race-free because both sides
-    /// hold the queue lock.
+    /// The queue is on the broker's ready list or in a drainer; only
+    /// the enqueue that makes the `false → true` transition puts it on
+    /// the list, and the drainer clears it (under this lock) only after
+    /// seeing the buffer empty — the classic wakeup protocol, race-free
+    /// because both sides hold the queue lock.
     scheduled: bool,
     /// Receivers parked in `recv`/`recv_timeout` (skip the condvar
     /// notify when zero — the steady-state enqueue's fast path).
@@ -191,8 +191,8 @@ struct QueueState {
 }
 
 /// One subscriber's notification queue; shared by the broker's sender
-/// map, the [`crate::Subscription`] handle and any in-flight drain
-/// job via `Arc`.
+/// map, the [`crate::Subscription`] handle and, while scheduled, the
+/// ready list or the drainer holding it, via `Arc`.
 pub(crate) struct NotifyQueue {
     state: Mutex<QueueState>,
     not_empty: Condvar,
@@ -231,8 +231,24 @@ impl NotifyQueue {
         queue
     }
 
-    pub(crate) fn consumer(&self) -> Option<Consumer> {
-        self.consumer.clone()
+    pub(crate) fn consumer(&self) -> Option<&Consumer> {
+        self.consumer.as_ref()
+    }
+
+    /// Whether an enqueue may park the publisher: a
+    /// [`DeliveryPolicy::Block`] queue (the policy never changes, so no
+    /// lock is needed to ask).
+    pub(crate) fn may_park(&self) -> bool {
+        matches!(self.policy, DeliveryPolicy::Block { .. })
+    }
+
+    /// Receivers and publishers currently parked on the queue:
+    /// `(waiting_recv, waiting_send)`. Lets a test wait for the parked
+    /// path instead of sleeping toward it.
+    #[cfg(test)]
+    pub(crate) fn parked(&self) -> (usize, usize) {
+        let state = self.state.lock();
+        (state.waiting_recv, state.waiting_send)
     }
 
     // lint: hot-path — the enqueue path runs on every publish for
@@ -241,9 +257,9 @@ impl NotifyQueue {
     // the queue's own condvar, still holding nothing else.
 
     /// Attempts to place `event` on the queue under this queue's
-    /// policy. Returns the outcome plus whether the caller must
-    /// schedule a consumer drain job (consumer queues only, on the
-    /// empty→non-empty transition).
+    /// policy. Returns the outcome plus whether the caller must put the
+    /// queue on the broker's ready list (consumer queues only, on the
+    /// unscheduled→scheduled transition).
     pub(crate) fn enqueue(&self, event: Arc<Event>) -> (Enqueue, bool) {
         let mut state = self.state.lock();
         if state.closed {
@@ -337,11 +353,11 @@ impl NotifyQueue {
         (outcome, schedule)
     }
 
-    /// Moves up to `max` queued events into `out` for a consumer drain
-    /// job. Returns `false` — clearing the scheduled bit under the
-    /// lock — when the queue is empty, which is the job's signal to
-    /// exit (an enqueue racing this sees the bit cleared and schedules
-    /// a fresh job).
+    /// Moves up to `max` queued events into `out` for a drainer.
+    /// Returns `false` — clearing the scheduled bit under the lock —
+    /// when the queue is empty, which is the drainer's signal to move
+    /// on (an enqueue racing this sees the bit cleared and puts the
+    /// queue on the ready list again).
     pub(crate) fn pop_batch(&self, out: &mut Vec<Arc<Event>>, max: usize) -> bool {
         let mut state = self.state.lock();
         if state.buf.is_empty() {
@@ -693,7 +709,10 @@ mod tests {
         assert_eq!(q.enqueue(event()).0, Enqueue::Delivered);
         let q2 = Arc::clone(&q);
         let drainer = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
+            // Free the slot only once the publisher is parked on it.
+            while q2.parked() != (0, 1) {
+                std::thread::yield_now();
+            }
             q2.try_recv()
         });
         let start = Instant::now();

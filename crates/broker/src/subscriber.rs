@@ -157,8 +157,12 @@ mod tests {
         let broker = Broker::builder().build();
         let sub = broker.subscribe("a = 1").unwrap();
         let publisher = broker.publisher();
+        let queue = Arc::clone(&sub.queue);
         let handle = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
+            // Publish only once the receiver is parked in `recv`.
+            while queue.parked() != (1, 0) {
+                std::thread::yield_now();
+            }
             publisher.publish(ev(1));
         });
         let got = sub.recv().expect("notification arrives");

@@ -5,8 +5,8 @@
 //! the delivery tier and the standalone parallel walk:
 //!
 //! * [`WorkerPool`] — a persistent pool of worker threads executing
-//!   submitted jobs. The broker owns one for its delivery tier (consumer
-//!   drain jobs), built lazily on the first consumer subscription.
+//!   submitted jobs. The broker owns one for its delivery tier (drainer
+//!   jobs), built lazily on the first consumer subscription.
 //! * [`ScratchPool`] — a non-blocking pool of warm [`MatchScratch`]es.
 //!   Checkout applies the hygiene pair exactly once —
 //!   [`MatchScratch::reset`] (clear state, keep capacity) and
@@ -250,8 +250,11 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// A persistent pool of worker threads draining a shared job queue.
 ///
 /// The pool is created once (threads park between jobs) and serves the
-/// broker's delivery tier: each consumer queue that turns non-empty
-/// submits one drain job — no thread spawn per notification. Jobs must
+/// broker's delivery tier: consumer queues with undelivered events wait
+/// on a ready list that at most one drainer job per pool thread
+/// consumes, one queue per pop, and a publisher hands newly scheduled
+/// queues over every 32 queues — no job, let alone a thread spawn, per
+/// notification. Jobs must
 /// be `'static` (capture `Arc`s, not borrows); for borrowed data use
 /// scoped threads, as [`crate::ShardedEngine::match_event_parallel`]
 /// does.
@@ -301,8 +304,8 @@ impl WorkerPool {
         self.workers.len()
     }
 
-    // lint: hot-path — submit runs once per consumer queue that turns
-    // non-empty, on the publishing thread.
+    // lint: hot-path — submit runs on the publishing thread, at most
+    // once per pool thread per ready-list hand-off.
 
     /// Queues `job` for execution on some worker. A job submitted to a
     /// pool torn down concurrently (sender gone or workers exited) is

@@ -60,10 +60,11 @@ use crate::{PredicateId, SubscriptionId};
 /// * [`shard`]`(i)` locks nest only in ascending index order.
 /// * [`DIRECTORY`] is innermost — acquired only while holding at most
 ///   shard locks, never the other way around.
-/// * [`POOL`] and [`SENDERS`] are leaves: never held across another
-///   classed acquisition (pool slots are `try_lock`-only on the hot
-///   path; the senders map is read during delivery holding nothing
-///   else).
+/// * [`POOL`], [`SENDERS`] and [`DELIVERY_READY`] are leaves: never
+///   held across another classed acquisition (pool slots are
+///   `try_lock`-only on the hot path; the senders map is read during
+///   delivery holding nothing else; the ready list is appended to and
+///   popped holding nothing else).
 pub mod lock_classes {
     /// The write-side placement directory — innermost.
     pub const DIRECTORY: &str = "directory";
@@ -74,6 +75,11 @@ pub mod lock_classes {
     pub const POOL: &str = "pool";
     /// The broker's subscriber-sender map — leaf, read during delivery.
     pub const SENDERS: &str = "senders";
+    /// The broker's delivery ready list — leaf, taken once per chunk of
+    /// newly scheduled consumer queues by a publisher and once per
+    /// popped queue by a drainer. Spelled like the broker field it
+    /// classes, which the lint bans on the hot path.
+    pub const DELIVERY_READY: &str = "delivery_ready";
     /// Per-subscriber delivery queues share [`DELIVERY_QUEUE_GROUPS`]
     /// lock classes (grouped by subscription-id index) instead of one
     /// class per queue: lockdep's graph stays small while same-class

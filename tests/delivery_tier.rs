@@ -52,6 +52,18 @@ impl Latch {
     }
 }
 
+/// Opens the latch when dropped. Declared after the broker it is
+/// dropped first, so an assertion that fires while callbacks are parked
+/// fails the test instead of hanging in the broker's teardown, which
+/// waits for those callbacks.
+struct OpenOnDrop(Arc<Latch>);
+
+impl Drop for OpenOnDrop {
+    fn drop(&mut self) {
+        self.0.release();
+    }
+}
+
 fn spin_until(deadline: Duration, mut done: impl FnMut() -> bool) -> bool {
     let start = Instant::now();
     while start.elapsed() < deadline {
@@ -143,6 +155,10 @@ fn block_policy_applies_backpressure_then_times_out() {
             (delivered, start.elapsed())
         })
     };
+    // The sleep only makes it likely that the publish is parked before
+    // the receive frees a slot; every assertion holds either way (the
+    // parked path itself is pinned by `block_policy_waits_for_a_drain`
+    // in `delivery.rs`).
     thread::sleep(Duration::from_millis(30));
     assert_eq!(seq_of(&sub.recv().unwrap()), 0);
     let (delivered, waited) = publisher.join().unwrap();
@@ -191,15 +207,19 @@ fn dropped_receiver_counts_disconnected_notifications() {
 
 #[test]
 fn stalled_consumer_blocks_no_publish_path() {
-    // (label, broker) for every publish flavor: one shard, two
-    // shards, and batch publishing.
+    // (label, broker, healthy neighbours) for every publish flavor: one
+    // shard, two shards, and batch publishing — and one stalled
+    // consumer beside 32 healthy ones, which a drainer that popped
+    // several queues at once would starve behind the stalled one.
     let brokers = [
-        ("flat", Broker::builder().shards(1).build()),
-        ("sharded", Broker::builder().shards(2).build()),
-        ("batch", Broker::builder().shards(1).build()),
+        ("flat", Broker::builder().shards(1).build(), 1),
+        ("sharded", Broker::builder().shards(2).build(), 1),
+        ("batch", Broker::builder().shards(1).build(), 1),
+        ("flat x32", Broker::builder().shards(1).build(), 32),
     ];
-    for (label, broker) in brokers {
+    for (label, broker, neighbours) in brokers {
         let latch = Latch::new();
+        let _open = OpenOnDrop(Arc::clone(&latch));
         let stalled_cap = 4;
         let stalled = {
             let latch = Arc::clone(&latch);
@@ -214,14 +234,16 @@ fn stalled_consumer_blocks_no_publish_path() {
                 .unwrap()
         };
         let healthy_seen = Arc::new(AtomicU64::new(0));
-        let healthy = {
-            let seen = Arc::clone(&healthy_seen);
-            broker
-                .subscribe_consumer("feed >= 0", DeliveryPolicy::Unbounded, move |_| {
-                    seen.fetch_add(1, Ordering::SeqCst);
-                })
-                .unwrap()
-        };
+        let healthy: Vec<Subscription> = (0..neighbours)
+            .map(|_| {
+                let seen = Arc::clone(&healthy_seen);
+                broker
+                    .subscribe_consumer("feed >= 0", DeliveryPolicy::Unbounded, move |_| {
+                        seen.fetch_add(1, Ordering::SeqCst);
+                    })
+                    .unwrap()
+            })
+            .collect();
 
         let total = 64_u64;
         let start = Instant::now();
@@ -243,13 +265,14 @@ fn stalled_consumer_blocks_no_publish_path() {
             stalled.lag().queued <= stalled_cap,
             "{label}: stalled backlog exceeded its cap"
         );
-        // ...and the healthy consumer is not starved by its neighbour
-        // wedging one delivery worker.
+        // ...and the healthy consumers are not starved by their
+        // neighbour wedging one delivery worker.
+        let expected = total * neighbours;
         assert!(
             spin_until(Duration::from_secs(5), || healthy_seen
                 .load(Ordering::SeqCst)
-                == total),
-            "{label}: healthy consumer saw {} of {total}",
+                == expected),
+            "{label}: healthy consumers saw {} of {expected}",
             healthy_seen.load(Ordering::SeqCst)
         );
 
@@ -262,6 +285,52 @@ fn stalled_consumer_blocks_no_publish_path() {
         );
         drop((stalled, healthy));
     }
+}
+
+#[test]
+fn drainer_jobs_are_bounded_by_delivery_workers() {
+    // 64 consumers parked on a latch: the first publish schedules all
+    // 64 queues, two drainers pop one each and wedge, and the other 62
+    // stay on the ready list — so no later publish schedules anything.
+    // One job per scheduled queue would have submitted 64.
+    let broker = Broker::builder().delivery_workers(2).build();
+    let latch = Latch::new();
+    let _open = OpenOnDrop(Arc::clone(&latch));
+    let seen: Arc<Vec<Mutex<Vec<i64>>>> =
+        Arc::new((0..64).map(|_| Mutex::new(Vec::new())).collect());
+    let subs: Vec<Subscription> = (0..64)
+        .map(|slot| {
+            let latch = Arc::clone(&latch);
+            let seen = Arc::clone(&seen);
+            broker
+                .subscribe_consumer("feed >= 0", DeliveryPolicy::Unbounded, move |event| {
+                    latch.wait();
+                    seen[slot].lock().unwrap().push(seq_of(&event));
+                })
+                .unwrap()
+        })
+        .collect();
+    for seq in 0..8 {
+        assert_eq!(broker.publish(seq_event(seq)), 64);
+    }
+    assert_eq!(broker.stats().drain_jobs, 2);
+
+    latch.release();
+    let arrived = || seen.iter().map(|s| s.lock().unwrap().len()).sum::<usize>();
+    assert!(
+        spin_until(Duration::from_secs(10), || arrived() == 512),
+        "only {} of 512 notifications arrived",
+        arrived()
+    );
+    for (slot, got) in seen.iter().enumerate() {
+        assert_eq!(
+            *got.lock().unwrap(),
+            (0..8).collect::<Vec<_>>(),
+            "subscriber {slot} out of order"
+        );
+    }
+    assert_eq!(broker.stats().drain_jobs, 2, "no publish, no job");
+    drop(subs);
 }
 
 // ---------------------------------------------------------------------
@@ -453,6 +522,9 @@ fn broker_drop_wakes_a_blocked_receiver() {
     let broker = Broker::builder().build();
     let sub = broker.subscribe("feed >= 0").unwrap();
     let waiter = thread::spawn(move || sub.recv());
+    // The sleep only makes it likely that `recv` is parked when the
+    // broker drops; a `recv` that starts later finds the queue closed
+    // and returns `None` too, so the assertion holds either way.
     thread::sleep(Duration::from_millis(50));
     drop(broker);
     assert_eq!(waiter.join().unwrap(), None, "recv returns on shutdown");
