@@ -61,7 +61,6 @@ pub const GLOBAL_LOCKS: &[&str] = &[
     "shard_set",
     "freq_baseline",
     "rebalancer",
-    "delivery_maintenance",
 ];
 
 /// Lock classes that are *leaves by discipline*, not broker-global

@@ -326,14 +326,6 @@ impl ShardCell {
     }
 }
 
-/// One resize epoch's shard cells. [`Broker::resize`] swaps the whole
-/// set behind the epoch lock — a publish clones the `Arc` once (the only
-/// broker-global lock it ever takes, held for a pointer copy) and works
-/// on an immutable snapshot from there.
-struct ShardSet {
-    shards: Vec<Arc<ShardCell>>,
-}
-
 /// A one-shot stop signal for the background rebalance thread: `signal`
 /// releases a `wait_timeout` immediately instead of letting the thread
 /// sleep out its interval on shutdown.
@@ -366,8 +358,8 @@ impl StopLatch {
     }
 }
 
-/// A background thread's handle (rebalancer or delivery maintenance),
-/// joined when the broker's last reference drops.
+/// The background rebalance thread's handle, joined when the broker's
+/// last reference drops.
 struct BackgroundHandle {
     stop: Arc<StopLatch>,
     thread: JoinHandle<()>,
@@ -399,10 +391,11 @@ impl FreqWindow {
 }
 
 pub(crate) struct BrokerInner {
-    /// The current shard set, swapped wholesale by
-    /// [`Broker::resize`]. Steady-state readers take the
-    /// lock only long enough to clone the `Arc`.
-    shard_set: RwLock<Arc<ShardSet>>,
+    /// The current resize epoch's shard cells, swapped wholesale by
+    /// [`Broker::resize`]. A publish clones the `Arc` once (the only
+    /// broker-global lock it ever takes, held for a pointer copy) and
+    /// works on an immutable snapshot from there.
+    shard_set: RwLock<Arc<[Arc<ShardCell>]>>,
     /// The **write-side** placement directory: global id ↔ placement,
     /// loads and the stored expressions migration re-subscribes.
     /// Touched by subscribe/unsubscribe/migrate/resize only — the
@@ -453,8 +446,6 @@ pub(crate) struct BrokerInner {
     delivery_ready: Arc<Mutex<ReadyList>>,
     /// Thread count for `delivery_pool` when it spawns.
     delivery_workers: usize,
-    /// The background quarantine-tick thread, when configured.
-    delivery_maintenance: Mutex<Option<BackgroundHandle>>,
     stats: AtomicStats,
     /// Heap-byte cap above which a thread-local publish buffer is
     /// trimmed after each publish/batch instead of keeping its
@@ -477,13 +468,9 @@ pub(crate) struct BrokerInner {
 
 impl Drop for BrokerInner {
     fn drop(&mut self) {
-        let handles = [
-            self.rebalancer.get_mut().take(),
-            self.delivery_maintenance.get_mut().take(),
-        ];
-        for handle in handles.into_iter().flatten() {
+        if let Some(handle) = self.rebalancer.get_mut().take() {
             handle.stop.signal();
-            // The last broker reference can die on a background
+            // The last broker reference can die on the background
             // thread itself (its tick upgrades the Weak into a
             // temporary strong handle); joining ourselves would
             // deadlock — the thread is already past its loop and
@@ -507,7 +494,7 @@ impl Drop for BrokerInner {
 }
 
 impl BrokerInner {
-    fn shard_set(&self) -> Arc<ShardSet> {
+    fn shard_set(&self) -> Arc<[Arc<ShardCell>]> {
         Arc::clone(&self.shard_set.read())
     }
 
@@ -537,7 +524,7 @@ impl BrokerInner {
             // dropped by a shrink while we raced it — its engine went
             // with it, so there is nothing left to unsubscribe.
             let set = self.shard_set();
-            if let Some(cell) = set.shards.get(shard) {
+            if let Some(cell) = set.get(shard) {
                 // `Shard::unsubscribe` carries the stale-cell guard:
                 // only if this local slot still belongs to *our* global
                 // id is the engine touched (a drain may have completed
@@ -576,8 +563,8 @@ impl Broker {
         BrokerBuilder::default()
     }
 
-    /// The current resize epoch's shard set.
-    fn shard_set(&self) -> Arc<ShardSet> {
+    /// The current resize epoch's shard cells.
+    fn shard_set(&self) -> Arc<[Arc<ShardCell>]> {
         self.inner.shard_set()
     }
 
@@ -699,7 +686,7 @@ impl Broker {
             }
         };
         let set = self.shard_set();
-        let cell = &set.shards[shard];
+        let cell = &set[shard];
         // The expression is stored for every broker — including
         // single-shard ones, which `resize` can grow into migrating
         // multi-shard brokers at any time. (The PR-4 placeholder
@@ -822,11 +809,10 @@ impl Broker {
     pub fn rebalance_by_match_frequency(&self, max_moves: usize) -> usize {
         let _maintenance = self.inner.maintenance.lock();
         let set = self.shard_set();
-        if set.shards.len() < 2 {
+        if set.len() < 2 {
             return 0;
         }
         let hits: Vec<u64> = set
-            .shards
             .iter()
             .map(|cell| cell.hits.load(Ordering::Relaxed))
             .collect();
@@ -889,7 +875,7 @@ impl Broker {
     /// with `mode` deciding when the pair is done.
     fn migrate_between(
         &self,
-        set: &ShardSet,
+        set: &[Arc<ShardCell>],
         from: usize,
         to: usize,
         cap: usize,
@@ -897,8 +883,8 @@ impl Broker {
     ) -> usize {
         debug_assert_ne!(from, to);
         let (lo, hi) = (from.min(to), from.max(to));
-        let lo_guard = set.shards[lo].state.write();
-        let hi_guard = set.shards[hi].state.write();
+        let lo_guard = set[lo].state.write();
+        let hi_guard = set[hi].state.write();
         let (mut from_state, mut to_state) = if from < to {
             (lo_guard, hi_guard)
         } else {
@@ -957,8 +943,7 @@ impl Broker {
                 // balancing that just means the subscription stays put
                 // — but a drain has nowhere else to leave it, and
                 // silently retrying would spin forever on the same
-                // refusal: honour `resize`'s documented panic instead
-                // (matching `ShardedEngine::resize`).
+                // refusal: honour `resize`'s documented panic instead.
                 assert!(
                     mode != MigrateMode::Drain,
                     "a surviving shard refused a drained subscription"
@@ -1029,13 +1014,13 @@ impl Broker {
         assert!(new_shards > 0, "a broker needs at least one engine shard");
         let _maintenance = self.inner.maintenance.lock();
         let old_set = self.shard_set();
-        let old = old_set.shards.len();
+        let old = old_set.len();
         let mut moved = 0;
         if new_shards == old {
             return 0;
         }
         if new_shards > old {
-            let mut shards = old_set.shards.clone();
+            let mut shards = old_set.to_vec();
             for index in old..new_shards {
                 shards.push(Arc::new(ShardCell::new(
                     self.inner.grow_kind.build(),
@@ -1047,7 +1032,7 @@ impl Broker {
             // thread that observes the grown directory also observes
             // the swapped set (both handed off through the locks in
             // that order).
-            *self.inner.shard_set.write() = Arc::new(ShardSet { shards });
+            *self.inner.shard_set.write() = shards.into();
             let mut directory = self.inner.directory.write();
             for _ in old..new_shards {
                 directory.add_shard();
@@ -1068,7 +1053,7 @@ impl Broker {
                     let drained = {
                         let directory = self.inner.directory.read();
                         directory.load(dying) == 0
-                    } && old_set.shards[dying].state.read().translation().is_empty();
+                    } && old_set[dying].state.read().translation().is_empty();
                     if drained {
                         break;
                     }
@@ -1090,8 +1075,7 @@ impl Broker {
             }
             // 3: swap the dying cells out of the epoch; publishes still
             // holding the old set match empty engines there.
-            let shards: Vec<Arc<ShardCell>> = old_set.shards[..new_shards].to_vec();
-            *self.inner.shard_set.write() = Arc::new(ShardSet { shards });
+            *self.inner.shard_set.write() = old_set[..new_shards].into();
             // 4: shrink the directory to match.
             let mut directory = self.inner.directory.write();
             for _ in new_shards..old {
@@ -1116,7 +1100,6 @@ impl Broker {
     /// rebalancer balances on.
     pub fn shard_match_hits(&self) -> Vec<u64> {
         self.shard_set()
-            .shards
             .iter()
             .map(|cell| cell.hits.load(Ordering::Relaxed))
             .collect()
@@ -1130,7 +1113,6 @@ impl Broker {
     /// well-clustered workload most shards accumulate prunes, not hits.
     pub fn shard_prune_counts(&self) -> Vec<u64> {
         self.shard_set()
-            .shards
             .iter()
             .map(|cell| cell.pruned.load(Ordering::Relaxed))
             .collect()
@@ -1222,7 +1204,7 @@ impl Broker {
             let state = &mut *cell.borrow_mut();
             let mut matched = std::mem::take(&mut state.matched);
             matched.clear();
-            for cell in &set.shards {
+            for cell in set.iter() {
                 let stats = cell.state.read().match_event(&event, &mut state.scratch);
                 cell.record(&stats);
                 matched.extend_from_slice(state.scratch.matched());
@@ -1333,7 +1315,7 @@ impl Broker {
             }
             // Shard order per event, so per-event ids concatenate
             // exactly like the one-by-one walk.
-            for cell in &set.shards {
+            for cell in set.iter() {
                 let stats = cell.state.read().match_batch(events, &[], &mut state.batch);
                 cell.record(&stats);
                 for (e, bucket) in buckets.iter_mut().enumerate().take(events.len()) {
@@ -1568,7 +1550,7 @@ impl Broker {
     /// Number of engine shards subscriptions are partitioned across
     /// (the current resize epoch's).
     pub fn shard_count(&self) -> usize {
-        self.shard_set().shards.len()
+        self.shard_set().len()
     }
 
     /// The engines' memory breakdown, summed across shards, plus the
@@ -1579,7 +1561,7 @@ impl Broker {
         let set = self.shard_set();
         let mut routing = self.inner.directory.read().heap_bytes();
         let mut usage = MemoryUsage::default();
-        for cell in &set.shards {
+        for cell in set.iter() {
             let state = cell.state.read();
             routing += state.routing_bytes();
             usage = usage + state.engine().memory_usage();
@@ -1594,7 +1576,7 @@ impl Broker {
     /// Which engine kind the broker runs (of the first shard, when
     /// heterogeneous engines were supplied).
     pub fn engine_kind(&self) -> EngineKind {
-        self.shard_set().shards[0].state.read().engine().kind()
+        self.shard_set()[0].state.read().engine().kind()
     }
 
     /// Counter snapshot.
@@ -1642,13 +1624,11 @@ impl Broker {
     /// quarantined consumers that drained accumulate strikes toward
     /// release. A no-op unless [`BrokerBuilder::quarantine`] was set.
     ///
-    /// This is the tick the
-    /// [`BrokerBuilder::delivery_maintenance`] background thread runs
-    /// on its interval; it is public so operators and tests can drive
-    /// the state machine deterministically. Ticks serialize with
-    /// migration/resize on the maintenance lock (sender-map *contents*
-    /// must not churn mid-walk is not required — the read guard only
-    /// pins the map, and each queue is judged under its own lock).
+    /// The broker runs no tick on its own: the caller decides when.
+    /// Ticks serialize with migration/resize on the maintenance lock.
+    /// Subscribes and unsubscribes may still run during a tick: the
+    /// `senders` read guard only pins the map, and each queue is judged
+    /// under its own lock.
     pub fn delivery_maintenance_tick(&self) -> DeliveryTickReport {
         let Some(config) = self.inner.quarantine else {
             return DeliveryTickReport::default();
@@ -1692,12 +1672,6 @@ impl Broker {
         report
     }
 
-    /// Whether a background delivery-maintenance thread is attached
-    /// (see [`BrokerBuilder::delivery_maintenance`]).
-    pub fn delivery_maintenance_active(&self) -> bool {
-        self.inner.delivery_maintenance.lock().is_some()
-    }
-
     /// One background tick of `policy`; returns the subscriptions
     /// moved.
     fn background_tick(&self, policy: RebalancePolicy) -> usize {
@@ -1729,19 +1703,6 @@ fn background_rebalance_loop(
         // `broker` drops here; if an exiting owner raced us, this may
         // be the last reference — BrokerInner's Drop skips joining the
         // thread it is running on, so the teardown stays clean.
-    }
-}
-
-/// The background delivery-maintenance thread body: one quarantine
-/// tick every `interval` until the broker goes away or shutdown is
-/// signalled. Same `Weak`-upgrade lifecycle as the rebalancer loop.
-fn delivery_maintenance_loop(weak: Weak<BrokerInner>, stop: Arc<StopLatch>, interval: Duration) {
-    while !stop.wait_timeout(interval) {
-        let Some(inner) = weak.upgrade() else {
-            break;
-        };
-        let broker = Broker { inner };
-        broker.delivery_maintenance_tick();
     }
 }
 
@@ -1883,7 +1844,6 @@ pub struct BrokerBuilder {
     shards: usize,
     policy: DeliveryPolicy,
     quarantine: Option<QuarantineConfig>,
-    delivery_interval: Option<Duration>,
     delivery_workers: Option<usize>,
     scratch_trim_cap: Option<usize>,
     recycled_ids: bool,
@@ -1899,7 +1859,6 @@ impl fmt::Debug for BrokerBuilder {
             .field("shards", &self.shards.max(1))
             .field("policy", &self.policy)
             .field("quarantine", &self.quarantine)
-            .field("delivery_maintenance", &self.delivery_interval)
             .field("delivery_workers", &self.delivery_workers)
             .field("scratch_trim_cap", &self.scratch_trim_cap)
             .field("recycled_ids", &self.recycled_ids)
@@ -1980,21 +1939,6 @@ impl BrokerBuilder {
     #[must_use]
     pub fn quarantine(mut self, config: QuarantineConfig) -> Self {
         self.quarantine = Some(config);
-        self
-    }
-
-    /// Attaches a **background delivery-maintenance thread**: every
-    /// `interval` it runs one
-    /// [`Broker::delivery_maintenance_tick`], demoting (and possibly
-    /// recovering) slow consumers autonomously. Same lifecycle as the
-    /// [`background rebalance`](BrokerBuilder::background_rebalance)
-    /// thread: parks between ticks, holds only a weak broker
-    /// reference, wakes immediately on shutdown, joined when the last
-    /// broker handle drops. Pointless without
-    /// [`BrokerBuilder::quarantine`].
-    #[must_use]
-    pub fn delivery_maintenance(mut self, interval: Duration) -> Self {
-        self.delivery_interval = Some(interval);
         self
     }
 
@@ -2102,7 +2046,7 @@ impl BrokerBuilder {
             SubscriptionDirectory::new(shard_count)
         };
         let inner = Arc::new(BrokerInner {
-            shard_set: RwLock::new(Arc::new(ShardSet { shards })),
+            shard_set: RwLock::new(shards.into()),
             directory: RwLock::new(directory),
             maintenance: Mutex::new(()),
             freq_baseline: Mutex::new(FreqWindow::default()),
@@ -2114,7 +2058,6 @@ impl BrokerBuilder {
             delivery_pool: OnceLock::new(),
             delivery_ready: Arc::new(Mutex::new(ReadyList::default())),
             delivery_workers: self.delivery_workers.unwrap_or(DEFAULT_DELIVERY_WORKERS),
-            delivery_maintenance: Mutex::new(None),
             stats: AtomicStats::default(),
             grow_kind,
             placement: self.placement,
@@ -2132,7 +2075,6 @@ impl BrokerBuilder {
         inner.shard_set.set_class("shard-set");
         inner.freq_baseline.set_class("freq-baseline");
         inner.rebalancer.set_class("rebalancer");
-        inner.delivery_maintenance.set_class("delivery-maintenance");
         if let Some((interval, policy)) = self.background {
             let stop = Arc::new(StopLatch::new());
             let weak = Arc::downgrade(&inner);
@@ -2144,18 +2086,6 @@ impl BrokerBuilder {
                     .expect("spawning the background rebalance thread")
             };
             *inner.rebalancer.lock() = Some(BackgroundHandle { stop, thread });
-        }
-        if let Some(interval) = self.delivery_interval {
-            let stop = Arc::new(StopLatch::new());
-            let weak = Arc::downgrade(&inner);
-            let thread = {
-                let stop = Arc::clone(&stop);
-                std::thread::Builder::new()
-                    .name("boolmatch-delivery".into())
-                    .spawn(move || delivery_maintenance_loop(weak, stop, interval))
-                    .expect("spawning the delivery maintenance thread")
-            };
-            *inner.delivery_maintenance.lock() = Some(BackgroundHandle { stop, thread });
         }
         Broker { inner }
     }
@@ -2738,8 +2668,8 @@ mod tests {
     fn shrink_panics_when_a_survivor_refuses_a_drained_subscription() {
         // Heterogeneous shards: the surviving counting shard cannot
         // accept the huge non-canonical expression living on the dying
-        // shard. The drain must panic (like ShardedEngine::resize), not
-        // spin forever on the refusal.
+        // shard. The drain must panic, not spin forever on the
+        // refusal.
         let broker = Broker::builder()
             .engine_instances(vec![
                 EngineKind::Counting.build(),

@@ -80,8 +80,7 @@ pub enum DeliveryPolicy {
 
 /// Slow-consumer quarantine thresholds; enable with
 /// [`crate::BrokerBuilder::quarantine`] and drive with
-/// [`crate::Broker::delivery_maintenance_tick`] (or the background
-/// thread from [`crate::BrokerBuilder::delivery_maintenance`]).
+/// [`crate::Broker::delivery_maintenance_tick`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QuarantineConfig {
     /// Queue depth above which a tick counts a strike against the

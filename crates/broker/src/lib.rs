@@ -64,9 +64,8 @@
 //! pool that invokes a callback per notification with per-subscriber
 //! panic isolation. A [`quarantine`](BrokerBuilder::quarantine) tier
 //! on top demotes consumers whose lag stays over a watermark — queue
-//! capped (or auto-disconnected) until they drain — driven manually
-//! with [`Broker::delivery_maintenance_tick`] or autonomously with
-//! [`BrokerBuilder::delivery_maintenance`].
+//! capped (or auto-disconnected) until they drain — driven by the
+//! caller through [`Broker::delivery_maintenance_tick`].
 //!
 //! Every publish is one per-shard step — [`boolmatch_core::Shard`]'s
 //! *admit by synopsis → match → translate in place* — walked over all

@@ -37,10 +37,10 @@
 //! against it transparently. Placement is load-aware (least-loaded
 //! shard, round-robin tie-break) and routed through a
 //! [`SubscriptionDirectory`] — a global-id indirection table that keeps
-//! ids stable while placement changes, which is what enables **live
-//! migration** ([`ShardedEngine::rebalance`]) and incremental
-//! shard-count **resizing** ([`ShardedEngine::resize`]). The broker
-//! builds its per-shard locking around the same directory.
+//! ids stable while placement changes. The broker builds its per-shard
+//! locking around the same directory, and it is the one place a live
+//! subscription changes shard: live migration, rebalancing and
+//! incremental resizing are `boolmatch-broker`'s `Broker` methods.
 //!
 //! The unit of sharding is the [`Shard`]: one engine with its local →
 //! global [`ShardTranslation`] map and its [`ShardSynopsis`] — a

@@ -321,13 +321,6 @@ impl SubscriptionDirectory {
         self.loads[shard]
     }
 
-    /// Retired slots in the global id table (issued ids whose
-    /// subscription is gone; reissued only in
-    /// [recycled-ids](SubscriptionDirectory::with_recycled_ids) mode).
-    pub fn vacant(&self) -> usize {
-        self.slots.len() - self.live
-    }
-
     /// Exclusive upper bound of the issued global **slot** space
     /// (including retired slots). Scratch stamp arrays can be sized
     /// against this; note a recycled id's full
@@ -335,19 +328,6 @@ impl SubscriptionDirectory {
     /// high bits and must not be used as an array index.
     pub fn id_bound(&self) -> usize {
         self.slots.len()
-    }
-
-    /// Spread between the most- and least-loaded shard.
-    pub fn imbalance(&self) -> usize {
-        let max = self.loads.iter().copied().max().unwrap_or(0);
-        let min = self.loads.iter().copied().min().unwrap_or(0);
-        max - min
-    }
-
-    /// Whether the shard loads are as even as they can be (spread ≤ 1)
-    /// — the invariant `rebalance()` restores.
-    pub fn is_balanced(&self) -> bool {
-        self.imbalance() <= 1
     }
 
     /// The `(most loaded, least loaded)` shard pair a count-balancing
@@ -598,8 +578,7 @@ impl SubscriptionDirectory {
         self.live -= 1;
         if self.recycle_ids {
             // Arrival-order mode never pops the free list, so pushing
-            // there would only leak; `vacant()` counts table holes
-            // directly instead.
+            // there would only leak.
             self.free
                 .push(u32::try_from(global.slot()).expect("issued slots fit u32"));
         }
@@ -977,7 +956,7 @@ mod tests {
         }
         assert_eq!(dir.loads(), &[3, 3, 3]);
         assert_eq!(dir.live(), 9);
-        assert!(dir.is_balanced());
+        assert!(dir.skew_pair().is_none());
         assert_eq!(maps.iter().map(ShardTranslation::len).sum::<usize>(), 9);
     }
 
@@ -1015,7 +994,7 @@ mod tests {
         let b = register(&mut dir, &mut maps, &mut locals);
         assert_eq!(dir.retire(a).map(|(s, l, _)| (s, l)), Some((0, sid(0))));
         assert_eq!(dir.retire(a), None, "double retire");
-        assert_eq!(dir.vacant(), 1);
+        assert_eq!(dir.id_bound() - dir.live(), 1, "one retired slot");
         let c = register(&mut dir, &mut maps, &mut locals);
         assert_eq!(c.index(), 2, "arrival-order mode appends");
         assert_eq!(dir.id_bound(), 3);
@@ -1038,7 +1017,7 @@ mod tests {
         assert_eq!(c.generation(), a.generation() + 1, "tagged reissue");
         assert_ne!(c, a, "the ABA guard: same slot, distinguishable ids");
         assert_eq!(dir.id_bound(), 2, "table stays bounded");
-        assert_eq!(dir.vacant(), 0);
+        assert_eq!(dir.live(), 2, "no retired slot left");
         // The stale id is dead everywhere: lookups, retire, relocate.
         assert_eq!(dir.placement_of(a), None);
         assert_eq!(dir.expr_of(a), None);

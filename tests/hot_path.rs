@@ -171,17 +171,6 @@ fn recycled_id_generations_are_aba_safe() {
     // ...and the survivor still matches and delivers.
     assert_eq!(broker.publish(ev(&[("new", 1)])), 1);
     assert_eq!(survivor.drain().len(), 1);
-
-    // Same property at the engine layer.
-    let mut engine = ShardedEngine::with_recycled_ids(EngineKind::NonCanonical, 2);
-    let a = engine.subscribe(&Expr::parse("x = 1").unwrap()).unwrap();
-    engine.unsubscribe(a).unwrap();
-    let b = engine.subscribe(&Expr::parse("x = 2").unwrap()).unwrap();
-    assert_eq!(b.slot(), a.slot());
-    assert_ne!(b, a);
-    // The stale id is rejected, not aliased onto b.
-    assert!(engine.unsubscribe(a).is_err());
-    assert_eq!(engine.subscription_count(), 1);
 }
 
 /// The headline equivalence replay: a sharded broker running with

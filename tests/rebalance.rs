@@ -1,13 +1,12 @@
 //! Load-aware rebalancing, live migration and shard resizing — the
 //! correctness claims, proven without relying on timing:
 //!
-//! * **Equivalence** — a sharded engine replaying churn interleaved
-//!   with `rebalance()` and `resize()` must produce matched-id sets
-//!   identical to a flat (unsharded) engine replaying the same stream,
-//!   for every engine kind and S ∈ {1, 3, 8}; after every `rebalance()`
-//!   the shard loads must satisfy the distribution invariant
-//!   `max − min ≤ 1`. A broker-level replay proves the same for
-//!   delivery counts with `rebalance()` racing nothing away.
+//! * **Equivalence** — a sharded broker replaying churn interleaved
+//!   with `rebalance()` and `resize()` must deliver exactly what a flat
+//!   broker replaying the same stream delivers, event by event to every
+//!   survivor, for every engine kind and S ∈ {1, 3, 8}; after every
+//!   `rebalance()` the shard loads must satisfy the distribution
+//!   invariant `max − min ≤ 1`.
 //! * **Churn-skew regression** — a shard drained by unsubscribes must
 //!   be refilled by new subscriptions (the old blind round-robin
 //!   cursor kept striding past it). CI runs this one under `--release`
@@ -32,141 +31,87 @@ use boolmatch::expr::Expr;
 use boolmatch::prelude::*;
 use boolmatch::workload::scenarios::{ChurnOp, RebalanceOp, RebalanceScenario};
 
-/// The headline property test: interleaved
-/// subscribe/unsubscribe/publish/rebalance/resize against a sharded
-/// engine matches a flat engine exactly — same arrival-order global
-/// ids, same matched-id sets — and every rebalance restores the
-/// shard-distribution invariant.
+/// The headline replay: a sharded broker that rebalances and resizes
+/// mid-stream delivers exactly like a flat broker — same arrival-order
+/// ids, same count per publish, and the same events, in order, to every
+/// surviving subscriber — for every engine kind and S ∈ {1, 3, 8}. After
+/// every rebalance the loads satisfy `max − min ≤ 1` and account for
+/// every live subscription.
 #[test]
-fn churn_with_migration_and_resize_equals_flat_engine() {
+fn rebalancing_broker_delivers_like_flat_broker() {
     for kind in EngineKind::ALL {
         for shards in [1usize, 3, 8] {
-            let mut flat = Matcher::new(kind.build());
-            let mut sharded = Matcher::new(ShardedEngine::new(kind, shards));
-            let mut live: Vec<SubscriptionId> = Vec::new();
-            let mut scenario = RebalanceScenario::new(17, 60, shards)
-                .with_rebalance_every(41)
+            let flat = Broker::builder().engine(kind).build();
+            let sharded = Broker::builder().engine(kind).shards(shards).build();
+            let mut flat_live: Vec<Subscription> = Vec::new();
+            let mut sharded_live: Vec<Subscription> = Vec::new();
+            let mut scenario = RebalanceScenario::new(29, 50, shards)
+                .with_rebalance_every(31)
                 .with_resize_every(83);
-            let mut rebalances = 0usize;
-            let mut resizes = 0usize;
+            let (mut rebalances, mut resizes) = (0usize, 0usize);
+            let context = format!("kind={kind} shards={shards}");
 
-            for (step, op) in scenario.ops(1_000).into_iter().enumerate() {
+            for (step, op) in scenario.ops(1_500).into_iter().enumerate() {
                 match op {
                     RebalanceOp::Churn(ChurnOp::Subscribe(expr)) => {
-                        let a = flat.subscribe(&expr).unwrap();
-                        let b = sharded.subscribe(&expr).unwrap();
-                        assert_eq!(a, b, "arrival-order ids diverge at {step} ({kind})");
-                        live.push(a);
+                        let a = flat.subscribe_expr(&expr).unwrap();
+                        let b = sharded.subscribe_expr(&expr).unwrap();
+                        assert_eq!(a.id(), b.id(), "ids diverge at {step}, {context}");
+                        flat_live.push(a);
+                        sharded_live.push(b);
                     }
                     RebalanceOp::Churn(ChurnOp::Unsubscribe(i)) => {
-                        let id = live.remove(i);
-                        flat.unsubscribe(id).unwrap();
-                        sharded.unsubscribe(id).unwrap();
+                        drop(flat_live.remove(i));
+                        drop(sharded_live.remove(i));
                     }
                     RebalanceOp::Churn(ChurnOp::Publish(event)) => {
-                        let mut a = flat.match_event(&event).matched;
-                        let mut b = sharded.match_event(&event).matched;
-                        a.sort_unstable();
-                        b.sort_unstable();
-                        assert_eq!(a, b, "kind={kind} shards={shards} step={step}");
+                        let a = flat.publish(event.clone());
+                        let b = sharded.publish(event);
+                        assert_eq!(a, b, "step {step}, {context}");
                     }
                     RebalanceOp::Rebalance => {
                         rebalances += 1;
                         sharded.rebalance();
-                        // The distribution invariant: after a
-                        // rebalance, no shard is more than one
-                        // subscription heavier than any other.
+                        let loads = sharded.shard_loads();
+                        let spread = loads.iter().max().unwrap() - loads.iter().min().unwrap();
                         assert!(
-                            sharded.directory().is_balanced(),
-                            "imbalance {} after rebalance at {step} ({kind}, S={shards}): {:?}",
-                            sharded.directory().imbalance(),
-                            sharded.directory().loads(),
+                            spread <= 1,
+                            "unbalanced after rebalance at {step}, {context}: {loads:?}"
                         );
-                        assert_eq!(
-                            sharded.shard_subscription_counts(),
-                            sharded.directory().loads(),
-                            "engines and directory agree at {step}"
-                        );
+                        assert_eq!(loads.iter().sum::<usize>(), sharded_live.len());
                     }
                     RebalanceOp::Resize(n) => {
                         resizes += 1;
                         sharded.resize(n);
-                        assert_eq!(sharded.shard_count(), n, "step {step}");
+                        assert_eq!(sharded.shard_count(), n, "step {step}, {context}");
                     }
                 }
-                assert_eq!(flat.subscription_count(), live.len());
-                assert_eq!(sharded.subscription_count(), live.len());
+                assert_eq!(flat.subscription_count(), flat_live.len());
+                assert_eq!(
+                    sharded.subscription_count(),
+                    sharded_live.len(),
+                    "step {step}, {context}"
+                );
             }
-            // 1000 ops → 24 rebalances, 12 resizes; 12 is a multiple of
+            // 1500 ops → 48 rebalances, 18 resizes; 18 is a multiple of
             // the ladder length, so the schedule ends at the base count.
-            assert_eq!((rebalances, resizes), (24, 12));
-            assert_eq!(sharded.shard_count(), shards);
-        }
-    }
-}
+            assert_eq!((rebalances, resizes), (48, 18), "{context}");
+            assert_eq!(sharded.shard_count(), shards, "{context}");
 
-/// The same replay at the broker layer: a sharded broker that
-/// rebalances mid-stream delivers exactly like a flat broker — per
-/// publish and per surviving subscriber.
-#[test]
-fn rebalancing_broker_delivers_like_flat_broker() {
-    for shards in [3usize, 8] {
-        let flat = Broker::builder().build();
-        let sharded = Broker::builder().shards(shards).build();
-        let mut flat_live: Vec<Subscription> = Vec::new();
-        let mut sharded_live: Vec<Subscription> = Vec::new();
-        let mut scenario = RebalanceScenario::new(29, 50, shards).with_rebalance_every(31);
-
-        for (step, op) in scenario.ops(1_500).into_iter().enumerate() {
-            match op {
-                RebalanceOp::Churn(ChurnOp::Subscribe(expr)) => {
-                    let a = flat.subscribe_expr(&expr).unwrap();
-                    let b = sharded.subscribe_expr(&expr).unwrap();
-                    assert_eq!(a.id(), b.id(), "arrival-order ids diverge at {step}");
-                    flat_live.push(a);
-                    sharded_live.push(b);
-                }
-                RebalanceOp::Churn(ChurnOp::Unsubscribe(i)) => {
-                    drop(flat_live.remove(i));
-                    drop(sharded_live.remove(i));
-                }
-                RebalanceOp::Churn(ChurnOp::Publish(event)) => {
-                    let a = flat.publish(event.clone());
-                    let b = sharded.publish(event);
-                    assert_eq!(a, b, "shards={shards} step={step}");
-                }
-                RebalanceOp::Rebalance => {
-                    sharded.rebalance();
-                    let loads = sharded.shard_loads();
-                    let spread = loads.iter().max().unwrap() - loads.iter().min().unwrap();
-                    assert!(
-                        spread <= 1,
-                        "unbalanced after rebalance at {step}: {loads:?}"
-                    );
-                }
-                // Since PR 5 the broker resizes live too: the shard
-                // set (locks included) is swapped behind an epoch.
-                RebalanceOp::Resize(n) => {
-                    sharded.resize(n);
-                    assert_eq!(sharded.shard_count(), n, "step {step}");
-                }
+            for (i, (a, b)) in flat_live.iter().zip(&sharded_live).enumerate() {
+                assert_eq!(a.drain(), b.drain(), "survivor {i}, {context}");
             }
-        }
-
-        for (i, (a, b)) in flat_live.iter().zip(&sharded_live).enumerate() {
-            assert_eq!(
-                a.drain().len(),
-                b.drain().len(),
-                "survivor {i}, shards={shards}"
+            let fs = flat.stats();
+            let ss = sharded.stats();
+            assert_eq!(fs.notifications_delivered, ss.notifications_delivered);
+            assert_eq!(fs.subscriptions_created, ss.subscriptions_created);
+            assert_eq!(fs.subscriptions_removed, ss.subscriptions_removed);
+            assert_eq!(fs.subscriptions_migrated, 0, "flat brokers never migrate");
+            assert!(
+                ss.subscriptions_migrated > 0,
+                "{context}: the sharded broker did"
             );
         }
-        let fs = flat.stats();
-        let ss = sharded.stats();
-        assert_eq!(fs.notifications_delivered, ss.notifications_delivered);
-        assert_eq!(fs.subscriptions_created, ss.subscriptions_created);
-        assert_eq!(fs.subscriptions_removed, ss.subscriptions_removed);
-        assert_eq!(fs.subscriptions_migrated, 0, "flat brokers never migrate");
-        assert!(ss.subscriptions_migrated > 0, "the sharded broker did");
     }
 }
 
