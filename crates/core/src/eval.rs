@@ -1,17 +1,12 @@
 //! Evaluation of encoded subscription trees against a fulfilled set.
 //!
-//! Two implementations of the same semantics:
-//!
-//! * [`eval_recursive`] — straightforward recursion over the byte
-//!   layout; stack depth equals tree depth.
-//! * [`eval_iterative`] — an explicit-stack machine immune to deep
-//!   trees; this is what the engine uses.
-//!
-//! Both short-circuit: an `AND` stops at the first false child, an `OR`
-//! at the first true one, using the encoded child widths to skip the
-//! rest of the node without walking it. Equivalence of the two
-//! evaluators (and of both with [`crate::IdExpr::eval`]) is
-//! property-tested.
+//! [`eval_iterative`] is an explicit-stack machine immune to deep
+//! trees. It short-circuits: an `AND` stops at the first false child,
+//! an `OR` at the first true one, using the encoded child widths to
+//! skip the rest of the node without walking it. [`crate::IdExpr::eval`]
+//! over the decoded tree is the reference it is tested against, here
+//! and on the generated-tree corpus in the non-canonical engine's
+//! tests.
 
 use crate::encode::{TAG_AND, TAG_NOT, TAG_OR, TAG_PRED};
 use crate::{FulfilledSet, PredicateId};
@@ -41,62 +36,6 @@ fn child_width(bytes: &[u8], widths_at: usize, i: usize) -> usize {
     ) as usize
 }
 
-/// Recursive evaluator; see the module documentation.
-///
-/// # Panics
-///
-/// Panics on malformed input (engine-encoded trees are always
-/// well-formed; use [`crate::decode`] to validate foreign bytes).
-pub fn eval_recursive(bytes: &[u8], set: &FulfilledSet) -> bool {
-    eval_node(bytes, 0, set).0
-}
-
-fn eval_node(bytes: &[u8], offset: usize, set: &FulfilledSet) -> (bool, usize) {
-    match bytes[offset] {
-        TAG_PRED => (set.contains(leaf_id(bytes, offset)), 5),
-        tag => {
-            let n = bytes[offset + 1] as usize;
-            let widths_at = offset + 2;
-            let first_child = widths_at + 2 * n;
-            // Total size is known from the width table alone.
-            let mut total = 2 + 2 * n;
-            for i in 0..n {
-                total += child_width(bytes, widths_at, i);
-            }
-            match tag {
-                TAG_NOT => {
-                    let (v, _) = eval_node(bytes, first_child, set);
-                    (!v, total)
-                }
-                TAG_AND => {
-                    let mut child_at = first_child;
-                    for i in 0..n {
-                        let (v, _) = eval_node(bytes, child_at, set);
-                        if !v {
-                            return (false, total);
-                        }
-                        child_at += child_width(bytes, widths_at, i);
-                    }
-                    (true, total)
-                }
-                TAG_OR => {
-                    let mut child_at = first_child;
-                    for i in 0..n {
-                        let (v, _) = eval_node(bytes, child_at, set);
-                        if v {
-                            return (true, total);
-                        }
-                        child_at += child_width(bytes, widths_at, i);
-                    }
-                    (false, total)
-                }
-                // lint: allow(panic-policy, reason = "documented contract: panics on malformed trees; encode emits no other tag")
-                other => unreachable!("bad tag {other} in encoded tree"),
-            }
-        }
-    }
-}
-
 /// A stack frame of the iterative evaluator: one partially evaluated
 /// inner node.
 #[derive(Debug)]
@@ -112,13 +51,14 @@ pub(crate) struct Frame {
     n: usize,
 }
 
-/// Explicit-stack evaluator; semantics identical to [`eval_recursive`]
-/// but safe for arbitrarily deep trees. Pass a reusable `stack` buffer
-/// to avoid per-call allocation (the engine does).
+/// Explicit-stack evaluator, safe for arbitrarily deep trees. Pass a
+/// reusable `stack` buffer to avoid per-call allocation (the engine
+/// does).
 ///
 /// # Panics
 ///
-/// Panics on malformed input, like [`eval_recursive`].
+/// Panics on malformed input (engine-encoded trees are always
+/// well-formed; use [`crate::decode`] to validate foreign bytes).
 pub fn eval_iterative(bytes: &[u8], set: &FulfilledSet) -> bool {
     let mut stack = Vec::with_capacity(8);
     eval_iterative_with(bytes, |id| set.contains(id), &mut stack)
@@ -203,11 +143,12 @@ mod tests {
 
     fn both(tree: &IdExpr, set: &FulfilledSet) -> bool {
         let bytes = encode(tree).unwrap();
-        let r = eval_recursive(&bytes, set);
-        let i = eval_iterative(&bytes, set);
         let reference = tree.eval(set);
-        assert_eq!(r, reference, "recursive vs reference for {tree:?}");
-        assert_eq!(i, reference, "iterative vs reference for {tree:?}");
+        assert_eq!(
+            eval_iterative(&bytes, set),
+            reference,
+            "iterative vs reference for {tree:?}"
+        );
         reference
     }
 
@@ -271,15 +212,8 @@ mod tests {
                 IdExpr::Or(vec![tree, p(d)])
             };
         }
-        let bytes = encode(&tree).unwrap();
-        assert_eq!(
-            eval_recursive(&bytes, &set_of(&[199])),
-            eval_iterative(&bytes, &set_of(&[199]))
-        );
-        assert_eq!(
-            eval_recursive(&bytes, &set_of(&[])),
-            eval_iterative(&bytes, &set_of(&[]))
-        );
+        assert!(both(&tree, &set_of(&[199])));
+        assert!(!both(&tree, &set_of(&[])));
     }
 
     #[test]
@@ -290,6 +224,5 @@ mod tests {
         assert!(!eval_iterative(&bytes, &wide_set));
         wide_set.insert(PredicateId::from_index(599));
         assert!(eval_iterative(&bytes, &wide_set));
-        assert!(eval_recursive(&bytes, &wide_set));
     }
 }

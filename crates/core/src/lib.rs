@@ -22,7 +22,10 @@
 //! phase-2 behaviour — what the paper's Fig. 3 measures — is directly
 //! comparable: for the same subscription workload registered in the
 //! same order, the engines assign identical [`PredicateId`]s and agree
-//! exactly on which subscriptions match (property-tested).
+//! exactly on which subscriptions match (`tests/figure3_claims.rs`
+//! feeds one synthesized fulfilled set to all three; answers on real
+//! events are checked against a naive evaluation in
+//! `tests/oracle_matrix.rs`).
 //!
 //! Matching is a **shared-read** operation: engines take `&self`, and
 //! every per-event mutable buffer lives in a caller-owned
@@ -108,7 +111,7 @@ mod synopsis;
 pub use counting::{CountingEngine, CountingVariantEngine};
 pub use encode::{decode, encode, DecodeError, EncodeError, IdExpr};
 pub use engine::{EngineKind, FilterEngine, MatchResult, SubscribeError, UnsubscribeError};
-pub use eval::{eval_iterative, eval_recursive};
+pub use eval::eval_iterative;
 pub use fulfilled::FulfilledSet;
 pub use ids::{PredicateId, SubscriptionId};
 pub use interner::PredicateInterner;

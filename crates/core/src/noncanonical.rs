@@ -665,6 +665,7 @@ mod tests {
     use super::*;
     use crate::{BatchScratch, Matcher};
     use boolmatch_expr::{CompareOp, Predicate};
+    use boolmatch_workload::scenarios::TreeScenario;
     use std::sync::Arc;
 
     fn engine_with(subs: &[&str]) -> (Matcher<NonCanonicalEngine>, Vec<SubscriptionId>) {
@@ -1180,111 +1181,6 @@ mod tests {
         assert_eq!(r.stats.candidates, 0);
     }
 
-    /// splitmix64: the seeded test below must not depend on a shim.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
-    }
-
-    /// A random leaf over a small pool, so leaves repeat inside a tree
-    /// and across subscriptions: four Int attributes under the six
-    /// relational operators, a Float attribute, an Int attribute
-    /// compared with a Float constant (never true: kinds differ), a
-    /// string attribute under all ten operators, and a Bool attribute.
-    fn random_leaf(rng: &mut Rng) -> Predicate {
-        const RELATIONAL: [CompareOp; 6] = [
-            CompareOp::Eq,
-            CompareOp::Ne,
-            CompareOp::Gt,
-            CompareOp::Le,
-            CompareOp::Ge,
-            CompareOp::Lt,
-        ];
-        const STRING: [CompareOp; 4] = [
-            CompareOp::Prefix,
-            CompareOp::NotPrefix,
-            CompareOp::Contains,
-            CompareOp::NotContains,
-        ];
-        let relational = RELATIONAL[rng.below(6) as usize];
-        match rng.below(10) {
-            0..=4 => Predicate::new(
-                &format!("x{}", rng.below(4)),
-                relational,
-                rng.below(3) as i64,
-            ),
-            5 => Predicate::new("f", relational, rng.below(3) as f64 + 0.5),
-            6 => Predicate::new("x0", relational, rng.below(3) as f64),
-            7 => Predicate::new("s", relational, ["ab", "b"][rng.below(2) as usize]),
-            8 => Predicate::new(
-                "s",
-                STRING[rng.below(4) as usize],
-                ["ab", "b"][rng.below(2) as usize],
-            ),
-            _ => Predicate::new("b", relational, rng.below(2) == 0),
-        }
-    }
-
-    fn random_tree(rng: &mut Rng, depth: usize) -> Expr {
-        let pick = if depth == 0 { 0 } else { rng.below(10) };
-        match pick {
-            0..=3 => Expr::pred(random_leaf(rng)),
-            4..=6 => Expr::And(
-                (0..2 + rng.below(3))
-                    .map(|_| random_tree(rng, depth - 1))
-                    .collect(),
-            ),
-            7..=8 => Expr::Or(
-                (0..2 + rng.below(3))
-                    .map(|_| random_tree(rng, depth - 1))
-                    .collect(),
-            ),
-            _ => Expr::Not(Box::new(random_tree(rng, depth - 1))),
-        }
-    }
-
-    /// Each attribute is missing from a quarter of the events; `f`
-    /// sometimes carries an Int where the predicates hold Floats;
-    /// `other` is an attribute no subscription mentions.
-    fn random_event(rng: &mut Rng) -> Event {
-        let mut b = Event::builder();
-        for a in 0..4 {
-            if rng.below(4) > 0 {
-                b.set(&format!("x{a}"), rng.below(3) as i64);
-            }
-        }
-        match rng.below(4) {
-            0 => {}
-            1 => {
-                b.set("f", rng.below(3) as i64);
-            }
-            _ => {
-                b.set("f", rng.below(4) as f64);
-            }
-        }
-        if rng.below(4) > 0 {
-            b.set("s", ["ab", "abc", "b", "xab", ""][rng.below(5) as usize]);
-        }
-        if rng.below(4) > 0 {
-            b.set("b", rng.below(2) == 0);
-        }
-        if rng.below(2) == 0 {
-            b.set("other", 1_i64);
-        }
-        b.build()
-    }
-
     /// The structural invariant of the access-only index: a predicate
     /// is indexed, and flagged so, exactly while it holds postings.
     fn assert_index_holds_the_access_predicates(e: &NonCanonicalEngine) {
@@ -1306,14 +1202,21 @@ mod tests {
         ids
     }
 
+    /// The engine's private invariants on the generated-tree corpus,
+    /// whose answers `tests/oracle_matrix.rs` checks through every
+    /// broker configuration: the index flag, the always list, unindexed
+    /// leaves of every operator and kind, and postings draining to
+    /// zero. Every stored tree also round-trips the encoding and
+    /// evaluates under [`crate::eval_iterative`] exactly as its decoded
+    /// [`IdExpr::eval`] reference does, and every match reports
+    /// consistent stats.
     #[test]
     fn generated_trees_match_the_oracle_under_churn() {
-        let mut rng = Rng(0x5EED_2005);
+        let mut corpus = TreeScenario::new(0x5EED_2005);
         let mut e = NonCanonicalEngine::new();
-        let mut sharded = crate::ShardedEngine::new(EngineKind::NonCanonical, 3);
-        let mut live: Vec<(SubscriptionId, Expr)> = Vec::new();
+        let mut live: Vec<SubscriptionId> = Vec::new();
         let mut scratch = MatchScratch::new();
-        let mut batch = BatchScratch::new();
+        let mut fulfilled = FulfilledSet::new();
         let mut always_seen = 0;
         let mut lazy_ops = std::collections::BTreeSet::new();
         let mut lazy_kinds = std::collections::BTreeSet::new();
@@ -1322,16 +1225,11 @@ mod tests {
         for round in 0..40 {
             // Churn: drop a random third, add a fresh dozen.
             for _ in 0..live.len() / 3 {
-                let (id, _) = live.swap_remove(rng.below(live.len() as u64) as usize);
+                let id = live.swap_remove(corpus.pick(live.len()));
                 e.unsubscribe(id).unwrap();
-                sharded.unsubscribe(id).unwrap();
             }
             for _ in 0..12 {
-                let expr = random_tree(&mut rng, 3);
-                let id = e.subscribe(&expr).unwrap();
-                // Both issue ids in arrival order and never reuse one.
-                assert_eq!(sharded.subscribe(&expr).unwrap(), id);
-                live.push((id, expr));
+                live.push(e.subscribe(&corpus.subscription()).unwrap());
             }
             always_seen += e.always.len();
             assert_index_holds_the_access_predicates(&e);
@@ -1355,57 +1253,38 @@ mod tests {
                     .attr("b", true)
                     .build(),
             ];
-            events.extend((0..6).map(|_| random_event(&mut rng)));
-            let events: Vec<Arc<Event>> = events.into_iter().map(Arc::new).collect();
-
-            batch.reset();
-            let batch_stats = e.match_batch(&events, &[], &mut batch);
-            let mut scalar_total = MatchStats::default();
+            events.extend((0..6).map(|_| corpus.event()));
             for (i, event) in events.iter().enumerate() {
-                let want = sorted(
-                    live.iter()
-                        .filter(|(_, expr)| expr.eval_event(event))
-                        .map(|(id, _)| *id)
-                        .collect(),
-                );
-                let scalar = e.match_event(event, &mut scratch);
-                scalar_total = scalar_total + scalar.stats;
-                assert_eq!(
-                    sorted(scalar.matched),
-                    want,
-                    "scalar, round {round}, event {i}: {event}"
-                );
-                assert_eq!(
-                    sorted(batch.matched(i).to_vec()),
-                    want,
-                    "batch, round {round}, event {i}: {event}"
-                );
-                assert_eq!(
-                    sorted(sharded.match_event(event, &mut scratch).matched),
-                    want,
-                    "3 shards, round {round}, event {i}: {event}"
-                );
+                let r = e.match_event(event, &mut scratch);
+                let context = format!("round {round}, event {i}: {event}");
+                assert_eq!(r.stats.matched, r.matched.len(), "{context}");
+                assert_eq!(r.stats.evaluations, r.stats.candidates, "{context}");
+                leaf_comparisons += r.stats.leaf_comparisons;
+
+                e.phase1(event, &mut fulfilled);
+                for &id in &live {
+                    let tree = e.subscription_tree(id).unwrap();
+                    let bytes = encode::encode(&tree).unwrap();
+                    assert_eq!(encode::decode(&bytes).unwrap(), tree, "{context}");
+                    assert_eq!(
+                        crate::eval_iterative(&bytes, &fulfilled),
+                        tree.eval(&fulfilled),
+                        "{context}: {tree:?}"
+                    );
+                }
             }
-            leaf_comparisons += scalar_total.leaf_comparisons;
-            let mut batch_stats = batch_stats;
-            assert_eq!(batch_stats.batch_events, events.len());
-            batch_stats.batch_events = 0;
-            batch_stats.batch_passes = 0;
-            assert_eq!(batch_stats, scalar_total, "summed stats, round {round}");
         }
         assert!(always_seen > 0, "the corpus exercised the always list");
         assert_eq!(lazy_ops.len(), 10, "unindexed leaves of every operator");
         assert_eq!(lazy_kinds.len(), 4, "unindexed leaves of every kind");
         assert!(leaf_comparisons > 0);
 
-        for (id, _) in live {
+        for id in live {
             e.unsubscribe(id).unwrap();
-            sharded.unsubscribe(id).unwrap();
         }
         assert_eq!(e.association_postings(), 0);
         assert_eq!(e.predicate_count(), 0);
         assert_eq!(e.indexed_predicates(), 0);
-        assert_eq!(sharded.predicate_count(), 0);
         assert!(e.always.is_empty());
     }
 

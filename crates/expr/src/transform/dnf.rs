@@ -47,12 +47,6 @@ impl Dnf {
         self.conjuncts.is_empty()
     }
 
-    /// Total number of predicate slots over all conjunctions — the
-    /// memory-relevant size of the transformed subscription.
-    pub fn predicate_slots(&self) -> usize {
-        self.conjuncts.iter().map(Vec::len).sum()
-    }
-
     /// Converts back into an expression tree (an `Or` of `And`s).
     pub fn to_expr(&self) -> Expr {
         Expr::or(
@@ -203,7 +197,6 @@ mod tests {
     fn single_predicate() {
         let dnf = to_dnf(&pe("a", 1), 10).unwrap();
         assert_eq!(dnf.conjuncts(), &[vec![p("a", 1)]]);
-        assert_eq!(dnf.predicate_slots(), 1);
     }
 
     #[test]
@@ -223,7 +216,6 @@ mod tests {
         let dnf = to_dnf(&e, 100).unwrap();
         assert_eq!(dnf.len(), 9);
         assert!(dnf.conjuncts().iter().all(|c| c.len() == 2));
-        assert_eq!(dnf.predicate_slots(), 18);
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! * [`sweep`] — the parameter-sweep runner that regenerates the
 //!   Fig. 3 comparison,
 //! * [`scenarios`] — seeded subscription/event streams for the broker
-//!   tests and examples (stock, news, auction, churn, rebalance, hot
-//!   key, selective, slow consumer).
+//!   tests and examples (stock, news, auction, churn, hot key,
+//!   selective, slow consumer, generated trees).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

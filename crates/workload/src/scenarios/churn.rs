@@ -68,29 +68,19 @@ pub struct ChurnScenario {
     stock: StockScenario,
     live: usize,
     target_live: usize,
-    publish_ratio: f64,
 }
 
 impl ChurnScenario {
     /// Creates a deterministic scenario that keeps roughly
     /// `target_live` subscriptions alive. Half of the operations are
-    /// publishes by default ([`ChurnScenario::with_publish_ratio`]).
+    /// publishes.
     pub fn new(seed: u64, target_live: usize) -> Self {
         ChurnScenario {
             rng: StdRng::seed_from_u64(seed),
             stock: StockScenario::new(seed.wrapping_mul(0x9e37_79b9).wrapping_add(1)),
             live: 0,
             target_live: target_live.max(1),
-            publish_ratio: 0.5,
         }
-    }
-
-    /// Sets the fraction of operations that are publishes (the rest
-    /// split between subscribe and unsubscribe). Clamped to `[0, 1]`.
-    #[must_use]
-    pub fn with_publish_ratio(mut self, ratio: f64) -> Self {
-        self.publish_ratio = ratio.clamp(0.0, 1.0);
-        self
     }
 
     /// Live subscriptions after the operations generated so far (the
@@ -101,7 +91,7 @@ impl ChurnScenario {
 
     /// The next operation.
     pub fn next_op(&mut self) -> ChurnOp {
-        if self.live > 0 && self.rng.random_bool(self.publish_ratio) {
+        if self.live > 0 && self.rng.random_bool(0.5) {
             return ChurnOp::Publish(self.stock.tick());
         }
         // Registration pressure proportional to how far below target we
@@ -171,25 +161,5 @@ mod tests {
             "live count {} drifted far from target 40",
             churn.live()
         );
-    }
-
-    #[test]
-    fn publish_ratio_is_respected() {
-        let mut churn = ChurnScenario::new(5, 20).with_publish_ratio(0.8);
-        let ops = churn.ops(2_000);
-        let publishes = ops
-            .iter()
-            .filter(|op| matches!(op, ChurnOp::Publish(_)))
-            .count();
-        assert!(
-            (1_400..=1_800).contains(&publishes),
-            "expected ~80% publishes, got {publishes}/2000"
-        );
-        // And a churn-only stream publishes nothing.
-        let mut quiet = ChurnScenario::new(5, 20).with_publish_ratio(0.0);
-        assert!(quiet
-            .ops(200)
-            .iter()
-            .all(|op| !matches!(op, ChurnOp::Publish(_))));
     }
 }

@@ -9,24 +9,14 @@
 //! (`PlacementPolicy::ClusterByAttribute`) makes each shard's
 //! attribute synopsis selective — an event then has candidates on at
 //! most the one shard its group lives on, and the publish paths prune
-//! the rest (`MatchStats::shards_pruned`; `tests/hot_path.rs` replays
-//! this scenario through clustered, pruning brokers against a flat one).
+//! the rest (`MatchStats::shards_pruned`; `tests/oracle_matrix.rs`
+//! replays this scenario through clustered, pruning brokers and
+//! requires the prune counters to move).
 //!
-//! The generator produces both halves of the A/B:
-//!
-//! * [`SelectiveScenario::new`] — **prunable**: every subscription is
-//!   an `and` whose dominant equality predicate names its group
-//!   attribute (`g<k> = v and seq >= n`), so clustering co-places each
-//!   group and pruning bites.
-//! * [`SelectiveScenario::unprunable`] — the adversarial control: the
-//!   same population shape but **or-rooted** (`g<k> = v or seq >=
-//!   high`), which the conservative synopsis must treat as
-//!   always-candidate. Pruning can remove nothing; this stream bounds
-//!   the overhead of consulting synopses that never fire.
-//!
-//! Events are identical in both modes: one group attribute plus a
-//! sequence number, so the pruned-vs-unpruned comparison measures the
-//! routing layer, not the workload.
+//! Every subscription is an `and` whose dominant equality predicate
+//! names its group attribute (`g<k> = v and seq >= n`), so clustering
+//! co-places each group and pruning bites. Events carry one group
+//! attribute plus a sequence number.
 
 use boolmatch_expr::Expr;
 use boolmatch_types::Event;
@@ -59,9 +49,6 @@ pub struct SelectiveScenario {
     rng: StdRng,
     /// Number of disjoint attribute populations (`g0` … `g{n-1}`).
     groups: usize,
-    /// Whether subscriptions are and-rooted (prunable) or or-rooted
-    /// (always-candidate everywhere — the pruning-overhead control).
-    prunable: bool,
     /// Arrival index of the next subscription.
     next_sub: usize,
     /// Event counter, driving the sequence attribute.
@@ -69,28 +56,15 @@ pub struct SelectiveScenario {
 }
 
 impl SelectiveScenario {
-    /// Creates the deterministic **prunable** scenario: subscriptions
-    /// are conjunctions whose dominant equality predicate names their
-    /// group attribute. `groups` is clamped to at least 2.
+    /// Creates the deterministic scenario: subscriptions are
+    /// conjunctions whose dominant equality predicate names their group
+    /// attribute. `groups` is clamped to at least 2.
     pub fn new(seed: u64, groups: usize) -> Self {
         SelectiveScenario {
             rng: StdRng::seed_from_u64(seed),
             groups: groups.max(2),
-            prunable: true,
             next_sub: 0,
             ticks: 0,
-        }
-    }
-
-    /// Creates the **unprunable** control: the same groups and the
-    /// same event stream, but every subscription is or-rooted, which
-    /// a conservative synopsis must treat as always-candidate — no
-    /// shard can ever be pruned. Use the same `seed` as a
-    /// [`SelectiveScenario::new`] twin for a like-for-like A/B.
-    pub fn unprunable(seed: u64, groups: usize) -> Self {
-        SelectiveScenario {
-            prunable: false,
-            ..SelectiveScenario::new(seed, groups)
         }
     }
 
@@ -99,31 +73,16 @@ impl SelectiveScenario {
         self.groups
     }
 
-    /// Whether this stream's subscriptions admit pruning.
-    pub fn is_prunable(&self) -> bool {
-        self.prunable
-    }
-
     /// The next subscription in arrival order: round-robin across the
     /// groups (arrival `i` joins group `i % groups`), watching one of
-    /// the group's values with a loose sequence guard. Prunable mode
-    /// pins the group predicate as the required conjunct; the
-    /// unprunable control disjoins an (almost never satisfied)
-    /// sequence arm instead, defeating per-attribute summarisation
-    /// without changing what usually matches.
+    /// the group's values with a loose sequence guard. The group
+    /// predicate is the required conjunct the synopsis summarises.
     pub fn subscription(&mut self) -> Expr {
         let index = self.next_sub;
         self.next_sub += 1;
         let group = index % self.groups;
         let value = self.rng.random_range(1..=GROUP_VALUES);
-        let text = if self.prunable {
-            format!("g{group} = {value} and seq >= {}", index / self.groups)
-        } else {
-            // The or-arm fires only for astronomically late events, so
-            // delivery stays comparable to the prunable twin — but the
-            // synopsis must keep every shard candidate for it.
-            format!("g{group} = {value} or seq >= {}", i64::MAX / 2)
-        };
+        let text = format!("g{group} = {value} and seq >= {}", index / self.groups);
         Expr::parse(&text).expect("generated subscription parses")
     }
 
@@ -168,25 +127,7 @@ mod tests {
                 "arrival {i} joins group {}: {text}",
                 i % 4
             );
-            assert!(text.contains("and"), "prunable subs are and-rooted");
-        }
-    }
-
-    #[test]
-    fn unprunable_twin_is_or_rooted_with_matching_groups() {
-        let mut a = SelectiveScenario::new(9, 4);
-        let mut b = SelectiveScenario::unprunable(9, 4);
-        assert!(a.is_prunable() && !b.is_prunable());
-        for _ in 0..16 {
-            let (pa, pb) = (a.subscription().to_string(), b.subscription().to_string());
-            assert!(pa.contains("and") && pb.contains("or"));
-            // Same rng stream: the group value is identical, so the
-            // two populations match (almost) identically.
-            assert_eq!(
-                pa.split(" and ").next(),
-                pb.split(" or ").next(),
-                "twins diverged: {pa} vs {pb}"
-            );
+            assert!(text.contains("and"), "subscriptions are and-rooted");
         }
     }
 

@@ -1,7 +1,7 @@
 //! The asynchronous delivery tier, end to end: overflow policies,
-//! stalled consumers, quarantine, panic isolation, disconnect
-//! accounting, and flat ≡ sharded delivery equivalence — plus the
-//! scripted fault-injection harness from `boolmatch-workload`.
+//! stalled consumers, quarantine, panic isolation and disconnect
+//! accounting — plus the scripted fault-injection harness from
+//! `boolmatch-workload`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -11,7 +11,6 @@ use std::time::{Duration, Instant};
 use boolmatch::prelude::*;
 use boolmatch::workload::scenarios::{
     ConsumerDirective, FaultAction, FaultDriver, FaultEvent, FaultPlan, SlowConsumerScenario,
-    StockScenario,
 };
 
 fn seq_event(seq: i64) -> Event {
@@ -331,47 +330,6 @@ fn drainer_jobs_are_bounded_by_delivery_workers() {
     }
     assert_eq!(broker.stats().drain_jobs, 2, "no publish, no job");
     drop(subs);
-}
-
-// ---------------------------------------------------------------------
-// Satellite 3b: flat ≡ sharded delivery under the async tier
-// ---------------------------------------------------------------------
-
-#[test]
-fn flat_and_sharded_brokers_deliver_identically() {
-    for kind in EngineKind::ALL {
-        for shards in [1_usize, 3, 8] {
-            let mut scenario = StockScenario::new(11);
-            let subs = scenario.subscriptions(60);
-            let events: Vec<Arc<Event>> = (0..40).map(|_| Arc::new(scenario.tick())).collect();
-
-            let flat = Broker::builder().engine(kind).shards(1).build();
-            let sharded = Broker::builder().engine(kind).shards(shards).build();
-
-            let flat_subs: Vec<Subscription> = subs
-                .iter()
-                .map(|e| flat.subscribe_expr(e).unwrap())
-                .collect();
-            let sharded_subs: Vec<Subscription> = subs
-                .iter()
-                .map(|e| sharded.subscribe_expr(e).unwrap())
-                .collect();
-
-            let flat_count = flat.publish_batch(&events);
-            let sharded_count = sharded.publish_batch(&events);
-            assert_eq!(flat_count, sharded_count, "{kind} S={shards}");
-
-            for (i, (f, s)) in flat_subs.iter().zip(&sharded_subs).enumerate() {
-                let fv: Vec<Arc<Event>> = f.drain();
-                let sv: Vec<Arc<Event>> = s.drain();
-                assert_eq!(
-                    fv, sv,
-                    "{kind} S={shards}: subscriber {i} diverged in \
-                     content or per-subscriber order"
-                );
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -9,10 +9,6 @@
 //! single-engine-lock broker the publisher could not enter matching at
 //! all while a subscribe held the write lock, and the observation
 //! latch would time out.
-//!
-//! The file also replays deterministic churn streams to show a sharded
-//! broker (and its `publish_batch` path) delivers exactly like an
-//! unsharded one.
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
@@ -24,7 +20,6 @@ use boolmatch::core::{
 };
 use boolmatch::expr::Expr;
 use boolmatch::prelude::*;
-use boolmatch::workload::scenarios::{ChurnOp, ChurnScenario};
 
 /// A one-shot latch: `open` releases every current and future `wait`.
 struct Latch {
@@ -245,117 +240,4 @@ fn write_locked_shard_does_not_block_matching_on_other_shards() {
 
     assert_eq!(broker.subscription_count(), 2);
     assert_eq!(broker.stats().events_published, 1);
-}
-
-/// Replays one deterministic churn stream against an unsharded and a
-/// sharded broker: every publish must deliver to the same number of
-/// subscribers, and the final counters must agree.
-#[test]
-fn sharded_broker_agrees_with_unsharded_under_churn() {
-    for kind in EngineKind::ALL {
-        for shards in [3usize, 8] {
-            let flat = Broker::builder().engine(kind).build();
-            let sharded = Broker::builder().engine(kind).shards(shards).build();
-            let mut flat_live: Vec<Subscription> = Vec::new();
-            let mut sharded_live: Vec<Subscription> = Vec::new();
-
-            let mut churn = ChurnScenario::new(11, 60);
-            for (step, op) in churn.ops(2_000).into_iter().enumerate() {
-                match op {
-                    ChurnOp::Subscribe(expr) => {
-                        let a = flat.subscribe_expr(&expr).unwrap();
-                        let b = sharded.subscribe_expr(&expr).unwrap();
-                        assert_eq!(a.id(), b.id(), "arrival-order ids diverge at {step}");
-                        flat_live.push(a);
-                        sharded_live.push(b);
-                    }
-                    ChurnOp::Unsubscribe(i) => {
-                        drop(flat_live.remove(i));
-                        drop(sharded_live.remove(i));
-                    }
-                    ChurnOp::Publish(event) => {
-                        let a = flat.publish(event.clone());
-                        let b = sharded.publish(event);
-                        assert_eq!(a, b, "kind={kind} shards={shards} step={step}");
-                    }
-                }
-            }
-
-            // Per-subscriber queues agree exactly for the survivors.
-            for (i, (a, b)) in flat_live.iter().zip(&sharded_live).enumerate() {
-                assert_eq!(a.drain().len(), b.drain().len(), "survivor {i} on {kind}");
-            }
-            let fs = flat.stats();
-            let ss = sharded.stats();
-            assert_eq!(fs.notifications_delivered, ss.notifications_delivered);
-            assert_eq!(fs.subscriptions_created, ss.subscriptions_created);
-            assert_eq!(fs.subscriptions_removed, ss.subscriptions_removed);
-            assert_eq!(flat.subscription_count(), sharded.subscription_count());
-        }
-    }
-}
-
-/// Replays churn with the publishes buffered into `publish_batch`
-/// calls (flushed before every registration change, so both brokers
-/// see identical subscription state per event): batch delivery must
-/// equal one-by-one delivery, notification for notification.
-#[test]
-fn publish_batch_under_churn_equals_publish_sequence() {
-    let one_by_one = Broker::builder().shards(4).build();
-    let batched = Broker::builder().shards(4).build();
-    let mut seq_live: Vec<Subscription> = Vec::new();
-    let mut batch_live: Vec<Subscription> = Vec::new();
-    let mut buffer: Vec<Arc<Event>> = Vec::new();
-    let mut seq_delivered = 0usize;
-    let mut batch_delivered = 0usize;
-
-    let flush = |buffer: &mut Vec<Arc<Event>>, seq_d: &mut usize, batch_d: &mut usize| {
-        if buffer.is_empty() {
-            return;
-        }
-        *seq_d += buffer
-            .iter()
-            .map(|e| one_by_one.publish_arc(e.clone()))
-            .sum::<usize>();
-        *batch_d += batched.publish_batch(buffer);
-        buffer.clear();
-    };
-
-    let mut churn = ChurnScenario::new(23, 40).with_publish_ratio(0.7);
-    for op in churn.ops(3_000) {
-        match op {
-            ChurnOp::Subscribe(expr) => {
-                flush(&mut buffer, &mut seq_delivered, &mut batch_delivered);
-                seq_live.push(one_by_one.subscribe_expr(&expr).unwrap());
-                batch_live.push(batched.subscribe_expr(&expr).unwrap());
-            }
-            ChurnOp::Unsubscribe(i) => {
-                flush(&mut buffer, &mut seq_delivered, &mut batch_delivered);
-                drop(seq_live.remove(i));
-                drop(batch_live.remove(i));
-            }
-            ChurnOp::Publish(event) => buffer.push(Arc::new(event)),
-        }
-    }
-    flush(&mut buffer, &mut seq_delivered, &mut batch_delivered);
-
-    assert_eq!(seq_delivered, batch_delivered);
-    assert_eq!(
-        one_by_one.stats().events_published,
-        batched.stats().events_published
-    );
-    assert_eq!(
-        one_by_one.stats().notifications_delivered,
-        batched.stats().notifications_delivered
-    );
-    for (i, (a, b)) in seq_live.iter().zip(&batch_live).enumerate() {
-        let sn = a.drain();
-        let bn = b.drain();
-        assert_eq!(sn.len(), bn.len(), "survivor {i} queue depth");
-        // Identical notifications in identical order.
-        for (x, y) in sn.iter().zip(&bn) {
-            assert_eq!(x.get("price"), y.get("price"));
-            assert_eq!(x.get("symbol"), y.get("symbol"));
-        }
-    }
 }
