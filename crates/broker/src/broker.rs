@@ -1557,6 +1557,12 @@ impl Broker {
     /// routing overhead — the write-side directory's tables and stored
     /// expressions *and* every shard's read-side translation map —
     /// reported as `unsub_support`.
+    ///
+    /// What it leaves out: the delivery tier (the `senders` map, every
+    /// subscriber's notification queue and what it holds, the ready
+    /// list) and every thread's `MatchScratch`. The benchmark's
+    /// `bytes_per_sub` is this total over the live subscriptions, so it
+    /// leaves them out too.
     pub fn memory_usage(&self) -> MemoryUsage {
         let set = self.shard_set();
         let mut routing = self.inner.directory.read().heap_bytes();

@@ -104,7 +104,8 @@ impl CountingTables {
 
         let mut acquired = Vec::with_capacity(nnf.predicate_count());
         nnf.for_each_predicate(&mut |p| {
-            let (id, fresh) = self.interner.intern(p);
+            let slot = self.index.intern_attr(p.attr());
+            let (id, fresh) = self.interner.intern(slot, p);
             if fresh {
                 self.index.insert(id, p);
             }
@@ -128,8 +129,9 @@ impl CountingTables {
             self.flat_orig[flat as usize] = orig_u32;
             for pred in conjunct {
                 let pid = self
-                    .interner
-                    .get(pred)
+                    .index
+                    .attr_slot(pred.attr())
+                    .and_then(|slot| self.interner.get(slot, pred))
                     .expect("conjunct predicates come from the interned NNF");
                 self.assoc.add(pid, flat);
             }
@@ -168,9 +170,15 @@ impl CountingTables {
             self.live_flats -= 1;
         }
         for pid in meta.acquired {
-            if self.interner.release(pid) {
-                self.index.remove(pid, self.interner.resolve(pid));
+            if self.interner.refcount(pid) == 1 {
+                // The last leaf: out of phase 1 while the record still
+                // holds the constant.
+                let pred = self
+                    .interner
+                    .predicate(pid, |slot| self.index.attr_name(slot));
+                self.index.remove(pid, &pred);
             }
+            self.interner.release(pid);
         }
         self.live_origs -= 1;
         Ok(())

@@ -132,6 +132,59 @@ mod tests {
         assert_eq!(c.vectors, 7);
     }
 
+    /// 2 000 paper-shape subscriptions — an AND of 4 `(a > hi or a <=
+    /// lo)` pairs over distinct attributes from a pool of 32, constants
+    /// in the outer 7.5 % of [0, 10^6), nearly every predicate distinct
+    /// — on every engine kind: interned predicate storage stays within
+    /// 80 bytes per live predicate. It read ≈ 210 while every predicate
+    /// was kept as a `Predicate` twice (the id table and the lookup key)
+    /// and reads ≈ 71 as one 16-byte record.
+    #[test]
+    fn interned_predicates_cost_at_most_80_bytes_each() {
+        use crate::EngineKind;
+        use boolmatch_expr::{CompareOp, Expr, Predicate};
+
+        let mut state = 0x2005_u64;
+        let mut below = |n: u64| {
+            // xorshift64*: deterministic, no dependency.
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_F491_4F6C_DD1D) % n
+        };
+        let corpus: Vec<Expr> = (0..2_000)
+            .map(|_| {
+                let mut attrs: Vec<u64> = (0..32).collect();
+                let pairs = (0..4)
+                    .map(|p| {
+                        let attr = attrs.swap_remove(below(32 - p) as usize);
+                        let hi = 999_999 - below(75_000) as i64;
+                        let lo = below(75_000) as i64;
+                        let name = format!("a{attr}");
+                        Expr::or(vec![
+                            Expr::pred(Predicate::new(&name, CompareOp::Gt, hi)),
+                            Expr::pred(Predicate::new(&name, CompareOp::Le, lo)),
+                        ])
+                    })
+                    .collect();
+                Expr::and(pairs)
+            })
+            .collect();
+        for kind in EngineKind::ALL {
+            let mut engine = kind.build();
+            for expr in &corpus {
+                engine.subscribe(expr).unwrap();
+            }
+            let live = engine.predicate_count();
+            assert!(live > 15_000, "{kind:?}: {live} distinct predicates");
+            let per_predicate = engine.memory_usage().predicates as f64 / live as f64;
+            assert!(
+                per_predicate <= 80.0,
+                "{kind:?}: {per_predicate:.1} bytes per interned predicate"
+            );
+        }
+    }
+
     #[test]
     fn display_is_nonempty_and_mentions_total() {
         let m = MemoryUsage::default();

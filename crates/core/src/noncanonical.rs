@@ -1,8 +1,8 @@
 //! The non-canonical filtering engine — the paper's contribution (§3).
 
-use boolmatch_expr::{transform, CompareOp, Expr};
+use boolmatch_expr::{transform, CompareOp, Expr, Predicate};
 use boolmatch_index::PredicateIndex;
-use boolmatch_types::{Event, Value};
+use boolmatch_types::Event;
 
 use crate::arena::{Loc, TreeArena};
 use crate::assoc::AssocTable;
@@ -86,15 +86,15 @@ use crate::{
 /// ```
 #[derive(Debug)]
 pub struct NonCanonicalEngine {
+    /// Every leaf's predicate, as a record naming its attribute by its
+    /// slot in `index`.
     interner: PredicateInterner,
     /// Phase-1 index over the predicates with a non-empty `assoc` list;
     /// also the engine's attribute-name → slot table (every interned
     /// predicate's attribute has a slot, indexed or not).
     index: PredicateIndex<PredicateId>,
-    /// Per predicate id: the attribute slot its comparison reads the
-    /// event at, plus [`INDEXED_BIT`] while the predicate is in `index`
-    /// — one word, so a leaf test decides how to test with one read.
-    leaf_meta: Vec<u32>,
+    /// Per predicate id, one bit: set while the predicate is in `index`.
+    indexed: IdBits,
     /// Per attribute slot: the span of its interned numeric constants.
     spans: Vec<Span>,
     /// Predicate → subscriptions having it in their necessary set
@@ -113,9 +113,45 @@ pub struct NonCanonicalEngine {
     live_subs: usize,
 }
 
-/// Set in a `leaf_meta` word while the predicate holds postings and is
-/// therefore in the phase-1 index: its leaves read the fulfilled stamp.
-const INDEXED_BIT: u32 = 1 << 31;
+/// A set of predicate ids, one bit each.
+#[derive(Debug, Default)]
+struct IdBits(Vec<u64>);
+
+impl IdBits {
+    /// Grows the set so it can hold `id`; ids it grows by are absent.
+    fn cover(&mut self, id: PredicateId) {
+        let words = id.index() / 64 + 1;
+        if self.0.len() < words {
+            self.0.resize(words, 0);
+        }
+    }
+
+    fn set(&mut self, id: PredicateId, on: bool) {
+        let bit = 1 << (id.index() % 64);
+        let word = &mut self.0[id.index() / 64];
+        if on {
+            *word |= bit;
+        } else {
+            *word &= !bit;
+        }
+    }
+
+    // lint: hot-path — read once per leaf a candidate's evaluation
+    // reaches.
+
+    #[inline]
+    fn contains(&self, id: PredicateId) -> bool {
+        self.0
+            .get(id.index() / 64)
+            .is_some_and(|word| word >> (id.index() % 64) & 1 != 0)
+    }
+
+    // lint: end-hot-path
+
+    fn heap_bytes(&self) -> usize {
+        self.0.capacity() * std::mem::size_of::<u64>()
+    }
+}
 
 // lint: hot-path — the leaf test runs once per tree leaf a candidate's
 // evaluation reaches: dense reads and one comparison, no name lookup.
@@ -127,7 +163,7 @@ struct LeafTest<'a> {
     /// values by attribute slot; `None` when `fulfilled` carries no
     /// event and is complete as it stands.
     event: Option<(&'a Event, &'a EventView)>,
-    leaf_meta: &'a [u32],
+    indexed: &'a IdBits,
     interner: &'a PredicateInterner,
     /// Leaves decided by comparison rather than by stamp.
     comparisons: usize,
@@ -139,13 +175,13 @@ impl LeafTest<'_> {
         let Some((event, view)) = self.event else {
             return self.fulfilled.contains(pid);
         };
-        let meta = self.leaf_meta[pid.index()];
-        if meta & INDEXED_BIT != 0 {
+        if self.indexed.contains(pid) {
             return self.fulfilled.contains(pid);
         }
         self.comparisons += 1;
-        view.value(meta as usize, event)
-            .is_some_and(|value| self.interner.resolve(pid).eval_value(value))
+        let slot = self.interner.record(pid).slot().index();
+        view.value(slot, event)
+            .is_some_and(|value| self.interner.eval(pid, value))
     }
 }
 
@@ -211,7 +247,7 @@ fn necessary_set(
     match tree {
         IdExpr::Pred(id) => {
             out.push(*id);
-            let non_equality = !interner.resolve(*id).op().is_point();
+            let non_equality = !interner.record(*id).op().is_point();
             Some(SetCost {
                 key: (1, usize::from(non_equality)),
                 traffic: traffic(*id),
@@ -290,15 +326,6 @@ impl Span {
     }
 }
 
-/// A finite numeric constant as `f64`; `None` for every other value.
-fn numeric(value: &Value) -> Option<f64> {
-    match *value {
-        Value::Int(i) => Some(i as f64),
-        Value::Float(x) if x.is_finite() => Some(x),
-        _ => None,
-    }
-}
-
 impl Default for NonCanonicalEngine {
     fn default() -> Self {
         Self::new()
@@ -311,7 +338,7 @@ impl NonCanonicalEngine {
         NonCanonicalEngine {
             interner: PredicateInterner::new(),
             index: PredicateIndex::new(),
-            leaf_meta: Vec::new(),
+            indexed: IdBits::default(),
             spans: Vec::new(),
             assoc: AssocTable::new(),
             always: Vec::new(),
@@ -327,20 +354,14 @@ impl NonCanonicalEngine {
     fn compile(&mut self, expr: &Expr, acquired: &mut Vec<PredicateId>) -> IdExpr {
         match expr {
             Expr::Pred(p) => {
-                let (id, fresh) = self.interner.intern(p);
+                let slot = self.index.intern_attr(p.attr());
+                let (id, fresh) = self.interner.intern(slot, p);
                 if fresh {
-                    // Not indexed until a posting says so; a reused id
-                    // slot gets its new attribute here.
-                    let slot = u32::try_from(self.index.intern_attr(p.attr()).index())
-                        .ok()
-                        .filter(|slot| slot & INDEXED_BIT == 0)
-                        .expect("fewer than 2^31 attributes: the top bit is the flag");
-                    if self.leaf_meta.len() <= id.index() {
-                        self.leaf_meta.resize(id.index() + 1, 0);
-                    }
-                    self.leaf_meta[id.index()] = slot;
-                    if let Some(c) = numeric(p.value()) {
-                        let slot = slot as usize;
+                    // Not indexed until a posting says so: a freed id
+                    // left the index with its last posting.
+                    self.indexed.cover(id);
+                    if let Some(c) = self.interner.record(id).numeric() {
+                        let slot = slot.index();
                         if self.spans.len() <= slot {
                             self.spans.resize(slot + 1, Span::EMPTY);
                         }
@@ -378,27 +399,31 @@ impl NonCanonicalEngine {
     /// Estimated share of events fulfilling `pid`: [`Span::share`] of
     /// its constant within its attribute's span.
     fn traffic(&self, pid: PredicateId) -> Option<f64> {
-        let pred = self.interner.resolve(pid);
+        let record = self.interner.record(pid);
         // A numeric constant widened its slot's span when interned.
-        let c = numeric(pred.value())?;
-        let slot = (self.leaf_meta[pid.index()] & !INDEXED_BIT) as usize;
-        self.spans[slot].share(pred.op(), c)
+        let c = record.numeric()?;
+        self.spans[record.slot().index()].share(record.op(), c)
+    }
+
+    /// Live predicate `pid`, rebuilt from its record.
+    fn predicate(&self, pid: PredicateId) -> Predicate {
+        self.interner
+            .predicate(pid, |slot| self.index.attr_name(slot))
     }
 
     /// Moves `pid` into the phase-1 index (its first posting was just
     /// added) or out of it (its last one is gone). The posting list's
-    /// emptiness is the state; the flag in `leaf_meta` only mirrors it
-    /// for the leaf test.
+    /// emptiness is the state; the `indexed` bit only mirrors it for
+    /// the leaf test.
     fn set_indexed(&mut self, pid: PredicateId, indexed: bool) {
-        let pred = self.interner.resolve(pid);
+        let pred = self.predicate(pid);
         if indexed {
-            self.index.insert(pid, pred);
-            self.leaf_meta[pid.index()] |= INDEXED_BIT;
+            self.index.insert(pid, &pred);
         } else {
-            let was_indexed = self.index.remove(pid, pred);
+            let was_indexed = self.index.remove(pid, &pred);
             debug_assert!(was_indexed, "{pid} held postings but was not indexed");
-            self.leaf_meta[pid.index()] &= !INDEXED_BIT;
         }
+        self.indexed.set(pid, indexed);
     }
 
     /// The leaf test for one event's candidates; loads `view` when the
@@ -415,7 +440,7 @@ impl NonCanonicalEngine {
         LeafTest {
             fulfilled,
             event,
-            leaf_meta: &self.leaf_meta,
+            indexed: &self.indexed,
             interner: &self.interner,
             comparisons: 0,
         }
@@ -644,7 +669,7 @@ impl FilterEngine for NonCanonicalEngine {
     fn memory_usage(&self) -> MemoryUsage {
         MemoryUsage {
             predicates: self.interner.heap_bytes()
-                + self.leaf_meta.capacity() * std::mem::size_of::<u32>()
+                + self.indexed.heap_bytes()
                 + self.spans.capacity() * std::mem::size_of::<Span>(),
             phase1_index: self.index.heap_bytes(),
             association: self.assoc.heap_bytes()
@@ -664,7 +689,7 @@ impl FilterEngine for NonCanonicalEngine {
 mod tests {
     use super::*;
     use crate::{BatchScratch, Matcher};
-    use boolmatch_expr::{CompareOp, Predicate};
+    use boolmatch_types::AttrId;
     use boolmatch_workload::scenarios::TreeScenario;
     use std::sync::Arc;
 
@@ -931,12 +956,13 @@ mod tests {
         IdExpr::Not(Box::new(tree))
     }
 
-    /// An interner holding `attr{i} OP 1` under id `i`, one per `ops`
-    /// entry.
+    /// An interner holding `attr{i} OP 1` on slot `i` under id `i`, one
+    /// per `ops` entry.
     fn interner_of(ops: &[CompareOp]) -> PredicateInterner {
         let mut interner = PredicateInterner::new();
         for (i, &op) in ops.iter().enumerate() {
-            let (id, fresh) = interner.intern(&Predicate::new(&format!("attr{i}"), op, 1_i64));
+            let pred = Predicate::new(&format!("attr{i}"), op, 1_i64);
+            let (id, fresh) = interner.intern(AttrId::from_index(i), &pred);
             assert!(fresh);
             assert_eq!(id.index(), i);
         }
@@ -1098,7 +1124,7 @@ mod tests {
             panic!("an AND is stored as an AND")
         };
         let mut first = Vec::new();
-        children[0].for_each_leaf(&mut |pid| first.push(e.interner.resolve(pid).to_string()));
+        children[0].for_each_leaf(&mut |pid| first.push(e.predicate(pid).to_string()));
         assert_eq!(first, ["b > 98", "b <= 2"]);
     }
 
@@ -1189,7 +1215,7 @@ mod tests {
             let posted = !e.assoc.get(PredicateId::from_index(i)).is_empty();
             with_postings += usize::from(posted);
             assert_eq!(
-                e.leaf_meta[i] & INDEXED_BIT != 0,
+                e.indexed.contains(PredicateId::from_index(i)),
                 posted,
                 "flag of predicate slot {i}"
             );
@@ -1236,8 +1262,8 @@ mod tests {
             for i in 0..e.interner.universe() {
                 let id = PredicateId::from_index(i);
                 if e.interner.refcount(id) > 0 && e.assoc.get(id).is_empty() {
-                    lazy_ops.insert(e.interner.resolve(id).op());
-                    lazy_kinds.insert(e.interner.resolve(id).value_kind());
+                    lazy_ops.insert(e.predicate(id).op());
+                    lazy_kinds.insert(e.predicate(id).value_kind());
                 }
             }
 

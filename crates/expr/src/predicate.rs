@@ -232,12 +232,6 @@ impl Predicate {
     pub fn eval_event(&self, event: &boolmatch_types::Event) -> bool {
         event.get(&self.attr).is_some_and(|v| self.eval_value(v))
     }
-
-    /// Approximate heap bytes owned by this predicate, for memory
-    /// accounting.
-    pub fn heap_bytes(&self) -> usize {
-        self.attr.len() + 16 + self.value.heap_bytes()
-    }
 }
 
 impl fmt::Display for Predicate {

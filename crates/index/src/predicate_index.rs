@@ -8,26 +8,54 @@ use boolmatch_types::{AttrId, AttrInterner, Event, Value};
 
 use crate::{BPlusTree, HashIndex};
 
-/// Postings attached to one constant in a range tree: ids of strict
-/// (`<`/`>`) and inclusive (`<=`/`>=`) predicates with that constant.
+/// Postings attached to one constant in a range tree: `(id, strict)`
+/// for each strict (`<`/`>`) or inclusive (`<=`/`>=`) predicate with
+/// that constant. Most constants hold one predicate, so the first
+/// posting sits inline in the tree's value and only further ones spill
+/// to the heap. Never empty: the constant leaves the tree with its last
+/// posting.
 #[derive(Debug, Clone)]
 struct RangePostings<T> {
-    strict: Vec<T>,
-    inclusive: Vec<T>,
+    first: (T, bool),
+    more: Vec<(T, bool)>,
 }
 
-impl<T> Default for RangePostings<T> {
-    fn default() -> Self {
+impl<T: Copy + PartialEq> RangePostings<T> {
+    fn new(id: T, strict: bool) -> Self {
         RangePostings {
-            strict: Vec::new(),
-            inclusive: Vec::new(),
+            first: (id, strict),
+            more: Vec::new(),
         }
     }
-}
 
-impl<T> RangePostings<T> {
-    fn is_empty(&self) -> bool {
-        self.strict.is_empty() && self.inclusive.is_empty()
+    /// Removes `(id, strict)`: `None` when it was not present, else
+    /// whether it was the last posting (the caller then drops the
+    /// constant).
+    fn remove(&mut self, id: T, strict: bool) -> Option<bool> {
+        let posting = (id, strict);
+        if self.first == posting {
+            return match self.more.pop() {
+                Some(next) => {
+                    self.first = next;
+                    Some(false)
+                }
+                None => Some(true),
+            };
+        }
+        let pos = self.more.iter().position(|p| *p == posting)?;
+        self.more.swap_remove(pos);
+        Some(false)
+    }
+
+    /// Reports the postings a scan met at this constant: all of them,
+    /// or only the inclusive ones when the constant equals the event
+    /// value.
+    fn report(&self, equal: bool, f: &mut impl FnMut(T)) {
+        for &(id, strict) in std::iter::once(&self.first).chain(&self.more) {
+            if !(equal && strict) {
+                f(id);
+            }
+        }
     }
 }
 
@@ -153,6 +181,15 @@ impl<T: Copy + PartialEq> PredicateIndex<T> {
         self.interner.get(name)
     }
 
+    /// The name of attribute slot `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this index never handed `slot` out.
+    pub fn attr_name(&self, slot: AttrId) -> &str {
+        self.interner.resolve(slot)
+    }
+
     /// Registers predicate `pred` under posting `id`.
     pub fn insert(&mut self, id: T, pred: &Predicate) {
         let attr = self.interner.intern(pred.attr());
@@ -201,21 +238,12 @@ impl<T: Copy + PartialEq> PredicateIndex<T> {
         id: T,
         strict: bool,
     ) {
-        if let Some(postings) = tree.get_mut(&constant) {
-            if strict {
-                postings.strict.push(id);
-            } else {
-                postings.inclusive.push(id);
+        match tree.get_mut(&constant) {
+            Some(postings) => postings.more.push((id, strict)),
+            None => {
+                tree.insert(constant, RangePostings::new(id, strict));
             }
-            return;
         }
-        let mut postings = RangePostings::default();
-        if strict {
-            postings.strict.push(id);
-        } else {
-            postings.inclusive.push(id);
-        }
-        tree.insert(constant, postings);
     }
 
     /// Unregisters a predicate; returns whether it was present.
@@ -283,19 +311,13 @@ impl<T: Copy + PartialEq> PredicateIndex<T> {
         id: T,
         strict: bool,
     ) -> bool {
-        let Some(postings) = tree.get_mut(constant) else {
+        let Some(now_empty) = tree
+            .get_mut(constant)
+            .and_then(|postings| postings.remove(id, strict))
+        else {
             return false;
         };
-        let list = if strict {
-            &mut postings.strict
-        } else {
-            &mut postings.inclusive
-        };
-        let Some(pos) = list.iter().position(|p| *p == id) else {
-            return false;
-        };
-        list.swap_remove(pos);
-        if postings.is_empty() {
+        if now_empty {
             tree.remove(constant);
         }
         true
@@ -387,21 +409,14 @@ impl<T: Copy + PartialEq> PredicateIndex<T> {
     /// Approximate heap bytes used by all structures.
     pub fn heap_bytes(&self) -> usize {
         let posting = std::mem::size_of::<T>();
+        let spilled = |p: &RangePostings<T>| p.more.capacity() * std::mem::size_of::<(T, bool)>();
         let mut total = self.interner.heap_bytes()
             + self.buckets.capacity() * std::mem::size_of::<AttrBucket<T>>();
         for b in &self.buckets {
             total += b.eq.heap_bytes();
             total += b.ne.capacity() * (std::mem::size_of::<Value>() + posting);
-            total += b
-                .lower
-                .heap_bytes_with(Value::heap_bytes, |p: &RangePostings<T>| {
-                    (p.strict.capacity() + p.inclusive.capacity()) * posting
-                });
-            total += b
-                .upper
-                .heap_bytes_with(Value::heap_bytes, |p: &RangePostings<T>| {
-                    (p.strict.capacity() + p.inclusive.capacity()) * posting
-                });
+            total += b.lower.heap_bytes_with(Value::heap_bytes, spilled);
+            total += b.upper.heap_bytes_with(Value::heap_bytes, spilled);
             total += b.prefix.capacity() * (std::mem::size_of::<Value>() + posting + 1);
             total += b.contains.capacity() * (std::mem::size_of::<Value>() + posting + 1);
         }
@@ -412,20 +427,13 @@ impl<T: Copy + PartialEq> PredicateIndex<T> {
 /// Reports the postings a range scan around `value` met: a constant
 /// equal to `value` fulfils only its inclusive predicates, every other
 /// constant in the scan both flavours.
-fn report_range<'a, T: Copy + 'a>(
+fn report_range<'a, T: Copy + PartialEq + 'a>(
     scan: impl Iterator<Item = (&'a Value, &'a RangePostings<T>)>,
     value: &Value,
     f: &mut impl FnMut(T),
 ) {
     for (constant, postings) in scan {
-        if constant != value {
-            for &id in &postings.strict {
-                f(id);
-            }
-        }
-        for &id in &postings.inclusive {
-            f(id);
-        }
+        postings.report(constant == value, f);
     }
 }
 
@@ -712,6 +720,66 @@ mod tests {
             sorted(idx.matching(&event(&[("a", 1), ("b", 1)]))),
             vec![0, 1]
         );
+    }
+
+    #[test]
+    fn shared_range_constants_match_and_drain_in_every_order() {
+        // Four postings on one constant, both strictnesses, on each
+        // side: the first inline, the rest spilled. Removed in every
+        // order, the survivors keep matching until the constant leaves.
+        let preds = [
+            Predicate::new("x", CompareOp::Gt, 5_i64),
+            Predicate::new("x", CompareOp::Ge, 5_i64),
+            Predicate::new("x", CompareOp::Gt, 5_i64),
+            Predicate::new("x", CompareOp::Ge, 5_i64),
+            Predicate::new("x", CompareOp::Lt, 5_i64),
+            Predicate::new("x", CompareOp::Le, 5_i64),
+            Predicate::new("x", CompareOp::Le, 5_i64),
+            Predicate::new("x", CompareOp::Lt, 5_i64),
+        ];
+        let events = [event(&[("x", 4)]), event(&[("x", 5)]), event(&[("x", 6)])];
+        for side in [0..4usize, 4..8] {
+            let ids: Vec<u32> = side.map(|i| i as u32).collect();
+            let mut orders = vec![ids.clone()];
+            // Every permutation of the four ids.
+            while let Some(next) = next_permutation(orders.last().unwrap()) {
+                orders.push(next);
+            }
+            assert_eq!(orders.len(), 24);
+            for order in orders {
+                let mut idx: PredicateIndex<u32> = PredicateIndex::new();
+                for &id in &ids {
+                    idx.insert(id, &preds[id as usize]);
+                }
+                let mut live = ids.clone();
+                for &gone in &order {
+                    for e in &events {
+                        let want: Vec<u32> = live
+                            .iter()
+                            .copied()
+                            .filter(|&id| preds[id as usize].eval_event(e))
+                            .collect();
+                        assert_eq!(sorted(idx.matching(e)), sorted(want), "{order:?} on {e}");
+                    }
+                    assert!(idx.remove(gone, &preds[gone as usize]), "{order:?}");
+                    assert!(!idx.remove(gone, &preds[gone as usize]), "{order:?} twice");
+                    live.retain(|&id| id != gone);
+                }
+                assert_eq!(idx.predicate_count(), 0);
+                let (lower, upper) = (&idx.buckets[0].lower, &idx.buckets[0].upper);
+                assert!(lower.is_empty() && upper.is_empty(), "{order:?}");
+            }
+        }
+    }
+
+    /// The lexicographically next permutation of `v`, if any.
+    fn next_permutation(v: &[u32]) -> Option<Vec<u32>> {
+        let mut v = v.to_vec();
+        let i = (1..v.len()).rev().find(|&i| v[i - 1] < v[i])?;
+        let j = (i..v.len()).rev().find(|&j| v[j] > v[i - 1])?;
+        v.swap(i - 1, j);
+        v[i..].reverse();
+        Some(v)
     }
 
     #[test]
