@@ -577,7 +577,7 @@ impl Broker {
     /// [`BrokerError::Subscribe`] when the engine refuses the
     /// expression (e.g. a canonical engine hitting its DNF limit).
     pub fn subscribe(&self, expression: &str) -> Result<Subscription, BrokerError> {
-        self.subscribe_expr(&Expr::parse(expression)?)
+        self.subscribe_with(Arc::new(Expr::parse(expression)?), self.inner.policy, None)
     }
 
     /// [`Broker::subscribe`] with a per-subscriber [`DeliveryPolicy`]
@@ -593,7 +593,7 @@ impl Broker {
         expression: &str,
         policy: DeliveryPolicy,
     ) -> Result<Subscription, BrokerError> {
-        self.subscribe_expr_with_policy(&Expr::parse(expression)?, policy)
+        self.subscribe_with(Arc::new(Expr::parse(expression)?), policy, None)
     }
 
     /// Registers a **consumer-callback** subscription: instead of the
@@ -615,7 +615,11 @@ impl Broker {
         policy: DeliveryPolicy,
         consumer: impl Fn(Arc<Event>) + Send + Sync + 'static,
     ) -> Result<Subscription, BrokerError> {
-        self.subscribe_with(&Expr::parse(expression)?, policy, Some(Arc::new(consumer)))
+        self.subscribe_with(
+            Arc::new(Expr::parse(expression)?),
+            policy,
+            Some(Arc::new(consumer)),
+        )
     }
 
     /// Registers an already-parsed subscription.
@@ -624,7 +628,7 @@ impl Broker {
     ///
     /// Returns [`BrokerError::Subscribe`] when the engine refuses it.
     pub fn subscribe_expr(&self, expr: &Expr) -> Result<Subscription, BrokerError> {
-        self.subscribe_with(expr, self.inner.policy, None)
+        self.subscribe_with(Arc::new(expr.clone()), self.inner.policy, None)
     }
 
     /// [`Broker::subscribe_expr`] with a per-subscriber
@@ -638,14 +642,16 @@ impl Broker {
         expr: &Expr,
         policy: DeliveryPolicy,
     ) -> Result<Subscription, BrokerError> {
-        self.subscribe_with(expr, policy, None)
+        self.subscribe_with(Arc::new(expr.clone()), policy, None)
     }
 
     /// The one subscribe body: placement → shard registration →
-    /// directory commit → delivery-queue creation.
+    /// directory commit → delivery-queue creation. `expr` is the
+    /// directory's copy: the text paths hand over the tree they parsed,
+    /// the `&Expr` paths a clone.
     fn subscribe_with(
         &self,
-        expr: &Expr,
+        expr: Arc<Expr>,
         policy: DeliveryPolicy,
         consumer: Option<Consumer>,
     ) -> Result<Subscription, BrokerError> {
@@ -679,7 +685,7 @@ impl Broker {
                 // the directory falls back to least-loaded when the
                 // cluster target is overloaded), so shard synopses
                 // become selective and pruning actually bites.
-                PlacementPolicy::ClusterByAttribute => match dominant_eq_attr(expr) {
+                PlacementPolicy::ClusterByAttribute => match dominant_eq_attr(&expr) {
                     Some(attr) => directory.place_clustered(attribute_hash(attr)),
                     None => directory.place(),
                 },
@@ -691,12 +697,11 @@ impl Broker {
         // single-shard ones, which `resize` can grow into migrating
         // multi-shard brokers at any time. (The PR-4 placeholder
         // shortcut is gone, and with it the accounting fib that those
-        // entries were free.) Cloned before the shard lock: the deep
-        // copy must not extend the window in which publishes on this
-        // shard are stalled.
-        let stored = Arc::new(expr.clone());
+        // entries were free.) A caller's `&Expr` was cloned before this
+        // point: the deep copy must not extend the window in which
+        // publishes on this shard are stalled.
         let mut state = cell.state.write();
-        let local = match state.engine_mut().subscribe(expr) {
+        let local = match state.engine_mut().subscribe(&expr) {
             Ok(local) => local,
             Err(e) => {
                 drop(state);
@@ -704,8 +709,12 @@ impl Broker {
                 return Err(e.into());
             }
         };
-        let id = self.inner.directory.write().commit(shard, local, stored);
-        state.bind(local, id, expr);
+        let id = self
+            .inner
+            .directory
+            .write()
+            .commit(shard, local, Arc::clone(&expr));
+        state.bind(local, id, &expr);
         drop(state);
         // The queue's lock is classed by the id's delivery-queue group
         // (same-class nesting detection proves no path holds two).

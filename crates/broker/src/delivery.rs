@@ -224,9 +224,12 @@ impl NotifyQueue {
             enqueued: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
         };
-        queue
-            .state
-            .set_class(&lock_classes::delivery_queue(id_index));
+        // Release builds discard the class: skip building its name.
+        if parking_lot::lockdep::is_active() {
+            queue
+                .state
+                .set_class(&lock_classes::delivery_queue(id_index));
+        }
         queue
     }
 

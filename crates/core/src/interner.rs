@@ -1,8 +1,8 @@
 //! Reference-counted predicate interning: one 16-byte record per
-//! distinct predicate.
+//! distinct predicate, found again through a table of ids.
 
 use std::cmp::Ordering;
-use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash, RandomState};
 use std::sync::Arc;
 
 use boolmatch_expr::{CompareOp, Predicate};
@@ -10,14 +10,132 @@ use boolmatch_types::{AttrId, Value, ValueKind};
 
 use crate::PredicateId;
 
+/// An empty [`IdTable`] slot.
+const EMPTY: u32 = u32::MAX;
+
+/// A hash set of `u32` ids whose keys live elsewhere — in the
+/// interner's record or string arrays. Each call passes `key_of`, which
+/// maps an id the table holds to its key, so a slot stores the id alone
+/// (4 bytes) and two ids are the same entry exactly when their keys are
+/// equal.
+///
+/// Open addressing with linear probing over a power-of-two slot array
+/// that is at most 3/4 full, so every probe sequence reaches an
+/// [`EMPTY`] slot. Removal shifts the rest of the probe run back into
+/// the hole instead of leaving a tombstone: the slot count depends only
+/// on the peak number of live ids, never on how many came and went.
+#[derive(Debug, Clone, Default)]
+struct IdTable<S = RandomState> {
+    slots: Box<[u32]>,
+    len: usize,
+    hasher: S,
+}
+
+impl<S: BuildHasher> IdTable<S> {
+    #[cfg(test)]
+    fn with_hasher(hasher: S) -> Self {
+        IdTable {
+            slots: Box::default(),
+            len: 0,
+            hasher,
+        }
+    }
+
+    /// The slot `key`'s probe sequence starts at; the table must have
+    /// slots.
+    fn home<K: Hash + ?Sized>(&self, key: &K) -> usize {
+        self.hasher.hash_one(key) as usize & (self.slots.len() - 1)
+    }
+
+    /// The id whose key equals `key`.
+    fn get<'k, K: Hash + Eq + ?Sized + 'k>(
+        &self,
+        key: &K,
+        key_of: impl Fn(u32) -> &'k K,
+    ) -> Option<u32> {
+        if self.len == 0 {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(key);
+        loop {
+            match self.slots[i] {
+                EMPTY => return None,
+                id if key_of(id) == key => return Some(id),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// Adds `id`, whose key no id in the table has.
+    fn insert<'k, K: Hash + ?Sized + 'k>(&mut self, id: u32, key_of: impl Fn(u32) -> &'k K) {
+        assert_ne!(id, EMPTY, "id {EMPTY} marks an empty slot");
+        self.len += 1;
+        if self.len * 4 > self.slots.len() * 3 {
+            // The smallest power of two that keeps the table 3/4 full.
+            let slots = (self.len * 4).div_ceil(3).next_power_of_two();
+            let old = std::mem::replace(&mut self.slots, vec![EMPTY; slots].into_boxed_slice());
+            for &moved in old.iter().filter(|&&slot| slot != EMPTY) {
+                self.place(moved, &key_of);
+            }
+        }
+        self.place(id, &key_of);
+    }
+
+    /// Puts `id` in the first empty slot of its probe sequence.
+    fn place<'k, K: Hash + ?Sized + 'k>(&mut self, id: u32, key_of: &impl Fn(u32) -> &'k K) {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(key_of(id));
+        while self.slots[i] != EMPTY {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = id;
+    }
+
+    /// Removes `id`, which the table holds, by backward shift: each id
+    /// later in the probe run moves into the hole unless its own probe
+    /// sequence starts after the hole, so every remaining id is still
+    /// found from its home slot.
+    fn remove<'k, K: Hash + ?Sized + 'k>(&mut self, id: u32, key_of: impl Fn(u32) -> &'k K) {
+        let mask = self.slots.len() - 1;
+        let mut hole = self.home(key_of(id));
+        while self.slots[hole] != id {
+            assert_ne!(self.slots[hole], EMPTY, "id {id} is not in the table");
+            hole = (hole + 1) & mask;
+        }
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let next = self.slots[i];
+            if next == EMPTY {
+                break;
+            }
+            // Probe distances to `i`: from `next`'s home, and from the
+            // hole. The hole lies on `next`'s path iff the first is the
+            // larger.
+            let from_home = i.wrapping_sub(self.home(key_of(next))) & mask;
+            if from_home >= i.wrapping_sub(hole) & mask {
+                self.slots[hole] = next;
+                hole = i;
+            }
+        }
+        self.slots[hole] = EMPTY;
+        self.len -= 1;
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.slots.len() * std::mem::size_of::<u32>()
+    }
+}
+
 /// One interned predicate as the interner stores it: the attribute's
 /// slot in the owning engine's phase-1 index, the operator, the
 /// constant's kind and an 8-byte payload — the constant itself for
 /// `Bool`, `Int` and `Float` (floats by bit pattern, as [`Value`]
 /// compares them), its string-table id for `Str`. The payload is two
-/// `u32` halves so the record aligns to 4 and a `by_pred` entry (record
-/// plus id) takes 20 bytes, not 24.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// `u32` halves, so the record aligns to 4 and is 16 bytes: the
+/// interner's record array is the only place a predicate is kept.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct PredRecord {
     slot: AttrId,
     payload: [u32; 2],
@@ -26,6 +144,20 @@ pub(crate) struct PredRecord {
 }
 
 const _: () = assert!(std::mem::size_of::<PredRecord>() == 16);
+
+/// Hashes the fields packed into one `u128` without overlap, so records
+/// that hash the same input are equal: one 16-byte write per lookup,
+/// where the derived impl made five writes of 36 bytes in all.
+impl Hash for PredRecord {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_u128(
+            u128::from(self.slot.index() as u32)
+                | u128::from(self.payload()) << 32
+                | u128::from(self.op as u8) << 96
+                | u128::from(self.kind as u8) << 104,
+        );
+    }
+}
 
 impl PredRecord {
     /// The record of `pred` on attribute slot `slot`, its string
@@ -75,20 +207,30 @@ impl PredRecord {
     }
 }
 
+/// Per string id: the string (`None` once freed) and how many live
+/// records hold the id.
+type StringEntry = (Option<Arc<str>>, u32);
+
+/// The string of live string id `id` — the key `by_str` hashes it by.
+fn live_text(entries: &[StringEntry], id: u32) -> &str {
+    entries[id as usize]
+        .0
+        .as_deref()
+        .expect("the lookup table holds only live string ids")
+}
+
 /// String constants, each stored once however many predicates compare
 /// against it, and freed with the last of them.
 #[derive(Debug, Clone, Default)]
-struct StringTable {
-    /// Per string id: the string (`None` once freed) and how many live
-    /// records hold the id.
-    entries: Vec<(Option<Arc<str>>, u32)>,
-    by_str: HashMap<Arc<str>, u32>,
+struct StringTable<S = RandomState> {
+    entries: Vec<StringEntry>,
+    by_str: IdTable<S>,
     free: Vec<u32>,
 }
 
-impl StringTable {
+impl<S: BuildHasher> StringTable<S> {
     fn id_of(&self, s: &str) -> Option<u32> {
-        self.by_str.get(s).copied()
+        self.by_str.get(s, |id| live_text(&self.entries, id))
     }
 
     /// Takes one reference on `s`, storing it first if it is new; the
@@ -110,17 +252,17 @@ impl StringTable {
                 id
             }
         };
-        self.by_str.insert(Arc::clone(s), id);
+        self.by_str.insert(id, |id| live_text(&self.entries, id));
         id
     }
 
     fn release(&mut self, id: u32) {
-        let (text, refs) = &mut self.entries[id as usize];
+        let refs = &mut self.entries[id as usize].1;
         *refs -= 1;
         if *refs == 0 {
-            if let Some(text) = text.take() {
-                self.by_str.remove(&text);
-            }
+            // Out of the table while the string still keys it.
+            self.by_str.remove(id, |id| live_text(&self.entries, id));
+            self.entries[id as usize].0 = None;
             self.free.push(id);
         }
     }
@@ -138,8 +280,8 @@ impl StringTable {
             .flat_map(|(text, _)| text)
             .map(|t| t.len() + 16)
             .sum();
-        live + self.entries.capacity() * std::mem::size_of::<(Option<Arc<str>>, u32)>()
-            + self.by_str.capacity() * (std::mem::size_of::<(Arc<str>, u32)>() + 8)
+        live + self.entries.capacity() * std::mem::size_of::<StringEntry>()
+            + self.by_str.heap_bytes()
             + self.free.capacity() * std::mem::size_of::<u32>()
     }
 }
@@ -156,7 +298,10 @@ impl StringTable {
 /// passes it to [`intern`](PredicateInterner::intern)), the operator,
 /// the constant's kind and an 8-byte payload. A string constant is an id
 /// into a reference-counted string table, so predicates sharing
-/// `"IBM"` share one copy of it. The lookup table maps records to ids.
+/// `"IBM"` share one copy of it. The lookup tables that find an existing
+/// predicate or string hold ids only — 4 bytes a slot, at most 3/4 of
+/// the slots full — and compare a candidate id's record or string in
+/// place; their size follows the peak live count, not the churn.
 /// No [`Predicate`] is kept: [`predicate`](PredicateInterner::predicate)
 /// rebuilds one from the record and the attribute's name for the cold
 /// paths that want it (phase-1 index insert and remove, display), and
@@ -190,21 +335,48 @@ impl StringTable {
 /// assert!(interner.eval(id, &Value::from(11_i64)));
 /// assert_eq!(interner.predicate(id, |_| "a"), p);
 /// ```
+///
+/// `S` hashes the lookup tables' keys; like [`HashMap`]'s, the default
+/// is seeded per table.
+///
+/// [`HashMap`]: std::collections::HashMap
 #[derive(Debug, Clone, Default)]
-pub struct PredicateInterner {
+pub struct PredicateInterner<S = RandomState> {
     /// Per id, live or freed: a freed id's record is stale until the id
     /// is reused.
     records: Vec<PredRecord>,
     refcounts: Vec<u32>,
-    by_pred: HashMap<PredRecord, PredicateId>,
+    /// The live ids, keyed by their records.
+    by_pred: IdTable<S>,
     free: Vec<PredicateId>,
-    strings: StringTable,
+    strings: StringTable<S>,
 }
 
 impl PredicateInterner {
     /// Creates an empty interner.
     pub fn new() -> Self {
         Self::default()
+    }
+}
+
+impl<S: BuildHasher> PredicateInterner<S> {
+    /// An empty interner whose lookup tables hash with `hasher`.
+    #[cfg(test)]
+    fn with_hasher(hasher: S) -> Self
+    where
+        S: Clone,
+    {
+        PredicateInterner {
+            records: Vec::new(),
+            refcounts: Vec::new(),
+            by_pred: IdTable::with_hasher(hasher.clone()),
+            free: Vec::new(),
+            strings: StringTable {
+                entries: Vec::new(),
+                by_str: IdTable::with_hasher(hasher),
+                free: Vec::new(),
+            },
+        }
     }
 
     /// Interns `pred`, whose attribute has slot `slot` in the caller's
@@ -231,7 +403,8 @@ impl PredicateInterner {
                 id
             }
         };
-        self.by_pred.insert(record, id);
+        self.by_pred
+            .insert(id.raw(), |id| &self.records[id as usize]);
         (id, true)
     }
 
@@ -253,8 +426,9 @@ impl PredicateInterner {
         if *rc > 0 {
             return false;
         }
+        self.by_pred
+            .remove(id.raw(), |id| &self.records[id as usize]);
         let record = self.records[id.index()];
-        self.by_pred.remove(&record);
         if record.kind == ValueKind::Str {
             self.strings.release(record.payload() as u32);
         }
@@ -267,7 +441,9 @@ impl PredicateInterner {
     pub fn get(&self, slot: AttrId, pred: &Predicate) -> Option<PredicateId> {
         // A string constant the table does not hold: no predicate has it.
         let record = PredRecord::new(slot, pred, |s| self.strings.id_of(s))?;
-        self.by_pred.get(&record).copied()
+        self.by_pred
+            .get(&record, |id| &self.records[id as usize])
+            .map(|id| PredicateId::from_index(id as usize))
     }
 
     /// The record of live predicate `id`.
@@ -353,12 +529,12 @@ impl PredicateInterner {
 
     /// Number of live (distinct) predicates.
     pub fn len(&self) -> usize {
-        self.by_pred.len()
+        self.by_pred.len
     }
 
     /// Whether no predicates are live.
     pub fn is_empty(&self) -> bool {
-        self.by_pred.is_empty()
+        self.by_pred.len == 0
     }
 
     /// Size of the dense id space (live + free slots). Scratch tables
@@ -373,7 +549,7 @@ impl PredicateInterner {
         self.records.capacity() * std::mem::size_of::<PredRecord>()
             + self.refcounts.capacity() * std::mem::size_of::<u32>()
             + self.free.capacity() * std::mem::size_of::<PredicateId>()
-            + self.by_pred.capacity() * (std::mem::size_of::<(PredRecord, PredicateId)>() + 8)
+            + self.by_pred.heap_bytes()
             + self.strings.heap_bytes()
     }
 }
@@ -588,6 +764,151 @@ mod tests {
         release(&mut i, &mut index, msft);
         assert_eq!(index.predicate_count(), 0);
         assert!(i.is_empty());
-        assert_eq!(i.strings.by_str.len(), 0);
+        assert_eq!(i.strings.by_str.len, 0);
+    }
+
+    /// Hashes every key to `u64::MAX`: each key's probe sequence starts
+    /// at the last slot, so one run holds every id and wraps to slot 0.
+    #[derive(Default)]
+    struct Collide;
+
+    impl std::hash::Hasher for Collide {
+        fn finish(&self) -> u64 {
+            u64::MAX
+        }
+
+        fn write(&mut self, _: &[u8]) {}
+    }
+
+    /// The fewest slots that keep `peak` ids at most 3/4 full.
+    fn slot_bound(peak: usize) -> usize {
+        (peak * 4).div_ceil(3).next_power_of_two()
+    }
+
+    #[test]
+    fn colliding_lookup_tables_agree_with_a_map_under_churn() {
+        use std::collections::{HashMap, HashSet};
+        use std::hash::BuildHasherDefault;
+
+        // Two attributes × (ints on `=` and `<`, strings on `=` and
+        // `prefix`, a float, a bool): ids and strings are reused.
+        let mut domain = Vec::new();
+        for (slot, attr) in [(0, "a"), (1, "b")] {
+            let mut add = |op, value: Value| {
+                domain.push((AttrId::from_index(slot), Predicate::new(attr, op, value)));
+            };
+            for v in 0..6_i64 {
+                add(CompareOp::Eq, v.into());
+                add(CompareOp::Lt, v.into());
+            }
+            for s in ["s0", "s1", "s2", "s3", "s4"] {
+                add(CompareOp::Eq, s.into());
+                add(CompareOp::Prefix, s.into());
+            }
+            add(CompareOp::Ge, 0.5_f64.into());
+            add(CompareOp::Ge, (-0.0_f64).into());
+            add(CompareOp::Eq, true.into());
+        }
+        let mut i = PredicateInterner::with_hasher(BuildHasherDefault::<Collide>::default());
+        // Per domain index: the id and reference count; and the id
+        // issue rule (free list first, else append).
+        let mut live: HashMap<usize, (PredicateId, u32)> = HashMap::new();
+        let mut free: Vec<PredicateId> = Vec::new();
+        let mut universe = 0;
+        let (mut peak_preds, mut peak_strings) = (0, 0);
+        let mut state = 0x29_u64;
+        for step in 0..3_000 {
+            // xorshift64*: deterministic, no dependency.
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            let draw = state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33;
+            let k = draw as usize % domain.len();
+            let (slot, pred) = &domain[k];
+            // Interning slightly outweighs releasing, so the live set
+            // rises and falls.
+            match live.get_mut(&k) {
+                Some((id, refs)) if draw % 100 >= 55 => {
+                    *refs -= 1;
+                    let dropped = *refs == 0;
+                    assert_eq!(i.release(*id), dropped, "step {step}: release {pred}");
+                    if dropped {
+                        free.push(*id);
+                        live.remove(&k);
+                    }
+                }
+                Some((id, refs)) => {
+                    *refs += 1;
+                    assert_eq!(i.intern(*slot, pred), (*id, false), "step {step}: {pred}");
+                }
+                None => {
+                    let expected = free.pop().unwrap_or_else(|| {
+                        universe += 1;
+                        PredicateId::from_index(universe - 1)
+                    });
+                    assert_eq!(
+                        i.intern(*slot, pred),
+                        (expected, true),
+                        "step {step}: {pred}"
+                    );
+                    live.insert(k, (expected, 1));
+                }
+            }
+            for (k, (slot, pred)) in domain.iter().enumerate() {
+                let expected = live.get(&k).map(|&(id, _)| id);
+                assert_eq!(i.get(*slot, pred), expected, "step {step}: get {pred}");
+            }
+            assert_eq!(i.len(), live.len(), "step {step}");
+            let strings: HashSet<&Value> = live
+                .keys()
+                .map(|&k| domain[k].1.value())
+                .filter(|v| matches!(v, Value::Str(_)))
+                .collect();
+            assert_eq!(i.strings.by_str.len, strings.len(), "step {step}");
+            peak_preds = peak_preds.max(live.len());
+            peak_strings = peak_strings.max(strings.len());
+            assert!(
+                i.by_pred.slots.len() <= slot_bound(peak_preds),
+                "step {step}"
+            );
+            assert!(
+                i.strings.by_str.slots.len() <= slot_bound(peak_strings),
+                "step {step}"
+            );
+        }
+        assert_eq!(i.universe(), universe);
+        assert!(peak_preds > 20, "the live set reached {peak_preds}");
+    }
+
+    #[test]
+    fn heap_bytes_stay_flat_under_churn_at_a_constant_live_count() {
+        // Same-kind, same-width replacements: an int for an int, an
+        // 8-digit string for an 8-digit string.
+        let pred = |n: usize| {
+            if n % 2 == 0 {
+                Predicate::new("a", CompareOp::Eq, n as i64)
+            } else {
+                Predicate::new("a", CompareOp::Eq, format!("{n:08}"))
+            }
+        };
+        const LIVE: usize = 1_000;
+        let mut i = PredicateInterner::new();
+        let mut live: Vec<PredicateId> = (0..LIVE).map(|n| i.intern(slot(), &pred(n)).0).collect();
+        // 50 rounds, each replacing every live predicate once: 50 000
+        // release/intern pairs. The first round sizes the free lists.
+        let mut settled = None;
+        for round in 1..=50 {
+            for (at, id) in live.iter_mut().enumerate() {
+                assert!(i.release(*id));
+                let fresh;
+                (*id, fresh) = i.intern(slot(), &pred(round * LIVE + at));
+                assert!(fresh);
+                assert_eq!(i.len(), LIVE);
+                if let Some(bytes) = settled {
+                    assert_eq!(i.heap_bytes(), bytes, "round {round}, predicate {at}");
+                }
+            }
+            settled.get_or_insert(i.heap_bytes());
+        }
     }
 }
