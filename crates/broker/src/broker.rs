@@ -1567,6 +1567,14 @@ impl Broker {
     /// expressions *and* every shard's read-side translation map —
     /// reported as `unsub_support`.
     ///
+    /// Every table is charged at its capacity. The tables indexed by
+    /// subscription or by counting conjunction grow by an eighth when
+    /// full, so they carry at most 12.5 % slack; the per-predicate
+    /// tables double. A non-canonical shard's `trees` are its 64 KiB
+    /// arena blocks, the newest one charged in full however little of
+    /// it is used, plus an exact-size block per tree larger than one
+    /// block: a shard with one small subscription reports 64 KiB.
+    ///
     /// What it leaves out: the delivery tier (the `senders` map, every
     /// subscriber's notification queue and what it holds, the ready
     /// list) and every thread's `MatchScratch`. The benchmark's

@@ -2,20 +2,39 @@
 //!
 //! The paper's *subscription location table* maps `id(s)` to `loc(s)`,
 //! the memory address of the encoded tree. [`TreeArena`] is that
-//! memory: fixed-size blocks with a free list, so `loc(s)` is a stable
-//! `(offset, len)` pair and unsubscription returns the block for reuse.
+//! memory, and `loc(s)` is an 8-byte [`Loc`]: a `(offset, len)` pair.
 //!
-//! Blocks are allocated in [`BLOCK_SIZE`] chunks and **never moved or
-//! re-grown**: no allocation is ever copied (stable `loc(s)`), and the
-//! allocator slack is bounded by one block instead of the ~50% a
-//! doubling `Vec` would average — this matters because the engines'
-//! memory accounting feeds the paper's 512 MB wall model.
+//! A tree of up to [`BLOCK_SIZE`] (64 KiB) bytes shares a block of that
+//! size with others: it takes the first fitting run of a free list
+//! (removed trees and block remainders, coalesced within a block), or is
+//! bump-allocated at the end of the newest block. A larger tree, up to
+//! [`MAX_TREE_BYTES`] (1 MiB), gets an exact-size block of its own,
+//! handed back to the allocator when the tree is removed. No block is ever moved or
+//! re-grown, so `loc(s)` is stable, and every tree lies in one block, so
+//! [`TreeArena::get`] is one index and one slice.
+//!
+//! Why blocks rather than one `Box<[u8]>` per tree: trees that share a
+//! block sit next to each other, where phase 2 reads them. Boxed one by
+//! one they scatter among the broker's other small allocations (the
+//! directory's stored expressions above all), and `fig3-noncanonical`
+//! lost 15–25 % of its `events_per_s` in a measured prototype.
+//!
+//! Why 64 KiB: a shard charges its newest block in full, used or not.
+//! With 1 MiB blocks that empty remainder was 524 of `fanout-delivery`'s
+//! 778 bytes per subscription and 210 of `sharded-broad`'s 855, where
+//! the live trees need ≈ 16 and ≈ 36. At 64 KiB it is at most 64 KiB
+//! per shard, plus the remainders of full blocks that no later tree fit
+//! (each smaller than the tree that did not fit).
 
 use std::fmt;
 
-/// Size of one arena block. Also the maximum size of a single encoded
-/// subscription tree (≈200 000 predicates — far beyond any workload).
-pub const BLOCK_SIZE: usize = 1 << 20;
+/// Size of one shared arena block; a tree larger than this gets a block
+/// of its own.
+pub const BLOCK_SIZE: usize = 1 << 16;
+
+/// The largest encoded subscription tree the arena stores (≈ 150 000
+/// predicates — far beyond any workload).
+pub const MAX_TREE_BYTES: usize = 1 << 20;
 
 /// The location of one encoded subscription tree inside a
 /// [`TreeArena`] — `loc(s)` in the paper.
@@ -77,12 +96,21 @@ impl fmt::Display for Loc {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct TreeArena {
+    /// Indexed by `offset / BLOCK_SIZE`: a shared block of
+    /// [`BLOCK_SIZE`] bytes, a large tree's own exact-size block, or,
+    /// once that tree is removed, an empty slot for the next block.
     blocks: Vec<Box<[u8]>>,
-    /// Bytes bump-allocated in the last block.
+    /// Offset of the shared block bump allocation fills, once one is
+    /// open.
+    tail: Option<u32>,
+    /// Bytes bump-allocated in the tail block.
     tail_used: usize,
-    /// Sorted by offset; adjacent blocks are coalesced, but never
-    /// across a block boundary (allocations must not span blocks).
+    /// Runs free for reuse in shared blocks, sorted by offset; adjacent
+    /// runs are coalesced, but never across a block boundary
+    /// (allocations must not span blocks).
     free: Vec<Loc>,
+    /// Bytes of all blocks held from the allocator.
+    held: usize,
     live_bytes: usize,
     live_allocs: usize,
 }
@@ -97,17 +125,27 @@ impl TreeArena {
     ///
     /// # Panics
     ///
-    /// Panics if `data` is empty or longer than [`BLOCK_SIZE`] (the
-    /// engine validates tree sizes before insertion).
+    /// Panics if `data` is empty or longer than [`MAX_TREE_BYTES`] (the
+    /// engine validates tree sizes before insertion), or when the arena
+    /// would outgrow its 4 GiB offset space.
     pub fn insert(&mut self, data: &[u8]) -> Loc {
         assert!(!data.is_empty(), "cannot store an empty tree");
         assert!(
-            data.len() <= BLOCK_SIZE,
-            "tree of {} bytes exceeds the {} byte block size",
+            data.len() <= MAX_TREE_BYTES,
+            "tree of {} bytes exceeds the {} byte limit",
             data.len(),
-            BLOCK_SIZE
+            MAX_TREE_BYTES
         );
         let len = data.len() as u32;
+        self.live_bytes += data.len();
+        self.live_allocs += 1;
+
+        if data.len() > BLOCK_SIZE {
+            // Too large to share a block: an exact-size one of its own,
+            // which `remove` hands back.
+            let offset = self.open(Box::from(data));
+            return Loc { offset, len };
+        }
 
         // First fit over the free list.
         if let Some(pos) = self.free.iter().position(|b| b.len >= len) {
@@ -125,40 +163,56 @@ impl TreeArena {
                 };
             }
             self.write(loc, data);
-            self.live_bytes += data.len();
-            self.live_allocs += 1;
             return loc;
         }
 
         // Bump-allocate in the tail block, opening a new one if the
         // remainder is too small (the remainder joins the free list).
-        if self.blocks.is_empty() || BLOCK_SIZE - self.tail_used < data.len() {
-            if let Some(last) = self.blocks.len().checked_sub(1) {
+        let tail = match self.tail {
+            Some(tail) if BLOCK_SIZE - self.tail_used >= data.len() => tail,
+            full => {
                 let remainder = BLOCK_SIZE - self.tail_used;
-                if remainder > 0 {
+                if let Some(full) = full.filter(|_| remainder > 0) {
                     self.release(Loc {
-                        offset: (last * BLOCK_SIZE + self.tail_used) as u32,
+                        offset: full + self.tail_used as u32,
                         len: remainder as u32,
                     });
                 }
+                let tail = self.open(vec![0u8; BLOCK_SIZE].into_boxed_slice());
+                self.tail = Some(tail);
+                self.tail_used = 0;
+                tail
             }
-            self.blocks.push(vec![0u8; BLOCK_SIZE].into_boxed_slice());
-            self.tail_used = 0;
-        }
+        };
         let loc = Loc {
-            offset: ((self.blocks.len() - 1) * BLOCK_SIZE + self.tail_used) as u32,
+            offset: tail + self.tail_used as u32,
             len,
         };
         self.tail_used += data.len();
         self.write(loc, data);
-        self.live_bytes += data.len();
-        self.live_allocs += 1;
         loc
     }
 
     fn write(&mut self, loc: Loc, data: &[u8]) {
         let start = loc.offset() % BLOCK_SIZE;
         self.blocks[loc.block()][start..start + data.len()].copy_from_slice(data);
+    }
+
+    /// Stores `block` in an empty slot, else a new one; returns the
+    /// slot's offset. The scan runs once per block opened, not per tree.
+    fn open(&mut self, block: Box<[u8]>) -> u32 {
+        let slot = (self.blocks.iter())
+            .position(|b| b.is_empty())
+            .unwrap_or(self.blocks.len());
+        let offset =
+            u32::try_from(slot * BLOCK_SIZE).expect("tree arena outgrew its 4 GiB offset space");
+        self.held += block.len();
+        if slot < self.blocks.len() {
+            self.blocks[slot] = block;
+        } else {
+            self.blocks.push(block);
+        }
+        offset
     }
 
     /// The bytes stored at `loc`.
@@ -173,12 +227,19 @@ impl TreeArena {
         &self.blocks[loc.block()][start..start + loc.len()]
     }
 
-    /// Returns `loc`'s bytes to the free list, coalescing with adjacent
-    /// free space in the same block.
+    /// Frees `loc`: a large tree's own block goes back to the
+    /// allocator; a shared block's run joins the free list, coalescing
+    /// with adjacent free space in the same block.
     pub fn remove(&mut self, loc: Loc) {
         self.live_bytes -= loc.len();
         self.live_allocs -= 1;
-        self.release(loc);
+        if loc.len() > BLOCK_SIZE {
+            let slot = loc.block();
+            self.held -= self.blocks[slot].len();
+            self.blocks[slot] = Box::default();
+        } else {
+            self.release(loc);
+        }
     }
 
     fn release(&mut self, loc: Loc) {
@@ -217,18 +278,18 @@ impl TreeArena {
         self.live_allocs
     }
 
-    /// Total bytes held from the allocator.
+    /// Total bytes of the blocks held from the allocator.
     pub fn capacity_bytes(&self) -> usize {
-        self.blocks.len() * BLOCK_SIZE
+        self.held
     }
 
-    /// Bytes of the arena ever touched by allocations (full blocks plus
-    /// the used tail). Unlike [`TreeArena::capacity_bytes`] this
-    /// excludes the untouched remainder of the newest block.
+    /// Bytes of the arena ever touched by allocations: every block but
+    /// the untouched remainder of the tail block, which
+    /// [`TreeArena::capacity_bytes`] includes.
     pub fn used_span(&self) -> usize {
-        match self.blocks.len() {
-            0 => 0,
-            n => (n - 1) * BLOCK_SIZE + self.tail_used,
+        match self.tail {
+            Some(_) => self.held - (BLOCK_SIZE - self.tail_used),
+            None => self.held,
         }
     }
 
@@ -244,7 +305,7 @@ impl TreeArena {
 
     /// Approximate heap bytes owned by the arena.
     pub fn heap_bytes(&self) -> usize {
-        self.capacity_bytes()
+        self.held
             + self.blocks.capacity() * std::mem::size_of::<Box<[u8]>>()
             + self.free.capacity() * std::mem::size_of::<Loc>()
     }
@@ -274,7 +335,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds the")]
     fn oversized_insert_panics() {
-        TreeArena::new().insert(&vec![0u8; BLOCK_SIZE + 1]);
+        TreeArena::new().insert(&vec![0u8; MAX_TREE_BYTES + 1]);
     }
 
     #[test]
@@ -385,5 +446,35 @@ mod tests {
         a.insert(&[0u8; 100]);
         assert!(a.heap_bytes() >= BLOCK_SIZE);
         assert!(a.heap_bytes() < 2 * BLOCK_SIZE);
+    }
+
+    #[test]
+    fn a_tree_over_one_block_gets_an_exact_block_freed_with_it() {
+        let mut a = TreeArena::new();
+        let small = a.insert(&[1; 10]);
+        let shared = a.capacity_bytes();
+        let big_bytes: Vec<u8> = (0..BLOCK_SIZE + 1_000).map(|i| i as u8).collect();
+        let big = a.insert(&big_bytes);
+        assert_eq!(a.get(big), &big_bytes[..]);
+        assert_eq!(a.capacity_bytes(), shared + big_bytes.len());
+        assert_eq!(a.used_span(), 10 + big_bytes.len());
+        // Small trees keep filling the shared tail block.
+        let next = a.insert(&[2; 10]);
+        assert_eq!(next.offset(), small.offset() + 10);
+
+        a.remove(big);
+        assert_eq!(a.capacity_bytes(), shared, "the large block is freed");
+        assert_eq!(a.live_bytes(), 20);
+        // The vacated slot serves the next block opened, large or
+        // shared; the largest tree accepted is MAX_TREE_BYTES.
+        let max = a.insert(&vec![3u8; MAX_TREE_BYTES]);
+        assert_eq!(max.offset(), big.offset());
+        assert_eq!(a.get(max).len(), MAX_TREE_BYTES);
+        a.remove(max);
+        let full = a.insert(&vec![4u8; BLOCK_SIZE]);
+        assert_eq!(full.offset(), big.offset());
+        assert_eq!(a.capacity_bytes(), 2 * BLOCK_SIZE);
+        assert_eq!(a.get(small), &[1; 10]);
+        assert_eq!(a.get(next), &[2; 10]);
     }
 }

@@ -26,6 +26,7 @@ use boolmatch_types::Event;
 
 use crate::assoc::AssocTable;
 use crate::engine::{EngineKind, FilterEngine, SubscribeError, UnsubscribeError};
+use crate::memory::reserve_tight;
 use crate::{
     FulfilledSet, MatchScratch, MatchStats, MemoryUsage, PredicateId, PredicateInterner,
     SubscriptionId,
@@ -120,6 +121,8 @@ impl CountingTables {
                 Some(f) => f,
                 None => {
                     let f = u32::try_from(self.cnt.len()).expect("more than u32::MAX conjunctions");
+                    reserve_tight(&mut self.cnt, 1);
+                    reserve_tight(&mut self.flat_orig, 1);
                     self.cnt.push(0);
                     self.flat_orig.push(DEAD_ORIG);
                     f
@@ -138,6 +141,7 @@ impl CountingTables {
             flats.push(flat);
             self.live_flats += 1;
         }
+        reserve_tight(&mut self.origs, 1);
         self.origs.push(Some(OrigMeta { flats, acquired }));
         self.live_origs += 1;
         Ok(SubscriptionId::from_index(orig_index))

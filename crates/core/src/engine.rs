@@ -44,6 +44,15 @@ pub enum SubscribeError {
     /// The subscription tree could not be byte-encoded (non-canonical
     /// engine only).
     Encode(EncodeError),
+    /// The encoded subscription tree is larger than the tree arena
+    /// stores (non-canonical engine only; see
+    /// [`MAX_TREE_BYTES`](crate::arena::MAX_TREE_BYTES)).
+    TreeTooLarge {
+        /// Encoded size of the tree.
+        bytes: usize,
+        /// The largest encoded tree accepted.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for SubscribeError {
@@ -58,6 +67,10 @@ impl fmt::Display for SubscribeError {
                 "conjunct with {width} predicates exceeds the 255-predicate counting limit"
             ),
             SubscribeError::Encode(e) => write!(f, "subscription tree encoding failed: {e}"),
+            SubscribeError::TreeTooLarge { bytes, limit } => write!(
+                f,
+                "subscription tree encodes to {bytes} bytes, over the {limit}-byte tree limit"
+            ),
         }
     }
 }

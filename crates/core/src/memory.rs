@@ -11,6 +11,26 @@
 use std::fmt;
 use std::ops::Add;
 
+/// Makes room for `additional` more elements in `table`, growing a full
+/// table by one eighth of its capacity (at least 4 elements, at least
+/// what is asked) instead of doubling it.
+///
+/// The tables indexed by subscription or by counting conjunction grow
+/// with every subscribe and are charged at their capacity, so doubling
+/// left up to half of each one empty. One eighth bounds the slack at
+/// 12.5 % and still costs O(1) amortised copies per element (at most
+/// nine). Reads are unchanged: the table is the same contiguous `Vec`.
+/// The per-predicate tables stay on doubling: growing them by an eighth
+/// cost ≈ 9 % `setup_s` on `fig3-noncanonical`.
+pub(crate) fn reserve_tight<T>(table: &mut Vec<T>, additional: usize) {
+    let needed = table.len() + additional;
+    let capacity = table.capacity();
+    if needed > capacity {
+        let grown = capacity + (capacity / 8).max(4);
+        table.reserve_exact(needed.max(grown) - table.len());
+    }
+}
+
 /// A byte-level breakdown of an engine's resident data structures.
 ///
 /// `phase2_bytes` is the quantity the paper's figures are sensitive to:
@@ -184,6 +204,30 @@ mod tests {
                 "{kind:?}: {per_predicate:.1} bytes per interned predicate"
             );
         }
+    }
+
+    #[test]
+    fn tight_tables_grow_by_an_eighth() {
+        let mut table: Vec<u64> = Vec::new();
+        let mut grows = 0;
+        for i in 0..100_000 {
+            let capacity = table.capacity();
+            reserve_tight(&mut table, 1);
+            table.push(i);
+            if table.capacity() != capacity {
+                grows += 1;
+                assert!(
+                    table.capacity() <= capacity + (capacity / 8).max(4),
+                    "{capacity} grew to {}",
+                    table.capacity()
+                );
+            }
+        }
+        // One eighth at a time from 4: ≈ log(25 000) / log(1.125).
+        assert!(grows < 100, "{grows} reallocations");
+        // A jump asks for what it needs, however far past an eighth.
+        reserve_tight(&mut table, 50_000);
+        assert_eq!(table.capacity(), 150_000);
     }
 
     #[test]

@@ -4,11 +4,12 @@ use boolmatch_expr::{transform, CompareOp, Expr, Predicate};
 use boolmatch_index::PredicateIndex;
 use boolmatch_types::Event;
 
-use crate::arena::{Loc, TreeArena};
+use crate::arena::{Loc, TreeArena, MAX_TREE_BYTES};
 use crate::assoc::AssocTable;
 use crate::encode::{self, IdExpr};
 use crate::engine::{EngineKind, FilterEngine, SubscribeError, UnsubscribeError};
 use crate::eval::eval_iterative_with;
+use crate::memory::reserve_tight;
 use crate::scratch::EventView;
 use crate::{
     FulfilledSet, MatchScratch, MatchStats, MemoryUsage, PredicateId, PredicateInterner,
@@ -501,24 +502,27 @@ impl FilterEngine for NonCanonicalEngine {
         // Ranked before encoding: the stored tree records the choice.
         let association = self.association_of(&mut tree, |pid| self.traffic(pid));
         let bytes = match encode::encode(&tree) {
-            Ok(b) if b.len() <= crate::arena::BLOCK_SIZE => b,
-            Ok(b) => {
-                for id in acquired {
-                    self.interner.release(id);
-                }
-                return Err(crate::EncodeError::SubtreeTooWide { width: b.len() }.into());
-            }
+            Ok(b) if b.len() <= MAX_TREE_BYTES => Ok(b),
+            Ok(b) => Err(SubscribeError::TreeTooLarge {
+                bytes: b.len(),
+                limit: MAX_TREE_BYTES,
+            }),
+            Err(e) => Err(e.into()),
+        };
+        let bytes = match bytes {
+            Ok(b) => b,
             Err(e) => {
                 for id in acquired {
                     self.interner.release(id);
                 }
-                return Err(e.into());
+                return Err(e);
             }
         };
 
         let sub_index = self.locations.len();
         let sub_u32 = u32::try_from(sub_index).expect("more than u32::MAX subscriptions");
         let loc = self.arena.insert(&bytes);
+        reserve_tight(&mut self.locations, 1);
         self.locations.push(loc);
         self.live_subs += 1;
 
@@ -1411,5 +1415,64 @@ mod tests {
         assert_eq!((stats.candidates, stats.leaf_comparisons), (1, 0));
         e.phase2(&set(&[0, 1]), &mut matched);
         assert!(matched.is_empty(), "no access predicate, no candidate");
+    }
+
+    /// `x = i and (y = … or …)` for `i < 17`, joined by `or`, on
+    /// distinct predicates: sixteen children with 9 180 `y` leaves —
+    /// the widest a child can be, as its `or` encodes to 64 406 bytes
+    /// and a child's width has two bytes — and a last one with `last`.
+    /// For `last` over 255 the whole encodes to 1 030 708 + 11 + 2 +
+    /// 4·⌈last / 255⌉ + 7·`last` bytes (see the `encode` module for the
+    /// layout).
+    fn wide_tree((x, y): (&str, &str), last: usize) -> Expr {
+        let mut next = 0_i64;
+        let children = (0..17)
+            .map(|i| {
+                let width = if i < 16 { 9_180 } else { last };
+                let leaves = (0..width)
+                    .map(|_| {
+                        next += 1;
+                        Expr::pred(Predicate::new(y, CompareOp::Eq, next))
+                    })
+                    .collect();
+                Expr::and(vec![
+                    Expr::pred(Predicate::new(x, CompareOp::Eq, i)),
+                    Expr::or(leaves),
+                ])
+            })
+            .collect();
+        Expr::or(children)
+    }
+
+    #[test]
+    fn a_tree_over_the_size_limit_is_refused_and_releases_its_predicates() {
+        let mut e = NonCanonicalEngine::new();
+        e.subscribe(&Expr::parse("a = 1").unwrap()).unwrap();
+        // 2 545 last leaves encode to exactly the limit: accepted.
+        let at_limit = e.subscribe(&wide_tree(("x", "y"), 2_545)).unwrap();
+        let before = e.predicate_count();
+        assert_eq!(before, 1 + 17 + 16 * 9_180 + 2_545);
+
+        let err = e.subscribe(&wide_tree(("u", "v"), 2_546)).unwrap_err();
+        assert_eq!(
+            err,
+            SubscribeError::TreeTooLarge {
+                bytes: MAX_TREE_BYTES + 7,
+                limit: MAX_TREE_BYTES,
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "subscription tree encodes to 1048583 bytes, over the 1048576-byte tree limit"
+        );
+        assert_eq!(
+            e.predicate_count(),
+            before,
+            "every acquired predicate released"
+        );
+        assert_eq!(e.subscription_count(), 2);
+
+        e.unsubscribe(at_limit).unwrap();
+        assert_eq!(e.predicate_count(), 1);
     }
 }

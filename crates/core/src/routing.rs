@@ -44,6 +44,7 @@ use std::sync::Arc;
 
 use boolmatch_expr::Expr;
 
+use crate::memory::reserve_tight;
 use crate::{PredicateId, SubscriptionId};
 
 /// The canonical [lockdep](parking_lot::lockdep) class names for the
@@ -511,6 +512,7 @@ impl SubscriptionDirectory {
                 // translation maps' sentinel, and a packed id with slot
                 // and generation both `u32::MAX` would collide with it.
                 assert_ne!(next, u32::MAX, "global subscription slot space exhausted");
+                reserve_tight(&mut self.slots, 1);
                 self.slots.push(Slot {
                     generation: 0,
                     placement: Some(placement),
@@ -728,6 +730,8 @@ impl ShardTranslation {
         let raw = (global.generation() as u64) << 32 | global.slot() as u64;
         debug_assert_ne!(raw, NO_GLOBAL, "packed id collides with the sentinel");
         if self.map.len() <= local.index() {
+            let missing = local.index() + 1 - self.map.len();
+            reserve_tight(&mut self.map, missing);
             self.map.resize(local.index() + 1, NO_GLOBAL);
         }
         debug_assert_eq!(

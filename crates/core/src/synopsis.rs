@@ -46,6 +46,7 @@ use std::sync::Arc;
 use boolmatch_expr::{CompareOp, Expr, Predicate};
 use boolmatch_types::{Event, Value};
 
+use crate::memory::reserve_tight;
 use crate::SubscriptionId;
 
 /// Returns the required conjunct the synopsis indexes for `expr`:
@@ -138,11 +139,13 @@ enum Constraint {
 }
 
 impl Constraint {
-    fn for_expr(expr: &Expr) -> Constraint {
+    /// The constraint indexed for `expr`, naming its attribute by the
+    /// `Arc` that `attr` returns for the name.
+    fn for_expr(expr: &Expr, attr: impl FnOnce(&str) -> Arc<str>) -> Constraint {
         match required_pred(expr) {
             None => Constraint::Always,
             Some(p) => {
-                let attr: Arc<str> = Arc::from(p.attr());
+                let attr = attr(p.attr());
                 match p.op() {
                     CompareOp::Eq => Constraint::Eq(attr, p.value().clone()),
                     CompareOp::Gt | CompareOp::Ge => Constraint::Lower(attr, p.value().clone()),
@@ -153,13 +156,14 @@ impl Constraint {
         }
     }
 
+    /// Heap bytes of the constraint's value; its attribute name is
+    /// the summary map's key, charged there once.
     fn heap_bytes(&self) -> usize {
         match self {
-            Constraint::Always => 0,
-            Constraint::Eq(a, v) | Constraint::Lower(a, v) | Constraint::Upper(a, v) => {
-                a.len() + v.heap_bytes()
+            Constraint::Always | Constraint::Presence(_) => 0,
+            Constraint::Eq(_, v) | Constraint::Lower(_, v) | Constraint::Upper(_, v) => {
+                v.heap_bytes()
             }
-            Constraint::Presence(a) => a.len(),
         }
     }
 }
@@ -272,10 +276,16 @@ impl ShardSynopsis {
     /// Indexes the resident registered under `local`. Called under the
     /// shard write lock, wherever the translation map gains the slot.
     pub fn insert(&mut self, local: SubscriptionId, expr: &Expr) {
-        let constraint = Constraint::for_expr(expr);
+        // Every resident on one attribute shares the summary's key.
+        let constraint = Constraint::for_expr(expr, |name| match self.attrs.get_key_value(name) {
+            Some((key, _)) => Arc::clone(key),
+            None => Arc::from(name),
+        });
         self.add(&constraint);
         let slot = local.index();
         if self.slots.len() <= slot {
+            let missing = slot + 1 - self.slots.len();
+            reserve_tight(&mut self.slots, missing);
             self.slots.resize(slot + 1, None);
         }
         debug_assert!(
@@ -337,7 +347,7 @@ impl ShardSynopsis {
     /// resident's indexed constraint must survive in its shard's
     /// synopsis.
     pub fn covers(&self, expr: &Expr) -> bool {
-        match Constraint::for_expr(expr) {
+        match Constraint::for_expr(expr, |name| Arc::from(name)) {
             Constraint::Always => self.always > 0,
             Constraint::Eq(attr, value) => self
                 .attrs
@@ -369,7 +379,8 @@ impl ShardSynopsis {
         let mut bytes = self.slots.capacity() * mem::size_of::<Option<Constraint>>()
             + self.attrs.capacity() * mem::size_of::<(Arc<str>, AttrSummary)>();
         for (name, summary) in &self.attrs {
-            bytes += name.len() + summary.heap_bytes();
+            // The name's one allocation: the `Arc` counts, then the text.
+            bytes += 2 * mem::size_of::<usize>() + name.len() + summary.heap_bytes();
         }
         for constraint in self.slots.iter().flatten() {
             bytes += constraint.heap_bytes();
@@ -647,6 +658,23 @@ mod tests {
             s.remove(id(i));
         }
         assert!(s.attrs.is_empty(), "summaries drain with their residents");
+    }
+
+    #[test]
+    fn residents_share_their_attribute_name_with_the_summary() {
+        let long = "an_attribute_with_a_long_name";
+        let (mut short_names, mut long_names) = (ShardSynopsis::new(), ShardSynopsis::new());
+        for i in 0..100 {
+            short_names.insert(id(i), &expr(&format!("a = {i}")));
+            long_names.insert(id(i), &expr(&format!("{long} = {i}")));
+        }
+        let (key, _) = long_names.attrs.get_key_value(long).unwrap();
+        assert_eq!(Arc::strong_count(key), 101, "the key and 100 residents");
+        assert_eq!(
+            long_names.heap_bytes() - short_names.heap_bytes(),
+            long.len() - 1,
+            "the name is charged once"
+        );
     }
 
     #[test]

@@ -208,7 +208,7 @@ mod tests {
         // memory >4x earlier). At |p| = 6 the ratio is mild because the
         // non-canonical engine pays for explicit tree storage.
         // 10 000 subscriptions: large enough that the tree arena's
-        // 1 MiB block quantisation no longer dominates the accounting.
+        // 64 KiB block quantisation does not dominate the accounting.
         let config = SweepConfig {
             predicates_per_sub: 10,
             subscription_counts: vec![10_000],
