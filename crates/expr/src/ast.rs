@@ -32,7 +32,6 @@ use crate::{ParseError, Predicate};
 /// assert!(e.eval_event(&ev));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Expr {
     /// A leaf predicate.
     Pred(Predicate),

@@ -13,7 +13,6 @@ use boolmatch_types::{Value, ValueKind};
 /// what lets the DNF transformation push `NOT` all the way into the
 /// leaves (see [`crate::transform`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CompareOp {
     /// `=` equality.
     Eq,
@@ -70,8 +69,8 @@ impl CompareOp {
         matches!(self, CompareOp::Eq)
     }
 
-    /// Whether this is a *range* operator, indexed with a B+ tree by the
-    /// engines (paper §3.2).
+    /// Whether this is a *range* operator, indexed with a B-tree by the
+    /// engines (paper §3.2: "B+ trees for range predicates").
     pub fn is_range(self) -> bool {
         matches!(
             self,
@@ -170,7 +169,6 @@ impl fmt::Display for CompareOp {
 /// assert_eq!(p.to_string(), "price > 10");
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Predicate {
     attr: Arc<str>,
     op: CompareOp,

@@ -1,12 +1,11 @@
 //! The per-attribute, per-operator predicate index — phase 1 of the
 //! paper's filtering pipeline.
 
+use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 
 use boolmatch_expr::{CompareOp, Predicate};
 use boolmatch_types::{AttrId, AttrInterner, Event, Value};
-
-use crate::{BPlusTree, HashIndex};
 
 /// Postings attached to one constant in a range tree: `(id, strict)`
 /// for each strict (`<`/`>`) or inclusive (`<=`/`>=`) predicate with
@@ -63,19 +62,21 @@ impl<T: Copy + PartialEq> RangePostings<T> {
 #[derive(Debug, Clone)]
 struct AttrBucket<T> {
     /// `=` predicates: hash table keyed by constant (paper: "point
-    /// predicates utilise hash tables").
-    eq: HashIndex<T>,
+    /// predicates utilise hash tables"). A constant leaves the table
+    /// with its last posting.
+    eq: HashMap<Value, Vec<T>>,
     /// `!=` predicates: scanned linearly, skipping entries whose
     /// constant equals the event value. `!=` cannot be range-indexed on
     /// one dimension; the list is usually tiny.
     ne: Vec<(Value, T)>,
     /// `>` / `>=` predicates keyed by constant; an event value `v`
     /// fulfils entries with constant `< v` (both) and `= v` (inclusive
-    /// only). ("for range predicates we deploy B+ trees")
-    lower: BPlusTree<Value, RangePostings<T>>,
+    /// only). ("for range predicates we deploy B+ trees": std's
+    /// B-tree, charged by [`btree_heap_bytes`].)
+    lower: BTreeMap<Value, RangePostings<T>>,
     /// `<` / `<=` predicates keyed by constant; `v` fulfils entries with
     /// constant `> v` (both) and `= v` (inclusive only).
-    upper: BPlusTree<Value, RangePostings<T>>,
+    upper: BTreeMap<Value, RangePostings<T>>,
     /// `prefix` / `!prefix` predicates: `(pattern, id, negated)`.
     prefix: Vec<(Value, T, bool)>,
     /// `contains` / `!contains` predicates: `(pattern, id, negated)`.
@@ -85,10 +86,10 @@ struct AttrBucket<T> {
 impl<T> Default for AttrBucket<T> {
     fn default() -> Self {
         AttrBucket {
-            eq: HashIndex::new(),
+            eq: HashMap::new(),
             ne: Vec::new(),
-            lower: BPlusTree::new(),
-            upper: BPlusTree::new(),
+            lower: BTreeMap::new(),
+            upper: BTreeMap::new(),
             prefix: Vec::new(),
             contains: Vec::new(),
         }
@@ -123,7 +124,7 @@ impl PredicateIndexStats {
 ///
 /// `T` is the posting type — the engines use their `PredicateId`.
 /// Every attribute of the event is looked up once; each operator class
-/// is served by the structure that suits it (hash table, B+ tree, or a
+/// is served by the structure that suits it (hash table, B-tree, or a
 /// scan for the classes that cannot be one-dimensionally indexed).
 ///
 /// # Examples
@@ -202,7 +203,7 @@ impl<T: Copy + PartialEq> PredicateIndex<T> {
         let constant = pred.value().clone();
         match pred.op() {
             CompareOp::Eq => {
-                bucket.eq.insert(constant, id);
+                bucket.eq.entry(constant).or_default().push(id);
                 self.stats.eq += 1;
             }
             CompareOp::Ne => {
@@ -233,7 +234,7 @@ impl<T: Copy + PartialEq> PredicateIndex<T> {
     }
 
     fn range_insert(
-        tree: &mut BPlusTree<Value, RangePostings<T>>,
+        tree: &mut BTreeMap<Value, RangePostings<T>>,
         constant: Value,
         id: T,
         strict: bool,
@@ -257,14 +258,18 @@ impl<T: Copy + PartialEq> PredicateIndex<T> {
         let constant = pred.value();
         match pred.op() {
             CompareOp::Eq => {
-                let r = bucket.eq.remove(constant, &id);
+                let ids = bucket.eq.get_mut(constant);
+                let r = ids.is_some_and(|ids| swap_remove_first(ids, |p| *p == id));
                 if r {
+                    if bucket.eq[constant].is_empty() {
+                        bucket.eq.remove(constant);
+                    }
                     self.stats.eq -= 1;
                 }
                 r
             }
             CompareOp::Ne => {
-                let r = remove_pair(&mut bucket.ne, constant, id);
+                let r = swap_remove_first(&mut bucket.ne, |(c, p)| c == constant && *p == id);
                 if r {
                     self.stats.ne -= 1;
                 }
@@ -306,7 +311,7 @@ impl<T: Copy + PartialEq> PredicateIndex<T> {
     }
 
     fn range_remove(
-        tree: &mut BPlusTree<Value, RangePostings<T>>,
+        tree: &mut BTreeMap<Value, RangePostings<T>>,
         constant: &Value,
         id: T,
         strict: bool,
@@ -319,6 +324,11 @@ impl<T: Copy + PartialEq> PredicateIndex<T> {
         };
         if now_empty {
             tree.remove(constant);
+            if tree.is_empty() {
+                // A drained std B-tree keeps its root leaf; drop it, so
+                // an empty tree holds no heap, as `btree_heap_bytes` says.
+                *tree = BTreeMap::new();
+            }
         }
         true
     }
@@ -344,8 +354,8 @@ impl<T: Copy + PartialEq> PredicateIndex<T> {
             };
 
             // Point predicates: one hash lookup.
-            for &id in bucket.eq.get(value) {
-                f(id);
+            if let Some(ids) = bucket.eq.get(value) {
+                ids.iter().copied().for_each(&mut f);
             }
 
             // Inequality predicates: scan, skip the equal constant.
@@ -360,18 +370,17 @@ impl<T: Copy + PartialEq> PredicateIndex<T> {
             // Keys of other kinds must be excluded: the Value total
             // order ranks kinds, so restrict to this kind's span. An
             // attribute without range predicates pays for no scan.
+            let (kind_start, kind_end) = kind_span(value);
             if !bucket.lower.is_empty() {
-                let kind_min = kind_min(value);
-                let span = (Bound::Included(&kind_min), Bound::Included(value));
-                report_range(bucket.lower.range(span), value, &mut f);
+                let span = (kind_start, Bound::Included(value));
+                report_range(bucket.lower.range::<Value, _>(span), value, &mut f);
             }
 
             // `<`/`<=`: constants strictly above fulfil both; equal
             // fulfils only `<=`.
             if !bucket.upper.is_empty() {
-                let kind_max = kind_max_bound(value);
-                let span = (Bound::Included(value), kind_max.as_ref());
-                report_range(bucket.upper.range(span), value, &mut f);
+                let span = (Bound::Included(value), kind_end);
+                report_range(bucket.upper.range::<Value, _>(span), value, &mut f);
             }
 
             // String-search predicates: scan. `prefix`/`contains` are
@@ -406,17 +415,30 @@ impl<T: Copy + PartialEq> PredicateIndex<T> {
         self.stats.total()
     }
 
-    /// Approximate heap bytes used by all structures.
+    /// Approximate heap bytes used by all structures. Everything but the
+    /// range trees' nodes is exact; those follow [`btree_heap_bytes`].
     pub fn heap_bytes(&self) -> usize {
         let posting = std::mem::size_of::<T>();
         let spilled = |p: &RangePostings<T>| p.more.capacity() * std::mem::size_of::<(T, bool)>();
+        let range_tree = |tree: &BTreeMap<Value, RangePostings<T>>| {
+            let entries: usize = tree.iter().map(|(k, p)| k.heap_bytes() + spilled(p)).sum();
+            entries + btree_heap_bytes::<Value, RangePostings<T>>(tree.len())
+        };
+        let eq_table = |table: &HashMap<Value, Vec<T>>| {
+            let slot = std::mem::size_of::<Value>() + std::mem::size_of::<Vec<T>>() + 8;
+            let entries: usize = table
+                .iter()
+                .map(|(k, ids)| k.heap_bytes() + ids.capacity() * posting)
+                .sum();
+            entries + table.capacity() * slot
+        };
         let mut total = self.interner.heap_bytes()
             + self.buckets.capacity() * std::mem::size_of::<AttrBucket<T>>();
         for b in &self.buckets {
-            total += b.eq.heap_bytes();
+            total += eq_table(&b.eq);
             total += b.ne.capacity() * (std::mem::size_of::<Value>() + posting);
-            total += b.lower.heap_bytes_with(Value::heap_bytes, spilled);
-            total += b.upper.heap_bytes_with(Value::heap_bytes, spilled);
+            total += range_tree(&b.lower);
+            total += range_tree(&b.upper);
             total += b.prefix.capacity() * (std::mem::size_of::<Value>() + posting + 1);
             total += b.contains.capacity() * (std::mem::size_of::<Value>() + posting + 1);
         }
@@ -442,35 +464,63 @@ fn report_range<'a, T: Copy + PartialEq + 'a>(
 const F64_TOTAL_MIN: f64 = f64::from_bits(u64::MAX);
 const F64_TOTAL_MAX: f64 = f64::from_bits(0x7FFF_FFFF_FFFF_FFFF);
 
-/// The least value of `value`'s kind: the inclusive lower bound
-/// restricting a range scan to keys of that kind.
-fn kind_min(value: &Value) -> Value {
+/// The bounds restricting a range scan to keys of `value`'s kind. They
+/// are statics, so no scan builds a bound; a string one would allocate.
+fn kind_span(value: &Value) -> (Bound<&'static Value>, Bound<&'static Value>) {
+    static BOOL_MIN: Value = Value::Bool(false);
+    static BOOL_MAX: Value = Value::Bool(true);
+    static INT_MIN: Value = Value::Int(i64::MIN);
+    static INT_MAX: Value = Value::Int(i64::MAX);
+    static FLOAT_MIN: Value = Value::Float(F64_TOTAL_MIN);
+    static FLOAT_MAX: Value = Value::Float(F64_TOTAL_MAX);
     match value {
-        Value::Bool(_) => Value::Bool(false),
-        Value::Int(_) => Value::Int(i64::MIN),
-        Value::Float(_) => Value::Float(F64_TOTAL_MIN),
-        // Strings sort last and "" is the minimum string.
-        Value::Str(_) => Value::from(""),
+        Value::Bool(_) => (Bound::Included(&BOOL_MIN), Bound::Included(&BOOL_MAX)),
+        Value::Int(_) => (Bound::Included(&INT_MIN), Bound::Included(&INT_MAX)),
+        Value::Float(_) => (Bound::Included(&FLOAT_MIN), Bound::Included(&FLOAT_MAX)),
+        // Strings rank last: everything above the greatest float.
+        Value::Str(_) => (Bound::Excluded(&FLOAT_MAX), Bound::Unbounded),
     }
 }
 
-/// Upper bound restricting a range scan to keys of `value`'s kind.
-fn kind_max_bound(value: &Value) -> Bound<Value> {
-    match value {
-        Value::Bool(_) => Bound::Included(Value::Bool(true)),
-        Value::Int(_) => Bound::Included(Value::Int(i64::MAX)),
-        Value::Float(_) => Bound::Included(Value::Float(F64_TOTAL_MAX)),
-        Value::Str(_) => Bound::Unbounded,
+/// Heap bytes of a `std::collections::BTreeMap<K, V>` holding `len`
+/// entries: a model, as the map does not report its nodes. A node holds
+/// up to 11 entries; a leaf is a 16-byte header plus 11 keys and 11
+/// values (632 B for `Value` keys and `u32` range postings), and an
+/// internal node adds 12 child pointers. Up to 11 entries fill one root
+/// leaf, exactly. Beyond, a counting allocator under random paper
+/// constants found one leaf per 8.5 of `len + 1` entries and one
+/// internal node per 7.4 leaves (160 000 constants in 64 trees: 18 529
+/// leaves, 2 492 internal nodes). This charges one leaf per 8.2 (at
+/// least two) and one internal node per 7.5 leaves (at least the root):
+/// 2–4 % above the allocator from 31 to 2 500 entries a tree
+/// (`tests/heap_truth.rs`). An emptied map is replaced by a new one,
+/// which holds no node.
+fn btree_heap_bytes<K, V>(len: usize) -> usize {
+    const CAPACITY: usize = 11;
+    let leaf = (16 + CAPACITY * (std::mem::size_of::<K>() + std::mem::size_of::<V>()))
+        .next_multiple_of(std::mem::align_of::<usize>());
+    let internal = leaf + (CAPACITY + 1) * std::mem::size_of::<usize>();
+    match len {
+        0 => 0,
+        1..=CAPACITY => leaf,
+        _ => {
+            // Counted in 41ths of a leaf and 615ths (15 × 41) of an
+            // internal node, so the rates stay whole numbers.
+            let leaves = ((len + 1) * 5).max(2 * 41);
+            let internals = (leaves * 2).max(15 * 41);
+            (leaves * leaf).div_ceil(41) + (internals * internal).div_ceil(15 * 41)
+        }
     }
 }
 
-fn remove_pair<T: PartialEq>(list: &mut Vec<(Value, T)>, constant: &Value, id: T) -> bool {
-    if let Some(pos) = list.iter().position(|(c, p)| c == constant && *p == id) {
-        list.swap_remove(pos);
-        true
-    } else {
-        false
-    }
+/// Swap-removes the first element of `list` that `is` picks; returns
+/// whether there was one.
+fn swap_remove_first<E>(list: &mut Vec<E>, is: impl FnMut(&E) -> bool) -> bool {
+    let Some(pos) = list.iter().position(is) else {
+        return false;
+    };
+    list.swap_remove(pos);
+    true
 }
 
 fn remove_triple<T: PartialEq>(
@@ -479,15 +529,7 @@ fn remove_triple<T: PartialEq>(
     id: T,
     negated: bool,
 ) -> bool {
-    if let Some(pos) = list
-        .iter()
-        .position(|(c, p, n)| c == constant && *p == id && *n == negated)
-    {
-        list.swap_remove(pos);
-        true
-    } else {
-        false
-    }
+    swap_remove_first(list, |(c, p, n)| c == constant && *p == id && *n == negated)
 }
 
 #[cfg(test)]

@@ -11,7 +11,6 @@ use std::sync::Arc;
 /// string. Ids are dense (`0..len`) and stable for the lifetime of the
 /// [`AttrInterner`] that produced them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AttrId(u32);
 
 impl AttrId {

@@ -116,47 +116,6 @@ impl<N: AsRef<str>, V: Into<Value>> FromIterator<(N, V)> for Event {
     }
 }
 
-/// Serializes as a map from attribute name to value.
-#[cfg(feature = "serde")]
-impl serde::Serialize for Event {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeMap;
-        let mut map = serializer.serialize_map(Some(self.len()))?;
-        for (name, value) in self.iter() {
-            map.serialize_entry(name, value)?;
-        }
-        map.end()
-    }
-}
-
-/// Deserializes from a map; duplicate keys keep the last value, like
-/// [`EventBuilder`].
-#[cfg(feature = "serde")]
-impl<'de> serde::Deserialize<'de> for Event {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        struct Visitor;
-        impl<'de> serde::de::Visitor<'de> for Visitor {
-            type Value = Event;
-
-            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.write_str("a map of attribute names to values")
-            }
-
-            fn visit_map<A: serde::de::MapAccess<'de>>(
-                self,
-                mut access: A,
-            ) -> Result<Event, A::Error> {
-                let mut builder = EventBuilder::new();
-                while let Some((name, value)) = access.next_entry::<String, Value>()? {
-                    builder.set(&name, value);
-                }
-                Ok(builder.build())
-            }
-        }
-        deserializer.deserialize_map(Visitor)
-    }
-}
-
 /// Incremental construction of an [`Event`].
 ///
 /// Setting the same attribute twice keeps the latest value.

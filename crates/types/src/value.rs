@@ -19,7 +19,6 @@ use std::sync::Arc;
 /// assert_eq!(ValueKind::Str.to_string(), "str");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ValueKind {
     /// Boolean values.
     Bool,
@@ -61,7 +60,7 @@ impl fmt::Display for ValueKind {
 ///
 /// # Total order
 ///
-/// `Value` implements [`Ord`] so it can key B+ trees and sorted indexes.
+/// `Value` implements [`Ord`] so it can key B-trees and sorted indexes.
 /// Values of different kinds order by kind
 /// (`Bool < Int < Float < Str`); floats use [`f64::total_cmp`], which
 /// places `-0.0 < 0.0` and `NaN` after `+∞`. [`Eq`] and [`Hash`] are
@@ -79,8 +78,6 @@ impl fmt::Display for ValueKind {
 /// assert_eq!(Value::from("x").to_string(), "\"x\"");
 /// ```
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[cfg_attr(feature = "serde", serde(untagged))]
 pub enum Value {
     /// A boolean.
     Bool(bool),

@@ -44,7 +44,7 @@
 //! |---|---|---|
 //! | [`types`] | `boolmatch-types` | values, events, schemas |
 //! | [`expr`] | `boolmatch-expr` | predicates, Boolean ASTs, parser, DNF/NNF transforms |
-//! | [`index`] | `boolmatch-index` | B+ tree, hash index, the phase-1 predicate index |
+//! | [`index`] | `boolmatch-index` | the phase-1 predicate index: hash tables for point predicates, B-trees for range predicates |
 //! | [`core`] | `boolmatch-core` | the three matching engines |
 //! | [`broker`] | `boolmatch-broker` | the pub/sub service shell |
 //! | [`workload`] | `boolmatch-workload` | generators, sweeps, the memory-wall model |
