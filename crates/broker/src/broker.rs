@@ -508,10 +508,10 @@ impl BrokerInner {
             // cleanly (its `relocate` finds the entry gone and undoes
             // the target-side copy) and a concurrent match drops the id
             // at translation — whose delivery the removed sender would
-            // have skipped anyway. With recycled ids the retire is
-            // generation-checked, so a stale handle from an earlier
-            // occupancy of the slot was already a no-op at the sender
-            // map and can never reach here.
+            // have skipped anyway. The retire is generation-checked,
+            // so a stale handle from an earlier occupancy of the slot
+            // was already a no-op at the sender map and can never reach
+            // here.
             let (shard, local, _expr) = self
                 .directory
                 .write()
@@ -718,7 +718,7 @@ impl Broker {
         drop(state);
         // The queue's lock is classed by the id's delivery-queue group
         // (same-class nesting detection proves no path holds two).
-        let queue = Arc::new(NotifyQueue::new(id.index(), policy, consumer));
+        let queue = Arc::new(NotifyQueue::new(id.slot(), policy, consumer));
         self.inner.senders.write().insert(id, Arc::clone(&queue));
         self.inner
             .stats
@@ -1869,7 +1869,6 @@ pub struct BrokerBuilder {
     quarantine: Option<QuarantineConfig>,
     delivery_workers: Option<usize>,
     scratch_trim_cap: Option<usize>,
-    recycled_ids: bool,
     background: Option<(Duration, RebalancePolicy)>,
     placement: PlacementPolicy,
 }
@@ -1884,7 +1883,6 @@ impl fmt::Debug for BrokerBuilder {
             .field("quarantine", &self.quarantine)
             .field("delivery_workers", &self.delivery_workers)
             .field("scratch_trim_cap", &self.scratch_trim_cap)
-            .field("recycled_ids", &self.recycled_ids)
             .field("background_rebalance", &self.background)
             .field("placement", &self.placement)
             .finish()
@@ -1981,21 +1979,6 @@ impl BrokerBuilder {
         self
     }
 
-    /// Bounds the global id table under unbounded subscription churn:
-    /// retired id slots are reissued (LIFO) instead of growing the
-    /// table forever. Every reissue carries a fresh **generation tag**
-    /// in the id's high bits, so a stale handle's late unsubscribe can
-    /// never alias — and remove — the slot's new owner; recycling is
-    /// ABA-safe even with drop-unsubscribing [`Subscription`] handles.
-    /// The trade-off: ids no longer align with an unsharded engine's
-    /// arrival-order ids (relevant to tests comparing against flat
-    /// engines, not to applications).
-    #[must_use]
-    pub fn recycled_ids(mut self) -> Self {
-        self.recycled_ids = true;
-        self
-    }
-
     /// Attaches a **background rebalance thread**: every `interval` it
     /// runs one tick of `policy`, live-migrating at most
     /// [`BACKGROUND_REBALANCE_CHUNK`] subscriptions — continuous,
@@ -2063,11 +2046,7 @@ impl BrokerBuilder {
             .enumerate()
             .map(|(index, engine)| Arc::new(ShardCell::new(engine, index)))
             .collect();
-        let directory = if self.recycled_ids {
-            SubscriptionDirectory::with_recycled_ids(shard_count)
-        } else {
-            SubscriptionDirectory::new(shard_count)
-        };
+        let directory = SubscriptionDirectory::new(shard_count);
         let inner = Arc::new(BrokerInner {
             shard_set: RwLock::new(shards.into()),
             directory: RwLock::new(directory),
@@ -2294,10 +2273,10 @@ mod tests {
                 Err(BrokerError::Subscribe(_))
             ));
             let c = broker.subscribe("x = 2").unwrap();
-            // The cursor must not advance on rejection: arrival-order
-            // ids stay aligned with an unsharded broker's.
-            assert_eq!(a.id().index(), 0);
-            assert_eq!(c.id().index(), 1);
+            // The rejection consumed no slot: the next subscription
+            // takes the slot after `a`'s, as on an unsharded broker.
+            assert_eq!(a.id().slot(), 0);
+            assert_eq!(c.id().slot(), 1);
         }
     }
 
@@ -2666,7 +2645,7 @@ mod tests {
 
     #[test]
     fn recycled_ids_bound_the_table_and_stay_aba_safe() {
-        let broker = Broker::builder().shards(2).recycled_ids().build();
+        let broker = Broker::builder().shards(2).build();
         let keeper = broker.subscribe("a = 1").unwrap();
         // Churn one slot: subscribe/unsubscribe repeatedly.
         for i in 0..20 {

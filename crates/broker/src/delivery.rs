@@ -209,9 +209,9 @@ pub(crate) struct NotifyQueue {
 }
 
 impl NotifyQueue {
-    /// Creates the queue for subscription-id index `id_index`, classed
-    /// into that id's delivery-queue lockdep group.
-    pub(crate) fn new(id_index: usize, policy: DeliveryPolicy, consumer: Option<Consumer>) -> Self {
+    /// Creates the queue for the subscription in id slot `id_slot`,
+    /// classed into that slot's delivery-queue lockdep group.
+    pub(crate) fn new(id_slot: usize, policy: DeliveryPolicy, consumer: Option<Consumer>) -> Self {
         let queue = NotifyQueue {
             state: Mutex::new(QueueState {
                 receivers: 1,
@@ -228,7 +228,7 @@ impl NotifyQueue {
         if parking_lot::lockdep::is_active() {
             queue
                 .state
-                .set_class(&lock_classes::delivery_queue(id_index));
+                .set_class(&lock_classes::delivery_queue(id_slot));
         }
         queue
     }

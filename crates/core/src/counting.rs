@@ -56,8 +56,13 @@ struct CountingTables {
     /// Flat conjunction → original subscription (dense index).
     flat_orig: Vec<u32>,
     free_flats: Vec<u32>,
-    /// Original subscription → unsubscription metadata.
+    /// Original subscription → unsubscription metadata (`None`: a free
+    /// slot).
     origs: Vec<Option<OrigMeta>>,
+    /// Free slots of `origs`, most recently freed last: subscribe
+    /// reissues from the end before it appends, as it does with
+    /// `free_flats`.
+    free_origs: Vec<u32>,
     live_origs: usize,
     live_flats: usize,
 }
@@ -82,6 +87,7 @@ impl CountingTables {
             flat_orig: Vec::new(),
             free_flats: Vec::new(),
             origs: Vec::new(),
+            free_origs: Vec::new(),
             live_origs: 0,
             live_flats: 0,
         }
@@ -113,8 +119,16 @@ impl CountingTables {
             acquired.push(id);
         });
 
-        let orig_index = self.origs.len();
-        let orig_u32 = u32::try_from(orig_index).expect("more than u32::MAX subscriptions");
+        let orig_u32 = match self.free_origs.pop() {
+            Some(free) => free,
+            None => {
+                let next =
+                    u32::try_from(self.origs.len()).expect("more than u32::MAX subscriptions");
+                reserve_tight(&mut self.origs, 1);
+                self.origs.push(None);
+                next
+            }
+        };
         let mut flats = Vec::with_capacity(dnf.len());
         for conjunct in dnf.conjuncts() {
             let flat = match self.free_flats.pop() {
@@ -141,10 +155,9 @@ impl CountingTables {
             flats.push(flat);
             self.live_flats += 1;
         }
-        reserve_tight(&mut self.origs, 1);
-        self.origs.push(Some(OrigMeta { flats, acquired }));
+        self.origs[orig_u32 as usize] = Some(OrigMeta { flats, acquired });
         self.live_origs += 1;
-        Ok(SubscriptionId::from_index(orig_index))
+        Ok(SubscriptionId::from_index(orig_u32 as usize))
     }
 
     fn unsubscribe(&mut self, id: SubscriptionId) -> Result<(), UnsubscribeError> {
@@ -184,6 +197,8 @@ impl CountingTables {
             }
             self.interner.release(pid);
         }
+        self.free_origs
+            .push(u32::try_from(id.index()).expect("issued ids fit u32"));
         self.live_origs -= 1;
         Ok(())
     }
@@ -296,7 +311,8 @@ impl CountingTables {
             .flatten()
             .map(|m| m.flats.capacity() * 4 + m.acquired.capacity() * 4)
             .sum::<usize>()
-            + self.origs.capacity() * std::mem::size_of::<Option<OrigMeta>>();
+            + self.origs.capacity() * std::mem::size_of::<Option<OrigMeta>>()
+            + self.free_origs.capacity() * 4;
         MemoryUsage {
             predicates: self.interner.heap_bytes(),
             phase1_index: self.index.heap_bytes(),
@@ -652,11 +668,43 @@ mod tests {
         let vectors_before = c.memory_usage().vectors;
         c.subscribe(&e1).unwrap();
         assert_eq!(c.memory_usage().vectors, vectors_before);
+    }
 
-        assert!(matches!(
-            c.unsubscribe(id1),
-            Err(UnsubscribeError::UnknownSubscription(_))
-        ));
+    #[test]
+    fn an_unsubscribed_id_is_reissued_and_matches_only_its_new_expression() {
+        let engines: [Box<dyn FilterEngine>; 2] = [
+            Box::new(CountingEngine::new()),
+            Box::new(CountingVariantEngine::new()),
+        ];
+        for mut engine in engines {
+            let old = engine
+                .subscribe(&Expr::parse("(a = 1 or b = 2) and c = 3").unwrap())
+                .unwrap();
+            let keeper = engine.subscribe(&Expr::parse("e = 5").unwrap()).unwrap();
+            engine.unsubscribe(old).unwrap();
+            let reissued = engine.subscribe(&Expr::parse("d = 4").unwrap()).unwrap();
+            assert_eq!(reissued, old, "the freed slot goes to the next subscribe");
+            let mut scratch = MatchScratch::new();
+            let r = engine.match_event(&ev(&[("a", 1), ("b", 2), ("c", 3)]), &mut scratch);
+            assert!(r.matched.is_empty(), "{:?}", engine.kind());
+            let r = engine.match_event(&ev(&[("d", 4), ("e", 5)]), &mut scratch);
+            let mut got = r.matched;
+            got.sort();
+            assert_eq!(got, [reissued, keeper], "{:?}", engine.kind());
+            // A churning slot keeps every table at the peak live count.
+            engine.unsubscribe(reissued).unwrap();
+            let per_sub = |m: MemoryUsage| (m.locations, m.vectors, m.unsub_support);
+            let bytes = per_sub(engine.memory_usage());
+            for i in 0..100 {
+                let id = engine
+                    .subscribe(&Expr::parse(&format!("x = {i} or y = {i}")).unwrap())
+                    .unwrap();
+                assert_eq!(id, old);
+                engine.unsubscribe(id).unwrap();
+            }
+            assert_eq!(engine.subscription_id_bound(), 2);
+            assert_eq!(per_sub(engine.memory_usage()), bytes, "{:?}", engine.kind());
+        }
     }
 
     #[test]

@@ -197,6 +197,12 @@ pub trait FilterEngine {
 
     /// Registers a subscription and returns its id.
     ///
+    /// An engine's id names a slot in its tables and is valid until it
+    /// is unsubscribed; a later subscribe may be issued the same id.
+    /// Detecting a stale id across that reuse is the job of the
+    /// generation-tagged global ids [`crate::ShardedEngine`] and the
+    /// broker hand out.
+    ///
     /// # Errors
     ///
     /// See [`SubscribeError`]; the canonical engines refuse
@@ -204,12 +210,14 @@ pub trait FilterEngine {
     /// paper's point.
     fn subscribe(&mut self, expr: &Expr) -> Result<SubscriptionId, SubscribeError>;
 
-    /// Removes a subscription.
+    /// Removes a subscription, freeing its id for reissue.
     ///
     /// # Errors
     ///
     /// Returns [`UnsubscribeError::UnknownSubscription`] for ids that
-    /// are not currently registered.
+    /// are not currently registered. An id that has been reissued is
+    /// registered again — to its new subscription, which this would
+    /// remove (see [`FilterEngine::subscribe`]).
     fn unsubscribe(&mut self, id: SubscriptionId) -> Result<(), UnsubscribeError>;
 
     /// Phase 1: collects the predicates fulfilled by `event` into
@@ -296,7 +304,7 @@ pub trait FilterEngine {
     fn subscription_count(&self) -> usize;
 
     /// Upper bound (exclusive) of the dense subscription-id space —
-    /// including ids of unsubscribed slots. Scratch stamp arrays are
+    /// including free slots awaiting reissue. Scratch stamp arrays are
     /// sized against this.
     fn subscription_id_bound(&self) -> usize {
         self.subscription_count()

@@ -40,21 +40,25 @@ impl fmt::Display for PredicateId {
 
 /// Identifier of a registered subscription — `id(s)` in the paper.
 ///
-/// Sequentially assigned by an engine and never reused, so a stale id
-/// held after unsubscription can be detected instead of silently
-/// aliasing a new subscription.
+/// Two id spaces use this type. An engine's **local** id names a slot
+/// in the engine's tables: dense, generation 0, and reissued to a later
+/// subscribe once unsubscribed (free list first, else append), so the
+/// tables follow the live set. The **global** ids of `ShardedEngine`
+/// and `Broker` come from a [`crate::SubscriptionDirectory`], which
+/// reissues retired slots too but tags every reissue with the slot's
+/// next generation — that is where a stale id is detected.
 ///
 /// # Generation tagging
 ///
 /// The 64-bit value is split into a 32-bit **slot** (low half) and a
-/// 32-bit **generation** (high half). Flat engines and arrival-order
-/// sharded directories only ever issue generation 0, so the id *is* the
-/// dense index (`from_index`/`index` round-trip unchanged). A directory
-/// running in recycled-ids mode reissues a retired slot under the
-/// slot's next generation: the new id compares, hashes and displays
-/// differently from every id the slot carried before, which is what
-/// makes bounded id recycling ABA-safe — a stale handle's late
-/// unsubscribe can no longer alias the slot's new owner.
+/// 32-bit **generation** (high half). Engine-local ids and a slot's
+/// first occupant carry generation 0, so such an id *is* the dense
+/// index (`from_index`/`index` round-trip unchanged). Each later
+/// occupant of a directory slot gets the slot's next generation: the
+/// new id compares, hashes and displays differently from every id the
+/// slot carried before, which is what makes id recycling ABA-safe — a
+/// stale handle's late unsubscribe can no longer alias the slot's new
+/// owner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SubscriptionId(u64);
 
@@ -68,12 +72,12 @@ impl SubscriptionId {
         SubscriptionId(index as u64)
     }
 
-    /// The raw dense index.
+    /// The raw dense index — for **engine-local** ids, which are
+    /// always generation 0.
     ///
-    /// Meaningful as an array index only for generation-0 ids (flat
-    /// engines, arrival-order directories); a generation-tagged id's
-    /// raw value is the full packed word. Use
-    /// [`SubscriptionId::slot`] when indexing slot tables.
+    /// A global id's raw value is the full packed word once its slot
+    /// has been reissued: use [`SubscriptionId::slot`] to address a
+    /// global id (its `index` may not even fit a 32-bit `usize`).
     pub fn index(self) -> usize {
         usize::try_from(self.0).expect("subscription id exceeds usize")
     }
@@ -97,7 +101,7 @@ impl SubscriptionId {
     }
 
     /// The generation the slot was under when this id was issued; 0 for
-    /// every flat-engine and arrival-order id.
+    /// every engine-local id and for a slot's first occupant.
     pub fn generation(self) -> u32 {
         (self.0 >> SLOT_BITS) as u32
     }

@@ -102,14 +102,17 @@ pub struct NonCanonicalEngine {
     /// (dense u32 sub indexes).
     assoc: AssocTable<u32>,
     /// Subscriptions without a necessary set, evaluated for every
-    /// event. Ascending: ids are issued in increasing order and never
-    /// reused.
+    /// event. Ascending: a reissued id is inserted in order.
     always: Vec<u32>,
     /// Subscription location table: dense sub index → tree location.
-    /// The [`Loc::empty`] sentinel marks unsubscribed ids (never
-    /// reused); a plain `Loc` per slot is 8 bytes where `Option<Loc>`
-    /// would be 12 — this table exists per live subscription.
+    /// The [`Loc::empty`] sentinel marks a free slot; a plain `Loc` per
+    /// slot is 8 bytes where `Option<Loc>` would be 12 — this table
+    /// exists per live subscription.
     locations: Vec<Loc>,
+    /// Free slots of `locations`, most recently freed last: subscribe
+    /// reissues from the end before it appends, so the per-subscription
+    /// tables follow the live set, not every subscription ever made.
+    free_subs: Vec<u32>,
     arena: TreeArena,
     live_subs: usize,
 }
@@ -344,6 +347,7 @@ impl NonCanonicalEngine {
             assoc: AssocTable::new(),
             always: Vec::new(),
             locations: Vec::new(),
+            free_subs: Vec::new(),
             arena: TreeArena::new(),
             live_subs: 0,
         }
@@ -519,11 +523,20 @@ impl FilterEngine for NonCanonicalEngine {
             }
         };
 
-        let sub_index = self.locations.len();
-        let sub_u32 = u32::try_from(sub_index).expect("more than u32::MAX subscriptions");
         let loc = self.arena.insert(&bytes);
-        reserve_tight(&mut self.locations, 1);
-        self.locations.push(loc);
+        let sub_u32 = match self.free_subs.pop() {
+            Some(free) => {
+                self.locations[free as usize] = loc;
+                free
+            }
+            None => {
+                let next =
+                    u32::try_from(self.locations.len()).expect("more than u32::MAX subscriptions");
+                reserve_tight(&mut self.locations, 1);
+                self.locations.push(loc);
+                next
+            }
+        };
         self.live_subs += 1;
 
         // Slots for the whole id space, whichever ids get postings.
@@ -537,9 +550,12 @@ impl FilterEngine for NonCanonicalEngine {
                     self.assoc.add(pid, sub_u32);
                 }
             }
-            None => self.always.push(sub_u32),
+            None => {
+                let at = self.always.partition_point(|&sub| sub < sub_u32);
+                self.always.insert(at, sub_u32);
+            }
         }
-        Ok(SubscriptionId::from_index(sub_index))
+        Ok(SubscriptionId::from_index(sub_u32 as usize))
     }
 
     fn unsubscribe(&mut self, id: SubscriptionId) -> Result<(), UnsubscribeError> {
@@ -583,6 +599,7 @@ impl FilterEngine for NonCanonicalEngine {
         tree.for_each_leaf(&mut |pid| {
             self.interner.release(pid);
         });
+        self.free_subs.push(sub_u32);
         self.live_subs -= 1;
         Ok(())
     }
@@ -678,7 +695,8 @@ impl FilterEngine for NonCanonicalEngine {
             phase1_index: self.index.heap_bytes(),
             association: self.assoc.heap_bytes()
                 + self.always.capacity() * std::mem::size_of::<u32>(),
-            locations: self.locations.capacity() * std::mem::size_of::<Loc>(),
+            locations: self.locations.capacity() * std::mem::size_of::<Loc>()
+                + self.free_subs.capacity() * std::mem::size_of::<u32>(),
             trees: self.arena.heap_bytes(),
             vectors: 0,
             unsub_support: 0,
@@ -801,11 +819,67 @@ mod tests {
     }
 
     #[test]
-    fn ids_are_not_reused_after_unsubscribe() {
-        let (mut e, ids) = engine_with(&["a = 1"]);
+    fn an_unsubscribed_id_is_reissued_and_matches_only_its_new_expression() {
+        let (mut e, ids) = engine_with(&["a = 1 and b = 2", "c = 3"]);
         e.unsubscribe(ids[0]).unwrap();
-        let new_id = e.subscribe(&Expr::parse("b = 2").unwrap()).unwrap();
-        assert_ne!(new_id, ids[0]);
+        let reissued = e.subscribe(&Expr::parse("d = 4").unwrap()).unwrap();
+        assert_eq!(
+            reissued, ids[0],
+            "the freed slot goes to the next subscribe"
+        );
+        assert_eq!(e.subscription_id_bound(), 2);
+        let old = Event::builder().attr("a", 1_i64).attr("b", 2_i64).build();
+        let r = e.match_event(&old);
+        assert!(r.matched.is_empty());
+        assert_eq!(r.stats.candidates, 0, "the old postings left with it");
+        let new = Event::builder().attr("d", 4_i64).attr("c", 3_i64).build();
+        assert_eq!(sorted(e.match_event(&new).matched), ids);
+        // A churning slot keeps every table at the peak live count.
+        e.unsubscribe(reissued).unwrap();
+        let bytes = e.memory_usage().locations;
+        for i in 0..100 {
+            let id = e
+                .subscribe(&Expr::parse(&format!("x = {i}")).unwrap())
+                .unwrap();
+            assert_eq!(id, ids[0]);
+            e.unsubscribe(id).unwrap();
+        }
+        assert_eq!(e.subscription_id_bound(), 2);
+        assert_eq!(e.memory_usage().locations, bytes);
+    }
+
+    #[test]
+    fn a_reissued_id_keeps_the_always_list_sorted() {
+        let (mut e, ids) = engine_with(&["not (x = 1)", "a = 1", "not (y = 1)", "not (z = 1)"]);
+        assert_eq!(e.engine().always, [0, 2, 3]);
+        // Slot 1 held an indexed subscription; its reissue has no
+        // necessary set and lands in the middle of the always list.
+        e.unsubscribe(ids[1]).unwrap();
+        let w = e.subscribe(&Expr::parse("not (w = 1)").unwrap()).unwrap();
+        assert_eq!(w, ids[1]);
+        assert_eq!(e.engine().always, [0, 1, 2, 3]);
+        assert_eq!(e.indexed_predicates(), 0, "`a = 1` left the index");
+        let a1 = Event::builder().attr("a", 1_i64).build();
+        assert_eq!(
+            e.match_event(&a1).matched,
+            ids,
+            "`not (w = 1)` holds, `a = 1` is gone"
+        );
+        let w1 = Event::builder().attr("w", 1_i64).build();
+        assert_eq!(e.match_event(&w1).matched, [ids[0], ids[2], ids[3]]);
+        // And the other way: an always slot reissued to an indexed
+        // subscription leaves the list.
+        e.unsubscribe(ids[2]).unwrap();
+        assert_eq!(e.subscribe(&Expr::parse("c = 3").unwrap()).unwrap(), ids[2]);
+        assert_eq!(e.engine().always, [0, 1, 3]);
+        let r = e.match_event(&Event::builder().attr("y", 1_i64).build());
+        assert_eq!(r.matched, [ids[0], ids[1], ids[3]]);
+        assert_eq!(
+            r.stats.candidates, 3,
+            "slot 2 is no longer evaluated for every event"
+        );
+        let c3 = Event::builder().attr("c", 3_i64).attr("z", 1_i64).build();
+        assert_eq!(sorted(e.match_event(&c3).matched), [ids[0], ids[1], ids[2]]);
     }
 
     #[test]

@@ -25,13 +25,9 @@
 //!   the lock it already holds. Registration and migration update only
 //!   the (one or two) involved shards' maps.
 //! * Global ids are **generation-tagged** ([`crate::SubscriptionId`]
-//!   packs `generation ⊕ slot`): a directory in
-//!   [recycled-ids](SubscriptionDirectory::with_recycled_ids) mode
-//!   reissues a retired slot under its next generation, so a stale id
-//!   can never alias the slot's new owner (the ABA hazard that used to
-//!   keep bounded recycling engine-only). Arrival-order directories
-//!   issue generation 0 and ids remain the dense indexes a flat engine
-//!   would assign.
+//!   packs `generation ⊕ slot`): the directory reissues a retired slot
+//!   under its next generation, so the id table follows the live set
+//!   and a stale id can never alias the slot's new owner.
 //!
 //! Predicate ids are *not* in the directory: predicates are interned
 //! per shard, never migrate individually, and only surface through the
@@ -82,7 +78,7 @@ pub mod lock_classes {
     /// classes, which the lint bans on the hot path.
     pub const DELIVERY_READY: &str = "delivery_ready";
     /// Per-subscriber delivery queues share [`DELIVERY_QUEUE_GROUPS`]
-    /// lock classes (grouped by subscription-id index) instead of one
+    /// lock classes (grouped by subscription-id slot) instead of one
     /// class per queue: lockdep's graph stays small while same-class
     /// nesting inside a group still catches any path that ever holds
     /// two queue locks at once — no broker path may.
@@ -93,10 +89,10 @@ pub mod lock_classes {
         format!("shard[{index}]")
     }
     /// The class name for the delivery-queue group a subscription id
-    /// falls in — a leaf below the sender-map read lock: enqueue and
-    /// drain take exactly one queue lock and nothing under it.
-    pub fn delivery_queue(index: usize) -> String {
-        format!("delivery-queue[{}]", index % DELIVERY_QUEUE_GROUPS)
+    /// slot falls in — a leaf below the sender-map read lock: enqueue
+    /// and drain take exactly one queue lock and nothing under it.
+    pub fn delivery_queue(slot: usize) -> String {
+        format!("delivery-queue[{}]", slot % DELIVERY_QUEUE_GROUPS)
     }
 }
 
@@ -151,8 +147,8 @@ struct Placement {
 /// placement when live.
 #[derive(Debug, Clone, Default)]
 struct Slot {
-    /// Bumped on every retire, so a recycled reissue is tagged with a
-    /// generation no prior holder of this slot ever saw.
+    /// Bumped on every retire, so the slot's next reissue is tagged
+    /// with a generation no prior holder of this slot ever saw.
     generation: u32,
     placement: Option<Placement>,
 }
@@ -172,17 +168,12 @@ struct Slot {
 ///
 /// A subscription's **global id never changes** while it is registered:
 /// [`SubscriptionDirectory::relocate`] (live migration) and shard-count
-/// changes rewrite only the placement behind the id. By default ids are
-/// issued in arrival order and never reused — the *n*-th committed
-/// subscription gets global id *n*, the same id an unsharded engine
-/// would assign — so sharded and flat matched-id sets stay directly
-/// comparable even across migration and resizing.
-/// [`SubscriptionDirectory::with_recycled_ids`] trades that alignment
-/// for a bounded table: retired slots are then reissued LIFO from the
-/// free list, each reissue generation-tagged
-/// ([`SubscriptionId::generation`]) so stale ids from earlier
-/// occupancies of the slot stay distinguishable — and rejectable —
-/// forever.
+/// changes rewrite only the placement behind the id. Commit takes the
+/// most recently retired slot from the free list, else appends one, so
+/// the table follows the peak live count rather than every
+/// subscription ever made. A reissued slot carries its next generation
+/// ([`SubscriptionId::generation`]), so ids from earlier occupancies of
+/// the slot stay distinguishable — and rejectable — forever.
 ///
 /// # Placement protocol
 ///
@@ -215,7 +206,7 @@ struct Slot {
 /// let local = SubscriptionId::from_index(0);
 /// let global = dir.commit(shard, local, expr);
 /// translation.set(local, global);
-/// assert_eq!(global.index(), 0); // arrival-order global id
+/// assert_eq!(global.slot(), 0); // the first slot of an empty table
 /// assert_eq!(dir.placement_of(global), Some((0, local)));
 /// assert_eq!(translation.global_of(local), Some(global));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -225,11 +216,9 @@ pub struct SubscriptionDirectory {
     /// Global id slot → generation + placement; a `None` placement
     /// marks a retired (free-listed) slot.
     slots: Vec<Slot>,
-    /// Retired slot indexes, most recently retired last.
+    /// Retired slot indexes, most recently retired last; commit
+    /// reissues from the end.
     free: Vec<u32>,
-    /// Whether commit reissues retired slots (LIFO, generation-tagged)
-    /// instead of appending arrival-order ids.
-    recycle_ids: bool,
     /// Per-shard live subscription count, **including** placements
     /// reserved by [`SubscriptionDirectory::place`] but not yet
     /// committed.
@@ -257,8 +246,7 @@ fn expr_estimate(expr: &Expr) -> usize {
 }
 
 impl SubscriptionDirectory {
-    /// An empty directory over `shards` shards, issuing arrival-order
-    /// global ids (never reused — flat-engine aligned).
+    /// An empty directory over `shards` shards.
     ///
     /// # Panics
     ///
@@ -268,33 +256,12 @@ impl SubscriptionDirectory {
         SubscriptionDirectory {
             slots: Vec::new(),
             free: Vec::new(),
-            recycle_ids: false,
             loads: vec![0; shards],
             active: shards,
             cursor: 0,
             live: 0,
             expr_bytes: 0,
         }
-    }
-
-    /// Like [`SubscriptionDirectory::new`], but retired slots are
-    /// reissued (LIFO) from the free list, bounding the table to the
-    /// high-water live count under unbounded churn. Every reissue is
-    /// generation-tagged, so ids from earlier occupancies of a slot are
-    /// rejected instead of aliased — recycling is ABA-safe and usable
-    /// behind drop-unsubscribing handles. Ids then no longer align with
-    /// an unsharded engine's arrival-order ids.
-    pub fn with_recycled_ids(shards: usize) -> Self {
-        SubscriptionDirectory {
-            recycle_ids: true,
-            ..Self::new(shards)
-        }
-    }
-
-    /// Whether retired slots are reissued (generation-tagged) instead
-    /// of the table growing forever.
-    pub fn recycles_ids(&self) -> bool {
-        self.recycle_ids
     }
 
     /// Number of shards placements route over.
@@ -324,7 +291,7 @@ impl SubscriptionDirectory {
 
     /// Exclusive upper bound of the issued global **slot** space
     /// (including retired slots). Scratch stamp arrays can be sized
-    /// against this; note a recycled id's full
+    /// against this; note a reissued id's full
     /// [`SubscriptionId::index`] also carries the generation in its
     /// high bits and must not be used as an array index.
     pub fn id_bound(&self) -> usize {
@@ -471,9 +438,9 @@ impl SubscriptionDirectory {
     /// Completes a placement reserved by
     /// [`SubscriptionDirectory::place`]: records that `shard` assigned
     /// `local` to the subscription holding `expr`, and issues its
-    /// global id (arrival-order, or generation-tagged recycled — see
-    /// the type docs). The caller is responsible for mirroring the
-    /// `local → global` mapping into the shard's
+    /// global id (a retired slot under its next generation when one is
+    /// free — see the type docs). The caller is responsible for
+    /// mirroring the `local → global` mapping into the shard's
     /// [`ShardTranslation`].
     ///
     /// # Panics
@@ -495,12 +462,7 @@ impl SubscriptionDirectory {
             charged_bytes: charged as u32,
             expr,
         };
-        let recycled = if self.recycle_ids {
-            self.free.pop()
-        } else {
-            None
-        };
-        let slot_index = match recycled {
+        let slot_index = match self.free.pop() {
             Some(free) => {
                 debug_assert!(self.slots[free as usize].placement.is_none());
                 self.slots[free as usize].placement = Some(placement);
@@ -556,12 +518,11 @@ impl SubscriptionDirectory {
         Some(&self.live_slot(global)?.expr)
     }
 
-    /// Removes a subscription: frees its slot (onto the free list, in
-    /// recycled-ids mode), bumps the slot's generation and releases its
-    /// load unit. Returns the placement it had plus the stored
-    /// expression — the caller clears the owning shard's
-    /// [`ShardTranslation`] entry — or `None` for unknown, stale or
-    /// already-retired ids.
+    /// Removes a subscription: frees its slot onto the free list, bumps
+    /// the slot's generation and releases its load unit. Returns the
+    /// placement it had plus the stored expression — the caller clears
+    /// the owning shard's [`ShardTranslation`] entry — or `None` for
+    /// unknown, stale or already-retired ids.
     pub fn retire(&mut self, global: SubscriptionId) -> Option<(usize, SubscriptionId, Arc<Expr>)> {
         let slot = self.slots.get_mut(global.slot())?;
         if slot.generation != global.generation() {
@@ -578,12 +539,8 @@ impl SubscriptionDirectory {
         self.expr_bytes -= p.charged_bytes as usize;
         self.loads[p.shard as usize] -= 1;
         self.live -= 1;
-        if self.recycle_ids {
-            // Arrival-order mode never pops the free list, so pushing
-            // there would only leak.
-            self.free
-                .push(u32::try_from(global.slot()).expect("issued slots fit u32"));
-        }
+        self.free
+            .push(u32::try_from(global.slot()).expect("issued slots fit u32"));
         Some((
             p.shard as usize,
             SubscriptionId::from_index(p.local as usize),
@@ -784,12 +741,12 @@ impl ShardTranslation {
         true
     }
 
-    /// Truncates the dead sentinel tail a clear may leave. Engines hand
-    /// out local ids monotonically and migration always retires the
-    /// *highest* live local first, so without the truncation a shard
-    /// drain would rescan an ever-growing sentinel suffix on every
-    /// [`ShardTranslation::last_resident`] call — O(n²) over the
-    /// drain. Trimming keeps the tail live and the drain linear.
+    /// Truncates the dead sentinel tail a clear may leave. Migration
+    /// always retires the *highest* live local first, so without the
+    /// truncation a shard drain would rescan an ever-growing sentinel
+    /// suffix on every [`ShardTranslation::last_resident`] call —
+    /// O(n²) over the drain. Trimming keeps the tail live and the drain
+    /// linear.
     fn trim_tail(&mut self) {
         while self.map.last() == Some(&NO_GLOBAL) {
             self.map.pop();
@@ -950,8 +907,9 @@ mod tests {
         for n in 0..9 {
             let before = dir.loads().to_vec();
             let global = register(&mut dir, &mut maps, &mut locals);
-            assert_eq!(global.index(), n, "arrival-order ids");
-            assert_eq!(global.generation(), 0, "arrival mode never tags");
+            // No slot was ever retired, so each commit appends.
+            assert_eq!(global.slot(), n, "fresh slots in commit order");
+            assert_eq!(global.generation(), 0, "a fresh slot is untagged");
             // The n-th subscription lands on shard n % 3, like the old
             // round-robin cursor.
             let (shard, _) = dir.placement_of(global).unwrap();
@@ -990,27 +948,8 @@ mod tests {
     }
 
     #[test]
-    fn retire_frees_and_arrival_mode_never_reuses() {
-        let mut dir = SubscriptionDirectory::new(2);
-        let mut maps = vec![ShardTranslation::new(); 2];
-        let mut locals = [0usize; 2];
-        let a = register(&mut dir, &mut maps, &mut locals);
-        let b = register(&mut dir, &mut maps, &mut locals);
-        assert_eq!(dir.retire(a).map(|(s, l, _)| (s, l)), Some((0, sid(0))));
-        assert_eq!(dir.retire(a), None, "double retire");
-        assert_eq!(dir.id_bound() - dir.live(), 1, "one retired slot");
-        let c = register(&mut dir, &mut maps, &mut locals);
-        assert_eq!(c.index(), 2, "arrival-order mode appends");
-        assert_eq!(dir.id_bound(), 3);
-        assert_eq!(dir.live(), 2);
-        assert!(dir.expr_of(b).is_some());
-        assert!(dir.expr_of(a).is_none());
-    }
-
-    #[test]
     fn recycled_ids_pop_the_free_list_with_a_fresh_generation() {
-        let mut dir = SubscriptionDirectory::with_recycled_ids(2);
-        assert!(dir.recycles_ids());
+        let mut dir = SubscriptionDirectory::new(2);
         let mut maps = vec![ShardTranslation::new(); 2];
         let mut locals = [0usize; 2];
         let a = register(&mut dir, &mut maps, &mut locals);

@@ -10,25 +10,25 @@
 //! tests, and any single-threaded caller can use it transparently.
 //!
 //! Routing splits across two structures. The write-side
-//! [`SubscriptionDirectory`] issues global ids in arrival order (the
-//! *n*-th accepted subscription gets global id *n*, exactly as an
-//! unsharded engine would assign — the shard-equivalence property
-//! tests rely on this) and maps each id to whatever `(shard, local)`
-//! slot currently backs it. Each shard additionally owns a read-side
-//! [`ShardTranslation`] — its local → global reverse map — which is
-//! all matching ever consults: translating a matched local id touches
-//! only the shard that produced it, never the directory. Placement is
-//! load-aware: [`FilterEngine::subscribe`] picks the least-loaded shard
-//! (round-robin tie-break), so a shard drained by unsubscribes is
-//! refilled instead of skipped past blindly, or — under
-//! [`PlacementPolicy::ClusterByAttribute`] — the shard the
+//! [`SubscriptionDirectory`] issues global ids — a retired slot under
+//! its next generation when one is free, else a fresh one — and maps
+//! each id to whatever `(shard, local)` slot currently backs it. Each
+//! shard's engine likewise reissues the local ids it frees, so every
+//! table here follows the live set. Each shard additionally owns a
+//! read-side [`ShardTranslation`] — its local → global reverse map —
+//! which is all matching ever consults: translating a matched local id
+//! touches only the shard that produced it, never the directory.
+//! Placement is load-aware: [`FilterEngine::subscribe`] picks the
+//! least-loaded shard (round-robin tie-break), so a shard drained by
+//! unsubscribes is refilled instead of skipped past blindly, or —
+//! under [`PlacementPolicy::ClusterByAttribute`] — the shard the
 //! subscription's dominant equality attribute hashes to.
 //!
 //! **Live placement changes and locking are not here.**
 //! `ShardedEngine` is a plain value with `&mut self` registration, like
 //! every other engine, and a subscription stays on the shard it was
-//! placed on until it leaves. Live migration, rebalancing, resizing and
-//! recycled ids belong to the broker (`boolmatch-broker`'s
+//! placed on until it leaves. Live migration, rebalancing and resizing
+//! belong to the broker (`boolmatch-broker`'s
 //! `Broker::{migrate, rebalance, resize}`), which holds its shards in
 //! separate `RwLock`s around a shared [`SubscriptionDirectory`] so that
 //! shard writes run concurrently and a migration stalls only the two
@@ -1162,6 +1162,33 @@ mod tests {
         // spins on), yet the merge is still shard 0 then shard 1.
         assert_eq!(scratch.matched(), &[a, b]);
         assert_eq!(stats.matched, 2);
+    }
+
+    #[test]
+    fn a_stale_global_id_cannot_unsubscribe_a_reissued_local_slot() {
+        let a = Expr::parse("a = 1").unwrap();
+        let b = Expr::parse("b = 2").unwrap();
+        // One directory slot under two generations.
+        let g = SubscriptionId::from_parts(0, 5);
+        let g_next = SubscriptionId::from_parts(1, 5);
+        for kind in EngineKind::ALL {
+            let mut shard = Shard::new(kind.build());
+            let local = shard.engine_mut().subscribe(&a).unwrap();
+            assert_eq!(local, SubscriptionId::from_index(0));
+            shard.bind(local, g, &a);
+            assert!(shard.unsubscribe(local, g));
+            let reissued = shard.engine_mut().subscribe(&b).unwrap();
+            assert_eq!(reissued, local, "{kind}: local 0 is reissued");
+            shard.bind(reissued, g_next, &b);
+            // A late unsubscribe of A finds local 0 owned by B.
+            assert!(!shard.unsubscribe(local, g), "{kind}: stale pair");
+            assert_eq!(shard.engine().subscription_count(), 1, "{kind}");
+            let mut scratch = MatchScratch::new();
+            shard.match_event(&ev(&[("b", 2)]), &mut scratch);
+            assert_eq!(scratch.matched(), [g_next], "{kind}");
+            shard.match_event(&ev(&[("a", 1)]), &mut scratch);
+            assert!(scratch.matched().is_empty(), "{kind}");
+        }
     }
 
     #[test]

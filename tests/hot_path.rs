@@ -4,17 +4,16 @@
 //!   placement directory's **write** lock must not block a single
 //!   publish, on any shard, single or batch. Latch-observed: the
 //!   publisher provably starts *while* the lock is held.
-//! * **Generation-tagged recycling is ABA-safe** — with
-//!   `recycled_ids`, a stale handle whose slot has been reissued can
-//!   no longer remove the slot's new owner (the regression that kept
-//!   bounded id recycling engine-only through PR 4). CI runs this one
-//!   under `--release` too.
+//! * **Generation-tagged recycling is ABA-safe** — a stale handle
+//!   whose id slot has been reissued can never remove the slot's new
+//!   owner. Every broker reissues retired slots, so this guards every
+//!   broker. CI runs this one under `--release` too.
 //! * **Hot-key skew** — on the `HotKeyScenario` workload,
 //!   count-balanced placement provably concentrates the match load on
 //!   one shard, and the frequency-weighted rebalancer measurably
 //!   spreads it while a publisher keeps publishing.
 //!
-//! What every configuration delivers — recycled ids, clustered pruning,
+//! What every configuration delivers — reissued ids, clustered pruning,
 //! churn, both rebalancers, live resize, batched publishes — is checked
 //! against a naive evaluation in `tests/oracle_matrix.rs`.
 
@@ -128,19 +127,18 @@ fn publishes_flow_while_directory_write_lock_is_held() {
     });
 
     for sub in &subs {
-        assert_eq!(sub.drain().len(), 4 - usize::from(sub.id().index() != 4));
+        assert_eq!(sub.drain().len(), 4 - usize::from(sub.id().slot() != 4));
     }
 }
 
 /// The generation-tag ABA regression (CI runs this under `--release`
-/// too): with recycled ids, an explicitly unsubscribed handle whose
-/// slot has been reissued to a new subscription must not, on drop,
-/// remove the new owner. Through PR 4 the slot reuse made the stale
-/// drop-unsubscribe alias the new id, which is exactly why recycling
-/// was not offered on the broker.
+/// too): an explicitly unsubscribed handle whose slot has been
+/// reissued to a new subscription must not, on drop, remove the new
+/// owner. Without the generation tag the stale drop-unsubscribe would
+/// alias the new id.
 #[test]
 fn recycled_id_generations_are_aba_safe() {
-    let broker = Broker::builder().shards(2).recycled_ids().build();
+    let broker = Broker::builder().shards(2).build();
     let stale = broker.subscribe("old = 1").unwrap();
     let stale_id = stale.id();
     // Explicit removal; the handle (and its pending drop-unsubscribe)
@@ -259,7 +257,6 @@ fn match_frequency_rebalancer_fixes_hot_key_skew_counts_cannot_see() {
 fn background_rebalance_races_publishes_and_resize_safely() {
     let broker = Broker::builder()
         .shards(4)
-        .recycled_ids()
         .background_rebalance(Duration::from_millis(1), RebalancePolicy::MatchFrequency)
         .build();
     assert!(broker.background_rebalance_active());

@@ -1,7 +1,7 @@
 //! One oracle for every broker configuration.
 //!
 //! The contract: for every engine kind × shard count × scalar/batch
-//! publish × id/placement mode, under subscribe / unsubscribe /
+//! publish × placement policy, under subscribe / unsubscribe /
 //! rebalance / resize churn, each subscriber receives exactly the
 //! events a naive evaluation of its expression accepts, by value and in
 //! publish order. That naive evaluation is the kind's *oracle*:
@@ -11,16 +11,17 @@
 //! the complement needs the attribute to be present.
 //!
 //! The grid, per kind: S ∈ {1, 3, 8} × {scalar `publish_arc`,
-//! `publish_batch` windows of 1–9 events} × {arrival-order ids with
-//! least-loaded placement, recycled ids with `ClusterByAttribute`}.
+//! `publish_batch` windows of 1–9 events} × {`LeastLoaded`,
+//! `ClusterByAttribute`} placement.
 //! Each cell replays 1 200 steps of the generated-tree corpus
 //! (`TreeScenario`). Every 31st step calls `rebalance()` and
 //! `rebalance_by_match_frequency(8)`. Every 83rd step resizes along
 //! S → S+2 → max(1, S−1) → S. A quarter of the other steps publish a
 //! window; the rest subscribe or unsubscribe around 24 live
 //! subscriptions. Besides every delivery, the driver checks the live
-//! count after each step, the load spread after each `rebalance()`, the
-//! ids each mode issues, the shard count, and that something migrated.
+//! count after each step, the load spread after each `rebalance()`,
+//! that every issued id's slot stays below the peak live count (retired
+//! slots are reissued), the shard count, and that something migrated.
 //! Two more corpora run on the same driver:
 //! - the selective population at S ∈ {3, 8}, clustered, where pruning
 //!   must really fire;
@@ -68,20 +69,11 @@ enum Width {
     Batch,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Placement {
-    /// Arrival-order ids, least-loaded placement: the n-th subscription
-    /// gets id n, as on a flat engine.
-    Arrival,
-    /// Recycled generation-tagged ids, `ClusterByAttribute` placement.
-    RecycledClustered,
-}
-
 struct Config {
     kind: EngineKind,
     shards: usize,
     width: Width,
-    placement: Placement,
+    placement: PlacementPolicy,
     corpus: &'static str,
     seed: u64,
 }
@@ -259,13 +251,11 @@ fn publish(
 /// `config` says, checking every publish window against the oracle.
 /// Returns the most prunes the shards were seen to have counted.
 fn replay(config: &Config, steps: usize, mut corpus: Corpus) -> u64 {
-    let mut builder = Broker::builder().engine(config.kind).shards(config.shards);
-    if config.placement == Placement::RecycledClustered {
-        builder = builder
-            .recycled_ids()
-            .placement(PlacementPolicy::ClusterByAttribute);
-    }
-    let broker = builder.build();
+    let broker = Broker::builder()
+        .engine(config.kind)
+        .shards(config.shards)
+        .placement(config.placement)
+        .build();
     // The driver's own choices come from a second seeded stream.
     let mut dice = TreeScenario::new(!config.seed);
     let base = config.shards;
@@ -311,17 +301,10 @@ fn replay(config: &Config, steps: usize, mut corpus: Corpus) -> u64 {
                     .subscribe_expr(&expr)
                     .unwrap_or_else(|e| panic!("{config} step={step}: `{expr}` refused: {e}"));
                 peak_live = peak_live.max(live.len() + 1);
-                match config.placement {
-                    Placement::Arrival => assert_eq!(
-                        handle.id().index(),
-                        subscribed,
-                        "{config} step={step}: arrival-order id"
-                    ),
-                    Placement::RecycledClustered => assert!(
-                        handle.id().slot() < peak_live,
-                        "{config} step={step}: recycling keeps slots below the peak live count"
-                    ),
-                }
+                assert!(
+                    handle.id().slot() < peak_live,
+                    "{config} step={step}: recycling keeps slots below the peak live count"
+                );
                 subscribed += 1;
                 live.push(Live {
                     oracle: oracle(config.kind, &expr),
@@ -365,7 +348,10 @@ fn replay(config: &Config, steps: usize, mut corpus: Corpus) -> u64 {
 fn every_configuration(kind: EngineKind) {
     for shards in [1, 3, 8] {
         for width in [Width::Scalar, Width::Batch] {
-            for placement in [Placement::Arrival, Placement::RecycledClustered] {
+            for placement in [
+                PlacementPolicy::LeastLoaded,
+                PlacementPolicy::ClusterByAttribute,
+            ] {
                 let config = Config {
                     kind,
                     shards,
@@ -385,7 +371,7 @@ fn every_configuration(kind: EngineKind) {
                     kind,
                     shards,
                     width,
-                    placement: Placement::RecycledClustered,
+                    placement: PlacementPolicy::ClusterByAttribute,
                     corpus: "selective",
                     seed: 0x5e1ec7 + shards as u64,
                 };
@@ -398,7 +384,7 @@ fn every_configuration(kind: EngineKind) {
                     kind,
                     shards,
                     width,
-                    placement: Placement::Arrival,
+                    placement: PlacementPolicy::LeastLoaded,
                     corpus: "domain",
                     seed: 11 + shards as u64,
                 };

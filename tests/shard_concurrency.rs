@@ -234,7 +234,7 @@ fn write_locked_shard_does_not_block_matching_on_other_shards() {
         release.open();
         let sub = subscriber.join().unwrap();
         assert_eq!(publisher.join().unwrap(), 0, "gate engines match nothing");
-        assert_eq!(sub.id().index() % 2, 1, "second subscription is shard 1's");
+        assert_eq!(sub.id().slot() % 2, 1, "second subscription is shard 1's");
         sub // keep the handle alive so drop doesn't unsubscribe it yet
     });
 

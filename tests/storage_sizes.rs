@@ -1,7 +1,8 @@
 //! What the broker's storage costs, by the bytes it reports: a shard
 //! holds 64 KiB tree blocks, a tree larger than one block gets a block
-//! of its own for as long as it lives, and the tables indexed by
-//! subscription grow without a doubling cliff.
+//! of its own for as long as it lives, the tables indexed by
+//! subscription grow without a doubling cliff, and they follow the live
+//! set, not the number of subscriptions ever made.
 
 use std::sync::Arc;
 
@@ -132,4 +133,108 @@ fn subscription_tables_have_no_doubling_cliff() {
             );
         }
     }
+}
+
+/// A seeded splitmix64 stream.
+struct Dice(u64);
+
+impl Dice {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) % n
+    }
+}
+
+/// The benchmark's paper shape: attributes `a0`–`a31`, values in
+/// `0..1 000 000`, thresholds in the outer 7.5 % of the domain.
+const PAPER_ATTRS: u64 = 32;
+const DOMAIN: u64 = 1_000_000;
+const TAIL: u64 = 75_000;
+
+/// Four `(a > hi or a <= lo)` pairs AND-ed over distinct attributes.
+fn paper_subscription(dice: &mut Dice) -> Expr {
+    let mut attrs: Vec<u64> = (0..PAPER_ATTRS).collect();
+    let pairs = (0..4)
+        .map(|p| {
+            attrs.swap(p, p + dice.below(PAPER_ATTRS - p as u64) as usize);
+            let attr = format!("a{}", attrs[p]);
+            let hi = DOMAIN - 1 - dice.below(TAIL);
+            let lo = dice.below(TAIL);
+            Expr::or(vec![
+                Expr::pred(Predicate::new(&attr, CompareOp::Gt, hi as i64)),
+                Expr::pred(Predicate::new(&attr, CompareOp::Le, lo as i64)),
+            ])
+        })
+        .collect();
+    Expr::and(pairs)
+}
+
+/// An event carrying every paper attribute.
+fn paper_event(dice: &mut Dice) -> Event {
+    let mut event = Event::builder();
+    for a in 0..PAPER_ATTRS {
+        event.set(&format!("a{a}"), dice.below(DOMAIN) as i64);
+    }
+    event.build()
+}
+
+/// The history fence: a broker holding a constant live set reports the
+/// same bytes after ten full turnovers of it as after one, at S ∈ {1, 4}.
+/// Every step unsubscribes a random live subscription and subscribes a
+/// fresh one; every eighth step publishes.
+fn memory_follows_the_live_set(kind: EngineKind) {
+    const LIVE: usize = 2_000;
+    const TURNOVERS: usize = 10;
+    for shards in [1, 4] {
+        let broker = Broker::builder().engine(kind).shards(shards).build();
+        let mut dice = Dice(2005 + shards as u64);
+        let mut live: Vec<Subscription> = (0..LIVE)
+            .map(|_| {
+                broker
+                    .subscribe_expr(&paper_subscription(&mut dice))
+                    .unwrap()
+            })
+            .collect();
+        let mut after_first = 0;
+        for turnover in 1..=TURNOVERS {
+            for step in 0..LIVE {
+                drop(live.swap_remove(dice.below(LIVE as u64) as usize));
+                live.push(
+                    broker
+                        .subscribe_expr(&paper_subscription(&mut dice))
+                        .unwrap(),
+                );
+                if step % 8 == 7 {
+                    broker.publish(paper_event(&mut dice));
+                }
+            }
+            if turnover == 1 {
+                after_first = broker.memory_usage().total();
+            }
+        }
+        let after_last = broker.memory_usage().total();
+        assert!(
+            after_last as f64 <= after_first as f64 * 1.01,
+            "{kind} S={shards}: {after_first} B after one turnover of {LIVE}, \
+             {after_last} B after {TURNOVERS}"
+        );
+    }
+}
+
+#[test]
+fn non_canonical_memory_follows_the_live_set() {
+    memory_follows_the_live_set(EngineKind::NonCanonical);
+}
+
+#[test]
+fn counting_memory_follows_the_live_set() {
+    memory_follows_the_live_set(EngineKind::Counting);
+}
+
+#[test]
+fn counting_variant_memory_follows_the_live_set() {
+    memory_follows_the_live_set(EngineKind::CountingVariant);
 }
