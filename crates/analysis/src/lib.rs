@@ -297,12 +297,12 @@ mod tests {
         let good = "
             // lint: lock-order
             fn migrate(&self, shards: &[Cell]) {
-                let expr = {
+                let placement = {
                     let directory = self.inner.directory.read();
-                    directory.expr_of(7)
+                    directory.placement_of(7)
                 };
                 let state = shards[0].state.write();
-                drop((expr, state));
+                drop((placement, state));
             }
             // lint: end-lock-order
         ";

@@ -396,13 +396,14 @@ pub(crate) struct BrokerInner {
     /// broker-global lock it ever takes, held for a pointer copy) and
     /// works on an immutable snapshot from there.
     shard_set: RwLock<Arc<[Arc<ShardCell>]>>,
-    /// The **write-side** placement directory: global id ↔ placement,
-    /// loads and the stored expressions migration re-subscribes.
-    /// Touched by subscribe/unsubscribe/migrate/resize only — the
-    /// publish paths never acquire this lock (each shard's translation
-    /// map, under that shard's own lock, serves matched-id
-    /// translation). `tests/hot_path.rs` holds this lock's write side
-    /// across publishes to prove it.
+    /// The **write-side** placement directory: global id ↔ placement
+    /// and the per-shard loads. It holds no expression — migration
+    /// takes it from the source shard's engine. Touched by
+    /// subscribe/unsubscribe/migrate/resize only — the publish paths
+    /// never acquire this lock (each shard's translation map, under
+    /// that shard's own lock, serves matched-id translation).
+    /// `tests/hot_path.rs` holds this lock's write side across
+    /// publishes to prove it.
     ///
     /// **Lock order:** the directory lock is *innermost* — it is only
     /// ever acquired while holding at most shard locks, and nothing
@@ -512,7 +513,7 @@ impl BrokerInner {
             // so a stale handle from an earlier occupancy of the slot
             // was already a no-op at the sender map and can never reach
             // here.
-            let (shard, local, _expr) = self
+            let (shard, local) = self
                 .directory
                 .write()
                 .retire(id)
@@ -646,9 +647,9 @@ impl Broker {
     }
 
     /// The one subscribe body: placement → shard registration →
-    /// directory commit → delivery-queue creation. `expr` is the
-    /// directory's copy: the text paths hand over the tree they parsed,
-    /// the `&Expr` paths a clone.
+    /// directory commit → delivery-queue creation. `expr` is the text
+    /// paths' parsed tree or the `&Expr` paths' clone; it is freed when
+    /// the call returns, since the shard's engine keeps its own form.
     fn subscribe_with(
         &self,
         expr: Arc<Expr>,
@@ -693,13 +694,11 @@ impl Broker {
         };
         let set = self.shard_set();
         let cell = &set[shard];
-        // The expression is stored for every broker — including
-        // single-shard ones, which `resize` can grow into migrating
-        // multi-shard brokers at any time. (The PR-4 placeholder
-        // shortcut is gone, and with it the accounting fib that those
-        // entries were free.) A caller's `&Expr` was cloned before this
-        // point: the deep copy must not extend the window in which
-        // publishes on this shard are stalled.
+        // Nothing beyond the engine's own registration is kept: a
+        // migration, which `resize` makes possible on any broker, asks
+        // the source engine for the expression. A caller's `&Expr` was
+        // cloned before this point, so the copy does not extend the
+        // window in which publishes on this shard are stalled.
         let mut state = cell.state.write();
         let local = match state.engine_mut().subscribe(&expr) {
             Ok(local) => local,
@@ -736,12 +735,13 @@ impl Broker {
     /// Live-migrates up to `max_moves` subscriptions from the currently
     /// most-loaded to the currently least-loaded shard, one batch of
     /// shard-lock acquisitions per skewed pair. Each move re-subscribes
-    /// the stored expression on the target shard, retires the source
-    /// entry and repoints the directory — the subscription's id, handle
-    /// and delivery stream are untouched, and matching continues on
-    /// every shard not in the migrating pair (see `tests/rebalance.rs`
-    /// for the deterministic lock-level proof). Returns the number of
-    /// subscriptions moved.
+    /// the expression the source engine gives back
+    /// ([`FilterEngine::expression`]) on the target shard, retires the
+    /// source entry and repoints the directory — the subscription's id,
+    /// handle and delivery stream are untouched, and matching continues
+    /// on every shard not in the migrating pair (see
+    /// `tests/rebalance.rs` for the deterministic lock-level proof).
+    /// Returns the number of subscriptions moved.
     ///
     /// Stops early when the loads are balanced (spread ≤ 1) or a target
     /// engine refuses an expression (possible only with heterogeneous
@@ -918,35 +918,32 @@ impl Broker {
             }
             // The victim comes from the source shard's own translation
             // map (we hold its write lock, so the map cannot move under
-            // us); the directory is then consulted for the stored
-            // expression and to confirm the entry is still live.
+            // us); the directory is then consulted only to confirm the
+            // entry is still live.
             let Some((global, local)) = from_state.translation().last_resident() else {
                 break;
             };
-            let expr = {
-                let directory = self.inner.directory.read();
-                match directory.placement_of(global) {
-                    // lint: allow(panic-policy, reason = "unreachable: the guard just confirmed the placement is live, and live placements store their expression")
-                    Some((shard, at)) if shard == from && at == local => Arc::clone(
-                        directory
-                            .expr_of(global)
-                            .expect("live placements store their expression"),
-                    ),
-                    _ => {
-                        // A racing unsubscribe retired the entry
-                        // directory-first and is now parked on this
-                        // shard's write lock (which we hold). Complete
-                        // the shard-side removal on its behalf; its own
-                        // stale-cell guard then finds the slot gone and
-                        // skips. Not a migration — re-plan. (Removal is
-                        // slot-keyed: the directory entry is already
-                        // retired, so no expression is available here.)
-                        let released = from_state.unsubscribe(local, global);
-                        debug_assert!(released);
-                        continue;
-                    }
-                }
-            };
+            let live = matches!(
+                self.inner.directory.read().placement_of(global),
+                Some((shard, at)) if shard == from && at == local
+            );
+            if !live {
+                // A racing unsubscribe retired the entry directory-first
+                // and is now parked on this shard's write lock (which we
+                // hold). Complete the shard-side removal on its behalf;
+                // its own stale-cell guard then finds the slot gone and
+                // skips. Not a migration — re-plan.
+                let released = from_state.unsubscribe(local, global);
+                debug_assert!(released);
+                continue;
+            }
+            // Under the source shard's write lock the registration
+            // cannot change, so its engine gives back the expression
+            // it holds: the only copy there is.
+            let expr = from_state
+                .engine()
+                .expression(local)
+                .expect("a resident local id is registered in its engine");
             let Ok(new_local) = to_state.engine_mut().subscribe(&expr) else {
                 // A heterogeneous target refused the expression. For
                 // balancing that just means the subscription stays put
@@ -1563,9 +1560,10 @@ impl Broker {
     }
 
     /// The engines' memory breakdown, summed across shards, plus the
-    /// routing overhead — the write-side directory's tables and stored
-    /// expressions *and* every shard's read-side translation map —
-    /// reported as `unsub_support`.
+    /// routing overhead — the write-side directory's tables *and* every
+    /// shard's read-side translation map and synopsis — reported as
+    /// `unsub_support`. No copy of an expression is kept outside the
+    /// engines.
     ///
     /// Every table is charged at its capacity. The tables indexed by
     /// subscription or by counting conjunction grow by an eighth when
@@ -2407,26 +2405,35 @@ mod tests {
 
     #[test]
     fn memory_usage_charges_routing_on_every_shape() {
-        // Satellite fix: a single-shard broker no longer hides its
-        // stored expressions behind an uncharged placeholder, and the
-        // per-shard translation maps are charged on every broker.
-        let flat = Broker::builder().build();
-        let sharded = Broker::builder().shards(2).build();
-        let _flat_subs: Vec<_> = (0..50)
-            .map(|i| flat.subscribe(&format!("a = {i} or b = {i}")).unwrap())
-            .collect();
-        let _sharded_subs: Vec<_> = (0..50)
-            .map(|i| sharded.subscribe(&format!("a = {i} or b = {i}")).unwrap())
-            .collect();
-        let flat_routing = flat.memory_usage().unsub_support;
-        let sharded_routing = sharded.memory_usage().unsub_support;
-        // Both store real expressions now (a flat broker can be resized
-        // into a migrating one at any time), so the routing overhead is
-        // comparable — and decidedly not zero — on both.
-        assert!(flat_routing > 50 * std::mem::size_of::<usize>());
-        assert!(sharded_routing > 50 * std::mem::size_of::<usize>());
+        // Every broker charges its directory slots, translation maps
+        // and synopses — a single-shard one too, which `resize` can
+        // turn into a migrating one. None of it grows with the
+        // expression: the engine holds the only copy of a tree, and a
+        // migration asks the engine for it.
+        for shards in [1, 2] {
+            let small = Broker::builder().shards(shards).build();
+            let large = Broker::builder().shards(shards).build();
+            let _subs: Vec<_> = (0..50)
+                .flat_map(|i| {
+                    [
+                        small.subscribe(&format!("a = {i} or b = {i}")).unwrap(),
+                        large
+                            .subscribe(&format!(
+                                "a = {i} or b = {i} or (c > {i} and not (d = {i} or e = {i}))"
+                            ))
+                            .unwrap(),
+                    ]
+                })
+                .collect();
+            let (small, large) = (small.memory_usage(), large.memory_usage());
+            // At least a 16-byte directory slot and an 8-byte
+            // translation entry per subscription.
+            assert!(small.unsub_support >= 50 * 24, "S={shards}");
+            assert_eq!(large.unsub_support, small.unsub_support, "S={shards}");
+            assert!(large.total() > small.total(), "the engines hold more");
+        }
         // An empty broker charges (almost) nothing by comparison.
-        assert!(Broker::builder().build().memory_usage().unsub_support < flat_routing);
+        assert!(Broker::builder().build().memory_usage().unsub_support < 50 * 24);
     }
 
     #[test]

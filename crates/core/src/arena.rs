@@ -15,9 +15,11 @@
 //!
 //! Why blocks rather than one `Box<[u8]>` per tree: trees that share a
 //! block sit next to each other, where phase 2 reads them. Boxed one by
-//! one they scatter among the broker's other small allocations (the
-//! directory's stored expressions above all), and `fig3-noncanonical`
-//! lost 15–25 % of its `events_per_s` in a measured prototype.
+//! one they scatter among the broker's other small allocations, and
+//! `fig3-noncanonical` lost 15–25 % of its `events_per_s` in a measured
+//! prototype. (The directory then still kept a copy of every
+//! expression — the largest of those allocations. It keeps none now, so
+//! that measurement is worth repeating before it is relied on again.)
 //!
 //! Why 64 KiB: a shard charges its newest block in full, used or not.
 //! With 1 MiB blocks that empty remainder was 524 of `fanout-delivery`'s

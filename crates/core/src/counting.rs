@@ -203,6 +203,67 @@ impl CountingTables {
         Ok(())
     }
 
+    /// The OR of `id`'s conjunctions, rebuilt from the association
+    /// table: a conjunction holds each of the subscription's predicates
+    /// whose posting list names its flat. The predicates every
+    /// conjunction holds are put in front — `common and (rest₁ or …)`,
+    /// which [`transform::to_dnf`] expands back into the same
+    /// conjunctions — so a synopsis or a clustering placement finds the
+    /// required conjunct it found on the original. When one rest is
+    /// empty the OR is true and `common` alone is the expression.
+    fn expression(&self, id: SubscriptionId) -> Option<Expr> {
+        let meta = self.origs.get(id.index())?.as_ref()?;
+        // Flat slot → its position in `meta.flats`.
+        let mut position: Vec<(u32, usize)> = meta
+            .flats
+            .iter()
+            .enumerate()
+            .map(|(at, &flat)| (flat, at))
+            .collect();
+        position.sort_unstable();
+        // Filled in the NNF leaf order the predicates were acquired in,
+        // so the first required equality stays first. A conjunction
+        // holds at most `MAX_CONJUNCT_WIDTH` predicates, which bounds
+        // each `contains`.
+        let mut members: Vec<Vec<PredicateId>> = vec![Vec::new(); meta.flats.len()];
+        let mut shared = Vec::new();
+        for &pid in &meta.acquired {
+            let mut holders = 0;
+            for flat in self.assoc.get(pid) {
+                if let Ok(at) = position.binary_search_by_key(flat, |&(f, _)| f) {
+                    let member = &mut members[position[at].1];
+                    if !member.contains(&pid) {
+                        member.push(pid);
+                        holders += 1;
+                    }
+                }
+            }
+            if holders == meta.flats.len() {
+                shared.push(pid);
+            }
+        }
+        let pred = |pid: PredicateId| {
+            Expr::pred(
+                self.interner
+                    .predicate(pid, |slot| self.index.attr_name(slot)),
+            )
+        };
+        let rests: Vec<Vec<PredicateId>> = members
+            .into_iter()
+            .map(|m| m.into_iter().filter(|p| !shared.contains(p)).collect())
+            .collect();
+        let mut conjuncts: Vec<Expr> = shared.iter().map(|&pid| pred(pid)).collect();
+        if !rests.iter().any(Vec::is_empty) {
+            conjuncts.push(Expr::or(
+                rests
+                    .into_iter()
+                    .map(|rest| Expr::and(rest.into_iter().map(pred).collect()))
+                    .collect(),
+            ));
+        }
+        Some(Expr::and(conjuncts))
+    }
+
     fn phase1(&self, event: &Event, out: &mut FulfilledSet) {
         out.begin(self.interner.universe());
         self.index.for_each_match(event, |id| out.insert(id));
@@ -386,6 +447,10 @@ macro_rules! counting_engine {
 
             fn unsubscribe(&mut self, id: SubscriptionId) -> Result<(), UnsubscribeError> {
                 self.tables.unsubscribe(id)
+            }
+
+            fn expression(&self, id: SubscriptionId) -> Option<Expr> {
+                self.tables.expression(id)
             }
 
             fn phase1(&self, event: &Event, out: &mut FulfilledSet) {
@@ -647,6 +712,25 @@ mod tests {
             Err(SubscribeError::ConjunctTooWide { width: 300 })
         ));
         assert_eq!(c.predicate_count(), 0);
+    }
+
+    #[test]
+    fn the_expression_given_back_puts_the_shared_predicates_first() {
+        for (text, back) in [
+            (
+                "g3 = 5 and (x3 > 990000 or x3 <= 1200)",
+                "g3 = 5 and (x3 > 990000 or x3 <= 1200)",
+            ),
+            ("(a = 1 or b = 2) and c = 3", "c = 3 and (a = 1 or b = 2)"),
+            ("a = 1 or b = 2", "a = 1 or b = 2"),
+            ("not (a = 1 and b = 2)", "a != 1 or b != 2"),
+            // An empty rest makes the OR true: `a = 1` alone.
+            ("a = 1 or (a = 1 and b = 2)", "a = 1"),
+        ] {
+            let mut engine = CountingEngine::new();
+            let id = engine.subscribe(&Expr::parse(text).unwrap()).unwrap();
+            assert_eq!(engine.expression(id).unwrap().to_string(), back, "{text}");
+        }
     }
 
     #[test]

@@ -220,6 +220,18 @@ pub trait FilterEngine {
     /// remove (see [`FilterEngine::subscribe`]).
     fn unsubscribe(&mut self, id: SubscriptionId) -> Result<(), UnsubscribeError>;
 
+    /// The expression of live subscription `id`, rebuilt from what the
+    /// engine stores, or `None` for a free or never-issued id.
+    ///
+    /// The result matches exactly the events the registration matches,
+    /// and subscribing it again registers an equivalent subscription;
+    /// it need not be the text the subscriber wrote. The non-canonical
+    /// engine gives back its compacted, access-ranked tree, a counting
+    /// engine the OR of its conjunctions. This is how live migration
+    /// moves a subscription to another shard: nothing else keeps a copy
+    /// of the expression. A cold path — it allocates the whole tree.
+    fn expression(&self, id: SubscriptionId) -> Option<Expr>;
+
     /// Phase 1: collects the predicates fulfilled by `event` into
     /// `out` (which is reset first).
     fn phase1(&self, event: &Event, out: &mut FulfilledSet);
@@ -350,6 +362,10 @@ impl<T: FilterEngine + ?Sized> FilterEngine for Box<T> {
         (**self).unsubscribe(id)
     }
 
+    fn expression(&self, id: SubscriptionId) -> Option<Expr> {
+        (**self).expression(id)
+    }
+
     fn phase1(&self, event: &Event, out: &mut FulfilledSet) {
         (**self).phase1(event, out);
     }
@@ -444,6 +460,10 @@ pub(crate) fn assert_batch_equals_per_event(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{dominant_eq_attr, BoxedEngine, ShardedEngine};
+    use boolmatch_expr::transform::eliminate_not;
+    use boolmatch_workload::scenarios::TreeScenario;
+    use std::collections::HashMap;
 
     #[test]
     fn engine_kind_labels_are_distinct() {
@@ -478,5 +498,136 @@ mod tests {
     fn unsubscribe_error_display() {
         let e = UnsubscribeError::UnknownSubscription(SubscriptionId::from_index(3));
         assert!(e.to_string().contains("s3"));
+    }
+
+    /// What an engine of `kind` matches for `expr`: the tree under full
+    /// negation for the non-canonical engine, its NNF for the counting
+    /// engines.
+    fn oracle(kind: EngineKind, expr: &Expr) -> Expr {
+        match kind {
+            EngineKind::NonCanonical => expr.clone(),
+            EngineKind::Counting | EngineKind::CountingVariant => eliminate_not(expr),
+        }
+    }
+
+    /// The corners the generated trees may miss, before them.
+    const CORNERS: [&str; 5] = [
+        // No necessary set: the non-canonical always-evaluate list.
+        "not (a = 1)",
+        // A duplicated leaf.
+        "a = 1 and (a = 1 or b = 2)",
+        // String, bool and float constants.
+        "s = \"x\" and (t = true or f > 1.5)",
+        "not (s prefix \"ab\" and n != 3) or f <= -0.5",
+        // Two conjunctions sharing a predicate.
+        "(a = 1 or b = 2) and (a = 1 or c = 3)",
+    ];
+
+    /// Ids, in subscription order, of the subscriptions `engine`
+    /// matches for `event`, as positions in `ids`.
+    fn matched_positions(
+        engine: &dyn FilterEngine,
+        ids: &HashMap<SubscriptionId, usize>,
+        event: &Event,
+    ) -> Vec<usize> {
+        let mut positions: Vec<usize> = engine
+            .match_event(event, &mut MatchScratch::new())
+            .matched
+            .iter()
+            .map(|id| ids[id])
+            .collect();
+        positions.sort_unstable();
+        positions
+    }
+
+    /// `expression` on every live id of an engine `make` builds:
+    /// evaluates like the registered expression on generated events
+    /// (missing attributes included), and registered in a fresh engine
+    /// of the same kind matches the same events; freed and never-issued
+    /// ids give back nothing.
+    fn assert_round_trip(kind: EngineKind, make: &dyn Fn() -> BoxedEngine, seed: u64) {
+        let mut scenario = TreeScenario::new(seed);
+        let mut engine = make();
+        let mut exprs: Vec<Expr> = CORNERS.iter().map(|t| Expr::parse(t).unwrap()).collect();
+        exprs.extend((0..48).map(|_| scenario.subscription()));
+        let mut live: Vec<(SubscriptionId, Expr)> = exprs
+            .into_iter()
+            .map(|expr| (engine.subscribe(&expr).unwrap(), expr))
+            .collect();
+        // Every seventh generated tree leaves again (after the last
+        // subscribe, so no slot is reissued); the corners stay.
+        let mut freed = Vec::new();
+        for i in (CORNERS.len()..live.len()).rev().filter(|i| i % 7 == 0) {
+            let (id, _) = live.remove(i);
+            engine.unsubscribe(id).unwrap();
+            freed.push(id);
+        }
+        for id in freed {
+            assert_eq!(engine.expression(id), None, "{kind}: freed {id}");
+        }
+        let never = SubscriptionId::from_index(engine.subscription_id_bound() + 7);
+        assert_eq!(engine.expression(never), None, "{kind}: never issued");
+
+        let events: Vec<Event> = (0..64).map(|_| scenario.event()).collect();
+        let mut fresh = make();
+        let (mut at_engine, mut at_fresh) = (HashMap::new(), HashMap::new());
+        for (position, (id, original)) in live.iter().enumerate() {
+            let back = engine
+                .expression(*id)
+                .expect("a live id gives its expression back");
+            let expected = oracle(kind, original);
+            for event in &events {
+                assert_eq!(
+                    back.eval_event(event),
+                    expected.eval_event(event),
+                    "{kind}: `{original}` came back as `{back}`; event {event:?}"
+                );
+            }
+            at_engine.insert(*id, position);
+            at_fresh.insert(fresh.subscribe(&back).unwrap(), position);
+        }
+        for event in &events {
+            assert_eq!(
+                matched_positions(&*engine, &at_engine, event),
+                matched_positions(&*fresh, &at_fresh, event),
+                "{kind}: event {event:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_engine_gives_back_an_equivalent_expression() {
+        for (k, kind) in EngineKind::ALL.into_iter().enumerate() {
+            for seed in [2005, 7 + k as u64] {
+                assert_round_trip(kind, &|| kind.build(), seed);
+                assert_round_trip(kind, &|| Box::new(ShardedEngine::new(kind, 3)), seed);
+            }
+        }
+    }
+
+    #[test]
+    fn a_given_back_expression_keeps_its_required_equality() {
+        // The `sharded-selective` shape and both ticker shapes: what a
+        // shard synopsis indexes and clustering hashes on must survive
+        // a migration on every engine kind.
+        let texts = [
+            "g3 = 5 and (x3 > 990000 or x3 <= 1200)",
+            "symbol = \"IBM\" and (price > 120.5 or price <= 80.25) and volume >= 1000",
+            "symbol = \"IBM\" and (price > 120.5 or (price <= 80.25 and volume >= 1000))",
+        ];
+        for kind in EngineKind::ALL {
+            let mut engine = kind.build();
+            for text in texts {
+                let original = Expr::parse(text).unwrap();
+                let id = engine.subscribe(&original).unwrap();
+                let back = engine.expression(id).unwrap();
+                assert!(dominant_eq_attr(&original).is_some(), "{text}");
+                assert_eq!(
+                    dominant_eq_attr(&back),
+                    dominant_eq_attr(&original),
+                    "{kind}: `{text}` came back as `{back}`"
+                );
+            }
+        }
     }
 }

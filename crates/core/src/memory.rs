@@ -54,7 +54,12 @@ pub struct MemoryUsage {
     /// Hit and subscription-predicate-count vectors (counting only).
     pub vectors: usize,
     /// Structures needed only to support unsubscription (the paper's
-    /// baseline omits these; §3.3).
+    /// baseline omits these; §3.3): a counting engine's per-subscription
+    /// flat and predicate lists, and — for a sharded engine or broker —
+    /// the directory's slots and load table, each shard's translation
+    /// map and its synopsis. No copy of an expression is among them:
+    /// migration asks the engine for it
+    /// ([`FilterEngine::expression`](crate::FilterEngine::expression)).
     pub unsub_support: usize,
     /// Reusable per-event scratch (candidate buffers, stamp arrays).
     pub scratch: usize,

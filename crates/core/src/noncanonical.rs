@@ -416,6 +416,16 @@ impl NonCanonicalEngine {
             .predicate(pid, |slot| self.index.attr_name(slot))
     }
 
+    /// `tree` with every leaf rebuilt as its predicate.
+    fn rebuild(&self, tree: &IdExpr) -> Expr {
+        match tree {
+            IdExpr::Pred(pid) => Expr::pred(self.predicate(*pid)),
+            IdExpr::And(cs) => Expr::and(cs.iter().map(|c| self.rebuild(c)).collect()),
+            IdExpr::Or(cs) => Expr::or(cs.iter().map(|c| self.rebuild(c)).collect()),
+            IdExpr::Not(c) => Expr::Not(Box::new(self.rebuild(c))),
+        }
+    }
+
     /// Moves `pid` into the phase-1 index (its first posting was just
     /// added) or out of it (its last one is gone). The posting list's
     /// emptiness is the state; the `indexed` bit only mirrors it for
@@ -602,6 +612,13 @@ impl FilterEngine for NonCanonicalEngine {
         self.free_subs.push(sub_u32);
         self.live_subs -= 1;
         Ok(())
+    }
+
+    fn expression(&self, id: SubscriptionId) -> Option<Expr> {
+        // The stored tree is the compacted original, its AND children
+        // in the order `necessary_set` ranked them.
+        let tree = self.subscription_tree(id).ok()?;
+        Some(self.rebuild(&tree))
     }
 
     fn phase1(&self, event: &Event, out: &mut FulfilledSet) {

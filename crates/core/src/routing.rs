@@ -13,11 +13,13 @@
 //! split that takes it back off:
 //!
 //! * [`SubscriptionDirectory`] is now **write-side only**: the slot map
-//!   from global subscription id to `(shard, local)` placement (plus
-//!   the stored expression live migration re-subscribes), the free
-//!   list, the per-shard load counts placement plans against, and the
-//!   placement cursor. It is touched by subscribe, unsubscribe,
-//!   migration and resizing — never by matching.
+//!   from global subscription id to `(shard, local)` placement, the
+//!   free list, the per-shard load counts placement plans against, and
+//!   the placement cursor. It keeps no expression: live migration asks
+//!   the source shard's engine for it
+//!   ([`FilterEngine::expression`](crate::FilterEngine::expression)).
+//!   It is touched by subscribe, unsubscribe, migration and resizing —
+//!   never by matching.
 //! * [`ShardTranslation`] is the **read-side** local → global reverse
 //!   map, one per shard, owned next to that shard's engine and read
 //!   under the shard's own lock. Matching translates its matched local
@@ -132,19 +134,11 @@ pub enum PlacementPolicy {
 struct Placement {
     shard: u32,
     local: u32,
-    /// What commit charged to the directory's expression-heap estimate
-    /// for this entry — recorded so retire releases exactly that
-    /// amount, regardless of how the `Arc`'s reference count has
-    /// changed since (a migrator's transient clone must not skew the
-    /// accounting).
-    charged_bytes: u32,
-    /// The registered expression, kept so live migration can
-    /// re-subscribe it on a target shard.
-    expr: Arc<Expr>,
 }
 
 /// One global-id slot: the generation it is currently on, plus the
-/// placement when live.
+/// placement when live — 16 bytes, one per slot up to the peak live
+/// count.
 #[derive(Debug, Clone, Default)]
 struct Slot {
     /// Bumped on every retire, so the slot's next reissue is tagged
@@ -156,7 +150,8 @@ struct Slot {
 /// The write-side placement directory of a sharded engine or broker:
 /// global subscription id → `(shard, local id)` placement, with a free
 /// list of retired slots and the per-shard load counts placement and
-/// rebalancing plan against.
+/// rebalancing plan against. It stores no expression; the engine a
+/// subscription lives in gives it back when a migration needs it.
 ///
 /// The directory is deliberately **not** on the matching path: matched
 /// local ids are translated through each shard's own
@@ -201,10 +196,9 @@ struct Slot {
 ///
 /// let mut dir = SubscriptionDirectory::new(2);
 /// let mut translation = ShardTranslation::new(); // shard 0's map
-/// let expr = Arc::new(Expr::parse("a = 1")?);
 /// let shard = dir.place(); // least-loaded; empty directory → shard 0
 /// let local = SubscriptionId::from_index(0);
-/// let global = dir.commit(shard, local, expr);
+/// let global = dir.commit(shard, local, Arc::new(Expr::parse("a = 1")?));
 /// translation.set(local, global);
 /// assert_eq!(global.slot(), 0); // the first slot of an empty table
 /// assert_eq!(dir.placement_of(global), Some((0, local)));
@@ -232,17 +226,6 @@ pub struct SubscriptionDirectory {
     cursor: usize,
     /// Committed live subscriptions (excludes reservations).
     live: usize,
-    /// Running estimate of the heap held by the stored expressions
-    /// (node-count based; maintained on commit/retire so
-    /// [`SubscriptionDirectory::heap_bytes`] stays O(shards)).
-    expr_bytes: usize,
-}
-
-/// Approximate heap bytes one stored expression adds to the directory:
-/// its node count times the node size. String payloads inside
-/// predicates are not walked, so this is a lower bound.
-fn expr_estimate(expr: &Expr) -> usize {
-    expr.node_count() * std::mem::size_of::<Expr>()
 }
 
 impl SubscriptionDirectory {
@@ -260,7 +243,6 @@ impl SubscriptionDirectory {
             active: shards,
             cursor: 0,
             live: 0,
-            expr_bytes: 0,
         }
     }
 
@@ -437,11 +419,14 @@ impl SubscriptionDirectory {
 
     /// Completes a placement reserved by
     /// [`SubscriptionDirectory::place`]: records that `shard` assigned
-    /// `local` to the subscription holding `expr`, and issues its
-    /// global id (a retired slot under its next generation when one is
-    /// free — see the type docs). The caller is responsible for
-    /// mirroring the `local → global` mapping into the shard's
-    /// [`ShardTranslation`].
+    /// `local` to the new subscription, and issues its global id (a
+    /// retired slot under its next generation when one is free — see
+    /// the type docs). The caller is responsible for mirroring the
+    /// `local → global` mapping into the shard's [`ShardTranslation`].
+    ///
+    /// `_expr` is ignored and dropped: the directory keeps no
+    /// expression. The argument stays only until the benchmark's
+    /// directory row stops passing it (ROADMAP item 1 removes it).
     ///
     /// # Panics
     ///
@@ -450,17 +435,11 @@ impl SubscriptionDirectory {
         &mut self,
         shard: usize,
         local: SubscriptionId,
-        expr: Arc<Expr>,
+        _expr: Arc<Expr>,
     ) -> SubscriptionId {
-        // Clamped to the field width so add and release stay symmetric
-        // even for absurdly large expressions.
-        let charged = expr_estimate(&expr).min(u32::MAX as usize);
-        self.expr_bytes += charged;
         let placement = Placement {
             shard: u32::try_from(shard).expect("shard count fits u32"),
             local: u32::try_from(local.index()).expect("local ids fit u32"),
-            charged_bytes: charged as u32,
-            expr,
         };
         let slot_index = match self.free.pop() {
             Some(free) => {
@@ -512,18 +491,12 @@ impl SubscriptionDirectory {
         ))
     }
 
-    /// The stored expression of a live subscription (shared, cheap to
-    /// clone), or `None` for retired/unknown/stale ids.
-    pub fn expr_of(&self, global: SubscriptionId) -> Option<&Arc<Expr>> {
-        Some(&self.live_slot(global)?.expr)
-    }
-
     /// Removes a subscription: frees its slot onto the free list, bumps
     /// the slot's generation and releases its load unit. Returns the
-    /// placement it had plus the stored expression — the caller clears
-    /// the owning shard's [`ShardTranslation`] entry — or `None` for
-    /// unknown, stale or already-retired ids.
-    pub fn retire(&mut self, global: SubscriptionId) -> Option<(usize, SubscriptionId, Arc<Expr>)> {
+    /// placement it had — the caller clears the owning shard's
+    /// [`ShardTranslation`] entry — or `None` for unknown, stale or
+    /// already-retired ids.
+    pub fn retire(&mut self, global: SubscriptionId) -> Option<(usize, SubscriptionId)> {
         let slot = self.slots.get_mut(global.slot())?;
         if slot.generation != global.generation() {
             return None;
@@ -534,9 +507,6 @@ impl SubscriptionDirectory {
         // retires of one slot is accepted: an id that stale has crossed
         // four billion reuses.)
         slot.generation = slot.generation.wrapping_add(1);
-        // Release exactly what commit charged — re-estimating here
-        // would drift whenever the Arc's count changed in between.
-        self.expr_bytes -= p.charged_bytes as usize;
         self.loads[p.shard as usize] -= 1;
         self.live -= 1;
         self.free
@@ -544,13 +514,12 @@ impl SubscriptionDirectory {
         Some((
             p.shard as usize,
             SubscriptionId::from_index(p.local as usize),
-            p.expr,
         ))
     }
 
     /// Commits a live migration: moves `global` from `(from,
-    /// old_local)` to `(to, new_local)`, keeping its global id and
-    /// stored expression. Returns `false` — changing nothing — unless
+    /// old_local)` to `(to, new_local)`, keeping its global id.
+    /// Returns `false` — changing nothing — unless
     /// the subscription's current placement is exactly `(from,
     /// old_local)`, so a migrator that raced a concurrent unsubscribe
     /// can detect the loss and undo its target-side subscribe. The
@@ -614,17 +583,15 @@ impl SubscriptionDirectory {
         self.cursor %= self.shard_count();
     }
 
-    /// Approximate heap bytes held by the directory: the slot and load
-    /// tables plus a node-count estimate of the stored expressions.
-    /// The per-shard [`ShardTranslation`] maps are charged by their
-    /// owners (they no longer live here). Folded into the sharded
+    /// Heap bytes held by the directory: its slot, free-list and load
+    /// tables. The per-shard [`ShardTranslation`] maps are charged by
+    /// their owners (they no longer live here). Folded into the sharded
     /// engine's and broker's `memory_usage` as
     /// unsubscription/rebalancing support.
     pub fn heap_bytes(&self) -> usize {
         self.slots.capacity() * std::mem::size_of::<Slot>()
             + self.free.capacity() * 4
             + self.loads.capacity() * std::mem::size_of::<usize>()
-            + self.expr_bytes
     }
 }
 
@@ -894,7 +861,7 @@ mod tests {
         maps: &mut [ShardTranslation],
         global: SubscriptionId,
     ) -> usize {
-        let (shard, local, _) = dir.retire(global).unwrap();
+        let (shard, local) = dir.retire(global).unwrap();
         assert!(maps[shard].clear_if(local, global));
         shard
     }
@@ -963,7 +930,6 @@ mod tests {
         assert_eq!(dir.live(), 2, "no retired slot left");
         // The stale id is dead everywhere: lookups, retire, relocate.
         assert_eq!(dir.placement_of(a), None);
-        assert_eq!(dir.expr_of(a), None);
         assert_eq!(dir.retire(a), None);
         assert!(!dir.relocate(a, 0, sid(1), 1, sid(0)));
         // While the reissued id is fully live.
@@ -1105,23 +1071,37 @@ mod tests {
     }
 
     #[test]
-    fn heap_bytes_track_the_tables_and_expressions() {
-        let mut dir = SubscriptionDirectory::new(2);
-        let empty = dir.heap_bytes();
-        let mut maps = vec![ShardTranslation::new(); 2];
-        let mut locals = [0usize; 2];
-        for _ in 0..32 {
-            register(&mut dir, &mut maps, &mut locals);
+    fn heap_bytes_are_the_tables_whatever_the_expressions() {
+        // Two directories take the same 32 placements, one handed
+        // one-leaf expressions, the other 64-leaf ones: commit drops
+        // what it is handed, so both charge the same table bytes.
+        let small = expr();
+        let big = Arc::new(Expr::parse(&["a = 1"; 64].join(" or ")).unwrap());
+        let mut dirs = [SubscriptionDirectory::new(2), SubscriptionDirectory::new(2)];
+        for (dir, expr) in dirs.iter_mut().zip([&small, &big]) {
+            for i in 0..32 {
+                let shard = dir.place();
+                dir.commit(shard, sid(i), Arc::clone(expr));
+            }
         }
-        assert!(dir.heap_bytes() > empty);
-        assert!(maps[0].heap_bytes() > 0, "translation charged by its owner");
-        // Retiring everything releases exactly the expression charge
-        // commit added (capacity stays, the charge does not).
-        let full = dir.heap_bytes();
+        assert_eq!(Arc::strong_count(&big), 1, "no expression is kept");
+        assert_eq!(dirs[0].heap_bytes(), dirs[1].heap_bytes());
+        // 32 slots of 16 bytes, an untouched free list, two loads.
+        let full = dirs[1].heap_bytes();
+        assert_eq!(full, 32 * 16 + 2 * std::mem::size_of::<usize>());
+        // Retiring keeps the slot table (its slots wait for reissue)
+        // and adds only the free list.
         for slot in 0..32 {
-            dir.retire(sid(slot)).unwrap();
+            dirs[1].retire(sid(slot)).unwrap();
         }
-        assert!(dir.heap_bytes() < full);
+        assert_eq!(dirs[1].heap_bytes(), full + 32 * 4);
+    }
+
+    #[test]
+    fn a_slot_is_sixteen_bytes() {
+        // Generation plus `Option<(shard, local)>`: the directory's
+        // whole per-subscription cost.
+        assert!(std::mem::size_of::<Slot>() <= 16);
     }
 
     #[test]

@@ -445,6 +445,11 @@ impl FilterEngine for ShardedEngine {
         Ok(())
     }
 
+    fn expression(&self, id: SubscriptionId) -> Option<Expr> {
+        let (shard, local) = self.directory.placement_of(id)?;
+        self.shards[shard].engine.expression(local)
+    }
+
     fn phase1(&self, event: &Event, out: &mut FulfilledSet) {
         // The shards' sets may be partial (non-canonical shards index
         // access predicates only), so the union is too: the event goes
@@ -607,8 +612,8 @@ impl FilterEngine for ShardedEngine {
 
     fn memory_usage(&self) -> MemoryUsage {
         // The sharding layer's own overhead — the write-side directory
-        // (slot table + stored expressions) plus every
-        // shard's read-side translation map and attribute synopsis — is
+        // (slot, free-list and load tables) plus every shard's
+        // read-side translation map and attribute synopsis — is
         // reported as unsubscription/rebalancing support.
         let routing = MemoryUsage {
             unsub_support: self.directory.heap_bytes()
@@ -1097,6 +1102,9 @@ mod tests {
             }
             fn unsubscribe(&mut self, id: SubscriptionId) -> Result<(), UnsubscribeError> {
                 self.inner.unsubscribe(id)
+            }
+            fn expression(&self, id: SubscriptionId) -> Option<Expr> {
+                self.inner.expression(id)
             }
             fn phase1(&self, event: &Event, out: &mut FulfilledSet) {
                 if let Some(gate) = &self.wait_for {

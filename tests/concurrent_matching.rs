@@ -199,6 +199,10 @@ impl FilterEngine for GateEngine {
         Ok(())
     }
 
+    fn expression(&self, _id: SubscriptionId) -> Option<Expr> {
+        None
+    }
+
     fn phase1(&self, _event: &Event, out: &mut FulfilledSet) {
         assert!(
             self.gate.enter(),

@@ -219,6 +219,9 @@ impl FilterEngine for ProbeEngine {
     fn unsubscribe(&mut self, id: SubscriptionId) -> Result<(), UnsubscribeError> {
         self.inner.unsubscribe(id)
     }
+    fn expression(&self, id: SubscriptionId) -> Option<Expr> {
+        self.inner.expression(id)
+    }
     fn phase1(&self, event: &Event, out: &mut FulfilledSet) {
         if self.dying.load(Ordering::SeqCst) {
             panic!("engine dies mid-match (test)");

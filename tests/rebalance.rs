@@ -14,6 +14,10 @@
 //! * **Race window** — publishes racing live migration deliver each
 //!   event to a subscriber at most once, never to a nonexistent
 //!   subscriber, and exactly once again when migration is quiescent.
+//! * **What moves** — a migrated subscription is re-subscribed from the
+//!   expression its source engine gives back, and receives the same
+//!   events after the move as before, on every engine kind and from a
+//!   counting shard onto a non-canonical one.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -26,6 +30,7 @@ use boolmatch::core::{
 };
 use boolmatch::expr::Expr;
 use boolmatch::prelude::*;
+use boolmatch::workload::scenarios::TreeScenario;
 
 /// The churn-skew regression (run under `--release` in CI too): drain
 /// one shard via unsubscribes, then assert new subscriptions refill it
@@ -193,13 +198,14 @@ impl Latch {
     }
 }
 
-/// Minimal engine: accepts subscriptions, matches nothing, and can be
+/// Minimal engine: keeps each subscribed expression (a migration asks
+/// for it back), matches nothing, and can be
 /// instrumented to (a) announce when matching enters it and (b) park
 /// inside `subscribe` — but only once armed, so setup subscriptions
 /// pass through freely and only the migration's target-side
 /// re-subscribe blocks.
 struct GateEngine {
-    subs: usize,
+    exprs: Vec<Expr>,
     matching_entered: Option<Arc<Latch>>,
     armed: Option<Arc<AtomicBool>>,
     in_subscribe: Option<Arc<Latch>>,
@@ -209,7 +215,7 @@ struct GateEngine {
 impl GateEngine {
     fn plain() -> Box<Self> {
         Box::new(GateEngine {
-            subs: 0,
+            exprs: Vec::new(),
             matching_entered: None,
             armed: None,
             in_subscribe: None,
@@ -223,7 +229,7 @@ impl FilterEngine for GateEngine {
         EngineKind::NonCanonical
     }
 
-    fn subscribe(&mut self, _expr: &Expr) -> Result<SubscriptionId, SubscribeError> {
+    fn subscribe(&mut self, expr: &Expr) -> Result<SubscriptionId, SubscribeError> {
         if self
             .armed
             .as_ref()
@@ -237,12 +243,16 @@ impl FilterEngine for GateEngine {
                 );
             }
         }
-        self.subs += 1;
-        Ok(SubscriptionId::from_index(self.subs - 1))
+        self.exprs.push(expr.clone());
+        Ok(SubscriptionId::from_index(self.exprs.len() - 1))
     }
 
     fn unsubscribe(&mut self, _id: SubscriptionId) -> Result<(), UnsubscribeError> {
         Ok(())
+    }
+
+    fn expression(&self, id: SubscriptionId) -> Option<Expr> {
+        self.exprs.get(id.index()).cloned()
     }
 
     fn phase1(&self, _event: &Event, out: &mut FulfilledSet) {
@@ -263,7 +273,7 @@ impl FilterEngine for GateEngine {
     }
 
     fn subscription_count(&self) -> usize {
-        self.subs
+        self.exprs.len()
     }
 
     fn predicate_count(&self) -> usize {
@@ -295,7 +305,7 @@ fn migration_does_not_block_matching_on_other_shards() {
         .engine_instances(vec![
             // Shard 0: outside the migrating pair; announces matching.
             Box::new(GateEngine {
-                subs: 0,
+                exprs: Vec::new(),
                 matching_entered: Some(matching_entered.clone()),
                 armed: None,
                 in_subscribe: None,
@@ -304,7 +314,7 @@ fn migration_does_not_block_matching_on_other_shards() {
             // Shard 1: the migration target; parks inside `subscribe`
             // once armed.
             Box::new(GateEngine {
-                subs: 0,
+                exprs: Vec::new(),
                 matching_entered: None,
                 armed: Some(armed.clone()),
                 in_subscribe: Some(in_migration.clone()),
@@ -367,4 +377,95 @@ fn migration_does_not_block_matching_on_other_shards() {
     assert!(spread <= 1, "balanced after the gated migration: {loads:?}");
     assert_eq!(broker.stats().subscriptions_migrated, 1);
     assert_eq!(broker.subscription_count(), 3);
+}
+
+/// Corners beside the generated trees: the non-canonical engine's
+/// always-evaluate case, a duplicated leaf, and string, bool and float
+/// constants.
+const CORNERS: [&str; 4] = [
+    "not (x0 = 1)",
+    "x1 = 1 and (x1 = 1 or x2 = 2)",
+    "s = \"ab\" and (b = true or f > 1.5)",
+    "not (s prefix \"ab\" and x3 != 2) or f <= 0.5",
+];
+
+/// `count` subscriptions: the corners, then generated trees.
+fn corpus(scenario: &mut TreeScenario, count: usize) -> Vec<Expr> {
+    let mut exprs: Vec<Expr> = CORNERS.iter().map(|t| Expr::parse(t).unwrap()).collect();
+    exprs.extend((CORNERS.len()..count).map(|_| scenario.subscription()));
+    exprs
+}
+
+/// Publishes `events` and returns what each subscriber received.
+fn deliveries(broker: &Broker, subs: &[Subscription], events: &[Event]) -> Vec<Vec<Arc<Event>>> {
+    for event in events {
+        broker.publish(event.clone());
+    }
+    subs.iter().map(Subscription::drain).collect()
+}
+
+/// Every subscriber of `broker` — all on shard 0, shard 1 empty —
+/// receives the same events after `rebalance` moved half of them onto
+/// shard 1 as before.
+fn assert_rebalance_keeps_deliveries(broker: &Broker, subs: &[Subscription], events: &[Event]) {
+    assert_eq!(broker.shard_loads(), vec![subs.len(), 0]);
+    let before = deliveries(broker, subs, events);
+    assert!(
+        before.iter().any(|got| !got.is_empty()),
+        "something matched"
+    );
+    assert_eq!(broker.rebalance(), subs.len() / 2);
+    assert_eq!(
+        broker.shard_loads(),
+        vec![subs.len() - subs.len() / 2, subs.len() / 2]
+    );
+    let after = deliveries(broker, subs, events);
+    for (i, (before, after)) in before.iter().zip(&after).enumerate() {
+        assert_eq!(
+            before, after,
+            "subscriber {i} received other events after its move"
+        );
+    }
+}
+
+#[test]
+fn a_migrated_subscription_matches_what_it_matched_before() {
+    for kind in EngineKind::ALL {
+        let mut scenario = TreeScenario::new(2005);
+        let broker = Broker::builder().engine(kind).build();
+        let subs: Vec<Subscription> = corpus(&mut scenario, 40)
+            .iter()
+            .map(|e| broker.subscribe_expr(e).unwrap())
+            .collect();
+        let events: Vec<Event> = (0..48).map(|_| scenario.event()).collect();
+        assert_eq!(broker.resize(2), 0, "growing moves nothing");
+        assert_rebalance_keeps_deliveries(&broker, &subs, &events);
+    }
+}
+
+#[test]
+fn a_counting_shard_migrates_onto_a_non_canonical_one() {
+    let mut scenario = TreeScenario::new(7);
+    let broker = Broker::builder()
+        .engine_instances(vec![
+            EngineKind::Counting.build(),
+            EngineKind::NonCanonical.build(),
+        ])
+        .build();
+    // Least-loaded placement alternates the two shards; dropping every
+    // odd arrival empties the non-canonical shard.
+    let mut subs: Vec<Subscription> = corpus(&mut scenario, 60)
+        .iter()
+        .map(|e| broker.subscribe_expr(e).unwrap())
+        .collect();
+    let mut index = 0;
+    subs.retain(|_| {
+        index += 1;
+        index % 2 == 1
+    });
+    let events: Vec<Event> = (0..48).map(|_| scenario.event()).collect();
+    // The counting shard gives back its NNF conjunctions, so the
+    // non-canonical target keeps the counting semantics the
+    // subscription had.
+    assert_rebalance_keeps_deliveries(&broker, &subs, &events);
 }

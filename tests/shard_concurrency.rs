@@ -84,6 +84,10 @@ impl FilterEngine for SignalOnMatchEngine {
         Ok(())
     }
 
+    fn expression(&self, _id: SubscriptionId) -> Option<Expr> {
+        None
+    }
+
     fn phase1(&self, _event: &Event, out: &mut FulfilledSet) {
         self.matching_entered.open();
         out.begin(0);
@@ -140,6 +144,10 @@ impl FilterEngine for BlockingSubscribeEngine {
 
     fn unsubscribe(&mut self, _id: SubscriptionId) -> Result<(), UnsubscribeError> {
         Ok(())
+    }
+
+    fn expression(&self, _id: SubscriptionId) -> Option<Expr> {
+        None
     }
 
     fn phase1(&self, _event: &Event, out: &mut FulfilledSet) {
