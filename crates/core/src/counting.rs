@@ -95,10 +95,10 @@ impl CountingTables {
 
     fn subscribe(&mut self, expr: &Expr) -> Result<SubscriptionId, SubscribeError> {
         // Negation is pushed into the leaves first; the DNF then draws
-        // its predicates from this NNF form. Interning the NNF leaves in
-        // syntactic order keeps predicate ids aligned with the
-        // non-canonical engine for NOT-free subscriptions (Fig. 3
-        // workloads), which the cross-engine Fig. 3 sweep relies on.
+        // its predicates from this NNF form. The non-canonical engine
+        // interns the same NNF leaves in the same syntactic order, so
+        // predicate ids stay aligned across engines, which the
+        // cross-engine Fig. 3 sweep relies on.
         let nnf = transform::eliminate_not(expr);
         let dnf = transform::to_dnf(&nnf, DNF_LIMIT)?;
         for conjunct in dnf.conjuncts() {
@@ -607,13 +607,7 @@ mod tests {
         for event in &events {
             let mut want: Vec<usize> = Vec::new();
             for (i, e) in parsed.iter().enumerate() {
-                // Canonical engines evaluate the NNF (complement)
-                // semantics; on these events every referenced attribute
-                // of a NOT is present, so it agrees with eval_event
-                // except for the `not` subscription on events missing
-                // `a` — computed explicitly here via NNF.
-                let nnf = transform::eliminate_not(e);
-                if nnf.eval_event(event) {
+                if e.eval_event(event) {
                     want.push(i);
                 }
             }

@@ -14,6 +14,10 @@
 //! inner := tag:u8  n:u8  width[n]:u16le  child[n] (2 + 2n + Σwidth)
 //! ```
 //!
+//! An inner node is an AND or an OR: the engine encodes negation
+//! normal forms, whose negations live in the leaves' complemented
+//! operators, so there is no NOT node.
+//!
 //! Child widths let the evaluator skip an already-decided child without
 //! walking it, which is what makes short-circuit evaluation cheap.
 //! Nodes hold at most 255 children; wider n-ary nodes are
@@ -31,12 +35,11 @@ pub(crate) const TAG_PRED: u8 = 0;
 pub(crate) const TAG_AND: u8 = 1;
 /// Node tag of an OR inner node.
 pub(crate) const TAG_OR: u8 = 2;
-/// Node tag of a NOT inner node (always exactly one child).
-pub(crate) const TAG_NOT: u8 = 3;
 
 /// A subscription tree whose leaves are interned [`PredicateId`]s —
-/// the form the non-canonical engine compiles
-/// [`boolmatch_expr::Expr`]s into before byte-encoding them.
+/// the form the non-canonical engine compiles the negation normal form
+/// of an [`boolmatch_expr::Expr`] into before byte-encoding it. A
+/// negated leaf is interned as its complement, so there is no `Not`.
 ///
 /// # Examples
 ///
@@ -57,8 +60,6 @@ pub enum IdExpr {
     And(Vec<IdExpr>),
     /// N-ary disjunction (at least one child).
     Or(Vec<IdExpr>),
-    /// Negation.
-    Not(Box<IdExpr>),
 }
 
 impl IdExpr {
@@ -69,7 +70,6 @@ impl IdExpr {
             IdExpr::Pred(id) => set.contains(*id),
             IdExpr::And(cs) => cs.iter().all(|c| c.eval(set)),
             IdExpr::Or(cs) => cs.iter().any(|c| c.eval(set)),
-            IdExpr::Not(c) => !c.eval(set),
         }
     }
 
@@ -78,7 +78,6 @@ impl IdExpr {
         match self {
             IdExpr::Pred(_) => 1,
             IdExpr::And(cs) | IdExpr::Or(cs) => cs.iter().map(IdExpr::leaf_count).sum(),
-            IdExpr::Not(c) => c.leaf_count(),
         }
     }
 
@@ -89,7 +88,6 @@ impl IdExpr {
             IdExpr::And(cs) | IdExpr::Or(cs) => {
                 cs.iter().for_each(|c| c.for_each_leaf(f));
             }
-            IdExpr::Not(c) => c.for_each_leaf(f),
         }
     }
 }
@@ -176,7 +174,6 @@ fn encoded_size_estimate(tree: &IdExpr) -> usize {
         IdExpr::And(cs) | IdExpr::Or(cs) => {
             2 + 2 * cs.len() + cs.iter().map(encoded_size_estimate).sum::<usize>()
         }
-        IdExpr::Not(c) => 4 + encoded_size_estimate(c),
     }
 }
 
@@ -189,10 +186,6 @@ fn encode_into(tree: &IdExpr, out: &mut Vec<u8>) -> Result<(), EncodeError> {
         }
         IdExpr::And(cs) => encode_inner(TAG_AND, cs, out),
         IdExpr::Or(cs) => encode_inner(TAG_OR, cs, out),
-        IdExpr::Not(c) => {
-            let children = std::slice::from_ref(c.as_ref());
-            encode_inner(TAG_NOT, children, out)
-        }
     }
 }
 
@@ -201,8 +194,7 @@ fn encode_inner(tag: u8, children: &[IdExpr], out: &mut Vec<u8>) -> Result<(), E
         return Err(EncodeError::EmptyNode);
     }
     if children.len() > MAX_CHILDREN {
-        // Re-nest into same-operator chunks; `Not` never has >1 child.
-        debug_assert!(tag == TAG_AND || tag == TAG_OR);
+        // Re-nest into same-operator chunks.
         let chunked: Vec<IdExpr> = children
             .chunks(MAX_CHILDREN)
             .map(|chunk| {
@@ -257,9 +249,9 @@ fn decode_node(bytes: &[u8], offset: usize) -> Result<(IdExpr, usize), DecodeErr
             let id = u32::from_le_bytes(raw.try_into().expect("4 bytes"));
             Ok((IdExpr::Pred(PredicateId::from_raw(id)), 5))
         }
-        TAG_AND | TAG_OR | TAG_NOT => {
+        TAG_AND | TAG_OR => {
             let n = *bytes.get(offset + 1).ok_or(DecodeError::UnexpectedEnd)? as usize;
-            if n == 0 || (tag == TAG_NOT && n != 1) {
+            if n == 0 {
                 return Err(DecodeError::WidthMismatch);
             }
             let mut children = Vec::with_capacity(n);
@@ -277,10 +269,10 @@ fn decode_node(bytes: &[u8], offset: usize) -> Result<(IdExpr, usize), DecodeErr
                 children.push(child);
                 child_at += width;
             }
-            let node = match tag {
-                TAG_AND => IdExpr::And(children),
-                TAG_OR => IdExpr::Or(children),
-                _ => IdExpr::Not(Box::new(children.pop().expect("n == 1"))),
+            let node = if tag == TAG_AND {
+                IdExpr::And(children)
+            } else {
+                IdExpr::Or(children)
             };
             Ok((node, child_at - offset))
         }
@@ -317,10 +309,9 @@ mod tests {
     fn round_trip_various_shapes() {
         let trees = [
             p(0),
-            IdExpr::Not(Box::new(p(1))),
             IdExpr::And(vec![p(0), p(1), p(2)]),
             IdExpr::Or(vec![
-                IdExpr::And(vec![p(0), IdExpr::Not(Box::new(p(1)))]),
+                IdExpr::And(vec![p(0), p(1)]),
                 p(2),
                 IdExpr::Or(vec![p(3), p(4)]),
             ]),
@@ -372,13 +363,22 @@ mod tests {
     }
 
     #[test]
-    fn decode_rejects_not_with_two_children() {
-        // Hand-craft NOT with n=2.
+    fn tag_3_is_a_bad_tag() {
+        // Trees are negation-free, so 3 is no node tag: bytes carrying
+        // it are refused at the root and below it.
         let leaf = encode(&p(0)).unwrap();
-        let mut bytes = vec![TAG_NOT, 2, 5, 0, 5, 0];
+        let mut bytes = vec![3, 1, 5, 0];
         bytes.extend_from_slice(&leaf);
-        bytes.extend_from_slice(&leaf);
-        assert!(matches!(decode(&bytes), Err(DecodeError::WidthMismatch)));
+        assert_eq!(
+            decode(&bytes),
+            Err(DecodeError::BadTag { tag: 3, offset: 0 })
+        );
+        let mut nested = vec![TAG_AND, 1, 9, 0];
+        nested.extend_from_slice(&bytes);
+        assert_eq!(
+            decode(&nested),
+            Err(DecodeError::BadTag { tag: 3, offset: 4 })
+        );
     }
 
     #[test]

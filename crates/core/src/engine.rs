@@ -461,7 +461,6 @@ pub(crate) fn assert_batch_equals_per_event(
 mod tests {
     use super::*;
     use crate::{dominant_eq_attr, BoxedEngine, ShardedEngine};
-    use boolmatch_expr::transform::eliminate_not;
     use boolmatch_workload::scenarios::TreeScenario;
     use std::collections::HashMap;
 
@@ -500,19 +499,9 @@ mod tests {
         assert!(e.to_string().contains("s3"));
     }
 
-    /// What an engine of `kind` matches for `expr`: the tree under full
-    /// negation for the non-canonical engine, its NNF for the counting
-    /// engines.
-    fn oracle(kind: EngineKind, expr: &Expr) -> Expr {
-        match kind {
-            EngineKind::NonCanonical => expr.clone(),
-            EngineKind::Counting | EngineKind::CountingVariant => eliminate_not(expr),
-        }
-    }
-
     /// The corners the generated trees may miss, before them.
     const CORNERS: [&str; 5] = [
-        // No necessary set: the non-canonical always-evaluate list.
+        // A negated leaf: stored as its complement.
         "not (a = 1)",
         // A duplicated leaf.
         "a = 1 and (a = 1 or b = 2)",
@@ -575,11 +564,10 @@ mod tests {
             let back = engine
                 .expression(*id)
                 .expect("a live id gives its expression back");
-            let expected = oracle(kind, original);
             for event in &events {
                 assert_eq!(
                     back.eval_event(event),
-                    expected.eval_event(event),
+                    original.eval_event(event),
                     "{kind}: `{original}` came back as `{back}`; event {event:?}"
                 );
             }

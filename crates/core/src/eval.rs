@@ -8,7 +8,7 @@
 //! and on the generated-tree corpus in the non-canonical engine's
 //! tests.
 
-use crate::encode::{TAG_AND, TAG_NOT, TAG_OR, TAG_PRED};
+use crate::encode::{TAG_AND, TAG_OR, TAG_PRED};
 use crate::{FulfilledSet, PredicateId};
 
 // lint: hot-path — tree evaluation runs once per candidate
@@ -75,7 +75,7 @@ pub(crate) fn eval_iterative_with(
     let mut offset = 0usize;
     'descend: loop {
         // Evaluate the node at `offset` until a value is produced.
-        let mut value = loop {
+        let value = loop {
             match bytes[offset] {
                 TAG_PRED => break leaf(leaf_id(bytes, offset)),
                 tag => {
@@ -101,10 +101,6 @@ pub(crate) fn eval_iterative_with(
             };
             frame.i += 1;
             let done = match frame.tag {
-                TAG_NOT => {
-                    value = !value;
-                    true
-                }
                 TAG_AND => !value || frame.i == frame.n,
                 TAG_OR => value || frame.i == frame.n,
                 // lint: allow(panic-policy, reason = "documented contract: panics on malformed trees; encode emits no other tag")
@@ -167,9 +163,17 @@ mod tests {
         assert!(!both(&tree, &set_of(&[0, 1])));
         assert!(!both(&tree, &set_of(&[2])));
 
-        let neg = IdExpr::Not(Box::new(tree));
-        assert!(!both(&neg, &set_of(&[0, 2])));
-        assert!(both(&neg, &set_of(&[2])));
+        // Its negation is encoded as a negation normal form: De Morgan
+        // over the complements p3, p4, p5 of p0, p1, p2. With every
+        // predicate's attribute present, a set holds exactly one of
+        // each pair.
+        let neg = IdExpr::Or(vec![IdExpr::And(vec![p(3), p(4)]), p(5)]);
+        assert!(!both(&neg, &set_of(&[0, 4, 2])));
+        assert!(both(&neg, &set_of(&[3, 4, 2])));
+        // Attributes of p0 and p1 missing: neither they nor their
+        // complements hold, so neither the tree nor its negation does.
+        assert!(!both(&tree, &set_of(&[2])));
+        assert!(!both(&neg, &set_of(&[2])));
     }
 
     #[test]
@@ -184,21 +188,6 @@ mod tests {
         assert!(!both(&tree, &set_of(&[0, 1, 2])));
         assert!(!both(&tree, &set_of(&[3, 4, 5])));
         assert!(!both(&tree, &set_of(&[])));
-    }
-
-    #[test]
-    fn deep_not_chain_does_not_overflow_iterative() {
-        // Depth is bounded by the recursive *encoder* (and the final
-        // drop of the nested boxes), not by the iterative evaluator;
-        // engine-compacted trees collapse double negation anyway.
-        let mut tree = p(0);
-        for _ in 0..2_000 {
-            tree = IdExpr::Not(Box::new(tree));
-        }
-        let bytes = encode(&tree).unwrap();
-        // even depth of NOTs -> identity
-        assert!(eval_iterative(&bytes, &set_of(&[0])));
-        assert!(!eval_iterative(&bytes, &set_of(&[1])));
     }
 
     #[test]

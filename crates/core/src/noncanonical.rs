@@ -16,12 +16,23 @@ use crate::{
     SubscriptionId,
 };
 
-/// The paper's matching engine: subscriptions are stored **as their
-/// original Boolean expressions** — no canonical transformation — and
-/// matched in two phases over four data structures (paper Fig. 2):
+/// The paper's matching engine: subscriptions are stored **as Boolean
+/// trees of linear size** — no canonical transformation — and matched
+/// in two phases over four data structures (paper Fig. 2):
 /// one-dimensional predicate indexes, the predicate→subscription
 /// association table, the subscription location table, and the
 /// byte-encoded subscription trees themselves.
+///
+/// # What is stored — the negation normal form
+///
+/// A subscription is stored as its negation normal form
+/// ([`transform::eliminate_not`]): a negation is pushed into the leaves,
+/// where `not (a = 1)` becomes the predicate `a != 1`. That is the
+/// meaning [`Expr::eval_event`] gives `not` for every engine — a leaf
+/// whose attribute is missing is false, negated or not — and it is a
+/// departure of representation from §3, not of structure: the tree
+/// keeps its size and shape, with no DNF expansion, and its inner nodes
+/// are only `AND` and `OR`.
 ///
 /// # Which postings exist — a stated departure from §3.2
 ///
@@ -33,8 +44,9 @@ use crate::{
 /// fulfilled whenever the tree is true (`necessary_set`: a leaf is
 /// its own set, an `OR` unions its children's sets, an `AND` takes its
 /// cheapest child's set — fewest predicates, then fewest non-equality
-/// ones, then lowest estimated traffic, recorded as the first child —
-/// and a `NOT` has none). A subscription becomes a candidate only when
+/// ones, then lowest estimated traffic, recorded as the first child).
+/// Every stored tree has one, since it has no `NOT`, and every operator
+/// is indexable. A subscription becomes a candidate only when
 /// a predicate it *needs* is fulfilled; the matched set is unchanged,
 /// the candidate set shrinks. On 20 000 paper-shape
 /// subscriptions (AND of 4 OR-pairs, the benchmark's
@@ -44,10 +56,6 @@ use crate::{
 /// postings per subscription where it stored eight; on 20 000 ticker
 /// subscriptions (`symbol = S and …`) one posting each and 1 661
 /// candidates where it evaluated 18 905.
-///
-/// Subscriptions without a necessary set — the tree can be true when
-/// the event fulfils none of its predicates, e.g. `not (a = 1)` — are
-/// kept on an always-evaluate list and are candidates for every event.
 ///
 /// # What phase 1 indexes — access predicates only
 ///
@@ -101,9 +109,6 @@ pub struct NonCanonicalEngine {
     /// Predicate → subscriptions having it in their necessary set
     /// (dense u32 sub indexes).
     assoc: AssocTable<u32>,
-    /// Subscriptions without a necessary set, evaluated for every
-    /// event. Ascending: a reissued id is inserted in order.
-    always: Vec<u32>,
     /// Subscription location table: dense sub index → tree location.
     /// The [`Loc::empty`] sentinel marks a free slot; a plain `Loc` per
     /// slot is 8 bytes where `Option<Loc>` would be 12 — this table
@@ -218,18 +223,16 @@ impl SetCost {
 
 /// The association rule: appends to `out` a **necessary predicate
 /// set** of `tree` — leaves of which at least one is fulfilled
-/// whenever the tree is true — and returns its cost, or appends
-/// nothing and returns `None` when the tree can be true with no leaf
-/// fulfilled. `traffic` estimates the share of events fulfilling a
-/// leaf.
+/// whenever the tree is true — and returns its cost. `traffic`
+/// estimates the share of events fulfilling a leaf.
 ///
 /// A leaf is its own set; an `OR` needs one of its children, so it
-/// takes the union of their sets (and has none if any child has none);
-/// an `AND` needs all of its children, so any one child's set will do
-/// and it takes the cheapest ([`SetCost::beats`]: smallest key, then
-/// lowest estimated traffic, the first when neither decides) and moves
-/// that child to the front; a `NOT` has none. Leaves are counted and
-/// appended as they occur, duplicates included.
+/// takes the union of their sets; an `AND` needs all of its children,
+/// so any one child's set will do and it takes the cheapest
+/// ([`SetCost::beats`]: smallest key, then lowest estimated traffic,
+/// the first when neither decides) and moves that child to the front.
+/// The tree has no `NOT`, so every tree has a set. Leaves are counted
+/// and appended as they occur, duplicates included.
 ///
 /// `subscribe` runs this with its estimates on the compiled tree and
 /// stores the reordered tree; `unsubscribe` runs it without estimates
@@ -246,16 +249,15 @@ fn necessary_set(
     interner: &PredicateInterner,
     traffic: &impl Fn(PredicateId) -> Option<f64>,
     out: &mut Vec<PredicateId>,
-) -> Option<SetCost> {
-    let start = out.len();
+) -> SetCost {
     match tree {
         IdExpr::Pred(id) => {
             out.push(*id);
             let non_equality = !interner.record(*id).op().is_point();
-            Some(SetCost {
+            SetCost {
                 key: (1, usize::from(non_equality)),
                 traffic: traffic(*id),
-            })
+            }
         }
         IdExpr::Or(children) => {
             let mut cost = SetCost {
@@ -263,34 +265,31 @@ fn necessary_set(
                 traffic: Some(0.0),
             };
             for child in children {
-                let Some(child) = necessary_set(child, interner, traffic, out) else {
-                    out.truncate(start);
-                    return None;
-                };
+                let child = necessary_set(child, interner, traffic, out);
                 cost = SetCost {
                     key: (cost.key.0 + child.key.0, cost.key.1 + child.key.1),
                     traffic: cost.traffic.zip(child.traffic).map(|(a, b)| a + b),
                 };
             }
-            Some(cost)
+            cost
         }
         IdExpr::And(children) => {
+            let start = out.len();
             let mut best: Option<(usize, SetCost)> = None;
             for (i, child) in children.iter_mut().enumerate() {
                 let child_start = out.len();
-                match necessary_set(child, interner, traffic, out) {
-                    Some(cost) if best.is_none_or(|(_, b)| cost.beats(&b)) => {
-                        out.drain(start..child_start);
-                        best = Some((i, cost));
-                    }
-                    _ => out.truncate(child_start),
+                let cost = necessary_set(child, interner, traffic, out);
+                if best.is_none_or(|(_, b)| cost.beats(&b)) {
+                    out.drain(start..child_start);
+                    best = Some((i, cost));
+                } else {
+                    out.truncate(child_start);
                 }
             }
-            let (chosen, cost) = best?;
+            let (chosen, cost) = best.expect("an AND has children");
             children[..=chosen].rotate_right(1);
-            Some(cost)
+            cost
         }
-        IdExpr::Not(_) => None,
     }
 }
 
@@ -345,7 +344,6 @@ impl NonCanonicalEngine {
             indexed: IdBits::default(),
             spans: Vec::new(),
             assoc: AssocTable::new(),
-            always: Vec::new(),
             locations: Vec::new(),
             free_subs: Vec::new(),
             arena: TreeArena::new(),
@@ -353,7 +351,7 @@ impl NonCanonicalEngine {
         }
     }
 
-    /// Compiles a compacted expression into an [`IdExpr`], interning
+    /// Compiles a negation normal form into an [`IdExpr`], interning
     /// every leaf. Records acquisitions so a failed subscribe can roll
     /// back.
     fn compile(&mut self, expr: &Expr, acquired: &mut Vec<PredicateId>) -> IdExpr {
@@ -378,27 +376,26 @@ impl NonCanonicalEngine {
             }
             Expr::And(cs) => IdExpr::And(cs.iter().map(|c| self.compile(c, acquired)).collect()),
             Expr::Or(cs) => IdExpr::Or(cs.iter().map(|c| self.compile(c, acquired)).collect()),
-            Expr::Not(c) => IdExpr::Not(Box::new(self.compile(c, acquired))),
+            Expr::Not(_) => unreachable!("eliminate_not removed all negations"),
         }
     }
 
-    /// The distinct predicates `tree` is associated with, or `None`
-    /// when it has no necessary set and belongs on the always-evaluate
-    /// list; `traffic` breaks ties (see [`necessary_set`], which
-    /// reorders `tree`). Shared by `subscribe` and `unsubscribe`, so
-    /// what one posts the other removes.
+    /// The distinct predicates `tree` is associated with; `traffic`
+    /// breaks ties (see [`necessary_set`], which reorders `tree`).
+    /// Shared by `subscribe` and `unsubscribe`, so what one posts the
+    /// other removes.
     fn association_of(
         &self,
         tree: &mut IdExpr,
         traffic: impl Fn(PredicateId) -> Option<f64>,
-    ) -> Option<Vec<PredicateId>> {
+    ) -> Vec<PredicateId> {
         let mut set = Vec::new();
-        necessary_set(tree, &self.interner, &traffic, &mut set)?;
+        necessary_set(tree, &self.interner, &traffic, &mut set);
         // A predicate occurring twice in the set must not make the
         // subscription a candidate twice.
         set.sort_unstable();
         set.dedup();
-        Some(set)
+        set
     }
 
     /// Estimated share of events fulfilling `pid`: [`Span::share`] of
@@ -422,7 +419,6 @@ impl NonCanonicalEngine {
             IdExpr::Pred(pid) => Expr::pred(self.predicate(*pid)),
             IdExpr::And(cs) => Expr::and(cs.iter().map(|c| self.rebuild(c)).collect()),
             IdExpr::Or(cs) => Expr::or(cs.iter().map(|c| self.rebuild(c)).collect()),
-            IdExpr::Not(c) => Expr::Not(Box::new(self.rebuild(c))),
         }
     }
 
@@ -489,7 +485,7 @@ impl NonCanonicalEngine {
     /// (see the type-level documentation), not one per distinct leaf as
     /// in the paper's §3.2: `(a > 9 or a <= 1) and (b > 9 or b <= 1)`
     /// posts 2 entries, not 4; `s = "X" and (p > 5 or p <= 1)` posts 1;
-    /// `not (a = 1)` posts none and is evaluated for every event.
+    /// `not (a = 1)` is stored as `a != 1` and posts that.
     pub fn association_postings(&self) -> usize {
         self.assoc.posting_count()
     }
@@ -508,11 +504,12 @@ impl FilterEngine for NonCanonicalEngine {
     }
 
     fn subscribe(&mut self, expr: &Expr) -> Result<SubscriptionId, SubscribeError> {
-        // "Binary operators are treated as n-ary ones due to compacting
-        // subscription trees" (§3.1).
-        let compacted = transform::compact(expr);
-        let mut acquired = Vec::with_capacity(compacted.predicate_count());
-        let mut tree = self.compile(&compacted, &mut acquired);
+        // The negation normal form, built compact: "binary operators
+        // are treated as n-ary ones due to compacting subscription
+        // trees" (§3.1).
+        let nnf = transform::eliminate_not(expr);
+        let mut acquired = Vec::with_capacity(nnf.predicate_count());
+        let mut tree = self.compile(&nnf, &mut acquired);
         // Ranked before encoding: the stored tree records the choice.
         let association = self.association_of(&mut tree, |pid| self.traffic(pid));
         let bytes = match encode::encode(&tree) {
@@ -551,19 +548,11 @@ impl FilterEngine for NonCanonicalEngine {
 
         // Slots for the whole id space, whichever ids get postings.
         self.assoc.cover(self.interner.universe());
-        match association {
-            Some(set) => {
-                for pid in set {
-                    if self.assoc.get(pid).is_empty() {
-                        self.set_indexed(pid, true);
-                    }
-                    self.assoc.add(pid, sub_u32);
-                }
+        for pid in association {
+            if self.assoc.get(pid).is_empty() {
+                self.set_indexed(pid, true);
             }
-            None => {
-                let at = self.always.partition_point(|&sub| sub < sub_u32);
-                self.always.insert(at, sub_u32);
-            }
+            self.assoc.add(pid, sub_u32);
         }
         Ok(SubscriptionId::from_index(sub_u32 as usize))
     }
@@ -588,22 +577,11 @@ impl FilterEngine for NonCanonicalEngine {
         let sub_u32 = u32::try_from(id.index()).expect("issued ids fit u32");
         // No estimates: the stored order holds the choice `subscribe`
         // made, whatever the spans have become since.
-        match self.association_of(&mut tree, |_| None) {
-            Some(set) => {
-                for pid in set {
-                    let removed = self.assoc.remove(pid, sub_u32);
-                    debug_assert!(removed, "association entry missing for {pid}");
-                    if removed && self.assoc.get(pid).is_empty() {
-                        self.set_indexed(pid, false);
-                    }
-                }
-            }
-            None => {
-                let at = self.always.binary_search(&sub_u32);
-                debug_assert!(at.is_ok(), "always-evaluate entry missing for {id}");
-                if let Ok(at) = at {
-                    self.always.remove(at);
-                }
+        for pid in self.association_of(&mut tree, |_| None) {
+            let removed = self.assoc.remove(pid, sub_u32);
+            debug_assert!(removed, "association entry missing for {pid}");
+            if removed && self.assoc.get(pid).is_empty() {
+                self.set_indexed(pid, false);
             }
         }
         tree.for_each_leaf(&mut |pid| {
@@ -615,8 +593,8 @@ impl FilterEngine for NonCanonicalEngine {
     }
 
     fn expression(&self, id: SubscriptionId) -> Option<Expr> {
-        // The stored tree is the compacted original, its AND children
-        // in the order `necessary_set` ranked them.
+        // The stored tree is the original's negation normal form, its
+        // AND children in the order `necessary_set` ranked them.
         let tree = self.subscription_tree(id).ok()?;
         Some(self.rebuild(&tree))
     }
@@ -645,9 +623,6 @@ impl FilterEngine for NonCanonicalEngine {
 
         let mut candidates = std::mem::take(&mut scratch.candidates);
         candidates.clear();
-        // Always-evaluate subscriptions have no postings, so they need
-        // no stamps to stay single.
-        candidates.extend_from_slice(&self.always);
         for &pid in fulfilled.ids() {
             for &sub in self.assoc.get(pid) {
                 let stamp = &mut scratch.stamps[sub as usize];
@@ -710,8 +685,7 @@ impl FilterEngine for NonCanonicalEngine {
                 + self.indexed.heap_bytes()
                 + self.spans.capacity() * std::mem::size_of::<Span>(),
             phase1_index: self.index.heap_bytes(),
-            association: self.assoc.heap_bytes()
-                + self.always.capacity() * std::mem::size_of::<u32>(),
+            association: self.assoc.heap_bytes(),
             locations: self.locations.capacity() * std::mem::size_of::<Loc>()
                 + self.free_subs.capacity() * std::mem::size_of::<u32>(),
             trees: self.arena.heap_bytes(),
@@ -791,17 +765,26 @@ mod tests {
     }
 
     #[test]
-    fn not_semantics_full_negation() {
+    fn not_is_false_on_a_missing_attribute() {
         let (mut e, ids) = engine_with(&["not (a = 1) and b = 2"]);
         // b=2 present, a=3 (so a=1 false): matches.
         let ev = Event::builder().attr("a", 3_i64).attr("b", 2_i64).build();
         assert_eq!(e.match_event(&ev).matched, vec![ids[0]]);
-        // a missing entirely: NOT is still true (full negation).
+        // a missing entirely: `a = 1` is unknown, and so is its
+        // negation, stored as `a != 1`.
         let ev = Event::builder().attr("b", 2_i64).build();
-        assert_eq!(e.match_event(&ev).matched, vec![ids[0]]);
+        assert!(e.match_event(&ev).matched.is_empty());
+        // a of another kind: unknown as well.
+        let ev = Event::builder().attr("a", "one").attr("b", 2_i64).build();
+        assert!(e.match_event(&ev).matched.is_empty());
         // a=1: no match.
         let ev = Event::builder().attr("a", 1_i64).attr("b", 2_i64).build();
         assert!(e.match_event(&ev).matched.is_empty());
+        // Stored with its access equality first.
+        assert_eq!(
+            e.expression(ids[0]).unwrap().to_string(),
+            "b = 2 and a != 1"
+        );
     }
 
     #[test]
@@ -863,40 +846,6 @@ mod tests {
         }
         assert_eq!(e.subscription_id_bound(), 2);
         assert_eq!(e.memory_usage().locations, bytes);
-    }
-
-    #[test]
-    fn a_reissued_id_keeps_the_always_list_sorted() {
-        let (mut e, ids) = engine_with(&["not (x = 1)", "a = 1", "not (y = 1)", "not (z = 1)"]);
-        assert_eq!(e.engine().always, [0, 2, 3]);
-        // Slot 1 held an indexed subscription; its reissue has no
-        // necessary set and lands in the middle of the always list.
-        e.unsubscribe(ids[1]).unwrap();
-        let w = e.subscribe(&Expr::parse("not (w = 1)").unwrap()).unwrap();
-        assert_eq!(w, ids[1]);
-        assert_eq!(e.engine().always, [0, 1, 2, 3]);
-        assert_eq!(e.indexed_predicates(), 0, "`a = 1` left the index");
-        let a1 = Event::builder().attr("a", 1_i64).build();
-        assert_eq!(
-            e.match_event(&a1).matched,
-            ids,
-            "`not (w = 1)` holds, `a = 1` is gone"
-        );
-        let w1 = Event::builder().attr("w", 1_i64).build();
-        assert_eq!(e.match_event(&w1).matched, [ids[0], ids[2], ids[3]]);
-        // And the other way: an always slot reissued to an indexed
-        // subscription leaves the list.
-        e.unsubscribe(ids[2]).unwrap();
-        assert_eq!(e.subscribe(&Expr::parse("c = 3").unwrap()).unwrap(), ids[2]);
-        assert_eq!(e.engine().always, [0, 1, 3]);
-        let r = e.match_event(&Event::builder().attr("y", 1_i64).build());
-        assert_eq!(r.matched, [ids[0], ids[1], ids[3]]);
-        assert_eq!(
-            r.stats.candidates, 3,
-            "slot 2 is no longer evaluated for every event"
-        );
-        let c3 = Event::builder().attr("c", 3_i64).attr("z", 1_i64).build();
-        assert_eq!(sorted(e.match_event(&c3).matched), [ids[0], ids[1], ids[2]]);
     }
 
     #[test]
@@ -1047,10 +996,6 @@ mod tests {
         IdExpr::Pred(PredicateId::from_index(i))
     }
 
-    fn not(tree: IdExpr) -> IdExpr {
-        IdExpr::Not(Box::new(tree))
-    }
-
     /// An interner holding `attr{i} OP 1` on slot `i` under id `i`, one
     /// per `ops` entry.
     fn interner_of(ops: &[CompareOp]) -> PredicateInterner {
@@ -1066,13 +1011,10 @@ mod tests {
 
     /// The rule's raw output (leaf order, duplicates kept) as indexes,
     /// without estimates.
-    fn rule(tree: &IdExpr, interner: &PredicateInterner) -> Option<Vec<usize>> {
+    fn rule(tree: &IdExpr, interner: &PredicateInterner) -> Vec<usize> {
         let mut out = Vec::new();
-        let cost = necessary_set(&mut tree.clone(), interner, &|_| None, &mut out);
-        if cost.is_none() {
-            assert!(out.is_empty(), "no set must leave nothing behind");
-        }
-        cost.map(|_| out.iter().map(|id| id.index()).collect())
+        necessary_set(&mut tree.clone(), interner, &|_| None, &mut out);
+        out.iter().map(|id| id.index()).collect()
     }
 
     #[test]
@@ -1081,11 +1023,11 @@ mod tests {
         let interner = interner_of(&[Gt, Eq, Ne, Contains]);
         assert_eq!(
             rule(&IdExpr::And(vec![leaf(0), leaf(1)]), &interner),
-            Some(vec![1])
+            vec![1]
         );
         assert_eq!(
             rule(&IdExpr::And(vec![leaf(2), leaf(3), leaf(1)]), &interner),
-            Some(vec![1]),
+            vec![1],
             "`!=` and string operators rank with ranges"
         );
     }
@@ -1095,14 +1037,14 @@ mod tests {
         use CompareOp::{Gt, Le};
         let interner = interner_of(&[Gt, Le, Gt, Le, Gt, Le, Gt, Le]);
         let pair = |i: usize| IdExpr::Or(vec![leaf(2 * i), leaf(2 * i + 1)]);
-        assert_eq!(rule(&pair(1), &interner), Some(vec![2, 3]));
+        assert_eq!(rule(&pair(1), &interner), vec![2, 3]);
         // The paper's shape: equal-cost pairs, so the first one.
         let paper = IdExpr::And((0..4).map(pair).collect());
-        assert_eq!(rule(&paper, &interner), Some(vec![0, 1]));
+        assert_eq!(rule(&paper, &interner), vec![0, 1]);
         // Nested ORs flatten into one union, duplicates kept for the
         // caller to drop.
         let nested = IdExpr::Or(vec![pair(0), leaf(5), leaf(0)]);
-        assert_eq!(rule(&nested, &interner), Some(vec![0, 1, 5, 0]));
+        assert_eq!(rule(&nested, &interner), vec![0, 1, 5, 0]);
     }
 
     #[test]
@@ -1111,42 +1053,19 @@ mod tests {
         let interner = interner_of(&[Eq, Eq, Gt, Eq, Gt]);
         // One range predicate is cheaper than two equalities.
         let tree = IdExpr::And(vec![IdExpr::Or(vec![leaf(0), leaf(1)]), leaf(2)]);
-        assert_eq!(rule(&tree, &interner), Some(vec![2]));
+        assert_eq!(rule(&tree, &interner), vec![2]);
         // Equal cost: child order decides, also when a later child ties.
         assert_eq!(
             rule(&IdExpr::And(vec![leaf(3), leaf(0), leaf(1)]), &interner),
-            Some(vec![3])
+            vec![3]
         );
         assert_eq!(
             rule(&IdExpr::And(vec![leaf(4), leaf(2)]), &interner),
-            Some(vec![4])
+            vec![4]
         );
         // A later, strictly cheaper child replaces the earlier pick.
         let tree = IdExpr::And(vec![leaf(2), IdExpr::Or(vec![leaf(0), leaf(1)]), leaf(3)]);
-        assert_eq!(rule(&tree, &interner), Some(vec![3]));
-    }
-
-    #[test]
-    fn rule_not_has_no_set_and_poisons_ors_but_not_ands() {
-        use CompareOp::Eq;
-        let interner = interner_of(&[Eq, Eq, Eq]);
-        assert_eq!(rule(&not(leaf(0)), &interner), None);
-        assert_eq!(rule(&not(not(leaf(0))), &interner), None);
-        assert_eq!(
-            rule(&IdExpr::Or(vec![leaf(0), not(leaf(1))]), &interner),
-            None
-        );
-        assert_eq!(
-            rule(&IdExpr::And(vec![not(leaf(0)), not(leaf(1))]), &interner),
-            None
-        );
-        // An AND with a NOT-free child keeps a real set.
-        assert_eq!(
-            rule(&IdExpr::And(vec![not(leaf(0)), leaf(1)]), &interner),
-            Some(vec![1])
-        );
-        let tree = IdExpr::And(vec![IdExpr::Or(vec![leaf(0), not(leaf(1))]), leaf(2)]);
-        assert_eq!(rule(&tree, &interner), Some(vec![2]));
+        assert_eq!(rule(&tree, &interner), vec![3]);
     }
 
     #[test]
@@ -1166,8 +1085,8 @@ mod tests {
             ("s = \"X\" and (p > 5 or p <= 1) and v >= 3".into(), 1),
             ("t = 1 or urgent = 1".into(), 2),
             ("a = 1 or (a = 1 and b = 2)".into(), 1),
-            ("not (a = 1)".into(), 0),
-            ("a = 1 or not (b = 2)".into(), 0),
+            ("not (a = 1)".into(), 1),
+            ("a = 1 or not (b = 2)".into(), 2),
             ("not (a = 1) and b = 2".into(), 1),
             // Wider than one encoded node: stored re-nested in chunks.
             (wide_or, 600),
@@ -1259,45 +1178,50 @@ mod tests {
     }
 
     #[test]
-    fn not_only_subscriptions_match_events_that_fulfil_nothing() {
+    fn not_only_subscriptions_are_posted_under_their_complements() {
         let (mut e, ids) = engine_with(&[
             "not (a = 1)",
             "a = 1 or not (b = 2)",
             "not (a = 1) and b = 2",
             "a = 1",
         ]);
-        // Carries none of the subscribed attributes.
+        // Carries none of the subscribed attributes: every leaf is
+        // unknown, so nothing is a candidate and nothing matches.
         let nothing = Event::builder().attr("unrelated", 0_i64).build();
         let r = e.match_event(&nothing);
         assert_eq!(r.stats.fulfilled, 0);
+        assert!(r.matched.is_empty());
+        assert_eq!(r.stats.candidates, 0, "every subscription has postings");
+        // `a != 1` and `b != 2` hold: the first two are candidates
+        // through the complements they are posted under.
+        let a2 = Event::builder().attr("a", 2_i64).attr("b", 3_i64).build();
+        let r = e.match_event(&a2);
         assert_eq!(r.matched, vec![ids[0], ids[1]]);
-        assert_eq!(
-            r.stats.candidates, 2,
-            "the two always-evaluate subscriptions; the AND keeps a real set"
-        );
+        assert_eq!(r.stats.candidates, 2);
 
         // A batch agrees, event by event, skipped events aside.
         let a1 = Event::builder().attr("a", 1_i64).build();
-        let events: Vec<Arc<Event>> = [&nothing, &a1, &nothing, &a1]
+        let events: Vec<Arc<Event>> = [&a2, &a1, &nothing, &a1, &nothing]
             .into_iter()
             .map(|ev| Arc::new(ev.clone()))
             .collect();
         let mut batch = BatchScratch::new();
         e.engine()
-            .match_batch(&events, &[false, false, true, false], &mut batch);
+            .match_batch(&events, &[false, false, true, false, false], &mut batch);
         assert_eq!(batch.matched(0), &[ids[0], ids[1]]);
         assert!(batch.matched(2).is_empty(), "skipped event");
+        assert!(batch.matched(4).is_empty(), "fulfils nothing");
         for i in [1, 3] {
             let mut got = batch.matched(i).to_vec();
             got.sort();
             assert_eq!(got, vec![ids[1], ids[3]], "event {i}");
         }
 
-        // Unsubscribing takes them off the always-evaluate list.
+        // Unsubscribing takes their postings with them.
         e.unsubscribe(ids[0]).unwrap();
-        assert_eq!(e.match_event(&nothing).matched, vec![ids[1]]);
+        assert_eq!(e.match_event(&a2).matched, vec![ids[1]]);
         e.unsubscribe(ids[1]).unwrap();
-        let r = e.match_event(&nothing);
+        let r = e.match_event(&a2);
         assert!(r.matched.is_empty());
         assert_eq!(r.stats.candidates, 0);
     }
@@ -1325,9 +1249,8 @@ mod tests {
 
     /// The engine's private invariants on the generated-tree corpus,
     /// whose answers `tests/oracle_matrix.rs` checks through every
-    /// broker configuration: the index flag, the always list, unindexed
-    /// leaves of every operator and kind, and postings draining to
-    /// zero. Every stored tree also round-trips the encoding and
+    /// broker configuration: the index flag, unindexed leaves of every
+    /// operator and kind, and postings draining to zero. Every stored tree also round-trips the encoding and
     /// evaluates under [`crate::eval_iterative`] exactly as its decoded
     /// [`IdExpr::eval`] reference does, and every match reports
     /// consistent stats.
@@ -1338,7 +1261,6 @@ mod tests {
         let mut live: Vec<SubscriptionId> = Vec::new();
         let mut scratch = MatchScratch::new();
         let mut fulfilled = FulfilledSet::new();
-        let mut always_seen = 0;
         let mut lazy_ops = std::collections::BTreeSet::new();
         let mut lazy_kinds = std::collections::BTreeSet::new();
         let mut leaf_comparisons = 0;
@@ -1352,7 +1274,6 @@ mod tests {
             for _ in 0..12 {
                 live.push(e.subscribe(&corpus.subscription()).unwrap());
             }
-            always_seen += e.always.len();
             assert_index_holds_the_access_predicates(&e);
             for i in 0..e.interner.universe() {
                 let id = PredicateId::from_index(i);
@@ -1395,7 +1316,6 @@ mod tests {
                 }
             }
         }
-        assert!(always_seen > 0, "the corpus exercised the always list");
         assert_eq!(lazy_ops.len(), 10, "unindexed leaves of every operator");
         assert_eq!(lazy_kinds.len(), 4, "unindexed leaves of every kind");
         assert!(leaf_comparisons > 0);
@@ -1406,7 +1326,6 @@ mod tests {
         assert_eq!(e.association_postings(), 0);
         assert_eq!(e.predicate_count(), 0);
         assert_eq!(e.indexed_predicates(), 0);
-        assert!(e.always.is_empty());
     }
 
     #[test]

@@ -258,7 +258,7 @@ pub struct ShardSynopsis {
     /// Per-attribute summaries over the indexed required conjuncts.
     attrs: HashMap<Arc<str>, AttrSummary>,
     /// Residents with no required conjunct: candidates for everything.
-    always: usize,
+    always_candidates: usize,
     /// What was indexed per local slot, so removal never needs the
     /// subscription's expression (which teardown paths completing a
     /// racing unsubscribe no longer have).
@@ -316,7 +316,7 @@ impl ShardSynopsis {
     /// skip the shard entirely); `true` means the shard must be
     /// matched. Empty shards admit nothing.
     pub fn admits(&self, event: &Event) -> bool {
-        if self.always > 0 {
+        if self.always_candidates > 0 {
             return true;
         }
         if self.live == 0 || self.attrs.is_empty() {
@@ -338,7 +338,7 @@ impl ShardSynopsis {
 
     /// Residents indexed as always-candidates (no required conjunct).
     pub fn always_candidates(&self) -> usize {
-        self.always
+        self.always_candidates
     }
 
     /// Whether the constraint this synopsis would index for `expr` is
@@ -348,7 +348,7 @@ impl ShardSynopsis {
     /// synopsis.
     pub fn covers(&self, expr: &Expr) -> bool {
         match Constraint::for_expr(expr, |name| Arc::from(name)) {
-            Constraint::Always => self.always > 0,
+            Constraint::Always => self.always_candidates > 0,
             Constraint::Eq(attr, value) => self
                 .attrs
                 .get(&attr)
@@ -370,7 +370,9 @@ impl ShardSynopsis {
     /// numbering is ignored, so a synopsis rebuilt from scratch can be
     /// compared against one maintained incrementally through churn.
     pub fn agrees_with(&self, other: &ShardSynopsis) -> bool {
-        self.live == other.live && self.always == other.always && self.attrs == other.attrs
+        self.live == other.live
+            && self.always_candidates == other.always_candidates
+            && self.attrs == other.attrs
     }
 
     /// Approximate heap bytes owned by the synopsis — charged to
@@ -390,7 +392,7 @@ impl ShardSynopsis {
 
     fn add(&mut self, constraint: &Constraint) {
         match constraint {
-            Constraint::Always => self.always += 1,
+            Constraint::Always => self.always_candidates += 1,
             Constraint::Eq(attr, value) => {
                 *self
                     .attrs
@@ -432,7 +434,7 @@ impl ShardSynopsis {
         }
         let attr = match constraint {
             Constraint::Always => {
-                self.always -= 1;
+                self.always_candidates -= 1;
                 return;
             }
             Constraint::Eq(attr, _)

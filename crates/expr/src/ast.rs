@@ -13,10 +13,11 @@ use crate::{ParseError, Predicate};
 /// [`Expr::or`] normalise the trivial cases so that well-formed
 /// expressions never contain empty or single-child conjunctions.
 ///
-/// `Expr` is the *source* form of a subscription. The non-canonical
-/// engine compiles it into a compact byte encoding
-/// (`boolmatch-core::encode`); the canonical baselines run it through
-/// [`crate::transform::to_dnf`] first.
+/// `Expr` is the *source* form of a subscription. Every engine starts
+/// from its negation normal form ([`crate::transform::eliminate_not`]):
+/// the non-canonical engine compiles that into a compact byte encoding
+/// (`boolmatch-core::encode`); the canonical baselines expand it with
+/// [`crate::transform::to_dnf`].
 ///
 /// # Examples
 ///
@@ -117,17 +118,60 @@ impl Expr {
 
     /// Evaluates the expression directly against an event.
     ///
-    /// This is the *reference semantics* used by tests to validate the
-    /// engines: a predicate is true iff the event carries its attribute
-    /// with a satisfying value; `not` is logical negation of that.
+    /// This is the *reference semantics* every engine answers: a
+    /// predicate is true iff the event carries its attribute with a
+    /// satisfying value, and `not` is evaluated in negation normal
+    /// form — a leaf under an odd number of `not`s is tested with its
+    /// complemented operator, and `and`/`or` swap under negation. That
+    /// is Kleene three-valued logic in which "unknown" (a missing
+    /// attribute or a kind mismatch) never matches: `not (a = 1)` is
+    /// false on an event without `a`, and an expression and its
+    /// negation never both match. The result equals
+    /// [`crate::transform::eliminate_not`]`(self).eval_event(event)`,
+    /// computed without building that tree.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use boolmatch_expr::Expr;
+    /// use boolmatch_types::Event;
+    ///
+    /// let e = Expr::parse("not (a = 1) and b = 2")?;
+    /// let with_a = Event::builder().attr("a", 3_i64).attr("b", 2_i64).build();
+    /// let without_a = Event::builder().attr("b", 2_i64).build();
+    /// assert!(e.eval_event(&with_a));
+    /// assert!(!e.eval_event(&without_a));
+    /// assert!(!(!e).eval_event(&without_a));
+    /// # Ok::<(), boolmatch_expr::ParseError>(())
+    /// ```
     pub fn eval_event(&self, event: &Event) -> bool {
-        self.eval_with(&mut |p| p.eval_event(event))
+        self.eval_negated(event, false)
     }
 
-    /// Evaluates with a caller-supplied predicate oracle.
+    /// [`Expr::eval_event`] of `self`, or of its negation when `negate`.
+    fn eval_negated(&self, event: &Event, negate: bool) -> bool {
+        match self {
+            Expr::Pred(p) => {
+                let op = if negate { p.op().complement() } else { p.op() };
+                event.get(p.attr()).is_some_and(|v| op.eval(v, p.value()))
+            }
+            Expr::And(cs) | Expr::Or(cs) => {
+                if matches!(self, Expr::And(_)) != negate {
+                    cs.iter().all(|c| c.eval_negated(event, negate))
+                } else {
+                    cs.iter().any(|c| c.eval_negated(event, negate))
+                }
+            }
+            Expr::Not(c) => c.eval_negated(event, !negate),
+        }
+    }
+
+    /// Evaluates with a caller-supplied predicate oracle, negating
+    /// classically.
     ///
-    /// The engines use this with "is the predicate in the fulfilled
-    /// set"; property tests use it with random truth assignments.
+    /// Only tests use this, with truth assignments. Under an assignment
+    /// that gives a predicate and its complement opposite values, it
+    /// agrees with [`Expr::eval_event`]'s negation normal form.
     pub fn eval_with(&self, oracle: &mut impl FnMut(&Predicate) -> bool) -> bool {
         match self {
             Expr::Pred(p) => oracle(p),

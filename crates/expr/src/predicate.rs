@@ -206,12 +206,15 @@ impl Predicate {
     }
 
     /// The complementary predicate: true exactly when `self` is false
-    /// *for events that carry the attribute*.
+    /// *for events that carry the attribute* with a value of a kind the
+    /// operator compares.
     ///
-    /// Note the open-world caveat: when an event lacks the attribute,
-    /// both a predicate and its complement evaluate to false (see
-    /// [`Predicate::eval_event`]). The matching engines and the DNF
-    /// transformation share this convention, so all engines agree.
+    /// When an event lacks the attribute, both a predicate and its
+    /// complement evaluate to false (see [`Predicate::eval_event`]):
+    /// the comparison is unknown, and unknown never matches. This is
+    /// what `not` means everywhere — [`crate::Expr::eval_event`] tests
+    /// a negated leaf as its complement, and every engine stores the
+    /// complement ([`crate::transform::eliminate_not`]).
     pub fn complement(&self) -> Predicate {
         Predicate {
             attr: Arc::clone(&self.attr),
@@ -346,7 +349,7 @@ mod tests {
         let p = Predicate::new("a", CompareOp::Ne, 5_i64);
         let e = Event::builder().attr("b", 1_i64).build();
         assert!(!p.eval_event(&e));
-        // ... and the complement is also false: open-world convention.
+        // ... and the complement is also false: unknown never matches.
         assert!(!p.complement().eval_event(&e));
     }
 

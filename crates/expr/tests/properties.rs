@@ -1,6 +1,7 @@
 //! Seeded properties of the subscription language: a generated tree
-//! prints and parses back to itself, and the parser returns (never
-//! panics) on arbitrary input.
+//! prints and parses back to itself, its negation normal form is
+//! NOT-free and compact, and the parser returns (never panics) on
+//! arbitrary input.
 
 use boolmatch_expr::{transform, CompareOp, Expr, Predicate};
 use boolmatch_types::Value;
@@ -74,6 +75,18 @@ fn display_parse_round_trip() {
         let printed = e.to_string();
         let reparsed = Expr::parse(&printed).unwrap_or_else(|err| panic!("`{printed}`: {err}"));
         assert_eq!(reparsed, e, "round trip of `{printed}`");
+    }
+}
+
+#[test]
+fn negation_normal_form_is_not_free_and_compact() {
+    let mut rng = 36;
+    for _ in 0..2_000 {
+        let e = expr(&mut rng, 4);
+        let n = transform::eliminate_not(&e);
+        assert!(!n.contains_not(), "`{e}` became `{n}`");
+        assert_eq!(transform::compact(&n), n, "`{e}` became `{n}`");
+        assert_eq!(n.predicate_count(), e.predicate_count(), "`{e}`");
     }
 }
 

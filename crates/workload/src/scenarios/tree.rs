@@ -7,10 +7,10 @@
 //! across subscriptions. The pool covers all ten operators and all four
 //! value kinds, plus an Int attribute compared with a Float constant
 //! (never true: kinds differ). Events miss each attribute a quarter of
-//! the time — exactly where full negation (`not (a = 1)` holds without
-//! `a`) and the canonical engines' NNF negation (`a != 1` needs `a`)
-//! part ways — and sometimes carry an Int where the predicates hold
-//! Floats.
+//! the time — exactly where three-valued negation (`not (a = 1)` is
+//! false without `a`, as its normal form `a != 1` is) and classical
+//! negation would part ways — and sometimes carry an Int where the
+//! predicates hold Floats.
 //!
 //! The stream comes from a dependency-free splitmix64 generator, so it
 //! is identical on every platform and independent of the `rand` shim.

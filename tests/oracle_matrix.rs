@@ -4,11 +4,10 @@
 //! publish × placement policy, under subscribe / unsubscribe /
 //! rebalance / resize churn, each subscriber receives exactly the
 //! events a naive evaluation of its expression accepts, by value and in
-//! publish order. That naive evaluation is the kind's *oracle*:
-//! `Expr::eval_event` for the non-canonical engine (full negation), and
-//! `eliminate_not(e).eval_event` for the two counting engines. Those
-//! match the NNF, where a negated predicate becomes its complement, and
-//! the complement needs the attribute to be present.
+//! publish order. That naive evaluation is the oracle, the same for
+//! every kind: `Expr::eval_event`, which evaluates `not` in negation
+//! normal form — three-valued, where a leaf whose attribute is missing
+//! is false, negated or not.
 //!
 //! The grid, per kind: S ∈ {1, 3, 8} × {scalar `publish_arc`,
 //! `publish_batch` windows of 1–9 events} × {`LeastLoaded`,
@@ -26,8 +25,8 @@
 //! - the selective population at S ∈ {3, 8}, clustered, where pruning
 //!   must really fire;
 //! - the stock, news and auction scenarios, after four subscriptions of
-//!   which full negation makes two true of events that carry none of
-//!   their attributes.
+//!   which classical negation would make two true of events that carry
+//!   none of their attributes; no kind may deliver those.
 //!
 //! A mismatch names the configuration, seed and step, and the
 //! subscription. It then lists each event of the publish window with
@@ -55,14 +54,6 @@ const RESIZE_EVERY: usize = 83;
 const TARGET_LIVE: usize = 24;
 const MAX_WINDOW: usize = 9;
 
-/// What the broker must deliver for `expr` on an engine of `kind`.
-fn oracle(kind: EngineKind, expr: &Expr) -> Expr {
-    match kind {
-        EngineKind::NonCanonical => expr.clone(),
-        EngineKind::Counting | EngineKind::CountingVariant => eliminate_not(expr),
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 enum Width {
     Scalar,
@@ -88,8 +79,9 @@ impl fmt::Display for Config {
     }
 }
 
-/// Negations that hold, under full negation, on an event carrying none
-/// of their attributes — plus two plain predicates that do not.
+/// Negations that classical negation would make true on an event
+/// carrying none of their attributes — three-valued, they are not —
+/// plus two plain predicates.
 const NEGATIONS: [&str; 4] = ["not (a = 1)", "a = 1 or not (b = 2)", "a = 1", "b = 2"];
 
 /// Where a replay's subscriptions and events come from.
@@ -169,7 +161,6 @@ impl Corpus {
 struct Live {
     handle: Subscription,
     expr: Expr,
-    oracle: Expr,
 }
 
 /// The failure message: the subscription, then every event of the
@@ -187,20 +178,17 @@ fn mismatch(
         sub.handle.id(),
         sub.expr
     );
-    if sub.oracle != sub.expr {
-        let _ = write!(out, " (oracle evaluates `{}`)", sub.oracle);
-    }
     let position = |event: &Arc<Event>| window.iter().position(|e| e == event);
     for (i, event) in window.iter().enumerate() {
         let delivered = got.iter().filter(|g| position(g) == Some(i)).count();
         let _ = write!(
             out,
             "\n  event {i} {event}: oracle {}, delivered {delivered}×",
-            sub.oracle.eval_event(event)
+            sub.expr.eval_event(event)
         );
     }
     let want: Vec<usize> = (0..window.len())
-        .filter(|&i| sub.oracle.eval_event(&window[i]))
+        .filter(|&i| sub.expr.eval_event(&window[i]))
         .collect();
     let got: Vec<Option<usize>> = got.iter().map(position).collect();
     let _ = write!(out, "\n  want events {want:?}, got {got:?}");
@@ -232,7 +220,7 @@ fn publish(
     for sub in live {
         let want: Vec<Arc<Event>> = window
             .iter()
-            .filter(|event| sub.oracle.eval_event(event))
+            .filter(|event| sub.expr.eval_event(event))
             .cloned()
             .collect();
         let got = sub.handle.drain();
@@ -306,11 +294,7 @@ fn replay(config: &Config, steps: usize, mut corpus: Corpus) -> u64 {
                     "{config} step={step}: recycling keeps slots below the peak live count"
                 );
                 subscribed += 1;
-                live.push(Live {
-                    oracle: oracle(config.kind, &expr),
-                    expr,
-                    handle,
-                });
+                live.push(Live { expr, handle });
             } else {
                 let gone = live.swap_remove(dice.pick(live.len()));
                 if dice.pick(2) == 0 {
@@ -409,31 +393,64 @@ fn counting_variant_in_every_configuration() {
     every_configuration(EngineKind::CountingVariant);
 }
 
-/// Pins the per-kind oracle on its one point of divergence:
-/// `not (a = 1) and b = 2` on an event without `a`. Full negation holds
-/// (`a = 1` is unfulfilled); the complemented `a != 1` needs `a`.
+/// The oracle's meaning of `not`, on generated trees and events —
+/// missing attributes and kind mismatches included: it is the negation
+/// normal form's, an expression and its negation never both hold, and
+/// every kind answers the one divergent case of classical negation the
+/// same way.
 #[test]
-fn negation_semantics_diverge_exactly_on_missing_attributes() {
+fn negation_is_three_valued() {
+    let mut corpus = TreeScenario::new(0x3_7A1E);
+    let events: Vec<Event> = (0..64)
+        .map(|_| corpus.event())
+        .chain([
+            Event::builder().build(),
+            // Every tree attribute, each with a value of a kind its
+            // constants do not have.
+            Event::builder()
+                .attr("x0", "x")
+                .attr("x1", "x")
+                .attr("x2", "x")
+                .attr("x3", "x")
+                .attr("f", "f")
+                .attr("s", 7_i64)
+                .attr("b", 0.5)
+                .build(),
+        ])
+        .collect();
+    let (mut held, mut unknown) = (0, 0);
+    for _ in 0..400 {
+        let e = corpus.subscription();
+        let nnf = eliminate_not(&e);
+        let negated = !e.clone();
+        for event in &events {
+            let verdict = e.eval_event(event);
+            assert_eq!(
+                verdict,
+                nnf.eval_event(event),
+                "`{e}` as `{nnf}` on {event}"
+            );
+            let negated_verdict = negated.eval_event(event);
+            assert!(
+                !(verdict && negated_verdict),
+                "`{e}` and its negation both hold on {event}"
+            );
+            held += usize::from(verdict);
+            unknown += usize::from(!verdict && !negated_verdict);
+        }
+    }
+    assert!(held > 0 && unknown > 0, "held {held}, unknown {unknown}");
+
     let expr = Expr::parse("not (a = 1) and b = 2").unwrap();
     let without_a = Event::builder().attr("b", 2_i64).build();
     let with_a = Event::builder().attr("a", 3_i64).attr("b", 2_i64).build();
+    assert!(!expr.eval_event(&without_a));
+    assert!(expr.eval_event(&with_a));
     for kind in EngineKind::ALL {
         let mut engine = kind.build_matcher();
         engine.subscribe(&expr).unwrap();
-        let full_negation = kind == EngineKind::NonCanonical;
-        assert_eq!(
-            engine.match_event(&without_a).matched.len(),
-            usize::from(full_negation),
-            "{kind}"
-        );
-        assert_eq!(
-            oracle(kind, &expr).eval_event(&without_a),
-            full_negation,
-            "{kind}"
-        );
-        // With the attribute present, every kind and its oracle agree.
+        assert!(engine.match_event(&without_a).matched.is_empty(), "{kind}");
         assert_eq!(engine.match_event(&with_a).matched.len(), 1, "{kind}");
-        assert!(oracle(kind, &expr).eval_event(&with_a), "{kind}");
     }
 }
 

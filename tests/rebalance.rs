@@ -379,8 +379,8 @@ fn migration_does_not_block_matching_on_other_shards() {
     assert_eq!(broker.subscription_count(), 3);
 }
 
-/// Corners beside the generated trees: the non-canonical engine's
-/// always-evaluate case, a duplicated leaf, and string, bool and float
+/// Corners beside the generated trees: a negated leaf (stored as its
+/// complement), a duplicated leaf, and string, bool and float
 /// constants.
 const CORNERS: [&str; 4] = [
     "not (x0 = 1)",
@@ -443,17 +443,16 @@ fn a_migrated_subscription_matches_what_it_matched_before() {
     }
 }
 
-#[test]
-fn a_counting_shard_migrates_onto_a_non_canonical_one() {
+/// Half the subscribers of a `from` shard migrate onto an empty `to`
+/// shard and receive what they received before: every kind answers the
+/// expression the other gives back the same way.
+fn assert_migration_across_kinds_keeps_deliveries(from: EngineKind, to: EngineKind) {
     let mut scenario = TreeScenario::new(7);
     let broker = Broker::builder()
-        .engine_instances(vec![
-            EngineKind::Counting.build(),
-            EngineKind::NonCanonical.build(),
-        ])
+        .engine_instances(vec![from.build(), to.build()])
         .build();
     // Least-loaded placement alternates the two shards; dropping every
-    // odd arrival empties the non-canonical shard.
+    // odd arrival empties the `to` shard.
     let mut subs: Vec<Subscription> = corpus(&mut scenario, 60)
         .iter()
         .map(|e| broker.subscribe_expr(e).unwrap())
@@ -464,8 +463,15 @@ fn a_counting_shard_migrates_onto_a_non_canonical_one() {
         index % 2 == 1
     });
     let events: Vec<Event> = (0..48).map(|_| scenario.event()).collect();
-    // The counting shard gives back its NNF conjunctions, so the
-    // non-canonical target keeps the counting semantics the
-    // subscription had.
     assert_rebalance_keeps_deliveries(&broker, &subs, &events);
+}
+
+#[test]
+fn a_counting_shard_migrates_onto_a_non_canonical_one() {
+    assert_migration_across_kinds_keeps_deliveries(EngineKind::Counting, EngineKind::NonCanonical);
+}
+
+#[test]
+fn a_non_canonical_shard_migrates_onto_a_counting_one() {
+    assert_migration_across_kinds_keeps_deliveries(EngineKind::NonCanonical, EngineKind::Counting);
 }
