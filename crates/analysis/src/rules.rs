@@ -60,7 +60,6 @@ pub const GLOBAL_LOCKS: &[&str] = &[
     "delivery_ready",
     "shard_set",
     "freq_baseline",
-    "rebalancer",
 ];
 
 /// Lock classes that are *leaves by discipline*, not broker-global

@@ -5,14 +5,11 @@ use std::collections::{HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock, PoisonError, Weak};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::{Arc, OnceLock, Weak};
 
 use boolmatch_core::{
-    attribute_hash, dominant_eq_attr, lock_classes, BatchScratch, BoxedEngine, EngineKind,
-    MatchScratch, MatchStats, MemoryUsage, PlacementPolicy, Shard, SubscribeError,
-    SubscriptionDirectory, SubscriptionId, WorkerPool,
+    lock_classes, BatchScratch, BoxedEngine, EngineKind, MatchScratch, MatchStats, MemoryUsage,
+    PlacementPolicy, Shard, SubscribeError, SubscriptionDirectory, SubscriptionId, WorkerPool,
 };
 use boolmatch_expr::{Expr, ParseError};
 use boolmatch_types::Event;
@@ -89,10 +86,9 @@ pub struct BrokerStats {
     pub subscriptions_removed: u64,
     /// Subscriptions live-migrated between shards by
     /// [`Broker::migrate`] / [`Broker::rebalance`] /
-    /// [`Broker::rebalance_by_match_frequency`] / [`Broker::resize`]
-    /// (including the background rebalance thread). Migration never
-    /// changes a subscription's id or its delivery stream — this
-    /// counter only measures rebalancing work.
+    /// [`Broker::rebalance_by_match_frequency`] / [`Broker::resize`].
+    /// Migration never changes a subscription's id or its delivery
+    /// stream — this counter only measures rebalancing work.
     ///
     /// **Ordering:** each move is counted inside the directory write
     /// section that repoints the subscription, before either lock of
@@ -142,8 +138,8 @@ struct AtomicStats {
 }
 
 /// Per-publisher-thread reusable buffers: the match scratch plus the
-/// global matched-id accumulator (publish), the batch scratch,
-/// per-event matched buckets and `Arc` buffer (publish_batch), the
+/// global matched-id accumulator (publish), the batch scratch and
+/// per-event matched buckets (publish_batch), the
 /// delivery snapshot of matched subscribers' queue handles, and the
 /// chunk of consumer queues this publish scheduled but has not yet
 /// handed to the ready list.
@@ -153,7 +149,6 @@ struct PublishState {
     batch: BatchScratch,
     matched: Vec<SubscriptionId>,
     buckets: Vec<Vec<SubscriptionId>>,
-    event_arcs: Vec<Arc<Event>>,
     targets: Vec<(SubscriptionId, Arc<NotifyQueue>)>,
     ready: Vec<(SubscriptionId, Arc<NotifyQueue>)>,
 }
@@ -162,21 +157,10 @@ thread_local! {
     // One state per publisher thread, shared by all brokers on that
     // thread (sound: the scratch is engine-agnostic and self-restoring
     // between matches). It grows to the largest engine the thread ever
-    // matched against and stays at that high-water mark until
-    // [`trim_publish_scratch`] is called.
+    // matched against and keeps that capacity, except that a buffer a
+    // publish leaves larger than [`BrokerBuilder::scratch_trim_cap`] is
+    // released after that publish.
     static PUBLISH_STATE: RefCell<PublishState> = RefCell::new(PublishState::default());
-}
-
-/// Releases the calling thread's publish scratch buffers.
-///
-/// [`Broker::publish`] keeps one [`MatchScratch`] (plus a matched-id
-/// accumulator) per thread, sized to the largest engine that thread has
-/// matched against. Long-lived worker threads that once published to a
-/// huge broker and now serve only small ones can call this to return
-/// the high-water allocation; the next publish re-grows the buffers
-/// lazily.
-pub fn trim_publish_scratch() {
-    PUBLISH_STATE.with(|cell| *cell.borrow_mut() = PublishState::default());
 }
 
 /// Default [`BrokerBuilder::scratch_trim_cap`]: a thread-local publish
@@ -186,11 +170,6 @@ pub fn trim_publish_scratch() {
 /// every publisher thread forever. Generous on purpose — steady-state
 /// workloads far below it never trim and so never re-allocate.
 pub const DEFAULT_SCRATCH_TRIM_CAP: usize = 8 << 20;
-
-/// Subscriptions one background-rebalance tick moves at most — the
-/// "small chunks" that keep continuous rebalancing from ever stalling a
-/// shard pair for long.
-pub const BACKGROUND_REBALANCE_CHUNK: usize = 32;
 
 /// Absolute per-tick match-delta floor below which
 /// [`Broker::rebalance_by_match_frequency`] treats shard hit skew as
@@ -240,25 +219,6 @@ pub struct DeliveryTickReport {
     /// Subscribers disconnected this tick
     /// ([`QuarantineConfig::auto_disconnect`]).
     pub disconnected: usize,
-}
-
-/// What the background rebalance thread balances on each tick; see
-/// [`BrokerBuilder::background_rebalance`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RebalancePolicy {
-    /// Even out per-shard **live-subscription counts** (the PR-4
-    /// invariant `max − min ≤ 1`) — the right policy when every
-    /// subscription costs roughly the same to match.
-    SubscriptionCount,
-    /// Even out per-shard **observed match frequency**: each shard
-    /// carries a lock-free counter of the matches it produced, and the
-    /// tick migrates subscriptions from the shard with the highest
-    /// per-tick match delta to the one with the lowest. This is the
-    /// policy for skewed workloads where a minority of hot
-    /// subscriptions absorb most matches — count-balanced shards can
-    /// still hide an arbitrarily lopsided match load (see the
-    /// `HotKeyScenario` workload and `tests/hot_path.rs`).
-    MatchFrequency,
 }
 
 /// How one `migrate_between` call decides to keep moving.
@@ -326,45 +286,6 @@ impl ShardCell {
     }
 }
 
-/// A one-shot stop signal for the background rebalance thread: `signal`
-/// releases a `wait_timeout` immediately instead of letting the thread
-/// sleep out its interval on shutdown.
-struct StopLatch {
-    stopped: StdMutex<bool>,
-    cv: Condvar,
-}
-
-impl StopLatch {
-    fn new() -> Self {
-        StopLatch {
-            stopped: StdMutex::new(false),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn signal(&self) {
-        *self.stopped.lock().unwrap_or_else(PoisonError::into_inner) = true;
-        self.cv.notify_all();
-    }
-
-    /// Sleeps up to `timeout`; returns whether stop was signalled.
-    fn wait_timeout(&self, timeout: Duration) -> bool {
-        let guard = self.stopped.lock().unwrap_or_else(PoisonError::into_inner);
-        let (guard, _) = self
-            .cv
-            .wait_timeout_while(guard, timeout, |stopped| !*stopped)
-            .unwrap_or_else(PoisonError::into_inner);
-        *guard
-    }
-}
-
-/// The background rebalance thread's handle, joined when the broker's
-/// last reference drops.
-struct BackgroundHandle {
-    stop: Arc<StopLatch>,
-    thread: JoinHandle<()>,
-}
-
 /// The decayed match-frequency window
 /// [`Broker::rebalance_by_match_frequency`] plans from: `baseline` is
 /// the raw per-shard counter snapshot the next tick diffs against,
@@ -413,8 +334,8 @@ pub(crate) struct BrokerInner {
     /// other acquisition, so the broker's lock graph is acyclic.
     directory: RwLock<SubscriptionDirectory>,
     /// Serializes the control plane — migrate/rebalance/resize and the
-    /// background thread's ticks — so a resize can never swap the shard
-    /// set out from under a running migration.
+    /// quarantine tick — so a resize can never swap the shard set out
+    /// from under a running migration.
     maintenance: Mutex<()>,
     /// The frequency-weighted rebalancer's decayed planning window:
     /// the last per-shard hit snapshot plus the decayed per-tick delta
@@ -463,23 +384,10 @@ pub(crate) struct BrokerInner {
     /// Where new subscriptions land (see
     /// [`BrokerBuilder::placement`]).
     placement: PlacementPolicy,
-    /// The background rebalance thread, when configured.
-    rebalancer: Mutex<Option<BackgroundHandle>>,
 }
 
 impl Drop for BrokerInner {
     fn drop(&mut self) {
-        if let Some(handle) = self.rebalancer.get_mut().take() {
-            handle.stop.signal();
-            // The last broker reference can die on the background
-            // thread itself (its tick upgrades the Weak into a
-            // temporary strong handle); joining ourselves would
-            // deadlock — the thread is already past its loop and
-            // exits on its own.
-            if handle.thread.thread().id() != std::thread::current().id() {
-                let _ = handle.thread.join();
-            }
-        }
         // Deterministic delivery teardown: close every queue (waking
         // blocked receivers and `Block`-policy publishers; queued
         // events stay drainable through surviving handles), then let
@@ -677,21 +585,11 @@ impl Broker {
         // guarantees a placement on a freshly grown shard only happens
         // once the grown set is visible, and a shrink restricts
         // placement before any dying cell leaves the set.
-        let shard = {
-            let mut directory = self.inner.directory.write();
-            match self.inner.placement {
-                PlacementPolicy::LeastLoaded => directory.place(),
-                // Clustered: route to the shard the subscription's
-                // dominant equality attribute hashes to (load-capped;
-                // the directory falls back to least-loaded when the
-                // cluster target is overloaded), so shard synopses
-                // become selective and pruning actually bites.
-                PlacementPolicy::ClusterByAttribute => match dominant_eq_attr(&expr) {
-                    Some(attr) => directory.place_clustered(attribute_hash(attr)),
-                    None => directory.place(),
-                },
-            }
-        };
+        let shard = self
+            .inner
+            .directory
+            .write()
+            .place_for(self.inner.placement, &expr);
         let set = self.shard_set();
         let cell = &set[shard];
         // Nothing beyond the engine's own registration is kept: a
@@ -760,12 +658,6 @@ impl Broker {
     // a directory guard is live).
     pub fn migrate(&self, max_moves: usize) -> usize {
         let _maintenance = self.inner.maintenance.lock();
-        self.migrate_locked(max_moves)
-    }
-
-    /// [`Broker::migrate`] body, with the maintenance lock already
-    /// held (so `resize` and the background thread can compose it).
-    fn migrate_locked(&self, max_moves: usize) -> usize {
         // Bound how long one lock acquisition of the shard pair is
         // held: a large drain (rebalance() on a heavily skewed broker)
         // is chunked, releasing and re-acquiring the pair's write
@@ -811,10 +703,8 @@ impl Broker {
     /// subscription, or on the re-arming call after a resize changed
     /// the shard set).
     ///
-    /// This is the tick the
-    /// [`MatchFrequency`](RebalancePolicy::MatchFrequency) background
-    /// thread runs on its interval; it is public so operators and tests
-    /// can drive the same policy deterministically.
+    /// The broker runs no tick on its own: the caller decides when, as
+    /// with [`Broker::delivery_maintenance_tick`].
     pub fn rebalance_by_match_frequency(&self, max_moves: usize) -> usize {
         let _maintenance = self.inner.maintenance.lock();
         let set = self.shard_set();
@@ -1000,8 +890,7 @@ impl Broker {
     /// throughout, and no subscription changes its id, handle or
     /// delivery stream. Returns the number of subscriptions migrated
     /// (growing moves none — new shards start empty; follow with
-    /// [`Broker::rebalance`], or let the background thread spread load
-    /// onto them).
+    /// [`Broker::rebalance`] to spread load onto them).
     ///
     /// The shard/lock array itself is replaced behind an **epoch
     /// swap**: surviving shards keep their cells (lock, translation
@@ -1102,8 +991,7 @@ impl Broker {
 
     /// Lifetime matches each shard has produced
     /// (`MatchStats::matched`, summed over publishes) — the counters
-    /// the [`MatchFrequency`](RebalancePolicy::MatchFrequency)
-    /// rebalancer balances on.
+    /// [`Broker::rebalance_by_match_frequency`] balances on.
     pub fn shard_match_hits(&self) -> Vec<u64> {
         self.shard_set()
             .iter()
@@ -1122,12 +1010,6 @@ impl Broker {
             .iter()
             .map(|cell| cell.pruned.load(Ordering::Relaxed))
             .collect()
-    }
-
-    /// Whether a background rebalance thread is attached (see
-    /// [`BrokerBuilder::background_rebalance`]).
-    pub fn background_rebalance_active(&self) -> bool {
-        self.inner.rebalancer.lock().is_some()
     }
 
     /// Runs `f` while holding the placement directory's **write** lock
@@ -1286,8 +1168,7 @@ impl Broker {
     /// The batch is taken as `Arc<Event>`s: one allocation per event,
     /// made by the caller, shared untouched across every shard's
     /// matching and every delivered notification — the batch path never
-    /// clones an event. Callers holding plain events can use the
-    /// [`Broker::publish_batch_events`] convenience wrapper.
+    /// clones an event.
     ///
     /// Compared to the one-by-one sequence, the batch visits each shard
     /// once ([`Shard::match_batch`]): the shard's read lock is acquired
@@ -1360,29 +1241,6 @@ impl Broker {
             self.release_if_oversized(bucket);
         }
         PUBLISH_STATE.with(|cell| cell.borrow_mut().buckets = buckets);
-        delivered
-    }
-
-    /// [`Broker::publish_batch`] for callers holding plain events: each
-    /// is cloned into an `Arc` once (the only copies made — matching
-    /// and delivery then share them). The `Arc` list itself lives in a
-    /// reusable thread-local buffer, so the steady-state wrapper adds
-    /// no allocation beyond the per-event `Arc`s.
-    pub fn publish_batch_events(&self, events: &[Event]) -> usize {
-        // Take the buffer *out* of the thread-local cell: publish_batch
-        // re-borrows PUBLISH_STATE, so the RefCell borrow must not be
-        // live across the call.
-        let mut shared =
-            PUBLISH_STATE.with(|cell| std::mem::take(&mut cell.borrow_mut().event_arcs));
-        shared.clear();
-        shared.extend(events.iter().map(|e| Arc::new(e.clone())));
-        let delivered = self.publish_batch(&shared);
-        // Drop the Arcs now (deliveries hold their own clones) and park
-        // the buffer's capacity for the next batch — unless a
-        // pathological batch grew it past the trim cap.
-        shared.clear();
-        self.release_if_oversized(&mut shared);
-        PUBLISH_STATE.with(|cell| cell.borrow_mut().event_arcs = shared);
         delivered
     }
 
@@ -1541,13 +1399,6 @@ impl Broker {
 
     // lint: end-hot-path
 
-    /// A cloneable publishing handle for producer threads.
-    pub fn publisher(&self) -> Publisher {
-        Publisher {
-            broker: self.clone(),
-        }
-    }
-
     /// Number of live subscriptions.
     pub fn subscription_count(&self) -> usize {
         self.inner.senders.read().len()
@@ -1692,39 +1543,6 @@ impl Broker {
         }
         report
     }
-
-    /// One background tick of `policy`; returns the subscriptions
-    /// moved.
-    fn background_tick(&self, policy: RebalancePolicy) -> usize {
-        match policy {
-            RebalancePolicy::SubscriptionCount => self.migrate(BACKGROUND_REBALANCE_CHUNK),
-            RebalancePolicy::MatchFrequency => {
-                self.rebalance_by_match_frequency(BACKGROUND_REBALANCE_CHUNK)
-            }
-        }
-    }
-}
-
-/// The background rebalance thread body: tick `policy` every
-/// `interval` until the broker goes away or shutdown is signalled. The
-/// thread holds only a `Weak` reference — it can never keep a dropped
-/// broker alive, and a failed upgrade is its exit signal.
-fn background_rebalance_loop(
-    weak: Weak<BrokerInner>,
-    stop: Arc<StopLatch>,
-    interval: Duration,
-    policy: RebalancePolicy,
-) {
-    while !stop.wait_timeout(interval) {
-        let Some(inner) = weak.upgrade() else {
-            break;
-        };
-        let broker = Broker { inner };
-        broker.background_tick(policy);
-        // `broker` drops here; if an exiting owner raced us, this may
-        // be the last reference — BrokerInner's Drop skips joining the
-        // thread it is running on, so the teardown stays clean.
-    }
 }
 
 /// One drainer job: pops one queue at a time off the ready list and
@@ -1811,51 +1629,6 @@ impl fmt::Debug for Broker {
     }
 }
 
-/// A cloneable handle for publishing from producer threads.
-///
-/// # Examples
-///
-/// ```
-/// use boolmatch_broker::Broker;
-/// use boolmatch_types::Event;
-///
-/// let broker = Broker::builder().build();
-/// let publisher = broker.publisher();
-/// std::thread::spawn(move || {
-///     publisher.publish(Event::builder().attr("n", 1_i64).build());
-/// })
-/// .join()
-/// .unwrap();
-/// ```
-#[derive(Clone, Debug)]
-pub struct Publisher {
-    broker: Broker,
-}
-
-impl Publisher {
-    /// Publishes an event; see [`Broker::publish`].
-    pub fn publish(&self, event: Event) -> usize {
-        self.broker.publish(event)
-    }
-
-    /// Publishes an already-shared event; see [`Broker::publish_arc`].
-    pub fn publish_arc(&self, event: Arc<Event>) -> usize {
-        self.broker.publish_arc(event)
-    }
-
-    /// Publishes a batch of shared events; see
-    /// [`Broker::publish_batch`].
-    pub fn publish_batch(&self, events: &[Arc<Event>]) -> usize {
-        self.broker.publish_batch(events)
-    }
-
-    /// Publishes a batch of plain events; see
-    /// [`Broker::publish_batch_events`].
-    pub fn publish_batch_events(&self, events: &[Event]) -> usize {
-        self.broker.publish_batch_events(events)
-    }
-}
-
 /// Configures and builds a [`Broker`].
 #[derive(Default)]
 pub struct BrokerBuilder {
@@ -1867,7 +1640,6 @@ pub struct BrokerBuilder {
     quarantine: Option<QuarantineConfig>,
     delivery_workers: Option<usize>,
     scratch_trim_cap: Option<usize>,
-    background: Option<(Duration, RebalancePolicy)>,
     placement: PlacementPolicy,
 }
 
@@ -1881,7 +1653,6 @@ impl fmt::Debug for BrokerBuilder {
             .field("quarantine", &self.quarantine)
             .field("delivery_workers", &self.delivery_workers)
             .field("scratch_trim_cap", &self.scratch_trim_cap)
-            .field("background_rebalance", &self.background)
             .field("placement", &self.placement)
             .finish()
     }
@@ -1914,16 +1685,6 @@ impl BrokerBuilder {
         assert!(n > 0, "a broker needs at least one engine shard");
         self.shards = n;
         self
-    }
-
-    /// Supplies a single pre-built (possibly custom) engine instead of
-    /// an [`EngineKind`]; takes precedence over
-    /// [`BrokerBuilder::engine`] and [`BrokerBuilder::shards`]. Useful
-    /// for non-default engine configurations and for instrumented
-    /// engines in tests.
-    #[must_use]
-    pub fn engine_instance(self, engine: BoxedEngine) -> Self {
-        self.engine_instances(vec![engine])
     }
 
     /// Supplies one pre-built engine per shard (shard `i` runs
@@ -1974,22 +1735,6 @@ impl BrokerBuilder {
     pub fn delivery_workers(mut self, n: usize) -> Self {
         assert!(n > 0, "a delivery pool needs at least one thread");
         self.delivery_workers = Some(n);
-        self
-    }
-
-    /// Attaches a **background rebalance thread**: every `interval` it
-    /// runs one tick of `policy`, live-migrating at most
-    /// [`BACKGROUND_REBALANCE_CHUNK`] subscriptions — continuous,
-    /// amortised rebalancing instead of operator-triggered
-    /// [`Broker::rebalance`] bursts. The thread parks between ticks,
-    /// holds only a weak reference to the broker (it can never keep a
-    /// dropped broker alive), wakes immediately on shutdown, and is
-    /// joined when the last broker handle drops. Ticks serialize with
-    /// operator-driven migration and [`Broker::resize`] on the broker's
-    /// maintenance lock; none of it ever blocks the publish hot path.
-    #[must_use]
-    pub fn background_rebalance(mut self, interval: Duration, policy: RebalancePolicy) -> Self {
-        self.background = Some((interval, policy));
         self
     }
 
@@ -2061,32 +1806,17 @@ impl BrokerBuilder {
             stats: AtomicStats::default(),
             grow_kind,
             placement: self.placement,
-            rebalancer: Mutex::new(None),
         });
         // Register the broker-global locks with lockdep (debug builds):
         // runtime enforcement of the documented order — `maintenance`
         // outermost, shard locks ascending, `directory` innermost,
-        // `senders`/`delivery_ready`/`shard-set`/`freq-baseline`/
-        // `rebalancer` leaves.
+        // `senders`/`delivery_ready`/`shard-set`/`freq-baseline` leaves.
         inner.directory.set_class(lock_classes::DIRECTORY);
         inner.maintenance.set_class(lock_classes::MAINTENANCE);
         inner.senders.set_class(lock_classes::SENDERS);
         inner.delivery_ready.set_class(lock_classes::DELIVERY_READY);
         inner.shard_set.set_class("shard-set");
         inner.freq_baseline.set_class("freq-baseline");
-        inner.rebalancer.set_class("rebalancer");
-        if let Some((interval, policy)) = self.background {
-            let stop = Arc::new(StopLatch::new());
-            let weak = Arc::downgrade(&inner);
-            let thread = {
-                let stop = Arc::clone(&stop);
-                std::thread::Builder::new()
-                    .name("boolmatch-rebalancer".into())
-                    .spawn(move || background_rebalance_loop(weak, stop, interval, policy))
-                    .expect("spawning the background rebalance thread")
-            };
-            *inner.rebalancer.lock() = Some(BackgroundHandle { stop, thread });
-        }
         Broker { inner }
     }
 }
@@ -2188,7 +1918,7 @@ mod tests {
             .collect();
         let mut handles = Vec::new();
         for t in 0..4 {
-            let publisher = broker.publisher();
+            let publisher = broker.clone();
             handles.push(std::thread::spawn(move || {
                 for i in 0..100 {
                     publisher.publish(Event::builder().attr("topic", ((t + i) % 8) as i64).build());
@@ -2284,15 +2014,18 @@ mod tests {
         assert_eq!(broker.publish_batch(&[]), 0);
         let sub = broker.subscribe("a = 1").unwrap();
         // Repeated batches reuse the thread-local buckets (shrinking
-        // and growing the batch length between calls); the plain-event
-        // wrapper and the Arc form interleave freely.
+        // and growing the batch length between calls).
         assert_eq!(
-            broker.publish_batch_events(&[ev(&[("a", 1)]), ev(&[("a", 2)])]),
+            broker.publish_batch(&[Arc::new(ev(&[("a", 1)])), Arc::new(ev(&[("a", 2)]))]),
             1
         );
         assert_eq!(broker.publish_batch(&[Arc::new(ev(&[("a", 1)]))]), 1);
         assert_eq!(
-            broker.publish_batch_events(&[ev(&[("a", 1)]), ev(&[("a", 1)]), ev(&[("a", 3)])]),
+            broker.publish_batch(&[
+                Arc::new(ev(&[("a", 1)])),
+                Arc::new(ev(&[("a", 1)])),
+                Arc::new(ev(&[("a", 3)]))
+            ]),
             2
         );
         assert_eq!(sub.drain().len(), 4);
@@ -2544,18 +2277,6 @@ mod tests {
     }
 
     #[test]
-    fn trim_publish_scratch_keeps_publishing_correct() {
-        let broker = Broker::builder().build();
-        let sub = broker.subscribe("a = 1").unwrap();
-        assert_eq!(broker.publish(ev(&[("a", 1)])), 1);
-        // Trimming between publishes releases the thread's buffers; the
-        // next publish re-grows them and still matches correctly.
-        trim_publish_scratch();
-        assert_eq!(broker.publish(ev(&[("a", 1)])), 1);
-        assert_eq!(sub.drain().len(), 2);
-    }
-
-    #[test]
     fn resize_grows_live_and_rebalance_spreads() {
         let broker = Broker::builder().shards(2).build();
         let subs: Vec<_> = (0..8)
@@ -2680,7 +2401,7 @@ mod tests {
         broker.publish(ev(&[("b", 1)]));
         assert_eq!(broker.shard_match_hits(), vec![2, 1]);
         // The batch path feeds the same counters.
-        broker.publish_batch_events(&[ev(&[("a", 1)]), ev(&[("b", 1)])]);
+        broker.publish_batch(&[Arc::new(ev(&[("a", 1)])), Arc::new(ev(&[("b", 1)]))]);
         assert_eq!(broker.shard_match_hits(), vec![3, 2]);
     }
 
@@ -2703,7 +2424,7 @@ mod tests {
             "a one-group event candidates exactly one shard"
         );
         assert_eq!(
-            broker.publish_batch_events(&[ev(&[("g1", 1)]), ev(&[("g2", 1)])]),
+            broker.publish_batch(&[Arc::new(ev(&[("g1", 1)])), Arc::new(ev(&[("g2", 1)]))]),
             8
         );
         let after_batch: u64 = broker.shard_prune_counts().iter().sum();
@@ -2780,41 +2501,6 @@ mod tests {
         assert_eq!(broker.publish(ev(&[("hot", 1)])), 4);
         // A quiet interval moves nothing.
         assert_eq!(broker.rebalance_by_match_frequency(2), 0);
-    }
-
-    #[test]
-    fn background_rebalance_thread_balances_and_shuts_down() {
-        let broker = Broker::builder()
-            .shards(3)
-            .background_rebalance(Duration::from_millis(1), RebalancePolicy::SubscriptionCount)
-            .build();
-        assert!(broker.background_rebalance_active());
-        let mut subs: Vec<_> = (0..12)
-            .map(|i| broker.subscribe(&format!("a = {i}")).unwrap())
-            .collect();
-        // Skew the loads by draining shard 1 (arrivals 1, 4, 7, 10).
-        for &i in &[10usize, 7, 4, 1] {
-            drop(subs.remove(i));
-        }
-        // The background thread must even this out on its own.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        loop {
-            let loads = broker.shard_loads();
-            let spread = loads.iter().max().unwrap() - loads.iter().min().unwrap();
-            if spread <= 1 {
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "background rebalance never balanced: {loads:?}"
-            );
-            std::thread::yield_now();
-        }
-        assert!(broker.stats().subscriptions_migrated >= 1);
-        // Dropping the last handle joins the thread (deadlock here
-        // would hang the test).
-        drop(subs);
-        drop(broker);
     }
 
     #[test]

@@ -23,9 +23,9 @@
 //! [`Broker::rebalance_by_match_frequency`] live-migrate subscriptions
 //! between shards (write-locking only the two shards involved;
 //! matching continues everywhere else) without touching any id, handle
-//! or delivery stream, and
-//! [`BrokerBuilder::background_rebalance`] runs the same migration
-//! continuously in small chunks from a parked thread. Matching is a
+//! or delivery stream. The broker owns no maintenance thread: the
+//! caller drives every rebalance and quarantine tick, on whatever
+//! schedule it likes. Matching is a
 //! **shared-read** operation: `publish` visits each shard under that
 //! shard's *read* lock with a thread-local
 //! [`boolmatch_core::MatchScratch`] for all per-event mutable state,
@@ -85,8 +85,7 @@
 //! allocation beyond the `Arc` around the event. The scratch grows to
 //! the largest engine a thread has matched against and stays there, up
 //! to [`BrokerBuilder::scratch_trim_cap`] (a buffer a publish leaves
-//! larger is released); long-lived threads can release all of it with
-//! [`trim_publish_scratch`].
+//! larger is released).
 //!
 //! # Examples
 //!
@@ -114,8 +113,7 @@ mod delivery;
 mod subscriber;
 
 pub use broker::{
-    trim_publish_scratch, Broker, BrokerBuilder, BrokerError, BrokerStats, DeliveryTickReport,
-    Publisher, RebalancePolicy, BACKGROUND_REBALANCE_CHUNK, DEFAULT_DELIVERY_WORKERS,
+    Broker, BrokerBuilder, BrokerError, BrokerStats, DeliveryTickReport, DEFAULT_DELIVERY_WORKERS,
     DEFAULT_SCRATCH_TRIM_CAP, MATCH_FREQUENCY_SKEW_FLOOR,
 };
 pub use delivery::{DeliveryPolicy, DeliveryReceiver, QuarantineConfig, SubscriberLag};

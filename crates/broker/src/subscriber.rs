@@ -156,7 +156,7 @@ mod tests {
     fn recv_blocks_until_publish() {
         let broker = Broker::builder().build();
         let sub = broker.subscribe("a = 1").unwrap();
-        let publisher = broker.publisher();
+        let publisher = broker.clone();
         let queue = Arc::clone(&sub.queue);
         let handle = std::thread::spawn(move || {
             // Publish only once the receiver is parked in `recv`.

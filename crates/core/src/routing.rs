@@ -43,6 +43,7 @@ use std::sync::Arc;
 use boolmatch_expr::Expr;
 
 use crate::memory::reserve_tight;
+use crate::synopsis::{attribute_hash, dominant_eq_attr};
 use crate::{PredicateId, SubscriptionId};
 
 /// The canonical [lockdep](parking_lot::lockdep) class names for the
@@ -344,6 +345,26 @@ impl SubscriptionDirectory {
         self.cursor = (chosen + 1) % limit;
         self.loads[chosen] += 1;
         chosen
+    }
+
+    /// Reserves a shard for `expr` under `policy` — the one placement
+    /// decision the broker and [`crate::ShardedEngine`] share.
+    /// [`PlacementPolicy::LeastLoaded`] is [`SubscriptionDirectory::place`].
+    /// [`PlacementPolicy::ClusterByAttribute`] routes to the shard the
+    /// expression's dominant equality attribute hashes to
+    /// ([`SubscriptionDirectory::place_clustered`], load-capped), so
+    /// shard synopses become selective and pruning bites; an expression
+    /// with no required equality is placed least-loaded. Follow with
+    /// [`SubscriptionDirectory::commit`] or
+    /// [`SubscriptionDirectory::cancel`].
+    pub fn place_for(&mut self, policy: PlacementPolicy, expr: &Expr) -> usize {
+        match policy {
+            PlacementPolicy::LeastLoaded => self.place(),
+            PlacementPolicy::ClusterByAttribute => match dominant_eq_attr(expr) {
+                Some(attr) => self.place_clustered(attribute_hash(attr)),
+                None => self.place(),
+            },
+        }
     }
 
     /// Content-aware variant of [`SubscriptionDirectory::place`] for

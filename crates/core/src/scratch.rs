@@ -122,29 +122,14 @@ impl MatchScratch {
         MatchScratch::default()
     }
 
-    // lint: hot-path — matched-id access and local→global translation
-    // run once per event on the delivery path.
+    // lint: hot-path — matched-id access runs once per event on the
+    // delivery path.
 
     /// Matched subscription ids of the most recent
     /// [`match_event_into`](crate::FilterEngine::match_event_into), in
     /// unspecified order, without duplicates.
     pub fn matched(&self) -> &[SubscriptionId] {
         &self.matched
-    }
-
-    /// Rewrites the matched ids in place through `translate`, dropping
-    /// ids it maps to `None` — the sharded fan-out's local → global
-    /// translation, fed from the matched shard's own
-    /// [`crate::ShardTranslation`] map (under whatever lock already
-    /// guards that shard). A `None` means the subscription was retired
-    /// (or migrated away) between matching and translation; delivery
-    /// would have skipped it anyway, so it is filtered here, once,
-    /// instead of at every consumer.
-    pub fn translate_matched(
-        &mut self,
-        translate: impl FnMut(SubscriptionId) -> Option<SubscriptionId>,
-    ) {
-        translate_ids(&mut self.matched, translate);
     }
 
     // lint: end-hot-path
@@ -228,9 +213,13 @@ impl MatchScratch {
 // lint: hot-path — the id rewrite itself, once per matched id.
 
 /// Rewrites `ids` in place through `translate`, dropping the ids it
-/// maps to `None`: the one local → global rewrite behind
-/// [`MatchScratch::translate_matched`] and the per-event lists of a
-/// batch.
+/// maps to `None`: the one local → global rewrite, fed from the matched
+/// shard's own [`crate::ShardTranslation`] map (under whatever lock
+/// already guards that shard), for a single event's matched ids and for
+/// the per-event lists of a batch. A `None` means the subscription was
+/// retired (or migrated away) between matching and translation;
+/// delivery would have skipped it anyway, so it is filtered here, once,
+/// instead of at every consumer.
 pub(crate) fn translate_ids(
     ids: &mut Vec<SubscriptionId>,
     mut translate: impl FnMut(SubscriptionId) -> Option<SubscriptionId>,
@@ -443,16 +432,6 @@ impl<E: crate::FilterEngine> Matcher<E> {
     pub fn engine_mut(&mut self) -> &mut E {
         &mut self.engine
     }
-
-    /// The owned scratch.
-    pub fn scratch_mut(&mut self) -> &mut MatchScratch {
-        &mut self.scratch
-    }
-
-    /// Unbundles the engine and scratch.
-    pub fn into_parts(self) -> (E, MatchScratch) {
-        (self.engine, self.scratch)
-    }
 }
 
 impl<E> std::ops::Deref for Matcher<E> {
@@ -649,20 +628,19 @@ mod tests {
     }
 
     #[test]
-    fn translate_matched_rewrites_and_filters_in_place() {
-        let mut scratch = MatchScratch::new();
-        scratch.matched = vec![
+    fn translate_ids_rewrites_and_filters_in_place() {
+        let mut ids = vec![
             crate::SubscriptionId::from_index(0),
             crate::SubscriptionId::from_index(1),
             crate::SubscriptionId::from_index(2),
         ];
         // Shift live ids by 10; id 1 was retired concurrently.
-        scratch.translate_matched(|id| {
+        translate_ids(&mut ids, |id| {
             (id.index() != 1).then(|| crate::SubscriptionId::from_index(id.index() + 10))
         });
         assert_eq!(
-            scratch.matched(),
-            &[
+            ids,
+            [
                 crate::SubscriptionId::from_index(10),
                 crate::SubscriptionId::from_index(12)
             ]

@@ -60,7 +60,7 @@ use crate::engine::{EngineKind, FilterEngine, SubscribeError, UnsubscribeError};
 use crate::pool::{PooledScratch, ScratchPool};
 use crate::routing::{PlacementPolicy, PredicateRouter, ShardTranslation, SubscriptionDirectory};
 use crate::scratch::translate_ids;
-use crate::synopsis::{attribute_hash, dominant_eq_attr, ShardSynopsis};
+use crate::synopsis::ShardSynopsis;
 use crate::{BatchScratch, FulfilledSet, MatchScratch, MatchStats, MemoryUsage, SubscriptionId};
 
 /// A boxed engine usable as a shard.
@@ -290,11 +290,6 @@ impl ShardedEngine {
         self
     }
 
-    /// The policy `subscribe` currently places with.
-    pub fn placement_policy(&self) -> PlacementPolicy {
-        self.placement
-    }
-
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -414,13 +409,7 @@ impl FilterEngine for ShardedEngine {
     }
 
     fn subscribe(&mut self, expr: &Expr) -> Result<SubscriptionId, SubscribeError> {
-        let shard = match self.placement {
-            PlacementPolicy::LeastLoaded => self.directory.place(),
-            PlacementPolicy::ClusterByAttribute => match dominant_eq_attr(expr) {
-                Some(attr) => self.directory.place_clustered(attribute_hash(attr)),
-                None => self.directory.place(),
-            },
-        };
+        let shard = self.directory.place_for(self.placement, expr);
         match self.shards[shard].engine.subscribe(expr) {
             Ok(local) => {
                 let global = self.directory.commit(shard, local, Arc::new(expr.clone()));
@@ -972,10 +961,6 @@ mod tests {
             let mut flat = Matcher::new(kind.build());
             let mut engine =
                 ShardedEngine::new(kind, 8).with_placement(PlacementPolicy::ClusterByAttribute);
-            assert_eq!(
-                engine.placement_policy(),
-                PlacementPolicy::ClusterByAttribute
-            );
             for i in 0..64 {
                 let e = Expr::parse(&format!("g{} = 1 and seq >= {}", i % 8, i / 8)).unwrap();
                 let a = flat.subscribe(&e).unwrap();

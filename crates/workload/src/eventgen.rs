@@ -3,7 +3,8 @@
 use boolmatch_core::PredicateId;
 use boolmatch_expr::{CompareOp, Expr, Predicate};
 use boolmatch_types::{Event, Value};
-use rand::rngs::StdRng;
+
+use crate::rng::StdRng;
 
 /// Samples `k` **distinct** fulfilled predicate ids from
 /// `0..universe` — the synthetic phase-1 output the paper's Fig. 3
@@ -17,7 +18,7 @@ use rand::rngs::StdRng;
 ///
 /// ```
 /// use boolmatch_workload::synthetic_fulfilled;
-/// use rand::{rngs::StdRng, SeedableRng};
+/// use boolmatch_workload::rng::StdRng;
 ///
 /// let mut rng = StdRng::seed_from_u64(1);
 /// let ids = synthetic_fulfilled(&mut rng, 1_000, 50);
@@ -29,7 +30,7 @@ use rand::rngs::StdRng;
 /// ```
 pub fn synthetic_fulfilled(rng: &mut StdRng, universe: usize, k: usize) -> Vec<PredicateId> {
     assert!(k <= universe, "cannot fulfil {k} of {universe} predicates");
-    rand::seq::index::sample(rng, universe, k)
+    crate::rng::sample(rng, universe, k)
         .into_iter()
         .map(PredicateId::from_index)
         .collect()
@@ -132,7 +133,6 @@ fn merge(pairs: &mut Vec<(String, Value)>, attr: &str, value: Value) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn synthetic_fulfilled_is_distinct_and_in_range() {

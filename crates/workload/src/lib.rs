@@ -18,13 +18,16 @@
 //!   Fig. 3 comparison,
 //! * [`scenarios`] — seeded subscription/event streams for the broker
 //!   tests and examples (stock, news, auction, churn, hot key,
-//!   selective, slow consumer, generated trees).
+//!   selective, slow consumer, generated trees),
+//! * [`rng`] — the seeded xoshiro256++ generator every stream draws
+//!   from.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 mod eventgen;
 mod memwall;
+pub mod rng;
 pub mod scenarios;
 mod subgen;
 pub mod sweep;

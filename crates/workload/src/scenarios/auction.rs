@@ -3,8 +3,8 @@
 
 use boolmatch_expr::Expr;
 use boolmatch_types::Event;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+
+use crate::rng::StdRng;
 
 const ITEMS: [&str; 8] = [
     "stamp", "painting", "guitar", "laptop", "bicycle", "camera", "watch", "kayak",

@@ -12,10 +12,9 @@
 
 use boolmatch_expr::Expr;
 use boolmatch_types::Event;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use super::StockScenario;
+use crate::rng::StdRng;
 
 /// One operation of a churn stream.
 ///

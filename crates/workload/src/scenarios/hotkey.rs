@@ -20,8 +20,8 @@
 
 use boolmatch_expr::Expr;
 use boolmatch_types::Event;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+
+use crate::rng::StdRng;
 
 /// Generates the hot-key workload: hot subscriptions that match every
 /// hot event, cold subscriptions keyed to (almost never published)

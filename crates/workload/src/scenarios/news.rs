@@ -2,8 +2,8 @@
 
 use boolmatch_expr::Expr;
 use boolmatch_types::Event;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+
+use crate::rng::StdRng;
 
 const CATEGORIES: [&str; 6] = [
     "politics", "business", "science", "sport", "weather", "arts",

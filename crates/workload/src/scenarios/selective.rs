@@ -20,8 +20,8 @@
 
 use boolmatch_expr::Expr;
 use boolmatch_types::Event;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+
+use crate::rng::StdRng;
 
 /// Values each group attribute ranges over; small enough that events
 /// regularly match within their group, large enough that not every

@@ -16,8 +16,8 @@
 
 use boolmatch_expr::Expr;
 use boolmatch_types::Event;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+
+use crate::rng::StdRng;
 
 /// One scripted consumer misbehavior.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

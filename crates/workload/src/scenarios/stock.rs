@@ -2,8 +2,8 @@
 
 use boolmatch_expr::Expr;
 use boolmatch_types::Event;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+
+use crate::rng::StdRng;
 
 const SYMBOLS: [&str; 12] = [
     "IBM", "AAPL", "MSFT", "GOOG", "AMZN", "TSLA", "NVDA", "ORCL", "SAP", "NZX", "ASX", "BHP",

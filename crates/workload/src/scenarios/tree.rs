@@ -13,7 +13,7 @@
 //! predicates hold Floats.
 //!
 //! The stream comes from a dependency-free splitmix64 generator, so it
-//! is identical on every platform and independent of the `rand` shim.
+//! is identical on every platform and independent of [`crate::rng`].
 
 use boolmatch_expr::{CompareOp, Expr, Predicate};
 use boolmatch_types::Event;

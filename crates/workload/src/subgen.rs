@@ -1,8 +1,8 @@
 //! Subscription generation.
 
 use boolmatch_expr::{CompareOp, Expr, Predicate};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+
+use crate::rng::StdRng;
 
 /// Deterministic generator of subscriptions in the paper's §4 shape:
 /// an AND of `|p|/2` binary ORs, each OR over one fresh attribute

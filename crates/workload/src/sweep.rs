@@ -12,9 +12,8 @@
 use std::time::{Duration, Instant};
 
 use boolmatch_core::{EngineKind, FulfilledSet, MatchScratch, MatchStats, SubscriptionId};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
+use crate::rng::StdRng;
 use crate::{synthetic_fulfilled, MemoryModel, SubscriptionGenerator};
 
 /// Configuration of one sweep (one figure panel).

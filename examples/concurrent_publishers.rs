@@ -33,7 +33,7 @@ fn main() {
     let start = Instant::now();
     std::thread::scope(|scope| {
         for p in 0..PUBLISHERS {
-            let publisher = broker.publisher();
+            let publisher = broker.clone();
             scope.spawn(move || {
                 let mut feed = StockScenario::new(100 + p as u64);
                 for _ in 0..EVENTS_PER_PUBLISHER {

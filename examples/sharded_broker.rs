@@ -89,9 +89,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Counts even does not mean load even: per-shard match counters
     // expose which shards actually produce the matches, and a
-    // frequency-weighted rebalance tick (what
-    // `BrokerBuilder::background_rebalance` runs continuously on its
-    // own thread) migrates hot load instead of raw counts.
+    // frequency-weighted rebalance tick (which a caller can run on an
+    // interval, like the quarantine tick) migrates hot load instead of
+    // raw counts.
     println!(
         "per-shard match counters:     {:?}",
         broker.shard_match_hits()

@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Publisher threads feed ticks concurrently.
     let mut handles = Vec::new();
     for p in 0..PUBLISHERS {
-        let publisher = broker.publisher();
+        let publisher = broker.clone();
         handles.push(thread::spawn(move || {
             let mut feed = StockScenario::new(9_000 + p as u64);
             let mut delivered = 0usize;

@@ -62,8 +62,8 @@ pub use boolmatch_workload as workload;
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
     pub use boolmatch_broker::{
-        Broker, BrokerError, DeliveryPolicy, DeliveryReceiver, QuarantineConfig, RebalancePolicy,
-        SubscriberLag, Subscription,
+        Broker, BrokerError, DeliveryPolicy, DeliveryReceiver, QuarantineConfig, SubscriberLag,
+        Subscription,
     };
     pub use boolmatch_core::{
         CountingEngine, CountingVariantEngine, EngineKind, FilterEngine, MatchResult, MatchScratch,

@@ -34,7 +34,7 @@ fn concurrent_publishers_subscribers_and_churn() {
     // Publisher threads.
     let mut publishers = Vec::new();
     for p in 0..3 {
-        let publisher = broker.publisher();
+        let publisher = broker.clone();
         publishers.push(thread::spawn(move || {
             let mut feed = StockScenario::new(100 + p);
             for _ in 0..500 {
@@ -117,7 +117,7 @@ fn canonical_engine_rejections_surface_through_broker() {
 fn subscription_handles_work_across_threads() {
     let broker = Broker::builder().build();
     let sub = broker.subscribe("go = true").unwrap();
-    let publisher = broker.publisher();
+    let publisher = broker.clone();
     let t = thread::spawn(move || publisher.publish(Event::builder().attr("go", true).build()));
     let got = sub.recv_timeout(Duration::from_secs(5)).expect("delivery");
     assert_eq!(got.get("go"), Some(&true.into()));

@@ -62,7 +62,7 @@ fn stress(kind: EngineKind) {
         }
 
         for p in 0..PUBLISHERS {
-            let publisher = broker.publisher();
+            let publisher = broker.clone();
             let published = &published;
             scope.spawn(move || {
                 for i in 0..EVENTS_PER_PUBLISHER {
@@ -250,15 +250,15 @@ fn publishers_match_inside_the_engine_simultaneously() {
     const PUBLISHERS: usize = 4;
     let gate = std::sync::Arc::new(Gate::new(PUBLISHERS));
     let broker = Broker::builder()
-        .engine_instance(Box::new(GateEngine {
+        .engine_instances(vec![Box::new(GateEngine {
             gate: gate.clone(),
             subs: 0,
-        }))
+        })])
         .build();
 
     thread::scope(|scope| {
         for _ in 0..PUBLISHERS {
-            let publisher = broker.publisher();
+            let publisher = broker.clone();
             scope.spawn(move || {
                 publisher.publish(Event::builder().attr("n", 1_i64).build());
             });
@@ -299,7 +299,7 @@ fn concurrent_matching_agrees_with_serial_matching() {
         }
         thread::scope(|scope| {
             for chunk in events.chunks(events.len() / 4) {
-                let publisher = concurrent.publisher();
+                let publisher = concurrent.clone();
                 scope.spawn(move || {
                     for ev in chunk {
                         publisher.publish(ev.clone());

@@ -12,16 +12,19 @@
 //!   count-balanced placement provably concentrates the match load on
 //!   one shard, and the frequency-weighted rebalancer measurably
 //!   spreads it while a publisher keeps publishing.
+//! * **Maintenance is a caller tick** — rebalance ticks looped on a
+//!   thread of the test's own, a live resize and a publisher race;
+//!   delivery stays at most once, and exact once they are quiescent.
 //!
 //! What every configuration delivers — reissued ids, clustered pruning,
 //! churn, both rebalancers, live resize, batched publishes — is checked
 //! against a naive evaluation in `tests/oracle_matrix.rs`.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
 
-use boolmatch::broker::RebalancePolicy;
 use boolmatch::prelude::*;
 use boolmatch::workload::scenarios::HotKeyScenario;
 
@@ -107,7 +110,8 @@ fn publishes_flow_while_directory_write_lock_is_held() {
             scope.spawn(move || {
                 let mut delivered = broker.publish(ev(&[("all", 1)]));
                 delivered += broker.publish_arc(Arc::new(ev(&[("all", 1)])));
-                delivered += broker.publish_batch_events(&[ev(&[("all", 1)]), ev(&[("a", 4)])]);
+                delivered +=
+                    broker.publish_batch(&[Arc::new(ev(&[("all", 1)])), Arc::new(ev(&[("a", 4)]))]);
                 published.open();
                 delivered
             })
@@ -249,17 +253,13 @@ fn match_frequency_rebalancer_fixes_hot_key_skew_counts_cannot_see() {
     }
 }
 
-/// The background thread, racing real publishes and a live resize:
-/// at-most-once delivery per event per subscriber, queues reconcile
-/// exactly with the broker's counters, and once everything is
+/// Caller-driven rebalance ticks, racing real publishes and a live
+/// resize: at-most-once delivery per event per subscriber, queues
+/// reconcile exactly with the broker's counters, and once everything is
 /// quiescent delivery is exact again.
 #[test]
-fn background_rebalance_races_publishes_and_resize_safely() {
-    let broker = Broker::builder()
-        .shards(4)
-        .background_rebalance(Duration::from_millis(1), RebalancePolicy::MatchFrequency)
-        .build();
-    assert!(broker.background_rebalance_active());
+fn rebalance_ticks_race_publishes_and_resize_safely() {
+    let broker = Broker::builder().shards(4).build();
     // All-matching subscriptions, skewed onto shards 0 and 3 by
     // dropping shards 1 and 2's arrivals.
     let mut subs: Vec<Subscription> = (0..40)
@@ -273,9 +273,11 @@ fn background_rebalance_races_publishes_and_resize_safely() {
     assert_eq!(broker.shard_loads(), vec![10, 0, 0, 10]);
 
     let publishes = 200usize;
+    let published = AtomicBool::new(false);
     thread::scope(|scope| {
         let publisher = {
             let broker = broker.clone();
+            let published = &published;
             scope.spawn(move || {
                 for _ in 0..publishes {
                     broker.publish(ev(&[("tick", 1)]));
@@ -284,6 +286,19 @@ fn background_rebalance_races_publishes_and_resize_safely() {
                     // counters reconcile, exact once quiescent) hold
                     // under any interleaving, fully serialised included.
                     thread::yield_now();
+                }
+                published.store(true, Ordering::Release);
+            })
+        };
+        // The ticks a caller would run on an interval, back to back
+        // until the last publish: both rebalancers, in small chunks.
+        let ticker = {
+            let broker = broker.clone();
+            let published = &published;
+            scope.spawn(move || {
+                while !published.load(Ordering::Acquire) {
+                    broker.rebalance_by_match_frequency(32);
+                    broker.migrate(32);
                 }
             })
         };
@@ -298,6 +313,7 @@ fn background_rebalance_races_publishes_and_resize_safely() {
         };
         publisher.join().unwrap();
         resizer.join().unwrap();
+        ticker.join().unwrap();
     });
     assert_eq!(broker.shard_count(), 4);
     assert_eq!(broker.shard_loads().iter().sum::<usize>(), subs.len());
