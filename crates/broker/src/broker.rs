@@ -163,6 +163,30 @@ thread_local! {
     static PUBLISH_STATE: RefCell<PublishState> = RefCell::new(PublishState::default());
 }
 
+/// Heap bytes of the calling thread's publish buffers: `scratch`,
+/// `batch`, `matched`, the largest of `buckets` (the cap applies to
+/// each bucket on its own) and `targets`.
+#[cfg(test)]
+pub(super) fn publish_state_bytes() -> [usize; 5] {
+    PUBLISH_STATE.with(|cell| {
+        let state = cell.borrow();
+        let id = std::mem::size_of::<SubscriptionId>();
+        let target = std::mem::size_of::<(SubscriptionId, Arc<NotifyQueue>)>();
+        [
+            state.scratch.heap_bytes(),
+            state.batch.heap_bytes(),
+            state.matched.capacity() * id,
+            state
+                .buckets
+                .iter()
+                .map(|b| b.capacity() * id)
+                .max()
+                .unwrap_or(0),
+            state.targets.capacity() * target,
+        ]
+    })
+}
+
 /// Default [`BrokerBuilder::scratch_trim_cap`]: a thread-local publish
 /// buffer left with more heap than this after a publish is trimmed
 /// instead of kept at its high-water capacity, so one pathological
@@ -202,9 +226,9 @@ const READY_CHUNK: usize = 32;
 /// by the enqueue that set its scheduled bit, so it is on this list or
 /// in one drainer at most once — per-subscriber FIFO.
 #[derive(Default)]
-struct ReadyList {
-    queues: VecDeque<(SubscriptionId, Arc<NotifyQueue>)>,
-    drainers: usize,
+pub(crate) struct ReadyList {
+    pub(crate) queues: VecDeque<(SubscriptionId, Arc<NotifyQueue>)>,
+    pub(crate) drainers: usize,
 }
 
 /// What one [`Broker::delivery_maintenance_tick`] changed; all zeros
@@ -297,7 +321,7 @@ impl ShardCell {
 /// the next window measures the *new* placement rather than echoes of
 /// the one just fixed.
 #[derive(Default)]
-struct FreqWindow {
+pub(super) struct FreqWindow {
     baseline: Vec<u64>,
     scores: Vec<u64>,
 }
@@ -454,6 +478,13 @@ impl BrokerInner {
             queue.close(false);
         }
         existed
+    }
+
+    /// Counts a consumer callback's panic and removes its subscription:
+    /// the drainer's panic-isolation step.
+    pub(crate) fn consumer_panicked(&self, id: SubscriptionId) {
+        self.stats.consumer_panics.fetch_add(1, Ordering::Relaxed);
+        self.unsubscribe(id);
     }
 }
 
@@ -1552,7 +1583,7 @@ impl Broker {
 /// the drainer gone and submits a fresh one. Taking one queue per pop
 /// is the stall-isolation rule: a wedged callback holds its own queue
 /// and this worker, and every other queue stays poppable.
-fn run_drainer(ready: &Mutex<ReadyList>, weak: &Weak<BrokerInner>) {
+pub(crate) fn run_drainer(ready: &Mutex<ReadyList>, weak: &Weak<BrokerInner>) {
     let _unwind = DrainerUnwind(ready);
     let mut batch: Vec<Arc<Event>> = Vec::with_capacity(DELIVERY_DRAIN_BATCH);
     loop {
@@ -1611,8 +1642,7 @@ fn drain_queue(
                 // scheduled bit and is never pushed again.
                 queue.close(true);
                 if let Some(inner) = weak.upgrade() {
-                    inner.stats.consumer_panics.fetch_add(1, Ordering::Relaxed);
-                    inner.unsubscribe(id);
+                    inner.consumer_panicked(id);
                 }
                 return;
             }
@@ -2177,29 +2207,6 @@ mod tests {
         assert_eq!(broker.rebalance_by_match_frequency(8), 0);
         assert_eq!(broker.shard_loads(), vec![1]);
         assert_eq!(broker.stats().subscriptions_migrated, 0);
-    }
-
-    /// Heap bytes of the calling thread's publish buffers: `scratch`,
-    /// `batch`, `matched`, the largest of `buckets` (the cap applies to
-    /// each bucket on its own) and `targets`.
-    fn publish_state_bytes() -> [usize; 5] {
-        PUBLISH_STATE.with(|cell| {
-            let state = cell.borrow();
-            let id = std::mem::size_of::<SubscriptionId>();
-            let target = std::mem::size_of::<(SubscriptionId, Arc<NotifyQueue>)>();
-            [
-                state.scratch.heap_bytes(),
-                state.batch.heap_bytes(),
-                state.matched.capacity() * id,
-                state
-                    .buckets
-                    .iter()
-                    .map(|b| b.capacity() * id)
-                    .max()
-                    .unwrap_or(0),
-                state.targets.capacity() * target,
-            ]
-        })
     }
 
     #[test]
