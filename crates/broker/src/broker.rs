@@ -1,24 +1,36 @@
-//! The broker itself.
+//! The broker itself: the shard cells, subscriber registration and
+//! removal, and the read-only accessors. The publish path, the
+//! caller-driven maintenance ticks and the builder are child modules.
 
-use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, OnceLock};
 
 use boolmatch_core::{
-    lock_classes, BatchScratch, BoxedEngine, EngineKind, MatchScratch, MatchStats, MemoryUsage,
-    PlacementPolicy, Shard, SubscribeError, SubscriptionDirectory, SubscriptionId, WorkerPool,
+    lock_classes, BoxedEngine, EngineKind, MatchStats, MemoryUsage, PlacementPolicy, Shard,
+    SubscribeError, SubscriptionDirectory, SubscriptionId, WorkerPool,
 };
 use boolmatch_expr::{Expr, ParseError};
 use boolmatch_types::Event;
 use parking_lot::{Mutex, RwLock};
 
 use crate::delivery::{
-    Consumer, DeliveryPolicy, Enqueue, NotifyQueue, QuarantineConfig, SubscriberLag, TickOutcome,
+    Consumer, DeliveryPolicy, NotifyQueue, QuarantineConfig, ReadyList, SubscriberLag,
 };
 use crate::subscriber::Subscription;
+
+mod builder;
+mod maintenance;
+mod publish;
+#[cfg(test)]
+mod tests;
+
+pub use builder::{BrokerBuilder, DEFAULT_DELIVERY_WORKERS};
+use maintenance::FreqWindow;
+pub use maintenance::{DeliveryTickReport, MATCH_FREQUENCY_SKEW_FLOOR};
+pub use publish::DEFAULT_SCRATCH_TRIM_CAP;
 
 /// Errors surfaced by [`Broker`] operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -137,128 +149,6 @@ struct AtomicStats {
     drain_jobs: AtomicU64,
 }
 
-/// Per-publisher-thread reusable buffers: the match scratch plus the
-/// global matched-id accumulator (publish), the batch scratch and
-/// per-event matched buckets (publish_batch), the
-/// delivery snapshot of matched subscribers' queue handles, and the
-/// chunk of consumer queues this publish scheduled but has not yet
-/// handed to the ready list.
-#[derive(Default)]
-struct PublishState {
-    scratch: MatchScratch,
-    batch: BatchScratch,
-    matched: Vec<SubscriptionId>,
-    buckets: Vec<Vec<SubscriptionId>>,
-    targets: Vec<(SubscriptionId, Arc<NotifyQueue>)>,
-    ready: Vec<(SubscriptionId, Arc<NotifyQueue>)>,
-}
-
-thread_local! {
-    // One state per publisher thread, shared by all brokers on that
-    // thread (sound: the scratch is engine-agnostic and self-restoring
-    // between matches). It grows to the largest engine the thread ever
-    // matched against and keeps that capacity, except that a buffer a
-    // publish leaves larger than [`BrokerBuilder::scratch_trim_cap`] is
-    // released after that publish.
-    static PUBLISH_STATE: RefCell<PublishState> = RefCell::new(PublishState::default());
-}
-
-/// Heap bytes of the calling thread's publish buffers: `scratch`,
-/// `batch`, `matched`, the largest of `buckets` (the cap applies to
-/// each bucket on its own) and `targets`.
-#[cfg(test)]
-pub(super) fn publish_state_bytes() -> [usize; 5] {
-    PUBLISH_STATE.with(|cell| {
-        let state = cell.borrow();
-        let id = std::mem::size_of::<SubscriptionId>();
-        let target = std::mem::size_of::<(SubscriptionId, Arc<NotifyQueue>)>();
-        [
-            state.scratch.heap_bytes(),
-            state.batch.heap_bytes(),
-            state.matched.capacity() * id,
-            state
-                .buckets
-                .iter()
-                .map(|b| b.capacity() * id)
-                .max()
-                .unwrap_or(0),
-            state.targets.capacity() * target,
-        ]
-    })
-}
-
-/// Default [`BrokerBuilder::scratch_trim_cap`]: a thread-local publish
-/// buffer left with more heap than this after a publish is trimmed
-/// instead of kept at its high-water capacity, so one pathological
-/// event (a huge candidate spike) cannot pin its peak allocation in
-/// every publisher thread forever. Generous on purpose — steady-state
-/// workloads far below it never trim and so never re-allocate.
-pub const DEFAULT_SCRATCH_TRIM_CAP: usize = 8 << 20;
-
-/// Absolute per-tick match-delta floor below which
-/// [`Broker::rebalance_by_match_frequency`] treats shard hit skew as
-/// noise and moves nothing.
-pub const MATCH_FREQUENCY_SKEW_FLOOR: u64 = 16;
-
-/// Default number of delivery worker threads, overridable with
-/// [`BrokerBuilder::delivery_workers`]. Consumer-callback queues with
-/// undelivered events wait on one ready list, and at most this many
-/// drainer jobs consume it, one queue per pop; a publisher hands its
-/// newly scheduled queues over every 32 queues. The pool is built
-/// lazily on the first [`Broker::subscribe_consumer`]; pull-only
-/// brokers never spawn it.
-pub const DEFAULT_DELIVERY_WORKERS: usize = 2;
-
-/// Events a drainer moves per queue-lock acquisition: large enough to
-/// amortise the lock, small enough that a deep backlog releases it (and
-/// wakes `Block`-policy publishers) regularly.
-const DELIVERY_DRAIN_BATCH: usize = 32;
-
-/// Newly scheduled consumer queues a publisher collects before it takes
-/// the ready-list lock to hand them over. Handing over in chunks, not
-/// once after the last enqueue, lets a drainer start on the first
-/// subscribers while the publisher is still enqueueing to the rest.
-const READY_CHUNK: usize = 32;
-
-/// The delivery tier's ready list: consumer queues holding undelivered
-/// events that no drainer has popped yet, and the number of drainer
-/// jobs queued or running on the delivery pool. A queue is pushed only
-/// by the enqueue that set its scheduled bit, so it is on this list or
-/// in one drainer at most once — per-subscriber FIFO.
-#[derive(Default)]
-pub(crate) struct ReadyList {
-    pub(crate) queues: VecDeque<(SubscriptionId, Arc<NotifyQueue>)>,
-    pub(crate) drainers: usize,
-}
-
-/// What one [`Broker::delivery_maintenance_tick`] changed; all zeros
-/// when quarantine is not configured or every subscriber was steady.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DeliveryTickReport {
-    /// Subscribers newly quarantined this tick (queue capped), not
-    /// counting auto-disconnects.
-    pub demoted: usize,
-    /// Quarantined subscribers released this tick.
-    pub recovered: usize,
-    /// Subscribers disconnected this tick
-    /// ([`QuarantineConfig::auto_disconnect`]).
-    pub disconnected: usize,
-}
-
-/// How one `migrate_between` call decides to keep moving.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum MigrateMode {
-    /// Stop when the pair's subscription counts are balanced
-    /// (`load(from) ≤ load(to) + 1`).
-    Balance,
-    /// Stop only when the source would drop to zero subscriptions —
-    /// the frequency-weighted rebalancer deliberately unbalances
-    /// counts to balance match load.
-    Frequency,
-    /// Move everything — shard draining during a shrink.
-    Drain,
-}
-
 /// One engine shard: the [`Shard`] (engine, local → global translation
 /// map, attribute synopsis) behind a single lock, and the lock-free
 /// counters the frequency-weighted rebalancer and the prune gauge
@@ -307,31 +197,6 @@ impl ShardCell {
             self.pruned
                 .fetch_add(stats.shards_pruned as u64, Ordering::Relaxed);
         }
-    }
-}
-
-/// The decayed match-frequency window
-/// [`Broker::rebalance_by_match_frequency`] plans from: `baseline` is
-/// the raw per-shard counter snapshot the next tick diffs against,
-/// `scores` the exponentially decayed per-tick deltas (each tick halves
-/// the running score before adding the fresh delta). Scoring a decayed
-/// window instead of the raw last-tick delta keeps one anomalous
-/// interval from dominating the plan while sustained skew still
-/// accumulates; after any tick that migrated, the scores are reset so
-/// the next window measures the *new* placement rather than echoes of
-/// the one just fixed.
-#[derive(Default)]
-pub(super) struct FreqWindow {
-    baseline: Vec<u64>,
-    scores: Vec<u64>,
-}
-
-impl FreqWindow {
-    /// Forgets everything — the next tick re-arms from scratch
-    /// (resize must not compare counters across shard sets).
-    fn clear(&mut self) {
-        self.baseline.clear();
-        self.scores.clear();
     }
 }
 
@@ -661,359 +526,6 @@ impl Broker {
         self.inner.unsubscribe(id)
     }
 
-    /// Live-migrates up to `max_moves` subscriptions from the currently
-    /// most-loaded to the currently least-loaded shard, one batch of
-    /// shard-lock acquisitions per skewed pair. Each move re-subscribes
-    /// the expression the source engine gives back
-    /// ([`FilterEngine::expression`]) on the target shard, retires the
-    /// source entry and repoints the directory — the subscription's id,
-    /// handle and delivery stream are untouched, and matching continues
-    /// on every shard not in the migrating pair (see
-    /// `tests/rebalance.rs` for the deterministic lock-level proof).
-    /// Returns the number of subscriptions moved.
-    ///
-    /// Stops early when the loads are balanced (spread ≤ 1) or a target
-    /// engine refuses an expression (possible only with heterogeneous
-    /// [`BrokerBuilder::engine_instances`]; the subscription stays
-    /// put).
-    ///
-    /// **Visibility window:** an event whose publish races a migration
-    /// may observe the moving subscription as momentarily absent — the
-    /// same anomaly as an event racing an unsubscribe+resubscribe —
-    /// and is delivered to it at most once (never twice; publish
-    /// deduplicates matched ids). Events published after `migrate`
-    /// returns always see the subscription at its new placement.
-    // lint: lock-order — migration/rebalance/resize hold multiple
-    // shard locks (ascending index order only: the `(lo, hi)` idiom)
-    // and consult the directory innermost (no shard acquisition while
-    // a directory guard is live).
-    pub fn migrate(&self, max_moves: usize) -> usize {
-        let _maintenance = self.inner.maintenance.lock();
-        // Bound how long one lock acquisition of the shard pair is
-        // held: a large drain (rebalance() on a heavily skewed broker)
-        // is chunked, releasing and re-acquiring the pair's write
-        // locks between chunks so publishers reaching those shards are
-        // stalled for at most one chunk, not the whole drain.
-        const MIGRATE_CHUNK: usize = 64;
-        let set = self.shard_set();
-        let mut moved = 0;
-        while moved < max_moves {
-            let Some((from, to)) = self.inner.directory.read().skew_pair() else {
-                break;
-            };
-            let step = self.migrate_between(
-                &set,
-                from,
-                to,
-                (max_moves - moved).min(MIGRATE_CHUNK),
-                MigrateMode::Balance,
-            );
-            if step == 0 {
-                break;
-            }
-            moved += step;
-        }
-        moved
-    }
-
-    /// [`Broker::migrate`] until the per-shard loads are as even as
-    /// they can be: afterwards `max(load) − min(load) ≤ 1` (unless a
-    /// heterogeneous target shard refused a move). Returns the number
-    /// of subscriptions moved.
-    pub fn rebalance(&self) -> usize {
-        self.migrate(usize::MAX)
-    }
-
-    /// One frequency-weighted rebalance tick: compares each shard's
-    /// match counter against the last tick's snapshot and live-migrates
-    /// up to `max_moves` subscriptions from the shard with the highest
-    /// match delta to the one with the lowest — evening out observed
-    /// **match load**, not subscription counts. Returns the number of
-    /// subscriptions moved (0 when the skew is within
-    /// [`MATCH_FREQUENCY_SKEW_FLOOR`], when the hot shard has a single
-    /// subscription, or on the re-arming call after a resize changed
-    /// the shard set).
-    ///
-    /// The broker runs no tick on its own: the caller decides when, as
-    /// with [`Broker::delivery_maintenance_tick`].
-    pub fn rebalance_by_match_frequency(&self, max_moves: usize) -> usize {
-        let _maintenance = self.inner.maintenance.lock();
-        let set = self.shard_set();
-        if set.len() < 2 {
-            return 0;
-        }
-        let hits: Vec<u64> = set
-            .iter()
-            .map(|cell| cell.hits.load(Ordering::Relaxed))
-            .collect();
-        let scores: Vec<u64> = {
-            let mut window = self.inner.freq_baseline.lock();
-            let FreqWindow { baseline, scores } = &mut *window;
-            if baseline.len() != hits.len() {
-                // The shard set changed since the last tick: re-arm and
-                // measure a fresh interval instead of comparing
-                // counters across unrelated cells.
-                *baseline = hits;
-                *scores = vec![0; baseline.len()];
-                return 0;
-            }
-            for ((score, hit), base) in scores.iter_mut().zip(&hits).zip(baseline.iter()) {
-                // Exponential decay: halve the running score, then add
-                // this tick's delta. Saturating: a shrink+grow can put
-                // a fresh cell (with a zeroed counter) at an index
-                // that had history.
-                *score = *score / 2 + hit.saturating_sub(*base);
-            }
-            *baseline = hits;
-            scores.clone()
-        };
-        let mut hot = 0;
-        let mut cool = 0;
-        for (i, &score) in scores.iter().enumerate() {
-            if score > scores[hot] {
-                hot = i;
-            }
-            if score < scores[cool] {
-                cool = i;
-            }
-        }
-        // Act only on real skew: the hot shard's windowed score must
-        // out-match the cool one's by 2× plus an absolute floor, and
-        // the hot shard must keep at least one subscription.
-        if hot == cool
-            || scores[hot] < 2 * scores[cool] + MATCH_FREQUENCY_SKEW_FLOOR
-            || self.inner.directory.read().load(hot) <= 1
-        {
-            return 0;
-        }
-        let moved = self.migrate_between(&set, hot, cool, max_moves, MigrateMode::Frequency);
-        if moved > 0 {
-            // The placement just changed: the decayed scores describe
-            // the pre-migration world. Reset them (keeping the raw
-            // baseline) so the next window measures the new placement
-            // instead of re-migrating on stale echoes.
-            let mut window = self.inner.freq_baseline.lock();
-            window.scores.iter_mut().for_each(|s| *s = 0);
-        }
-        moved
-    }
-
-    /// One migration batch between a fixed shard pair, bounded by
-    /// `cap` moves: both shard locks are taken once (in ascending index
-    /// order — the broker-wide discipline that keeps concurrent
-    /// migrations deadlock-free) and held while subscriptions move,
-    /// with `mode` deciding when the pair is done.
-    fn migrate_between(
-        &self,
-        set: &[Arc<ShardCell>],
-        from: usize,
-        to: usize,
-        cap: usize,
-        mode: MigrateMode,
-    ) -> usize {
-        debug_assert_ne!(from, to);
-        let (lo, hi) = (from.min(to), from.max(to));
-        let lo_guard = set[lo].state.write();
-        let hi_guard = set[hi].state.write();
-        let (mut from_state, mut to_state) = if from < to {
-            (lo_guard, hi_guard)
-        } else {
-            (hi_guard, lo_guard)
-        };
-        let mut moved = 0;
-        while moved < cap {
-            {
-                // Re-plan every step against the live directory:
-                // concurrent unsubscribes (which never need these shard
-                // locks to retire an entry) may have rebalanced the
-                // pair already.
-                let directory = self.inner.directory.read();
-                let done = match mode {
-                    MigrateMode::Balance => directory.load(from) <= directory.load(to) + 1,
-                    MigrateMode::Frequency => directory.load(from) <= 1,
-                    MigrateMode::Drain => false,
-                };
-                if done {
-                    break;
-                }
-            }
-            // The victim comes from the source shard's own translation
-            // map (we hold its write lock, so the map cannot move under
-            // us); the directory is then consulted only to confirm the
-            // entry is still live.
-            let Some((global, local)) = from_state.translation().last_resident() else {
-                break;
-            };
-            let live = matches!(
-                self.inner.directory.read().placement_of(global),
-                Some((shard, at)) if shard == from && at == local
-            );
-            if !live {
-                // A racing unsubscribe retired the entry directory-first
-                // and is now parked on this shard's write lock (which we
-                // hold). Complete the shard-side removal on its behalf;
-                // its own stale-cell guard then finds the slot gone and
-                // skips. Not a migration — re-plan.
-                let released = from_state.unsubscribe(local, global);
-                debug_assert!(released);
-                continue;
-            }
-            // Under the source shard's write lock the registration
-            // cannot change, so its engine gives back the expression
-            // it holds: the only copy there is.
-            let expr = from_state
-                .engine()
-                .expression(local)
-                .expect("a resident local id is registered in its engine");
-            let Ok(new_local) = to_state.engine_mut().subscribe(&expr) else {
-                // A heterogeneous target refused the expression. For
-                // balancing that just means the subscription stays put
-                // — but a drain has nowhere else to leave it, and
-                // silently retrying would spin forever on the same
-                // refusal: honour `resize`'s documented panic instead.
-                assert!(
-                    mode != MigrateMode::Drain,
-                    "a surviving shard refused a drained subscription"
-                );
-                break;
-            };
-            let relocated = {
-                let mut directory = self.inner.directory.write();
-                let relocated = directory.relocate(global, from, local, to, new_local);
-                if relocated {
-                    // Bumped inside the directory critical section: a
-                    // racing publish that translated the moved
-                    // subscription on both shards is then guaranteed to
-                    // observe the bumped epoch on its post-match check
-                    // and dedup; a failed relocate changed no mapping,
-                    // so it bumps nothing and forces no spurious sorts.
-                    self.inner.migration_epoch.fetch_add(1, Ordering::Release);
-                    // Counted here too, so whoever reads the moved load
-                    // through the directory lock also reads the count.
-                    self.inner
-                        .stats
-                        .subscriptions_migrated
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                relocated
-            };
-            if relocated {
-                let released = from_state.unsubscribe(local, global);
-                debug_assert!(released, "relocated entries were resident");
-                to_state.bind(new_local, global, &expr);
-                moved += 1;
-            } else {
-                // The victim was retired between planning and commit;
-                // undo the target-side copy and re-plan (the next
-                // iteration's placement check completes the
-                // source-side removal).
-                to_state
-                    .engine_mut()
-                    .unsubscribe(new_local)
-                    .expect("the fresh target copy is removable");
-            }
-        }
-        moved
-    }
-
-    /// Grows or shrinks the broker to `new_shards` engine shards,
-    /// **live**: publishes, subscribes and unsubscribes keep flowing
-    /// throughout, and no subscription changes its id, handle or
-    /// delivery stream. Returns the number of subscriptions migrated
-    /// (growing moves none — new shards start empty; follow with
-    /// [`Broker::rebalance`] to spread load onto them).
-    ///
-    /// The shard/lock array itself is replaced behind an **epoch
-    /// swap**: surviving shards keep their cells (lock, translation
-    /// map, match counters — publishes holding the old epoch finish
-    /// against the same cells), a grow appends fresh engines of the
-    /// build-time kind, and a shrink first restricts placement to the
-    /// survivors, drains each dying shard via live migration, and only
-    /// then swaps the dying cells out.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `new_shards` is zero, or if a surviving shard refuses
-    /// a drained subscription (possible only with heterogeneous
-    /// [`BrokerBuilder::engine_instances`]).
-    pub fn resize(&self, new_shards: usize) -> usize {
-        assert!(new_shards > 0, "a broker needs at least one engine shard");
-        let _maintenance = self.inner.maintenance.lock();
-        let old_set = self.shard_set();
-        let old = old_set.len();
-        let mut moved = 0;
-        if new_shards == old {
-            return 0;
-        }
-        if new_shards > old {
-            let mut shards = old_set.to_vec();
-            for index in old..new_shards {
-                shards.push(Arc::new(ShardCell::new(
-                    self.inner.grow_kind.build(),
-                    index,
-                )));
-            }
-            // Swap first, then grow the directory: a placement can only
-            // choose the new shards after the directory grows, and any
-            // thread that observes the grown directory also observes
-            // the swapped set (both handed off through the locks in
-            // that order).
-            *self.inner.shard_set.write() = shards.into();
-            let mut directory = self.inner.directory.write();
-            for _ in old..new_shards {
-                directory.add_shard();
-            }
-        } else {
-            // Shrink. 1: no new subscription may land on a dying shard
-            // from here on.
-            self.inner.directory.write().restrict_placement(new_shards);
-            // 2: drain every dying shard onto the survivors via live
-            // migration, spreading chunk by chunk (least-loaded target
-            // per chunk). A dying shard's load can briefly exceed its
-            // residents — an in-flight subscribe placed there before
-            // the restriction commits moments later — so the drain
-            // loops until the directory agrees the shard is empty.
-            const DRAIN_CHUNK: usize = 64;
-            for dying in (new_shards..old).rev() {
-                loop {
-                    let drained = {
-                        let directory = self.inner.directory.read();
-                        directory.load(dying) == 0
-                    } && old_set[dying].state.read().translation().is_empty();
-                    if drained {
-                        break;
-                    }
-                    let to = {
-                        let mut directory = self.inner.directory.write();
-                        let to = directory.place_among(new_shards);
-                        directory.cancel(to); // relocate moves the load itself
-                        to
-                    };
-                    let step =
-                        self.migrate_between(&old_set, dying, to, DRAIN_CHUNK, MigrateMode::Drain);
-                    moved += step;
-                    if step == 0 {
-                        // Nothing movable yet (in-flight reservation):
-                        // let the subscriber commit or cancel.
-                        std::thread::yield_now();
-                    }
-                }
-            }
-            // 3: swap the dying cells out of the epoch; publishes still
-            // holding the old set match empty engines there.
-            *self.inner.shard_set.write() = old_set[..new_shards].into();
-            // 4: shrink the directory to match.
-            let mut directory = self.inner.directory.write();
-            for _ in new_shards..old {
-                directory.remove_last_shard();
-            }
-        }
-        // Frequency ticks must not compare counters across shard sets.
-        self.inner.freq_baseline.lock().clear();
-        moved
-    }
-    // lint: end-lock-order
-
     /// Live subscriptions per shard (placement reservations included) —
     /// the load vector rebalancing planning works from.
     pub fn shard_loads(&self) -> Vec<usize> {
@@ -1064,371 +576,6 @@ impl Broker {
         let _guard = self.inner.directory.write_untracked();
         f()
     }
-
-    // lint: hot-path — the publish/match/delivery pipeline: no
-    // broker-global lock may be acquired here beyond the one-pointer
-    // shard-set clone (and the by-design sender-map read during
-    // delivery, allowed inline below).
-
-    /// Publishes an event: matches it against every subscription and
-    /// queues notifications to the matching subscribers. Returns the
-    /// number of notifications delivered. The event is wrapped in an
-    /// `Arc` once; see [`Broker::publish_arc`], which this is.
-    pub fn publish(&self, event: Event) -> usize {
-        self.publish_arc(Arc::new(event))
-    }
-
-    /// Publishes an event the caller already holds by `Arc` — the
-    /// zero-copy entry every publish goes through: the same allocation
-    /// is shared by every delivered notification, and the event is
-    /// never cloned.
-    ///
-    /// Matching runs the per-shard step ([`Shard::match_event`]) on
-    /// each shard under that shard's **read** lock: the synopsis prune
-    /// check, the engine match into a thread-local [`MatchScratch`] and
-    /// the translation of matched local ids through the shard's own map
-    /// all happen under that one guard — the matching phase acquires
-    /// no broker-global lock beyond the one-pointer clone of the
-    /// current shard set (and, in particular, never the placement
-    /// directory's; delivery afterwards takes the sender-map read lock
-    /// just long enough to snapshot the matched queues, then enqueues
-    /// with no broker lock held). Translating under the shard's read
-    /// lock is what makes it sound against migration, which commits a
-    /// relocation only while holding that shard's write lock; an id
-    /// retired by a racing unsubscribe has no translation and is
-    /// dropped, exactly as delivery would drop its removed sender.
-    /// Concurrent publishers match in parallel and a write-locked shard
-    /// (a subscription in progress) delays only its own shard's portion
-    /// of the match. All locks are released before delivery; the
-    /// thread-local borrow covers only matching. The matched buffer is
-    /// reused across publishes on the same thread.
-    ///
-    /// The shards are walked one after another **on the calling
-    /// thread** — there is no hand-off, so an engine that panics
-    /// unwinds to the caller (releasing the shard's read guard and the
-    /// thread-local borrow on the way) instead of costing the publish a
-    /// shard silently.
-    ///
-    /// Subscribers found disconnected (handle dropped without
-    /// unsubscribe — possible when the handle's broker reference was
-    /// already gone) are pruned.
-    pub fn publish_arc(&self, event: Arc<Event>) -> usize {
-        let set = self.shard_set();
-        let epoch = self.migration_epoch();
-        // The matched buffer is swapped out of the thread-local state
-        // so the RefCell borrow ends before delivery (which takes the
-        // sender-map lock and may re-enter the broker to prune dead
-        // subscribers).
-        let mut matched = PUBLISH_STATE.with(|cell| {
-            let state = &mut *cell.borrow_mut();
-            let mut matched = std::mem::take(&mut state.matched);
-            matched.clear();
-            for cell in set.iter() {
-                let stats = cell.state.read().match_event(&event, &mut state.scratch);
-                cell.record(&stats);
-                matched.extend_from_slice(state.scratch.matched());
-            }
-            if state.scratch.heap_bytes() > self.inner.scratch_trim_cap {
-                state.scratch.trim();
-            }
-            matched
-        });
-        self.dedup_matched(epoch, &mut matched);
-        self.inner
-            .stats
-            .events_published
-            .fetch_add(1, Ordering::Relaxed);
-        let delivered = self.deliver_matched_arc(&event, &matched);
-        self.return_matched(matched);
-        delivered
-    }
-
-    /// Snapshot of the migration epoch, taken before matching starts;
-    /// pair with [`Broker::dedup_matched`] after the last translation.
-    fn migration_epoch(&self) -> u64 {
-        self.inner.migration_epoch.load(Ordering::Acquire)
-    }
-
-    /// Shards are visited one lock at a time, so a publish racing a
-    /// live migration can see the migrating subscription on both its
-    /// source and its target shard; deduplicating keeps delivery
-    /// at-most-once per subscriber per event. (The mirror race — the
-    /// event observing the subscription on *neither* shard — is the
-    /// same anomaly as an event racing an unsubscribe+resubscribe and
-    /// is documented on [`Broker::migrate`].)
-    ///
-    /// The sort only runs when a relocation actually committed during
-    /// the match window (`epoch_before` no longer current): any
-    /// relocation able to duplicate this publish's matched set commits
-    /// under a shard write lock *between* two of its shard visits, and
-    /// therefore between the two epoch reads. Migration-quiescent
-    /// publishes — and single-shard brokers, which cannot migrate —
-    /// pay nothing.
-    fn dedup_matched(&self, epoch_before: u64, matched: &mut Vec<SubscriptionId>) {
-        if self.inner.migration_epoch.load(Ordering::Acquire) != epoch_before {
-            matched.sort_unstable();
-            matched.dedup();
-        }
-    }
-
-    /// Returns the matched buffer's capacity to the thread for the next
-    /// publish — unless the publish grew it past the scratch trim cap,
-    /// in which case the spike capacity is dropped rather than pinned
-    /// in the thread-local state (the matched-accumulator half of the
-    /// high-water fix; the publish bodies trim the scratch themselves).
-    fn return_matched(&self, mut matched: Vec<SubscriptionId>) {
-        self.release_if_oversized(&mut matched);
-        PUBLISH_STATE.with(|cell| cell.borrow_mut().matched = matched);
-    }
-
-    /// The one place the trim-cap rule for the thread-local buffers
-    /// lives: a vector grown past [`BrokerBuilder::scratch_trim_cap`] is
-    /// replaced by an empty one (capacity released) before being parked
-    /// for reuse.
-    fn release_if_oversized<T>(&self, buffer: &mut Vec<T>) {
-        if buffer.capacity() * std::mem::size_of::<T>() > self.inner.scratch_trim_cap {
-            *buffer = Vec::new();
-        }
-    }
-
-    /// Publishes a batch of events — the amortised hot path. Returns
-    /// the total number of notifications delivered, and delivers
-    /// exactly the same notifications, in the same per-subscriber
-    /// order, as the equivalent sequence of [`Broker::publish`] calls.
-    ///
-    /// The batch is taken as `Arc<Event>`s: one allocation per event,
-    /// made by the caller, shared untouched across every shard's
-    /// matching and every delivered notification — the batch path never
-    /// clones an event.
-    ///
-    /// Compared to the one-by-one sequence, the batch visits each shard
-    /// once ([`Shard::match_batch`]): the shard's read lock is acquired
-    /// **once**, the thread-local batch scratch serves every event,
-    /// each admitted event is matched and its ids translated under that
-    /// same guard, and delivery snapshots each event's queues as the
-    /// single publish does. The matching of one event costs what it
-    /// costs in [`Broker::publish_arc`]; what is amortised is the
-    /// visit. Like the single publish, the walk runs on the calling
-    /// thread.
-    pub fn publish_batch(&self, events: &[Arc<Event>]) -> usize {
-        if events.is_empty() {
-            return 0;
-        }
-        // Phase A: match every event against every shard, bucketing
-        // matched global ids per event. Shard-major order amortises
-        // lock acquisitions; buckets keep delivery event-major so
-        // per-subscriber notification order equals the sequential one.
-        let set = self.shard_set();
-        let epoch = self.migration_epoch();
-        let buckets = PUBLISH_STATE.with(|cell| {
-            let state = &mut *cell.borrow_mut();
-            let mut buckets = std::mem::take(&mut state.buckets);
-            buckets.iter_mut().for_each(Vec::clear);
-            if buckets.len() < events.len() {
-                // Grow to the high-water batch length, never shrink:
-                // a short batch must not free the longer tail's
-                // capacity (everything zips against `events`, so
-                // extra cleared buckets are simply ignored).
-                buckets.resize_with(events.len(), Vec::new);
-            }
-            // Shard order per event, so per-event ids concatenate
-            // exactly like the one-by-one walk.
-            for cell in set.iter() {
-                let stats = cell.state.read().match_batch(events, &[], &mut state.batch);
-                cell.record(&stats);
-                for (e, bucket) in buckets.iter_mut().enumerate().take(events.len()) {
-                    bucket.extend_from_slice(state.batch.matched(e));
-                }
-            }
-            if state.batch.heap_bytes() > self.inner.scratch_trim_cap {
-                state.batch.trim();
-            }
-            for bucket in buckets.iter_mut().take(events.len()) {
-                // Same migration-race guard as the single-publish path.
-                self.dedup_matched(epoch, bucket);
-            }
-            buckets
-        });
-        self.inner
-            .stats
-            .events_published
-            .fetch_add(events.len() as u64, Ordering::Relaxed);
-
-        // Phase B: delivery, outside the scratch borrow and all engine
-        // locks. Each event snapshots its matched subscribers' queues
-        // under a short sender-map read and enqueues outside it — the
-        // same two-phase walk as the single-publish path, so a slow
-        // consumer (or a `Block`-policy wait) in the middle of a batch
-        // never extends the window in which an unsubscribe is stalled.
-        // The caller's Arcs are delivered as-is: no event is cloned.
-        let mut delivered = 0usize;
-        for (event, matched) in events.iter().zip(&buckets) {
-            delivered += self.deliver_matched_arc(event, matched);
-        }
-        // Bucket half of the high-water fix: a bucket a pathological
-        // event grew past the trim cap is released, not parked.
-        let mut buckets = buckets;
-        for bucket in &mut buckets {
-            self.release_if_oversized(bucket);
-        }
-        PUBLISH_STATE.with(|cell| cell.borrow_mut().buckets = buckets);
-        delivered
-    }
-
-    /// Queues `event` — shared, so every subscriber receives the
-    /// caller's `Arc` (zero copies) — to the subscribers in `matched`.
-    ///
-    /// Delivery is two-phase (the unsubscribe-stall fix): the
-    /// sender-map read lock is held only long enough to snapshot the
-    /// matched subscribers' queue handles into a thread-local buffer;
-    /// every enqueue — including a [`DeliveryPolicy::Block`] wait —
-    /// then runs with **no** broker lock held, so subscribe/unsubscribe
-    /// churn never queues behind a long fan-out walk. At-most-once
-    /// still holds: a subscriber unsubscribed after the snapshot has
-    /// its queue closed by the unsubscribe, and the late enqueue lands
-    /// as a counted disconnected send, not a delivery.
-    fn deliver_matched_arc(&self, event: &Arc<Event>, matched: &[SubscriptionId]) -> usize {
-        if matched.is_empty() {
-            return 0;
-        }
-        let (mut targets, mut ready) = PUBLISH_STATE.with(|cell| {
-            let state = &mut *cell.borrow_mut();
-            let mut targets = std::mem::take(&mut state.targets);
-            targets.clear();
-            {
-                // lint: allow(hot-path-locking, reason = "delivery snapshots the sender map by design — held for the matched-id lookups only, never across an enqueue")
-                let senders = self.inner.senders.read();
-                targets.extend(
-                    matched
-                        .iter()
-                        .filter_map(|id| senders.get(id).map(|q| (*id, Arc::clone(q)))),
-                );
-            }
-            (targets, std::mem::take(&mut state.ready))
-        });
-        let delivered = self.enqueue_targets(&targets, event, &mut ready);
-        // Same trim-cap rule as the matched-id buffer: a pathological
-        // fan-out must not pin its peak snapshot capacity per thread.
-        targets.clear();
-        self.release_if_oversized(&mut targets);
-        self.release_if_oversized(&mut ready);
-        PUBLISH_STATE.with(|cell| {
-            let state = &mut *cell.borrow_mut();
-            state.targets = targets;
-            state.ready = ready;
-        });
-        delivered
-    }
-
-    /// Delivery core: enqueues `event` onto each snapshot target's
-    /// queue — no broker lock held, one classed queue lock per target —
-    /// handing the consumer queues it scheduled to the ready list in
-    /// chunks of [`READY_CHUNK`] (collected in `ready`, empty again on
-    /// return), and pruning subscribers whose queue turned out closed.
-    fn enqueue_targets(
-        &self,
-        targets: &[(SubscriptionId, Arc<NotifyQueue>)],
-        event: &Arc<Event>,
-        ready: &mut Vec<(SubscriptionId, Arc<NotifyQueue>)>,
-    ) -> usize {
-        let mut delivered = 0usize;
-        let mut dropped = 0u64;
-        let mut disconnected = 0u64;
-        let mut dead: Vec<SubscriptionId> = Vec::new();
-        for (id, queue) in targets {
-            if queue.may_park() {
-                // A `Block` wait may follow: the queues scheduled so far
-                // must not wait out its timeout with the publisher.
-                self.hand_over(ready);
-            }
-            let (outcome, schedule) = queue.enqueue(Arc::clone(event));
-            match outcome {
-                Enqueue::Delivered => delivered += 1,
-                Enqueue::Dropped => dropped += 1,
-                Enqueue::Disconnected => {
-                    disconnected += 1;
-                    dead.push(*id);
-                }
-            }
-            if schedule {
-                ready.push((*id, Arc::clone(queue)));
-                if ready.len() == READY_CHUNK {
-                    self.hand_over(ready);
-                }
-            }
-        }
-        self.hand_over(ready);
-        let stats = &self.inner.stats;
-        if delivered > 0 {
-            stats
-                .notifications_delivered
-                .fetch_add(delivered as u64, Ordering::Relaxed);
-        }
-        if dropped > 0 {
-            stats
-                .notifications_dropped
-                .fetch_add(dropped, Ordering::Relaxed);
-        }
-        if disconnected > 0 {
-            stats
-                .notifications_disconnected
-                .fetch_add(disconnected, Ordering::Relaxed);
-        }
-        self.prune_dead(dead);
-        delivered
-    }
-
-    /// Moves `chunk` — consumer queues whose scheduled bit this
-    /// publisher set — onto the ready list under one lock acquisition,
-    /// and submits a drainer job for each pool thread not already
-    /// draining, up to one per waiting queue: none while enough
-    /// drainers are live. The jobs capture the ready list and a `Weak`
-    /// broker reference only: they can never keep a dropped broker
-    /// alive, and the pool's own Drop (which runs queued jobs to
-    /// completion) cannot deadlock on the broker's teardown.
-    fn hand_over(&self, chunk: &mut Vec<(SubscriptionId, Arc<NotifyQueue>)>) {
-        if chunk.is_empty() {
-            return;
-        }
-        let Some(pool) = self.inner.delivery_pool.get() else {
-            // Unreachable in practice: the scheduled bit only flips on
-            // consumer queues, and the first consumer subscribe built
-            // the pool. Degrades to pull-only delivery if not.
-            chunk.clear();
-            return;
-        };
-        let jobs = {
-            // lint: allow(hot-path-locking, reason = "the ready-list hand-off: one acquisition per READY_CHUNK scheduled queues, a leaf held for an append and a count")
-            let mut list = self.inner.delivery_ready.lock();
-            list.queues.extend(chunk.drain(..));
-            let jobs = (pool.threads() - list.drainers).min(list.queues.len());
-            list.drainers += jobs;
-            jobs
-        };
-        if jobs == 0 {
-            return;
-        }
-        self.inner
-            .stats
-            .drain_jobs
-            .fetch_add(jobs as u64, Ordering::Relaxed);
-        for _ in 0..jobs {
-            let ready = Arc::clone(&self.inner.delivery_ready);
-            let weak = Arc::downgrade(&self.inner);
-            pool.submit(move || run_drainer(&ready, &weak));
-        }
-    }
-
-    /// Unsubscribes disconnected subscribers found during delivery
-    /// (idempotent: batch delivery may report one subscriber several
-    /// times).
-    fn prune_dead(&self, dead: Vec<SubscriptionId>) {
-        for id in dead {
-            self.inner.unsubscribe(id);
-        }
-    }
-
-    // lint: end-hot-path
 
     /// Number of live subscriptions.
     pub fn subscription_count(&self) -> usize {
@@ -1518,136 +665,6 @@ impl Broker {
             .filter(|queue| queue.quarantined())
             .count()
     }
-
-    /// One slow-consumer quarantine tick: every subscriber's lag is
-    /// checked against the configured [`QuarantineConfig`] — consumers
-    /// over the watermark accumulate strikes toward demotion (queue
-    /// capped, or closed under
-    /// [`auto_disconnect`](QuarantineConfig::auto_disconnect));
-    /// quarantined consumers that drained accumulate strikes toward
-    /// release. A no-op unless [`BrokerBuilder::quarantine`] was set.
-    ///
-    /// The broker runs no tick on its own: the caller decides when.
-    /// Ticks serialize with migration/resize on the maintenance lock.
-    /// Subscribes and unsubscribes may still run during a tick: the
-    /// `senders` read guard only pins the map, and each queue is judged
-    /// under its own lock.
-    pub fn delivery_maintenance_tick(&self) -> DeliveryTickReport {
-        let Some(config) = self.inner.quarantine else {
-            return DeliveryTickReport::default();
-        };
-        let _maintenance = self.inner.maintenance.lock();
-        let mut report = DeliveryTickReport::default();
-        let mut to_disconnect: Vec<SubscriptionId> = Vec::new();
-        {
-            // Lock order: `senders` read → per-queue leaf locks, one at
-            // a time (never two queues at once).
-            let senders = self.inner.senders.read();
-            for (id, queue) in senders.iter() {
-                match queue.maintenance_tick(&config) {
-                    TickOutcome::Steady => {}
-                    TickOutcome::Demoted => report.demoted += 1,
-                    TickOutcome::Recovered => report.recovered += 1,
-                    TickOutcome::Disconnect => {
-                        report.disconnected += 1;
-                        to_disconnect.push(*id);
-                    }
-                }
-            }
-        }
-        // Unsubscribing takes the sender-map write lock — strictly
-        // after the read guard above is gone.
-        for id in to_disconnect {
-            self.inner.unsubscribe(id);
-        }
-        let stats = &self.inner.stats;
-        let demotions = (report.demoted + report.disconnected) as u64;
-        if demotions > 0 {
-            stats
-                .subscribers_quarantined
-                .fetch_add(demotions, Ordering::Relaxed);
-        }
-        if report.recovered > 0 {
-            stats
-                .quarantine_recoveries
-                .fetch_add(report.recovered as u64, Ordering::Relaxed);
-        }
-        report
-    }
-}
-
-/// One drainer job: pops one queue at a time off the ready list and
-/// drains it, until the list is empty. The ready lock is held only for
-/// the pop; the exit decrements `drainers` under the same acquisition
-/// that found the list empty, so a publisher appending after it sees
-/// the drainer gone and submits a fresh one. Taking one queue per pop
-/// is the stall-isolation rule: a wedged callback holds its own queue
-/// and this worker, and every other queue stays poppable.
-pub(crate) fn run_drainer(ready: &Mutex<ReadyList>, weak: &Weak<BrokerInner>) {
-    let _unwind = DrainerUnwind(ready);
-    let mut batch: Vec<Arc<Event>> = Vec::with_capacity(DELIVERY_DRAIN_BATCH);
-    loop {
-        let (id, queue) = {
-            let mut list = ready.lock();
-            match list.queues.pop_front() {
-                Some(entry) => entry,
-                None => {
-                    list.drainers -= 1;
-                    return;
-                }
-            }
-        };
-        drain_queue(weak, id, &queue, &mut batch);
-    }
-}
-
-/// Keeps `ReadyList::drainers` exact when a drainer unwinds between
-/// pops (the `expect` in `BrokerInner::unsubscribe` after a consumer
-/// panic); the normal exit decrements in `run_drainer` itself.
-struct DrainerUnwind<'a>(&'a Mutex<ReadyList>);
-
-impl Drop for DrainerUnwind<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.lock().drainers -= 1;
-        }
-    }
-}
-
-/// Feeds `queue`'s backlog to the subscriber's callback, `batch` (empty
-/// on entry and on return) at a time, until the queue is empty — which
-/// clears the scheduled bit under the queue lock, so the next enqueue
-/// puts it on the ready list again. Nothing is locked across the
-/// callback; a panicking callback is caught, its subscription torn
-/// down, and the drainer — and every other subscriber — continues.
-fn drain_queue(
-    weak: &Weak<BrokerInner>,
-    id: SubscriptionId,
-    queue: &NotifyQueue,
-    batch: &mut Vec<Arc<Event>>,
-) {
-    let Some(consumer) = queue.consumer() else {
-        return;
-    };
-    while queue.pop_batch(batch, DELIVERY_DRAIN_BATCH) {
-        for event in batch.drain(..) {
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                consumer(event);
-            }));
-            if outcome.is_err() {
-                // Panic isolation: discard this subscriber's backlog
-                // and remove it; the broker may already be mid-drop
-                // (failed upgrade), in which case the queue close is
-                // all that is left to do. The closed queue keeps its
-                // scheduled bit and is never pushed again.
-                queue.close(true);
-                if let Some(inner) = weak.upgrade() {
-                    inner.consumer_panicked(id);
-                }
-                return;
-            }
-        }
-    }
 }
 
 impl fmt::Debug for Broker {
@@ -1656,869 +673,5 @@ impl fmt::Debug for Broker {
             .field("engine", &self.engine_kind())
             .field("subscriptions", &self.subscription_count())
             .finish()
-    }
-}
-
-/// Configures and builds a [`Broker`].
-#[derive(Default)]
-pub struct BrokerBuilder {
-    kind: Option<EngineKind>,
-    custom: Option<Vec<BoxedEngine>>,
-    /// 0 means "not set" and resolves to 1.
-    shards: usize,
-    policy: DeliveryPolicy,
-    quarantine: Option<QuarantineConfig>,
-    delivery_workers: Option<usize>,
-    scratch_trim_cap: Option<usize>,
-    placement: PlacementPolicy,
-}
-
-impl fmt::Debug for BrokerBuilder {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("BrokerBuilder")
-            .field("kind", &self.kind)
-            .field("custom", &self.custom.as_ref().map(Vec::len))
-            .field("shards", &self.shards.max(1))
-            .field("policy", &self.policy)
-            .field("quarantine", &self.quarantine)
-            .field("delivery_workers", &self.delivery_workers)
-            .field("scratch_trim_cap", &self.scratch_trim_cap)
-            .field("placement", &self.placement)
-            .finish()
-    }
-}
-
-impl BrokerBuilder {
-    /// Selects the matching engine (default:
-    /// [`EngineKind::NonCanonical`]).
-    #[must_use]
-    pub fn engine(mut self, kind: EngineKind) -> Self {
-        self.kind = Some(kind);
-        self
-    }
-
-    /// Partitions subscriptions across `n` engine shards, each behind
-    /// its own lock (default: 1, which is behaviourally identical to an
-    /// unsharded broker). More shards mean subscription churn blocks a
-    /// smaller slice of concurrent matching and smaller per-shard
-    /// phase-2 state. The count can be changed live later with
-    /// [`Broker::resize`].
-    ///
-    /// Ignored when [`BrokerBuilder::engine_instances`] supplies
-    /// pre-built engines (the instance count is the shard count).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    #[must_use]
-    pub fn shards(mut self, n: usize) -> Self {
-        assert!(n > 0, "a broker needs at least one engine shard");
-        self.shards = n;
-        self
-    }
-
-    /// Supplies one pre-built engine per shard (shard `i` runs
-    /// `engines[i]`); takes precedence over [`BrokerBuilder::engine`]
-    /// and [`BrokerBuilder::shards`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `engines` is empty.
-    #[must_use]
-    pub fn engine_instances(mut self, engines: Vec<BoxedEngine>) -> Self {
-        assert!(
-            !engines.is_empty(),
-            "a broker needs at least one engine shard"
-        );
-        self.custom = Some(engines);
-        self
-    }
-
-    /// Sets the broker-wide default delivery policy (default:
-    /// [`DeliveryPolicy::Unbounded`]); individual subscribers can
-    /// override it with [`Broker::subscribe_with_policy`].
-    #[must_use]
-    pub fn delivery(mut self, policy: DeliveryPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Enables slow-consumer quarantine with the given thresholds; see
-    /// [`QuarantineConfig`] and [`Broker::delivery_maintenance_tick`].
-    /// Without this, lag is unmonitored and ticks are no-ops.
-    #[must_use]
-    pub fn quarantine(mut self, config: QuarantineConfig) -> Self {
-        self.quarantine = Some(config);
-        self
-    }
-
-    /// Sets the number of delivery worker threads draining
-    /// consumer-callback queues (default:
-    /// [`DEFAULT_DELIVERY_WORKERS`]) — also the most drainer jobs that
-    /// are ever live at once. The pool spawns lazily on the first
-    /// [`Broker::subscribe_consumer`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    #[must_use]
-    pub fn delivery_workers(mut self, n: usize) -> Self {
-        assert!(n > 0, "a delivery pool needs at least one thread");
-        self.delivery_workers = Some(n);
-        self
-    }
-
-    /// Chooses where new subscriptions land (default:
-    /// [`PlacementPolicy::LeastLoaded`]).
-    /// [`ClusterByAttribute`](PlacementPolicy::ClusterByAttribute)
-    /// routes each subscription to the shard its dominant equality
-    /// attribute hashes to (load-capped, falling back to least-loaded
-    /// when a cluster outgrows twice the other shards' average), which
-    /// makes the per-shard attribute synopses selective — on a
-    /// partitionable workload an event then candidates at one or two
-    /// shards and the per-shard step prunes the rest (every publish
-    /// consults each shard's synopsis first; it is conservative — it
-    /// may admit a shard with no matches but never excludes one with a
-    /// match). Delivery is identical under either policy; only shard
-    /// assignment — and therefore pruning effectiveness — changes.
-    #[must_use]
-    pub fn placement(mut self, policy: PlacementPolicy) -> Self {
-        self.placement = policy;
-        self
-    }
-
-    /// Sets the heap-byte cap above which a publish scratch is trimmed
-    /// — capacity released — instead of kept at its high-water size
-    /// (default: [`DEFAULT_SCRATCH_TRIM_CAP`]). Applied to each of the
-    /// publishing thread's reusable buffers (match scratch, batch
-    /// scratch, matched ids, batch buckets, delivery targets, ready
-    /// chunk) after each publish/batch. Without a cap, one pathological
-    /// event (say, a 100k-candidate spike) would pin its peak
-    /// allocation in every publisher thread for the thread's lifetime.
-    /// `usize::MAX`
-    /// disables trimming (the pre-cap behaviour); `0` trims after every
-    /// publish — useful in memory-starved deployments, at the price of
-    /// re-growing the buffers each publish.
-    #[must_use]
-    pub fn scratch_trim_cap(mut self, bytes: usize) -> Self {
-        self.scratch_trim_cap = Some(bytes);
-        self
-    }
-
-    /// Builds the broker.
-    pub fn build(self) -> Broker {
-        let engines = self.custom.unwrap_or_else(|| {
-            let kind = self.kind.unwrap_or(EngineKind::NonCanonical);
-            (0..self.shards.max(1)).map(|_| kind.build()).collect()
-        });
-        let shard_count = engines.len();
-        let grow_kind = engines[0].kind();
-        let scratch_trim_cap = self.scratch_trim_cap.unwrap_or(DEFAULT_SCRATCH_TRIM_CAP);
-        let shards: Vec<Arc<ShardCell>> = engines
-            .into_iter()
-            .enumerate()
-            .map(|(index, engine)| Arc::new(ShardCell::new(engine, index)))
-            .collect();
-        let directory = SubscriptionDirectory::new(shard_count);
-        let inner = Arc::new(BrokerInner {
-            shard_set: RwLock::new(shards.into()),
-            directory: RwLock::new(directory),
-            maintenance: Mutex::new(()),
-            freq_baseline: Mutex::new(FreqWindow::default()),
-            scratch_trim_cap,
-            migration_epoch: AtomicU64::new(0),
-            senders: RwLock::new(HashMap::new()),
-            policy: self.policy,
-            quarantine: self.quarantine,
-            delivery_pool: OnceLock::new(),
-            delivery_ready: Arc::new(Mutex::new(ReadyList::default())),
-            delivery_workers: self.delivery_workers.unwrap_or(DEFAULT_DELIVERY_WORKERS),
-            stats: AtomicStats::default(),
-            grow_kind,
-            placement: self.placement,
-        });
-        // Register the broker-global locks with lockdep (debug builds):
-        // runtime enforcement of the documented order — `maintenance`
-        // outermost, shard locks ascending, `directory` innermost,
-        // `senders`/`delivery_ready`/`shard-set`/`freq-baseline` leaves.
-        inner.directory.set_class(lock_classes::DIRECTORY);
-        inner.maintenance.set_class(lock_classes::MAINTENANCE);
-        inner.senders.set_class(lock_classes::SENDERS);
-        inner.delivery_ready.set_class(lock_classes::DELIVERY_READY);
-        inner.shard_set.set_class("shard-set");
-        inner.freq_baseline.set_class("freq-baseline");
-        Broker { inner }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn ev(pairs: &[(&str, i64)]) -> Event {
-        Event::from_pairs(pairs.iter().map(|(n, v)| (*n, *v)))
-    }
-
-    #[test]
-    fn subscribe_publish_receive() {
-        let broker = Broker::builder().build();
-        let sub = broker.subscribe("a = 1 and b = 2").unwrap();
-        assert_eq!(broker.publish(ev(&[("a", 1), ("b", 2)])), 1);
-        assert_eq!(broker.publish(ev(&[("a", 1)])), 0);
-        let got = sub.try_recv().unwrap();
-        assert_eq!(got.get("b"), Some(&2_i64.into()));
-        assert!(sub.try_recv().is_none());
-    }
-
-    #[test]
-    fn every_engine_kind_works() {
-        for kind in EngineKind::ALL {
-            let broker = Broker::builder().engine(kind).build();
-            assert_eq!(broker.engine_kind(), kind);
-            let sub = broker.subscribe("(a = 1 or b = 2) and c = 3").unwrap();
-            assert_eq!(broker.publish(ev(&[("b", 2), ("c", 3)])), 1);
-            assert!(sub.try_recv().is_some());
-        }
-    }
-
-    #[test]
-    fn parse_errors_surface() {
-        let broker = Broker::builder().build();
-        assert!(matches!(
-            broker.subscribe("a >"),
-            Err(BrokerError::Parse(_))
-        ));
-    }
-
-    #[test]
-    fn explicit_unsubscribe_stops_delivery() {
-        let broker = Broker::builder().build();
-        let sub = broker.subscribe("a = 1").unwrap();
-        let id = sub.id();
-        assert!(broker.unsubscribe(id));
-        assert!(!broker.unsubscribe(id));
-        assert_eq!(broker.publish(ev(&[("a", 1)])), 0);
-        assert_eq!(broker.subscription_count(), 0);
-    }
-
-    #[test]
-    fn handle_drop_unsubscribes() {
-        let broker = Broker::builder().build();
-        {
-            let _sub = broker.subscribe("a = 1").unwrap();
-            assert_eq!(broker.subscription_count(), 1);
-        }
-        assert_eq!(broker.subscription_count(), 0);
-        assert_eq!(broker.publish(ev(&[("a", 1)])), 0);
-        let stats = broker.stats();
-        assert_eq!(stats.subscriptions_created, 1);
-        assert_eq!(stats.subscriptions_removed, 1);
-    }
-
-    #[test]
-    fn drop_newest_policy_counts_drops() {
-        let broker = Broker::builder()
-            .delivery(DeliveryPolicy::DropNewest { capacity: 1 })
-            .build();
-        let sub = broker.subscribe("a = 1").unwrap();
-        assert_eq!(broker.publish(ev(&[("a", 1)])), 1);
-        assert_eq!(broker.publish(ev(&[("a", 1)])), 0); // queue full
-        assert_eq!(broker.stats().notifications_dropped, 1);
-        assert!(sub.try_recv().is_some());
-        assert_eq!(broker.publish(ev(&[("a", 1)])), 1);
-    }
-
-    #[test]
-    fn fanout_to_many_subscribers() {
-        let broker = Broker::builder().build();
-        let subs: Vec<_> = (0..20)
-            .map(|_| broker.subscribe("tick = 1").unwrap())
-            .collect();
-        assert_eq!(broker.publish(ev(&[("tick", 1)])), 20);
-        for sub in &subs {
-            assert!(sub.try_recv().is_some());
-        }
-    }
-
-    #[test]
-    fn concurrent_publishers_and_subscribers() {
-        let broker = Broker::builder().build();
-        let subs: Vec<_> = (0..8)
-            .map(|i| broker.subscribe(&format!("topic = {i}")).unwrap())
-            .collect();
-        let mut handles = Vec::new();
-        for t in 0..4 {
-            let publisher = broker.clone();
-            handles.push(std::thread::spawn(move || {
-                for i in 0..100 {
-                    publisher.publish(Event::builder().attr("topic", ((t + i) % 8) as i64).build());
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let total: usize = subs.iter().map(|s| s.drain().len()).sum();
-        assert_eq!(total, 400);
-        assert_eq!(broker.stats().events_published, 400);
-        assert_eq!(broker.stats().notifications_delivered, 400);
-    }
-
-    #[test]
-    fn stats_snapshot_is_consistent() {
-        let broker = Broker::builder().build();
-        let _sub = broker.subscribe("a = 1").unwrap();
-        broker.publish(ev(&[("a", 1)]));
-        broker.publish(ev(&[("a", 2)]));
-        let s = broker.stats();
-        assert_eq!(s.events_published, 2);
-        assert_eq!(s.notifications_delivered, 1);
-        assert_eq!(s.subscriptions_created, 1);
-    }
-
-    #[test]
-    fn memory_usage_is_exposed() {
-        let broker = Broker::builder().build();
-        let _sub = broker.subscribe("(a = 1 or b = 2) and c = 3").unwrap();
-        assert!(broker.memory_usage().total() > 0);
-    }
-
-    #[test]
-    fn default_broker_has_one_shard() {
-        let broker = Broker::builder().build();
-        assert_eq!(broker.shard_count(), 1);
-        assert_eq!(Broker::builder().shards(1).build().shard_count(), 1);
-        assert_eq!(Broker::builder().shards(4).build().shard_count(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one engine shard")]
-    fn zero_shards_panics() {
-        let _ = Broker::builder().shards(0);
-    }
-
-    #[test]
-    fn sharded_unsubscribe_routes_to_owning_shard() {
-        let broker = Broker::builder().shards(3).build();
-        let subs: Vec<_> = (0..9)
-            .map(|i| broker.subscribe(&format!("a = {i}")).unwrap())
-            .collect();
-        let id = subs[4].id();
-        assert!(broker.unsubscribe(id));
-        assert!(!broker.unsubscribe(id));
-        assert_eq!(broker.subscription_count(), 8);
-        assert_eq!(broker.publish(ev(&[("a", 4)])), 0);
-        assert_eq!(broker.publish(ev(&[("a", 5)])), 1);
-    }
-
-    #[test]
-    fn rejected_subscription_does_not_skew_placement() {
-        // 2^17 DNF conjunctions: over the counting engine's default
-        // 65,536 limit, so registration is rejected.
-        let huge: String = (0..17)
-            .map(|i| format!("(a{i} = 1 or b{i} = 1)"))
-            .collect::<Vec<_>>()
-            .join(" and ");
-        let flat = Broker::builder().engine(EngineKind::Counting).build();
-        let sharded = Broker::builder()
-            .engine(EngineKind::Counting)
-            .shards(2)
-            .build();
-        for broker in [&flat, &sharded] {
-            let a = broker.subscribe("x = 1").unwrap();
-            assert!(matches!(
-                broker.subscribe(&huge),
-                Err(BrokerError::Subscribe(_))
-            ));
-            let c = broker.subscribe("x = 2").unwrap();
-            // The rejection consumed no slot: the next subscription
-            // takes the slot after `a`'s, as on an unsharded broker.
-            assert_eq!(a.id().slot(), 0);
-            assert_eq!(c.id().slot(), 1);
-        }
-    }
-
-    #[test]
-    fn publish_batch_empty_and_repeated() {
-        let broker = Broker::builder().shards(2).build();
-        assert_eq!(broker.publish_batch(&[]), 0);
-        let sub = broker.subscribe("a = 1").unwrap();
-        // Repeated batches reuse the thread-local buckets (shrinking
-        // and growing the batch length between calls).
-        assert_eq!(
-            broker.publish_batch(&[Arc::new(ev(&[("a", 1)])), Arc::new(ev(&[("a", 2)]))]),
-            1
-        );
-        assert_eq!(broker.publish_batch(&[Arc::new(ev(&[("a", 1)]))]), 1);
-        assert_eq!(
-            broker.publish_batch(&[
-                Arc::new(ev(&[("a", 1)])),
-                Arc::new(ev(&[("a", 1)])),
-                Arc::new(ev(&[("a", 3)]))
-            ]),
-            2
-        );
-        assert_eq!(sub.drain().len(), 4);
-        assert_eq!(broker.stats().events_published, 6);
-    }
-
-    #[test]
-    fn publish_arc_shares_the_allocation_with_delivery() {
-        let broker = Broker::builder().shards(2).build();
-        let sub = broker.subscribe("a = 1").unwrap();
-        let event = Arc::new(ev(&[("a", 1)]));
-        assert_eq!(broker.publish_arc(Arc::clone(&event)), 1);
-        let got = sub.try_recv().unwrap();
-        // Delivery queued the caller's Arc itself, not a copy.
-        assert!(Arc::ptr_eq(&got, &event));
-    }
-
-    #[test]
-    fn heterogeneous_engine_instances() {
-        let broker = Broker::builder()
-            .engine_instances(vec![
-                EngineKind::NonCanonical.build(),
-                EngineKind::Counting.build(),
-            ])
-            .build();
-        assert_eq!(broker.shard_count(), 2);
-        assert_eq!(broker.engine_kind(), EngineKind::NonCanonical);
-        let a = broker.subscribe("a = 1").unwrap(); // shard 0
-        let b = broker.subscribe("a = 2").unwrap(); // shard 1
-        assert_eq!(broker.publish(ev(&[("a", 1)])), 1);
-        assert_eq!(broker.publish(ev(&[("a", 2)])), 1);
-        assert_eq!(a.drain().len(), 1);
-        assert_eq!(b.drain().len(), 1);
-        assert!(broker.memory_usage().total() > 0);
-    }
-
-    #[test]
-    fn drained_shard_is_refilled_first() {
-        // The churn-skew regression at the broker layer: unsubscribes
-        // empty one shard; the old blind round-robin cursor kept
-        // striding past it, least-loaded placement refills it.
-        let broker = Broker::builder().shards(4).build();
-        let mut subs: Vec<_> = (0..12)
-            .map(|i| broker.subscribe(&format!("a = {i}")).unwrap())
-            .collect();
-        assert_eq!(broker.shard_loads(), vec![3, 3, 3, 3]);
-        // Arrivals 2, 6, 10 are shard 2's; drop them.
-        for &i in &[10usize, 6, 2] {
-            drop(subs.remove(i));
-        }
-        assert_eq!(broker.shard_loads(), vec![3, 3, 0, 3]);
-        for i in 12..15 {
-            subs.push(broker.subscribe(&format!("a = {i}")).unwrap());
-        }
-        assert_eq!(broker.shard_loads(), vec![3, 3, 3, 3]);
-        // And the refilled shard actually matches.
-        assert_eq!(broker.publish(ev(&[("a", 13)])), 1);
-    }
-
-    #[test]
-    fn rebalance_moves_load_without_touching_subscribers() {
-        let broker = Broker::builder().shards(3).build();
-        let mut subs: Vec<_> = (0..12)
-            .map(|i| broker.subscribe(&format!("a = {i} or all = 1")).unwrap())
-            .collect();
-        // Drain shard 1 (arrivals 1, 4, 7, 10) to skew the loads.
-        for &i in &[10usize, 7, 4, 1] {
-            drop(subs.remove(i));
-        }
-        assert_eq!(broker.shard_loads(), vec![4, 0, 4]);
-
-        // Bounded step first, then the rest.
-        assert_eq!(broker.migrate(1), 1);
-        let moved = broker.rebalance();
-        assert!(moved >= 1);
-        let loads = broker.shard_loads();
-        let spread = loads.iter().max().unwrap() - loads.iter().min().unwrap();
-        assert!(spread <= 1, "balanced after rebalance: {loads:?}");
-        assert_eq!(loads.iter().sum::<usize>(), 8, "no subscription lost");
-        assert_eq!(broker.stats().subscriptions_migrated, (1 + moved) as u64);
-        assert_eq!(broker.rebalance(), 0, "already balanced");
-
-        // Ids, handles and delivery survived every move.
-        assert_eq!(broker.publish(ev(&[("all", 1)])), 8);
-        for sub in &subs {
-            assert_eq!(sub.drain().len(), 1);
-            assert!(broker.unsubscribe(sub.id()));
-        }
-        assert_eq!(broker.subscription_count(), 0);
-    }
-
-    #[test]
-    fn migrated_subscriptions_can_still_unsubscribe_by_handle_drop() {
-        let broker = Broker::builder().shards(2).build();
-        let mut subs: Vec<_> = (0..8)
-            .map(|i| broker.subscribe(&format!("a = {i}")).unwrap())
-            .collect();
-        // Drop three of shard 0's (arrivals 0, 2, 4) to skew.
-        for &i in &[4usize, 2, 0] {
-            drop(subs.remove(i));
-        }
-        assert_eq!(broker.shard_loads(), vec![1, 4]);
-        assert!(broker.rebalance() >= 1);
-        // Handle drop must route through the directory to wherever the
-        // subscription lives now.
-        drop(subs);
-        assert_eq!(broker.subscription_count(), 0);
-        assert_eq!(broker.shard_loads(), vec![0, 0]);
-    }
-
-    #[test]
-    fn memory_usage_charges_routing_on_every_shape() {
-        // Every broker charges its directory slots, translation maps
-        // and synopses — a single-shard one too, which `resize` can
-        // turn into a migrating one. None of it grows with the
-        // expression: the engine holds the only copy of a tree, and a
-        // migration asks the engine for it.
-        for shards in [1, 2] {
-            let small = Broker::builder().shards(shards).build();
-            let large = Broker::builder().shards(shards).build();
-            let _subs: Vec<_> = (0..50)
-                .flat_map(|i| {
-                    [
-                        small.subscribe(&format!("a = {i} or b = {i}")).unwrap(),
-                        large
-                            .subscribe(&format!(
-                                "a = {i} or b = {i} or (c > {i} and not (d = {i} or e = {i}))"
-                            ))
-                            .unwrap(),
-                    ]
-                })
-                .collect();
-            let (small, large) = (small.memory_usage(), large.memory_usage());
-            // At least a 16-byte directory slot and an 8-byte
-            // translation entry per subscription.
-            assert!(small.unsub_support >= 50 * 24, "S={shards}");
-            assert_eq!(large.unsub_support, small.unsub_support, "S={shards}");
-            assert!(large.total() > small.total(), "the engines hold more");
-        }
-        // An empty broker charges (almost) nothing by comparison.
-        assert!(Broker::builder().build().memory_usage().unsub_support < 50 * 24);
-    }
-
-    #[test]
-    fn single_shard_broker_has_nothing_to_migrate() {
-        let broker = Broker::builder().build();
-        let _sub = broker.subscribe("a = 1").unwrap();
-        assert_eq!(broker.rebalance(), 0);
-        assert_eq!(broker.rebalance_by_match_frequency(8), 0);
-        assert_eq!(broker.shard_loads(), vec![1]);
-        assert_eq!(broker.stats().subscriptions_migrated, 0);
-    }
-
-    #[test]
-    fn scratch_trim_cap_bounds_the_thread_local_publish_state() {
-        // One pathological spike event must not pin its peak allocation
-        // in the publishing thread's buffers. Steady traffic below the
-        // cap keeps its warm capacity (no trim, no re-allocation); what
-        // the spike grew past the cap is released after the publish;
-        // steady traffic then re-warms and keeps matching correctly.
-        let cap = 24 << 10; // between the steady and spike footprints
-        let broker = Broker::builder().shards(2).scratch_trim_cap(cap).build();
-        // A small steady population and a large spike-only population:
-        // the spike subs size the stamp arrays (steady footprint) but
-        // only the spike event explodes the candidate/matched buffers.
-        let _steady: Vec<_> = (0..8)
-            .map(|i| broker.subscribe(&format!("tick = {i}")).unwrap())
-            .collect();
-        let _spikers: Vec<_> = (0..4_000)
-            .map(|_| broker.subscribe("boom = 1").unwrap())
-            .collect();
-        let steady = Arc::new(ev(&[("tick", 3)]));
-        let spike = Arc::new(ev(&[("boom", 1)]));
-        let steady_round = || {
-            assert_eq!(broker.publish_arc(Arc::clone(&steady)), 1);
-            assert_eq!(
-                broker.publish_batch(&[Arc::clone(&steady), Arc::clone(&steady)]),
-                2
-            );
-        };
-
-        for _ in 0..50 {
-            steady_round();
-        }
-        let warm = publish_state_bytes();
-        assert!(
-            warm.iter().all(|&bytes| bytes > 0 && bytes <= cap),
-            "test invariant: the steady footprint {warm:?} is warm and fits the cap {cap}"
-        );
-        for _ in 0..50 {
-            steady_round();
-        }
-        assert_eq!(publish_state_bytes(), warm, "steady traffic never trims");
-
-        // The spike, single width: `matched` and `targets` must grow to
-        // 4 000 entries (32 000 and 64 000 bytes) to deliver it.
-        assert_eq!(broker.publish_arc(Arc::clone(&spike)), 4_000);
-        let [scratch, _, matched, _, targets] = publish_state_bytes();
-        assert!(
-            scratch < warm[0] && matched == 0 && targets == 0,
-            "spike capacity was kept: scratch {scratch}, matched {matched}, targets {targets}"
-        );
-        // Batch width: the spike's bucket grows the same way.
-        assert_eq!(
-            broker.publish_batch(&[Arc::clone(&spike), Arc::clone(&steady)]),
-            4_001
-        );
-        let [_, batch, _, bucket, _] = publish_state_bytes();
-        assert!(
-            batch < warm[1] && bucket <= cap,
-            "spike capacity was kept: batch {batch}, largest bucket {bucket}"
-        );
-
-        // Steady traffic re-warms lazily to the steady footprint, not
-        // the spike's, and the spike still delivers exactly.
-        for _ in 0..50 {
-            steady_round();
-        }
-        let rewarmed = publish_state_bytes();
-        assert!(
-            rewarmed.iter().all(|&bytes| bytes > 0 && bytes <= cap),
-            "re-warmed to {rewarmed:?}"
-        );
-        assert_eq!(broker.publish_arc(spike), 4_000);
-        steady_round();
-    }
-
-    #[test]
-    fn resize_grows_live_and_rebalance_spreads() {
-        let broker = Broker::builder().shards(2).build();
-        let subs: Vec<_> = (0..8)
-            .map(|i| broker.subscribe(&format!("a = {i} or all = 1")).unwrap())
-            .collect();
-        assert_eq!(broker.resize(4), 0, "growing migrates nothing");
-        assert_eq!(broker.shard_count(), 4);
-        assert_eq!(broker.shard_loads(), vec![4, 4, 0, 0]);
-        // Delivery is unchanged through the grow.
-        assert_eq!(broker.publish(ev(&[("all", 1)])), 8);
-        // New subscriptions fill the new shards first; rebalance then
-        // evens everything out.
-        let extra = broker.subscribe("a = 100").unwrap();
-        assert_eq!(
-            broker
-                .inner
-                .directory
-                .read()
-                .placement_of(extra.id())
-                .unwrap()
-                .0,
-            2
-        );
-        broker.rebalance();
-        let loads = broker.shard_loads();
-        assert!(loads.iter().max().unwrap() - loads.iter().min().unwrap() <= 1);
-        assert_eq!(broker.publish(ev(&[("all", 1)])), 8);
-        for sub in &subs {
-            assert_eq!(sub.drain().len(), 2);
-        }
-    }
-
-    #[test]
-    fn resize_shrinks_live_and_keeps_every_subscription() {
-        let broker = Broker::builder().shards(4).build();
-        let subs: Vec<_> = (0..12)
-            .map(|i| broker.subscribe(&format!("a = {i} or all = 1")).unwrap())
-            .collect();
-        let moved = broker.resize(2);
-        assert!(moved >= 1, "shrinking drains the dying shards");
-        assert_eq!(broker.shard_count(), 2);
-        assert_eq!(broker.shard_loads().len(), 2);
-        assert_eq!(broker.shard_loads().iter().sum::<usize>(), 12);
-        assert_eq!(broker.stats().subscriptions_migrated, moved as u64);
-        assert_eq!(broker.publish(ev(&[("all", 1)])), 12);
-        // All the way down to a flat broker.
-        broker.resize(1);
-        assert_eq!(broker.shard_count(), 1);
-        assert_eq!(broker.publish(ev(&[("all", 1)])), 12);
-        for sub in &subs {
-            assert_eq!(sub.drain().len(), 2);
-            assert!(broker.unsubscribe(sub.id()));
-        }
-        assert_eq!(broker.subscription_count(), 0);
-        assert_eq!(broker.resize(1), 0, "no-op resize");
-    }
-
-    #[test]
-    #[should_panic(expected = "a surviving shard refused a drained subscription")]
-    fn shrink_panics_when_a_survivor_refuses_a_drained_subscription() {
-        // Heterogeneous shards: the surviving counting shard cannot
-        // accept the huge non-canonical expression living on the dying
-        // shard. The drain must panic, not spin forever on the
-        // refusal.
-        let broker = Broker::builder()
-            .engine_instances(vec![
-                EngineKind::Counting.build(),
-                EngineKind::NonCanonical.build(),
-            ])
-            .build();
-        let _anchor = broker.subscribe("x = 1").unwrap(); // shard 0
-        let huge: String = (0..17)
-            .map(|i| format!("(a{i} = 1 or b{i} = 1)"))
-            .collect::<Vec<_>>()
-            .join(" and ");
-        let _wide = broker.subscribe(&huge).unwrap(); // shard 1 accepts it
-        broker.resize(1);
-    }
-
-    #[test]
-    fn resize_then_unsubscribe_routes_correctly() {
-        // Ids survive a shrink that migrated their subscriptions, and
-        // handle drops still land on the right shard afterwards.
-        let broker = Broker::builder().shards(3).build();
-        let subs: Vec<_> = (0..9)
-            .map(|i| broker.subscribe(&format!("a = {i}")).unwrap())
-            .collect();
-        broker.resize(1);
-        broker.resize(4);
-        drop(subs);
-        assert_eq!(broker.subscription_count(), 0);
-        assert_eq!(broker.shard_loads(), vec![0, 0, 0, 0]);
-    }
-
-    #[test]
-    fn recycled_ids_bound_the_table_and_stay_aba_safe() {
-        let broker = Broker::builder().shards(2).build();
-        let keeper = broker.subscribe("a = 1").unwrap();
-        // Churn one slot: subscribe/unsubscribe repeatedly.
-        for i in 0..20 {
-            let sub = broker.subscribe(&format!("b = {i}")).unwrap();
-            drop(sub);
-        }
-        // The table stayed bounded: only two slots were ever needed.
-        assert_eq!(broker.inner.directory.read().id_bound(), 2);
-        // The survivor still matches and can still be removed by its
-        // (generation-tagged) id.
-        assert_eq!(broker.publish(ev(&[("a", 1)])), 1);
-        assert_eq!(keeper.drain().len(), 1);
-        drop(keeper);
-        assert_eq!(broker.subscription_count(), 0);
-    }
-
-    #[test]
-    fn shard_match_hits_follow_delivered_matches() {
-        let broker = Broker::builder().shards(2).build();
-        let _a = broker.subscribe("a = 1").unwrap(); // shard 0
-        let _b = broker.subscribe("b = 1").unwrap(); // shard 1
-        assert_eq!(broker.shard_match_hits(), vec![0, 0]);
-        broker.publish(ev(&[("a", 1)]));
-        broker.publish(ev(&[("a", 1)]));
-        broker.publish(ev(&[("b", 1)]));
-        assert_eq!(broker.shard_match_hits(), vec![2, 1]);
-        // The batch path feeds the same counters.
-        broker.publish_batch(&[Arc::new(ev(&[("a", 1)])), Arc::new(ev(&[("b", 1)]))]);
-        assert_eq!(broker.shard_match_hits(), vec![3, 2]);
-    }
-
-    #[test]
-    fn content_aware_pruning_skips_shards_on_every_pipeline() {
-        // Single publish and batch: a clustered partitionable workload
-        // keeps each group on one shard, so a one-group event prunes
-        // the other three.
-        let broker = Broker::builder()
-            .shards(4)
-            .placement(PlacementPolicy::ClusterByAttribute)
-            .build();
-        let _subs: Vec<_> = (0..16)
-            .map(|i| broker.subscribe(&format!("g{} = 1", i % 4)).unwrap())
-            .collect();
-        assert_eq!(broker.publish(ev(&[("g0", 1)])), 4);
-        let after_publish: u64 = broker.shard_prune_counts().iter().sum();
-        assert_eq!(
-            after_publish, 3,
-            "a one-group event candidates exactly one shard"
-        );
-        assert_eq!(
-            broker.publish_batch(&[Arc::new(ev(&[("g1", 1)])), Arc::new(ev(&[("g2", 1)]))]),
-            8
-        );
-        let after_batch: u64 = broker.shard_prune_counts().iter().sum();
-        assert_eq!(after_batch, 3 + 2 * 3, "three prunes per batched event");
-    }
-
-    #[test]
-    fn synopsis_survives_migration_resize_and_churn() {
-        // Drive every synopsis maintenance path — subscribe,
-        // unsubscribe, count- and frequency-based migration, grow,
-        // shrink — then verify no subscription was over-pruned: each
-        // survivor still receives an event tailored to it, with
-        // pruning active.
-        let broker = Broker::builder()
-            .shards(3)
-            .placement(PlacementPolicy::ClusterByAttribute)
-            .build();
-        let mut subs: Vec<(usize, Subscription)> = (0..24)
-            .map(|i| {
-                let sub = broker
-                    .subscribe(&format!("topic = {} and n >= {}", i % 6, i / 6))
-                    .unwrap();
-                (i, sub)
-            })
-            .collect();
-        for &i in &[21usize, 13, 8, 2] {
-            let pos = subs.iter().position(|(n, _)| *n == i).unwrap();
-            drop(subs.remove(pos).1);
-        }
-        broker.rebalance();
-        broker.resize(5);
-        broker.resize(2);
-        broker.rebalance_by_match_frequency(usize::MAX);
-        broker.resize(3);
-        broker.rebalance();
-
-        for (i, sub) in &subs {
-            let event = ev(&[("topic", (i % 6) as i64), ("n", (i / 6) as i64)]);
-            assert!(
-                broker.publish(event) >= 1,
-                "survivor {i} lost to over-pruning"
-            );
-            assert!(!sub.drain().is_empty(), "survivor {i} missed its delivery");
-        }
-    }
-
-    #[test]
-    fn match_frequency_rebalance_moves_load_off_the_hot_shard() {
-        let broker = Broker::builder().shards(2).build();
-        // Shard 0 gets the hot subscriptions (arrivals 0, 2, 4, ...),
-        // shard 1 the cold ones — every publish of the hot event then
-        // hits only shard 0.
-        let _subs: Vec<_> = (0..8)
-            .map(|i| {
-                broker
-                    .subscribe(if i % 2 == 0 { "hot = 1" } else { "cold = 1" })
-                    .unwrap()
-            })
-            .collect();
-        assert_eq!(broker.shard_loads(), vec![4, 4]);
-        // First tick only arms the baseline.
-        assert_eq!(broker.rebalance_by_match_frequency(8), 0);
-        for _ in 0..50 {
-            broker.publish(ev(&[("hot", 1)]));
-        }
-        let hits = broker.shard_match_hits();
-        assert!(hits[0] >= 200 && hits[1] == 0, "skewed: {hits:?}");
-        // The tick sees the skew and moves subscriptions from the hot
-        // shard to the cool one — deliberately unbalancing counts.
-        let moved = broker.rebalance_by_match_frequency(2);
-        assert_eq!(moved, 2);
-        assert_eq!(broker.shard_loads(), vec![2, 6]);
-        // Delivery is untouched throughout.
-        assert_eq!(broker.publish(ev(&[("hot", 1)])), 4);
-        // A quiet interval moves nothing.
-        assert_eq!(broker.rebalance_by_match_frequency(2), 0);
-    }
-
-    #[test]
-    fn directory_write_hook_blocks_subscribes_but_not_publishes() {
-        let broker = Broker::builder().shards(2).build();
-        let _sub = broker.subscribe("a = 1").unwrap();
-        let delivered = broker.with_directory_write_held(|| {
-            // A publish completes while the directory is write-held;
-            // the full latch-gated proof lives in tests/hot_path.rs.
-            broker.publish(ev(&[("a", 1)]))
-        });
-        assert_eq!(delivered, 1);
     }
 }

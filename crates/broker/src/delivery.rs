@@ -21,12 +21,14 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
-use boolmatch_core::lock_classes;
+use boolmatch_core::{lock_classes, SubscriptionId};
 use boolmatch_types::Event;
 use parking_lot::{Condvar, Mutex};
+
+use crate::broker::BrokerInner;
 
 /// What a full queue does with the next notification — per subscriber,
 /// chosen at [`crate::Broker::subscribe_with_policy`] time or
@@ -625,6 +627,96 @@ impl Clone for DeliveryReceiver {
 impl Drop for DeliveryReceiver {
     fn drop(&mut self) {
         self.queue.drop_receiver();
+    }
+}
+
+/// Events a drainer moves per queue-lock acquisition: large enough to
+/// amortise the lock, small enough that a deep backlog releases it (and
+/// wakes `Block`-policy publishers) regularly.
+const DELIVERY_DRAIN_BATCH: usize = 32;
+
+/// The delivery tier's ready list: consumer queues holding undelivered
+/// events that no drainer has popped yet, and the number of drainer
+/// jobs queued or running on the delivery pool. A queue is pushed only
+/// by the enqueue that set its scheduled bit, so it is on this list or
+/// in one drainer at most once — per-subscriber FIFO.
+#[derive(Default)]
+pub(crate) struct ReadyList {
+    pub(crate) queues: VecDeque<(SubscriptionId, Arc<NotifyQueue>)>,
+    pub(crate) drainers: usize,
+}
+
+/// One drainer job: pops one queue at a time off the ready list and
+/// drains it, until the list is empty. The ready lock is held only for
+/// the pop; the exit decrements `drainers` under the same acquisition
+/// that found the list empty, so a publisher appending after it sees
+/// the drainer gone and submits a fresh one. Taking one queue per pop
+/// is the stall-isolation rule: a wedged callback holds its own queue
+/// and this worker, and every other queue stays poppable.
+pub(crate) fn run_drainer(ready: &Mutex<ReadyList>, weak: &Weak<BrokerInner>) {
+    let _unwind = DrainerUnwind(ready);
+    let mut batch: Vec<Arc<Event>> = Vec::with_capacity(DELIVERY_DRAIN_BATCH);
+    loop {
+        let (id, queue) = {
+            let mut list = ready.lock();
+            match list.queues.pop_front() {
+                Some(entry) => entry,
+                None => {
+                    list.drainers -= 1;
+                    return;
+                }
+            }
+        };
+        drain_queue(weak, id, &queue, &mut batch);
+    }
+}
+
+/// Keeps `ReadyList::drainers` exact when a drainer unwinds between
+/// pops (the `expect` in `BrokerInner::unsubscribe` after a consumer
+/// panic); the normal exit decrements in `run_drainer` itself.
+struct DrainerUnwind<'a>(&'a Mutex<ReadyList>);
+
+impl Drop for DrainerUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.lock().drainers -= 1;
+        }
+    }
+}
+
+/// Feeds `queue`'s backlog to the subscriber's callback, `batch` (empty
+/// on entry and on return) at a time, until the queue is empty — which
+/// clears the scheduled bit under the queue lock, so the next enqueue
+/// puts it on the ready list again. Nothing is locked across the
+/// callback; a panicking callback is caught, its subscription torn
+/// down, and the drainer — and every other subscriber — continues.
+fn drain_queue(
+    weak: &Weak<BrokerInner>,
+    id: SubscriptionId,
+    queue: &NotifyQueue,
+    batch: &mut Vec<Arc<Event>>,
+) {
+    let Some(consumer) = queue.consumer() else {
+        return;
+    };
+    while queue.pop_batch(batch, DELIVERY_DRAIN_BATCH) {
+        for event in batch.drain(..) {
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                consumer(event);
+            }));
+            if outcome.is_err() {
+                // Panic isolation: discard this subscriber's backlog
+                // and remove it; the broker may already be mid-drop
+                // (failed upgrade), in which case the queue close is
+                // all that is left to do. The closed queue keeps its
+                // scheduled bit and is never pushed again.
+                queue.close(true);
+                if let Some(inner) = weak.upgrade() {
+                    inner.consumer_panicked(id);
+                }
+                return;
+            }
+        }
     }
 }
 
