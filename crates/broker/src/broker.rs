@@ -356,7 +356,7 @@ impl BrokerInner {
 /// A content-based publish/subscribe broker; see the [crate docs](crate).
 ///
 /// Cheap to clone (`Arc` inside); clones share the same engine and
-/// subscriber registry.
+/// subscriber registry. Producer threads publish through clones.
 #[derive(Clone)]
 pub struct Broker {
     inner: Arc<BrokerInner>,

@@ -5,6 +5,11 @@ fn ev(pairs: &[(&str, i64)]) -> Event {
     Event::from_pairs(pairs.iter().map(|(n, v)| (*n, *v)))
 }
 
+/// One `Arc` per event, the form [`Broker::publish_batch`] takes.
+fn batch(events: &[&[(&str, i64)]]) -> Vec<Arc<Event>> {
+    events.iter().map(|pairs| Arc::new(ev(pairs))).collect()
+}
+
 #[test]
 fn subscribe_publish_receive() {
     let broker = Broker::builder().build();
@@ -191,17 +196,10 @@ fn publish_batch_empty_and_repeated() {
     let sub = broker.subscribe("a = 1").unwrap();
     // Repeated batches reuse the thread-local buckets (shrinking
     // and growing the batch length between calls).
+    assert_eq!(broker.publish_batch(&batch(&[&[("a", 1)], &[("a", 2)]])), 1);
+    assert_eq!(broker.publish_batch(&batch(&[&[("a", 1)]])), 1);
     assert_eq!(
-        broker.publish_batch(&[Arc::new(ev(&[("a", 1)])), Arc::new(ev(&[("a", 2)]))]),
-        1
-    );
-    assert_eq!(broker.publish_batch(&[Arc::new(ev(&[("a", 1)]))]), 1);
-    assert_eq!(
-        broker.publish_batch(&[
-            Arc::new(ev(&[("a", 1)])),
-            Arc::new(ev(&[("a", 1)])),
-            Arc::new(ev(&[("a", 3)]))
-        ]),
+        broker.publish_batch(&batch(&[&[("a", 1)], &[("a", 1)], &[("a", 3)]])),
         2
     );
     assert_eq!(sub.drain().len(), 4);
@@ -554,7 +552,7 @@ fn shard_match_hits_follow_delivered_matches() {
     broker.publish(ev(&[("b", 1)]));
     assert_eq!(broker.shard_match_hits(), vec![2, 1]);
     // The batch path feeds the same counters.
-    broker.publish_batch(&[Arc::new(ev(&[("a", 1)])), Arc::new(ev(&[("b", 1)]))]);
+    broker.publish_batch(&batch(&[&[("a", 1)], &[("b", 1)]]));
     assert_eq!(broker.shard_match_hits(), vec![3, 2]);
 }
 
@@ -577,7 +575,7 @@ fn content_aware_pruning_skips_shards_on_every_pipeline() {
         "a one-group event candidates exactly one shard"
     );
     assert_eq!(
-        broker.publish_batch(&[Arc::new(ev(&[("g1", 1)])), Arc::new(ev(&[("g2", 1)]))]),
+        broker.publish_batch(&batch(&[&[("g1", 1)], &[("g2", 1)]])),
         8
     );
     let after_batch: u64 = broker.shard_prune_counts().iter().sum();

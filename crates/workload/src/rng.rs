@@ -30,7 +30,7 @@ impl StdRng {
 
     /// The next 64 random bits.
     #[inline]
-    pub fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
         let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
         let t = s[1] << 17;
@@ -123,9 +123,6 @@ pub fn sample(rng: &mut StdRng, length: usize, amount: usize) -> Vec<usize> {
         amount <= length,
         "cannot sample {amount} distinct indices from 0..{length}"
     );
-    if amount == 0 {
-        return Vec::new();
-    }
     // Dense fraction: partial Fisher-Yates over the full range.
     if amount * 3 >= length {
         let mut pool: Vec<usize> = (0..length).collect();
