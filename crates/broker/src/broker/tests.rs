@@ -344,6 +344,41 @@ fn memory_usage_charges_routing_on_every_shape() {
 }
 
 #[test]
+fn memory_usage_sums_engines_directory_and_shard_routing() {
+    // The figure `bytes_per_sub` divides: every shard engine's total,
+    // plus the directory, plus each shard's translation map and
+    // synopsis — each part charged, none free.
+    let broker = Broker::builder()
+        .engine(EngineKind::Counting)
+        .shards(4)
+        .build();
+    let _subs: Vec<_> = (0..12)
+        .map(|i| {
+            broker
+                .subscribe(&format!("(group = {} or boost = 1) and tick >= {i}", i % 5))
+                .unwrap()
+        })
+        .collect();
+    let (mut engines, mut routing, mut translation) = (0, 0, 0);
+    for cell in broker.shard_set().iter() {
+        let state = cell.state.read();
+        engines += state.engine().memory_usage().total();
+        routing += state.routing_bytes();
+        translation += state.translation().heap_bytes();
+    }
+    let directory = broker.inner.directory.read().heap_bytes();
+    assert_eq!(
+        broker.memory_usage().total(),
+        engines + directory + routing,
+        "engine totals plus the directory, translation maps and synopses"
+    );
+    assert!(engines > 0);
+    assert!(directory > 0);
+    assert!(translation > 0, "per-shard reverse maps are charged");
+    assert!(routing > translation, "attribute synopses are charged");
+}
+
+#[test]
 fn single_shard_broker_has_nothing_to_migrate() {
     let broker = Broker::builder().build();
     let _sub = broker.subscribe("a = 1").unwrap();

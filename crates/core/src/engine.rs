@@ -200,8 +200,9 @@ pub trait FilterEngine {
     /// An engine's id names a slot in its tables and is valid until it
     /// is unsubscribed; a later subscribe may be issued the same id.
     /// Detecting a stale id across that reuse is the job of the
-    /// generation-tagged global ids [`crate::ShardedEngine`] and the
-    /// broker hand out.
+    /// generation-tagged global ids a [`crate::SubscriptionDirectory`]
+    /// hands out above the engines (the broker's, or
+    /// [`crate::ShardedEngine`]'s).
     ///
     /// # Errors
     ///
@@ -290,8 +291,10 @@ pub trait FilterEngine {
     /// [`MatchStats::batch_events`]/[`MatchStats::batch_passes`], one
     /// each per matched event. What a batch amortises lies with the
     /// caller — one shard visit (lock, synopsis-gated lease, fan-out
-    /// job) for all its events — which is why only
-    /// [`crate::ShardedEngine`] overrides this, to walk shard-major.
+    /// job) for all its events — which is why no engine overrides
+    /// this: the shard-major walks ([`crate::Shard::match_batch`]
+    /// looped by the broker's batch publish and by
+    /// [`crate::ShardedEngine::match_batch`]) sit above the engines.
     fn match_batch(
         &self,
         events: &[Arc<Event>],
@@ -434,17 +437,34 @@ pub(crate) fn assert_batch_equals_per_event(
     events: &[Arc<Event>],
     context: &str,
 ) {
+    assert_walks_agree(
+        |events, batch| engine.match_batch(events, &[], batch),
+        |event, scratch| engine.match_event_into(event, scratch),
+        events,
+        context,
+    );
+}
+
+/// [`assert_batch_equals_per_event`] for any pair of walks — a batch
+/// walk over `events` and a per-event one.
+#[cfg(test)]
+pub(crate) fn assert_walks_agree(
+    batch_walk: impl Fn(&[Arc<Event>], &mut BatchScratch) -> MatchStats,
+    event_walk: impl Fn(&Event, &mut MatchScratch) -> MatchStats,
+    events: &[Arc<Event>],
+    context: &str,
+) {
     let sorted = |ids: &[SubscriptionId]| {
         let mut ids = ids.to_vec();
         ids.sort_unstable();
         ids
     };
     let mut batch = BatchScratch::new();
-    let mut stats = engine.match_batch(events, &[], &mut batch);
+    let mut stats = batch_walk(events, &mut batch);
     let mut scratch = MatchScratch::new();
     let mut per_event = MatchStats::default();
     for (e, event) in events.iter().enumerate() {
-        per_event = per_event + engine.match_event_into(event, &mut scratch);
+        per_event = per_event + event_walk(event, &mut scratch);
         assert_eq!(
             sorted(batch.matched(e)),
             sorted(scratch.matched()),
@@ -460,7 +480,7 @@ pub(crate) fn assert_batch_equals_per_event(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{dominant_eq_attr, BoxedEngine, ShardedEngine};
+    use crate::dominant_eq_attr;
     use boolmatch_workload::scenarios::TreeScenario;
     use std::collections::HashMap;
 
@@ -529,14 +549,14 @@ mod tests {
         positions
     }
 
-    /// `expression` on every live id of an engine `make` builds:
+    /// `expression` on every live id of a `kind` engine:
     /// evaluates like the registered expression on generated events
     /// (missing attributes included), and registered in a fresh engine
     /// of the same kind matches the same events; freed and never-issued
     /// ids give back nothing.
-    fn assert_round_trip(kind: EngineKind, make: &dyn Fn() -> BoxedEngine, seed: u64) {
+    fn assert_round_trip(kind: EngineKind, seed: u64) {
         let mut scenario = TreeScenario::new(seed);
-        let mut engine = make();
+        let mut engine = kind.build();
         let mut exprs: Vec<Expr> = CORNERS.iter().map(|t| Expr::parse(t).unwrap()).collect();
         exprs.extend((0..48).map(|_| scenario.subscription()));
         let mut live: Vec<(SubscriptionId, Expr)> = exprs
@@ -558,7 +578,7 @@ mod tests {
         assert_eq!(engine.expression(never), None, "{kind}: never issued");
 
         let events: Vec<Event> = (0..64).map(|_| scenario.event()).collect();
-        let mut fresh = make();
+        let mut fresh = kind.build();
         let (mut at_engine, mut at_fresh) = (HashMap::new(), HashMap::new());
         for (position, (id, original)) in live.iter().enumerate() {
             let back = engine
@@ -587,8 +607,7 @@ mod tests {
     fn every_engine_gives_back_an_equivalent_expression() {
         for (k, kind) in EngineKind::ALL.into_iter().enumerate() {
             for seed in [2005, 7 + k as u64] {
-                assert_round_trip(kind, &|| kind.build(), seed);
-                assert_round_trip(kind, &|| Box::new(ShardedEngine::new(kind, 3)), seed);
+                assert_round_trip(kind, seed);
             }
         }
     }

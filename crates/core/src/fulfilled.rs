@@ -51,10 +51,6 @@ pub struct FulfilledSet {
     /// The event phase 1 ran on, when the ids alone do not decide
     /// every predicate (a shared handle on its attribute table).
     event: Option<Event>,
-    /// A member engine's phase-1 output while a composite engine
-    /// ([`crate::ShardedEngine`]) fills this set — kept with the set so
-    /// that reusing the set reuses it.
-    pub(crate) member: Option<Box<FulfilledSet>>,
 }
 
 impl FulfilledSet {
@@ -153,12 +149,7 @@ impl FulfilledSet {
     /// Approximate heap bytes (scratch memory, counted separately from
     /// engine tables in [`crate::MemoryUsage`]).
     pub fn heap_bytes(&self) -> usize {
-        self.ids.capacity() * std::mem::size_of::<PredicateId>()
-            + self.stamps.capacity() * 4
-            + self
-                .member
-                .as_ref()
-                .map_or(0, |m| std::mem::size_of::<FulfilledSet>() + m.heap_bytes())
+        self.ids.capacity() * std::mem::size_of::<PredicateId>() + self.stamps.capacity() * 4
     }
 }
 

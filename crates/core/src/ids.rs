@@ -43,10 +43,11 @@ impl fmt::Display for PredicateId {
 /// Two id spaces use this type. An engine's **local** id names a slot
 /// in the engine's tables: dense, generation 0, and reissued to a later
 /// subscribe once unsubscribed (free list first, else append), so the
-/// tables follow the live set. The **global** ids of `ShardedEngine`
-/// and `Broker` come from a [`crate::SubscriptionDirectory`], which
-/// reissues retired slots too but tags every reissue with the slot's
-/// next generation — that is where a stale id is detected.
+/// tables follow the live set. The **global** ids of the broker (and
+/// of the standalone `ShardedEngine`) come from a
+/// [`crate::SubscriptionDirectory`], which reissues retired slots too
+/// but tags every reissue with the slot's next generation — that is
+/// where a stale id is detected.
 ///
 /// # Generation tagging
 ///

@@ -34,16 +34,18 @@
 //! [`Matcher`] handle instead. See [`FilterEngine`] for the threading
 //! model.
 //!
-//! For write scalability, any of the engines can be **sharded**: a
-//! [`ShardedEngine`] partitions subscriptions across `S` inner engines
-//! and is itself a [`FilterEngine`], so everything downstream works
-//! against it transparently. Placement is load-aware (least-loaded
-//! shard, round-robin tie-break) and routed through a
-//! [`SubscriptionDirectory`] — a global-id indirection table that keeps
-//! ids stable while placement changes. The broker builds its per-shard
-//! locking around the same directory, and it is the one place a live
-//! subscription changes shard: live migration, rebalancing and
-//! incremental resizing are `boolmatch-broker`'s `Broker` methods.
+//! For write scalability, any of the engines can be **sharded**:
+//! subscriptions are partitioned across `S` inner engines, placed
+//! load-aware (least-loaded shard, round-robin tie-break) and routed
+//! through a [`SubscriptionDirectory`] — a global-id indirection table
+//! that keeps ids stable while placement changes. The broker
+//! (`boolmatch-broker`'s `Broker`) holds each shard behind its own lock
+//! around that directory, and it is the one place a live subscription
+//! changes shard: live migration, rebalancing and incremental resizing
+//! are `Broker` methods. [`ShardedEngine`] is the lock-free standalone
+//! composite of the same shards — not an engine itself, but the
+//! sequential, batch and parallel walks with inherent methods, which
+//! tests and the benchmark's per-layer rows drive.
 //!
 //! The unit of sharding is the [`Shard`]: one engine with its local →
 //! global [`ShardTranslation`] map and its [`ShardSynopsis`] — a
@@ -118,9 +120,7 @@ pub use interner::PredicateInterner;
 pub use memory::MemoryUsage;
 pub use noncanonical::NonCanonicalEngine;
 pub use pool::{FanOut, PooledScratch, ScratchPool, SlotGuard, WorkerPool};
-pub use routing::{
-    lock_classes, PlacementPolicy, PredicateRouter, ShardTranslation, SubscriptionDirectory,
-};
+pub use routing::{lock_classes, PlacementPolicy, ShardTranslation, SubscriptionDirectory};
 pub use scratch::{BatchScratch, MatchScratch, Matcher};
 pub use shard::{BoxedEngine, Shard, ShardedEngine};
 pub use stats::MatchStats;

@@ -77,29 +77,14 @@ use crate::MatchScratch;
 #[derive(Debug)]
 pub struct ScratchPool {
     slots: Vec<Mutex<Option<MatchScratch>>>,
-    /// Heap-byte cap above which a returning scratch is trimmed before
-    /// parking; `usize::MAX` disables trimming.
-    trim_cap: usize,
     /// Checkouts that found no parked scratch and built one.
     fresh: AtomicU64,
 }
 
 impl ScratchPool {
-    /// A pool holding at most `slots` warm scratches (at least one),
-    /// with no trim cap: a parked scratch keeps whatever high-water
-    /// capacity it grew to. See [`ScratchPool::with_trim_cap`] for the
-    /// bounded form.
+    /// A pool holding at most `slots` warm scratches (at least one). A
+    /// parked scratch keeps whatever high-water capacity it grew to.
     pub fn new(slots: usize) -> Self {
-        Self::with_trim_cap(slots, usize::MAX)
-    }
-
-    /// A pool whose parked scratches are bounded: a scratch returning
-    /// with more than `trim_cap` heap bytes is trimmed (capacity
-    /// released) before it re-enters the pool, so one pathological
-    /// event — say a 100k-candidate spike — cannot pin its peak
-    /// allocation in every pooled scratch forever. The next checkout of
-    /// a trimmed scratch re-grows lazily to the engine at hand.
-    pub fn with_trim_cap(slots: usize, trim_cap: usize) -> Self {
         let slots: Vec<Mutex<Option<MatchScratch>>> =
             (0..slots.max(1)).map(|_| Mutex::new(None)).collect();
         for slot in &slots {
@@ -107,7 +92,6 @@ impl ScratchPool {
         }
         ScratchPool {
             slots,
-            trim_cap,
             fresh: AtomicU64::new(0),
         }
     }
@@ -115,12 +99,6 @@ impl ScratchPool {
     /// Maximum number of scratches the pool retains.
     pub fn capacity(&self) -> usize {
         self.slots.len()
-    }
-
-    /// The heap-byte cap above which returning scratches are trimmed
-    /// (`usize::MAX`: never).
-    pub fn trim_cap(&self) -> usize {
-        self.trim_cap
     }
 
     /// Number of scratches currently parked in the pool (skipping slots
@@ -181,13 +159,8 @@ impl ScratchPool {
     }
 
     /// Parks `scratch` in the first free empty slot; drops it when the
-    /// pool is full or every slot is contended (never blocks). A
-    /// scratch over the pool's [trim cap](ScratchPool::with_trim_cap)
-    /// is trimmed first, so spikes do not pin high-water capacity.
-    fn put(&self, mut scratch: MatchScratch) {
-        if scratch.heap_bytes() > self.trim_cap {
-            scratch.trim();
-        }
+    /// pool is full or every slot is contended (never blocks).
+    fn put(&self, scratch: MatchScratch) {
         for slot in &self.slots {
             if let Some(mut slot) = slot.try_lock() {
                 if slot.is_none() {
@@ -531,45 +504,6 @@ mod tests {
         assert_eq!(pool.pooled(), 2);
         assert_eq!(pool.capacity(), 2);
         assert_eq!(pool.fresh(), 3, "an empty pool builds every checkout");
-    }
-
-    #[test]
-    fn oversized_scratches_are_trimmed_on_return() {
-        let mut engine = EngineKind::NonCanonical.build();
-        for i in 0..64 {
-            engine
-                .subscribe(&Expr::parse(&format!("(a = {i} or b = 1) and c <= {i}")).unwrap())
-                .unwrap();
-        }
-        let event = Event::builder().attr("b", 1_i64).attr("c", 0_i64).build();
-
-        // Uncapped pool (the old behaviour): the match's high-water
-        // capacity stays pinned in the parked scratch.
-        let uncapped = ScratchPool::new(1);
-        {
-            let mut scratch = uncapped.checkout(&engine);
-            engine.match_event_into(&event, &mut scratch);
-        }
-        let pinned = uncapped.heap_bytes();
-        assert!(pinned > 64, "the spike grew the scratch");
-
-        // Capped pool: the same spike is trimmed on return — the
-        // scratch is still parked (warm slot), but its capacity is
-        // released instead of pinned forever.
-        let capped = ScratchPool::with_trim_cap(1, 64);
-        assert_eq!(capped.trim_cap(), 64);
-        {
-            let mut scratch = capped.checkout(&engine);
-            engine.match_event_into(&event, &mut scratch);
-            assert!(scratch.heap_bytes() > 64);
-        }
-        assert_eq!(capped.pooled(), 1, "trimmed, not dropped");
-        assert_eq!(capped.heap_bytes(), 0, "high-water capacity released");
-
-        // A trimmed scratch still matches correctly on re-checkout.
-        let mut scratch = capped.checkout(&engine);
-        let stats = engine.match_event_into(&event, &mut scratch);
-        assert_eq!(stats.matched, 64);
     }
 
     #[test]

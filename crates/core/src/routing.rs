@@ -1,7 +1,6 @@
 //! Subscription routing for the sharded matching core: the write-side
-//! [`SubscriptionDirectory`] placement table, the per-shard
-//! [`ShardTranslation`] reverse maps matching reads, and the stride
-//! [`PredicateRouter`] for per-shard predicate id spaces.
+//! [`SubscriptionDirectory`] placement table and the per-shard
+//! [`ShardTranslation`] reverse maps matching reads.
 //!
 //! Through PR 3 the global ↔ `(shard, local)` subscription mapping was
 //! pure arithmetic — stride interleaving, `global = local·S + shard`.
@@ -30,13 +29,6 @@
 //!   packs `generation ⊕ slot`): the directory reissues a retired slot
 //!   under its next generation, so the id table follows the live set
 //!   and a stale id can never alias the slot's new owner.
-//!
-//! Predicate ids are *not* in the directory: predicates are interned
-//! per shard, never migrate individually, and only surface through the
-//! transient standalone `phase1`/`phase2` API. They keep the cheap
-//! stride arithmetic in [`PredicateRouter`], rebuilt when the shard
-//! count changes (a global predicate id is only meaningful between a
-//! `phase1`/`phase2` pair with no intervening resize).
 
 use std::sync::Arc;
 
@@ -44,28 +36,29 @@ use boolmatch_expr::Expr;
 
 use crate::memory::reserve_tight;
 use crate::synopsis::{attribute_hash, dominant_eq_attr};
-use crate::{PredicateId, SubscriptionId};
+use crate::SubscriptionId;
 
-/// The canonical [lockdep](parking_lot::lockdep) class names for the
-/// sharded matching core and the broker built on it — the single place
-/// the locking discipline's vocabulary is spelled, so the class a lock
-/// registers under and the class the docs/lint talk about cannot
-/// drift apart.
-///
-/// The discipline (checked at runtime by the debug-build lockdep in the
-/// `parking_lot` shim, and statically by `invariant-lint`):
-///
-/// * [`MAINTENANCE`] is outermost — one control-plane operation at a
-///   time.
-/// * [`shard`]`(i)` locks nest only in ascending index order.
-/// * [`DIRECTORY`] is innermost — acquired only while holding at most
-///   shard locks, never the other way around.
-/// * [`POOL`], [`SENDERS`] and [`DELIVERY_READY`] are leaves: never
-///   held across another classed acquisition (pool slots are
-///   `try_lock`-only on the hot path; the senders map is read during
-///   delivery holding nothing else; the ready list is appended to and
-///   popped holding nothing else).
 pub mod lock_classes {
+    //! The canonical [lockdep](parking_lot::lockdep) class names for the
+    //! sharded matching core and the broker built on it — the single place
+    //! the locking discipline's vocabulary is spelled, so the class a lock
+    //! registers under and the class the docs/lint talk about cannot
+    //! drift apart.
+    //!
+    //! The discipline (checked at runtime by the debug-build lockdep in the
+    //! `parking_lot` shim, and statically by `invariant-lint`):
+    //!
+    //! * [`MAINTENANCE`] is outermost — one control-plane operation at a
+    //!   time.
+    //! * [`shard`]`(i)` locks nest only in ascending index order.
+    //! * [`DIRECTORY`] is innermost — acquired only while holding at most
+    //!   shard locks, never the other way around.
+    //! * [`POOL`], [`SENDERS`] and [`DELIVERY_READY`] are leaves: never
+    //!   held across another classed acquisition (pool slots are
+    //!   `try_lock`-only on the hot path; the senders map is read during
+    //!   delivery holding nothing else; the ready list is appended to and
+    //!   popped holding nothing else).
+
     /// The write-side placement directory — innermost.
     pub const DIRECTORY: &str = "directory";
     /// The broker's control-plane serialization lock — outermost.
@@ -771,82 +764,6 @@ impl ShardTranslation {
     }
 }
 
-/// Stateless stride mapping between the global predicate id space and
-/// the per-shard predicate spaces of an `S`-way sharded engine:
-/// `global = local·S + shard`.
-///
-/// Predicates are interned independently per shard and never migrate,
-/// so — unlike subscription ids, which live in the
-/// [`SubscriptionDirectory`] — their global ids can stay arithmetic.
-/// The mapping is only meaningful for a fixed shard count: a sharded
-/// engine rebuilds its router when it is resized, and a `phase1` output
-/// must not be fed to `phase2` across a resize.
-///
-/// # Examples
-///
-/// ```
-/// use boolmatch_core::{PredicateId, PredicateRouter};
-///
-/// let router = PredicateRouter::new(4);
-/// let global = router.global_pred(3, PredicateId::from_index(10));
-/// assert_eq!(router.split_pred(global), (3, PredicateId::from_index(10)));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PredicateRouter {
-    shards: usize,
-}
-
-impl PredicateRouter {
-    /// Creates a router for `shards` shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn new(shards: usize) -> Self {
-        assert!(shards > 0, "a sharded engine needs at least one shard");
-        PredicateRouter { shards }
-    }
-
-    /// Number of shards routed over.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The global predicate id of `local` on `shard` (predicate spaces
-    /// of different shards are disjoint even when they intern the same
-    /// predicate).
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) if `shard` is out of range.
-    pub fn global_pred(&self, shard: usize, local: PredicateId) -> PredicateId {
-        debug_assert!(shard < self.shards);
-        PredicateId::from_index(local.index() * self.shards + shard)
-    }
-
-    /// Both routing halves of a global predicate id.
-    pub fn split_pred(&self, global: PredicateId) -> (usize, PredicateId) {
-        (
-            global.index() % self.shards,
-            PredicateId::from_index(global.index() / self.shards),
-        )
-    }
-
-    /// The exclusive upper bound of the global predicate id space,
-    /// given each shard's exclusive local bound: the largest
-    /// interleaved id any shard can have issued, plus one. Zero when
-    /// every shard is empty.
-    pub fn global_bound(&self, local_bounds: impl IntoIterator<Item = usize>) -> usize {
-        local_bounds
-            .into_iter()
-            .enumerate()
-            .filter(|&(_, bound)| bound > 0)
-            .map(|(shard, bound)| (bound - 1) * self.shards + shard + 1)
-            .max()
-            .unwrap_or(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1170,45 +1087,6 @@ mod tests {
         assert_eq!(map.global_of(sid(0)), Some(tagged));
         assert_eq!(map.last_resident(), Some((tagged, sid(0))));
         assert!(map.clear_if(sid(0), tagged));
-    }
-
-    #[test]
-    fn predicate_round_trip() {
-        let router = PredicateRouter::new(5);
-        for shard in 0..5 {
-            for local in [0usize, 1, 7, 100] {
-                let g = router.global_pred(shard, PredicateId::from_index(local));
-                assert_eq!(
-                    router.split_pred(g),
-                    (shard, PredicateId::from_index(local))
-                );
-            }
-        }
-        assert_eq!(router.shards(), 5);
-    }
-
-    #[test]
-    fn predicate_global_bound_covers_issued_ids() {
-        let router = PredicateRouter::new(3);
-        assert_eq!(router.global_bound([4, 0, 2]), (4 - 1) * 3 + 1);
-        assert_eq!(router.global_bound([0, 0, 0]), 0);
-        let bound = router.global_bound([4, 0, 2]);
-        for (shard, locals) in [(0usize, 4usize), (2, 2)] {
-            for l in 0..locals {
-                assert!(
-                    router
-                        .global_pred(shard, PredicateId::from_index(l))
-                        .index()
-                        < bound
-                );
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn zero_shards_panics() {
-        let _ = PredicateRouter::new(0);
     }
 
     #[test]

@@ -79,8 +79,9 @@ impl EventView {
 ///
 /// Create one per thread (or per call site) and pass it to
 /// [`FilterEngine::phase2`] / [`FilterEngine::match_event`]; in steady
-/// state matching is then allocation-free. See the
-/// [module docs](self) for the sharing rules.
+/// state matching is then allocation-free. One scratch may serve
+/// several engines and engine kinds in turn: every buffer resizes
+/// lazily to the engine at hand.
 ///
 /// [`FilterEngine`]: crate::FilterEngine
 /// [`FilterEngine::phase2`]: crate::FilterEngine::phase2
@@ -104,12 +105,9 @@ pub struct MatchScratch {
     /// Matched subscription ids of the most recent `match_event_into`,
     /// reused across events.
     pub(crate) matched: Vec<SubscriptionId>,
-    /// Per-shard output buffer used by [`crate::ShardedEngine`] while
-    /// `matched` accumulates the translated global ids.
+    /// The global ids [`crate::ShardedEngine`]'s walk accumulates while
+    /// `matched` carries one shard's.
     pub(crate) shard_matched: Vec<SubscriptionId>,
-    /// Per-shard fulfilled-set buffer used by [`crate::ShardedEngine`]
-    /// phase-2 to project a global fulfilled set onto one shard.
-    pub(crate) shard_fulfilled: FulfilledSet,
     /// The current event by attribute slot, for the non-canonical
     /// engine's phase-2 comparisons.
     pub(crate) view: EventView,
@@ -183,7 +181,6 @@ impl MatchScratch {
             + self.fulfilled.heap_bytes()
             + self.matched.capacity() * std::mem::size_of::<SubscriptionId>()
             + self.shard_matched.capacity() * std::mem::size_of::<SubscriptionId>()
-            + self.shard_fulfilled.heap_bytes()
             + self.view.slots.capacity() * 8
     }
 

@@ -1,13 +1,16 @@
-//! A sharded composite engine: `S` inner engines behind one
-//! [`FilterEngine`] face.
+//! The shard — one engine with its read-side routing structures and
+//! the per-shard match step — and [`ShardedEngine`], `S` shards
+//! composed into a plain standalone value.
 //!
 //! Partitioning subscriptions across independent engine shards is the
 //! standard route to write-scalable content-based matching: each
 //! subscribe/unsubscribe touches exactly one shard, and each shard is
 //! just a smaller engine, so per-event phase-2 cost per shard shrinks
-//! with `S`. The composite engine here keeps the partitioning invisible
-//! — it implements [`FilterEngine`] itself, so the sweep harness,
-//! tests, and any single-threaded caller can use it transparently.
+//! with `S`. [`ShardedEngine`] is **not** a [`FilterEngine`]: phase 1
+//! and phase 2 stay per shard, in each engine's own predicate and
+//! subscription ids, and the composite only walks the shared step over
+//! its shards (sequentially, per batch, or fanned out) and hands back
+//! global ids.
 //!
 //! Routing splits across two structures. The write-side
 //! [`SubscriptionDirectory`] issues global ids — a retired slot under
@@ -18,7 +21,7 @@
 //! read-side [`ShardTranslation`] — its local → global reverse map —
 //! which is all matching ever consults: translating a matched local id
 //! touches only the shard that produced it, never the directory.
-//! Placement is load-aware: [`FilterEngine::subscribe`] picks the
+//! Placement is load-aware: [`ShardedEngine::subscribe`] picks the
 //! least-loaded shard (round-robin tie-break), so a shard drained by
 //! unsubscribes is refilled instead of skipped past blindly, or —
 //! under [`PlacementPolicy::ClusterByAttribute`] — the shard the
@@ -37,15 +40,17 @@
 //! # Examples
 //!
 //! ```
-//! use boolmatch_core::{EngineKind, FilterEngine, Matcher, ShardedEngine};
+//! use boolmatch_core::{EngineKind, MatchScratch, ShardedEngine};
 //! use boolmatch_expr::Expr;
 //! use boolmatch_types::Event;
 //!
-//! let mut engine = Matcher::new(ShardedEngine::new(EngineKind::NonCanonical, 4));
+//! let mut engine = ShardedEngine::new(EngineKind::NonCanonical, 4);
 //! let id = engine.subscribe(&Expr::parse("(a = 1 or b = 2) and c = 3")?)?;
-//! assert_eq!(engine.engine().directory().loads(), &[1, 0, 0, 0]);
+//! assert_eq!(engine.directory().loads(), &[1, 0, 0, 0]);
 //! let event = Event::builder().attr("b", 2_i64).attr("c", 3_i64).build();
-//! assert_eq!(engine.match_event(&event).matched, vec![id]);
+//! let mut scratch = MatchScratch::new();
+//! engine.match_event_into(&event, &mut scratch);
+//! assert_eq!(scratch.matched(), [id]);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -58,10 +63,10 @@ use boolmatch_types::Event;
 
 use crate::engine::{EngineKind, FilterEngine, SubscribeError, UnsubscribeError};
 use crate::pool::{PooledScratch, ScratchPool};
-use crate::routing::{PlacementPolicy, PredicateRouter, ShardTranslation, SubscriptionDirectory};
+use crate::routing::{PlacementPolicy, ShardTranslation, SubscriptionDirectory};
 use crate::scratch::translate_ids;
 use crate::synopsis::ShardSynopsis;
-use crate::{BatchScratch, FulfilledSet, MatchScratch, MatchStats, MemoryUsage, SubscriptionId};
+use crate::{BatchScratch, MatchScratch, MatchStats, SubscriptionId};
 
 /// A boxed engine usable as a shard.
 pub type BoxedEngine = Box<dyn FilterEngine + Send + Sync>;
@@ -233,7 +238,8 @@ fn pruned(n: usize) -> MatchStats {
     }
 }
 
-/// `S` inner engines composed into one [`FilterEngine`].
+/// `S` inner engines composed into one standalone value: the broker's
+/// shards without their locks.
 ///
 /// * `subscribe` places onto the least-loaded shard (round-robin
 ///   tie-break, so a churn-free stream places exactly like classic
@@ -241,17 +247,16 @@ fn pruned(n: usize) -> MatchStats {
 ///   owning shard.
 /// * Matching runs the per-shard step ([`Shard::match_event`],
 ///   [`Shard::match_batch`]) on every shard and concatenates the global
-///   ids it leaves, in shard order; [`MatchStats`] and [`MemoryUsage`]
-///   are summed component-wise (per-shard work adds up — e.g.
-///   `fulfilled` counts each shard's own phase-1 output, since shards
-///   intern predicates independently).
-/// * With `S = 1` placement is trivial and behaviour is
-///   indistinguishable from the inner engine.
+///   ids it leaves, in shard order; [`MatchStats`] are summed
+///   component-wise (per-shard work adds up — e.g. `fulfilled` counts
+///   each shard's own phase-1 output, since shards intern predicates
+///   independently).
+/// * Per-shard phases, counts and memory are read through
+///   [`ShardedEngine::shard`], [`ShardedEngine::translation`],
+///   [`ShardedEngine::synopsis`] and [`ShardedEngine::directory`].
 pub struct ShardedEngine {
     directory: SubscriptionDirectory,
     shards: Vec<Shard>,
-    /// Stride router for the per-shard *predicate* spaces.
-    pred_router: PredicateRouter,
     /// How `subscribe` picks a shard; see [`PlacementPolicy`].
     placement: PlacementPolicy,
 }
@@ -267,8 +272,7 @@ impl ShardedEngine {
     }
 
     /// Composes pre-built (possibly custom or heterogeneous) engines;
-    /// shard `i` is `engines[i]`. [`ShardedEngine::kind`] reports the
-    /// first engine's kind.
+    /// shard `i` is `engines[i]`.
     ///
     /// # Panics
     ///
@@ -276,7 +280,6 @@ impl ShardedEngine {
     pub fn from_engines(engines: Vec<BoxedEngine>) -> Self {
         ShardedEngine {
             directory: SubscriptionDirectory::new(engines.len()),
-            pred_router: PredicateRouter::new(engines.len()),
             shards: engines.into_iter().map(Shard::new).collect(),
             placement: PlacementPolicy::default(),
         }
@@ -288,6 +291,45 @@ impl ShardedEngine {
     pub fn with_placement(mut self, placement: PlacementPolicy) -> Self {
         self.placement = placement;
         self
+    }
+
+    /// Registers `expr` on the shard the [`PlacementPolicy`] picks and
+    /// returns its global id.
+    ///
+    /// # Errors
+    ///
+    /// The shard engine's [`SubscribeError`]; the reservation is then
+    /// cancelled and nothing is placed.
+    pub fn subscribe(&mut self, expr: &Expr) -> Result<SubscriptionId, SubscribeError> {
+        let shard = self.directory.place_for(self.placement, expr);
+        match self.shards[shard].engine.subscribe(expr) {
+            Ok(local) => {
+                let global = self.directory.commit(shard, local, Arc::new(expr.clone()));
+                self.shards[shard].bind(local, global, expr);
+                Ok(global)
+            }
+            Err(e) => {
+                self.directory.cancel(shard);
+                Err(e)
+            }
+        }
+    }
+
+    /// Removes global `id` from its owning shard.
+    ///
+    /// # Errors
+    ///
+    /// [`UnsubscribeError::UnknownSubscription`] for an id that is not
+    /// live (never issued, or already removed).
+    pub fn unsubscribe(&mut self, id: SubscriptionId) -> Result<(), UnsubscribeError> {
+        let Some((shard, local)) = self.directory.placement_of(id) else {
+            // Errors surface in the caller's (global) id space.
+            return Err(UnsubscribeError::UnknownSubscription(id));
+        };
+        self.directory.retire(id);
+        let released = self.shards[shard].unsubscribe(local, id);
+        debug_assert!(released, "translation and directory are kept in sync");
+        Ok(())
     }
 
     /// Number of shards.
@@ -329,7 +371,73 @@ impl ShardedEngine {
         &self.shards[i].synopsis
     }
 
-    /// [`FilterEngine::match_event_into`], with the per-shard matching
+    // lint: hot-path — the sequential walks: a loop over the shared
+    // step, accumulating each shard's global ids in shard order.
+    /// Matches `event` against every shard in order (the sequential
+    /// walk): afterwards [`MatchScratch::matched`] holds the global ids
+    /// of every match, shard 0's first.
+    pub fn match_event_into(&self, event: &Event, scratch: &mut MatchScratch) -> MatchStats {
+        // Each step leaves one shard's global ids in `scratch.matched`;
+        // `shard_matched` accumulates them and is swapped in at the
+        // end — no allocation in steady state.
+        let mut acc = std::mem::take(&mut scratch.shard_matched);
+        acc.clear();
+        let mut stats = MatchStats::default();
+        for shard in &self.shards {
+            stats = stats + shard.match_event(event, scratch);
+            acc.extend_from_slice(&scratch.matched);
+        }
+        std::mem::swap(&mut scratch.matched, &mut acc);
+        scratch.shard_matched = acc;
+        debug_assert_eq!(scratch.matched.len(), stats.matched, "{UNTRANSLATED}");
+        stats
+    }
+
+    /// Matches a batch shard-major (each shard visited once for all
+    /// `events`): afterwards [`BatchScratch::matched`] holds, per
+    /// event, the ids [`ShardedEngine::match_event_into`] reports for
+    /// it. `skip` excludes events up front (empty: none).
+    pub fn match_batch(
+        &self,
+        events: &[Arc<Event>],
+        skip: &[bool],
+        batch: &mut BatchScratch,
+    ) -> MatchStats {
+        // Shard-major: each shard is visited once for the whole batch,
+        // as the broker's batch publish does under one read lock per
+        // shard. `batch.matched` ends up identical (as per-event sets)
+        // to the per-event walk.
+        let mut acc = std::mem::take(&mut batch.shard_matched);
+        if acc.len() < events.len() {
+            acc.resize_with(events.len(), Vec::new);
+        }
+        for m in acc.iter_mut().take(events.len()) {
+            m.clear();
+        }
+        let mut stats = MatchStats::default();
+        for shard in &self.shards {
+            stats = stats + shard.match_batch(events, skip, batch);
+            for (out, ids) in acc.iter_mut().zip(&batch.matched).take(events.len()) {
+                out.extend_from_slice(ids);
+            }
+        }
+        std::mem::swap(&mut batch.matched, &mut acc);
+        batch.shard_matched = acc;
+        debug_assert_eq!(
+            batch
+                .matched
+                .iter()
+                .take(events.len())
+                .map(Vec::len)
+                .sum::<usize>(),
+            stats.matched,
+            "{UNTRANSLATED}"
+        );
+        stats
+    }
+    // lint: end-hot-path
+
+    /// [`ShardedEngine::match_event_into`], with the per-shard matching
     /// fanned out across threads instead of walked sequentially — the
     /// intra-event parallel path for large engines, where per-publish
     /// latency otherwise grows linearly with the shard count.
@@ -339,7 +447,7 @@ impl ShardedEngine {
     /// thread with a warm scratch drawn from `scratches`. Results merge
     /// in **shard order**, so the matched ids in
     /// [`MatchScratch::matched`] and the summed [`MatchStats`] are
-    /// bit-identical to the sequential [`FilterEngine::match_event_into`]
+    /// bit-identical to the sequential [`ShardedEngine::match_event_into`]
     /// walk no matter how the workers interleave. With one shard this
     /// *is* the sequential walk.
     ///
@@ -396,230 +504,16 @@ const UNTRANSLATED: &str = "matched locals hold live translation entries";
 impl fmt::Debug for ShardedEngine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ShardedEngine")
-            .field("kind", &self.kind())
             .field("shards", &self.shards.len())
-            .field("subscriptions", &self.subscription_count())
+            .field("subscriptions", &self.directory.live())
             .finish()
-    }
-}
-
-impl FilterEngine for ShardedEngine {
-    fn kind(&self) -> EngineKind {
-        self.shards[0].engine.kind()
-    }
-
-    fn subscribe(&mut self, expr: &Expr) -> Result<SubscriptionId, SubscribeError> {
-        let shard = self.directory.place_for(self.placement, expr);
-        match self.shards[shard].engine.subscribe(expr) {
-            Ok(local) => {
-                let global = self.directory.commit(shard, local, Arc::new(expr.clone()));
-                self.shards[shard].bind(local, global, expr);
-                Ok(global)
-            }
-            Err(e) => {
-                self.directory.cancel(shard);
-                Err(e)
-            }
-        }
-    }
-
-    fn unsubscribe(&mut self, id: SubscriptionId) -> Result<(), UnsubscribeError> {
-        let Some((shard, local)) = self.directory.placement_of(id) else {
-            // Errors surface in the caller's (global) id space.
-            return Err(UnsubscribeError::UnknownSubscription(id));
-        };
-        self.directory.retire(id);
-        let released = self.shards[shard].unsubscribe(local, id);
-        debug_assert!(released, "translation and directory are kept in sync");
-        Ok(())
-    }
-
-    fn expression(&self, id: SubscriptionId) -> Option<Expr> {
-        let (shard, local) = self.directory.placement_of(id)?;
-        self.shards[shard].engine.expression(local)
-    }
-
-    fn phase1(&self, event: &Event, out: &mut FulfilledSet) {
-        // The shards' sets may be partial (non-canonical shards index
-        // access predicates only), so the union is too: the event goes
-        // along and `phase2` hands it on to every shard.
-        out.begin_event(self.predicate_universe(), event);
-        // The standalone split needs a per-shard set and phase 1's
-        // signature has no scratch, so it lives in `out` and is reused
-        // with it; the hot path — `match_event_into` — never
-        // materialises global predicate ids.
-        let mut local = out.member.take().unwrap_or_default();
-        for (s, shard) in self.shards.iter().enumerate() {
-            shard.engine.phase1(event, &mut local);
-            for &id in local.ids() {
-                out.insert(self.pred_router.global_pred(s, id));
-            }
-        }
-        out.member = Some(local);
-    }
-
-    fn phase2(
-        &self,
-        fulfilled: &FulfilledSet,
-        scratch: &mut MatchScratch,
-        matched: &mut Vec<SubscriptionId>,
-    ) -> MatchStats {
-        matched.clear();
-        let mut local = std::mem::take(&mut scratch.shard_fulfilled);
-        let mut shard_out = std::mem::take(&mut scratch.shard_matched);
-        let mut stats = MatchStats::default();
-        for (s, shard) in self.shards.iter().enumerate() {
-            // Project the global fulfilled set onto this shard's
-            // predicate space, the event (if any) with it.
-            let universe = shard.engine.predicate_universe();
-            match fulfilled.event() {
-                Some(event) => local.begin_event(universe, event),
-                None => local.begin(universe),
-            }
-            for &g in fulfilled.ids() {
-                let (owner, pred) = self.pred_router.split_pred(g);
-                if owner == s && pred.index() < universe {
-                    local.insert(pred);
-                }
-            }
-            stats = stats + shard.engine.phase2(&local, scratch, &mut shard_out);
-            shard.translate(&mut shard_out);
-            matched.extend_from_slice(&shard_out);
-        }
-        scratch.shard_fulfilled = local;
-        scratch.shard_matched = shard_out;
-        debug_assert_eq!(matched.len(), stats.matched, "{UNTRANSLATED}");
-        stats
-    }
-
-    // lint: hot-path — the sequential walks: a loop over the shared
-    // step, accumulating each shard's global ids in shard order.
-    fn match_event_into(&self, event: &Event, scratch: &mut MatchScratch) -> MatchStats {
-        // Each step leaves one shard's global ids in `scratch.matched`;
-        // `shard_matched` accumulates them and is swapped in at the
-        // end — no allocation in steady state.
-        let mut acc = std::mem::take(&mut scratch.shard_matched);
-        acc.clear();
-        let mut stats = MatchStats::default();
-        for shard in &self.shards {
-            stats = stats + shard.match_event(event, scratch);
-            acc.extend_from_slice(&scratch.matched);
-        }
-        std::mem::swap(&mut scratch.matched, &mut acc);
-        scratch.shard_matched = acc;
-        debug_assert_eq!(scratch.matched.len(), stats.matched, "{UNTRANSLATED}");
-        stats
-    }
-
-    fn match_batch(
-        &self,
-        events: &[Arc<Event>],
-        skip: &[bool],
-        batch: &mut BatchScratch,
-    ) -> MatchStats {
-        // Shard-major: each shard is visited once for the whole batch,
-        // as the broker's batch publish does under one read lock per
-        // shard. `batch.matched` ends up identical (as per-event sets)
-        // to the per-event walk.
-        let mut acc = std::mem::take(&mut batch.shard_matched);
-        if acc.len() < events.len() {
-            acc.resize_with(events.len(), Vec::new);
-        }
-        for m in acc.iter_mut().take(events.len()) {
-            m.clear();
-        }
-        let mut stats = MatchStats::default();
-        for shard in &self.shards {
-            stats = stats + shard.match_batch(events, skip, batch);
-            for (out, ids) in acc.iter_mut().zip(&batch.matched).take(events.len()) {
-                out.extend_from_slice(ids);
-            }
-        }
-        std::mem::swap(&mut batch.matched, &mut acc);
-        batch.shard_matched = acc;
-        debug_assert_eq!(
-            batch
-                .matched
-                .iter()
-                .take(events.len())
-                .map(Vec::len)
-                .sum::<usize>(),
-            stats.matched,
-            "{UNTRANSLATED}"
-        );
-        stats
-    }
-    // lint: end-hot-path
-
-    fn subscription_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.engine.subscription_count())
-            .sum()
-    }
-
-    fn subscription_id_bound(&self) -> usize {
-        // Scratch buffers serve two id spaces here: global ids (the
-        // directory's issued slot bound) and each shard's local ids
-        // (the inner phase-2 stamp space). Cover both.
-        self.shards
-            .iter()
-            .map(|s| s.engine.subscription_id_bound())
-            .max()
-            .unwrap_or(0)
-            .max(self.directory.id_bound())
-    }
-
-    fn registered_units(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.engine.registered_units())
-            .sum()
-    }
-
-    fn unit_slot_bound(&self) -> usize {
-        // Shards are matched sequentially against one scratch, and each
-        // shard indexes the hit vector in its *own* slot space — the
-        // per-shard maximum is exactly what pre-sizing needs.
-        self.shards
-            .iter()
-            .map(|s| s.engine.unit_slot_bound())
-            .max()
-            .unwrap_or(0)
-    }
-
-    fn predicate_count(&self) -> usize {
-        // Shards intern independently: a predicate shared by
-        // subscriptions on different shards is counted once per shard.
-        self.shards.iter().map(|s| s.engine.predicate_count()).sum()
-    }
-
-    fn predicate_universe(&self) -> usize {
-        self.pred_router
-            .global_bound(self.shards.iter().map(|s| s.engine.predicate_universe()))
-    }
-
-    fn memory_usage(&self) -> MemoryUsage {
-        // The sharding layer's own overhead — the write-side directory
-        // (slot, free-list and load tables) plus every shard's
-        // read-side translation map and attribute synopsis — is
-        // reported as unsubscription/rebalancing support.
-        let routing = MemoryUsage {
-            unsub_support: self.directory.heap_bytes()
-                + self.shards.iter().map(Shard::routing_bytes).sum::<usize>(),
-            ..MemoryUsage::default()
-        };
-        self.shards
-            .iter()
-            .map(|s| s.engine.memory_usage())
-            .fold(routing, |a, b| a + b)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Matcher;
+    use crate::{FulfilledSet, Matcher, MemoryUsage};
 
     fn ev(pairs: &[(&str, i64)]) -> Event {
         Event::from_pairs(pairs.iter().map(|(n, v)| (*n, *v)))
@@ -646,7 +540,7 @@ mod tests {
                 let id = engine.subscribe(&exprs(20)[n]).unwrap();
                 assert_eq!(id.index(), n, "shards={shards}");
             }
-            assert_eq!(engine.subscription_count(), 20);
+            assert_eq!(engine.directory().live(), 20);
         }
     }
 
@@ -691,16 +585,18 @@ mod tests {
         for kind in EngineKind::ALL {
             for shards in [1usize, 3] {
                 let mut flat = Matcher::new(kind.build());
-                let mut sharded = Matcher::new(ShardedEngine::new(kind, shards));
+                let mut sharded = ShardedEngine::new(kind, shards);
                 for e in exprs(16) {
                     let a = flat.subscribe(&e).unwrap();
                     let b = sharded.subscribe(&e).unwrap();
                     assert_eq!(a, b);
                 }
+                let mut scratch = MatchScratch::new();
                 for t in 0..40 {
                     let event = ev(&[("group", t % 5), ("tick", t * 2)]);
                     let mut a = flat.match_event(&event).matched;
-                    let mut b = sharded.match_event(&event).matched;
+                    sharded.match_event_into(&event, &mut scratch);
+                    let mut b = scratch.matched().to_vec();
                     a.sort_unstable();
                     b.sort_unstable();
                     assert_eq!(a, b, "kind={kind} shards={shards} t={t}");
@@ -731,8 +627,9 @@ mod tests {
                         ]))
                     })
                     .collect();
-                crate::engine::assert_batch_equals_per_event(
-                    &engine,
+                crate::engine::assert_walks_agree(
+                    |events, batch| engine.match_batch(events, &[], batch),
+                    |event, scratch| engine.match_event_into(event, scratch),
                     &events,
                     &format!("kind={kind} shards={shards}"),
                 );
@@ -772,7 +669,7 @@ mod tests {
             .map(|e| engine.subscribe(e).unwrap())
             .collect();
         engine.unsubscribe(ids[4]).unwrap();
-        assert_eq!(engine.subscription_count(), 8);
+        assert_eq!(engine.directory().live(), 8);
         assert_eq!(engine.directory().loads(), &[3, 2, 3]);
         // Stale and never-issued global ids fail in the global space.
         assert_eq!(
@@ -785,84 +682,9 @@ mod tests {
             Err(UnsubscribeError::UnknownSubscription(bogus))
         );
         // The event for a removed subscription no longer matches it.
-        let mut m = Matcher::new(engine);
-        let matched = m.match_event(&ev(&[("group", 4), ("tick", 100)])).matched;
-        assert!(!matched.contains(&ids[4]));
-    }
-
-    #[test]
-    fn standalone_phases_agree_with_match_event() {
-        for kind in EngineKind::ALL {
-            let mut engine = ShardedEngine::new(kind, 3);
-            for e in exprs(12) {
-                engine.subscribe(&e).unwrap();
-            }
-            let mut scratch = MatchScratch::new();
-            for t in 0..20 {
-                let event = ev(&[("group", t % 5), ("tick", t * 3)]);
-                let mut expect = engine.match_event(&event, &mut scratch).matched;
-
-                // Global-id phase 1 output fed through global-id phase 2
-                // must reach the same answer.
-                let mut fulfilled = FulfilledSet::new();
-                engine.phase1(&event, &mut fulfilled);
-                let mut got = Vec::new();
-                let stats = engine.phase2(&fulfilled, &mut scratch, &mut got);
-
-                expect.sort_unstable();
-                got.sort_unstable();
-                assert_eq!(expect, got, "kind={kind} t={t}");
-                assert_eq!(stats.matched, got.len());
-                assert_eq!(stats.fulfilled, fulfilled.len());
-            }
-        }
-    }
-
-    #[test]
-    fn merged_accounting_sums_over_shards() {
-        let mut engine = ShardedEngine::new(EngineKind::Counting, 4);
-        for e in exprs(12) {
-            engine.subscribe(&e).unwrap();
-        }
-        let per_shard: Vec<_> = (0..4).map(|i| engine.shard(i)).collect();
-        assert_eq!(
-            engine.registered_units(),
-            per_shard
-                .iter()
-                .map(|s| s.registered_units())
-                .sum::<usize>()
-        );
-        assert_eq!(
-            engine.predicate_count(),
-            per_shard.iter().map(|s| s.predicate_count()).sum::<usize>()
-        );
-        let translation_bytes: usize = (0..4).map(|i| engine.translation(i).heap_bytes()).sum();
-        let synopsis_bytes: usize = (0..4).map(|i| engine.synopsis(i).heap_bytes()).sum();
-        assert_eq!(
-            engine.memory_usage().total(),
-            per_shard
-                .iter()
-                .map(|s| s.memory_usage().total())
-                .sum::<usize>()
-                + engine.directory().heap_bytes()
-                + translation_bytes
-                + synopsis_bytes,
-            "engine totals plus the directory, translation maps, and synopses"
-        );
-        assert!(engine.directory().heap_bytes() > 0);
-        assert!(
-            translation_bytes > 0,
-            "per-shard reverse maps are charged, not free"
-        );
-        assert!(
-            synopsis_bytes > 0,
-            "attribute synopses are charged, not free"
-        );
-        assert!(engine.subscription_id_bound() >= 12);
-        assert!(engine.predicate_universe() > 0);
-        assert!(engine.unit_slot_bound() > 0);
-        let dbg = format!("{engine:?}");
-        assert!(dbg.contains("shards: 4"));
+        let mut scratch = MatchScratch::new();
+        engine.match_event_into(&ev(&[("group", 4), ("tick", 100)]), &mut scratch);
+        assert!(!scratch.matched().contains(&ids[4]));
     }
 
     #[test]
@@ -1023,9 +845,9 @@ mod tests {
                 continue;
             }
             let event = ev(&[("topic", (i % 6) as i64), ("n", i as i64)]);
-            let result = engine.match_event(&event, &mut scratch);
+            engine.match_event_into(&event, &mut scratch);
             assert!(
-                result.matched.contains(id),
+                scratch.matched().contains(id),
                 "survivor {i} lost to over-pruning: {expr}"
             );
         }
@@ -1033,7 +855,7 @@ mod tests {
         let live: usize = (0..engine.shard_count())
             .map(|s| engine.synopsis(s).live())
             .sum();
-        assert_eq!(live, engine.subscription_count());
+        assert_eq!(live, engine.directory().live());
     }
 
     #[test]
@@ -1048,7 +870,7 @@ mod tests {
                 .unwrap();
         }
         let mut scratch = MatchScratch::new();
-        let stats = engine.match_event(&ev(&[("zzz", 99)]), &mut scratch).stats;
+        let stats = engine.match_event_into(&ev(&[("zzz", 99)]), &mut scratch);
         assert_eq!(
             stats.shards_pruned, 0,
             "or-rooted residents pin their shard"
@@ -1060,7 +882,7 @@ mod tests {
         let mut engine = ShardedEngine::new(EngineKind::Counting, 4);
         engine.subscribe(&Expr::parse("k = 1").unwrap()).unwrap();
         let mut scratch = MatchScratch::new();
-        let stats = engine.match_event(&ev(&[("k", 1)]), &mut scratch).stats;
+        let stats = engine.match_event_into(&ev(&[("k", 1)]), &mut scratch);
         assert_eq!(stats.matched, 1);
         assert_eq!(stats.shards_pruned, 3, "three empty shards skipped");
     }
@@ -1182,17 +1004,6 @@ mod tests {
             shard.match_event(&ev(&[("a", 1)]), &mut scratch);
             assert!(scratch.matched().is_empty(), "{kind}");
         }
-    }
-
-    #[test]
-    fn usable_as_a_trait_object() {
-        let mut engine: BoxedEngine = Box::new(ShardedEngine::new(EngineKind::CountingVariant, 2));
-        let id = engine
-            .subscribe(&Expr::parse("a = 1 or b = 2").unwrap())
-            .unwrap();
-        let mut scratch = MatchScratch::new();
-        let result = engine.match_event(&ev(&[("b", 2)]), &mut scratch);
-        assert_eq!(result.matched, vec![id]);
     }
 
     #[test]

@@ -229,8 +229,9 @@ impl AttrSummary {
 /// Maintained wherever the shard's [`ShardTranslation`] is maintained
 /// (subscribe, unsubscribe, migration, resize) under the per-shard
 /// write lock, and read on the publish path under the per-shard read
-/// lock — it adds no locking of its own. See the [module docs](self)
-/// for the conservativeness contract.
+/// lock — it adds no locking of its own. It is conservative: it may
+/// admit an event no resident matches, but never skips a shard holding
+/// a candidate.
 ///
 /// # Examples
 ///

@@ -416,7 +416,7 @@ impl<T: Copy + PartialEq> PredicateIndex<T> {
     }
 
     /// Approximate heap bytes used by all structures. Everything but the
-    /// range trees' nodes is exact; those follow [`btree_heap_bytes`].
+    /// range trees' nodes is exact; those follow `btree_heap_bytes`.
     pub fn heap_bytes(&self) -> usize {
         let posting = std::mem::size_of::<T>();
         let spilled = |p: &RangePostings<T>| p.more.capacity() * std::mem::size_of::<(T, bool)>();

@@ -67,8 +67,8 @@ pub mod prelude {
     };
     pub use boolmatch_core::{
         CountingEngine, CountingVariantEngine, EngineKind, FilterEngine, MatchResult, MatchScratch,
-        Matcher, NonCanonicalEngine, PlacementPolicy, ShardTranslation, ShardedEngine,
-        SubscriptionDirectory, SubscriptionId,
+        Matcher, NonCanonicalEngine, PlacementPolicy, ShardTranslation, SubscriptionDirectory,
+        SubscriptionId,
     };
     pub use boolmatch_expr::{CompareOp, Expr, Predicate};
     pub use boolmatch_types::{Event, Schema, Value, ValueKind};

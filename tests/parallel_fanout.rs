@@ -26,7 +26,7 @@ use std::thread::{self, ThreadId};
 
 use boolmatch::core::{
     BatchScratch, FilterEngine, FulfilledSet, MatchScratch, MatchStats, MemoryUsage, ScratchPool,
-    SubscribeError, UnsubscribeError,
+    ShardedEngine, SubscribeError, UnsubscribeError,
 };
 use boolmatch::expr::Expr;
 use boolmatch::prelude::*;

@@ -25,8 +25,8 @@ use std::thread;
 use std::time::Duration;
 
 use boolmatch::core::{
-    FilterEngine, FulfilledSet, MatchScratch, MatchStats, MemoryUsage, SubscribeError,
-    UnsubscribeError,
+    FilterEngine, FulfilledSet, MatchScratch, MatchStats, MemoryUsage, ShardedEngine,
+    SubscribeError, UnsubscribeError,
 };
 use boolmatch::expr::Expr;
 use boolmatch::prelude::*;
