@@ -155,9 +155,9 @@ impl BrokerBuilder {
     /// Sets the heap-byte cap above which a publish scratch is trimmed
     /// — capacity released — instead of kept at its high-water size
     /// (default: [`DEFAULT_SCRATCH_TRIM_CAP`]). Applied to each of the
-    /// publishing thread's reusable buffers (match scratch, batch
-    /// scratch, matched ids, batch buckets, delivery targets, ready
-    /// chunk) after each publish/batch. Without a cap, one pathological
+    /// publishing thread's reusable buffers (match scratch, the
+    /// per-event matched-id buckets, delivery targets, ready chunk)
+    /// after each publish. Without a cap, one pathological
     /// event (say, a 100k-candidate spike) would pin its peak
     /// allocation in every publisher thread for the thread's lifetime.
     /// `usize::MAX`

@@ -1,28 +1,24 @@
-//! The publish path: the per-thread publish state, the shard walk
-//! behind [`Broker::publish_arc`] and [`Broker::publish_batch`], and
-//! delivery's enqueue and ready-list hand-off.
+//! The publish path: the per-thread publish state, the one shard walk
+//! behind [`Broker::publish_batch`] (which [`Broker::publish_arc`] runs
+//! for a batch of one), and delivery's enqueue and ready-list hand-off.
 
 use std::cell::RefCell;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use boolmatch_core::{BatchScratch, MatchScratch, SubscriptionId};
+use boolmatch_core::{MatchScratch, MatchStats, SubscriptionId};
 use boolmatch_types::Event;
 
 use super::Broker;
 use crate::delivery::{run_drainer, Enqueue, NotifyQueue};
 
-/// Per-publisher-thread reusable buffers: the match scratch plus the
-/// global matched-id accumulator (publish), the batch scratch and
-/// per-event matched buckets (publish_batch), the
-/// delivery snapshot of matched subscribers' queue handles, and the
-/// chunk of consumer queues this publish scheduled but has not yet
-/// handed to the ready list.
+/// Per-publisher-thread reusable buffers: the match scratch, the
+/// per-event buckets of matched global ids, the delivery snapshot of
+/// matched subscribers' queue handles, and the chunk of consumer queues
+/// this publish scheduled but has not yet handed to the ready list.
 #[derive(Default)]
 struct PublishState {
     scratch: MatchScratch,
-    batch: BatchScratch,
-    matched: Vec<SubscriptionId>,
     buckets: Vec<Vec<SubscriptionId>>,
     targets: Vec<(SubscriptionId, Arc<NotifyQueue>)>,
     ready: Vec<(SubscriptionId, Arc<NotifyQueue>)>,
@@ -38,19 +34,17 @@ thread_local! {
     static PUBLISH_STATE: RefCell<PublishState> = RefCell::new(PublishState::default());
 }
 
-/// Heap bytes of the calling thread's publish buffers: `scratch`,
-/// `batch`, `matched`, the largest of `buckets` (the cap applies to
-/// each bucket on its own) and `targets`.
+/// Heap bytes of the calling thread's publish buffers: `scratch`, the
+/// largest of `buckets` (the cap applies to each bucket on its own) and
+/// `targets`.
 #[cfg(test)]
-pub(super) fn publish_state_bytes() -> [usize; 5] {
+pub(super) fn publish_state_bytes() -> [usize; 3] {
     PUBLISH_STATE.with(|cell| {
         let state = cell.borrow();
         let id = std::mem::size_of::<SubscriptionId>();
         let target = std::mem::size_of::<(SubscriptionId, Arc<NotifyQueue>)>();
         [
             state.scratch.heap_bytes(),
-            state.batch.heap_bytes(),
-            state.matched.capacity() * id,
             state
                 .buckets
                 .iter()
@@ -91,74 +85,110 @@ impl Broker {
     }
 
     /// Publishes an event the caller already holds by `Arc` — the
-    /// zero-copy entry every publish goes through: the same allocation
-    /// is shared by every delivered notification, and the event is
-    /// never cloned.
-    ///
-    /// Matching runs the per-shard step ([`Shard::match_event`](boolmatch_core::Shard::match_event)) on
-    /// each shard under that shard's **read** lock: the synopsis prune
-    /// check, the engine match into a thread-local [`MatchScratch`] and
-    /// the translation of matched local ids through the shard's own map
-    /// all happen under that one guard — the matching phase acquires
-    /// no broker-global lock beyond the one-pointer clone of the
-    /// current shard set (and, in particular, never the placement
-    /// directory's; delivery afterwards takes the sender-map read lock
-    /// just long enough to snapshot the matched queues, then enqueues
-    /// with no broker lock held). Translating under the shard's read
-    /// lock is what makes it sound against migration, which commits a
-    /// relocation only while holding that shard's write lock; an id
-    /// retired by a racing unsubscribe has no translation and is
-    /// dropped, exactly as delivery would drop its removed sender.
-    /// Concurrent publishers match in parallel and a write-locked shard
-    /// (a subscription in progress) delays only its own shard's portion
-    /// of the match. All locks are released before delivery; the
-    /// thread-local borrow covers only matching. The matched buffer is
-    /// reused across publishes on the same thread.
-    ///
-    /// The shards are walked one after another **on the calling
-    /// thread** — there is no hand-off, so an engine that panics
-    /// unwinds to the caller (releasing the shard's read guard and the
-    /// thread-local borrow on the way) instead of costing the publish a
-    /// shard silently.
-    ///
-    /// Subscribers found disconnected (handle dropped without
-    /// unsubscribe — possible when the handle's broker reference was
-    /// already gone) are pruned.
+    /// zero-copy entry: the same allocation is shared by every
+    /// delivered notification, and the event is never cloned. This is
+    /// [`Broker::publish_batch`] with a batch of one.
     pub fn publish_arc(&self, event: Arc<Event>) -> usize {
+        self.publish_batch(std::slice::from_ref(&event))
+    }
+
+    /// Publishes a batch of events — the one publish body every publish
+    /// goes through. Returns the total number of notifications
+    /// delivered, and delivers exactly the same notifications, in the
+    /// same per-subscriber order, as the equivalent sequence of
+    /// [`Broker::publish`] calls.
+    ///
+    /// The batch is taken as `Arc<Event>`s: one allocation per event,
+    /// made by the caller, shared untouched across every shard's
+    /// matching and every delivered notification — publishing never
+    /// clones an event.
+    ///
+    /// The shards are walked in index order, each visited once for the
+    /// whole batch under its **read** lock. Under that one guard, each
+    /// event runs the per-shard step
+    /// ([`Shard::match_event`](boolmatch_core::Shard::match_event)) —
+    /// the synopsis prune check, the engine match into the thread-local
+    /// [`MatchScratch`] and the translation of matched local ids
+    /// through the shard's own map — and the event's ids are appended
+    /// to its bucket; the shard's summed stats are tallied once the
+    /// guard is dropped. The matching phase acquires no broker-global
+    /// lock beyond the one-pointer clone of the current shard set (and,
+    /// in particular, never the placement directory's). Translating
+    /// under the shard's read lock is what makes it sound against
+    /// migration, which commits a relocation only while holding that
+    /// shard's write lock; an id retired by a racing unsubscribe has no
+    /// translation and is dropped, exactly as delivery would drop its
+    /// removed sender. Concurrent publishers match in parallel and a
+    /// write-locked shard (a subscription in progress) delays only its
+    /// own shard's portion of the match. What a batch amortises is the
+    /// visit; the matching of one event costs the same at any width.
+    ///
+    /// The walk runs **on the calling thread** — there is no hand-off,
+    /// so an engine that panics unwinds to the caller (releasing the
+    /// shard's read guard and the thread-local borrow on the way)
+    /// instead of costing the publish a shard silently. All locks are
+    /// released before delivery, which runs event by event: each event
+    /// snapshots its matched subscribers' queues under a short
+    /// sender-map read and enqueues outside it, so a slow consumer (or
+    /// a `Block`-policy wait) in the middle of a batch never extends
+    /// the window in which an unsubscribe is stalled. Subscribers found
+    /// disconnected (handle dropped without unsubscribe — possible when
+    /// the handle's broker reference was already gone) are pruned.
+    pub fn publish_batch(&self, events: &[Arc<Event>]) -> usize {
+        if events.is_empty() {
+            return 0;
+        }
         let set = self.shard_set();
-        let epoch = self.migration_epoch();
-        // The matched buffer is swapped out of the thread-local state
-        // so the RefCell borrow ends before delivery (which takes the
+        let epoch = self.inner.migration_epoch.load(Ordering::Acquire);
+        // The buckets are swapped out of the thread-local state so the
+        // RefCell borrow ends before delivery (which takes the
         // sender-map lock and may re-enter the broker to prune dead
         // subscribers).
-        let mut matched = PUBLISH_STATE.with(|cell| {
+        let mut buckets = PUBLISH_STATE.with(|cell| {
             let state = &mut *cell.borrow_mut();
-            let mut matched = std::mem::take(&mut state.matched);
-            matched.clear();
+            let mut buckets = std::mem::take(&mut state.buckets);
+            if buckets.len() < events.len() {
+                // Grow to the high-water batch length, never shrink: a
+                // short batch must not free the longer tail's capacity.
+                buckets.resize_with(events.len(), Vec::new);
+            }
+            let used = &mut buckets[..events.len()];
+            used.iter_mut().for_each(Vec::clear);
+            // Shard-major, so each shard's read lock is taken once per
+            // batch; shard order within each bucket, so an event's ids
+            // concatenate exactly as a one-event walk would leave them.
             for cell in set.iter() {
-                let stats = cell.state.read().match_event(&event, &mut state.scratch);
+                let mut stats = MatchStats::default();
+                {
+                    let shard = cell.state.read();
+                    for (event, bucket) in events.iter().zip(used.iter_mut()) {
+                        stats = stats + shard.match_event(event, &mut state.scratch);
+                        bucket.extend_from_slice(state.scratch.matched());
+                    }
+                }
                 cell.record(&stats);
-                matched.extend_from_slice(state.scratch.matched());
             }
             if state.scratch.heap_bytes() > self.inner.scratch_trim_cap {
                 state.scratch.trim();
             }
-            matched
+            self.dedup_matched(epoch, used);
+            buckets
         });
-        self.dedup_matched(epoch, &mut matched);
         self.inner
             .stats
             .events_published
-            .fetch_add(1, Ordering::Relaxed);
-        let delivered = self.deliver_matched_arc(&event, &matched);
-        self.return_matched(matched);
+            .fetch_add(events.len() as u64, Ordering::Relaxed);
+        let mut delivered = 0usize;
+        for (event, matched) in events.iter().zip(&buckets) {
+            delivered += self.deliver_matched_arc(event, matched);
+        }
+        // Bucket half of the high-water fix: a bucket a pathological
+        // event grew past the trim cap is released, not parked.
+        for bucket in &mut buckets[..events.len()] {
+            self.release_if_oversized(bucket);
+        }
+        PUBLISH_STATE.with(|cell| cell.borrow_mut().buckets = buckets);
         delivered
-    }
-
-    /// Snapshot of the migration epoch, taken before matching starts;
-    /// pair with [`Broker::dedup_matched`] after the last translation.
-    fn migration_epoch(&self) -> u64 {
-        self.inner.migration_epoch.load(Ordering::Acquire)
     }
 
     /// Shards are visited one lock at a time, so a publish racing a
@@ -170,27 +200,19 @@ impl Broker {
     /// is documented on [`Broker::migrate`].)
     ///
     /// The sort only runs when a relocation actually committed during
-    /// the match window (`epoch_before` no longer current): any
-    /// relocation able to duplicate this publish's matched set commits
-    /// under a shard write lock *between* two of its shard visits, and
-    /// therefore between the two epoch reads. Migration-quiescent
-    /// publishes — and single-shard brokers, which cannot migrate —
-    /// pay nothing.
-    fn dedup_matched(&self, epoch_before: u64, matched: &mut Vec<SubscriptionId>) {
+    /// the match window (`epoch_before`, read before the walk, no
+    /// longer current): any relocation able to duplicate this publish's
+    /// matched sets commits under a shard write lock *between* two of
+    /// its shard visits, and therefore between the two epoch reads.
+    /// Migration-quiescent publishes — and single-shard brokers, which
+    /// cannot migrate — pay one atomic load per publish, not per event.
+    fn dedup_matched(&self, epoch_before: u64, buckets: &mut [Vec<SubscriptionId>]) {
         if self.inner.migration_epoch.load(Ordering::Acquire) != epoch_before {
-            matched.sort_unstable();
-            matched.dedup();
+            for matched in buckets {
+                matched.sort_unstable();
+                matched.dedup();
+            }
         }
-    }
-
-    /// Returns the matched buffer's capacity to the thread for the next
-    /// publish — unless the publish grew it past the scratch trim cap,
-    /// in which case the spike capacity is dropped rather than pinned
-    /// in the thread-local state (the matched-accumulator half of the
-    /// high-water fix; the publish bodies trim the scratch themselves).
-    fn return_matched(&self, mut matched: Vec<SubscriptionId>) {
-        self.release_if_oversized(&mut matched);
-        PUBLISH_STATE.with(|cell| cell.borrow_mut().matched = matched);
     }
 
     /// The one place the trim-cap rule for the thread-local buffers
@@ -201,90 +223,6 @@ impl Broker {
         if buffer.capacity() * std::mem::size_of::<T>() > self.inner.scratch_trim_cap {
             *buffer = Vec::new();
         }
-    }
-
-    /// Publishes a batch of events — the amortised hot path. Returns
-    /// the total number of notifications delivered, and delivers
-    /// exactly the same notifications, in the same per-subscriber
-    /// order, as the equivalent sequence of [`Broker::publish`] calls.
-    ///
-    /// The batch is taken as `Arc<Event>`s: one allocation per event,
-    /// made by the caller, shared untouched across every shard's
-    /// matching and every delivered notification — the batch path never
-    /// clones an event.
-    ///
-    /// Compared to the one-by-one sequence, the batch visits each shard
-    /// once ([`Shard::match_batch`](boolmatch_core::Shard::match_batch)): the shard's read lock is acquired
-    /// **once**, the thread-local batch scratch serves every event,
-    /// each admitted event is matched and its ids translated under that
-    /// same guard, and delivery snapshots each event's queues as the
-    /// single publish does. The matching of one event costs what it
-    /// costs in [`Broker::publish_arc`]; what is amortised is the
-    /// visit. Like the single publish, the walk runs on the calling
-    /// thread.
-    pub fn publish_batch(&self, events: &[Arc<Event>]) -> usize {
-        if events.is_empty() {
-            return 0;
-        }
-        // Phase A: match every event against every shard, bucketing
-        // matched global ids per event. Shard-major order amortises
-        // lock acquisitions; buckets keep delivery event-major so
-        // per-subscriber notification order equals the sequential one.
-        let set = self.shard_set();
-        let epoch = self.migration_epoch();
-        let buckets = PUBLISH_STATE.with(|cell| {
-            let state = &mut *cell.borrow_mut();
-            let mut buckets = std::mem::take(&mut state.buckets);
-            buckets.iter_mut().for_each(Vec::clear);
-            if buckets.len() < events.len() {
-                // Grow to the high-water batch length, never shrink:
-                // a short batch must not free the longer tail's
-                // capacity (everything zips against `events`, so
-                // extra cleared buckets are simply ignored).
-                buckets.resize_with(events.len(), Vec::new);
-            }
-            // Shard order per event, so per-event ids concatenate
-            // exactly like the one-by-one walk.
-            for cell in set.iter() {
-                let stats = cell.state.read().match_batch(events, &[], &mut state.batch);
-                cell.record(&stats);
-                for (e, bucket) in buckets.iter_mut().enumerate().take(events.len()) {
-                    bucket.extend_from_slice(state.batch.matched(e));
-                }
-            }
-            if state.batch.heap_bytes() > self.inner.scratch_trim_cap {
-                state.batch.trim();
-            }
-            for bucket in buckets.iter_mut().take(events.len()) {
-                // Same migration-race guard as the single-publish path.
-                self.dedup_matched(epoch, bucket);
-            }
-            buckets
-        });
-        self.inner
-            .stats
-            .events_published
-            .fetch_add(events.len() as u64, Ordering::Relaxed);
-
-        // Phase B: delivery, outside the scratch borrow and all engine
-        // locks. Each event snapshots its matched subscribers' queues
-        // under a short sender-map read and enqueues outside it — the
-        // same two-phase walk as the single-publish path, so a slow
-        // consumer (or a `Block`-policy wait) in the middle of a batch
-        // never extends the window in which an unsubscribe is stalled.
-        // The caller's Arcs are delivered as-is: no event is cloned.
-        let mut delivered = 0usize;
-        for (event, matched) in events.iter().zip(&buckets) {
-            delivered += self.deliver_matched_arc(event, matched);
-        }
-        // Bucket half of the high-water fix: a bucket a pathological
-        // event grew past the trim cap is released, not parked.
-        let mut buckets = buckets;
-        for bucket in &mut buckets {
-            self.release_if_oversized(bucket);
-        }
-        PUBLISH_STATE.with(|cell| cell.borrow_mut().buckets = buckets);
-        delivered
     }
 
     /// Queues `event` — shared, so every subscriber receives the
@@ -319,8 +257,8 @@ impl Broker {
             (targets, std::mem::take(&mut state.ready))
         });
         let delivered = self.enqueue_targets(&targets, event, &mut ready);
-        // Same trim-cap rule as the matched-id buffer: a pathological
-        // fan-out must not pin its peak snapshot capacity per thread.
+        // Same trim-cap rule as the buckets: a pathological fan-out
+        // must not pin its peak snapshot capacity per thread.
         targets.clear();
         self.release_if_oversized(&mut targets);
         self.release_if_oversized(&mut ready);

@@ -292,7 +292,7 @@ pub trait FilterEngine {
     /// each per matched event. What a batch amortises lies with the
     /// caller — one shard visit (lock, synopsis-gated lease, fan-out
     /// job) for all its events — which is why no engine overrides
-    /// this: the shard-major walks ([`crate::Shard::match_batch`]
+    /// this: the shard-major walks ([`crate::Shard::match_event`]
     /// looped by the broker's batch publish and by
     /// [`crate::ShardedEngine::match_batch`]) sit above the engines.
     fn match_batch(
@@ -301,15 +301,12 @@ pub trait FilterEngine {
         skip: &[bool],
         batch: &mut BatchScratch,
     ) -> MatchStats {
-        debug_assert!(
-            skip.is_empty() || skip.len() == events.len(),
-            "skip mask must be empty or one flag per event"
-        );
-        batch.begin_batch(events.len());
+        batch.begin_batch(events.len(), skip);
         let mut stats = MatchStats::default();
         for (e, event) in events.iter().enumerate() {
             if !skip.get(e).copied().unwrap_or(false) {
-                stats = stats + batch.match_event(self, e, event);
+                stats =
+                    stats + batch.match_event(e, |scratch| self.match_event_into(event, scratch));
             }
         }
         stats
@@ -380,23 +377,6 @@ impl<T: FilterEngine + ?Sized> FilterEngine for Box<T> {
         matched: &mut Vec<SubscriptionId>,
     ) -> MatchStats {
         (**self).phase2(fulfilled, scratch, matched)
-    }
-
-    fn match_event_into(&self, event: &Event, scratch: &mut MatchScratch) -> MatchStats {
-        (**self).match_event_into(event, scratch)
-    }
-
-    fn match_event(&self, event: &Event, scratch: &mut MatchScratch) -> MatchResult {
-        (**self).match_event(event, scratch)
-    }
-
-    fn match_batch(
-        &self,
-        events: &[Arc<Event>],
-        skip: &[bool],
-        batch: &mut BatchScratch,
-    ) -> MatchStats {
-        (**self).match_batch(events, skip, batch)
     }
 
     fn subscription_count(&self) -> usize {

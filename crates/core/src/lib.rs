@@ -51,7 +51,7 @@
 //! global [`ShardTranslation`] map and its [`ShardSynopsis`] — a
 //! conservative per-attribute summary of its residents' required
 //! conjuncts. It owns **the per-shard match step**
-//! ([`Shard::match_event`], [`Shard::match_batch`]): ask the synopsis
+//! ([`Shard::match_event`], one event; a batch loops it): ask the synopsis
 //! first and do nothing on a shard that provably holds no candidate
 //! (reported as [`MatchStats::shards_pruned`]), else run the engine and
 //! translate the matched ids to global ids in place. Every walk —

@@ -24,8 +24,8 @@
 //! [`crate::ShardedEngine::match_event_parallel`] fans one event out
 //! over scoped threads that check their scratches out of a
 //! [`ScratchPool`], running the same per-shard step as the sequential
-//! walk ([`crate::Shard::match_event_with`], which checks out only once
-//! the shard's synopsis has admitted the event). `benchmark/` times
+//! walk ([`crate::Shard::match_event`]; a remote shard checks a scratch
+//! out only once its synopsis has admitted the event). `benchmark/` times
 //! that walk against the sequential one
 //! (`core.shard.parallel_ns_per_event`) and one [`WorkerPool`] +
 //! [`FanOut`] hand-off (`core.pool.worker_roundtrip_ns`): the rows that

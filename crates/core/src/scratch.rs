@@ -17,11 +17,11 @@
 //! to zero before a match returns).
 //!
 //! Shards skipped by content-aware pruning engage no scratch at all:
-//! the per-shard step ([`Shard::match_event_with`](crate::Shard::match_event_with))
-//! consults the shard's attribute synopsis *before* a scratch is
-//! checked out of a pool, so a pruned shard costs neither a lease nor
-//! a buffer reset — its `matched` output is simply absent from the
-//! merge.
+//! the per-shard step ([`Shard::match_event`](crate::Shard::match_event))
+//! consults the shard's attribute synopsis *before* the scratch is
+//! touched — on the parallel walk, before one is checked out of a
+//! pool — so a pruned shard costs neither a lease nor a buffer reset;
+//! its `matched` output is simply absent from the merge.
 
 use boolmatch_types::{AttrId, Event, Value};
 
@@ -267,10 +267,6 @@ pub struct BatchScratch {
     /// Per-event matched ids — the output of the most recent
     /// [`crate::FilterEngine::match_batch`], indexed by event position.
     pub(crate) matched: Vec<Vec<SubscriptionId>>,
-    /// Per-event accumulator of translated global ids, used by
-    /// [`crate::ShardedEngine`] while `matched` carries one shard's
-    /// output.
-    pub(crate) shard_matched: Vec<Vec<SubscriptionId>>,
 }
 
 impl BatchScratch {
@@ -296,9 +292,7 @@ impl BatchScratch {
     /// capacity, mirroring [`MatchScratch::reset`].
     pub fn reset(&mut self) {
         self.scalar.reset();
-        for m in self.matched.iter_mut().chain(&mut self.shard_matched) {
-            m.clear();
-        }
+        self.matched.iter_mut().for_each(Vec::clear);
     }
 
     /// Releases all buffers (capacity included); the batch analogue of
@@ -316,19 +310,23 @@ impl BatchScratch {
     /// Approximate heap bytes held: the embedded per-event scratch plus
     /// the output lists.
     pub fn heap_bytes(&self) -> usize {
-        let lists = |lists: &Vec<Vec<SubscriptionId>>| {
-            lists
+        self.scalar.heap_bytes()
+            + self
+                .matched
                 .iter()
                 .map(|ids| ids.capacity() * std::mem::size_of::<SubscriptionId>())
                 .sum::<usize>()
-                + lists.capacity() * std::mem::size_of::<Vec<SubscriptionId>>()
-        };
-        self.scalar.heap_bytes() + lists(&self.matched) + lists(&self.shard_matched)
+            + self.matched.capacity() * std::mem::size_of::<Vec<SubscriptionId>>()
     }
 
     /// Sizes and clears the per-event output buffers for a batch of
-    /// `events` events. Every batch entry point calls this first.
-    pub(crate) fn begin_batch(&mut self, events: usize) {
+    /// `events` events, and checks the caller's `skip` mask against it.
+    /// Every batch entry point calls this first.
+    pub(crate) fn begin_batch(&mut self, events: usize, skip: &[bool]) {
+        debug_assert!(
+            skip.is_empty() || skip.len() == events,
+            "skip mask must be empty or one flag per event"
+        );
         if self.matched.len() < events {
             self.matched.resize_with(events, Vec::new);
         }
@@ -339,20 +337,24 @@ impl BatchScratch {
 
     // lint: hot-path — the per-event step of every batch walk.
 
-    /// Matches `event`, position `e` of the current batch, with the
-    /// embedded scratch and files its ids under `matched[e]`. The ids
-    /// are copied, not swapped out: each list then keeps the capacity
-    /// its own position needs, instead of buffers rotating through the
-    /// positions and all growing to the largest.
+    /// Runs `step` — one event's match, position `e` of the current
+    /// batch — on the embedded scratch and appends the ids it leaves to
+    /// `matched[e]`. The ids are copied, not swapped out: each list then
+    /// keeps the capacity its own position needs, instead of buffers
+    /// rotating through the positions and all growing to the largest.
+    /// The one place a batch's counters are kept: a step that was not
+    /// pruned counts one [`batch_events`](crate::MatchStats::batch_events)
+    /// and one [`batch_passes`](crate::MatchStats::batch_passes).
     pub(crate) fn match_event(
         &mut self,
-        engine: &(impl crate::FilterEngine + ?Sized),
         e: usize,
-        event: &Event,
+        step: impl FnOnce(&mut MatchScratch) -> crate::MatchStats,
     ) -> crate::MatchStats {
-        let mut stats = engine.match_event_into(event, &mut self.scalar);
-        stats.batch_events = 1;
-        stats.batch_passes = 1;
+        let mut stats = step(&mut self.scalar);
+        if stats.shards_pruned == 0 {
+            stats.batch_events = 1;
+            stats.batch_passes = 1;
+        }
         self.matched[e].extend_from_slice(&self.scalar.matched);
         stats
     }

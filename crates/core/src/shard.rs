@@ -79,9 +79,9 @@ pub type BoxedEngine = Box<dyn FilterEngine + Send + Sync>;
 /// behind its own `RwLock`, so all three are protected together.
 ///
 /// The shard owns **the per-shard match step** — *admit by synopsis →
-/// engine match → translate local ids to global in place* — in its two
-/// widths, [`Shard::match_event`] and [`Shard::match_batch`]. Every
-/// shard walk in the workspace is a loop over one of them.
+/// engine match → translate local ids to global in place* —
+/// [`Shard::match_event`], for one event. Every shard walk in the
+/// workspace, a batch's included, is a loop over it.
 pub struct Shard {
     engine: BoxedEngine,
     translation: ShardTranslation,
@@ -158,7 +158,8 @@ impl Shard {
     /// The step for one event with the scratch in hand: afterwards
     /// [`MatchScratch::matched`] holds this shard's matches as
     /// **global** ids (none when the synopsis pruned the shard, which
-    /// the returned stats report as `shards_pruned`).
+    /// the returned stats report as `shards_pruned`). A batch is this
+    /// step looped per event under one visit of the shard.
     pub fn match_event(&self, event: &Event, scratch: &mut MatchScratch) -> MatchStats {
         let held = &mut *scratch;
         let (held, stats) = self.match_event_with(event, move |_| held);
@@ -176,50 +177,25 @@ impl Shard {
     /// translated to global ids in place through the shard's own map,
     /// and it is handed back. A local id without a translation was
     /// retired between matching and translation by a concurrent owner;
-    /// delivery would skip it anyway, so it is dropped here.
-    pub fn match_event_with<H: DerefMut<Target = MatchScratch>>(
+    /// delivery would skip it anyway, so it is dropped here. The body
+    /// of [`Shard::match_event`], and of the pooled remote shards of
+    /// [`ShardedEngine::match_event_parallel`].
+    fn match_event_with<H: DerefMut<Target = MatchScratch>>(
         &self,
         event: &Event,
         acquire: impl FnOnce(&BoxedEngine) -> H,
     ) -> (Option<H>, MatchStats) {
         if !self.synopsis.admits(event) {
-            return (None, pruned(1));
+            let stats = MatchStats {
+                shards_pruned: 1,
+                ..MatchStats::default()
+            };
+            return (None, stats);
         }
         let mut scratch = acquire(&self.engine);
-        let stats = self.engine.match_event_into(event, &mut scratch);
+        let stats = self.engine().match_event_into(event, &mut scratch);
         self.translate(&mut scratch.matched);
         (Some(scratch), stats)
-    }
-
-    /// The step for a batch — [`Shard::match_event`] looped under one
-    /// visit: afterwards [`BatchScratch::matched`] holds, per event,
-    /// this shard's matches as **global** ids. `skip` excludes events up
-    /// front (empty: none); every other event is put to the synopsis
-    /// first, and the returned stats count each one it pruned.
-    pub fn match_batch(
-        &self,
-        events: &[Arc<Event>],
-        skip: &[bool],
-        batch: &mut BatchScratch,
-    ) -> MatchStats {
-        debug_assert!(
-            skip.is_empty() || skip.len() == events.len(),
-            "skip mask must be empty or one flag per event"
-        );
-        batch.begin_batch(events.len());
-        let mut stats = MatchStats::default();
-        for (e, event) in events.iter().enumerate() {
-            if skip.get(e).copied().unwrap_or(false) {
-                continue;
-            }
-            if !self.synopsis.admits(event) {
-                stats.shards_pruned += 1;
-                continue;
-            }
-            stats = stats + batch.match_event(&*self.engine, e, event);
-            self.translate(&mut batch.matched[e]);
-        }
-        stats
     }
 
     /// In-place local → global translation of one id list through the
@@ -230,14 +206,6 @@ impl Shard {
     // lint: end-hot-path
 }
 
-/// The stats of a step that pruned `n` (event, shard) visits.
-fn pruned(n: usize) -> MatchStats {
-    MatchStats {
-        shards_pruned: n,
-        ..MatchStats::default()
-    }
-}
-
 /// `S` inner engines composed into one standalone value: the broker's
 /// shards without their locks.
 ///
@@ -245,9 +213,9 @@ fn pruned(n: usize) -> MatchStats {
 ///   tie-break, so a churn-free stream places exactly like classic
 ///   round-robin); `unsubscribe` routes by directory lookup to the
 ///   owning shard.
-/// * Matching runs the per-shard step ([`Shard::match_event`],
-///   [`Shard::match_batch`]) on every shard and concatenates the global
-///   ids it leaves, in shard order; [`MatchStats`] are summed
+/// * Matching runs the per-shard step ([`Shard::match_event`]) on
+///   every shard and concatenates the global ids it leaves, in shard
+///   order; [`MatchStats`] are summed
 ///   component-wise (per-shard work adds up — e.g. `fulfilled` counts
 ///   each shard's own phase-1 output, since shards intern predicates
 ///   independently).
@@ -394,35 +362,28 @@ impl ShardedEngine {
     }
 
     /// Matches a batch shard-major (each shard visited once for all
-    /// `events`): afterwards [`BatchScratch::matched`] holds, per
+    /// `events`, as the broker's batch publish does under one read lock
+    /// per shard): afterwards [`BatchScratch::matched`] holds, per
     /// event, the ids [`ShardedEngine::match_event_into`] reports for
-    /// it. `skip` excludes events up front (empty: none).
+    /// it, in the same order. `skip` excludes events up front (empty:
+    /// none); the stats count every other event the synopsis pruned,
+    /// once per shard.
     pub fn match_batch(
         &self,
         events: &[Arc<Event>],
         skip: &[bool],
         batch: &mut BatchScratch,
     ) -> MatchStats {
-        // Shard-major: each shard is visited once for the whole batch,
-        // as the broker's batch publish does under one read lock per
-        // shard. `batch.matched` ends up identical (as per-event sets)
-        // to the per-event walk.
-        let mut acc = std::mem::take(&mut batch.shard_matched);
-        if acc.len() < events.len() {
-            acc.resize_with(events.len(), Vec::new);
-        }
-        for m in acc.iter_mut().take(events.len()) {
-            m.clear();
-        }
+        batch.begin_batch(events.len(), skip);
         let mut stats = MatchStats::default();
         for shard in &self.shards {
-            stats = stats + shard.match_batch(events, skip, batch);
-            for (out, ids) in acc.iter_mut().zip(&batch.matched).take(events.len()) {
-                out.extend_from_slice(ids);
+            for (e, event) in events.iter().enumerate() {
+                if !skip.get(e).copied().unwrap_or(false) {
+                    stats =
+                        stats + batch.match_event(e, |scratch| shard.match_event(event, scratch));
+                }
             }
         }
-        std::mem::swap(&mut batch.matched, &mut acc);
-        batch.shard_matched = acc;
         debug_assert_eq!(
             batch
                 .matched
