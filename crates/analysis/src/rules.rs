@@ -59,7 +59,6 @@ pub const GLOBAL_LOCKS: &[&str] = &[
     "senders",
     "delivery_ready",
     "shard_set",
-    "freq_baseline",
 ];
 
 /// Lock classes that are *leaves by discipline*, not broker-global

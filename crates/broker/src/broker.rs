@@ -30,7 +30,6 @@ mod tests;
 pub use builder::{BrokerBuilder, DEFAULT_DELIVERY_WORKERS};
 use maintenance::FreqWindow;
 pub use maintenance::{DeliveryTickReport, MATCH_FREQUENCY_SKEW_FLOOR};
-pub use publish::DEFAULT_SCRATCH_TRIM_CAP;
 
 /// Errors surfaced by [`Broker`] operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -224,12 +223,12 @@ pub(crate) struct BrokerInner {
     directory: RwLock<SubscriptionDirectory>,
     /// Serializes the control plane — migrate/rebalance/resize and the
     /// quarantine tick — so a resize can never swap the shard set out
-    /// from under a running migration.
-    maintenance: Mutex<()>,
-    /// The frequency-weighted rebalancer's decayed planning window:
-    /// the last per-shard hit snapshot plus the decayed per-tick delta
-    /// scores (ticks act on windowed deltas, not lifetime totals).
-    freq_baseline: Mutex<FreqWindow>,
+    /// from under a running migration. It guards the frequency-weighted
+    /// rebalancer's decayed planning window, which only
+    /// [`Broker::rebalance_by_match_frequency`] and [`Broker::resize`]
+    /// touch: the last per-shard hit snapshot plus the decayed per-tick
+    /// delta scores (ticks act on windowed deltas, not lifetime totals).
+    maintenance: Mutex<FreqWindow>,
     /// Each live subscriber's notification queue, keyed by global id —
     /// the delivery tier's root. Publishes take the read side only to
     /// snapshot the matched subscribers' queue `Arc`s (never across an
@@ -258,10 +257,6 @@ pub(crate) struct BrokerInner {
     /// Thread count for `delivery_pool` when it spawns.
     delivery_workers: usize,
     stats: AtomicStats,
-    /// Heap-byte cap above which a thread-local publish buffer is
-    /// trimmed after each publish/batch instead of keeping its
-    /// high-water capacity.
-    scratch_trim_cap: usize,
     /// Bumped once per committed relocation (under the directory write
     /// lock). A publish snapshots it before matching and after its last
     /// translation: only when the two differ can the matched set hold
@@ -511,13 +506,13 @@ impl Broker {
         drop(state);
         // The queue's lock is classed by the id's delivery-queue group
         // (same-class nesting detection proves no path holds two).
-        let queue = Arc::new(NotifyQueue::new(id.slot(), policy, consumer));
+        let queue = Arc::new(NotifyQueue::new(id, policy, consumer));
         self.inner.senders.write().insert(id, Arc::clone(&queue));
         self.inner
             .stats
             .subscriptions_created
             .fetch_add(1, Ordering::Relaxed);
-        Ok(Subscription::new(id, queue, Arc::downgrade(&self.inner)))
+        Ok(Subscription::new(queue, Arc::downgrade(&self.inner)))
     }
 
     /// Removes a subscription by id (handles also unsubscribe on drop).
@@ -662,7 +657,7 @@ impl Broker {
             .senders
             .read()
             .values()
-            .filter(|queue| queue.quarantined())
+            .filter(|queue| queue.lag().quarantined)
             .count()
     }
 }

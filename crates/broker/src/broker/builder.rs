@@ -11,7 +11,6 @@ use boolmatch_core::{
 use parking_lot::{Mutex, RwLock};
 
 use super::maintenance::FreqWindow;
-use super::publish::DEFAULT_SCRATCH_TRIM_CAP;
 use super::{AtomicStats, Broker, BrokerInner, ShardCell};
 use crate::delivery::{DeliveryPolicy, QuarantineConfig, ReadyList};
 
@@ -34,7 +33,6 @@ pub struct BrokerBuilder {
     policy: DeliveryPolicy,
     quarantine: Option<QuarantineConfig>,
     delivery_workers: Option<usize>,
-    scratch_trim_cap: Option<usize>,
     placement: PlacementPolicy,
 }
 
@@ -47,7 +45,6 @@ impl fmt::Debug for BrokerBuilder {
             .field("policy", &self.policy)
             .field("quarantine", &self.quarantine)
             .field("delivery_workers", &self.delivery_workers)
-            .field("scratch_trim_cap", &self.scratch_trim_cap)
             .field("placement", &self.placement)
             .finish()
     }
@@ -152,24 +149,6 @@ impl BrokerBuilder {
         self
     }
 
-    /// Sets the heap-byte cap above which a publish scratch is trimmed
-    /// — capacity released — instead of kept at its high-water size
-    /// (default: [`DEFAULT_SCRATCH_TRIM_CAP`]). Applied to each of the
-    /// publishing thread's reusable buffers (match scratch, the
-    /// per-event matched-id buckets, delivery targets, ready chunk)
-    /// after each publish. Without a cap, one pathological
-    /// event (say, a 100k-candidate spike) would pin its peak
-    /// allocation in every publisher thread for the thread's lifetime.
-    /// `usize::MAX`
-    /// disables trimming (the pre-cap behaviour); `0` trims after every
-    /// publish — useful in memory-starved deployments, at the price of
-    /// re-growing the buffers each publish.
-    #[must_use]
-    pub fn scratch_trim_cap(mut self, bytes: usize) -> Self {
-        self.scratch_trim_cap = Some(bytes);
-        self
-    }
-
     /// Builds the broker.
     pub fn build(self) -> Broker {
         let engines = self.custom.unwrap_or_else(|| {
@@ -178,7 +157,6 @@ impl BrokerBuilder {
         });
         let shard_count = engines.len();
         let grow_kind = engines[0].kind();
-        let scratch_trim_cap = self.scratch_trim_cap.unwrap_or(DEFAULT_SCRATCH_TRIM_CAP);
         let shards: Vec<Arc<ShardCell>> = engines
             .into_iter()
             .enumerate()
@@ -188,9 +166,7 @@ impl BrokerBuilder {
         let inner = Arc::new(BrokerInner {
             shard_set: RwLock::new(shards.into()),
             directory: RwLock::new(directory),
-            maintenance: Mutex::new(()),
-            freq_baseline: Mutex::new(FreqWindow::default()),
-            scratch_trim_cap,
+            maintenance: Mutex::new(FreqWindow::default()),
             migration_epoch: AtomicU64::new(0),
             senders: RwLock::new(HashMap::new()),
             policy: self.policy,
@@ -205,13 +181,12 @@ impl BrokerBuilder {
         // Register the broker-global locks with lockdep (debug builds):
         // runtime enforcement of the documented order — `maintenance`
         // outermost, shard locks ascending, `directory` innermost,
-        // `senders`/`delivery_ready`/`shard-set`/`freq-baseline` leaves.
+        // `senders`/`delivery_ready`/`shard-set` leaves.
         inner.directory.set_class(lock_classes::DIRECTORY);
         inner.maintenance.set_class(lock_classes::MAINTENANCE);
         inner.senders.set_class(lock_classes::SENDERS);
         inner.delivery_ready.set_class(lock_classes::DELIVERY_READY);
         inner.shard_set.set_class("shard-set");
-        inner.freq_baseline.set_class("freq-baseline");
         Broker { inner }
     }
 }

@@ -146,7 +146,7 @@ impl Broker {
     /// The broker runs no tick on its own: the caller decides when, as
     /// with [`Broker::delivery_maintenance_tick`].
     pub fn rebalance_by_match_frequency(&self, max_moves: usize) -> usize {
-        let _maintenance = self.inner.maintenance.lock();
+        let mut window = self.inner.maintenance.lock();
         let set = self.shard_set();
         if set.len() < 2 {
             return 0;
@@ -155,27 +155,22 @@ impl Broker {
             .iter()
             .map(|cell| cell.hits.load(Ordering::Relaxed))
             .collect();
-        let scores: Vec<u64> = {
-            let mut window = self.inner.freq_baseline.lock();
-            let FreqWindow { baseline, scores } = &mut *window;
-            if baseline.len() != hits.len() {
-                // The shard set changed since the last tick: re-arm and
-                // measure a fresh interval instead of comparing
-                // counters across unrelated cells.
-                *baseline = hits;
-                *scores = vec![0; baseline.len()];
-                return 0;
-            }
-            for ((score, hit), base) in scores.iter_mut().zip(&hits).zip(baseline.iter()) {
-                // Exponential decay: halve the running score, then add
-                // this tick's delta. Saturating: a shrink+grow can put
-                // a fresh cell (with a zeroed counter) at an index
-                // that had history.
-                *score = *score / 2 + hit.saturating_sub(*base);
-            }
+        let FreqWindow { baseline, scores } = &mut *window;
+        if baseline.len() != hits.len() {
+            // The shard set changed since the last tick: re-arm and
+            // measure a fresh interval instead of comparing counters
+            // across unrelated cells.
             *baseline = hits;
-            scores.clone()
-        };
+            *scores = vec![0; baseline.len()];
+            return 0;
+        }
+        for ((score, hit), base) in scores.iter_mut().zip(&hits).zip(baseline.iter()) {
+            // Exponential decay: halve the running score, then add this
+            // tick's delta. Saturating: a shrink+grow can put a fresh
+            // cell (with a zeroed counter) at an index that had history.
+            *score = *score / 2 + hit.saturating_sub(*base);
+        }
+        *baseline = hits;
         let mut hot = 0;
         let mut cool = 0;
         for (i, &score) in scores.iter().enumerate() {
@@ -201,8 +196,7 @@ impl Broker {
             // the pre-migration world. Reset them (keeping the raw
             // baseline) so the next window measures the new placement
             // instead of re-migrating on stale echoes.
-            let mut window = self.inner.freq_baseline.lock();
-            window.scores.iter_mut().for_each(|s| *s = 0);
+            scores.iter_mut().for_each(|s| *s = 0);
         }
         moved
     }
@@ -347,7 +341,7 @@ impl Broker {
     /// [`BrokerBuilder::engine_instances`](super::BrokerBuilder::engine_instances)).
     pub fn resize(&self, new_shards: usize) -> usize {
         assert!(new_shards > 0, "a broker needs at least one engine shard");
-        let _maintenance = self.inner.maintenance.lock();
+        let mut window = self.inner.maintenance.lock();
         let old_set = self.shard_set();
         let old = old_set.len();
         let mut moved = 0;
@@ -418,7 +412,7 @@ impl Broker {
             }
         }
         // Frequency ticks must not compare counters across shard sets.
-        self.inner.freq_baseline.lock().clear();
+        window.clear();
         moved
     }
     // lint: end-lock-order

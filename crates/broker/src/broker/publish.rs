@@ -20,8 +20,8 @@ use crate::delivery::{run_drainer, Enqueue, NotifyQueue};
 struct PublishState {
     scratch: MatchScratch,
     buckets: Vec<Vec<SubscriptionId>>,
-    targets: Vec<(SubscriptionId, Arc<NotifyQueue>)>,
-    ready: Vec<(SubscriptionId, Arc<NotifyQueue>)>,
+    targets: Vec<Arc<NotifyQueue>>,
+    ready: Vec<Arc<NotifyQueue>>,
 }
 
 thread_local! {
@@ -29,8 +29,8 @@ thread_local! {
     // thread (sound: the scratch is engine-agnostic and self-restoring
     // between matches). It grows to the largest engine the thread ever
     // matched against and keeps that capacity, except that a buffer a
-    // publish leaves larger than [`BrokerBuilder::scratch_trim_cap`] is
-    // released after that publish.
+    // publish leaves larger than [`SCRATCH_TRIM_CAP`] is released after
+    // that publish.
     static PUBLISH_STATE: RefCell<PublishState> = RefCell::new(PublishState::default());
 }
 
@@ -42,7 +42,7 @@ pub(super) fn publish_state_bytes() -> [usize; 3] {
     PUBLISH_STATE.with(|cell| {
         let state = cell.borrow();
         let id = std::mem::size_of::<SubscriptionId>();
-        let target = std::mem::size_of::<(SubscriptionId, Arc<NotifyQueue>)>();
+        let target = std::mem::size_of::<Arc<NotifyQueue>>();
         [
             state.scratch.heap_bytes(),
             state
@@ -56,19 +56,48 @@ pub(super) fn publish_state_bytes() -> [usize; 3] {
     })
 }
 
-/// Default [`BrokerBuilder::scratch_trim_cap`](super::BrokerBuilder::scratch_trim_cap): a thread-local publish
-/// buffer left with more heap than this after a publish is trimmed
-/// instead of kept at its high-water capacity, so one pathological
-/// event (a huge candidate spike) cannot pin its peak allocation in
-/// every publisher thread forever. Generous on purpose — steady-state
-/// workloads far below it never trim and so never re-allocate.
-pub const DEFAULT_SCRATCH_TRIM_CAP: usize = 8 << 20;
+/// A thread-local publish buffer (the match scratch, each matched-id
+/// bucket, the delivery targets, the ready chunk) left with more heap
+/// than this after a publish is trimmed instead of kept at its
+/// high-water capacity, so one pathological event (a huge candidate
+/// spike) cannot pin its peak allocation in every publisher thread
+/// forever. Generous on purpose — steady-state workloads far below it
+/// never trim and so never re-allocate.
+const SCRATCH_TRIM_CAP: usize = 8 << 20;
+
+#[cfg(test)]
+thread_local! {
+    /// The calling thread's trim cap: [`SCRATCH_TRIM_CAP`] unless a
+    /// test lowers it to force the trim path.
+    pub(super) static TRIM_CAP: std::cell::Cell<usize> =
+        const { std::cell::Cell::new(SCRATCH_TRIM_CAP) };
+}
+
+/// The trim cap in force on the calling thread.
+#[cfg(not(test))]
+fn trim_cap() -> usize {
+    SCRATCH_TRIM_CAP
+}
+
+#[cfg(test)]
+fn trim_cap() -> usize {
+    TRIM_CAP.with(std::cell::Cell::get)
+}
 
 /// Newly scheduled consumer queues a publisher collects before it takes
 /// the ready-list lock to hand them over. Handing over in chunks, not
 /// once after the last enqueue, lets a drainer start on the first
 /// subscribers while the publisher is still enqueueing to the rest.
 const READY_CHUNK: usize = 32;
+
+/// The one place the trim-cap rule for the thread-local buffers lives:
+/// a vector grown past the trim cap is replaced by an empty one
+/// (capacity released) before being parked for reuse.
+fn release_if_oversized<T>(buffer: &mut Vec<T>) {
+    if buffer.capacity() * std::mem::size_of::<T>() > trim_cap() {
+        *buffer = Vec::new();
+    }
+}
 
 impl Broker {
     // lint: hot-path — the publish/match/delivery pipeline: no
@@ -168,7 +197,7 @@ impl Broker {
                 }
                 cell.record(&stats);
             }
-            if state.scratch.heap_bytes() > self.inner.scratch_trim_cap {
+            if state.scratch.heap_bytes() > trim_cap() {
                 state.scratch.trim();
             }
             self.dedup_matched(epoch, used);
@@ -185,7 +214,7 @@ impl Broker {
         // Bucket half of the high-water fix: a bucket a pathological
         // event grew past the trim cap is released, not parked.
         for bucket in &mut buckets[..events.len()] {
-            self.release_if_oversized(bucket);
+            release_if_oversized(bucket);
         }
         PUBLISH_STATE.with(|cell| cell.borrow_mut().buckets = buckets);
         delivered
@@ -215,16 +244,6 @@ impl Broker {
         }
     }
 
-    /// The one place the trim-cap rule for the thread-local buffers
-    /// lives: a vector grown past [`BrokerBuilder::scratch_trim_cap`] is
-    /// replaced by an empty one (capacity released) before being parked
-    /// for reuse.
-    fn release_if_oversized<T>(&self, buffer: &mut Vec<T>) {
-        if buffer.capacity() * std::mem::size_of::<T>() > self.inner.scratch_trim_cap {
-            *buffer = Vec::new();
-        }
-    }
-
     /// Queues `event` — shared, so every subscriber receives the
     /// caller's `Arc` (zero copies) — to the subscribers in `matched`.
     ///
@@ -248,11 +267,7 @@ impl Broker {
             {
                 // lint: allow(hot-path-locking, reason = "delivery snapshots the sender map by design — held for the matched-id lookups only, never across an enqueue")
                 let senders = self.inner.senders.read();
-                targets.extend(
-                    matched
-                        .iter()
-                        .filter_map(|id| senders.get(id).map(|q| (*id, Arc::clone(q)))),
-                );
+                targets.extend(matched.iter().filter_map(|id| senders.get(id).cloned()));
             }
             (targets, std::mem::take(&mut state.ready))
         });
@@ -260,8 +275,8 @@ impl Broker {
         // Same trim-cap rule as the buckets: a pathological fan-out
         // must not pin its peak snapshot capacity per thread.
         targets.clear();
-        self.release_if_oversized(&mut targets);
-        self.release_if_oversized(&mut ready);
+        release_if_oversized(&mut targets);
+        release_if_oversized(&mut ready);
         PUBLISH_STATE.with(|cell| {
             let state = &mut *cell.borrow_mut();
             state.targets = targets;
@@ -277,15 +292,15 @@ impl Broker {
     /// return), and pruning subscribers whose queue turned out closed.
     fn enqueue_targets(
         &self,
-        targets: &[(SubscriptionId, Arc<NotifyQueue>)],
+        targets: &[Arc<NotifyQueue>],
         event: &Arc<Event>,
-        ready: &mut Vec<(SubscriptionId, Arc<NotifyQueue>)>,
+        ready: &mut Vec<Arc<NotifyQueue>>,
     ) -> usize {
         let mut delivered = 0usize;
         let mut dropped = 0u64;
         let mut disconnected = 0u64;
         let mut dead: Vec<SubscriptionId> = Vec::new();
-        for (id, queue) in targets {
+        for queue in targets {
             if queue.may_park() {
                 // A `Block` wait may follow: the queues scheduled so far
                 // must not wait out its timeout with the publisher.
@@ -297,11 +312,11 @@ impl Broker {
                 Enqueue::Dropped => dropped += 1,
                 Enqueue::Disconnected => {
                     disconnected += 1;
-                    dead.push(*id);
+                    dead.push(queue.id());
                 }
             }
             if schedule {
-                ready.push((*id, Arc::clone(queue)));
+                ready.push(Arc::clone(queue));
                 if ready.len() == READY_CHUNK {
                     self.hand_over(ready);
                 }
@@ -336,7 +351,7 @@ impl Broker {
     /// broker reference only: they can never keep a dropped broker
     /// alive, and the pool's own Drop (which runs queued jobs to
     /// completion) cannot deadlock on the broker's teardown.
-    fn hand_over(&self, chunk: &mut Vec<(SubscriptionId, Arc<NotifyQueue>)>) {
+    fn hand_over(&self, chunk: &mut Vec<Arc<NotifyQueue>>) {
         if chunk.is_empty() {
             return;
         }

@@ -1,4 +1,4 @@
-use super::publish::publish_state_bytes;
+use super::publish::{publish_state_bytes, TRIM_CAP};
 use super::*;
 
 fn ev(pairs: &[(&str, i64)]) -> Event {
@@ -396,7 +396,8 @@ fn scratch_trim_cap_bounds_the_thread_local_publish_state() {
     // the spike grew past the cap is released after the publish;
     // steady traffic then re-warms and keeps matching correctly.
     let cap = 24 << 10; // between the steady and spike footprints
-    let broker = Broker::builder().shards(2).scratch_trim_cap(cap).build();
+    TRIM_CAP.with(|trim_cap| trim_cap.set(cap));
+    let broker = Broker::builder().shards(2).build();
     // A small steady population and a large spike-only population:
     // the spike subs size the stamp arrays (steady footprint) but
     // only the spike event explodes the candidate/matched buffers.
@@ -430,7 +431,7 @@ fn scratch_trim_cap_bounds_the_thread_local_publish_state() {
     assert_eq!(publish_state_bytes(), warm, "steady traffic never trims");
 
     // The spike, single width: its bucket and `targets` must grow to
-    // 4 000 entries (32 000 and 64 000 bytes) to deliver it. The
+    // 4 000 entries (32 000 bytes each) to deliver it. The
     // steady 2-wide batches keep bucket 1 warm, so the largest bucket
     // falls back to the steady footprint, not to 0.
     assert_eq!(broker.publish_arc(Arc::clone(&spike)), 4_000);

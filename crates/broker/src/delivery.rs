@@ -8,8 +8,9 @@
 //! **enqueues and returns** — what happens to a full queue is the
 //! subscriber's [`DeliveryPolicy`], not the publisher's problem — and
 //! the queue is drained either by the subscriber pulling on its
-//! [`crate::Subscription`] handle or, for consumer-callback
-//! subscriptions, by the broker's delivery worker pool.
+//! [`DeliveryReceiver`] (reached through the [`crate::Subscription`]
+//! handle) or, for consumer-callback subscriptions, by the broker's
+//! delivery worker pool.
 //!
 //! The quarantine state machine (driven by
 //! [`crate::Broker::delivery_maintenance_tick`]) demotes a subscriber
@@ -26,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use boolmatch_core::{lock_classes, SubscriptionId};
 use boolmatch_types::Event;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::broker::BrokerInner;
 
@@ -116,7 +117,7 @@ impl Default for QuarantineConfig {
 pub(crate) type Consumer = Arc<dyn Fn(Arc<Event>) + Send + Sync>;
 
 /// One subscriber's lag snapshot; see
-/// [`crate::Broker::subscriber_lag`] and [`crate::Subscription::lag`].
+/// [`crate::Broker::subscriber_lag`] and [`DeliveryReceiver::lag`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SubscriberLag {
     /// Notifications currently queued (enqueued minus drained).
@@ -165,15 +166,16 @@ pub(crate) enum TickOutcome {
 struct QueueState {
     buf: VecDeque<Arc<Event>>,
     /// No further enqueues; queued events stay drainable. Set by
-    /// unsubscribe, handle/receiver drop, `Disconnect` overflow,
-    /// consumer panic, auto-disconnect quarantine and broker drop.
+    /// unsubscribe, last-receiver drop, `Disconnect` overflow, consumer
+    /// panic, auto-disconnect quarantine and broker drop.
     closed: bool,
-    /// Live pull-side handles ([`crate::Subscription`] +
-    /// [`DeliveryReceiver`] clones); the queue closes when the last
-    /// one drops, mirroring channel semantics.
+    /// Live [`DeliveryReceiver`]s (the one inside each
+    /// [`crate::Subscription`], detached ones and their clones); the
+    /// queue closes when the last one drops, mirroring channel
+    /// semantics.
     receivers: usize,
-    /// `Some(cap)` while quarantined: overflow degrades to
-    /// drop-newest at `cap` regardless of policy.
+    /// `Some(cap)` while quarantined: the queue's bound is `cap`, and
+    /// overflow is drop-newest regardless of policy.
     cap_override: Option<usize>,
     /// Consecutive lagging (or, while quarantined, recovered)
     /// maintenance ticks.
@@ -184,21 +186,26 @@ struct QueueState {
     /// seeing the buffer empty — the classic wakeup protocol, race-free
     /// because both sides hold the queue lock.
     scheduled: bool,
-    /// Receivers parked in `recv`/`recv_timeout` (skip the condvar
-    /// notify when zero — the steady-state enqueue's fast path).
+    /// Receivers parked in the receive wait (skip the condvar notify
+    /// when zero — the steady-state enqueue's fast path).
     waiting_recv: usize,
     /// Publishers parked in a [`DeliveryPolicy::Block`] wait.
     waiting_send: usize,
 }
 
 /// One subscriber's notification queue; shared by the broker's sender
-/// map, the [`crate::Subscription`] handle and, while scheduled, the
-/// ready list or the drainer holding it, via `Arc`.
+/// map, the subscriber's [`DeliveryReceiver`]s and, while scheduled,
+/// the ready list or the drainer holding it, via `Arc`.
 pub(crate) struct NotifyQueue {
+    id: SubscriptionId,
     state: Mutex<QueueState>,
     not_empty: Condvar,
     not_full: Condvar,
     policy: DeliveryPolicy,
+    /// The policy's capacity (`usize::MAX` for
+    /// [`DeliveryPolicy::Unbounded`]): the queue's bound while it is
+    /// not quarantined.
+    capacity: usize,
     /// Consumer-callback subscriptions only; pull subscriptions leave
     /// it `None` and the drain-scheduling branch compiles to a load.
     consumer: Option<Consumer>,
@@ -211,17 +218,28 @@ pub(crate) struct NotifyQueue {
 }
 
 impl NotifyQueue {
-    /// Creates the queue for the subscription in id slot `id_slot`,
-    /// classed into that slot's delivery-queue lockdep group.
-    pub(crate) fn new(id_slot: usize, policy: DeliveryPolicy, consumer: Option<Consumer>) -> Self {
+    /// Creates the queue for subscription `id`, classed into its id
+    /// slot's delivery-queue lockdep group. It has no receiver until a
+    /// [`DeliveryReceiver`] is made on it.
+    pub(crate) fn new(
+        id: SubscriptionId,
+        policy: DeliveryPolicy,
+        consumer: Option<Consumer>,
+    ) -> Self {
+        let capacity = match policy {
+            DeliveryPolicy::Unbounded => usize::MAX,
+            DeliveryPolicy::DropNewest { capacity }
+            | DeliveryPolicy::DropOldest { capacity }
+            | DeliveryPolicy::Disconnect { capacity }
+            | DeliveryPolicy::Block { capacity, .. } => capacity,
+        };
         let queue = NotifyQueue {
-            state: Mutex::new(QueueState {
-                receivers: 1,
-                ..QueueState::default()
-            }),
+            id,
+            state: Mutex::new(QueueState::default()),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             policy,
+            capacity,
             consumer,
             enqueued: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
@@ -230,9 +248,14 @@ impl NotifyQueue {
         if parking_lot::lockdep::is_active() {
             queue
                 .state
-                .set_class(&lock_classes::delivery_queue(id_slot));
+                .set_class(&lock_classes::delivery_queue(id.slot()));
         }
         queue
+    }
+
+    /// The subscription this queue delivers to.
+    pub(crate) fn id(&self) -> SubscriptionId {
+        self.id
     }
 
     pub(crate) fn consumer(&self) -> Option<&Consumer> {
@@ -246,108 +269,42 @@ impl NotifyQueue {
         matches!(self.policy, DeliveryPolicy::Block { .. })
     }
 
-    /// Receivers and publishers currently parked on the queue:
-    /// `(waiting_recv, waiting_send)`. Lets a test wait for the parked
-    /// path instead of sleeping toward it.
-    #[cfg(test)]
-    pub(crate) fn parked(&self) -> (usize, usize) {
-        let state = self.state.lock();
-        (state.waiting_recv, state.waiting_send)
-    }
-
     // lint: hot-path — the enqueue path runs on every publish for
     // every matched subscriber: one classed leaf lock (this queue's),
     // no broker-global lock, no unwrap. A `Block` policy may park on
     // the queue's own condvar, still holding nothing else.
 
-    /// Attempts to place `event` on the queue under this queue's
-    /// policy. Returns the outcome plus whether the caller must put the
-    /// queue on the broker's ready list (consumer queues only, on the
+    /// Attempts to place `event` on the queue. Below the bound — the
+    /// quarantine cap while quarantined, else the policy's capacity —
+    /// every policy appends; a full queue asks [`NotifyQueue::overflow`].
+    /// Returns the outcome plus whether the caller must put the queue
+    /// on the broker's ready list (consumer queues only, on the
     /// unscheduled→scheduled transition).
     pub(crate) fn enqueue(&self, event: Arc<Event>) -> (Enqueue, bool) {
         let mut state = self.state.lock();
         if state.closed {
             return (Enqueue::Disconnected, false);
         }
-        let outcome = if let Some(cap) = state.cap_override {
-            // Quarantined: drop-newest at the quarantine cap,
-            // regardless of policy — graceful degradation, not the
-            // subscriber's contract.
-            if state.buf.len() >= cap {
-                Enqueue::Dropped
-            } else {
-                state.buf.push_back(event);
-                Enqueue::Delivered
-            }
+        let bound = state.cap_override.unwrap_or(self.capacity);
+        let outcome = if state.buf.len() < bound {
+            Enqueue::Delivered
         } else {
-            match self.policy {
-                DeliveryPolicy::Unbounded => {
-                    state.buf.push_back(event);
-                    Enqueue::Delivered
-                }
-                DeliveryPolicy::DropNewest { capacity } => {
-                    if state.buf.len() >= capacity {
-                        Enqueue::Dropped
-                    } else {
-                        state.buf.push_back(event);
-                        Enqueue::Delivered
-                    }
-                }
-                DeliveryPolicy::DropOldest { capacity } => {
-                    if capacity == 0 {
-                        Enqueue::Dropped
-                    } else {
-                        if state.buf.len() >= capacity {
-                            state.buf.pop_front();
-                            self.dropped.fetch_add(1, Ordering::Relaxed);
-                        }
-                        state.buf.push_back(event);
-                        Enqueue::Delivered
-                    }
-                }
-                DeliveryPolicy::Disconnect { capacity } => {
-                    if state.buf.len() >= capacity {
-                        state.closed = true;
-                        self.wake_all(&state);
-                        Enqueue::Disconnected
-                    } else {
-                        state.buf.push_back(event);
-                        Enqueue::Delivered
-                    }
-                }
-                DeliveryPolicy::Block { capacity, timeout } => {
-                    let deadline = Instant::now() + timeout;
-                    let mut timed_out = false;
-                    while state.buf.len() >= capacity && !state.closed && !timed_out {
-                        let remaining = deadline.saturating_duration_since(Instant::now());
-                        if remaining.is_zero() {
-                            break;
-                        }
-                        state.waiting_send += 1;
-                        timed_out = self.not_full.wait_for(&mut state, remaining).timed_out()
-                            && state.buf.len() >= capacity;
-                        state.waiting_send -= 1;
-                    }
-                    if state.closed {
-                        Enqueue::Disconnected
-                    } else if state.buf.len() >= capacity {
-                        Enqueue::Dropped
-                    } else {
-                        state.buf.push_back(event);
-                        Enqueue::Delivered
-                    }
-                }
-            }
+            self.overflow(&mut state, bound)
         };
         let mut schedule = false;
-        if outcome == Enqueue::Delivered {
-            self.enqueued.fetch_add(1, Ordering::Relaxed);
-            if self.consumer.is_some() && !state.scheduled {
-                state.scheduled = true;
-                schedule = true;
+        match outcome {
+            Enqueue::Delivered => {
+                state.buf.push_back(event);
+                self.enqueued.fetch_add(1, Ordering::Relaxed);
+                if self.consumer.is_some() && !state.scheduled {
+                    state.scheduled = true;
+                    schedule = true;
+                }
             }
-        } else if outcome == Enqueue::Dropped {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+            Enqueue::Dropped => {
+                self.dropped.fetch_add(1, Ordering::Relaxed);
+            }
+            Enqueue::Disconnected => {}
         }
         let wake_recv = outcome == Enqueue::Delivered && state.waiting_recv > 0;
         drop(state);
@@ -355,6 +312,50 @@ impl NotifyQueue {
             self.not_empty.notify_one();
         }
         (outcome, schedule)
+    }
+
+    /// What a full queue (`bound` events queued) does with one more
+    /// notification — the one place the enqueue path reads the policy.
+    /// `Delivered` means room was made and the caller appends.
+    fn overflow(&self, state: &mut MutexGuard<'_, QueueState>, bound: usize) -> Enqueue {
+        if state.cap_override.is_some() {
+            // Quarantined: drop-newest at the cap, whatever the policy
+            // — graceful degradation, not the subscriber's contract.
+            return Enqueue::Dropped;
+        }
+        match self.policy {
+            DeliveryPolicy::Unbounded | DeliveryPolicy::DropNewest { .. } => Enqueue::Dropped,
+            DeliveryPolicy::DropOldest { .. } => {
+                // A zero-capacity queue has nothing to evict.
+                if state.buf.pop_front().is_none() {
+                    return Enqueue::Dropped;
+                }
+                self.dropped.fetch_add(1, Ordering::Relaxed);
+                Enqueue::Delivered
+            }
+            DeliveryPolicy::Disconnect { .. } => {
+                state.closed = true;
+                self.wake_all(state);
+                Enqueue::Disconnected
+            }
+            DeliveryPolicy::Block { timeout, .. } => {
+                let deadline = Instant::now() + timeout;
+                while state.buf.len() >= bound && !state.closed {
+                    let remaining = deadline.saturating_duration_since(Instant::now());
+                    if remaining.is_zero() {
+                        return Enqueue::Dropped;
+                    }
+                    state.waiting_send += 1;
+                    let _ = self.not_full.wait_for(state, remaining);
+                    state.waiting_send -= 1;
+                }
+                if state.closed {
+                    Enqueue::Disconnected
+                } else {
+                    Enqueue::Delivered
+                }
+            }
+        }
     }
 
     /// Moves up to `max` queued events into `out` for a drainer.
@@ -368,21 +369,15 @@ impl NotifyQueue {
             state.scheduled = false;
             return false;
         }
-        let take = max.min(state.buf.len());
-        out.extend(state.buf.drain(..take));
-        let wake_send = state.waiting_send > 0;
-        drop(state);
-        if wake_send {
-            self.not_full.notify_all();
-        }
+        self.release_many(state, out, max);
         true
     }
 
     // lint: end-hot-path
 
-    /// Takes the next queued event without blocking.
-    pub(crate) fn try_recv(&self) -> Option<Arc<Event>> {
-        let mut state = self.state.lock();
+    /// Frees one slot: pops the front event, releases the lock and
+    /// wakes one parked [`DeliveryPolicy::Block`] publisher, if any.
+    fn release_one(&self, mut state: MutexGuard<'_, QueueState>) -> Option<Arc<Event>> {
         let event = state.buf.pop_front();
         let wake_send = event.is_some() && state.waiting_send > 0;
         drop(state);
@@ -392,68 +387,21 @@ impl NotifyQueue {
         event
     }
 
-    /// Blocks until an event arrives or the queue closes empty.
-    pub(crate) fn recv(&self) -> Option<Arc<Event>> {
-        let mut state = self.state.lock();
-        loop {
-            if let Some(event) = state.buf.pop_front() {
-                let wake_send = state.waiting_send > 0;
-                drop(state);
-                if wake_send {
-                    self.not_full.notify_one();
-                }
-                return Some(event);
-            }
-            if state.closed {
-                return None;
-            }
-            state.waiting_recv += 1;
-            self.not_empty.wait(&mut state);
-            state.waiting_recv -= 1;
-        }
-    }
-
-    /// [`NotifyQueue::recv`] bounded by `timeout`.
-    pub(crate) fn recv_timeout(&self, timeout: Duration) -> Option<Arc<Event>> {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.state.lock();
-        loop {
-            if let Some(event) = state.buf.pop_front() {
-                let wake_send = state.waiting_send > 0;
-                drop(state);
-                if wake_send {
-                    self.not_full.notify_one();
-                }
-                return Some(event);
-            }
-            if state.closed {
-                return None;
-            }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return None;
-            }
-            state.waiting_recv += 1;
-            let _ = self.not_empty.wait_for(&mut state, remaining);
-            state.waiting_recv -= 1;
-        }
-    }
-
-    /// Drains everything currently queued.
-    pub(crate) fn drain(&self) -> Vec<Arc<Event>> {
-        let mut state = self.state.lock();
-        let drained: Vec<Arc<Event>> = state.buf.drain(..).collect();
-        let wake_send = !drained.is_empty() && state.waiting_send > 0;
+    /// Frees up to `max` slots into `out`, releases the lock and wakes
+    /// every parked [`DeliveryPolicy::Block`] publisher, if any.
+    fn release_many(
+        &self,
+        mut state: MutexGuard<'_, QueueState>,
+        out: &mut Vec<Arc<Event>>,
+        max: usize,
+    ) {
+        let take = max.min(state.buf.len());
+        out.extend(state.buf.drain(..take));
+        let wake_send = take > 0 && state.waiting_send > 0;
         drop(state);
         if wake_send {
             self.not_full.notify_all();
         }
-        drained
-    }
-
-    /// Events currently queued.
-    pub(crate) fn len(&self) -> usize {
-        self.state.lock().buf.len()
     }
 
     /// The lag snapshot surfaced through [`crate::Broker`] stats.
@@ -467,15 +415,9 @@ impl NotifyQueue {
         }
     }
 
-    /// Whether the subscriber is currently quarantined.
-    pub(crate) fn quarantined(&self) -> bool {
-        self.state.lock().cap_override.is_some()
-    }
-
     /// Closes the queue: no further enqueues; parked receivers and
     /// blocked publishers wake immediately. Queued events stay
-    /// drainable unless `discard` (consumer panic teardown, receiver
-    /// death) frees them.
+    /// drainable unless `discard` (consumer panic teardown) frees them.
     pub(crate) fn close(&self, discard: bool) {
         let mut state = self.state.lock();
         state.closed = true;
@@ -483,23 +425,6 @@ impl NotifyQueue {
             state.buf = VecDeque::new();
         }
         self.wake_all(&state);
-    }
-
-    /// Registers one more pull-side handle (receiver clone/detach).
-    pub(crate) fn add_receiver(&self) {
-        self.state.lock().receivers += 1;
-    }
-
-    /// Drops one pull-side handle; the last one out closes the queue
-    /// and discards the backlog (nobody is left to drain it).
-    pub(crate) fn drop_receiver(&self) {
-        let mut state = self.state.lock();
-        state.receivers = state.receivers.saturating_sub(1);
-        if state.receivers == 0 && !state.closed {
-            state.closed = true;
-            state.buf = VecDeque::new();
-            self.wake_all(&state);
-        }
     }
 
     /// One quarantine maintenance tick; see [`TickOutcome`].
@@ -562,6 +487,7 @@ impl std::fmt::Debug for NotifyQueue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let lag = self.lag();
         f.debug_struct("NotifyQueue")
+            .field("id", &self.id)
             .field("policy", &self.policy)
             .field("queued", &lag.queued)
             .field("dropped", &lag.dropped)
@@ -570,12 +496,13 @@ impl std::fmt::Debug for NotifyQueue {
     }
 }
 
-/// A detached pull handle for a subscription's queue, returned by
-/// [`crate::Subscription::detach`]: receiving continues, but dropping
-/// the last handle no longer unsubscribes (use
+/// The pull side of a subscription's queue: every receive operation
+/// lives here. A [`crate::Subscription`] is one of these plus a guard
+/// that unsubscribes on drop; [`crate::Subscription::detach`] returns
+/// the bare receiver, whose drop no longer unsubscribes (use
 /// [`crate::Broker::unsubscribe`]). Clones share the queue; when the
-/// last clone drops, the queue closes and later deliveries count as
-/// disconnected.
+/// last clone drops, the queue closes, its backlog is discarded, and
+/// later deliveries count as disconnected.
 #[derive(Debug)]
 pub struct DeliveryReceiver {
     queue: Arc<NotifyQueue>,
@@ -583,38 +510,85 @@ pub struct DeliveryReceiver {
 
 impl DeliveryReceiver {
     pub(crate) fn new(queue: Arc<NotifyQueue>) -> Self {
-        queue.add_receiver();
+        queue.state.lock().receivers += 1;
         DeliveryReceiver { queue }
     }
 
     /// Takes the next queued notification without blocking.
     pub fn try_recv(&self) -> Option<Arc<Event>> {
-        self.queue.try_recv()
+        self.queue.release_one(self.queue.state.lock())
     }
 
-    /// Blocks until a notification arrives or the queue closes empty.
+    /// Blocks until a notification arrives or the queue closes empty
+    /// (unsubscribed, disconnected, or the broker is gone).
     pub fn recv(&self) -> Option<Arc<Event>> {
-        self.queue.recv()
+        self.recv_until(None)
     }
 
     /// Blocks up to `timeout`; `None` on timeout or close.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<Arc<Event>> {
-        self.queue.recv_timeout(timeout)
+        // A deadline past what `Instant` can hold is no deadline.
+        self.recv_until(Instant::now().checked_add(timeout))
+    }
+
+    /// The one blocking receive: waits until an event arrives, the
+    /// queue closes empty, or `deadline` (if any) passes.
+    fn recv_until(&self, deadline: Option<Instant>) -> Option<Arc<Event>> {
+        let queue = &*self.queue;
+        let mut state = queue.state.lock();
+        loop {
+            if !state.buf.is_empty() {
+                return queue.release_one(state);
+            }
+            if state.closed {
+                return None;
+            }
+            let remaining = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if remaining.is_some_and(|r| r.is_zero()) {
+                return None;
+            }
+            state.waiting_recv += 1;
+            match remaining {
+                Some(remaining) => {
+                    let _ = queue.not_empty.wait_for(&mut state, remaining);
+                }
+                None => queue.not_empty.wait(&mut state),
+            }
+            state.waiting_recv -= 1;
+        }
     }
 
     /// Drains everything currently queued.
     pub fn drain(&self) -> Vec<Arc<Event>> {
-        self.queue.drain()
+        let mut drained = Vec::new();
+        self.queue
+            .release_many(self.queue.state.lock(), &mut drained, usize::MAX);
+        drained
     }
 
     /// Notifications currently queued.
     pub fn len(&self) -> usize {
-        self.queue.len()
+        self.queue.state.lock().buf.len()
     }
 
     /// Whether the queue is currently empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// This subscriber's lag snapshot: queue depth, lifetime
+    /// enqueued/dropped counts, and quarantine status.
+    pub fn lag(&self) -> SubscriberLag {
+        self.queue.lag()
+    }
+
+    /// Receivers and publishers currently parked on the queue:
+    /// `(waiting_recv, waiting_send)`. Lets a test wait for the parked
+    /// path instead of sleeping toward it.
+    #[cfg(test)]
+    pub(crate) fn parked(&self) -> (usize, usize) {
+        let state = self.queue.state.lock();
+        (state.waiting_recv, state.waiting_send)
     }
 }
 
@@ -625,8 +599,16 @@ impl Clone for DeliveryReceiver {
 }
 
 impl Drop for DeliveryReceiver {
+    /// The last receiver out closes the queue and discards the backlog
+    /// (nobody is left to drain it).
     fn drop(&mut self) {
-        self.queue.drop_receiver();
+        let mut state = self.queue.state.lock();
+        state.receivers -= 1;
+        if state.receivers == 0 && !state.closed {
+            state.closed = true;
+            state.buf = VecDeque::new();
+            self.queue.wake_all(&state);
+        }
     }
 }
 
@@ -642,7 +624,7 @@ const DELIVERY_DRAIN_BATCH: usize = 32;
 /// in one drainer at most once — per-subscriber FIFO.
 #[derive(Default)]
 pub(crate) struct ReadyList {
-    pub(crate) queues: VecDeque<(SubscriptionId, Arc<NotifyQueue>)>,
+    pub(crate) queues: VecDeque<Arc<NotifyQueue>>,
     pub(crate) drainers: usize,
 }
 
@@ -657,17 +639,17 @@ pub(crate) fn run_drainer(ready: &Mutex<ReadyList>, weak: &Weak<BrokerInner>) {
     let _unwind = DrainerUnwind(ready);
     let mut batch: Vec<Arc<Event>> = Vec::with_capacity(DELIVERY_DRAIN_BATCH);
     loop {
-        let (id, queue) = {
+        let queue = {
             let mut list = ready.lock();
             match list.queues.pop_front() {
-                Some(entry) => entry,
+                Some(queue) => queue,
                 None => {
                     list.drainers -= 1;
                     return;
                 }
             }
         };
-        drain_queue(weak, id, &queue, &mut batch);
+        drain_queue(weak, &queue, &mut batch);
     }
 }
 
@@ -690,12 +672,7 @@ impl Drop for DrainerUnwind<'_> {
 /// puts it on the ready list again. Nothing is locked across the
 /// callback; a panicking callback is caught, its subscription torn
 /// down, and the drainer — and every other subscriber — continues.
-fn drain_queue(
-    weak: &Weak<BrokerInner>,
-    id: SubscriptionId,
-    queue: &NotifyQueue,
-    batch: &mut Vec<Arc<Event>>,
-) {
+fn drain_queue(weak: &Weak<BrokerInner>, queue: &NotifyQueue, batch: &mut Vec<Arc<Event>>) {
     let Some(consumer) = queue.consumer() else {
         return;
     };
@@ -712,7 +689,7 @@ fn drain_queue(
                 // scheduled bit and is never pushed again.
                 queue.close(true);
                 if let Some(inner) = weak.upgrade() {
-                    inner.consumer_panicked(id);
+                    inner.consumer_panicked(queue.id());
                 }
                 return;
             }
@@ -722,68 +699,184 @@ fn drain_queue(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::AtomicBool;
+
     use super::*;
 
     fn event() -> Arc<Event> {
         Arc::new(Event::builder().attr("a", 1_i64).build())
     }
 
-    fn queue(policy: DeliveryPolicy) -> NotifyQueue {
-        NotifyQueue::new(0, policy, None)
+    fn valued(v: i64) -> Arc<Event> {
+        Arc::new(Event::builder().attr("v", v).build())
+    }
+
+    fn values(events: &[Arc<Event>]) -> Vec<i64> {
+        events
+            .iter()
+            .map(|e| e.get("v").and_then(boolmatch_types::Value::as_int).unwrap())
+            .collect()
+    }
+
+    /// `(queued, enqueued, dropped)` from the lag snapshot.
+    fn counts(rx: &DeliveryReceiver) -> (usize, u64, u64) {
+        let lag = rx.lag();
+        (lag.queued, lag.enqueued, lag.dropped)
+    }
+
+    /// A pull queue and its one receiver.
+    fn queue(policy: DeliveryPolicy) -> (Arc<NotifyQueue>, DeliveryReceiver) {
+        let q = Arc::new(NotifyQueue::new(
+            SubscriptionId::from_index(0),
+            policy,
+            None,
+        ));
+        let rx = DeliveryReceiver::new(Arc::clone(&q));
+        (q, rx)
+    }
+
+    /// Enqueues `event`; a publisher that parks is released by a
+    /// receive on another thread, which only runs once the publisher
+    /// is parked. Returns the outcome and whether the publisher parked.
+    fn enqueue_or_rescue(
+        q: &NotifyQueue,
+        rx: &DeliveryReceiver,
+        event: Arc<Event>,
+    ) -> (Enqueue, bool) {
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let rescuer = s.spawn(|| {
+                while !done.load(Ordering::Acquire) {
+                    if rx.parked() == (0, 1) {
+                        rx.try_recv();
+                        return true;
+                    }
+                    std::thread::yield_now();
+                }
+                false
+            });
+            let outcome = q.enqueue(event).0;
+            done.store(true, Ordering::Release);
+            (outcome, rescuer.join().unwrap())
+        })
     }
 
     #[test]
     fn unbounded_never_drops() {
-        let q = queue(DeliveryPolicy::Unbounded);
+        let (q, rx) = queue(DeliveryPolicy::Unbounded);
         for _ in 0..1000 {
             assert_eq!(q.enqueue(event()).0, Enqueue::Delivered);
         }
-        assert_eq!(q.len(), 1000);
-        assert_eq!(q.lag().dropped, 0);
+        assert_eq!(rx.len(), 1000);
+        assert_eq!(rx.lag().dropped, 0);
     }
 
+    /// The bound rule over every policy: below the bound every policy
+    /// appends; at the policy's capacity each overflows its own way;
+    /// at the quarantine cap every policy drops the newest, without
+    /// parking, and stays open.
     #[test]
-    fn drop_newest_drops_when_full() {
-        let q = queue(DeliveryPolicy::DropNewest { capacity: 2 });
-        assert_eq!(q.enqueue(event()).0, Enqueue::Delivered);
-        assert_eq!(q.enqueue(event()).0, Enqueue::Delivered);
-        assert_eq!(q.enqueue(event()).0, Enqueue::Dropped);
-        assert!(q.try_recv().is_some());
-        assert_eq!(q.enqueue(event()).0, Enqueue::Delivered);
-        assert_eq!(q.lag().dropped, 1);
-    }
+    fn quarantine_outranks_every_policy() {
+        use DeliveryPolicy::*;
+        use Enqueue::{Delivered, Disconnected, Dropped};
+        // A `Block` publisher that is not rescued waits out the hour.
+        let hour = Duration::from_secs(3_600);
+        // (policy, at capacity 2: the third enqueue's outcome and
+        // whether it parked; after one receive, a fourth enqueue's
+        // outcome; then (queued, enqueued, dropped) and the values
+        // left queued).
+        let table = [
+            (
+                Unbounded,
+                Delivered,
+                false,
+                Delivered,
+                (3, 4, 0),
+                vec![1, 2, 3],
+            ),
+            (
+                DropNewest { capacity: 2 },
+                Dropped,
+                false,
+                Delivered,
+                (2, 3, 1),
+                vec![1, 3],
+            ),
+            (
+                DropOldest { capacity: 2 },
+                Delivered,
+                false,
+                Delivered,
+                (2, 4, 1),
+                vec![2, 3],
+            ),
+            (
+                Disconnect { capacity: 2 },
+                Disconnected,
+                false,
+                Disconnected,
+                (1, 2, 0),
+                vec![1],
+            ),
+            (
+                Block {
+                    capacity: 2,
+                    timeout: hour,
+                },
+                Delivered,
+                true,
+                Delivered,
+                (2, 4, 0),
+                vec![2, 3],
+            ),
+        ];
+        let config = QuarantineConfig {
+            lag_watermark: 1,
+            strikes: 1,
+            quarantine_capacity: 2,
+            auto_disconnect: false,
+        };
+        for (policy, at_bound, parks, after_receive, lag, kept) in table {
+            let (q, rx) = queue(policy);
+            let send = |v| enqueue_or_rescue(&q, &rx, valued(v));
+            let below = (Delivered, false);
+            assert_eq!([send(0), send(1)], [below, below], "{policy:?}");
+            assert_eq!(send(2), (at_bound, parks), "{policy:?}");
+            rx.try_recv().unwrap();
+            assert_eq!(send(3), (after_receive, false), "{policy:?}");
+            assert_eq!(counts(&rx), lag, "{policy:?}");
+            assert_eq!(values(&rx.drain()), kept, "{policy:?}");
 
-    #[test]
-    fn drop_oldest_keeps_the_freshest() {
-        let q = queue(DeliveryPolicy::DropOldest { capacity: 2 });
-        for v in 0..5_i64 {
-            let e = Arc::new(Event::builder().attr("v", v).build());
-            assert_eq!(q.enqueue(e).0, Enqueue::Delivered);
+            // Quarantined at a cap equal to the policy's capacity.
+            let (q, rx) = queue(policy);
+            let send = |v| enqueue_or_rescue(&q, &rx, valued(v));
+            assert_eq!([send(0), send(1)], [below, below], "{policy:?}");
+            let demoted = q.maintenance_tick(&config);
+            assert_eq!(demoted, TickOutcome::Demoted, "{policy:?}");
+            assert_eq!(send(2), (Dropped, false), "{policy:?}");
+            // Still open, oldest kept: a receive makes room again.
+            assert_eq!(values(&[rx.try_recv().unwrap()]), [0], "{policy:?}");
+            assert_eq!(send(3), below, "{policy:?}");
+            assert_eq!(counts(&rx), (2, 3, 1), "{policy:?}");
+            assert!(rx.lag().quarantined, "{policy:?}");
+            assert_eq!(values(&rx.drain()), [1, 3], "{policy:?}");
         }
-        let lag = q.lag();
-        assert_eq!((lag.queued, lag.dropped, lag.enqueued), (2, 3, 5));
-        let kept: Vec<i64> = q
-            .drain()
-            .iter()
-            .map(|e| e.get("v").and_then(boolmatch_types::Value::as_int).unwrap())
-            .collect();
-        assert_eq!(kept, vec![3, 4]);
     }
 
     #[test]
     fn disconnect_policy_closes_on_overflow() {
-        let q = queue(DeliveryPolicy::Disconnect { capacity: 1 });
+        let (q, rx) = queue(DeliveryPolicy::Disconnect { capacity: 1 });
         assert_eq!(q.enqueue(event()).0, Enqueue::Delivered);
         assert_eq!(q.enqueue(event()).0, Enqueue::Disconnected);
         // Closed, but the queued backlog stays drainable.
-        assert_eq!(q.len(), 1);
-        assert!(q.recv().is_some());
-        assert!(q.recv().is_none());
+        assert_eq!(rx.len(), 1);
+        assert!(rx.recv().is_some());
+        assert!(rx.recv().is_none());
     }
 
     #[test]
     fn block_policy_times_out_then_drops() {
-        let q = queue(DeliveryPolicy::Block {
+        let (q, rx) = queue(DeliveryPolicy::Block {
             capacity: 1,
             timeout: Duration::from_millis(20),
         });
@@ -791,23 +884,24 @@ mod tests {
         let start = Instant::now();
         assert_eq!(q.enqueue(event()).0, Enqueue::Dropped);
         assert!(start.elapsed() >= Duration::from_millis(15));
-        assert_eq!(q.lag().dropped, 1);
+        assert_eq!(rx.lag().dropped, 1);
     }
 
     #[test]
     fn block_policy_waits_for_a_drain() {
-        let q = Arc::new(queue(DeliveryPolicy::Block {
+        let (q, rx) = queue(DeliveryPolicy::Block {
             capacity: 1,
             timeout: Duration::from_secs(5),
-        }));
+        });
         assert_eq!(q.enqueue(event()).0, Enqueue::Delivered);
-        let q2 = Arc::clone(&q);
+        // A clone, so the queue outlives the drainer's receiver.
+        let drainer_rx = rx.clone();
         let drainer = std::thread::spawn(move || {
             // Free the slot only once the publisher is parked on it.
-            while q2.parked() != (0, 1) {
+            while drainer_rx.parked() != (0, 1) {
                 std::thread::yield_now();
             }
-            q2.try_recv()
+            drainer_rx.try_recv()
         });
         let start = Instant::now();
         assert_eq!(q.enqueue(event()).0, Enqueue::Delivered);
@@ -817,19 +911,22 @@ mod tests {
 
     #[test]
     fn closed_queue_reports_disconnected() {
-        let q = queue(DeliveryPolicy::Unbounded);
+        let (q, _rx) = queue(DeliveryPolicy::Unbounded);
         q.close(false);
         assert_eq!(q.enqueue(event()).0, Enqueue::Disconnected);
     }
 
     #[test]
     fn last_receiver_drop_discards_and_closes() {
-        let q = Arc::new(queue(DeliveryPolicy::Unbounded));
+        let q = Arc::new(NotifyQueue::new(
+            SubscriptionId::from_index(0),
+            DeliveryPolicy::Unbounded,
+            None,
+        ));
         q.enqueue(event());
-        let extra = DeliveryReceiver::new(Arc::clone(&q));
-        let clone = extra.clone();
-        q.drop_receiver(); // the original Subscription-side handle
-        drop(extra);
+        let first = DeliveryReceiver::new(Arc::clone(&q));
+        let clone = first.clone();
+        drop(first);
         assert_eq!(
             q.enqueue(event()).0,
             Enqueue::Delivered,
@@ -837,7 +934,11 @@ mod tests {
         );
         drop(clone);
         assert_eq!(q.enqueue(event()).0, Enqueue::Disconnected);
-        assert_eq!(q.len(), 0, "backlog discarded with the last receiver");
+        assert_eq!(
+            q.lag().queued,
+            0,
+            "backlog discarded with the last receiver"
+        );
     }
 
     #[test]
@@ -848,21 +949,21 @@ mod tests {
             quarantine_capacity: 2,
             auto_disconnect: false,
         };
-        let q = queue(DeliveryPolicy::Unbounded);
+        let (q, rx) = queue(DeliveryPolicy::Unbounded);
         for _ in 0..10 {
             q.enqueue(event());
         }
         assert_eq!(q.maintenance_tick(&config), TickOutcome::Steady);
         assert_eq!(q.maintenance_tick(&config), TickOutcome::Demoted);
-        assert!(q.quarantined());
+        assert!(rx.lag().quarantined);
         // Backlog shed to the cap; overflow now drops newest.
-        assert_eq!(q.len(), 2);
+        assert_eq!(rx.len(), 2);
         assert_eq!(q.enqueue(event()).0, Enqueue::Dropped);
         // Drain below the recovery floor and earn the release.
-        q.drain();
+        rx.drain();
         assert_eq!(q.maintenance_tick(&config), TickOutcome::Steady);
         assert_eq!(q.maintenance_tick(&config), TickOutcome::Recovered);
-        assert!(!q.quarantined());
+        assert!(!rx.lag().quarantined);
         assert_eq!(q.enqueue(event()).0, Enqueue::Delivered);
     }
 
@@ -874,7 +975,7 @@ mod tests {
             quarantine_capacity: 1,
             auto_disconnect: true,
         };
-        let q = queue(DeliveryPolicy::Unbounded);
+        let (q, _rx) = queue(DeliveryPolicy::Unbounded);
         for _ in 0..3 {
             q.enqueue(event());
         }
@@ -890,12 +991,12 @@ mod tests {
             quarantine_capacity: 1,
             auto_disconnect: false,
         };
-        let q = queue(DeliveryPolicy::Unbounded);
+        let (q, rx) = queue(DeliveryPolicy::Unbounded);
         for _ in 0..5 {
             q.enqueue(event());
         }
         assert_eq!(q.maintenance_tick(&config), TickOutcome::Steady);
-        q.drain(); // consumer catches up before the second strike
+        rx.drain(); // consumer catches up before the second strike
         assert_eq!(q.maintenance_tick(&config), TickOutcome::Steady);
         for _ in 0..5 {
             q.enqueue(event());

@@ -58,8 +58,11 @@
 //! via [`Broker::subscribe_with_policy`]): grow without bound, shed
 //! newest or oldest, disconnect the subscriber, or apply bounded
 //! backpressure ([`DeliveryPolicy::Block`] — the publisher waits up to
-//! a timeout on that one queue, holding no broker lock). Queues are
-//! drained by pulling on the [`Subscription`] handle or, with
+//! a timeout on that one queue, holding no broker lock). A queue's
+//! bound is the quarantine cap while it is quarantined, else its
+//! policy's capacity; only a full queue consults the policy. Queues are
+//! drained by pulling on a [`DeliveryReceiver`] — a [`Subscription`]
+//! is one that also unsubscribes on drop — or, with
 //! [`Broker::subscribe_consumer`], by a lazily spawned delivery worker
 //! pool that invokes a callback per notification with per-subscriber
 //! panic isolation. A [`quarantine`](BrokerBuilder::quarantine) tier
@@ -84,8 +87,8 @@
 //! across publishes — the steady-state publish path performs no
 //! allocation beyond the `Arc` around the event. The scratch grows to
 //! the largest engine a thread has matched against and stays there, up
-//! to [`BrokerBuilder::scratch_trim_cap`] (a buffer a publish leaves
-//! larger is released).
+//! to a fixed 8 MiB trim cap (a buffer a publish leaves larger is
+//! released).
 //!
 //! # Examples
 //!
@@ -114,7 +117,7 @@ mod subscriber;
 
 pub use broker::{
     Broker, BrokerBuilder, BrokerError, BrokerStats, DeliveryTickReport, DEFAULT_DELIVERY_WORKERS,
-    DEFAULT_SCRATCH_TRIM_CAP, MATCH_FREQUENCY_SKEW_FLOOR,
+    MATCH_FREQUENCY_SKEW_FLOOR,
 };
 pub use delivery::{DeliveryPolicy, DeliveryReceiver, QuarantineConfig, SubscriberLag};
 pub use subscriber::Subscription;

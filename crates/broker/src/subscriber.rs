@@ -1,19 +1,17 @@
 //! Subscriber-side notification handle.
 
-use std::fmt;
+use std::ops::Deref;
 use std::sync::{Arc, Weak};
-use std::time::Duration;
 
 use boolmatch_core::SubscriptionId;
-use boolmatch_types::Event;
 
 use crate::broker::BrokerInner;
-use crate::delivery::{DeliveryReceiver, NotifyQueue, SubscriberLag};
+use crate::delivery::{DeliveryReceiver, NotifyQueue};
 
-/// A live subscription: the receiving end of the notification queue.
-///
-/// Dropping the handle unsubscribes from the broker, so a subscription
-/// lives exactly as long as someone can receive its notifications.
+/// A live subscription: a [`DeliveryReceiver`] — every receive method,
+/// through `Deref` — that unsubscribes from the broker when dropped,
+/// so a subscription lives exactly as long as someone can receive its
+/// notifications.
 ///
 /// # Examples
 ///
@@ -28,104 +26,74 @@ use crate::delivery::{DeliveryReceiver, NotifyQueue, SubscriberLag};
 /// assert!(notification.contains("kind"));
 /// # Ok::<(), boolmatch_broker::BrokerError>(())
 /// ```
+#[derive(Debug)]
 pub struct Subscription {
+    /// Declared first, so it drops first: when it is the last receiver
+    /// it discards the backlog before the unsubscribe closes the queue.
+    receiver: DeliveryReceiver,
+    unsubscribe: Unsubscribe,
+}
+
+/// Unsubscribes `id` on drop, unless [`Subscription::detach`] disarmed
+/// it by emptying `broker`.
+#[derive(Debug)]
+struct Unsubscribe {
     id: SubscriptionId,
-    queue: Arc<NotifyQueue>,
     broker: Weak<BrokerInner>,
-    /// Cleared by [`Subscription::detach`] so Drop neither
-    /// unsubscribes nor releases the queue's receiver count (the
-    /// returned [`DeliveryReceiver`] took it over).
-    owns_receiver: bool,
 }
 
-impl Subscription {
-    pub(crate) fn new(
-        id: SubscriptionId,
-        queue: Arc<NotifyQueue>,
-        broker: Weak<BrokerInner>,
-    ) -> Self {
-        Subscription {
-            id,
-            queue,
-            broker,
-            owns_receiver: true,
-        }
-    }
-
-    /// The engine-assigned subscription id.
-    pub fn id(&self) -> SubscriptionId {
-        self.id
-    }
-
-    /// Takes the next queued notification without blocking.
-    pub fn try_recv(&self) -> Option<Arc<Event>> {
-        self.queue.try_recv()
-    }
-
-    /// Blocks until a notification arrives or the broker goes away.
-    pub fn recv(&self) -> Option<Arc<Event>> {
-        self.queue.recv()
-    }
-
-    /// Blocks up to `timeout`; `None` on timeout or disconnect.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<Arc<Event>> {
-        self.queue.recv_timeout(timeout)
-    }
-
-    /// Drains everything currently queued.
-    pub fn drain(&self) -> Vec<Arc<Event>> {
-        self.queue.drain()
-    }
-
-    /// Number of notifications currently queued.
-    pub fn queued(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// This subscriber's lag snapshot: queue depth, lifetime
-    /// enqueued/dropped counts, and quarantine status.
-    pub fn lag(&self) -> SubscriberLag {
-        self.queue.lag()
-    }
-
-    /// Detaches the handle from the broker *without* unsubscribing:
-    /// matching continues, notifications accumulate in the queue, and
-    /// the subscription must later be removed via
-    /// [`crate::Broker::unsubscribe`]. Returns the receiving handle.
-    pub fn detach(mut self) -> DeliveryReceiver {
-        self.broker = Weak::new();
-        let receiver = DeliveryReceiver::new(Arc::clone(&self.queue));
-        // Hand the subscription's receiver slot to the new handle:
-        // Drop runs but neither unsubscribes nor closes the queue.
-        self.owns_receiver = false;
-        self.queue.drop_receiver();
-        receiver
-    }
-}
-
-impl Drop for Subscription {
+impl Drop for Unsubscribe {
     fn drop(&mut self) {
-        if self.owns_receiver {
-            self.queue.drop_receiver();
-        }
         if let Some(broker) = self.broker.upgrade() {
             broker.unsubscribe(self.id);
         }
     }
 }
 
-impl fmt::Debug for Subscription {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Subscription")
-            .field("id", &self.id)
-            .field("queued", &self.queued())
-            .finish()
+impl Subscription {
+    pub(crate) fn new(queue: Arc<NotifyQueue>, broker: Weak<BrokerInner>) -> Self {
+        Subscription {
+            unsubscribe: Unsubscribe {
+                id: queue.id(),
+                broker,
+            },
+            receiver: DeliveryReceiver::new(queue),
+        }
+    }
+
+    /// The engine-assigned subscription id.
+    pub fn id(&self) -> SubscriptionId {
+        self.unsubscribe.id
+    }
+
+    /// Detaches the handle from the broker *without* unsubscribing:
+    /// matching continues, notifications accumulate in the queue, and
+    /// the subscription must later be removed via
+    /// [`crate::Broker::unsubscribe`]. Returns the receiving handle.
+    pub fn detach(self) -> DeliveryReceiver {
+        let Subscription {
+            receiver,
+            mut unsubscribe,
+        } = self;
+        unsubscribe.broker = Weak::new();
+        receiver
+    }
+}
+
+impl Deref for Subscription {
+    type Target = DeliveryReceiver;
+
+    fn deref(&self) -> &DeliveryReceiver {
+        &self.receiver
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::time::Duration;
+
+    use boolmatch_types::Event;
+
     use crate::Broker;
 
     fn ev(v: i64) -> Event {
@@ -139,10 +107,10 @@ mod tests {
         for i in 0..5 {
             broker.publish(ev(i));
         }
-        assert_eq!(sub.queued(), 5);
+        assert_eq!(sub.len(), 5);
         assert!(sub.try_recv().is_some());
         assert_eq!(sub.drain().len(), 4);
-        assert_eq!(sub.queued(), 0);
+        assert_eq!(sub.len(), 0);
     }
 
     #[test]
@@ -157,10 +125,10 @@ mod tests {
         let broker = Broker::builder().build();
         let sub = broker.subscribe("a = 1").unwrap();
         let publisher = broker.clone();
-        let queue = Arc::clone(&sub.queue);
+        let probe = sub.receiver.clone();
         let handle = std::thread::spawn(move || {
             // Publish only once the receiver is parked in `recv`.
-            while queue.parked() != (1, 0) {
+            while probe.parked() != (1, 0) {
                 std::thread::yield_now();
             }
             publisher.publish(ev(1));

@@ -94,6 +94,7 @@ impl CountingTables {
     }
 
     fn subscribe(&mut self, expr: &Expr) -> Result<SubscriptionId, SubscribeError> {
+        SubscribeError::check_depth(expr)?;
         // Negation is pushed into the leaves first; the DNF then draws
         // its predicates from this NNF form. The non-canonical engine
         // interns the same NNF leaves in the same syntactic order, so

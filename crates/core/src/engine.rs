@@ -4,7 +4,7 @@ use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
-use boolmatch_expr::{DnfError, Expr};
+use boolmatch_expr::{DnfError, Expr, MAX_DEPTH};
 use boolmatch_types::Event;
 
 use crate::{
@@ -53,6 +53,31 @@ pub enum SubscribeError {
         /// The largest encoded tree accepted.
         limit: usize,
     },
+    /// The expression nests deeper than
+    /// [`MAX_DEPTH`](boolmatch_expr::MAX_DEPTH) levels; every engine
+    /// refuses it before any pass recurses over it.
+    TooDeep {
+        /// The expression's [`Expr::depth`].
+        depth: usize,
+        /// The deepest expression accepted.
+        limit: usize,
+    },
+}
+
+impl SubscribeError {
+    /// The check every engine's `subscribe` makes first: an expression
+    /// deeper than [`MAX_DEPTH`] is refused, measured without
+    /// recursing, so every recursive pass after it is bounded.
+    pub(crate) fn check_depth(expr: &Expr) -> Result<(), SubscribeError> {
+        let depth = expr.depth();
+        if depth > MAX_DEPTH {
+            return Err(SubscribeError::TooDeep {
+                depth,
+                limit: MAX_DEPTH,
+            });
+        }
+        Ok(())
+    }
 }
 
 impl fmt::Display for SubscribeError {
@@ -70,6 +95,10 @@ impl fmt::Display for SubscribeError {
             SubscribeError::TreeTooLarge { bytes, limit } => write!(
                 f,
                 "subscription tree encodes to {bytes} bytes, over the {limit}-byte tree limit"
+            ),
+            SubscribeError::TooDeep { depth, limit } => write!(
+                f,
+                "subscription is {depth} levels deep, over the {limit}-level limit"
             ),
         }
     }

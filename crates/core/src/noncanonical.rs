@@ -504,6 +504,7 @@ impl FilterEngine for NonCanonicalEngine {
     }
 
     fn subscribe(&mut self, expr: &Expr) -> Result<SubscriptionId, SubscribeError> {
+        SubscribeError::check_depth(expr)?;
         // The negation normal form, built compact: "binary operators
         // are treated as n-ary ones due to compacting subscription
         // trees" (§3.1).

@@ -6,6 +6,24 @@ use boolmatch_types::Event;
 
 use crate::{ParseError, Predicate};
 
+/// The deepest subscription accepted, in [`Expr::depth`] levels (a
+/// lone predicate is 1). Every engine's `subscribe` refuses a deeper
+/// expression, and the parser refuses text that nests parentheses and
+/// `not`s more than this many levels, before it recurses any deeper.
+///
+/// Why 32: the paper's corpus has depth 3 and the deepest generated
+/// tree (`TreeScenario`) has depth 4, so no subscription of either
+/// comes near it. Every pass over a subscription recurses once per
+/// level — the parser, negation normal form, DNF expansion, the tree
+/// encoder and its decoder, `Display`, drop — and at 32 levels all of
+/// them run on a 256 KiB thread in a debug build
+/// (`tests/failure_injection.rs::subscription_depth_is_bounded`). The
+/// hungriest is the parser, four frames per parenthesis: on that thread
+/// it still parses 64 levels and overflows at 68, so the bound keeps a
+/// factor of two in hand. Without a bound, a few KB of nested
+/// parentheses overflow the parser's stack and abort the process.
+pub const MAX_DEPTH: usize = 32;
+
 /// An arbitrary Boolean expression over [`Predicate`]s.
 ///
 /// `And`/`Or` are n-ary (paper §3.1: "binary operators are treated as
@@ -220,13 +238,20 @@ impl Expr {
         }
     }
 
-    /// Height of the tree; a lone predicate has depth 1.
+    /// Height of the tree; a lone predicate has depth 1. Iterative, so
+    /// it measures a tree of any depth without recursing.
     pub fn depth(&self) -> usize {
-        match self {
-            Expr::Pred(_) => 1,
-            Expr::And(cs) | Expr::Or(cs) => 1 + cs.iter().map(Expr::depth).max().unwrap_or(0),
-            Expr::Not(c) => 1 + c.depth(),
+        let mut deepest = 0;
+        let mut pending = vec![(self, 1)];
+        while let Some((node, depth)) = pending.pop() {
+            deepest = deepest.max(depth);
+            match node {
+                Expr::Pred(_) => {}
+                Expr::And(cs) | Expr::Or(cs) => pending.extend(cs.iter().map(|c| (c, depth + 1))),
+                Expr::Not(c) => pending.push((c, depth + 1)),
+            }
         }
+        deepest
     }
 
     /// Total node count (inner nodes + leaves).

@@ -40,7 +40,7 @@ pub mod parser;
 mod predicate;
 pub mod transform;
 
-pub use ast::Expr;
+pub use ast::{Expr, MAX_DEPTH};
 pub use parser::{parse, ParseError};
 pub use predicate::{CompareOp, Predicate};
 pub use transform::{Dnf, DnfError};

@@ -22,7 +22,7 @@ pub use error::ParseError;
 
 use boolmatch_types::Value;
 
-use crate::{Expr, Predicate};
+use crate::{Expr, Predicate, MAX_DEPTH};
 use error::ErrorKind;
 use lexer::{Lexer, Token, TokenKind};
 
@@ -37,6 +37,7 @@ pub fn parse(input: &str) -> Result<Expr, ParseError> {
         tokens,
         pos: 0,
         input_len: input.len(),
+        depth: 0,
     };
     let expr = p.or_expr()?;
     match p.peek() {
@@ -54,6 +55,8 @@ struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     input_len: usize,
+    /// Open parentheses and `not`s around the current position.
+    depth: usize,
 }
 
 impl Parser {
@@ -71,6 +74,22 @@ impl Parser {
 
     fn eof_error(&self, expected: &'static str) -> ParseError {
         ParseError::new(ErrorKind::UnexpectedEof { expected }, self.input_len)
+    }
+
+    /// Consumes the `(` or `not` at the current position and enters
+    /// the nesting level it opens; past [`MAX_DEPTH`] the text is
+    /// refused before the parser recurses any deeper. The caller leaves
+    /// the level (`depth -= 1`) once the nested part is parsed.
+    fn descend(&mut self) -> Result<(), ParseError> {
+        let offset = self.next().map_or(self.input_len, |t| t.offset);
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(ParseError::new(
+                ErrorKind::TooDeep { limit: MAX_DEPTH },
+                offset,
+            ));
+        }
+        Ok(())
     }
 
     fn or_expr(&mut self) -> Result<Expr, ParseError> {
@@ -93,8 +112,9 @@ impl Parser {
 
     fn not_expr(&mut self) -> Result<Expr, ParseError> {
         if matches!(self.peek(), Some(t) if t.kind == TokenKind::Not) {
-            self.next();
+            self.descend()?;
             let inner = self.not_expr()?;
+            self.depth -= 1;
             return Ok(!(inner));
         }
         self.primary()
@@ -104,8 +124,9 @@ impl Parser {
         let t = self.peek().ok_or_else(|| self.eof_error("an expression"))?;
         match &t.kind {
             TokenKind::LParen => {
-                self.next();
+                self.descend()?;
                 let inner = self.or_expr()?;
+                self.depth -= 1;
                 match self.next() {
                     Some(t) if t.kind == TokenKind::RParen => Ok(inner),
                     Some(t) => Err(ParseError::new(

@@ -58,7 +58,7 @@ fn main() {
         stats.notifications_delivered as f64 / total as f64
     );
     assert_eq!(stats.events_published, total as u64);
-    let received: usize = subs.iter().map(Subscription::queued).sum();
+    let received: usize = subs.iter().map(|sub| sub.len()).sum();
     assert_eq!(received as u64, stats.notifications_delivered);
     println!("subscriber queues hold every delivered notification: OK");
 }

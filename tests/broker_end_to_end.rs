@@ -90,7 +90,7 @@ fn bounded_delivery_backpressure() {
         broker.publish(Event::builder().attr("n", i as i64).build());
     }
     // Only the first three queued; seven dropped.
-    assert_eq!(sub.queued(), 3);
+    assert_eq!(sub.len(), 3);
     assert_eq!(broker.stats().notifications_dropped, 7);
     let first = sub.recv_timeout(Duration::from_millis(100)).unwrap();
     assert_eq!(first.get("n"), Some(&0_i64.into()));

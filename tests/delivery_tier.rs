@@ -152,7 +152,7 @@ fn block_policy_applies_backpressure_then_times_out() {
     assert_eq!(broker.publish(seq_event(2)), 0);
     assert!(start.elapsed() >= Duration::from_millis(150));
     assert_eq!(broker.stats().notifications_dropped, 1);
-    assert_eq!(sub.queued(), 2);
+    assert_eq!(sub.len(), 2);
     assert_eq!(seq_of(&sub.recv().unwrap()), 0, "the queued two are kept");
 }
 
@@ -421,7 +421,7 @@ fn quarantine_demotes_then_releases_a_recovering_consumer() {
     for seq in 100..110 {
         broker.publish(seq_event(seq));
     }
-    assert_eq!(laggard.queued(), 4);
+    assert_eq!(laggard.len(), 4);
 
     // Draining below watermark/2 for two consecutive ticks recovers.
     laggard.drain();
@@ -624,6 +624,6 @@ fn scripted_stall_produces_bounded_lag_then_burst_recovers() {
     }
     // Stall ticks 2..6 piled 4 events per tick against a cap of 16;
     // the resume burst cleared the backlog.
-    assert_eq!(sub.queued(), 0, "burst drained the stall backlog");
+    assert_eq!(sub.len(), 0, "burst drained the stall backlog");
     assert!(sub.lag().enqueued >= 32);
 }

@@ -1,7 +1,10 @@
 //! Failure injection and boundary conditions across the stack.
 
-use boolmatch::core::{EngineKind, FulfilledSet, PredicateId, SubscriptionId};
-use boolmatch::expr::Expr;
+use std::sync::Arc;
+
+use boolmatch::broker::{Broker, BrokerError};
+use boolmatch::core::{EngineKind, FulfilledSet, PredicateId, SubscribeError, SubscriptionId};
+use boolmatch::expr::{Expr, MAX_DEPTH};
 use boolmatch::types::{Event, Schema, ValueKind};
 
 #[test]
@@ -22,6 +25,86 @@ fn malformed_subscriptions_are_rejected_not_panicked() {
     for text in cases {
         assert!(Expr::parse(text).is_err(), "`{text}` should fail to parse");
     }
+}
+
+/// `x1 = 1 and (x2 = 1 or (x3 = 1 and (…)))`, `depth` levels deep:
+/// each level is one leaf beside the next level in parentheses.
+fn nested(depth: usize) -> String {
+    let mut text = String::new();
+    for level in 1..depth {
+        let op = if level % 2 == 1 { "and" } else { "or" };
+        text += &format!("x{level} = 1 {op} (");
+    }
+    text + &format!("x{depth} = 1") + &")".repeat(depth - 1)
+}
+
+/// A hostile subscription gets an error, not a process abort: on a
+/// 256 KiB thread of a debug build, a subscription exactly
+/// [`MAX_DEPTH`] deep goes through every pass on every engine kind,
+/// one level more is refused by the engine, a 100 000-deep string
+/// (deep enough to overflow the parser's stack without the bound) is
+/// refused by the parser, and a 100 000-leaf flat `or` by every engine.
+#[test]
+fn subscription_depth_is_bounded() {
+    let worker = std::thread::Builder::new()
+        .stack_size(256 << 10)
+        .spawn(|| {
+            let deep = nested(MAX_DEPTH);
+            let expr = Expr::parse(&deep).expect("MAX_DEPTH levels parse");
+            assert_eq!(expr.depth(), MAX_DEPTH);
+            let hit = Arc::new(Event::from_pairs(
+                (1..=MAX_DEPTH).map(|level| (format!("x{level}"), 1_i64)),
+            ));
+            for kind in EngineKind::ALL {
+                let mut engine = kind.build();
+                let id = engine.subscribe(&expr).expect("MAX_DEPTH is accepted");
+                let back = engine.expression(id).expect("the engine gives it back");
+                assert!(back.depth() <= MAX_DEPTH && back.eval_event(&hit), "{kind}");
+
+                // Subscribe, publish, a migrating rebalance (which takes
+                // the expression from the source engine and subscribes
+                // it on the target) and unsubscribe, through the broker.
+                let broker = Broker::builder().engine(kind).build();
+                let _filler = broker.subscribe("y = 1").unwrap();
+                let sub = broker.subscribe(&deep).unwrap();
+                assert_eq!(broker.publish_arc(Arc::clone(&hit)), 1, "{kind}");
+                broker.resize(2);
+                // The migration victim is the highest local id: `sub`.
+                assert_eq!(broker.rebalance(), 1, "{kind}");
+                assert_eq!(broker.publish_arc(Arc::clone(&hit)), 1, "{kind}");
+                assert_eq!(sub.drain().len(), 2, "{kind}");
+                assert!(broker.unsubscribe(sub.id()), "{kind}");
+
+                let err = broker.subscribe(&nested(MAX_DEPTH + 1)).unwrap_err();
+                assert_eq!(
+                    err,
+                    BrokerError::Subscribe(SubscribeError::TooDeep {
+                        depth: MAX_DEPTH + 1,
+                        limit: MAX_DEPTH,
+                    }),
+                    "{kind}"
+                );
+            }
+            let err = Broker::builder().build().subscribe(&nested(100_000));
+            assert!(matches!(err, Err(BrokerError::Parse(_))), "{err:?}");
+
+            // Breadth is not depth: a 100 000-leaf flat `or` parses
+            // (depth 2) and is refused with the engines' size errors.
+            let flat: Vec<String> = (0..100_000).map(|i| format!("x = {i}")).collect();
+            let flat = Expr::parse(&flat.join(" or ")).unwrap();
+            for kind in EngineKind::ALL {
+                let err = kind.build().subscribe(&flat).unwrap_err();
+                match kind {
+                    // The `or` node's child table outgrows its encoding.
+                    EngineKind::NonCanonical => {
+                        assert!(matches!(err, SubscribeError::Encode(_)), "{err:?}");
+                    }
+                    _ => assert!(matches!(err, SubscribeError::DnfTooLarge { .. }), "{err:?}"),
+                }
+            }
+        })
+        .unwrap();
+    worker.join().unwrap();
 }
 
 #[test]

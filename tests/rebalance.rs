@@ -401,7 +401,7 @@ fn deliveries(broker: &Broker, subs: &[Subscription], events: &[Event]) -> Vec<V
     for event in events {
         broker.publish(event.clone());
     }
-    subs.iter().map(Subscription::drain).collect()
+    subs.iter().map(|sub| sub.drain()).collect()
 }
 
 /// Every subscriber of `broker` — all on shard 0, shard 1 empty —
