@@ -51,7 +51,7 @@ impl Tok {
 }
 
 /// One comment (line or block), with its text and starting line —
-/// directives and `SAFETY:` annotations live here.
+/// `lint:` directives and `ordering:` justifications live here.
 #[derive(Debug, Clone)]
 pub struct Comment {
     /// Comment text without the `//` / `/*` framing.

@@ -26,8 +26,6 @@
 //!
 //! Rules that need no region:
 //!
-//! - `safety-comment` — every `unsafe` block needs a `SAFETY:` comment
-//!   within the three preceding lines.
 //! - `blocking-while-locked` — no blocking operation (condvar wait,
 //!   channel receive, zero-arg `.join()`, `sleep`, or a call that
 //!   transitively reaches one) while a **named** lock guard (a
@@ -132,7 +130,6 @@ pub const RULES: &[&str] = &[
     "lock-order",
     "scratch-hygiene",
     "panic-policy",
-    "safety-comment",
     "blocking-while-locked",
     "atomic-ordering",
     "lint-hygiene",
@@ -464,7 +461,6 @@ pub fn lint_files(files: &[(String, String)]) -> Vec<Finding> {
         check_panic_policy(view);
         check_scratch_hygiene(view);
         check_lock_order(view);
-        check_safety_comments(view);
         check_atomic_ordering(view);
     }
 
@@ -645,12 +641,13 @@ fn check_lock_order(view: &mut FileView<'_>) {
     }
 
     // --- ascending shard indexes --------------------------------------------
-    // Collect `shards[IDX].state.write(` sites; consecutive pairs in
-    // one region at overlapping scopes must be ascending. Single-token
-    // indexes only — computed indexes are the caller's proof burden.
+    // Collect `CELLS[IDX].state.write(` sites, whatever the slice is
+    // called; consecutive pairs in one region at overlapping scopes must
+    // be ascending. Single-token indexes only — computed indexes are the
+    // caller's proof burden.
     let mut acquisitions: Vec<(u32, u32, String)> = Vec::new(); // (line, depth, index-text)
     for (i, tok) in toks.iter().enumerate() {
-        if tok.ident() != Some("shards") || !view.in_lock_order(tok.line) {
+        if tok.ident().is_none() || !view.in_lock_order(tok.line) {
             continue;
         }
         let Some(open) = toks.get(i + 1).filter(|t| t.is_punct('[')) else {
@@ -745,37 +742,6 @@ fn statement_binds_directory_guard(toks: &[Tok], start: usize) -> (bool, usize) 
         i += 1;
     }
     (binds, i)
-}
-
-/// Every `unsafe { … }` block needs a `SAFETY:` comment on one of the
-/// three preceding lines (or its own). Applies file-wide.
-fn check_safety_comments(view: &mut FileView<'_>) {
-    let toks = &view.lexed.tokens;
-    for (i, tok) in toks.iter().enumerate() {
-        if tok.ident() != Some("unsafe") {
-            continue;
-        }
-        // Only blocks: `unsafe {`. (`unsafe fn`/`unsafe impl` document
-        // their contract in rustdoc, not a SAFETY comment.)
-        if toks.get(i + 1).is_none_or(|t| !t.is_punct('{')) {
-            continue;
-        }
-        let line = tok.line;
-        let documented = view
-            .lexed
-            .comments
-            .iter()
-            .any(|c| c.line + 3 >= line && c.line <= line && c.text.contains("SAFETY:"));
-        if !documented {
-            view.report(
-                line,
-                "safety-comment",
-                "`unsafe` block without a `SAFETY:` comment in the three preceding \
-                 lines; state the proof obligation being discharged"
-                    .into(),
-            );
-        }
-    }
 }
 
 /// Every `Ordering::Relaxed` outside the allow-listed counter cells

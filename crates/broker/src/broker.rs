@@ -211,7 +211,7 @@ pub(crate) struct BrokerInner {
     /// subscribe/unsubscribe/migrate/resize only — the publish paths
     /// never acquire this lock (each shard's translation map, under
     /// that shard's own lock, serves matched-id translation).
-    /// `tests/hot_path.rs` holds this lock's write side across
+    /// `tests/lock_scope.rs` holds this lock's write side across
     /// publishes to prove it.
     ///
     /// **Lock order:** the directory lock is *innermost* — it is only
@@ -554,7 +554,7 @@ impl Broker {
     /// — blocking every subscribe/unsubscribe/migrate/resize, but (by
     /// design) no publish. This is a verification hook: the hot-path
     /// contract says steady-state publishing never touches the
-    /// directory lock, and `tests/hot_path.rs` proves it by publishing
+    /// directory lock, and `tests/lock_scope.rs` proves it by publishing
     /// through this window.
     #[doc(hidden)]
     pub fn with_directory_write_held<R>(&self, f: impl FnOnce() -> R) -> R {

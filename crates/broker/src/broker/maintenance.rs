@@ -78,7 +78,7 @@ impl Broker {
     /// source entry and repoints the directory — the subscription's id,
     /// handle and delivery stream are untouched, and matching continues
     /// on every shard not in the migrating pair (see
-    /// `tests/rebalance.rs` for the deterministic lock-level proof).
+    /// `tests/lock_scope.rs` for the deterministic lock-level proof).
     /// Returns the number of subscriptions moved.
     ///
     /// Stops early when the loads are balanced (spread ≤ 1) or a target

@@ -698,7 +698,7 @@ fn directory_write_hook_blocks_subscribes_but_not_publishes() {
     let _sub = broker.subscribe("a = 1").unwrap();
     let delivered = broker.with_directory_write_held(|| {
         // A publish completes while the directory is write-held;
-        // the full latch-gated proof lives in tests/hot_path.rs.
+        // the full latch-gated proof lives in tests/lock_scope.rs.
         broker.publish(ev(&[("a", 1)]))
     });
     assert_eq!(delivered, 1);

@@ -29,16 +29,15 @@
 //! **shared-read** operation: `publish` visits each shard under that
 //! shard's *read* lock with a thread-local
 //! [`boolmatch_core::MatchScratch`] for all per-event mutable state,
-//! so any number of publisher threads match concurrently (proven by
-//! `tests/concurrent_matching.rs`) and **no broker-global lock sits on the
-//! steady-state matching path** (the placement-directory write lock
-//! can be held indefinitely without delaying a single publish — proven
-//! in `tests/hot_path.rs`; delivery afterwards takes the sender-map
+//! so any number of publisher threads match concurrently and **no
+//! broker-global lock sits on the steady-state matching path** (the
+//! placement-directory write lock can be held indefinitely without
+//! delaying a single publish; delivery afterwards takes the sender-map
 //! read lock just long enough to snapshot the matched subscribers'
-//! queues). Only `subscribe`/`unsubscribe` take a write
-//! lock, and only on the one shard that owns the subscription:
-//! registration churn stalls `1/n` of matching instead of all of it
-//! (proven deterministically in `tests/shard_concurrency.rs`).
+//! queues). Only `subscribe`/`unsubscribe` take a write lock, and only
+//! on the one shard that owns the subscription: registration churn
+//! stalls `1/n` of matching instead of all of it. `tests/lock_scope.rs`
+//! proves all three deterministically.
 //! Delivery happens outside all engine locks; events are reference
 //! counted, so fan-out to thousands of subscribers copies pointers,
 //! not payloads. [`Broker::publish_batch`] takes `Arc<Event>`s — one

@@ -139,6 +139,27 @@ mod tests {
     }
 
     #[test]
+    fn broker_drop_wakes_a_blocked_receiver() {
+        let broker = Broker::builder().build();
+        let sub = broker.subscribe("a >= 0").unwrap();
+        let probe = sub.receiver.clone();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = std::thread::spawn(move || tx.send(sub.recv()).unwrap());
+        // Drop the broker only once the receiver is parked in `recv`,
+        // so the shutdown wake-up is the path taken.
+        while probe.parked() != (1, 0) {
+            std::thread::yield_now();
+        }
+        drop(broker);
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(10)),
+            Ok(None),
+            "recv returns on shutdown"
+        );
+        waiter.join().unwrap();
+    }
+
+    #[test]
     fn detach_keeps_subscription_alive() {
         let broker = Broker::builder().build();
         let sub = broker.subscribe("a = 1").unwrap();

@@ -8,10 +8,10 @@
 //! * [`Expr`] — the n-ary AND/OR/NOT expression tree,
 //! * a text [`parser`] for the subscription language
 //!   (`"(a > 10 or a <= 5 or b = 1) and (c <= 20 or c = 30 or d = 5)"`),
-//! * [`transform`] — negation-normal form, **DNF transformation** (what
-//!   canonical engines are forced to do), simplification and n-ary
-//!   compaction, plus DNF-size estimation so the exponential blow-up can
-//!   be detected *before* it happens.
+//! * [`transform`] — negation-normal form (flattened into the n-ary
+//!   form as it is built), **DNF transformation** (what canonical
+//!   engines are forced to do), plus DNF-size estimation so the
+//!   exponential blow-up can be detected *before* it happens.
 //!
 //! # Examples
 //!

@@ -12,11 +12,10 @@
 //!   complementing the leaf operators. It is the meaning
 //!   [`crate::Expr::eval_event`] gives `not`, and the form every engine
 //!   stores: still linear in size, so the non-canonical engine encodes
-//!   it as the subscription tree.
-//! * [`compact`] flattens nested same-operator nodes into the n-ary form
-//!   the non-canonical engine encodes (paper §3.1: "binary operators are
-//!   treated as n-ary ones due to compacting subscription trees");
-//!   [`eliminate_not`] flattens the same way as it builds.
+//!   it as the subscription tree. It also flattens nested same-operator
+//!   nodes into the n-ary form that tree uses (paper §3.1: "binary
+//!   operators are treated as n-ary ones due to compacting subscription
+//!   trees") as it builds.
 //!
 //! All transformations preserve evaluation semantics; the tests in this
 //! crate verify equivalence on truth assignments.
@@ -24,9 +23,7 @@
 mod cost;
 mod dnf;
 mod nnf;
-mod simplify;
 
 pub use cost::estimate_dnf_size;
 pub use dnf::{to_dnf, Dnf, DnfError};
 pub use nnf::eliminate_not;
-pub use simplify::compact;

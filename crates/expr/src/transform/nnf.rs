@@ -10,10 +10,11 @@ use crate::Expr;
 /// reaches a predicate is absorbed by complementing its operator
 /// ([`crate::CompareOp::complement`]). A child whose operator equals
 /// its new parent's is flattened into it as the tree is built, so the
-/// result is already compact ([`crate::transform::compact`]) and keeps
-/// the original's linear size — no DNF expansion. This is the one form
-/// every matching engine stores or expands: the non-canonical engine
-/// encodes it, the counting engines expand it into DNF.
+/// result is compact (no `and` directly under an `and`, no `or` under
+/// an `or`, no single-child node) and keeps the original's linear
+/// size — no DNF expansion. This is the one form every matching engine
+/// stores or expands: the non-canonical engine encodes it, the counting
+/// engines expand it into DNF.
 ///
 /// # Examples
 ///

@@ -49,7 +49,9 @@ fn predicate(rng: &mut u64) -> Predicate {
     Predicate::new(pick(rng, &["x0", "x1", "price", "a.b", "_n2"]), op, value)
 }
 
-/// A tree of `and`, `or` and `not` up to `depth` levels deep.
+/// A tree of `and`, `or` and `not` up to `depth` levels deep, compact
+/// as the parser builds it: an `and` child of an `and` (an `or` of an
+/// `or`) is spliced into its parent.
 fn expr(rng: &mut u64, depth: u32) -> Expr {
     if depth == 0 || below(rng, 4) == 0 {
         return Expr::pred(predicate(rng));
@@ -58,10 +60,19 @@ fn expr(rng: &mut u64, depth: u32) -> Expr {
     let mut children: Vec<Expr> = (0..2 + below(rng, 2))
         .map(|_| expr(rng, depth - 1))
         .collect();
-    match kind {
-        0 => Expr::And(children),
-        1 => Expr::Or(children),
-        _ => !children.swap_remove(0),
+    if kind == 2 {
+        return !children.swap_remove(0);
+    }
+    let and = kind == 0;
+    let flat = children.into_iter().flat_map(|c| match c {
+        Expr::And(cs) if and => cs,
+        Expr::Or(cs) if !and => cs,
+        c => vec![c],
+    });
+    if and {
+        Expr::And(flat.collect())
+    } else {
+        Expr::Or(flat.collect())
     }
 }
 
@@ -70,8 +81,8 @@ fn display_parse_round_trip() {
     let mut rng = 2005;
     for _ in 0..2_000 {
         // Display flattens same-operator chains the way the parser
-        // does, so the round trip is exact for compacted trees.
-        let e = transform::compact(&expr(&mut rng, 4));
+        // does, so the round trip is exact for compact trees.
+        let e = expr(&mut rng, 4);
         let printed = e.to_string();
         let reparsed = Expr::parse(&printed).unwrap_or_else(|err| panic!("`{printed}`: {err}"));
         assert_eq!(reparsed, e, "round trip of `{printed}`");
@@ -85,7 +96,13 @@ fn negation_normal_form_is_not_free_and_compact() {
         let e = expr(&mut rng, 4);
         let n = transform::eliminate_not(&e);
         assert!(!n.contains_not(), "`{e}` became `{n}`");
-        assert_eq!(transform::compact(&n), n, "`{e}` became `{n}`");
+        // The parser builds compact trees, so `n` survives a round trip
+        // through its text exactly when it is compact.
+        assert_eq!(
+            Expr::parse(&n.to_string()).unwrap(),
+            n,
+            "`{e}` became `{n}`"
+        );
         assert_eq!(n.predicate_count(), e.predicate_count(), "`{e}`");
     }
 }

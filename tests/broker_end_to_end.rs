@@ -59,28 +59,6 @@ fn concurrent_publishers_subscribers_and_churn() {
 }
 
 #[test]
-fn all_engines_deliver_identical_notifications_for_notfree_corpus() {
-    let mut scenario = StockScenario::new(9);
-    let exprs = scenario.subscriptions(40);
-    let events: Vec<Event> = (0..200).map(|_| scenario.tick()).collect();
-
-    let mut per_engine: Vec<Vec<usize>> = Vec::new();
-    for kind in EngineKind::ALL {
-        let broker = Broker::builder().engine(kind).build();
-        let subs: Vec<Subscription> = exprs
-            .iter()
-            .map(|e| broker.subscribe_expr(e).unwrap())
-            .collect();
-        for ev in &events {
-            broker.publish(ev.clone());
-        }
-        per_engine.push(subs.iter().map(|s| s.drain().len()).collect());
-    }
-    assert_eq!(per_engine[0], per_engine[1]);
-    assert_eq!(per_engine[0], per_engine[2]);
-}
-
-#[test]
 fn bounded_delivery_backpressure() {
     let broker = Broker::builder()
         .delivery(DeliveryPolicy::DropNewest { capacity: 3 })

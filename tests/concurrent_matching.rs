@@ -5,18 +5,13 @@
 //! Correctness bar: subscriptions that exist for the whole run receive
 //! **exactly** the notifications their expressions select — no lost
 //! and no duplicate deliveries — and `BrokerStats` counters reconcile
-//! with what the subscribers actually observed.
+//! with what the subscribers actually observed. The lock-level proof
+//! that publishers are inside one engine at once is
+//! `tests/lock_scope.rs::publishers_match_inside_the_engine_simultaneously`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
 use std::thread;
-use std::time::Duration;
 
-use boolmatch::core::{
-    FilterEngine, FulfilledSet, MatchScratch, MatchStats, MemoryUsage, SubscribeError,
-    UnsubscribeError,
-};
-use boolmatch::expr::Expr;
 use boolmatch::prelude::*;
 
 const PUBLISHERS: usize = 4;
@@ -142,164 +137,35 @@ fn counting_variant_engine_survives_concurrent_churn() {
     stress(EngineKind::CountingVariant);
 }
 
-/// A latch that `phase1` blocks on until `expected` threads are inside
-/// matching at the same time — possible only if `Broker::publish`
-/// matches under a shared (read) lock.
-struct Gate {
-    inside: Mutex<usize>,
-    all_in: Condvar,
-    expected: usize,
-}
-
-impl Gate {
-    fn new(expected: usize) -> Self {
-        Gate {
-            inside: Mutex::new(0),
-            all_in: Condvar::new(),
-            expected,
-        }
-    }
-
-    /// Returns whether all `expected` threads arrived within 10s.
-    fn enter(&self) -> bool {
-        let mut inside = self.inside.lock().unwrap();
-        *inside += 1;
-        self.all_in.notify_all();
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while *inside < self.expected {
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (guard, _) = self.all_in.wait_timeout(inside, deadline - now).unwrap();
-            inside = guard;
-        }
-        true
-    }
-}
-
-/// An engine whose matching blocks on the gate; everything else is a
-/// minimal no-op implementation.
-struct GateEngine {
-    gate: std::sync::Arc<Gate>,
-    subs: usize,
-}
-
-impl FilterEngine for GateEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::NonCanonical
-    }
-
-    fn subscribe(&mut self, _expr: &Expr) -> Result<SubscriptionId, SubscribeError> {
-        self.subs += 1;
-        Ok(SubscriptionId::from_index(self.subs - 1))
-    }
-
-    fn unsubscribe(&mut self, _id: SubscriptionId) -> Result<(), UnsubscribeError> {
-        Ok(())
-    }
-
-    fn expression(&self, _id: SubscriptionId) -> Option<Expr> {
-        None
-    }
-
-    fn phase1(&self, _event: &Event, out: &mut FulfilledSet) {
-        assert!(
-            self.gate.enter(),
-            "publishers never overlapped inside matching: publish is \
-             holding an exclusive engine lock"
-        );
-        out.begin(0);
-    }
-
-    fn phase2(
-        &self,
-        _fulfilled: &FulfilledSet,
-        _scratch: &mut MatchScratch,
-        matched: &mut Vec<SubscriptionId>,
-    ) -> MatchStats {
-        matched.clear();
-        MatchStats::default()
-    }
-
-    fn subscription_count(&self) -> usize {
-        self.subs
-    }
-
-    fn predicate_count(&self) -> usize {
-        0
-    }
-
-    fn predicate_universe(&self) -> usize {
-        0
-    }
-
-    fn memory_usage(&self) -> MemoryUsage {
-        MemoryUsage::default()
-    }
-}
-
-/// The lock-level proof that matching is shared-read: N publishers must
-/// be inside `phase1` simultaneously before any of them may leave.
-/// Under the old write-lock publish path this deadlocks (and fails via
-/// the gate's timeout) even on a single-core host, so it demonstrates
-/// what a wall-clock measurement can only show on multi-core
-/// machines.
-#[test]
-fn publishers_match_inside_the_engine_simultaneously() {
-    const PUBLISHERS: usize = 4;
-    let gate = std::sync::Arc::new(Gate::new(PUBLISHERS));
-    let broker = Broker::builder()
-        .engine_instances(vec![Box::new(GateEngine {
-            gate: gate.clone(),
-            subs: 0,
-        })])
-        .build();
-
-    thread::scope(|scope| {
-        for _ in 0..PUBLISHERS {
-            let publisher = broker.clone();
-            scope.spawn(move || {
-                publisher.publish(Event::builder().attr("n", 1_i64).build());
-            });
-        }
-    });
-    assert_eq!(broker.stats().events_published, PUBLISHERS as u64);
-}
-
-/// Publishers on different threads must see scaling-friendly behaviour
-/// functionally: concurrent matching over one shared engine returns
-/// the same matches a serial run would.
+/// Concurrent publishers over one shared engine deliver what the oracle
+/// accepts: each subscriber receives exactly the ticks for which
+/// `Expr::eval_event` (evaluated serially, one event at a time) holds
+/// its expression, on every engine kind.
 #[test]
 fn concurrent_matching_agrees_with_serial_matching() {
+    let exprs: Vec<Expr> = (0..64)
+        .map(|i| Expr::parse(&format!("group = {} and tick >= {}", i % 8, i * 10)).unwrap())
+        .collect();
+    // 3 is coprime to 700, so the 512 ticks are distinct.
+    let events: Vec<Event> = (0..512)
+        .map(|i| {
+            Event::builder()
+                .attr("group", (i % 8) as i64)
+                .attr("tick", (i * 3 % 700) as i64)
+                .build()
+        })
+        .collect();
+    let tick = |e: &Event| e.get("tick").and_then(Value::as_int).unwrap();
+
     for kind in EngineKind::ALL {
-        let serial = Broker::builder().engine(kind).build();
-        let concurrent = Broker::builder().engine(kind).build();
-        let exprs: Vec<String> = (0..64)
-            .map(|i| format!("group = {} and tick >= {}", i % 8, i * 10))
-            .collect();
-        let serial_subs: Vec<Subscription> =
-            exprs.iter().map(|e| serial.subscribe(e).unwrap()).collect();
-        let concurrent_subs: Vec<Subscription> = exprs
+        let broker = Broker::builder().engine(kind).build();
+        let subs: Vec<Subscription> = exprs
             .iter()
-            .map(|e| concurrent.subscribe(e).unwrap())
+            .map(|e| broker.subscribe_expr(e).unwrap())
             .collect();
-
-        let events: Vec<Event> = (0..512)
-            .map(|i| {
-                Event::builder()
-                    .attr("group", (i % 8) as i64)
-                    .attr("tick", (i * 3 % 700) as i64)
-                    .build()
-            })
-            .collect();
-
-        for ev in &events {
-            serial.publish(ev.clone());
-        }
         thread::scope(|scope| {
             for chunk in events.chunks(events.len() / 4) {
-                let publisher = concurrent.clone();
+                let publisher = broker.clone();
                 scope.spawn(move || {
                     for ev in chunk {
                         publisher.publish(ev.clone());
@@ -308,17 +174,16 @@ fn concurrent_matching_agrees_with_serial_matching() {
             }
         });
 
-        for (i, (s, c)) in serial_subs.iter().zip(&concurrent_subs).enumerate() {
-            assert_eq!(
-                s.drain().len(),
-                c.drain().len(),
-                "subscription {i} disagrees on {kind}"
-            );
+        for (i, (expr, sub)) in exprs.iter().zip(&subs).enumerate() {
+            let mut got: Vec<i64> = sub.drain().iter().map(|e| tick(e)).collect();
+            got.sort_unstable();
+            let mut want: Vec<i64> = events
+                .iter()
+                .filter(|e| expr.eval_event(e))
+                .map(tick)
+                .collect();
+            want.sort_unstable();
+            assert_eq!(got, want, "subscription {i} `{expr}` on {kind}");
         }
-        assert_eq!(
-            serial.stats().notifications_delivered,
-            concurrent.stats().notifications_delivered,
-            "{kind}"
-        );
     }
 }

@@ -1,9 +1,5 @@
 //! The PR-5 hot-path contract, proven without relying on timing:
 //!
-//! * **Directory off the publish path** — a thread holding the
-//!   placement directory's **write** lock must not block a single
-//!   publish, on any shard, single or batch. Latch-observed: the
-//!   publisher provably starts *while* the lock is held.
 //! * **Generation-tagged recycling is ABA-safe** — a stale handle
 //!   whose id slot has been reissued can never remove the slot's new
 //!   owner. Every broker reissues retired slots, so this guards every
@@ -21,118 +17,13 @@
 //! against a naive evaluation in `tests/oracle_matrix.rs`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
-use std::time::Duration;
 
 use boolmatch::prelude::*;
 use boolmatch::workload::scenarios::HotKeyScenario;
 
-/// A one-shot latch: `open` releases every current and future `wait`.
-struct Latch {
-    open: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Latch {
-    fn new() -> Arc<Self> {
-        Arc::new(Latch {
-            open: Mutex::new(false),
-            cv: Condvar::new(),
-        })
-    }
-
-    fn open(&self) {
-        *self.open.lock().unwrap() = true;
-        self.cv.notify_all();
-    }
-
-    /// Returns whether the latch opened within `timeout`.
-    fn wait(&self, timeout: Duration) -> bool {
-        let guard = self.open.lock().unwrap();
-        let (guard, result) = self
-            .cv
-            .wait_timeout_while(guard, timeout, |open| !*open)
-            .unwrap();
-        drop(guard);
-        !result.timed_out()
-    }
-}
-
 fn ev(pairs: &[(&str, i64)]) -> Event {
     Event::from_pairs(pairs.iter().map(|(n, v)| (*n, *v)))
-}
-
-/// The acceptance gate: a thread parks **holding the directory write
-/// lock** (the lock every subscribe/unsubscribe/migration needs);
-/// publishes on every shard, single and batch, must still complete
-/// while it is parked. Before PR 5, each publish took the directory
-/// read lock once per shard per event to translate matched ids, so
-/// this test would hang at the first publish.
-#[test]
-fn publishes_flow_while_directory_write_lock_is_held() {
-    let broker = Broker::builder().shards(3).build();
-    let subs: Vec<Subscription> = (0..9)
-        .map(|i| broker.subscribe(&format!("a = {i} or all = 1")).unwrap())
-        .collect();
-    assert_eq!(broker.shard_loads(), vec![3, 3, 3]);
-
-    let lock_held = Latch::new();
-    let release = Latch::new();
-    let published = Latch::new();
-
-    thread::scope(|scope| {
-        let holder = {
-            let broker = broker.clone();
-            let lock_held = lock_held.clone();
-            let release = release.clone();
-            scope.spawn(move || {
-                broker.with_directory_write_held(|| {
-                    lock_held.open();
-                    assert!(
-                        release.wait(Duration::from_secs(30)),
-                        "test driver never released the directory holder"
-                    );
-                });
-            })
-        };
-        assert!(
-            lock_held.wait(Duration::from_secs(10)),
-            "holder never acquired the directory write lock"
-        );
-
-        // With the directory write-held, publish through every
-        // entry: single, arc, and batch. Every subscription lives on
-        // some shard, so all three shards translate matched ids here.
-        let publisher = {
-            let broker = broker.clone();
-            let published = published.clone();
-            scope.spawn(move || {
-                let mut delivered = broker.publish(ev(&[("all", 1)]));
-                delivered += broker.publish_arc(Arc::new(ev(&[("all", 1)])));
-                delivered +=
-                    broker.publish_batch(&[Arc::new(ev(&[("all", 1)])), Arc::new(ev(&[("a", 4)]))]);
-                published.open();
-                delivered
-            })
-        };
-        assert!(
-            published.wait(Duration::from_secs(10)),
-            "a publish blocked while the directory write lock was held: \
-             the directory is back on the hot path"
-        );
-        assert_eq!(
-            publisher.join().unwrap(),
-            9 + 9 + 9 + 1,
-            "all deliveries completed under the held lock"
-        );
-        release.open();
-        holder.join().unwrap();
-    });
-
-    for sub in &subs {
-        assert_eq!(sub.drain().len(), 4 - usize::from(sub.id().slot() != 4));
-    }
 }
 
 /// The generation-tag ABA regression (CI runs this under `--release`

@@ -11,24 +11,10 @@
 //!   shard-major walk) replays churn windows, with and without a skip
 //!   mask, and must equal the per-event walk, ids and stats, for every
 //!   kind and S ∈ {1, 3, 8}.
-//! * **One publish pipeline** — the broker walks its shards on the
-//!   publishing thread, however many subscriptions are live: every
-//!   `phase1` call of `publish`, `publish_arc` and `publish_batch` is
-//!   observed on the caller's thread.
-//! * **Failure path** — an engine that panics mid-match unwinds to the
-//!   `publish` caller, leaves no shard lock held, and costs later
-//!   publishes (same thread or another) nothing.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::{self, ThreadId};
+use std::sync::Arc;
 
-use boolmatch::core::{
-    BatchScratch, FilterEngine, FulfilledSet, MatchScratch, MatchStats, MemoryUsage, ScratchPool,
-    ShardedEngine, SubscribeError, UnsubscribeError,
-};
-use boolmatch::expr::Expr;
+use boolmatch::core::{BatchScratch, MatchStats, ScratchPool, ShardedEngine};
 use boolmatch::prelude::*;
 use boolmatch::workload::scenarios::{ChurnOp, ChurnScenario};
 
@@ -188,168 +174,5 @@ fn batch_matches_per_event_under_churn() {
                 &format!("kind={kind} shards={shards} final"),
             );
         }
-    }
-}
-
-/// A real engine with two probes on phase 1: it records the thread it
-/// ran on, and panics while `dying` is set.
-struct ProbeEngine {
-    inner: Box<dyn FilterEngine + Send + Sync>,
-    phase1_threads: Arc<Mutex<Vec<ThreadId>>>,
-    dying: Arc<AtomicBool>,
-}
-
-impl ProbeEngine {
-    fn new(phase1_threads: &Arc<Mutex<Vec<ThreadId>>>, dying: &Arc<AtomicBool>) -> Box<Self> {
-        Box::new(ProbeEngine {
-            inner: EngineKind::NonCanonical.build(),
-            phase1_threads: Arc::clone(phase1_threads),
-            dying: Arc::clone(dying),
-        })
-    }
-}
-
-impl FilterEngine for ProbeEngine {
-    fn kind(&self) -> EngineKind {
-        self.inner.kind()
-    }
-    fn subscribe(&mut self, expr: &Expr) -> Result<SubscriptionId, SubscribeError> {
-        self.inner.subscribe(expr)
-    }
-    fn unsubscribe(&mut self, id: SubscriptionId) -> Result<(), UnsubscribeError> {
-        self.inner.unsubscribe(id)
-    }
-    fn expression(&self, id: SubscriptionId) -> Option<Expr> {
-        self.inner.expression(id)
-    }
-    fn phase1(&self, event: &Event, out: &mut FulfilledSet) {
-        if self.dying.load(Ordering::SeqCst) {
-            panic!("engine dies mid-match (test)");
-        }
-        self.phase1_threads
-            .lock()
-            .unwrap()
-            .push(thread::current().id());
-        self.inner.phase1(event, out);
-    }
-    fn phase2(
-        &self,
-        fulfilled: &FulfilledSet,
-        scratch: &mut MatchScratch,
-        matched: &mut Vec<SubscriptionId>,
-    ) -> MatchStats {
-        self.inner.phase2(fulfilled, scratch, matched)
-    }
-    fn subscription_count(&self) -> usize {
-        self.inner.subscription_count()
-    }
-    fn subscription_id_bound(&self) -> usize {
-        self.inner.subscription_id_bound()
-    }
-    fn registered_units(&self) -> usize {
-        self.inner.registered_units()
-    }
-    fn unit_slot_bound(&self) -> usize {
-        self.inner.unit_slot_bound()
-    }
-    fn predicate_count(&self) -> usize {
-        self.inner.predicate_count()
-    }
-    fn predicate_universe(&self) -> usize {
-        self.inner.predicate_universe()
-    }
-    fn memory_usage(&self) -> MemoryUsage {
-        self.inner.memory_usage()
-    }
-}
-
-/// The broker has one publish pipeline: with 4 096 live subscriptions
-/// on 4 shards, every shard admitting the event, each of the 4 × 4
-/// `phase1` calls behind one `publish`, one `publish_arc` and a
-/// two-event `publish_batch` runs on the thread that published.
-#[test]
-fn every_phase1_runs_on_the_publishing_thread() {
-    let phase1_threads = Arc::new(Mutex::new(Vec::new()));
-    let never = Arc::new(AtomicBool::new(false));
-    let broker = Broker::builder()
-        .engine_instances(
-            (0..4)
-                .map(|_| ProbeEngine::new(&phase1_threads, &never) as _)
-                .collect(),
-        )
-        .build();
-    let _subs: Vec<Subscription> = (0..4_096)
-        .map(|_| broker.subscribe("hit = 1").unwrap())
-        .collect();
-    let event = Arc::new(Event::builder().attr("hit", 1_i64).build());
-
-    assert_eq!(broker.publish((*event).clone()), 4_096);
-    assert_eq!(broker.publish_arc(Arc::clone(&event)), 4_096);
-    assert_eq!(
-        broker.publish_batch(&[Arc::clone(&event), Arc::clone(&event)]),
-        2 * 4_096
-    );
-
-    let seen = phase1_threads.lock().unwrap();
-    assert_eq!(seen.len(), 4 * 4, "one phase 1 per shard per event");
-    let me = thread::current().id();
-    assert!(
-        seen.iter().all(|&id| id == me),
-        "a shard was matched off the publishing thread"
-    );
-}
-
-/// With no worker to swallow it, an engine panic unwinds to the
-/// `publish` caller — from either publish body. Nothing is delivered
-/// for that event, no shard lock stays held (subscribes that write-lock
-/// both shards succeed afterwards), and the next publish delivers
-/// exactly, on the thread that caught the panic and on another one.
-#[test]
-fn panicking_engine_unwinds_to_the_publisher_and_leaves_no_lock_held() {
-    let phase1_threads = Arc::new(Mutex::new(Vec::new()));
-    let never = Arc::new(AtomicBool::new(false));
-    let dying = Arc::new(AtomicBool::new(false));
-    let broker = Broker::builder()
-        .engine_instances(vec![
-            ProbeEngine::new(&phase1_threads, &never), // healthy shard 0
-            ProbeEngine::new(&phase1_threads, &dying), // shard 1 dies on demand
-        ])
-        .build();
-    let a = broker.subscribe("hit = 1").unwrap(); // shard 0
-    let b = broker.subscribe("hit = 1").unwrap(); // shard 1
-    let event = || Arc::new(Event::builder().attr("hit", 1_i64).build());
-
-    dying.store(true, Ordering::SeqCst);
-    let single = catch_unwind(AssertUnwindSafe(|| broker.publish_arc(event())));
-    assert!(single.is_err(), "the panic reaches the publish caller");
-    let batch = catch_unwind(AssertUnwindSafe(|| {
-        broker.publish_batch(&[event(), event()])
-    }));
-    assert!(batch.is_err(), "the panic reaches the publish_batch caller");
-    dying.store(false, Ordering::SeqCst);
-    assert!(
-        a.drain().is_empty() && b.drain().is_empty(),
-        "an event whose match unwound is delivered to nobody"
-    );
-    let stats = broker.stats();
-    assert_eq!(stats.events_published, 0);
-    assert_eq!(stats.fanout_worker_failures, 0, "documented as always 0");
-
-    // The unwind dropped shard 1's read guard: a subscribe on each
-    // shard takes its write lock.
-    let c = broker.subscribe("hit = 1").unwrap();
-    let d = broker.subscribe("hit = 1").unwrap();
-    assert_eq!(broker.shard_loads(), vec![2, 2]);
-
-    assert_eq!(broker.publish_arc(event()), 4, "same thread, next publish");
-    let elsewhere = thread::scope(|scope| {
-        scope
-            .spawn(|| broker.publish_batch(&[event(), event()]))
-            .join()
-            .unwrap()
-    });
-    assert_eq!(elsewhere, 8, "another thread, both widths covered");
-    for sub in [&a, &b, &c, &d] {
-        assert_eq!(sub.drain().len(), 3);
     }
 }

@@ -2,15 +2,14 @@
 //! concurrency and placement claims, proven without relying on timing.
 //! (What a rebalancing, resizing broker delivers, and the `max − min ≤
 //! 1` invariant after `rebalance()`, are checked in
-//! `tests/oracle_matrix.rs`.)
+//! `tests/oracle_matrix.rs`; that a migration holding one shard pair's
+//! write locks does not block matching on any other shard, in
+//! `tests/lock_scope.rs`.)
 //!
 //! * **Churn-skew regression** — a shard drained by unsubscribes must
 //!   be refilled by new subscriptions (the old blind round-robin
 //!   cursor kept striding past it). CI runs this one under `--release`
 //!   too.
-//! * **Migration isolation** — a migration holding one shard pair's
-//!   write locks must not block matching on any other shard
-//!   (latch-observed, like the gate tests in `shard_concurrency.rs`).
 //! * **Race window** — publishes racing live migration deliver each
 //!   event to a subscriber at most once, never to a nonexistent
 //!   subscriber, and exactly once again when migration is quiescent.
@@ -19,16 +18,10 @@
 //!   events after the move as before, on every engine kind and from a
 //!   counting shard onto a non-canonical one.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
 
-use boolmatch::core::{
-    FilterEngine, FulfilledSet, MatchScratch, MatchStats, MemoryUsage, ShardedEngine,
-    SubscribeError, UnsubscribeError,
-};
-use boolmatch::expr::Expr;
+use boolmatch::core::ShardedEngine;
 use boolmatch::prelude::*;
 use boolmatch::workload::scenarios::TreeScenario;
 
@@ -162,221 +155,6 @@ fn publish_racing_migration_delivers_at_most_once() {
     for sub in &subs {
         assert_eq!(sub.drain().len(), 1);
     }
-}
-
-// ---------------------------------------------------------------------------
-// Migration isolation gate test
-
-/// A one-shot latch: `open` releases every current and future `wait`.
-struct Latch {
-    open: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Latch {
-    fn new() -> Arc<Self> {
-        Arc::new(Latch {
-            open: Mutex::new(false),
-            cv: Condvar::new(),
-        })
-    }
-
-    fn open(&self) {
-        *self.open.lock().unwrap() = true;
-        self.cv.notify_all();
-    }
-
-    /// Returns whether the latch opened within `timeout`.
-    fn wait(&self, timeout: Duration) -> bool {
-        let guard = self.open.lock().unwrap();
-        let (guard, result) = self
-            .cv
-            .wait_timeout_while(guard, timeout, |open| !*open)
-            .unwrap();
-        drop(guard);
-        !result.timed_out()
-    }
-}
-
-/// Minimal engine: keeps each subscribed expression (a migration asks
-/// for it back), matches nothing, and can be
-/// instrumented to (a) announce when matching enters it and (b) park
-/// inside `subscribe` — but only once armed, so setup subscriptions
-/// pass through freely and only the migration's target-side
-/// re-subscribe blocks.
-struct GateEngine {
-    exprs: Vec<Expr>,
-    matching_entered: Option<Arc<Latch>>,
-    armed: Option<Arc<AtomicBool>>,
-    in_subscribe: Option<Arc<Latch>>,
-    release: Option<Arc<Latch>>,
-}
-
-impl GateEngine {
-    fn plain() -> Box<Self> {
-        Box::new(GateEngine {
-            exprs: Vec::new(),
-            matching_entered: None,
-            armed: None,
-            in_subscribe: None,
-            release: None,
-        })
-    }
-}
-
-impl FilterEngine for GateEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::NonCanonical
-    }
-
-    fn subscribe(&mut self, expr: &Expr) -> Result<SubscriptionId, SubscribeError> {
-        if self
-            .armed
-            .as_ref()
-            .is_some_and(|a| a.load(Ordering::Acquire))
-        {
-            if let (Some(entered), Some(release)) = (&self.in_subscribe, &self.release) {
-                entered.open();
-                assert!(
-                    release.wait(Duration::from_secs(10)),
-                    "test driver never released the blocked migration"
-                );
-            }
-        }
-        self.exprs.push(expr.clone());
-        Ok(SubscriptionId::from_index(self.exprs.len() - 1))
-    }
-
-    fn unsubscribe(&mut self, _id: SubscriptionId) -> Result<(), UnsubscribeError> {
-        Ok(())
-    }
-
-    fn expression(&self, id: SubscriptionId) -> Option<Expr> {
-        self.exprs.get(id.index()).cloned()
-    }
-
-    fn phase1(&self, _event: &Event, out: &mut FulfilledSet) {
-        if let Some(latch) = &self.matching_entered {
-            latch.open();
-        }
-        out.begin(0);
-    }
-
-    fn phase2(
-        &self,
-        _fulfilled: &FulfilledSet,
-        _scratch: &mut MatchScratch,
-        matched: &mut Vec<SubscriptionId>,
-    ) -> MatchStats {
-        matched.clear();
-        MatchStats::default()
-    }
-
-    fn subscription_count(&self) -> usize {
-        self.exprs.len()
-    }
-
-    fn predicate_count(&self) -> usize {
-        0
-    }
-
-    fn predicate_universe(&self) -> usize {
-        0
-    }
-
-    fn memory_usage(&self) -> MemoryUsage {
-        MemoryUsage::default()
-    }
-}
-
-/// The deterministic gate: while a migration holds the write locks of
-/// its shard pair (parked inside the target engine's re-subscribe), a
-/// publisher must still enter matching on a shard outside the pair.
-/// Under a single engine lock — or a stop-the-world rebuild — this
-/// times out.
-#[test]
-fn migration_does_not_block_matching_on_other_shards() {
-    let matching_entered = Latch::new();
-    let in_migration = Latch::new();
-    let release = Latch::new();
-    let armed = Arc::new(AtomicBool::new(false));
-
-    let broker = Broker::builder()
-        .engine_instances(vec![
-            // Shard 0: outside the migrating pair; announces matching.
-            Box::new(GateEngine {
-                exprs: Vec::new(),
-                matching_entered: Some(matching_entered.clone()),
-                armed: None,
-                in_subscribe: None,
-                release: None,
-            }),
-            // Shard 1: the migration target; parks inside `subscribe`
-            // once armed.
-            Box::new(GateEngine {
-                exprs: Vec::new(),
-                matching_entered: None,
-                armed: Some(armed.clone()),
-                in_subscribe: Some(in_migration.clone()),
-                release: Some(release.clone()),
-            }),
-            // Shard 2: the migration source.
-            GateEngine::plain(),
-        ])
-        .build();
-
-    // Least-loaded placement: arrivals 0..6 land on shards 0,1,2,0,1,2.
-    // The probe event matches nothing, so content-aware pruning would
-    // (correctly) skip shard 0 without entering `phase1` — but this
-    // test instruments lock acquisition *inside* the engine, so the
-    // residents are `or`-rooted disjunctions, which the synopsis keeps
-    // always-candidate.
-    let subs: Vec<Subscription> = (0..6)
-        .map(|i| broker.subscribe(&format!("s = {i} or t = {i}")).unwrap())
-        .collect();
-    assert_eq!(broker.shard_loads(), vec![2, 2, 2]);
-    // Skew to loads [1, 0, 2]: the skew pair is (from=2, to=1).
-    broker.unsubscribe(subs[1].id());
-    broker.unsubscribe(subs[4].id());
-    broker.unsubscribe(subs[0].id());
-    assert_eq!(broker.shard_loads(), vec![1, 0, 2]);
-
-    armed.store(true, Ordering::Release);
-    thread::scope(|scope| {
-        let migrator = {
-            let broker = broker.clone();
-            scope.spawn(move || broker.rebalance())
-        };
-        assert!(
-            in_migration.wait(Duration::from_secs(10)),
-            "migration never reached the target-side subscribe"
-        );
-
-        // Shards 1 and 2 are now write-locked by the migration. A
-        // publish must still enter matching on shard 0 (it will then
-        // queue on the locked pair until the release).
-        let publisher = {
-            let broker = broker.clone();
-            scope.spawn(move || broker.publish(Event::builder().attr("n", 1_i64).build()))
-        };
-        assert!(
-            matching_entered.wait(Duration::from_secs(10)),
-            "publisher never entered matching on shard 0 while the \
-             migration held shards 1 and 2: migration is not lock-scoped"
-        );
-
-        armed.store(false, Ordering::Release); // only the first move parks
-        release.open();
-        let moved = migrator.join().unwrap();
-        assert!(moved >= 1, "the migration completed");
-        assert_eq!(publisher.join().unwrap(), 0, "gate engines match nothing");
-    });
-
-    let loads = broker.shard_loads();
-    let spread = loads.iter().max().unwrap() - loads.iter().min().unwrap();
-    assert!(spread <= 1, "balanced after the gated migration: {loads:?}");
-    assert_eq!(broker.stats().subscriptions_migrated, 1);
-    assert_eq!(broker.subscription_count(), 3);
 }
 
 /// Corners beside the generated trees: a negated leaf (stored as its
