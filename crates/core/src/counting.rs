@@ -41,6 +41,11 @@ const DNF_LIMIT: usize = 65_536;
 /// byte (paper §3.3 assumes at most 256 predicates per subscription).
 const MAX_CONJUNCT_WIDTH: usize = 255;
 
+/// Slots the classic phase-2 scan compares per lane: a fixed width
+/// lets the compiler turn the branch-free lane test into vector
+/// compares.
+const LANES: usize = 32;
+
 /// Sentinel for a freed flat slot's original-subscription column.
 const DEAD_ORIG: u32 = u32::MAX;
 
@@ -299,24 +304,63 @@ impl CountingTables {
 
         // "The subscription matching step works on a multiple of the
         // number of original registered subscriptions" (§2.2): the scan
-        // covers every flat slot, live or not.
-        for flat in 0..self.cnt.len() {
-            stats.comparisons += 1;
-            let h = scratch.hit[flat];
-            if h != 0 {
-                if h == self.cnt[flat] {
-                    let orig = self.flat_orig[flat];
-                    let stamp = &mut scratch.stamps[orig as usize];
-                    if *stamp != gen {
-                        *stamp = gen;
-                        matched.push(SubscriptionId::from_index(orig as usize));
-                    }
-                }
-                scratch.hit[flat] = 0;
+        // covers every flat slot, live or not. A lane of `LANES` slots
+        // is compared without a branch (a dead slot has count 0 and
+        // never a hit); only a lane that completed a conjunction is
+        // walked again, slot by slot, to emit it in flat order.
+        let units = self.cnt.len();
+        stats.comparisons = units;
+        let stamps = &mut scratch.stamps;
+        let mut hit_lanes = scratch.hit[..units].chunks_exact_mut(LANES);
+        let mut cnt_lanes = self.cnt.chunks_exact(LANES);
+        for (lane, (h, c)) in (&mut hit_lanes).zip(&mut cnt_lanes).enumerate() {
+            let h: &mut [u8; LANES] = h.try_into().expect("chunks_exact yields whole lanes");
+            let c: &[u8; LANES] = c.try_into().expect("chunks_exact yields whole lanes");
+            let mut any = false;
+            for (&h, &c) in h.iter().zip(c) {
+                any |= (h != 0) & (h == c);
             }
+            if any {
+                self.emit_complete(h, c, lane * LANES, gen, stamps, matched);
+            }
+            *h = [0; LANES];
         }
+        let h = hit_lanes.into_remainder();
+        self.emit_complete(
+            h,
+            cnt_lanes.remainder(),
+            units - h.len(),
+            gen,
+            stamps,
+            matched,
+        );
+        h.fill(0);
         stats.matched = matched.len();
         stats
+    }
+
+    /// Emits, in slot order, the original subscription of every
+    /// completed conjunction among the slots `base..base + hit.len()`
+    /// not yet emitted this event (`stamps` against `gen`).
+    fn emit_complete(
+        &self,
+        hit: &[u8],
+        cnt: &[u8],
+        base: usize,
+        gen: u32,
+        stamps: &mut [u32],
+        matched: &mut Vec<SubscriptionId>,
+    ) {
+        for (i, (&h, &c)) in hit.iter().zip(cnt).enumerate() {
+            if h != 0 && h == c {
+                let orig = self.flat_orig[base + i];
+                let stamp = &mut stamps[orig as usize];
+                if *stamp != gen {
+                    *stamp = gen;
+                    matched.push(SubscriptionId::from_index(orig as usize));
+                }
+            }
+        }
     }
 
     /// Phase 2 of the paper's counting variant: only candidate
@@ -920,6 +964,137 @@ mod tests {
             for e in 0..events.len() {
                 assert_eq!(batch.matched(e).len(), usize::from(e % 2 == 0), "event {e}");
             }
+        }
+    }
+
+    /// The slot-by-slot scan the lane scan replaced: the reference the
+    /// engine's matched order and stats are held to.
+    fn naive_scan(
+        t: &CountingTables,
+        fulfilled: &FulfilledSet,
+    ) -> (Vec<SubscriptionId>, MatchStats) {
+        let mut hit = vec![0u8; t.cnt.len()];
+        let mut increments = 0;
+        for &pid in fulfilled.ids() {
+            for &flat in t.assoc.get(pid) {
+                hit[flat as usize] += 1;
+                increments += 1;
+            }
+        }
+        let mut matched = Vec::new();
+        for (flat, (&h, &c)) in hit.iter().zip(&t.cnt).enumerate() {
+            if h != 0 && h == c {
+                let id = SubscriptionId::from_index(t.flat_orig[flat] as usize);
+                if !matched.contains(&id) {
+                    matched.push(id);
+                }
+            }
+        }
+        let stats = MatchStats {
+            fulfilled: fulfilled.len(),
+            increments,
+            comparisons: t.cnt.len(),
+            matched: matched.len(),
+            ..MatchStats::default()
+        };
+        (matched, stats)
+    }
+
+    fn assert_scan_is_naive(c: &CountingEngine, events: &[Event], scratch: &mut MatchScratch) {
+        let mut fulfilled = FulfilledSet::new();
+        let mut matched = Vec::new();
+        for event in events {
+            c.phase1(event, &mut fulfilled);
+            let stats = c.phase2(&fulfilled, scratch, &mut matched);
+            let units = c.unit_slot_bound();
+            let (want, want_stats) = naive_scan(&c.tables, &fulfilled);
+            assert_eq!(
+                (&matched, stats),
+                (&want, want_stats),
+                "{units} slots, event {event}"
+            );
+            assert!(
+                scratch.hit.iter().all(|&h| h == 0),
+                "{units} slots, event {event}"
+            );
+        }
+    }
+
+    #[test]
+    fn lane_scan_matches_a_naive_slot_scan() {
+        let k = |i: usize| Expr::parse(&format!("k{i} = 1 and g = 1")).unwrap();
+        let with = |ks: &[usize], g: bool| {
+            let mut b = Event::builder();
+            for &i in ks {
+                b = b.attr(&format!("k{i}"), 1_i64);
+            }
+            if g {
+                b = b.attr("g", 1_i64);
+            }
+            b.build()
+        };
+        let mut scratch = MatchScratch::new();
+        // Whole lanes only, a tail only, and a match in the last slot
+        // of a lane (31, 63) and in the tail (n - 1).
+        for n in [0usize, 1, 31, 32, 33, 63, 64, 65, 1001] {
+            let mut c = CountingEngine::new();
+            let ids: Vec<_> = (0..n).map(|i| c.subscribe(&k(i)).unwrap()).collect();
+            assert_eq!(c.unit_slot_bound(), n);
+            let all: Vec<usize> = (0..n).collect();
+            let edges: Vec<usize> = [0, n / 2, LANES - 1, 2 * LANES - 1, n.wrapping_sub(1)]
+                .into_iter()
+                .filter(|&i| i < n)
+                .collect();
+            let events = [
+                with(&[], false),
+                with(&[], true),
+                with(&all, false),
+                with(&edges, true),
+                with(&all, true),
+            ];
+            assert_scan_is_naive(&c, &events, &mut scratch);
+            // Dead slots: freed, not yet reissued, count 0.
+            for id in ids.iter().skip(1).step_by(3) {
+                c.unsubscribe(*id).unwrap();
+            }
+            assert_eq!(c.unit_slot_bound(), n);
+            assert_scan_is_naive(&c, &events, &mut scratch);
+        }
+
+        // A full 255-predicate conjunct, and one subscription whose
+        // three conjunctions all complete (emitted once), placed at or
+        // across a lane boundary.
+        let wide = Expr::and(
+            (0..MAX_CONJUNCT_WIDTH)
+                .map(|i| Expr::parse(&format!("w{i} = 1")).unwrap())
+                .collect(),
+        );
+        let multi = Expr::parse("(a = 1 or b = 2 or d = 4) and c = 3").unwrap();
+        let mut full = Event::builder()
+            .attr("a", 1_i64)
+            .attr("b", 2_i64)
+            .attr("c", 3_i64)
+            .attr("d", 4_i64)
+            .attr("g", 1_i64)
+            .attr("k0", 1_i64);
+        for i in 0..MAX_CONJUNCT_WIDTH {
+            full = full.attr(&format!("w{i}"), 1_i64);
+        }
+        let full = full.build();
+        for filler in [0usize, 28, 30, 31, 63, 64] {
+            let mut c = CountingEngine::new();
+            for i in 0..filler {
+                c.subscribe(&k(i)).unwrap();
+            }
+            let w = c.subscribe(&wide).unwrap();
+            let m = c.subscribe(&multi).unwrap();
+            assert_eq!(c.unit_slot_bound(), filler + 4);
+            assert_scan_is_naive(&c, std::slice::from_ref(&full), &mut scratch);
+            let mut fulfilled = FulfilledSet::new();
+            c.phase1(&full, &mut fulfilled);
+            let mut matched = Vec::new();
+            c.phase2(&fulfilled, &mut scratch, &mut matched);
+            assert_eq!(matched[matched.len() - 2..], [w, m], "filler {filler}");
         }
     }
 
