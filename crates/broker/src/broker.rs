@@ -377,7 +377,7 @@ impl Broker {
     /// [`BrokerError::Subscribe`] when the engine refuses the
     /// expression (e.g. a canonical engine hitting its DNF limit).
     pub fn subscribe(&self, expression: &str) -> Result<Subscription, BrokerError> {
-        self.subscribe_with(Arc::new(Expr::parse(expression)?), self.inner.policy, None)
+        self.subscribe_with(&Expr::parse(expression)?, self.inner.policy, None)
     }
 
     /// [`Broker::subscribe`] with a per-subscriber [`DeliveryPolicy`]
@@ -393,7 +393,7 @@ impl Broker {
         expression: &str,
         policy: DeliveryPolicy,
     ) -> Result<Subscription, BrokerError> {
-        self.subscribe_with(Arc::new(Expr::parse(expression)?), policy, None)
+        self.subscribe_with(&Expr::parse(expression)?, policy, None)
     }
 
     /// Registers a **consumer-callback** subscription: instead of the
@@ -415,11 +415,7 @@ impl Broker {
         policy: DeliveryPolicy,
         consumer: impl Fn(Arc<Event>) + Send + Sync + 'static,
     ) -> Result<Subscription, BrokerError> {
-        self.subscribe_with(
-            Arc::new(Expr::parse(expression)?),
-            policy,
-            Some(Arc::new(consumer)),
-        )
+        self.subscribe_with(&Expr::parse(expression)?, policy, Some(Arc::new(consumer)))
     }
 
     /// Registers an already-parsed subscription.
@@ -428,7 +424,7 @@ impl Broker {
     ///
     /// Returns [`BrokerError::Subscribe`] when the engine refuses it.
     pub fn subscribe_expr(&self, expr: &Expr) -> Result<Subscription, BrokerError> {
-        self.subscribe_with(Arc::new(expr.clone()), self.inner.policy, None)
+        self.subscribe_with(expr, self.inner.policy, None)
     }
 
     /// [`Broker::subscribe_expr`] with a per-subscriber
@@ -442,16 +438,17 @@ impl Broker {
         expr: &Expr,
         policy: DeliveryPolicy,
     ) -> Result<Subscription, BrokerError> {
-        self.subscribe_with(Arc::new(expr.clone()), policy, None)
+        self.subscribe_with(expr, policy, None)
     }
 
     /// The one subscribe body: placement → shard registration →
-    /// directory commit → delivery-queue creation. `expr` is the text
-    /// paths' parsed tree or the `&Expr` paths' clone; it is freed when
-    /// the call returns, since the shard's engine keeps its own form.
+    /// global-id issue → delivery-queue creation. `expr` is the text
+    /// paths' parsed tree or the caller's own: it is borrowed, never
+    /// copied — the shard's engine keeps its own form, and refuses a
+    /// tree nested too deeply before any recursive pass runs over it.
     fn subscribe_with(
         &self,
-        expr: Arc<Expr>,
+        expr: &Expr,
         policy: DeliveryPolicy,
         consumer: Option<Consumer>,
     ) -> Result<Subscription, BrokerError> {
@@ -480,16 +477,14 @@ impl Broker {
             .inner
             .directory
             .write()
-            .place_for(self.inner.placement, &expr);
+            .place_for(self.inner.placement, expr);
         let set = self.shard_set();
         let cell = &set[shard];
         // Nothing beyond the engine's own registration is kept: a
         // migration, which `resize` makes possible on any broker, asks
-        // the source engine for the expression. A caller's `&Expr` was
-        // cloned before this point, so the copy does not extend the
-        // window in which publishes on this shard are stalled.
+        // the source engine for the expression.
         let mut state = cell.state.write();
-        let local = match state.engine_mut().subscribe(&expr) {
+        let local = match state.engine_mut().subscribe(expr) {
             Ok(local) => local,
             Err(e) => {
                 drop(state);
@@ -497,12 +492,8 @@ impl Broker {
                 return Err(e.into());
             }
         };
-        let id = self
-            .inner
-            .directory
-            .write()
-            .commit(shard, local, Arc::clone(&expr));
-        state.bind(local, id, &expr);
+        let id = self.inner.directory.write().issue(shard, local);
+        state.bind(local, id, expr);
         drop(state);
         // The queue's lock is classed by the id's delivery-queue group
         // (same-class nesting detection proves no path holds two).

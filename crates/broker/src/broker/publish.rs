@@ -6,20 +6,20 @@ use std::cell::RefCell;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use boolmatch_core::{MatchScratch, MatchStats, SubscriptionId};
+use boolmatch_core::{BatchScratch, SubscriptionId};
 use boolmatch_types::Event;
 
 use super::Broker;
 use crate::delivery::{run_drainer, Enqueue, NotifyQueue};
 
-/// Per-publisher-thread reusable buffers: the match scratch, the
-/// per-event buckets of matched global ids, the delivery snapshot of
-/// matched subscribers' queue handles, and the chunk of consumer queues
-/// this publish scheduled but has not yet handed to the ready list.
+/// Per-publisher-thread reusable buffers: the batch scratch (the match
+/// scratch plus each event's matched global ids), the delivery snapshot
+/// of matched subscribers' queue handles, and the chunk of consumer
+/// queues this publish scheduled but has not yet handed to the ready
+/// list.
 #[derive(Default)]
 struct PublishState {
-    scratch: MatchScratch,
-    buckets: Vec<Vec<SubscriptionId>>,
+    batch: BatchScratch,
     targets: Vec<Arc<NotifyQueue>>,
     ready: Vec<Arc<NotifyQueue>>,
 }
@@ -34,35 +34,23 @@ thread_local! {
     static PUBLISH_STATE: RefCell<PublishState> = RefCell::new(PublishState::default());
 }
 
-/// Heap bytes of the calling thread's publish buffers: `scratch`, the
-/// largest of `buckets` (the cap applies to each bucket on its own) and
-/// `targets`.
+/// Heap bytes of the calling thread's publish buffers `batch` and
+/// `targets` (`ready` stays empty without consumer subscriptions).
 #[cfg(test)]
-pub(super) fn publish_state_bytes() -> [usize; 3] {
+pub(super) fn publish_state_bytes() -> [usize; 2] {
     PUBLISH_STATE.with(|cell| {
         let state = cell.borrow();
-        let id = std::mem::size_of::<SubscriptionId>();
-        let target = std::mem::size_of::<Arc<NotifyQueue>>();
-        [
-            state.scratch.heap_bytes(),
-            state
-                .buckets
-                .iter()
-                .map(|b| b.capacity() * id)
-                .max()
-                .unwrap_or(0),
-            state.targets.capacity() * target,
-        ]
+        [state.batch.heap_bytes(), vec_bytes(&state.targets)]
     })
 }
 
-/// A thread-local publish buffer (the match scratch, each matched-id
-/// bucket, the delivery targets, the ready chunk) left with more heap
-/// than this after a publish is trimmed instead of kept at its
-/// high-water capacity, so one pathological event (a huge candidate
-/// spike) cannot pin its peak allocation in every publisher thread
-/// forever. Generous on purpose — steady-state workloads far below it
-/// never trim and so never re-allocate.
+/// A thread-local publish buffer (the batch scratch, the delivery
+/// targets, the ready chunk) left with more heap than this after a
+/// publish is released instead of kept at its high-water capacity, so
+/// one pathological event (a huge candidate spike) cannot pin its peak
+/// allocation in every publisher thread forever. Generous on purpose —
+/// steady-state workloads far below it never trim and so never
+/// re-allocate.
 const SCRATCH_TRIM_CAP: usize = 8 << 20;
 
 #[cfg(test)]
@@ -91,12 +79,17 @@ fn trim_cap() -> usize {
 const READY_CHUNK: usize = 32;
 
 /// The one place the trim-cap rule for the thread-local buffers lives:
-/// a vector grown past the trim cap is replaced by an empty one
-/// (capacity released) before being parked for reuse.
-fn release_if_oversized<T>(buffer: &mut Vec<T>) {
-    if buffer.capacity() * std::mem::size_of::<T>() > trim_cap() {
-        *buffer = Vec::new();
+/// a buffer whose `heap_bytes` exceed the trim cap is replaced by an
+/// empty one (capacity released) before being parked for reuse.
+fn release_if_oversized<T: Default>(buffer: &mut T, heap_bytes: fn(&T) -> usize) {
+    if heap_bytes(buffer) > trim_cap() {
+        *buffer = T::default();
     }
+}
+
+/// Heap bytes of a vector buffer: its capacity, not its length.
+fn vec_bytes<T>(buffer: &Vec<T>) -> usize {
+    buffer.capacity() * std::mem::size_of::<T>()
 }
 
 impl Broker {
@@ -133,115 +126,78 @@ impl Broker {
     /// clones an event.
     ///
     /// The shards are walked in index order, each visited once for the
-    /// whole batch under its **read** lock. Under that one guard, each
-    /// event runs the per-shard step
-    /// ([`Shard::match_event`](boolmatch_core::Shard::match_event)) —
-    /// the synopsis prune check, the engine match into the thread-local
-    /// [`MatchScratch`] and the translation of matched local ids
-    /// through the shard's own map — and the event's ids are appended
-    /// to its bucket; the shard's summed stats are tallied once the
-    /// guard is dropped. The matching phase acquires no broker-global
-    /// lock beyond the one-pointer clone of the current shard set (and,
-    /// in particular, never the placement directory's). Translating
-    /// under the shard's read lock is what makes it sound against
-    /// migration, which commits a relocation only while holding that
-    /// shard's write lock; an id retired by a racing unsubscribe has no
-    /// translation and is dropped, exactly as delivery would drop its
-    /// removed sender. Concurrent publishers match in parallel and a
+    /// whole batch under its **read** lock: one
+    /// [`Shard::match_batch`](boolmatch_core::Shard::match_batch) — the
+    /// synopsis prune check, the engine match and the translation of
+    /// matched local ids through the shard's own map, per event — into
+    /// the thread-local [`BatchScratch`]; the shard's summed stats are
+    /// tallied once the guard is dropped. The matching phase acquires
+    /// no broker-global lock beyond the one-pointer clone of the current
+    /// shard set (and, in particular, never the placement directory's).
+    /// Translating under the shard's read lock is what makes it sound
+    /// against migration, which commits a relocation only while holding
+    /// that shard's write lock; an id retired by a racing unsubscribe
+    /// has no translation and is dropped, exactly as delivery would drop
+    /// its removed sender. Concurrent publishers match in parallel and a
     /// write-locked shard (a subscription in progress) delays only its
     /// own shard's portion of the match. What a batch amortises is the
     /// visit; the matching of one event costs the same at any width.
     ///
     /// The walk runs **on the calling thread** — there is no hand-off,
     /// so an engine that panics unwinds to the caller (releasing the
-    /// shard's read guard and the thread-local borrow on the way)
-    /// instead of costing the publish a shard silently. All locks are
-    /// released before delivery, which runs event by event: each event
-    /// snapshots its matched subscribers' queues under a short
-    /// sender-map read and enqueues outside it, so a slow consumer (or
-    /// a `Block`-policy wait) in the middle of a batch never extends
-    /// the window in which an unsubscribe is stalled. Subscribers found
-    /// disconnected (handle dropped without unsubscribe — possible when
-    /// the handle's broker reference was already gone) are pruned.
+    /// shard's read guard on the way) instead of costing the publish a
+    /// shard silently. All locks are released before delivery, which
+    /// runs event by event: each event snapshots its matched
+    /// subscribers' queues under a short sender-map read and enqueues
+    /// outside it, so a slow consumer (or a `Block`-policy wait) in the
+    /// middle of a batch never extends the window in which an
+    /// unsubscribe is stalled. Subscribers found disconnected (handle
+    /// dropped without unsubscribe — possible when the handle's broker
+    /// reference was already gone) are pruned.
     pub fn publish_batch(&self, events: &[Arc<Event>]) -> usize {
         if events.is_empty() {
             return 0;
         }
         let set = self.shard_set();
         let epoch = self.inner.migration_epoch.load(Ordering::Acquire);
-        // The buckets are swapped out of the thread-local state so the
-        // RefCell borrow ends before delivery (which takes the
-        // sender-map lock and may re-enter the broker to prune dead
-        // subscribers).
-        let mut buckets = PUBLISH_STATE.with(|cell| {
-            let state = &mut *cell.borrow_mut();
-            let mut buckets = std::mem::take(&mut state.buckets);
-            if buckets.len() < events.len() {
-                // Grow to the high-water batch length, never shrink: a
-                // short batch must not free the longer tail's capacity.
-                buckets.resize_with(events.len(), Vec::new);
-            }
-            let used = &mut buckets[..events.len()];
-            used.iter_mut().for_each(Vec::clear);
-            // Shard-major, so each shard's read lock is taken once per
-            // batch; shard order within each bucket, so an event's ids
-            // concatenate exactly as a one-event walk would leave them.
-            for cell in set.iter() {
-                let mut stats = MatchStats::default();
-                {
-                    let shard = cell.state.read();
-                    for (event, bucket) in events.iter().zip(used.iter_mut()) {
-                        stats = stats + shard.match_event(event, &mut state.scratch);
-                        bucket.extend_from_slice(state.scratch.matched());
-                    }
-                }
-                cell.record(&stats);
-            }
-            if state.scratch.heap_bytes() > trim_cap() {
-                state.scratch.trim();
-            }
-            self.dedup_matched(epoch, used);
-            buckets
-        });
+        // Taken out of the thread-local state, so no RefCell borrow is
+        // held during delivery (which takes the sender-map lock and may
+        // re-enter the broker to prune dead subscribers).
+        let mut batch = PUBLISH_STATE.with(|cell| std::mem::take(&mut cell.borrow_mut().batch));
+        batch.begin_batch(events.len(), &[]);
+        // Shard-major, so each shard's read lock is taken once per
+        // batch; shard order within each event's list, so its ids
+        // concatenate exactly as a one-event walk would leave them.
+        for cell in set.iter() {
+            let stats = cell.state.read().match_batch(events, &[], &mut batch);
+            cell.record(&stats);
+        }
+        // Shards are visited one lock at a time, so a publish racing a
+        // live migration can see the migrating subscription on both its
+        // source and its target shard; deduplicating keeps delivery
+        // at-most-once per subscriber per event. (The mirror race — the
+        // event observing the subscription on *neither* shard — is the
+        // same anomaly as an event racing an unsubscribe+resubscribe and
+        // is documented on [`Broker::migrate`].) Any relocation able to
+        // duplicate an id commits under a shard write lock *between* two
+        // of this walk's visits, and therefore between the two epoch
+        // reads: migration-quiescent publishes — and single-shard
+        // brokers, which cannot migrate — pay one atomic load per
+        // publish, not a sort per event.
+        if self.inner.migration_epoch.load(Ordering::Acquire) != epoch {
+            batch.dedup(events.len());
+        }
         self.inner
             .stats
             .events_published
             .fetch_add(events.len() as u64, Ordering::Relaxed);
         let mut delivered = 0usize;
-        for (event, matched) in events.iter().zip(&buckets) {
-            delivered += self.deliver_matched_arc(event, matched);
+        for (e, event) in events.iter().enumerate() {
+            delivered += self.deliver_matched_arc(event, batch.matched(e));
         }
-        // Bucket half of the high-water fix: a bucket a pathological
-        // event grew past the trim cap is released, not parked.
-        for bucket in &mut buckets[..events.len()] {
-            release_if_oversized(bucket);
-        }
-        PUBLISH_STATE.with(|cell| cell.borrow_mut().buckets = buckets);
+        release_if_oversized(&mut batch, BatchScratch::heap_bytes);
+        PUBLISH_STATE.with(|cell| cell.borrow_mut().batch = batch);
         delivered
-    }
-
-    /// Shards are visited one lock at a time, so a publish racing a
-    /// live migration can see the migrating subscription on both its
-    /// source and its target shard; deduplicating keeps delivery
-    /// at-most-once per subscriber per event. (The mirror race — the
-    /// event observing the subscription on *neither* shard — is the
-    /// same anomaly as an event racing an unsubscribe+resubscribe and
-    /// is documented on [`Broker::migrate`].)
-    ///
-    /// The sort only runs when a relocation actually committed during
-    /// the match window (`epoch_before`, read before the walk, no
-    /// longer current): any relocation able to duplicate this publish's
-    /// matched sets commits under a shard write lock *between* two of
-    /// its shard visits, and therefore between the two epoch reads.
-    /// Migration-quiescent publishes — and single-shard brokers, which
-    /// cannot migrate — pay one atomic load per publish, not per event.
-    fn dedup_matched(&self, epoch_before: u64, buckets: &mut [Vec<SubscriptionId>]) {
-        if self.inner.migration_epoch.load(Ordering::Acquire) != epoch_before {
-            for matched in buckets {
-                matched.sort_unstable();
-                matched.dedup();
-            }
-        }
     }
 
     /// Queues `event` — shared, so every subscriber receives the
@@ -272,11 +228,11 @@ impl Broker {
             (targets, std::mem::take(&mut state.ready))
         });
         let delivered = self.enqueue_targets(&targets, event, &mut ready);
-        // Same trim-cap rule as the buckets: a pathological fan-out
-        // must not pin its peak snapshot capacity per thread.
+        // Same trim-cap rule as the batch scratch: a pathological
+        // fan-out must not pin its peak snapshot capacity per thread.
         targets.clear();
-        release_if_oversized(&mut targets);
-        release_if_oversized(&mut ready);
+        release_if_oversized(&mut targets, vec_bytes);
+        release_if_oversized(&mut ready, vec_bytes);
         PUBLISH_STATE.with(|cell| {
             let state = &mut *cell.borrow_mut();
             state.targets = targets;

@@ -194,8 +194,9 @@ fn publish_batch_empty_and_repeated() {
     let broker = Broker::builder().shards(2).build();
     assert_eq!(broker.publish_batch(&[]), 0);
     let sub = broker.subscribe("a = 1").unwrap();
-    // Repeated batches reuse the thread-local buckets (shrinking
-    // and growing the batch length between calls).
+    // Repeated batches reuse the thread-local batch scratch's
+    // per-event lists (shrinking and growing the batch length between
+    // calls).
     assert_eq!(broker.publish_batch(&batch(&[&[("a", 1)], &[("a", 2)]])), 1);
     assert_eq!(broker.publish_batch(&batch(&[&[("a", 1)]])), 1);
     assert_eq!(
@@ -391,8 +392,9 @@ fn single_shard_broker_has_nothing_to_migrate() {
 #[test]
 fn scratch_trim_cap_bounds_the_thread_local_publish_state() {
     // One pathological spike event must not pin its peak allocation
-    // in the publishing thread's buffers. Steady traffic below the
-    // cap keeps its warm capacity (no trim, no re-allocation); what
+    // in the publishing thread's buffers. One rule for each buffer —
+    // the batch scratch counts as one: steady traffic below the cap
+    // keeps its warm capacity (no trim, no re-allocation); a buffer
     // the spike grew past the cap is released after the publish;
     // steady traffic then re-warms and keeps matching correctly.
     let cap = 24 << 10; // between the steady and spike footprints
@@ -430,25 +432,21 @@ fn scratch_trim_cap_bounds_the_thread_local_publish_state() {
     }
     assert_eq!(publish_state_bytes(), warm, "steady traffic never trims");
 
-    // The spike, single width: its bucket and `targets` must grow to
-    // 4 000 entries (32 000 bytes each) to deliver it. The
-    // steady 2-wide batches keep bucket 1 warm, so the largest bucket
-    // falls back to the steady footprint, not to 0.
+    // The spike, single width: its matched list and `targets` must
+    // grow to 4 000 entries (32 000 bytes each) to deliver it, so both
+    // buffers are released whole.
     assert_eq!(broker.publish_arc(Arc::clone(&spike)), 4_000);
-    let [scratch, bucket, targets] = publish_state_bytes();
-    assert!(
-        scratch < warm[0] && bucket <= warm[1] && targets == 0,
-        "spike capacity was kept: scratch {scratch}, largest bucket {bucket}, targets {targets}"
-    );
-    // Batch width: the spike's bucket grows the same way.
+    assert_eq!(publish_state_bytes(), [0, 0], "spike capacity was kept");
+    // Batch width: the spike's list releases the batch scratch the
+    // same way; `targets` re-grew only for the steady event after it.
     assert_eq!(
         broker.publish_batch(&[Arc::clone(&spike), Arc::clone(&steady)]),
         4_001
     );
-    let [scratch, bucket, _] = publish_state_bytes();
+    let [batch, targets] = publish_state_bytes();
     assert!(
-        scratch < warm[0] && bucket <= warm[1],
-        "spike capacity was kept: scratch {scratch}, largest bucket {bucket}"
+        batch == 0 && targets <= warm[1],
+        "spike capacity was kept: batch {batch}, targets {targets}"
     );
 
     // Steady traffic re-warms lazily to the steady footprint, not

@@ -313,16 +313,17 @@ pub trait FilterEngine {
     /// prune a shard's non-candidates once per batch. When `skip` is
     /// non-empty it must have one flag per event.
     ///
-    /// A batch is the per-event step looped: for every non-skipped
-    /// event, `batch.matched(e)` holds exactly the ids
+    /// A batch is the per-event step looped, by the workspace's one
+    /// batch loop inside [`BatchScratch`]: for every non-skipped event,
+    /// `batch.matched(e)` holds exactly the ids
     /// [`FilterEngine::match_event`] reports for `events[e]`, and the
     /// summed stats equal the sum of the per-event stats — plus
     /// [`MatchStats::batch_events`]/[`MatchStats::batch_passes`], one
     /// each per matched event. What a batch amortises lies with the
-    /// caller — one shard visit (lock, synopsis-gated lease, fan-out
-    /// job) for all its events — which is why no engine overrides
-    /// this: the shard-major walks ([`crate::Shard::match_event`]
-    /// looped by the broker's batch publish and by
+    /// caller — one shard visit (lock, synopsis check) for all its
+    /// events — which is why no engine overrides this: the shard-major
+    /// walks ([`crate::Shard::match_batch`], run once per shard by the
+    /// broker's batch publish and by
     /// [`crate::ShardedEngine::match_batch`]) sit above the engines.
     fn match_batch(
         &self,
@@ -331,14 +332,9 @@ pub trait FilterEngine {
         batch: &mut BatchScratch,
     ) -> MatchStats {
         batch.begin_batch(events.len(), skip);
-        let mut stats = MatchStats::default();
-        for (e, event) in events.iter().enumerate() {
-            if !skip.get(e).copied().unwrap_or(false) {
-                stats =
-                    stats + batch.match_event(e, |scratch| self.match_event_into(event, scratch));
-            }
-        }
-        stats
+        batch.walk(events, skip, |event, scratch| {
+            self.match_event_into(event, scratch)
+        })
     }
 
     /// Number of registered (original) subscriptions.

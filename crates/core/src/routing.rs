@@ -94,7 +94,7 @@ pub mod lock_classes {
 
 /// Reverse-map sentinel: this local slot holds no live subscription.
 /// `u64::MAX` is unreachable as a packed id (slot `u32::MAX` is never
-/// issued — see [`SubscriptionDirectory`]'s commit).
+/// issued — see [`SubscriptionDirectory::issue`]).
 const NO_GLOBAL: u64 = u64::MAX;
 
 /// Subscriptions a clustered shard may hold beyond twice its fair share
@@ -173,7 +173,7 @@ struct Slot {
 /// 1. [`SubscriptionDirectory::place`] picks the least-loaded shard and
 ///    **reserves** a unit of load on it (so concurrent placers spread
 ///    out instead of dog-piling the same shard);
-/// 2. [`SubscriptionDirectory::commit`] records the engine-assigned
+/// 2. [`SubscriptionDirectory::issue`] records the engine-assigned
 ///    local id and issues the global id — or
 ///    [`SubscriptionDirectory::cancel`] releases the reservation when
 ///    the engine refused the subscription.
@@ -184,15 +184,13 @@ struct Slot {
 /// # Examples
 ///
 /// ```
-/// use std::sync::Arc;
 /// use boolmatch_core::{ShardTranslation, SubscriptionDirectory, SubscriptionId};
-/// use boolmatch_expr::Expr;
 ///
 /// let mut dir = SubscriptionDirectory::new(2);
 /// let mut translation = ShardTranslation::new(); // shard 0's map
 /// let shard = dir.place(); // least-loaded; empty directory → shard 0
 /// let local = SubscriptionId::from_index(0);
-/// let global = dir.commit(shard, local, Arc::new(Expr::parse("a = 1")?));
+/// let global = dir.issue(shard, local);
 /// translation.set(local, global);
 /// assert_eq!(global.slot(), 0); // the first slot of an empty table
 /// assert_eq!(dir.placement_of(global), Some((0, local)));
@@ -204,7 +202,7 @@ pub struct SubscriptionDirectory {
     /// Global id slot → generation + placement; a `None` placement
     /// marks a retired (free-listed) slot.
     slots: Vec<Slot>,
-    /// Retired slot indexes, most recently retired last; commit
+    /// Retired slot indexes, most recently retired last; `issue`
     /// reissues from the end.
     free: Vec<u32>,
     /// Per-shard live subscription count, **including** placements
@@ -297,7 +295,7 @@ impl SubscriptionDirectory {
     /// [placeable](SubscriptionDirectory::restrict_placement) ones,
     /// ties broken round-robin from an internal cursor — and reserves
     /// one unit of load on it. Follow with
-    /// [`SubscriptionDirectory::commit`] or
+    /// [`SubscriptionDirectory::issue`] or
     /// [`SubscriptionDirectory::cancel`].
     ///
     /// On a directory that has only ever seen subscribes, this places
@@ -348,7 +346,7 @@ impl SubscriptionDirectory {
     /// ([`SubscriptionDirectory::place_clustered`], load-capped), so
     /// shard synopses become selective and pruning bites; an expression
     /// with no required equality is placed least-loaded. Follow with
-    /// [`SubscriptionDirectory::commit`] or
+    /// [`SubscriptionDirectory::issue`] or
     /// [`SubscriptionDirectory::cancel`].
     pub fn place_for(&mut self, policy: PlacementPolicy, expr: &Expr) -> usize {
         match policy {
@@ -438,19 +436,10 @@ impl SubscriptionDirectory {
     /// the type docs). The caller is responsible for mirroring the
     /// `local → global` mapping into the shard's [`ShardTranslation`].
     ///
-    /// `_expr` is ignored and dropped: the directory keeps no
-    /// expression. The argument stays only until the benchmark's
-    /// directory row stops passing it (ROADMAP item 1 removes it).
-    ///
     /// # Panics
     ///
     /// Panics if `shard` is out of range.
-    pub fn commit(
-        &mut self,
-        shard: usize,
-        local: SubscriptionId,
-        _expr: Arc<Expr>,
-    ) -> SubscriptionId {
+    pub fn issue(&mut self, shard: usize, local: SubscriptionId) -> SubscriptionId {
         let placement = Placement {
             shard: u32::try_from(shard).expect("shard count fits u32"),
             local: u32::try_from(local.index()).expect("local ids fit u32"),
@@ -480,6 +469,19 @@ impl SubscriptionDirectory {
             self.slots[slot_index as usize].generation,
             slot_index as usize,
         )
+    }
+
+    /// [`SubscriptionDirectory::issue`] with an expression argument that
+    /// is ignored and dropped: the directory keeps no expression. It
+    /// stays only until the benchmark's directory row stops calling it
+    /// (ROADMAP item 1 removes it).
+    pub fn commit(
+        &mut self,
+        shard: usize,
+        local: SubscriptionId,
+        _expr: Arc<Expr>,
+    ) -> SubscriptionId {
+        self.issue(shard, local)
     }
 
     /// The slot behind `global`, provided the id's generation matches
@@ -768,16 +770,12 @@ impl ShardTranslation {
 mod tests {
     use super::*;
 
-    fn expr() -> Arc<Expr> {
-        Arc::new(Expr::parse("a = 1").unwrap())
-    }
-
     fn sid(i: usize) -> SubscriptionId {
         SubscriptionId::from_index(i)
     }
 
     /// Registers one subscription the way engines do: place, then
-    /// commit with the next local id of the chosen shard, then mirror
+    /// issue with the next local id of the chosen shard, then mirror
     /// the mapping into the shard's translation map.
     fn register(
         dir: &mut SubscriptionDirectory,
@@ -787,7 +785,7 @@ mod tests {
         let shard = dir.place();
         let local = sid(next_local[shard]);
         next_local[shard] += 1;
-        let global = dir.commit(shard, local, expr());
+        let global = dir.issue(shard, local);
         maps[shard].set(local, global);
         global
     }
@@ -812,8 +810,8 @@ mod tests {
         for n in 0..9 {
             let before = dir.loads().to_vec();
             let global = register(&mut dir, &mut maps, &mut locals);
-            // No slot was ever retired, so each commit appends.
-            assert_eq!(global.slot(), n, "fresh slots in commit order");
+            // No slot was ever retired, so each issue appends.
+            assert_eq!(global.slot(), n, "fresh slots in issue order");
             assert_eq!(global.generation(), 0, "a fresh slot is untagged");
             // The n-th subscription lands on shard n % 3, like the old
             // round-robin cursor.
@@ -995,10 +993,10 @@ mod tests {
     fn removing_a_loaded_shard_panics() {
         let mut dir = SubscriptionDirectory::new(2);
         let shard = dir.place();
-        dir.commit(shard, sid(0), expr());
+        dir.issue(shard, sid(0));
         // Shard 0 got the subscription; make shard 1 the loaded one.
         let shard = dir.place();
-        dir.commit(shard, sid(0), expr());
+        dir.issue(shard, sid(0));
         dir.remove_last_shard();
     }
 
@@ -1013,7 +1011,7 @@ mod tests {
         // Two directories take the same 32 placements, one handed
         // one-leaf expressions, the other 64-leaf ones: commit drops
         // what it is handed, so both charge the same table bytes.
-        let small = expr();
+        let small = Arc::new(Expr::parse("a = 1").unwrap());
         let big = Arc::new(Expr::parse(&["a = 1"; 64].join(" or ")).unwrap());
         let mut dirs = [SubscriptionDirectory::new(2), SubscriptionDirectory::new(2)];
         for (dir, expr) in dirs.iter_mut().zip([&small, &big]) {

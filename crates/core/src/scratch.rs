@@ -23,10 +23,12 @@
 //! pool — so a pruned shard costs neither a lease nor a buffer reset;
 //! its `matched` output is simply absent from the merge.
 
+use std::sync::Arc;
+
 use boolmatch_types::{AttrId, Event, Value};
 
 use crate::eval::EvalFrame;
-use crate::{FulfilledSet, SubscriptionId};
+use crate::{FulfilledSet, MatchStats, SubscriptionId};
 
 /// One event's attributes by an engine's attribute slots, so that a
 /// predicate compared against the event in phase 2 finds its value with
@@ -232,7 +234,8 @@ pub(crate) fn translate_ids(
 
 // lint: end-hot-path
 
-/// Reusable state for [`crate::FilterEngine::match_batch`]: the one
+/// Reusable state for every batch walk — [`crate::FilterEngine::match_batch`],
+/// [`crate::Shard::match_batch`] and the broker's batch publish: the one
 /// [`MatchScratch`] every event of the batch is matched with, plus the
 /// per-event output lists. A batch is the per-event step looped, so the
 /// scratch holds nothing that scales with the batch width except the
@@ -264,8 +267,8 @@ pub(crate) fn translate_ids(
 pub struct BatchScratch {
     /// The per-event scratch each event of the batch is matched with.
     pub(crate) scalar: MatchScratch,
-    /// Per-event matched ids — the output of the most recent
-    /// [`crate::FilterEngine::match_batch`], indexed by event position.
+    /// Per-event matched ids — the output of the most recent batch,
+    /// indexed by event position.
     pub(crate) matched: Vec<Vec<SubscriptionId>>,
 }
 
@@ -277,9 +280,8 @@ impl BatchScratch {
     }
 
     /// Matched subscription ids of event `event` (its position in the
-    /// `events` slice) from the most recent
-    /// [`crate::FilterEngine::match_batch`], in unspecified order,
-    /// without duplicates.
+    /// `events` slice) from the most recent batch, in unspecified order,
+    /// without duplicates from any one engine or shard.
     ///
     /// # Panics
     ///
@@ -319,10 +321,12 @@ impl BatchScratch {
             + self.matched.capacity() * std::mem::size_of::<Vec<SubscriptionId>>()
     }
 
-    /// Sizes and clears the per-event output buffers for a batch of
+    /// Sizes and clears the per-event output lists for a batch of
     /// `events` events, and checks the caller's `skip` mask against it.
-    /// Every batch entry point calls this first.
-    pub(crate) fn begin_batch(&mut self, events: usize, skip: &[bool]) {
+    /// Every batch starts here, once: the shard visits that follow
+    /// ([`Shard::match_batch`](crate::Shard::match_batch)) append to
+    /// the lists.
+    pub fn begin_batch(&mut self, events: usize, skip: &[bool]) {
         debug_assert!(
             skip.is_empty() || skip.len() == events,
             "skip mask must be empty or one flag per event"
@@ -335,27 +339,47 @@ impl BatchScratch {
         }
     }
 
-    // lint: hot-path — the per-event step of every batch walk.
-
-    /// Runs `step` — one event's match, position `e` of the current
-    /// batch — on the embedded scratch and appends the ids it leaves to
-    /// `matched[e]`. The ids are copied, not swapped out: each list then
-    /// keeps the capacity its own position needs, instead of buffers
-    /// rotating through the positions and all growing to the largest.
-    /// The one place a batch's counters are kept: a step that was not
-    /// pruned counts one [`batch_events`](crate::MatchStats::batch_events)
-    /// and one [`batch_passes`](crate::MatchStats::batch_passes).
-    pub(crate) fn match_event(
-        &mut self,
-        e: usize,
-        step: impl FnOnce(&mut MatchScratch) -> crate::MatchStats,
-    ) -> crate::MatchStats {
-        let mut stats = step(&mut self.scalar);
-        if stats.shards_pruned == 0 {
-            stats.batch_events = 1;
-            stats.batch_passes = 1;
+    /// Sorts and deduplicates the matched lists of the first `events`
+    /// events — for a caller whose visits may have seen one
+    /// subscription twice (the broker, racing a migration).
+    pub fn dedup(&mut self, events: usize) {
+        for ids in self.matched.iter_mut().take(events) {
+            ids.sort_unstable();
+            ids.dedup();
         }
-        self.matched[e].extend_from_slice(&self.scalar.matched);
+    }
+
+    // lint: hot-path — the one batch loop: every batch walk in the
+    // workspace runs its events through here.
+
+    /// Runs `step` — one event's match — on the embedded scratch for
+    /// every event `skip` does not mask, and appends the ids it leaves
+    /// to that event's list. The ids are copied, not swapped out: each
+    /// list then keeps the capacity its own position needs, instead of
+    /// buffers rotating through the positions and all growing to the
+    /// largest. The one place a batch's counters are kept: a step that
+    /// was not pruned counts one
+    /// [`batch_events`](crate::MatchStats::batch_events) and one
+    /// [`batch_passes`](crate::MatchStats::batch_passes).
+    pub(crate) fn walk(
+        &mut self,
+        events: &[Arc<Event>],
+        skip: &[bool],
+        mut step: impl FnMut(&Event, &mut MatchScratch) -> MatchStats,
+    ) -> MatchStats {
+        let mut stats = MatchStats::default();
+        for (e, event) in events.iter().enumerate() {
+            if skip.get(e).copied().unwrap_or(false) {
+                continue;
+            }
+            let mut event_stats = step(event, &mut self.scalar);
+            if event_stats.shards_pruned == 0 {
+                event_stats.batch_events = 1;
+                event_stats.batch_passes = 1;
+            }
+            self.matched[e].extend_from_slice(&self.scalar.matched);
+            stats = stats + event_stats;
+        }
         stats
     }
 

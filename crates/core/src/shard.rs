@@ -198,6 +198,27 @@ impl Shard {
         (Some(scratch), stats)
     }
 
+    /// One visit of the shard for a whole batch: the step for every
+    /// event `skip` does not mask, each event's global ids appended to
+    /// its list in `batch`. Call [`BatchScratch::begin_batch`] once
+    /// before a batch's first visit; visiting the shards in order then
+    /// leaves each event's ids in shard order, exactly as the
+    /// sequential one-event walk would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch` was begun for fewer than `events.len()` events.
+    pub fn match_batch(
+        &self,
+        events: &[Arc<Event>],
+        skip: &[bool],
+        batch: &mut BatchScratch,
+    ) -> MatchStats {
+        batch.walk(events, skip, |event, scratch| {
+            self.match_event(event, scratch)
+        })
+    }
+
     /// In-place local → global translation of one id list through the
     /// shard's own map, dropping ids without an entry.
     fn translate(&self, ids: &mut Vec<SubscriptionId>) {
@@ -272,7 +293,7 @@ impl ShardedEngine {
         let shard = self.directory.place_for(self.placement, expr);
         match self.shards[shard].engine.subscribe(expr) {
             Ok(local) => {
-                let global = self.directory.commit(shard, local, Arc::new(expr.clone()));
+                let global = self.directory.issue(shard, local);
                 self.shards[shard].bind(local, global, expr);
                 Ok(global)
             }
@@ -361,9 +382,9 @@ impl ShardedEngine {
         stats
     }
 
-    /// Matches a batch shard-major (each shard visited once for all
-    /// `events`, as the broker's batch publish does under one read lock
-    /// per shard): afterwards [`BatchScratch::matched`] holds, per
+    /// Matches a batch shard-major — one [`Shard::match_batch`] visit
+    /// per shard, as the broker's batch publish makes under one read
+    /// lock per shard: afterwards [`BatchScratch::matched`] holds, per
     /// event, the ids [`ShardedEngine::match_event_into`] reports for
     /// it, in the same order. `skip` excludes events up front (empty:
     /// none); the stats count every other event the synopsis pruned,
@@ -375,15 +396,11 @@ impl ShardedEngine {
         batch: &mut BatchScratch,
     ) -> MatchStats {
         batch.begin_batch(events.len(), skip);
-        let mut stats = MatchStats::default();
-        for shard in &self.shards {
-            for (e, event) in events.iter().enumerate() {
-                if !skip.get(e).copied().unwrap_or(false) {
-                    stats =
-                        stats + batch.match_event(e, |scratch| shard.match_event(event, scratch));
-                }
-            }
-        }
+        let stats = self
+            .shards
+            .iter()
+            .map(|shard| shard.match_batch(events, skip, batch))
+            .fold(MatchStats::default(), |sum, shard| sum + shard);
         debug_assert_eq!(
             batch
                 .matched

@@ -43,7 +43,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::mem;
 use std::sync::Arc;
 
-use boolmatch_expr::{CompareOp, Expr, Predicate};
+use boolmatch_expr::{CompareOp, Expr, Predicate, MAX_DEPTH};
 use boolmatch_types::{Event, Value};
 
 use crate::memory::reserve_tight;
@@ -61,6 +61,7 @@ use crate::SubscriptionId;
 fn required_pred(expr: &Expr) -> Option<&Predicate> {
     fn walk<'e>(
         expr: &'e Expr,
+        depth: usize,
         first: &mut Option<&'e Predicate>,
         first_eq: &mut Option<&'e Predicate>,
     ) {
@@ -75,12 +76,15 @@ fn required_pred(expr: &Expr) -> Option<&Predicate> {
             }
             // Every child of a conjunction must hold, so any predicate
             // found below (through nested conjunctions) is required.
-            Expr::And(children) => {
+            // Placement walks a tree before any engine has checked its
+            // depth; a tree deeper than `MAX_DEPTH`, which every engine
+            // refuses, is not walked past it.
+            Expr::And(children) if depth < MAX_DEPTH => {
                 for child in children {
                     if first_eq.is_some() {
                         return;
                     }
-                    walk(child, first, first_eq);
+                    walk(child, depth + 1, first, first_eq);
                 }
             }
             // Or/Not children are not individually required.
@@ -88,7 +92,7 @@ fn required_pred(expr: &Expr) -> Option<&Predicate> {
         }
     }
     let (mut first, mut first_eq) = (None, None);
-    walk(expr, &mut first, &mut first_eq);
+    walk(expr, 1, &mut first, &mut first_eq);
     first_eq.or(first)
 }
 

@@ -3,7 +3,9 @@
 use std::sync::Arc;
 
 use boolmatch::broker::{Broker, BrokerError};
-use boolmatch::core::{EngineKind, FulfilledSet, PredicateId, SubscribeError, SubscriptionId};
+use boolmatch::core::{
+    EngineKind, FulfilledSet, PlacementPolicy, PredicateId, SubscribeError, SubscriptionId,
+};
 use boolmatch::expr::{Expr, MAX_DEPTH};
 use boolmatch::types::{Event, Schema, ValueKind};
 
@@ -36,6 +38,56 @@ fn nested(depth: usize) -> String {
         text += &format!("x{level} = 1 {op} (");
     }
     text + &format!("x{depth} = 1") + &")".repeat(depth - 1)
+}
+
+/// A tree built in code never goes through the parser's bound, so the
+/// broker must hand it to the engines' depth check as it is: on a
+/// 128 KiB thread, a 2 000-deep tree of nested `and`s around an `or`,
+/// passed by reference, is refused with [`SubscribeError::TooDeep`]
+/// under either placement — neither a deep copy nor clustering's
+/// search for a required equality recurses over it first.
+#[test]
+fn a_deep_tree_built_in_code_is_refused_without_a_copy() {
+    const DEPTH: usize = 2_000;
+    let leaf = Expr::parse("x > 1").unwrap();
+    let mut deep = Expr::parse("x = 1 or y = 1").unwrap();
+    while deep.depth() < DEPTH {
+        deep = Expr::And(vec![deep, leaf.clone()]);
+    }
+    for kind in EngineKind::ALL {
+        for placement in [
+            PlacementPolicy::LeastLoaded,
+            PlacementPolicy::ClusterByAttribute,
+        ] {
+            let broker = Broker::builder()
+                .engine(kind)
+                .shards(2)
+                .placement(placement)
+                .build();
+            let err = std::thread::scope(|scope| {
+                std::thread::Builder::new()
+                    .stack_size(128 << 10)
+                    .spawn_scoped(scope, || broker.subscribe_expr(&deep).map(|sub| sub.id()))
+                    .unwrap()
+                    .join()
+                    .unwrap()
+            })
+            .unwrap_err();
+            assert_eq!(
+                err,
+                BrokerError::Subscribe(SubscribeError::TooDeep {
+                    depth: DEPTH,
+                    limit: MAX_DEPTH,
+                }),
+                "{kind} {placement:?}"
+            );
+            assert_eq!(
+                broker.shard_loads(),
+                vec![0, 0],
+                "{kind}: nothing is registered"
+            );
+        }
+    }
 }
 
 /// A hostile subscription gets an error, not a process abort: on a
