@@ -151,14 +151,6 @@ impl MatchScratch {
         self.shard_matched.clear();
     }
 
-    /// Releases all buffers (capacity included). Matching against a
-    /// much smaller engine afterwards will not pin the old high-water
-    /// memory. Contrast with [`MatchScratch::reset`], which keeps
-    /// capacity for reuse.
-    pub fn trim(&mut self) {
-        *self = MatchScratch::default();
-    }
-
     /// Pre-sizes the buffers for `engine` so the first match does not
     /// pay the growth cost. Purely an optimisation: every buffer also
     /// resizes lazily inside `phase2`.
@@ -295,12 +287,6 @@ impl BatchScratch {
     pub fn reset(&mut self) {
         self.scalar.reset();
         self.matched.iter_mut().for_each(Vec::clear);
-    }
-
-    /// Releases all buffers (capacity included); the batch analogue of
-    /// [`MatchScratch::trim`].
-    pub fn trim(&mut self) {
-        *self = BatchScratch::default();
     }
 
     /// Pre-sizes the embedded per-event scratch for `engine`; see
@@ -529,7 +515,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_scratch_reset_keeps_capacity_trim_releases() {
+    fn batch_scratch_reset_keeps_capacity() {
         let mut engine = EngineKind::Counting.build();
         for i in 0..20 {
             engine
@@ -552,8 +538,6 @@ mod tests {
         batch.reset();
         batch.ensure_capacity(&engine);
         assert_eq!(batch.heap_bytes(), warm);
-        batch.trim();
-        assert_eq!(batch.heap_bytes(), 0);
     }
 
     #[test]
@@ -631,12 +615,10 @@ mod tests {
             matcher.engine().unit_slot_bound()
         );
 
-        // `reset` keeps capacity (pool hygiene); `trim` releases it.
+        // `reset` keeps capacity (pool hygiene).
         let before = scratch.heap_bytes();
         scratch.reset();
         assert_eq!(scratch.heap_bytes(), before, "reset keeps capacity");
-        scratch.trim();
-        assert_eq!(scratch.heap_bytes(), 0);
     }
 
     #[test]

@@ -6,9 +6,13 @@
 //! range predicates we deploy B+ trees". [`PredicateIndex`] is that
 //! per-attribute, per-operator composite: given an event, it yields the
 //! ids of **all fulfilled predicates** in one pass over the event's
-//! attributes. Its substrates are std's: a `HashMap` per attribute for
-//! point predicates and a `BTreeMap` (an ordered B-tree with the same
-//! range scans) per attribute and direction for range predicates.
+//! attributes. Point predicates sit in a std `HashMap` per attribute.
+//! Range predicates sit in sorted columns, one per attribute, operator
+//! and value kind: the constants and their ids in two parallel arrays
+//! sorted by constant, which is a B+ tree's leaf level without the
+//! inner nodes. An event value's fulfilled range predicates are then
+//! one binary search and one contiguous run per column, plus a short
+//! unsorted tail that takes new entries until it is merged in.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,61 +1,180 @@
 //! The per-attribute, per-operator predicate index — phase 1 of the
 //! paper's filtering pipeline.
 
-use std::collections::{BTreeMap, HashMap};
-use std::ops::Bound;
+use std::collections::HashMap;
+use std::sync::Arc;
 
 use boolmatch_expr::{CompareOp, Predicate};
-use boolmatch_types::{AttrId, AttrInterner, Event, Value};
+use boolmatch_types::{AttrId, AttrInterner, Event, Value, ValueKind};
 
-/// Postings attached to one constant in a range tree: `(id, strict)`
-/// for each strict (`<`/`>`) or inclusive (`<=`/`>=`) predicate with
-/// that constant. Most constants hold one predicate, so the first
-/// posting sits inline in the tree's value and only further ones spill
-/// to the heap. Never empty: the constant leaves the tree with its last
-/// posting.
+/// Unsorted entries a column takes before it merges them into its
+/// sorted part. A subscribe then moves no sorted entry; a merge moves
+/// each sorted entry at most once per this many inserts.
+const MERGE_AT: usize = 32;
+
+/// The range predicates of one (operator, value kind) on one attribute
+/// ("for range predicates we deploy B+ trees"): their constants' keys
+/// and their ids in two parallel arrays — a B+ tree's leaf level
+/// without the inner nodes. The first `sorted` entries are sorted by
+/// key; new entries go to the unsorted tail after them. For an event
+/// value, the fulfilled sorted entries are one prefix (`>`, `>=`) or
+/// one suffix (`<`, `<=`), found by one binary search.
 #[derive(Debug, Clone)]
-struct RangePostings<T> {
-    first: (T, bool),
-    more: Vec<(T, bool)>,
+struct Column<K, T> {
+    op: CompareOp,
+    kind: ValueKind,
+    keys: Vec<K>,
+    ids: Vec<T>,
+    sorted: usize,
 }
 
-impl<T: Copy + PartialEq> RangePostings<T> {
-    fn new(id: T, strict: bool) -> Self {
-        RangePostings {
-            first: (id, strict),
-            more: Vec::new(),
+impl<K: Ord + Clone, T: Copy + PartialEq> Column<K, T> {
+    /// Whether event key `v` fulfils this column's predicate on
+    /// constant key `c`.
+    fn holds(&self, v: &K, c: &K) -> bool {
+        match self.op {
+            CompareOp::Gt => v > c,
+            CompareOp::Ge => v >= c,
+            CompareOp::Lt => v < c,
+            CompareOp::Le => v <= c,
+            op => unreachable!("a range column holds no `{op}` predicate"),
         }
     }
 
-    /// Removes `(id, strict)`: `None` when it was not present, else
-    /// whether it was the last posting (the caller then drops the
-    /// constant).
-    fn remove(&mut self, id: T, strict: bool) -> Option<bool> {
-        let posting = (id, strict);
-        if self.first == posting {
-            return match self.more.pop() {
-                Some(next) => {
-                    self.first = next;
-                    Some(false)
-                }
-                None => Some(true),
-            };
+    fn insert(&mut self, key: K, id: T) {
+        push_tight(&mut self.keys, key);
+        push_tight(&mut self.ids, id);
+        if self.keys.len() - self.sorted == MERGE_AT {
+            self.merge_tail();
         }
-        let pos = self.more.iter().position(|p| *p == posting)?;
-        self.more.swap_remove(pos);
-        Some(false)
     }
 
-    /// Reports the postings a scan met at this constant: all of them,
-    /// or only the inclusive ones when the constant equals the event
-    /// value.
-    fn report(&self, equal: bool, f: &mut impl FnMut(T)) {
-        for &(id, strict) in std::iter::once(&self.first).chain(&self.more) {
-            if !(equal && strict) {
+    /// Sorts the tail and merges it into the sorted part from the back:
+    /// each step moves the larger of the two heads into the last open
+    /// slot, so each sorted entry moves at most once.
+    fn merge_tail(&mut self) {
+        let (keys, ids) = (&self.keys[self.sorted..], &self.ids[self.sorted..]);
+        let mut tail: Vec<(K, T)> = keys.iter().cloned().zip(ids.iter().copied()).collect();
+        tail.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let (mut next, mut open) = (self.sorted, self.keys.len());
+        while let Some((key, id)) = tail.last_mut() {
+            open -= 1;
+            if next > 0 && self.keys[next - 1] > *key {
+                next -= 1;
+                self.keys.swap(next, open);
+                self.ids.swap(next, open);
+            } else {
+                std::mem::swap(&mut self.keys[open], key);
+                self.ids[open] = *id;
+                tail.pop();
+            }
+        }
+        self.sorted = self.keys.len();
+    }
+
+    /// Removes entry `(key, id)`; returns whether it was present. A
+    /// column left with more than an eighth of its length spare is
+    /// shrunk to fit, so its bytes follow the live set.
+    fn remove(&mut self, key: &K, id: T) -> bool {
+        let first = self.keys[..self.sorted].partition_point(|c| c < key);
+        let equal = (first..self.sorted).take_while(|&i| self.keys[i] == *key);
+        let Some(at) = equal
+            .chain(self.sorted..self.keys.len())
+            .find(|&i| self.ids[i] == id && self.keys[i] == *key)
+        else {
+            return false;
+        };
+        if at < self.sorted {
+            self.sorted -= 1;
+        }
+        self.keys.remove(at);
+        self.ids.remove(at);
+        if self.keys.capacity() - self.keys.len() > self.keys.len() / 8 {
+            self.keys.shrink_to_fit();
+            self.ids.shrink_to_fit();
+        }
+        true
+    }
+
+    /// Reports every id whose constant event key `v` fulfils: one
+    /// contiguous run of the sorted part, then a scan of the tail.
+    fn for_each_fulfilled(&self, v: &K, f: &mut impl FnMut(T)) {
+        let (keys, tail_keys) = self.keys.split_at(self.sorted);
+        let (ids, tail_ids) = self.ids.split_at(self.sorted);
+        let run = match self.op {
+            CompareOp::Gt | CompareOp::Ge => &ids[..keys.partition_point(|c| self.holds(v, c))],
+            _ => &ids[keys.partition_point(|c| !self.holds(v, c))..],
+        };
+        run.iter().copied().for_each(&mut *f);
+        for (c, &id) in tail_keys.iter().zip(tail_ids) {
+            if self.holds(v, c) {
                 f(id);
             }
         }
     }
+
+    /// Exact heap bytes: both arrays at capacity, plus what `payload`
+    /// charges each key beyond it.
+    fn heap_bytes(&self, payload: impl Fn(&K) -> usize) -> usize {
+        self.keys.capacity() * std::mem::size_of::<K>()
+            + self.ids.capacity() * std::mem::size_of::<T>()
+            + self.keys.iter().map(payload).sum::<usize>()
+    }
+}
+
+/// Pushes `e`, growing a full `list` by an eighth (at least 4) rather
+/// than doubling it: a column is charged at its capacity.
+fn push_tight<E>(list: &mut Vec<E>, e: E) {
+    if list.len() == list.capacity() {
+        list.reserve_exact((list.len() / 8).max(4));
+    }
+    list.push(e);
+}
+
+/// The column of `columns` for `(op, kind)`; a new, empty one if none.
+fn column_for<K: Ord + Clone, T: Copy + PartialEq>(
+    columns: &mut Vec<Column<K, T>>,
+    op: CompareOp,
+    kind: ValueKind,
+) -> &mut Column<K, T> {
+    let at = match columns.iter().position(|c| c.op == op && c.kind == kind) {
+        Some(at) => at,
+        None => {
+            columns.reserve_exact(1);
+            columns.push(Column {
+                op,
+                kind,
+                keys: Vec::new(),
+                ids: Vec::new(),
+                sorted: 0,
+            });
+            columns.len() - 1
+        }
+    };
+    &mut columns[at]
+}
+
+/// The key a range constant or event value sorts by in its column.
+enum RangeKey<'a> {
+    /// A bool, int or float as an `i64`: a float by the bit transform
+    /// of [`f64::total_cmp`], so NaNs and ±0.0 order exactly as
+    /// `CompareOp::eval` orders them.
+    Ordinal(ValueKind, i64),
+    /// A string, as itself.
+    Text(&'a Arc<str>),
+}
+
+fn range_key(value: &Value) -> RangeKey<'_> {
+    let ordinal = match *value {
+        Value::Bool(b) => i64::from(b),
+        Value::Int(i) => i,
+        Value::Float(x) => {
+            let bits = x.to_bits() as i64;
+            bits ^ (((bits >> 63) as u64) >> 1) as i64
+        }
+        Value::Str(ref s) => return RangeKey::Text(s),
+    };
+    RangeKey::Ordinal(value.kind(), ordinal)
 }
 
 /// One attribute's worth of operator indexes.
@@ -69,14 +188,12 @@ struct AttrBucket<T> {
     /// constant equals the event value. `!=` cannot be range-indexed on
     /// one dimension; the list is usually tiny.
     ne: Vec<(Value, T)>,
-    /// `>` / `>=` predicates keyed by constant; an event value `v`
-    /// fulfils entries with constant `< v` (both) and `= v` (inclusive
-    /// only). ("for range predicates we deploy B+ trees": std's
-    /// B-tree, charged by [`btree_heap_bytes`].)
-    lower: BTreeMap<Value, RangePostings<T>>,
-    /// `<` / `<=` predicates keyed by constant; `v` fulfils entries with
-    /// constant `> v` (both) and `= v` (inclusive only).
-    upper: BTreeMap<Value, RangePostings<T>>,
+    /// `>`, `>=`, `<` and `<=` predicates on bool, int and float
+    /// constants: one [`Column`] per (operator, kind) in use, so an
+    /// attribute without range predicates holds no column.
+    ordinal: Vec<Column<i64, T>>,
+    /// The same for string constants: one column per operator in use.
+    text: Vec<Column<Arc<str>, T>>,
     /// `prefix` / `!prefix` predicates: `(pattern, id, negated)`.
     prefix: Vec<(Value, T, bool)>,
     /// `contains` / `!contains` predicates: `(pattern, id, negated)`.
@@ -88,8 +205,8 @@ impl<T> Default for AttrBucket<T> {
         AttrBucket {
             eq: HashMap::new(),
             ne: Vec::new(),
-            lower: BTreeMap::new(),
-            upper: BTreeMap::new(),
+            ordinal: Vec::new(),
+            text: Vec::new(),
             prefix: Vec::new(),
             contains: Vec::new(),
         }
@@ -124,8 +241,8 @@ impl PredicateIndexStats {
 ///
 /// `T` is the posting type — the engines use their `PredicateId`.
 /// Every attribute of the event is looked up once; each operator class
-/// is served by the structure that suits it (hash table, B-tree, or a
-/// scan for the classes that cannot be one-dimensionally indexed).
+/// is served by the structure that suits it (hash table, sorted column,
+/// or a scan for the classes that cannot be one-dimensionally indexed).
 ///
 /// # Examples
 ///
@@ -210,14 +327,15 @@ impl<T: Copy + PartialEq> PredicateIndex<T> {
                 bucket.ne.push((constant, id));
                 self.stats.ne += 1;
             }
-            CompareOp::Gt | CompareOp::Ge => {
-                let strict = pred.op() == CompareOp::Gt;
-                Self::range_insert(&mut bucket.lower, constant, id, strict);
-                self.stats.range += 1;
-            }
-            CompareOp::Lt | CompareOp::Le => {
-                let strict = pred.op() == CompareOp::Lt;
-                Self::range_insert(&mut bucket.upper, constant, id, strict);
+            op @ (CompareOp::Gt | CompareOp::Ge | CompareOp::Lt | CompareOp::Le) => {
+                match range_key(&constant) {
+                    RangeKey::Ordinal(kind, key) => {
+                        column_for(&mut bucket.ordinal, op, kind).insert(key, id);
+                    }
+                    RangeKey::Text(s) => {
+                        column_for(&mut bucket.text, op, ValueKind::Str).insert(s.clone(), id);
+                    }
+                }
                 self.stats.range += 1;
             }
             CompareOp::Prefix | CompareOp::NotPrefix => {
@@ -229,20 +347,6 @@ impl<T: Copy + PartialEq> PredicateIndex<T> {
                 let negated = pred.op() == CompareOp::NotContains;
                 bucket.contains.push((constant, id, negated));
                 self.stats.string_search += 1;
-            }
-        }
-    }
-
-    fn range_insert(
-        tree: &mut BTreeMap<Value, RangePostings<T>>,
-        constant: Value,
-        id: T,
-        strict: bool,
-    ) {
-        match tree.get_mut(&constant) {
-            Some(postings) => postings.more.push((id, strict)),
-            None => {
-                tree.insert(constant, RangePostings::new(id, strict));
             }
         }
     }
@@ -275,17 +379,19 @@ impl<T: Copy + PartialEq> PredicateIndex<T> {
                 }
                 r
             }
-            CompareOp::Gt | CompareOp::Ge => {
-                let strict = pred.op() == CompareOp::Gt;
-                let r = Self::range_remove(&mut bucket.lower, constant, id, strict);
-                if r {
-                    self.stats.range -= 1;
-                }
-                r
-            }
-            CompareOp::Lt | CompareOp::Le => {
-                let strict = pred.op() == CompareOp::Lt;
-                let r = Self::range_remove(&mut bucket.upper, constant, id, strict);
+            op @ (CompareOp::Gt | CompareOp::Ge | CompareOp::Lt | CompareOp::Le) => {
+                let r = match range_key(constant) {
+                    RangeKey::Ordinal(kind, key) => bucket
+                        .ordinal
+                        .iter_mut()
+                        .find(|c| c.op == op && c.kind == kind)
+                        .is_some_and(|c| c.remove(&key, id)),
+                    RangeKey::Text(s) => bucket
+                        .text
+                        .iter_mut()
+                        .find(|c| c.op == op)
+                        .is_some_and(|c| c.remove(s, id)),
+                };
                 if r {
                     self.stats.range -= 1;
                 }
@@ -308,29 +414,6 @@ impl<T: Copy + PartialEq> PredicateIndex<T> {
                 r
             }
         }
-    }
-
-    fn range_remove(
-        tree: &mut BTreeMap<Value, RangePostings<T>>,
-        constant: &Value,
-        id: T,
-        strict: bool,
-    ) -> bool {
-        let Some(now_empty) = tree
-            .get_mut(constant)
-            .and_then(|postings| postings.remove(id, strict))
-        else {
-            return false;
-        };
-        if now_empty {
-            tree.remove(constant);
-            if tree.is_empty() {
-                // A drained std B-tree keeps its root leaf; drop it, so
-                // an empty tree holds no heap, as `btree_heap_bytes` says.
-                *tree = BTreeMap::new();
-            }
-        }
-        true
     }
 
     /// Collects the ids of all predicates fulfilled by `event`.
@@ -365,22 +448,18 @@ impl<T: Copy + PartialEq> PredicateIndex<T> {
                 }
             }
 
-            // `>`/`>=`: constants strictly below `value` fulfil both
-            // flavours; a constant equal to `value` fulfils only `>=`.
-            // Keys of other kinds must be excluded: the Value total
-            // order ranks kinds, so restrict to this kind's span. An
-            // attribute without range predicates pays for no scan.
-            let (kind_start, kind_end) = kind_span(value);
-            if !bucket.lower.is_empty() {
-                let span = (kind_start, Bound::Included(value));
-                report_range(bucket.lower.range::<Value, _>(span), value, &mut f);
-            }
-
-            // `<`/`<=`: constants strictly above fulfil both; equal
-            // fulfils only `<=`.
-            if !bucket.upper.is_empty() {
-                let span = (Bound::Included(value), kind_end);
-                report_range(bucket.upper.range::<Value, _>(span), value, &mut f);
+            // Range predicates: one run per column of the value's kind.
+            match range_key(value) {
+                RangeKey::Ordinal(kind, key) => {
+                    for column in bucket.ordinal.iter().filter(|c| c.kind == kind) {
+                        column.for_each_fulfilled(&key, &mut f);
+                    }
+                }
+                RangeKey::Text(s) => {
+                    for column in &bucket.text {
+                        column.for_each_fulfilled(s, &mut f);
+                    }
+                }
             }
 
             // String-search predicates: scan. `prefix`/`contains` are
@@ -415,15 +494,11 @@ impl<T: Copy + PartialEq> PredicateIndex<T> {
         self.stats.total()
     }
 
-    /// Approximate heap bytes used by all structures. Everything but the
-    /// range trees' nodes is exact; those follow `btree_heap_bytes`.
+    /// Heap bytes used by all structures: every list and column at its
+    /// capacity, plus string payloads, and the equality hash tables at
+    /// their capacity with 8 bytes of overhead a slot.
     pub fn heap_bytes(&self) -> usize {
         let posting = std::mem::size_of::<T>();
-        let spilled = |p: &RangePostings<T>| p.more.capacity() * std::mem::size_of::<(T, bool)>();
-        let range_tree = |tree: &BTreeMap<Value, RangePostings<T>>| {
-            let entries: usize = tree.iter().map(|(k, p)| k.heap_bytes() + spilled(p)).sum();
-            entries + btree_heap_bytes::<Value, RangePostings<T>>(tree.len())
-        };
         let eq_table = |table: &HashMap<Value, Vec<T>>| {
             let slot = std::mem::size_of::<Value>() + std::mem::size_of::<Vec<T>>() + 8;
             let entries: usize = table
@@ -437,79 +512,19 @@ impl<T: Copy + PartialEq> PredicateIndex<T> {
         for b in &self.buckets {
             total += eq_table(&b.eq);
             total += b.ne.capacity() * (std::mem::size_of::<Value>() + posting);
-            total += range_tree(&b.lower);
-            total += range_tree(&b.upper);
+            total += b.ordinal.capacity() * std::mem::size_of::<Column<i64, T>>();
+            total += b.ordinal.iter().map(|c| c.heap_bytes(|_| 0)).sum::<usize>();
+            total += b.text.capacity() * std::mem::size_of::<Column<Arc<str>, T>>();
+            // Each string key as `Value::heap_bytes` charges it.
+            total += b
+                .text
+                .iter()
+                .map(|c| c.heap_bytes(|s| s.len() + 16))
+                .sum::<usize>();
             total += b.prefix.capacity() * (std::mem::size_of::<Value>() + posting + 1);
             total += b.contains.capacity() * (std::mem::size_of::<Value>() + posting + 1);
         }
         total
-    }
-}
-
-/// Reports the postings a range scan around `value` met: a constant
-/// equal to `value` fulfils only its inclusive predicates, every other
-/// constant in the scan both flavours.
-fn report_range<'a, T: Copy + PartialEq + 'a>(
-    scan: impl Iterator<Item = (&'a Value, &'a RangePostings<T>)>,
-    value: &Value,
-    f: &mut impl FnMut(T),
-) {
-    for (constant, postings) in scan {
-        postings.report(constant == value, f);
-    }
-}
-
-/// The minimum/maximum `f64` under [`f64::total_cmp`] — NaNs with the
-/// sign bit set sort below `-inf`, and positive NaNs above `+inf`.
-const F64_TOTAL_MIN: f64 = f64::from_bits(u64::MAX);
-const F64_TOTAL_MAX: f64 = f64::from_bits(0x7FFF_FFFF_FFFF_FFFF);
-
-/// The bounds restricting a range scan to keys of `value`'s kind. They
-/// are statics, so no scan builds a bound; a string one would allocate.
-fn kind_span(value: &Value) -> (Bound<&'static Value>, Bound<&'static Value>) {
-    static BOOL_MIN: Value = Value::Bool(false);
-    static BOOL_MAX: Value = Value::Bool(true);
-    static INT_MIN: Value = Value::Int(i64::MIN);
-    static INT_MAX: Value = Value::Int(i64::MAX);
-    static FLOAT_MIN: Value = Value::Float(F64_TOTAL_MIN);
-    static FLOAT_MAX: Value = Value::Float(F64_TOTAL_MAX);
-    match value {
-        Value::Bool(_) => (Bound::Included(&BOOL_MIN), Bound::Included(&BOOL_MAX)),
-        Value::Int(_) => (Bound::Included(&INT_MIN), Bound::Included(&INT_MAX)),
-        Value::Float(_) => (Bound::Included(&FLOAT_MIN), Bound::Included(&FLOAT_MAX)),
-        // Strings rank last: everything above the greatest float.
-        Value::Str(_) => (Bound::Excluded(&FLOAT_MAX), Bound::Unbounded),
-    }
-}
-
-/// Heap bytes of a `std::collections::BTreeMap<K, V>` holding `len`
-/// entries: a model, as the map does not report its nodes. A node holds
-/// up to 11 entries; a leaf is a 16-byte header plus 11 keys and 11
-/// values (632 B for `Value` keys and `u32` range postings), and an
-/// internal node adds 12 child pointers. Up to 11 entries fill one root
-/// leaf, exactly. Beyond, a counting allocator under random paper
-/// constants found one leaf per 8.5 of `len + 1` entries and one
-/// internal node per 7.4 leaves (160 000 constants in 64 trees: 18 529
-/// leaves, 2 492 internal nodes). This charges one leaf per 8.2 (at
-/// least two) and one internal node per 7.5 leaves (at least the root):
-/// 2–4 % above the allocator from 31 to 2 500 entries a tree
-/// (`tests/heap_truth.rs`). An emptied map is replaced by a new one,
-/// which holds no node.
-fn btree_heap_bytes<K, V>(len: usize) -> usize {
-    const CAPACITY: usize = 11;
-    let leaf = (16 + CAPACITY * (std::mem::size_of::<K>() + std::mem::size_of::<V>()))
-        .next_multiple_of(std::mem::align_of::<usize>());
-    let internal = leaf + (CAPACITY + 1) * std::mem::size_of::<usize>();
-    match len {
-        0 => 0,
-        1..=CAPACITY => leaf,
-        _ => {
-            // Counted in 41ths of a leaf and 615ths (15 × 41) of an
-            // internal node, so the rates stay whole numbers.
-            let leaves = ((len + 1) * 5).max(2 * 41);
-            let internals = (leaves * 2).max(15 * 41);
-            (leaves * leaf).div_ceil(41) + (internals * internal).div_ceil(15 * 41)
-        }
     }
 }
 
@@ -767,8 +782,8 @@ mod tests {
     #[test]
     fn shared_range_constants_match_and_drain_in_every_order() {
         // Four postings on one constant, both strictnesses, on each
-        // side: the first inline, the rest spilled. Removed in every
-        // order, the survivors keep matching until the constant leaves.
+        // side. Removed in every order, the survivors keep matching
+        // until the last one leaves, and the drained columns hold no heap.
         let preds = [
             Predicate::new("x", CompareOp::Gt, 5_i64),
             Predicate::new("x", CompareOp::Ge, 5_i64),
@@ -808,8 +823,8 @@ mod tests {
                     live.retain(|&id| id != gone);
                 }
                 assert_eq!(idx.predicate_count(), 0);
-                let (lower, upper) = (&idx.buckets[0].lower, &idx.buckets[0].upper);
-                assert!(lower.is_empty() && upper.is_empty(), "{order:?}");
+                let drained = |c: &Column<i64, u32>| c.keys.capacity() + c.ids.capacity() == 0;
+                assert!(idx.buckets[0].ordinal.iter().all(drained), "{order:?}");
             }
         }
     }
@@ -822,6 +837,137 @@ mod tests {
         v.swap(i - 1, j);
         v[i..].reverse();
         Some(v)
+    }
+
+    /// Entries waiting in the unsorted tails of `idx`'s first bucket.
+    fn tail_len(idx: &PredicateIndex<u32>) -> usize {
+        let b = &idx.buckets[0];
+        let ordinal = b.ordinal.iter().map(|c| c.keys.len() - c.sorted);
+        ordinal
+            .chain(b.text.iter().map(|c| c.keys.len() - c.sorted))
+            .sum()
+    }
+
+    #[test]
+    fn columns_follow_the_live_set_under_random_inserts_and_removes() {
+        // Every range operator on constants of every kind, the order's
+        // edges among them, on one attribute. The pool is small, so one
+        // constant is often held under several operators and ids.
+        let constants: [Value; 20] = [
+            false.into(),
+            true.into(),
+            i64::MIN.into(),
+            (-1_i64).into(),
+            0_i64.into(),
+            7_i64.into(),
+            i64::MAX.into(),
+            (-f64::NAN).into(),
+            f64::NEG_INFINITY.into(),
+            (-0.0_f64).into(),
+            0.0_f64.into(),
+            2.5_f64.into(),
+            f64::INFINITY.into(),
+            f64::NAN.into(),
+            "".into(),
+            "a".into(),
+            "ab".into(),
+            "abc".into(),
+            "abd".into(),
+            "b".into(),
+        ];
+        let ops = [CompareOp::Lt, CompareOp::Le, CompareOp::Gt, CompareOp::Ge];
+        let probes: Vec<Event> = constants
+            .iter()
+            .cloned()
+            .chain([3_i64.into(), 1.0_f64.into(), "aa".into(), "c".into()])
+            .map(|v| Event::builder().attr("v", v).build())
+            .collect();
+        let mut state = 2005_u64;
+        let mut below = |n: usize| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
+        let mut idx: PredicateIndex<u32> = PredicateIndex::new();
+        let mut live: Vec<(u32, Predicate)> = Vec::new();
+        // The model: per id, its verdict on every probe (from
+        // `eval_event`); per probe, how many live ids it fulfils.
+        let mut verdicts: Vec<Vec<bool>> = Vec::new();
+        let mut fulfilled = vec![0usize; probes.len()];
+        let mut alive = Vec::new();
+        let (mut seen, mut stamp) = (Vec::new(), 0);
+        let (mut from_tail, mut from_sorted, mut peak_sorted) = (0, 0, 0);
+        // Mostly inserts for 1 600 steps, enough for several merges in
+        // most columns, then mostly removes, then a drain of the rest.
+        let mut step = 0;
+        while step < 3_200 || !live.is_empty() {
+            let odds = if step < 1_600 { 7 } else { 2 };
+            if step < 3_200 && (live.is_empty() || below(8) < odds) {
+                let op = ops[below(ops.len())];
+                let p = Predicate::new("v", op, constants[below(constants.len())].clone());
+                let id = verdicts.len() as u32;
+                verdicts.push(probes.iter().map(|e| p.eval_event(e)).collect());
+                for (count, &hit) in fulfilled.iter_mut().zip(&verdicts[id as usize]) {
+                    *count += usize::from(hit);
+                }
+                idx.insert(id, &p);
+                live.push((id, p));
+                alive.push(true);
+                seen.push(0);
+            } else {
+                let (id, p) = live.swap_remove(below(live.len()));
+                let tail = tail_len(&idx);
+                assert!(idx.remove(id, &p), "step {step}: {p}");
+                assert!(!idx.remove(id, &p), "step {step}: {p} twice");
+                if tail_len(&idx) < tail {
+                    from_tail += 1;
+                } else {
+                    from_sorted += 1;
+                }
+                alive[id as usize] = false;
+                for (count, &hit) in fulfilled.iter_mut().zip(&verdicts[id as usize]) {
+                    *count -= usize::from(hit);
+                }
+            }
+            let b = &idx.buckets[0];
+            let runs = b.ordinal.iter().map(|c| c.sorted);
+            peak_sorted = runs
+                .chain(b.text.iter().map(|c| c.sorted))
+                .fold(peak_sorted, usize::max);
+            for (k, e) in probes.iter().enumerate() {
+                stamp += 1;
+                let got = idx.matching(e);
+                for id in got.iter().map(|&id| id as usize) {
+                    assert!(alive[id] && verdicts[id][k], "step {step}: {id} on {e}");
+                    assert_ne!(seen[id], stamp, "step {step}: {id} twice on {e}");
+                    seen[id] = stamp;
+                }
+                assert_eq!(got.len(), fulfilled[k], "step {step}, event {e}");
+            }
+            step += 1;
+        }
+        assert!(live.is_empty() && idx.predicate_count() == 0);
+        assert!(
+            from_tail > 0 && from_sorted > 0,
+            "{from_tail} / {from_sorted}"
+        );
+        assert!(peak_sorted >= 3 * MERGE_AT, "peak sorted run {peak_sorted}");
+        let b = &idx.buckets[0];
+        assert_eq!(
+            b.ordinal.len() + b.text.len(),
+            16,
+            "one column per operator and kind"
+        );
+        assert!(b
+            .ordinal
+            .iter()
+            .all(|c| c.keys.capacity() + c.ids.capacity() == 0));
+        assert!(b
+            .text
+            .iter()
+            .all(|c| c.keys.capacity() + c.ids.capacity() == 0));
     }
 
     #[test]

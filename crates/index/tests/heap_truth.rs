@@ -1,8 +1,10 @@
 //! Heap truth for the phase-1 index: a counting global allocator checks
 //! that `PredicateIndex::heap_bytes` charges at least what the allocator
-//! holds (and at most 5 % more), and that matching allocates nothing.
-//! Counts are per thread, so the harness's parallel tests cannot
-//! pollute each other's figures.
+//! holds (and at most 5 % more), after a build and after churn, and that
+//! matching allocates nothing. Range predicates live in sorted columns
+//! charged at their capacity, so the charge is exact but for the
+//! attribute interner's small overcharge. Counts are per thread, so the
+//! harness's parallel tests cannot pollute each other's figures.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -56,22 +58,28 @@ fn below(state: &mut u64, n: u64) -> u64 {
     (z ^ (z >> 31)) % n
 }
 
-/// An index of `count` paper-shape range predicates: `aN > hi` and
-/// `aN <= lo` pairs over 32 attributes, constants in the domain's top
-/// and bottom 7.5 %. Returns it with the live heap its build added.
-fn paper_index(count: usize, seed: u64) -> (PredicateIndex<u32>, usize) {
-    let mut rng = seed;
+/// `count` paper-shape range predicates: `aN > hi` and `aN <= lo`
+/// pairs over 32 attributes, constants in the domain's top and bottom
+/// 7.5 %.
+fn paper_predicates(count: usize, rng: &mut u64) -> Vec<Predicate> {
     let mut preds = Vec::with_capacity(count);
     while preds.len() < count {
-        let attr = format!("a{}", below(&mut rng, 32));
-        let hi = 999_999 - below(&mut rng, 75_000) as i64;
+        let attr = format!("a{}", below(rng, 32));
+        let hi = 999_999 - below(rng, 75_000) as i64;
         preds.push(Predicate::new(&attr, CompareOp::Gt, hi));
         preds.push(Predicate::new(
             &attr,
             CompareOp::Le,
-            below(&mut rng, 75_000) as i64,
+            below(rng, 75_000) as i64,
         ));
     }
+    preds
+}
+
+/// An index of `count` paper-shape range predicates. Returns it with
+/// the live heap its build added.
+fn paper_index(count: usize, seed: u64) -> (PredicateIndex<u32>, usize) {
+    let preds = paper_predicates(count, &mut { seed });
     let before = LIVE.with(Cell::get);
     let mut idx = PredicateIndex::new();
     for (id, p) in preds.iter().enumerate() {
@@ -81,24 +89,64 @@ fn paper_index(count: usize, seed: u64) -> (PredicateIndex<u32>, usize) {
     (idx, added as usize)
 }
 
+/// Asserts `charged` is at least the allocator's `truth` and at most
+/// 5 % above it.
+fn assert_charged(what: &str, charged: usize, truth: usize) {
+    let ratio = charged as f64 / truth as f64;
+    eprintln!("{what}: {charged} B charged, {truth} B live, ×{ratio:.3}");
+    assert!(
+        charged >= truth,
+        "{what}: charged {charged} < allocator {truth}"
+    );
+    assert!(
+        ratio <= 1.05,
+        "{what}: charged {ratio:.3} x allocator {truth}"
+    );
+}
+
 #[test]
 fn heap_bytes_charges_the_allocator_truth_from_above() {
     for count in [2_000, 40_000, 160_000] {
         for seed in [2005, 7] {
             let (idx, truth) = paper_index(count, seed);
-            let charged = idx.heap_bytes();
-            let ratio = charged as f64 / truth as f64;
-            eprintln!("{count:>7} predicates, seed {seed:>4}: {charged} B charged, {truth} B live, ×{ratio:.3}");
-            assert!(
-                charged >= truth,
-                "{count}: charged {charged} < allocator {truth}"
-            );
-            assert!(
-                ratio <= 1.05,
-                "{count}: charged {ratio:.3} x allocator {truth}"
-            );
+            let what = format!("{count:>7} predicates, seed {seed:>4}");
+            assert_charged(&what, idx.heap_bytes(), truth);
         }
     }
+}
+
+#[test]
+fn heap_bytes_follow_churn() {
+    // 40 000 predicates; half of them, picked at random, are removed,
+    // then as many fresh ones take their ids.
+    const LIVE_COUNT: usize = 40_000;
+    let mut rng = 2005;
+    let preds = paper_predicates(LIVE_COUNT + LIVE_COUNT / 2, &mut rng);
+    let mut ids: Vec<usize> = (0..LIVE_COUNT).collect();
+    for i in (1..ids.len()).rev() {
+        ids.swap(i, below(&mut rng, i as u64 + 1) as usize);
+    }
+    let events = paper_events(7);
+    let mut held: Vec<&Predicate> = preds[..LIVE_COUNT].iter().collect();
+    let before = LIVE.with(Cell::get);
+    let mut idx = PredicateIndex::new();
+    for (id, p) in held.iter().enumerate() {
+        idx.insert(id as u32, p);
+    }
+    let gone = &ids[..LIVE_COUNT / 2];
+    for &id in gone {
+        assert!(idx.remove(id as u32, held[id]));
+    }
+    for (&id, fresh) in gone.iter().zip(&preds[LIVE_COUNT..]) {
+        idx.insert(id as u32, fresh);
+        held[id] = fresh;
+    }
+    let truth = (LIVE.with(Cell::get) - before) as usize;
+    assert_eq!(idx.predicate_count(), LIVE_COUNT);
+    assert_charged("40 000 predicates after churn", idx.heap_bytes(), truth);
+    let (allocs, fulfilled) = allocs_matching(&idx, &events);
+    assert_eq!(allocs, 0, "allocations across 64 paper events after churn");
+    assert!(fulfilled > 0);
 }
 
 /// Allocations made while matching `events[1..]` once `events[0]` has
@@ -113,22 +161,25 @@ fn allocs_matching(idx: &PredicateIndex<u32>, events: &[Event]) -> (usize, usize
     (ALLOCS.with(Cell::get) - start, fulfilled)
 }
 
-#[test]
-fn matching_allocates_nothing() {
-    // 64 paper events with 32 `Int` attributes each.
-    let (idx, _) = paper_index(40_000, 2005);
-    let mut rng = 7;
-    let events: Vec<Event> = (0..65)
+/// 65 paper events with 32 `Int` attributes each.
+fn paper_events(seed: u64) -> Vec<Event> {
+    let mut rng = seed;
+    (0..65)
         .map(|_| {
             Event::from_pairs((0..32).map(|a| (format!("a{a}"), below(&mut rng, 1_000_000) as i64)))
         })
-        .collect();
-    let (allocs, fulfilled) = allocs_matching(&idx, &events);
+        .collect()
+}
+
+#[test]
+fn matching_allocates_nothing() {
+    let (idx, _) = paper_index(40_000, 2005);
+    let (allocs, fulfilled) = allocs_matching(&idx, &paper_events(7));
     assert_eq!(allocs, 0, "allocations across 64 paper events");
     assert!(fulfilled > 0);
 
-    // String events against `>=` and `<` string trees that also hold a
-    // float constant, which string scans must skip.
+    // String events against `>=` and `<` string columns beside a float
+    // column, which string events must skip.
     let mut idx = PredicateIndex::new();
     for (id, c) in ["b", "m", "mz", "t"].into_iter().enumerate() {
         idx.insert(id as u32, &Predicate::new("s", CompareOp::Ge, c));

@@ -207,6 +207,32 @@ fn routing_keeps_no_expression() {
     }
 }
 
+/// The phase-1 fence: a range predicate is one entry of a sorted column
+/// — an 8-byte key and a 4-byte id, with at most an eighth spare — so
+/// the counting engine's phase-1 index on the paper shape costs ≤ 14
+/// bytes per distinct range predicate (≈ 13.0 here; ≈ 89 when each sat
+/// in a B-tree entry).
+#[test]
+fn phase1_index_holds_a_column_entry_per_range_predicate() {
+    const LIVE: usize = 4_000;
+    let broker = Broker::builder().engine(EngineKind::Counting).build();
+    let mut dice = Dice(2005);
+    let mut distinct = std::collections::HashSet::new();
+    let _live: Vec<Subscription> = (0..LIVE)
+        .map(|_| {
+            let expr = paper_subscription(&mut dice);
+            distinct.extend(expr.predicates().into_iter().cloned());
+            broker.subscribe_expr(&expr).unwrap()
+        })
+        .collect();
+    let per_predicate = broker.memory_usage().phase1_index as f64 / distinct.len() as f64;
+    assert!(
+        per_predicate <= 14.0,
+        "{per_predicate:.1} B of phase-1 index per range predicate ({} predicates)",
+        distinct.len()
+    );
+}
+
 /// The history fence: a broker holding a constant live set reports the
 /// same bytes after ten full turnovers of it as after one, at S ∈ {1, 4}.
 /// Every step unsubscribes a random live subscription and subscribes a
